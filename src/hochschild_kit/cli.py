@@ -57,10 +57,6 @@ def _emit(config: RunConfig, text: str) -> int:
     return 0
 
 
-def _frac_str(value) -> str:
-    return str(value)
-
-
 # -- enumerate -----------------------------------------------------------------
 
 

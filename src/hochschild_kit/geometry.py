@@ -341,7 +341,8 @@ def _shade_edge_delta(lo: LightedShade, hi: LightedShade):
         i = next(k for k in range(len(lo_e)) if lo_e[k] != hi_e[k])
         r = lo_e[i][0][0]
         s, t = hi_e[i][0][0], hi_e[i + 1][0][0]
-        assert s + t == r
+        if s + t != r:
+            raise RuntimeError(f"{lo} -> {hi} splits {r} into {s} + {t}")
         p = next(ps for pos, v, ps in lo.singletons if pos == i)
         c_p = lo.cuts_below_position(i)
         coeff = s * (m + n - p + t + c_p) + comb(s, 2)

@@ -412,12 +412,8 @@ def _tree_unjson(obj):
 # a tagged node is (cut_index_or_None, children) and a leaf is LEAF.
 
 
-def _untag(tagged):
-    tag, children = tagged
-    return tuple(LEAF if c is LEAF else _untag(c) for c in children)
-
-
 def _from_tagged(m, n, tagged, parts) -> PaintedTree:
+    """Untag in one preorder walk, collecting the node ids of each cut."""
     cuts: dict[int, set] = {}
     counter = [0]
 
@@ -427,14 +423,14 @@ def _from_tagged(m, n, tagged, parts) -> PaintedTree:
         counter[0] += 1
         if tag is not None:
             cuts.setdefault(tag, set()).add(nid)
-        for c in children:
-            if c is not LEAF:
-                walk(c)
+        return tuple(LEAF if c is LEAF else walk(c) for c in children)
 
-    walk(tagged)
+    tree = walk(tagged)
     k = len(parts)
     cut_list = [frozenset(cuts.get(i, ())) for i in range(k)]
-    return PaintedTree(m, n, _untag(tagged), cut_list, parts)
+    pt = PaintedTree(m, n, tree, cut_list, parts)
+    pt.__dict__["node_count"] = counter[0]  # the walk counted them; rank needs it
+    return pt
 
 
 def _contract_free_edges(tagged):
@@ -726,6 +722,16 @@ def _cut_groupings(forest, level, binary):
     yield from rec(0)
 
 
+def _painted_trees(m, n, binary=False):
+    """Generate every m-painted n-tree once, in generation order (unsorted).
+
+    With ``binary`` only the binary (rank 0) trees are generated.
+    """
+    for shape, k in _painted_shapes(m, n, binary):
+        for parts in ordered_partitions(m, k):
+            yield _from_tagged(m, n, shape, parts)
+
+
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
     """All m-painted n-trees in canonical order, optionally filtered by rank."""
     _check_params(m, n)
@@ -733,12 +739,7 @@ def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
         raise ValueError(f"rank must lie in [0, {m + n - 1}]")
     if rank == 0:
         return binary_painted_trees(m, n)
-    out = []
-    for shape, k in _painted_shapes(m, n, binary=False):
-        for parts in ordered_partitions(m, k):
-            pt = _from_tagged(m, n, shape, parts)
-            if rank is None or pt.rank == rank:
-                out.append(pt)
+    out = [pt for pt in _painted_trees(m, n) if rank is None or pt.rank == rank]
     out.sort(key=lambda x: x.key)
     return out
 
@@ -746,12 +747,7 @@ def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
 def binary_painted_trees(m, n) -> list[PaintedTree]:
     """All binary (rank 0) m-painted n-trees in canonical order."""
     _check_params(m, n)
-    out = []
-    for shape, k in _painted_shapes(m, n, binary=True):
-        for parts in ordered_partitions(m, k):
-            out.append(_from_tagged(m, n, shape, parts))
-    out.sort(key=lambda x: x.key)
-    return out
+    return sorted(_painted_trees(m, n, binary=True), key=lambda x: x.key)
 
 
 def _check_params(m, n):

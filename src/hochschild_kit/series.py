@@ -267,14 +267,19 @@ def gf_face_count(kind: str, m: int, n: int, rank=None) -> int:
         val = row.y_coefficient_total(ey)
     else:
         val = row.coefficient(0, ey, rank)
-    assert val.denominator == 1
-    return int(val)
+    return _integral(val, f"{kind} face series coefficient at ({m}, {n})")
 
 
 def count_binary_painted_trees(m: int, n: int) -> int:
     """Closed count of rank-0 m-painted n-trees via the Catalan tower."""
     val = factorial(m) * catalan_tower(m + 1, n + 1).coefficient(0, n + 1, 0)
-    assert val.denominator == 1
+    return _integral(val, f"Catalan tower count at ({m}, {n})")
+
+
+def _integral(val: Fraction, what: str) -> int:
+    """``val`` as an int; a count that comes out fractional is a bug."""
+    if val.denominator != 1:
+        raise RuntimeError(f"{what} is {val}, not an integer")
     return int(val)
 
 

@@ -13,6 +13,7 @@ parallel sequences) directly derivable.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import combinations, permutations
 import json
 
 from .preposets import Preposet
@@ -311,32 +312,16 @@ def _subsets(s):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
-def enum_lighted_shades(m, n, rank=None) -> list[LightedShade]:
-    """All m-lighted n-shades in canonical order, optionally rank filtered."""
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
-    if rank is not None and not 0 <= rank <= m + n - 1:
-        raise ValueError(f"rank must lie in [0, {m + n - 1}]")
-    if rank == 0:
-        return unary_lighted_shades(m, n)
-    out = []
+def _lighted_shades(m, n):
+    """Generate every m-lighted n-shade once, in generation order (unsorted)."""
     for seq in _tuple_sequences(n, m):
         for lights in _light_distributions(seq, m):
-            ls = LightedShade(m, n, list(zip(seq, lights)))
-            if rank is None or ls.rank == rank:
-                out.append(ls)
-    out.sort(key=lambda x: x.key)
-    return out
+            yield LightedShade(m, n, list(zip(seq, lights)))
 
 
-def unary_lighted_shades(m, n) -> list[LightedShade]:
-    """All unary (rank 0) m-lighted n-shades in canonical order."""
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
-    from itertools import permutations
-
-    out = []
-    comps = [()] if n == 0 else [c for c in _compositions(n)]
+def _unary_shades(m, n):
+    """Generate every unary m-lighted n-shade once, in generation order."""
+    comps = [()] if n == 0 else _compositions(n)
     for comp in comps:
         k = len(comp)
         for pattern in _merge_patterns(k, m):
@@ -350,15 +335,34 @@ def unary_lighted_shades(m, n) -> list[LightedShade]:
                     else:
                         entries.append(((comp[si],), frozenset()))
                         si += 1
-                out.append(LightedShade(m, n, entries))
+                yield LightedShade(m, n, entries)
+
+
+def enum_lighted_shades(m, n, rank=None) -> list[LightedShade]:
+    """All m-lighted n-shades in canonical order, optionally rank filtered."""
+    _check_params(m, n)
+    if rank is not None and not 0 <= rank <= m + n - 1:
+        raise ValueError(f"rank must lie in [0, {m + n - 1}]")
+    if rank == 0:
+        return unary_lighted_shades(m, n)
+    out = [ls for ls in _lighted_shades(m, n) if rank is None or ls.rank == rank]
     out.sort(key=lambda x: x.key)
     return out
 
 
+def unary_lighted_shades(m, n) -> list[LightedShade]:
+    """All unary (rank 0) m-lighted n-shades in canonical order."""
+    _check_params(m, n)
+    return sorted(_unary_shades(m, n), key=lambda x: x.key)
+
+
+def _check_params(m, n):
+    if m < 0 or n < 0 or m + n < 1:
+        raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
+
+
 def _merge_patterns(k, m):
     """0/1 sequences with k zeros (singletons) and m ones (cuts)."""
-    from itertools import combinations
-
     for cut_slots in combinations(range(k + m), m):
         pattern = [False] * (k + m)
         for c in cut_slots:

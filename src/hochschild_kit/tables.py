@@ -12,7 +12,11 @@ with both the stated formulas and exhaustive generation:
 
 reproduce_tables recomputes every printed cell by closed form and generating
 function, and additionally by exhaustive generation up to a size bound, and
-diffs all of it against the fixtures.
+diffs all of it against the fixtures.  Exhaustive generation makes one pass
+per family per (m, n) (exhaustive_census): each pass generates the painted
+trees or lighted shades of every rank once and counts them by rank, which
+gives the facet and face cells; one binary and one unary pass give the
+vertex cells and the shadow fibers behind the singleton cell.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import factorial
 
-from .painted import binary_painted_trees, enum_painted_trees
+from .painted import _check_params, _painted_trees
 from .series import (
     count_binary_painted_trees,
     count_facet_objects,
@@ -28,8 +32,8 @@ from .series import (
     count_unary_lighted_shades,
     gf_face_count,
 )
-from .shades import enum_lighted_shades, unary_lighted_shades
-from .shadow import shadow_fibers
+from .shades import _lighted_shades, _unary_shades
+from .shadow import _group_by_shadow
 
 _ = None
 
@@ -168,23 +172,66 @@ def _gf(table, m, n):
     return None
 
 
-def _exhaustive(table, m, n):
-    d = m + n
-    if table == "multiplihedron_vertices":
-        return len(binary_painted_trees(m, n))
-    if table == "multiplihedron_facets":
-        return len(enum_painted_trees(m, n, rank=d - 2)) if d >= 2 else 0
-    if table == "multiplihedron_faces":
-        return len(enum_painted_trees(m, n))
-    if table == "hochschild_vertices":
-        return len(unary_lighted_shades(m, n))
-    if table == "hochschild_facets":
-        return len(enum_lighted_shades(m, n, rank=d - 2)) if d >= 2 else 0
-    if table == "hochschild_faces":
-        return len(enum_lighted_shades(m, n))
-    if table == "singletons":
-        return sum(1 for pts in shadow_fibers(m, n).values() if len(pts) == 1)
-    raise ValueError(table)
+@dataclass(frozen=True)
+class Census:
+    """Exhaustive object counts at one (m, n), by generation.
+
+    ``painted_ranks[p]`` and ``shade_ranks[p]`` count the generated objects
+    of rank p; the vertex and singleton counts come from separate binary and
+    unary passes, whose objects are grouped into shadow fibers.
+    """
+
+    painted_ranks: tuple
+    shade_ranks: tuple
+    binary_painted: int
+    unary_shades: int
+    singletons: int
+
+    def cells(self) -> dict:
+        """The exhaustive value of every table at this (m, n)."""
+        d = len(self.painted_ranks)
+        return {
+            "multiplihedron_vertices": self.binary_painted,
+            "multiplihedron_facets": self.painted_ranks[d - 2] if d >= 2 else 0,
+            "multiplihedron_faces": sum(self.painted_ranks),
+            "hochschild_vertices": self.unary_shades,
+            "hochschild_facets": self.shade_ranks[d - 2] if d >= 2 else 0,
+            "hochschild_faces": sum(self.shade_ranks),
+            "singletons": self.singletons,
+        }
+
+
+def exhaustive_census(m: int, n: int) -> Census:
+    """Generate every painted tree and lighted shade of (m, n) once, and count.
+
+    One all-ranks pass per family fills its rank histogram; one binary
+    painted pass and one unary shade pass give the vertex counts and the
+    shadow fibers.  No object outlives its pass.
+    """
+    _check_params(m, n)
+    binary, unary, singletons = _vertex_census(m, n)
+    return Census(
+        _rank_histogram(_painted_trees(m, n), m + n),
+        _rank_histogram(_lighted_shades(m, n), m + n),
+        binary,
+        unary,
+        singletons,
+    )
+
+
+def _vertex_census(m, n):
+    """(binary painted trees, unary shades, singleton fibers) of (m, n)."""
+    binary = list(_painted_trees(m, n, binary=True))
+    unary = list(_unary_shades(m, n))
+    fibers = _group_by_shadow(unary, binary)
+    return len(binary), len(unary), sum(1 for pts in fibers.values() if len(pts) == 1)
+
+
+def _rank_histogram(objects, d):
+    hist = [0] * d
+    for obj in objects:
+        hist[obj.rank] += 1
+    return tuple(hist)
 
 
 @dataclass
@@ -256,6 +303,7 @@ def reproduce_tables(bound: int = 7, formula_bound: int | None = None) -> TableR
     exhaustive generation runs for m + n <= bound.
     """
     report = TableReport(bound)
+    censuses = {}  # (m, n) -> exhaustive value per table
     for table, rows in PRINTED_TABLES.items():
         for m, row in enumerate(rows):
             for n, printed in enumerate(row):
@@ -273,7 +321,9 @@ def reproduce_tables(bound: int = 7, formula_bound: int | None = None) -> TableR
                     if gf is not None:
                         computed["gf"] = gf
                 if d <= bound:
-                    computed["exhaustive"] = _exhaustive(table, m, n)
+                    if (m, n) not in censuses:
+                        censuses[m, n] = exhaustive_census(m, n).cells()
+                    computed["exhaustive"] = censuses[m, n][table]
                 if not computed:
                     continue
                 expected = expected_value(table, m, n)

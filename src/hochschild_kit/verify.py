@@ -39,8 +39,6 @@ from .shades import unary_lighted_shades
 from .shadow import shadow
 from .tables import reproduce_tables
 
-SUITES = ("lattice", "morphism", "fan", "cubic", "tables", "all")
-
 
 @dataclass
 class SuiteResult:

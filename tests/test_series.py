@@ -144,3 +144,17 @@ def test_shade_row_uses_size_grading():
     row = shade_face_row(0, 4, 4)
     assert row.coefficient(0, 2, 0) == 2
     assert row.coefficient(0, 2, 1) == 1
+
+
+def test_non_integral_counts_raise(monkeypatch):
+    import hochschild_kit.series as series
+
+    half = TruncatedSeries((0, 3, 3), {(0, 2, 0): Fraction(1, 2)})
+    monkeypatch.setattr(series, "painted_face_row", lambda m, oy, oz: half)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        series.gf_face_count("painted", 0, 1, rank=0)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        series.gf_face_count("painted", 0, 1)
+    monkeypatch.setattr(series, "catalan_tower", lambda i, oy: half)
+    with pytest.raises(RuntimeError, match="not an integer"):
+        series.count_binary_painted_trees(0, 1)
