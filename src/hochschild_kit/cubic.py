@@ -276,8 +276,7 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
     for o in ref.elements:
         members = [v for v in rot.elements if o.preposet.contains(v.preposet)]
         idxs = [rot.index(v) for v in members]
-        mins = [i for i in idxs if not any(rot.leq[j, i] for j in idxs if j != i)]
-        maxs = [i for i in idxs if not any(rot.leq[i, j] for j in idxs if j != i)]
+        mins, maxs = rot.extremes(idxs)
         if len(mins) != 1 or len(maxs) != 1:
             fail("faces_span_subcubes", f"{o}: no unique extremes")
             continue
@@ -328,9 +327,8 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
     objs = list(cubes)
     for o1 in objs:
         for o2 in objs:
-            refines = ref.leq[ref.index(o1), ref.index(o2)]
-            contains = _cube_contains(cubes[o1], cubes[o2])
-            if bool(refines) != bool(contains):
+            refines = ref.le(ref.index(o1), ref.index(o2))
+            if refines != _cube_contains(cubes[o1], cubes[o2]):
                 fail("containment_mirrors_refinement", f"{o1} vs {o2}")
     return report
 

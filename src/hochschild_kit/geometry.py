@@ -16,6 +16,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from .painted import PaintedTree, binary_painted_trees, enum_painted_trees
+from .posets import FinitePoset
 from .preposets import Preposet
 from .shades import LightedShade, enum_lighted_shades, unary_lighted_shades
 from .shadow import is_singleton, shadow
@@ -716,9 +717,10 @@ def freehedron_report(n: int) -> FreehedronReport:
         if ga == gb:
             raise AssertionError("omega tie on a freehedron edge")
         oriented.append((a, b) if ga < gb else (b, a))
-    poset = _reachability_poset(len(verts), oriented)
-    joinless = _missing_bound(poset, upper=True)
-    meetless = _missing_bound(poset, upper=False)
+    # only the order is read, so redundant skeleton edges may stand as covers
+    poset = FinitePoset(range(len(verts)), oriented)
+    joinless = _first_missing(poset.join_table)
+    meetless = _first_missing(poset.meet_table)
     return FreehedronReport(
         n,
         len(verts),
@@ -731,48 +733,10 @@ def freehedron_report(n: int) -> FreehedronReport:
     )
 
 
-def _reachability_poset(n, edges):
-    reach = [1 << i for i in range(n)]
-    changed = True
-    succ = [[] for _ in range(n)]
-    for a, b in edges:
-        succ[a].append(b)
-    while changed:
-        changed = False
-        for a in range(n):
-            acc = reach[a]
-            for b in succ[a]:
-                acc |= reach[b]
-            if acc != reach[a]:
-                reach[a] = acc
-                changed = True
-    return reach
-
-
-def _missing_bound(reach, upper: bool):
-    """A pair with no least upper (or greatest lower) bound, else None."""
-    n = len(reach)
-    if upper:
-        above = reach
-    else:
-        above = [0] * n
-        for a in range(n):
-            for b in range(n):
-                if reach[b] >> a & 1:
-                    above[a] |= 1 << b
-    for a in range(n):
-        for b in range(a + 1, n):
-            common = above[a] & above[b]
-            if not common:
-                return (a, b)
-            best = None
-            mask = common
-            while mask:
-                c = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
-                if common & ~above[c] == 0:
-                    best = c
-                    break
-            if best is None:
+def _first_missing(table):
+    """The first pair (a, b), a < b in row-major order, with no bound, or None."""
+    for a, row in enumerate(table):
+        for b in range(a + 1, len(row)):
+            if row[b] < 0:
                 return (a, b)
     return None

@@ -1,18 +1,19 @@
 """Finite posets built from cover relations, with lattice analytics.
 
-FinitePoset stores an element list and the Hasse diagram; the full order
-relation, meet/join tables and the various lattice-theoretic predicates are
-derived lazily (numpy boolean matrices carry the bulk work, so exhaustive
-pairwise checks stay fast even on lattices with several hundred elements).
-Instances are immutable after construction.
+FinitePoset stores an element tuple and the Hasse diagram; the order
+relation, meet/join tables and the lattice-theoretic predicates are derived
+lazily.  The order is kept as Python-int bitmask rows, the idiom Preposet
+uses: bit j of ``leq[i]`` is set iff element i is below element j, and
+``down`` holds the transposed rows.  The meet of a and b is the element whose
+down-set is ``down[a] & down[b]``, found by one dict lookup, so a full meet
+table costs O(n^2) word-parallel operations.  Instances are immutable after
+construction: every derived structure is a tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from .painted import binary_painted_trees, enum_painted_trees
 from .shades import enum_lighted_shades, unary_lighted_shades
@@ -29,16 +30,26 @@ def _guard(m, n, bound=SIZE_GUARD):
         )
 
 
-class FinitePoset:
-    """A finite poset given by an element list and its cover relations.
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    covers is a list of (lo, hi) index pairs with lo covered by hi.  The
-    cover digraph must be acyclic and transitively irredundant.
+
+class FinitePoset:
+    """A finite poset given by an element tuple and its cover relations.
+
+    covers holds (lo, hi) index pairs with lo below hi; the order is their
+    reflexive transitive closure, so the cover digraph must be acyclic.  The
+    Hasse-diagram analytics (height, irreducibles, extremality) also need it
+    to be transitively irredundant.
     """
 
     def __init__(self, elements, covers, _leq=None):
-        self.elements = list(elements)
-        self.covers = sorted(set(covers))
+        self.elements = tuple(elements)
+        self.covers = tuple(sorted(set(covers)))
         self.n = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != self.n:
@@ -48,80 +59,103 @@ class FinitePoset:
 
     @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
-        """Build from a full order relation; covers by transitive reduction."""
-        leq = np.asarray(leq, dtype=bool)
-        n = len(elements)
-        lt = leq & ~np.eye(n, dtype=bool)
-        if (lt & lt.T).any():
-            raise ValueError("relation is not antisymmetric")
-        redundant = lt @ lt  # boolean matmul: any two-step path
-        covers_mat = lt & ~redundant
-        covers = [(int(i), int(j)) for i, j in zip(*np.nonzero(covers_mat))]
-        return cls(elements, covers, _leq=leq)
+        """Build from up-set rows of a reflexive transitive relation.
+
+        Bit j of ``leq[i]`` says element i is below element j.  The covers
+        are the transitive reduction: j covers i when j is strictly above i
+        and above nothing strictly above i.
+        """
+        up = tuple(row | 1 << i for i, row in enumerate(leq))
+        strict = [row ^ 1 << i for i, row in enumerate(up)]
+        covers = []
+        for i, above in enumerate(strict):
+            # a candidate already in reach lies above a visited element, so by
+            # transitivity its strict up-set is in reach too: skip it
+            reach = 0
+            rest = above
+            while rest:
+                low = rest & -rest
+                reach |= strict[low.bit_length() - 1]
+                rest = (rest ^ low) & ~reach
+            if reach >> i & 1:
+                raise ValueError("relation is not antisymmetric")
+            covers.extend((i, j) for j in _bits(above & ~reach))
+        return cls(elements, covers, _leq=up)
 
     def index(self, key) -> int:
         return self._index[key]
 
     @cached_property
-    def leq(self) -> np.ndarray:
-        """Boolean matrix, leq[i, j] iff element i is below element j."""
+    def leq(self) -> tuple[int, ...]:
+        """Up-set rows: bit j of leq[i] is set iff element i is below j."""
         if hasattr(self, "_leq_cache"):
             return self._leq_cache
-        mat = np.eye(self.n, dtype=bool)
-        for i in self.topological_order[::-1]:
-            for lo, hi in self._covers_up[i]:
-                mat[i] |= mat[hi]
-        if (mat & mat.T & ~np.eye(self.n, dtype=bool)).any():
-            raise ValueError("cover digraph contains a cycle")
-        return mat
+        up = [1 << i for i in range(self.n)]
+        for i in reversed(self.topological_order):
+            for hi in self._covers_up[i]:
+                up[i] |= up[hi]
+        return tuple(up)
+
+    @cached_property
+    def down(self) -> tuple[int, ...]:
+        """Down-set rows: bit j of down[i] is set iff element j is below i."""
+        down = [1 << i for i in range(self.n)]
+        for i in self.topological_order:
+            for hi in self._covers_up[i]:
+                down[hi] |= down[i]
+        return tuple(down)
+
+    def le(self, i: int, j: int) -> bool:
+        """Whether element i is below element j (indices)."""
+        return bool(self.leq[i] >> j & 1)
+
+    def extremes(self, idxs) -> tuple[list[int], list[int]]:
+        """Minimal and maximal elements of a subset, given as indices."""
+        subset = 0
+        for i in idxs:
+            subset |= 1 << i
+        minima = [i for i in idxs if self.down[i] & subset == 1 << i]
+        maxima = [i for i in idxs if self.leq[i] & subset == 1 << i]
+        return minima, maxima
 
     @cached_property
     def _covers_up(self):
         out = [[] for _ in range(self.n)]
         for lo, hi in self.covers:
-            out[lo].append((lo, hi))
+            out[lo].append(hi)
         return out
 
     @cached_property
-    def topological_order(self) -> list[int]:
+    def topological_order(self) -> tuple[int, ...]:
         """Indices sorted bottom-up (every element after all it covers... i.e.
         after everything below it)."""
         indeg = [0] * self.n
-        succ = [[] for _ in range(self.n)]
-        for lo, hi in self.covers:
+        for _, hi in self.covers:
             indeg[hi] += 1
-            succ[lo].append(hi)
         stack = sorted(i for i in range(self.n) if indeg[i] == 0)
         order = []
         while stack:
             v = stack.pop()
             order.append(v)
-            for w in succ[v]:
+            for w in self._covers_up[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     stack.append(w)
         if len(order) != self.n:
             raise ValueError("cover digraph contains a cycle")
-        return order
-
-    @cached_property
-    def topo_rank(self) -> np.ndarray:
-        r = np.empty(self.n, dtype=np.int64)
-        for pos, i in enumerate(self.topological_order):
-            r[i] = pos
-        return r
+        return tuple(order)
 
     # -- extrema ---------------------------------------------------------------
 
     @cached_property
-    def minimal_elements(self) -> list[int]:
+    def minimal_elements(self) -> tuple[int, ...]:
         has_lower = set(hi for _, hi in self.covers)
-        return [i for i in range(self.n) if i not in has_lower]
+        return tuple(i for i in range(self.n) if i not in has_lower)
 
     @cached_property
-    def maximal_elements(self) -> list[int]:
+    def maximal_elements(self) -> tuple[int, ...]:
         has_upper = set(lo for lo, _ in self.covers)
-        return [i for i in range(self.n) if i not in has_upper]
+        return tuple(i for i in range(self.n) if i not in has_upper)
 
     @cached_property
     def bottom(self):
@@ -140,44 +174,39 @@ class FinitePoset:
     # -- meet / join -------------------------------------------------------------
 
     @cached_property
-    def meet_table(self) -> np.ndarray:
-        """meet_table[a, b] = index of the meet, or -1 if it does not exist."""
-        return self._bound_table(self.leq)
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        """meet_table[a][b] = index of the meet, or -1 if it does not exist."""
+        return self._bound_table(self.down)
 
     @cached_property
-    def join_table(self) -> np.ndarray:
-        return self._bound_table(self.leq.T)
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        return self._bound_table(self.leq)
 
-    def _bound_table(self, leq) -> np.ndarray:
-        n = self.n
-        rank = self.topo_rank if leq is self.leq else -self.topo_rank
-        table = np.full((n, n), -1, dtype=np.int64)
-        ranks_col = rank[:, None]
-        for a in range(n):
-            common = leq[:, a:a + 1] & leq
-            masked = np.where(common, ranks_col, np.int64(-(1 << 60)))
-            cand = np.argmax(masked, axis=0)
-            exists = common.any(axis=0)
-            dominated = ~(common & ~leq[:, cand]).any(axis=0)
-            ok = exists & dominated
-            table[a] = np.where(ok, cand, -1)
-        return table
+    def _bound_table(self, rows) -> tuple[tuple[int, ...], ...]:
+        """table[a][b] = the element whose row is rows[a] & rows[b], or -1.
+
+        With down-set rows that element is the greatest common lower bound:
+        its down-set is exactly the set of common lower bounds.  With up-set
+        rows it is the least common upper bound.
+        """
+        owner = {row: i for i, row in enumerate(rows)}.get
+        return tuple(tuple(owner(ra & rb, -1) for rb in rows) for ra in rows)
 
     def meet(self, a, b):
         """Greatest lower bound of two element keys, or None."""
-        idx = self.meet_table[self.index(a), self.index(b)]
+        idx = self.meet_table[self.index(a)][self.index(b)]
         return self.elements[idx] if idx >= 0 else None
 
     def join(self, a, b):
-        idx = self.join_table[self.index(a), self.index(b)]
+        idx = self.join_table[self.index(a)][self.index(b)]
         return self.elements[idx] if idx >= 0 else None
 
     @cached_property
     def is_lattice(self) -> bool:
         return (
             self.is_bounded
-            and (self.meet_table >= 0).all()
-            and (self.join_table >= 0).all()
+            and all(-1 not in row for row in self.meet_table)
+            and all(-1 not in row for row in self.join_table)
         )
 
     # -- analytics ------------------------------------------------------------------
@@ -187,7 +216,7 @@ class FinitePoset:
         """Number of covers in a longest chain."""
         depth = [0] * self.n
         for i in self.topological_order:
-            for lo, hi in self._covers_up[i]:
+            for hi in self._covers_up[i]:
                 depth[hi] = max(depth[hi], depth[i] + 1)
         return max(depth, default=0)
 
@@ -202,26 +231,26 @@ class FinitePoset:
         for i in self.minimal_elements:
             rank[i] = 0
         for i in self.topological_order:
-            for lo, hi in self._covers_up[i]:
+            for hi in self._covers_up[i]:
                 if rank[hi] is None:
                     rank[hi] = rank[i] + 1
                 elif rank[hi] != rank[i] + 1:
                     return None
-        return rank
+        return tuple(rank)
 
     @cached_property
-    def join_irreducibles(self) -> list[int]:
+    def join_irreducibles(self) -> tuple[int, ...]:
         lower = [0] * self.n
         for _, hi in self.covers:
             lower[hi] += 1
-        return [i for i in range(self.n) if lower[i] == 1]
+        return tuple(i for i in range(self.n) if lower[i] == 1)
 
     @cached_property
-    def meet_irreducibles(self) -> list[int]:
+    def meet_irreducibles(self) -> tuple[int, ...]:
         upper = [0] * self.n
         for lo, _ in self.covers:
             upper[lo] += 1
-        return [i for i in range(self.n) if upper[i] == 1]
+        return tuple(i for i in range(self.n) if upper[i] == 1)
 
     @cached_property
     def is_extremal(self) -> bool:
@@ -230,22 +259,34 @@ class FinitePoset:
         return len(self.join_irreducibles) == h and len(self.meet_irreducibles) == h
 
     def semidistributive_counterexample(self, side: str):
-        """A triple (a, b, c) violating meet (side='meet') or join SD, or None."""
+        """A triple (a, b, c) violating meet (side='meet') or join SD, or None.
+
+        Meet SD says a∧b = a∧c = u implies a∧(b∨c) = u.  For each a the join
+        is folded over every class of b's with the same a∧b = u (Freese,
+        Ježek and Nation, *Free Lattices*, 1995): SD holds for a iff the fold
+        keeps the meet with a at u, and the first fold step that leaves u
+        gives the triple (a, accumulated join, b).  Join SD is the dual.
+        Raises ValueError on a poset that is not a lattice.
+        """
         if side == "meet":
             prim, other = self.meet_table, self.join_table
         elif side == "join":
             prim, other = self.join_table, self.meet_table
         else:
             raise ValueError("side must be 'meet' or 'join'")
-        n = self.n
-        for a in range(n):
-            row = prim[a]
-            mixed = prim[a][other]
-            eq = row[:, None] == row[None, :]
-            viol = eq & (mixed != row[:, None])
-            if viol.any():
-                b, c = map(int, np.argwhere(viol)[0])
-                return (self.elements[a], self.elements[b], self.elements[c])
+        if not self.is_lattice:
+            raise ValueError("semidistributivity is defined on lattices only")
+        for a, row in enumerate(prim):
+            fold = {}  # u -> join of the b's seen so far with a op b = u
+            for b, u in enumerate(row):
+                acc = fold.get(u)
+                if acc is None:
+                    fold[u] = b
+                    continue
+                grown = other[acc][b]
+                if row[grown] != u:
+                    return (self.elements[a], self.elements[acc], self.elements[b])
+                fold[u] = grown
         return None
 
     @cached_property
@@ -263,7 +304,7 @@ class FinitePoset:
         order = self.topological_order
         n = self.n
         return ImmutableMatrix(
-            n, n, lambda a, b: 1 if self.leq[order[a], order[b]] else 0
+            n, n, lambda a, b: 1 if self.le(order[a], order[b]) else 0
         )
 
     def coxeter_polynomial(self):
@@ -337,22 +378,25 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
         raise ValueError("f must be total on the source")
     if set(f.values()) != set(dst.elements):
         raise ValueError("f must be surjective onto the destination")
-    fi = np.array([dst.index(f[e]) for e in src.elements], dtype=np.int64)
-    report = {}
+    fi = [dst.index(f[e]) for e in src.elements]
+    # a missing source bound (-1) maps to -1 through the extra last entry, so
+    # it must match a missing destination bound
+    f_or_missing = fi + [-1]
     example = {}
     for side in ("meet", "join"):
         src_t = src.meet_table if side == "meet" else src.join_table
         dst_t = dst.meet_table if side == "meet" else dst.join_table
-        mapped = fi[src_t]
-        expected = dst_t[fi[:, None], fi[None, :]]
-        viol = mapped != expected
-        report[side] = not viol.any()
         example[side] = None
-        if viol.any():
-            a, b = map(int, np.argwhere(viol)[0])
-            example[side] = (src.elements[a], src.elements[b])
+        for a, row in enumerate(src_t):
+            mapped = [f_or_missing[c] for c in row]
+            dst_row = dst_t[fi[a]]
+            expected = [dst_row[j] for j in fi]
+            if mapped != expected:
+                b = next(b for b, (x, y) in enumerate(zip(mapped, expected)) if x != y)
+                example[side] = (src.elements[a], src.elements[b])
+                break
     return MorphismCheckReport(
-        report["meet"], report["join"], example["meet"], example["join"]
+        example["meet"] is None, example["join"] is None, example["meet"], example["join"]
     )
 
 
@@ -394,15 +438,12 @@ def build_refinement_poset(kind: str, m: int, n: int, bound: int = SIZE_GUARD) -
         objs = enum_lighted_shades(m, n)
     else:
         raise ValueError("kind must be 'painted' or 'shade'")
-    n_obj = len(objs)
-    rows = [o.preposet.rows for o in objs]
-    leq = np.zeros((n_obj, n_obj), dtype=bool)
-    for a in range(n_obj):
-        ra = rows[a]
-        for b in range(n_obj):
-            rb = rows[b]
-            leq[a, b] = all(y & ~x == 0 for x, y in zip(ra, rb))
-    return FinitePoset.from_leq(objs, leq)
+    # one int per object holding its preposet rows side by side; a is below
+    # b iff b's relation is contained in a's
+    d = len(objs[0].preposet.rows)
+    keys = [sum(row << d * x for x, row in enumerate(o.preposet.rows)) for o in objs]
+    up = [sum(1 << b for b, kb in enumerate(keys) if kb & ~ka == 0) for ka in keys]
+    return FinitePoset.from_leq(objs, up)
 
 
 def word_subposet(m: int, n: int) -> FinitePoset:
@@ -410,12 +451,11 @@ def word_subposet(m: int, n: int) -> FinitePoset:
     from .cubic import enum_words
 
     words = enum_words(m, n)
-    n_w = len(words)
-    leq = np.zeros((n_w, n_w), dtype=bool)
-    for a, w in enumerate(words):
-        for b, v in enumerate(words):
-            leq[a, b] = all(x <= y for x, y in zip(w, v))
-    return FinitePoset.from_leq(words, leq)
+    up = [
+        sum(1 << b for b, v in enumerate(words) if all(x <= y for x, y in zip(w, v)))
+        for w in words
+    ]
+    return FinitePoset.from_leq(words, up)
 
 
 def lattice_analytics(p: FinitePoset) -> dict:
@@ -482,12 +522,10 @@ def word_fiber_comparison(m: int, n: int) -> dict:
     same = reverse = True
     for a in words.elements:
         for b in words.elements:
-            word_le = words.leq[words.index(a), words.index(b)]
-            rot_le = rot.leq[idx[a], idx[b]]
-            rot_ge = rot.leq[idx[b], idx[a]]
-            if bool(word_le) != bool(rot_le):
+            word_le = words.le(words.index(a), words.index(b))
+            if word_le != rot.le(idx[a], idx[b]):
                 same = False
-            if bool(word_le) != bool(rot_ge):
+            if word_le != rot.le(idx[b], idx[a]):
                 reverse = False
     return {
         "m": m,
@@ -586,7 +624,7 @@ def word_order_conjecture_probe(m: int, n: int) -> dict:
     pairs = 0
     for a, xa in enumerate(encoded):
         for b, xb in enumerate(encoded):
-            truth = bool(rot.leq[a, b])
+            truth = rot.le(a, b)
             pairs += 1
             for key, flag in (("after", True), ("before", False)):
                 if candidate(xa, xb, flag) == truth:
@@ -627,12 +665,7 @@ def check_congruence_projection(m: int, n: int) -> CongruenceReport:
     up = {}
     for ls, pts in fibers.items():
         idxs = [poset.index(p) for p in pts]
-        minima = [
-            i for i in idxs if not any(poset.leq[j, i] for j in idxs if j != i)
-        ]
-        maxima = [
-            i for i in idxs if not any(poset.leq[i, j] for j in idxs if j != i)
-        ]
+        minima, maxima = poset.extremes(idxs)
         if len(minima) != 1 or len(maxima) != 1:
             unique = False
             continue
@@ -641,10 +674,10 @@ def check_congruence_projection(m: int, n: int) -> CongruenceReport:
         for i in idxs:
             down[i] = minima[0]
             up[i] = maxima[0]
-    down_ok = all(poset.leq[down[lo], down[hi]] for lo, hi in poset.covers)
+    down_ok = all(poset.le(down[lo], down[hi]) for lo, hi in poset.covers)
     up_bad = None
     for lo, hi in poset.covers:
-        if not poset.leq[up[lo], up[hi]]:
+        if not poset.le(up[lo], up[hi]):
             up_bad = (poset.elements[lo], poset.elements[hi])
             break
     return CongruenceReport(unique, match, down_ok, up_bad is None, up_bad)

@@ -4,15 +4,10 @@ Each suite sweeps all (m, n) with 1 <= m + n <= bound, collects named checks
 with booleans and counterexamples, and reports a machine-readable summary.
 The suites are what the command line `verify` runs and what the acceptance
 tests assert; every check is exact.
-
-Suite cells are independent and may be fanned out across worker threads
-(HOCHSCHILD_KIT_THREADS caps the pool; the work is pure and read-only).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cubic import (
@@ -94,22 +89,6 @@ def _cells(bound):
     ]
 
 
-def thread_count() -> int:
-    raw = os.environ.get("HOCHSCHILD_KIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    workers = thread_count()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- suites -------------------------------------------------------------------
 
 
@@ -117,37 +96,27 @@ def lattice_suite(bound: int = 6) -> SuiteResult:
     """Rotation digraphs are bounded acyclic lattices; shade graphs are
     regular; painted lattices are semidistributive on exactly one side."""
     res = SuiteResult("lattice", bound)
-
-    def cell(mn):
-        m, n = mn
-        out = []
+    for m, n in _cells(bound):
         for kind in ("painted", "shade"):
             poset = build_rotation_poset(kind, m, n)
-            out.append((f"{kind}({m},{n}) bounded", poset.is_bounded, ""))
-            out.append((f"{kind}({m},{n}) lattice", poset.is_lattice, ""))
+            res.record(f"{kind}({m},{n}) bounded", poset.is_bounded)
+            res.record(f"{kind}({m},{n}) lattice", poset.is_lattice)
             if kind == "shade":
                 deg = [0] * poset.n
                 for lo, hi in poset.covers:
                     deg[lo] += 1
                     deg[hi] += 1
                 regular = all(d == m + n - 1 for d in deg)
-                out.append((f"shade({m},{n}) regular degree {m + n - 1}", regular, ""))
+                res.record(f"shade({m},{n}) regular degree {m + n - 1}", regular)
             else:
                 meet_sd = poset.is_meet_semidistributive
                 join_sd = poset.is_join_semidistributive
                 expect_meet = m == 0 or n <= 2
-                out.append(
-                    (
-                        f"painted({m},{n}) semidistributivity",
-                        join_sd and meet_sd == expect_meet,
-                        f"meetSD={meet_sd} joinSD={join_sd}",
-                    )
+                res.record(
+                    f"painted({m},{n}) semidistributivity",
+                    join_sd and meet_sd == expect_meet,
+                    f"meetSD={meet_sd} joinSD={join_sd}",
                 )
-        return out
-
-    for checks in _pmap(cell, _cells(bound)):
-        for item in checks:
-            res.record(*item)
     res.observe(
         "painted rotation lattices are join semidistributive and fail meet "
         "semidistributivity exactly when m >= 1 and n >= 3 (the printed remark "
@@ -160,18 +129,13 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
     """The shadow map is a surjective meet (not join) semilattice morphism."""
     res = SuiteResult("morphism", bound)
     join_counterexamples = {}
-
-    def cell(mn):
-        m, n = mn
+    for m, n in _cells(bound):
         src = build_rotation_poset("painted", m, n)
         dst = build_rotation_poset("shade", m, n)
         f = {pt: shadow(pt) for pt in src.elements}
         surjective = set(f.values()) == set(dst.elements)
         rep = check_meet_morphism(f, src, dst)
         cong = check_congruence_projection(m, n)
-        return (m, n, surjective, rep, cong)
-
-    for m, n, surjective, rep, cong in _pmap(cell, _cells(bound)):
         res.record(f"shadow({m},{n}) surjective", surjective)
         res.record(f"shadow({m},{n}) meet morphism", rep.is_meet_morphism)
         if not rep.is_join_morphism:
@@ -199,41 +163,28 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
 def fan_suite(bound: int = 6) -> SuiteResult:
     """Polytopality certificates, Minkowski data, skeletons, freehedron."""
     res = SuiteResult("fan", bound)
-
-    def cell(mn):
-        m, n = mn
-        out = []
+    for m, n in _cells(bound):
         for kind in ("multiplihedron", "hochschild"):
             rep = certify_polytope(kind, m, n)
-            out.append(
-                (f"{kind}({m},{n}) certified", rep.passed, rep.counterexample or "")
-            )
+            res.record(f"{kind}({m},{n}) certified", rep.passed, rep.counterexample or "")
             try:
                 minkowski_data(kind, m, n)
-                out.append((f"{kind}({m},{n}) minkowski data consistent", True, ""))
+                res.record(f"{kind}({m},{n}) minkowski data consistent", True)
             except AssertionError as exc:
-                out.append((f"{kind}({m},{n}) minkowski data consistent", False, exc))
+                res.record(f"{kind}({m},{n}) minkowski data consistent", False, exc)
             try:
                 oriented_skeleton(kind, m, n)
-                out.append((f"{kind}({m},{n}) oriented skeleton = rotations", True, ""))
+                res.record(f"{kind}({m},{n}) oriented skeleton = rotations", True)
             except AssertionError as exc:
-                out.append((f"{kind}({m},{n}) oriented skeleton = rotations", False, exc))
+                res.record(f"{kind}({m},{n}) oriented skeleton = rotations", False, exc)
         if m + n <= 5:
             shared = shared_facet_report(m, n)
-            out.append(
-                (
-                    f"shared facets({m},{n})",
-                    shared.facets_subset
-                    and shared.shared_iff_singleton_tight
-                    and shared.common_vertices_are_singletons,
-                    "",
-                )
+            res.record(
+                f"shared facets({m},{n})",
+                shared.facets_subset
+                and shared.shared_iff_singleton_tight
+                and shared.common_vertices_are_singletons,
             )
-        return out
-
-    for checks in _pmap(cell, _cells(bound)):
-        for item in checks:
-            res.record(*item)
     free = freehedron_report(3)
     res.record("freehedron(3) has 12 vertices", free.num_vertices == 12)
     res.record(
@@ -249,37 +200,20 @@ def fan_suite(bound: int = 6) -> SuiteResult:
 def cubic_suite(bound: int = 6) -> SuiteResult:
     """Word bijection round trips, cubic vectors, cubic subdivisions."""
     res = SuiteResult("cubic", bound)
-    word_bound = min(bound + 1, 7)
-
-    def word_cell(mn):
-        m, n = mn
+    for m, n in _cells(min(bound + 1, 7)):
         shades = unary_lighted_shades(m, n)
         round_trip = all(word_to_shade(shade_to_word(ls)) == ls for ls in shades)
         count = len(enum_words(m, n)) * _factorial(m) == len(shades)
-        return (m, n, round_trip, count)
-
-    for m, n, round_trip, count in _pmap(word_cell, _cells(word_bound)):
         res.record(f"word round trip({m},{n})", round_trip)
         res.record(f"word count({m},{n}) = shades / m!", count)
-
-    def vec_cell(mn):
-        m, n = mn
-        out = []
+    for m, n in _cells(bound):
         for kind in ("painted", "shade"):
             rep = verify_cubic_realization(kind, m, n, subdivision=m + n <= 5)
-            out.append(
-                (
-                    f"cubic {kind}({m},{n})"
-                    + ("" if m + n <= 5 else " (vectors only)"),
-                    rep.passed,
-                    rep.counterexample or "",
-                )
+            res.record(
+                f"cubic {kind}({m},{n})" + ("" if m + n <= 5 else " (vectors only)"),
+                rep.passed,
+                rep.counterexample or "",
             )
-        return out
-
-    for checks in _pmap(vec_cell, _cells(bound)):
-        for item in checks:
-            res.record(*item)
     return res
 
 

@@ -1,4 +1,7 @@
-import numpy as np
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from hochschild_kit.posets import (
@@ -12,6 +15,7 @@ from hochschild_kit.posets import (
     word_fiber_comparison,
     word_subposet,
 )
+from hochschild_kit.preposets import transitive_closure_pairs
 from hochschild_kit.shadow import shadow
 
 
@@ -36,13 +40,12 @@ def test_meet_join_on_pentagon():
 
 def test_meet_join_against_brute_force():
     p = build_rotation_poset("shade", 2, 2)
-    leq = p.leq
     for a in range(p.n):
         for b in range(p.n):
-            lower = [c for c in range(p.n) if leq[c, a] and leq[c, b]]
-            maxima = [c for c in lower if not any(leq[c, d] for d in lower if d != c)]
+            lower = [c for c in range(p.n) if p.le(c, a) and p.le(c, b)]
+            maxima = [c for c in lower if not any(p.le(c, d) for d in lower if d != c)]
             expected = maxima[0] if len(maxima) == 1 else -1
-            assert p.meet_table[a, b] == expected
+            assert p.meet_table[a][b] == expected
 
 
 def test_semidistributivity_flags():
@@ -50,6 +53,106 @@ def test_semidistributivity_flags():
     assert pentagon().is_join_semidistributive
     assert not diamond_m3().is_meet_semidistributive
     assert not diamond_m3().is_join_semidistributive
+
+
+# -- naive oracle for the bitset order kernel ----------------------------------------
+
+
+def naive_order(p):
+    """The order as a predicate on indices, by Warshall closure of the covers."""
+    pairs = transitive_closure_pairs(p.n, [(lo + 1, hi + 1) for lo, hi in p.covers])
+    below = {(a - 1, b - 1) for a, b in pairs}
+    return lambda a, b: a == b or (a, b) in below
+
+
+def naive_bound_table(p, le, upper):
+    """Meets (joins if upper) as the unique maximal common lower bound, else -1."""
+    below = (lambda a, b: le(b, a)) if upper else le
+    table = []
+    for a in range(p.n):
+        row = []
+        for b in range(p.n):
+            common = [c for c in range(p.n) if below(c, a) and below(c, b)]
+            best = [c for c in common if not any(below(c, d) for d in common if d != c)]
+            row.append(best[0] if len(best) == 1 else -1)
+        table.append(row)
+    return table
+
+
+def naive_sd_violations(prim, other):
+    """All triples (a, b, c) with a.b = a.c != a.(b + c), by a triple loop."""
+    n = len(prim)
+    return {
+        (a, b, c)
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+        if prim[a][b] == prim[a][c] and prim[a][other[b][c]] != prim[a][b]
+    }
+
+
+def oracle_posets():
+    yield pytest.param(pentagon(), id="pentagon")
+    yield pytest.param(diamond_m3(), id="M3")
+    for total in range(1, 5):
+        for m in range(total + 1):
+            for kind in ("painted", "shade"):
+                p = build_rotation_poset(kind, m, total - m)
+                yield pytest.param(p, id=f"{kind}({m},{total - m})")
+    # refinement posets have a minimum but many maximal elements: joins are missing
+    yield pytest.param(build_refinement_poset("shade", 1, 2), id="refinement shade(1,2)")
+
+
+@pytest.mark.parametrize("p", oracle_posets())
+def test_kernel_matches_naive_oracle(p):
+    le = naive_order(p)
+    for a in range(p.n):
+        for b in range(p.n):
+            assert p.le(a, b) == le(a, b)
+            assert (p.down[b] >> a & 1 == 1) == le(a, b)
+    meet = naive_bound_table(p, le, upper=False)
+    join = naive_bound_table(p, le, upper=True)
+    assert [list(row) for row in p.meet_table] == meet
+    assert [list(row) for row in p.join_table] == join
+    lattice = p.is_bounded and all(-1 not in row for row in meet + join)
+    assert p.is_lattice == lattice
+    for side, prim, other in (("meet", meet, join), ("join", join, meet)):
+        if not lattice:
+            with pytest.raises(ValueError):
+                p.semidistributive_counterexample(side)
+            continue
+        violations = naive_sd_violations(prim, other)
+        found = p.semidistributive_counterexample(side)
+        if not violations:
+            assert found is None
+        else:
+            assert found is not None
+            assert tuple(p.index(e) for e in found) in violations
+
+
+def test_refinement_oracle_poset_misses_joins():
+    ref = build_refinement_poset("shade", 1, 2)
+    assert not ref.is_lattice
+    assert any(-1 in row for row in ref.join_table)
+    assert all(-1 not in row for row in ref.meet_table)
+
+
+def test_cached_posets_are_immutable_and_non_lattices_raise():
+    p = build_rotation_poset("shade", 1, 2)
+    for value in (p.elements, p.covers, p.leq, p.down, p.meet_table, p.join_table):
+        assert isinstance(value, tuple)
+    for table in (p.meet_table, p.join_table):
+        assert all(isinstance(row, tuple) for row in table)
+        with pytest.raises(TypeError):
+            table[0][0] = -1
+    assert build_rotation_poset("shade", 1, 2).meet_table is p.meet_table
+    # a V shape: bounded below, two maxima, so no join of the two tops
+    vee = FinitePoset(["bot", "x", "y"], [(0, 1), (0, 2)])
+    assert not vee.is_lattice
+    for side in ("meet", "join"):
+        with pytest.raises(ValueError):
+            vee.semidistributive_counterexample(side)
+    assert not vee.is_meet_semidistributive and not vee.is_join_semidistributive
 
 
 def test_rotation_poset_shapes():
@@ -91,24 +194,21 @@ def test_refinement_poset_counts_and_grading():
 def test_refinement_order_equals_move_reachability():
     for kind, m, n in [("painted", 1, 2), ("shade", 2, 2), ("painted", 2, 2)]:
         ref = build_refinement_poset(kind, m, n)
-        idx = {o: i for i, o in enumerate(ref.elements)}
-        move = np.eye(ref.n, dtype=bool)
-        for o in ref.elements:
-            for r in o.refinement_covers_down():
-                move[idx[r], idx[o]] = True
-        changed = True
-        while changed:
-            grown = move | (move @ move)
-            changed = (grown != move).any()
-            move = grown
-        assert (move == ref.leq).all()
+        idx = {o: i + 1 for i, o in enumerate(ref.elements)}
+        moves = [
+            (idx[r], idx[o]) for o in ref.elements for r in o.refinement_covers_down()
+        ]
+        below = {(a - 1, b - 1) for a, b in transitive_closure_pairs(ref.n, moves)}
+        for a in range(ref.n):
+            for b in range(ref.n):
+                assert ref.le(a, b) == (a == b or (a, b) in below)
 
 
 def test_refinement_semilattice_property():
     # every pair with a common lower bound has a greatest one
     for kind, m, n in [("shade", 1, 3), ("shade", 2, 2), ("painted", 1, 3)]:
         ref = build_refinement_poset(kind, m, n)
-        assert (ref.meet_table >= 0).all()
+        assert all(c >= 0 for row in ref.meet_table for c in row)
 
 
 def test_meet_morphism_identity():
@@ -132,6 +232,28 @@ def test_shadow_morphism():
     assert rep.join_counterexample is not None
 
 
+def test_morphism_counterexample_is_first_row_major_violation():
+    for m, n in [(0, 3), (1, 3), (0, 4), (2, 2)]:
+        src = build_rotation_poset("painted", m, n)
+        dst = build_rotation_poset("shade", m, n)
+        f = {pt: shadow(pt) for pt in src.elements}
+        rep = check_meet_morphism(f, src, dst)
+        for side, op_src, op_dst, example in (
+            ("meet", src.meet, dst.meet, rep.meet_counterexample),
+            ("join", src.join, dst.join, rep.join_counterexample),
+        ):
+            first = next(
+                (
+                    (x, y)
+                    for x in src.elements
+                    for y in src.elements
+                    if f[op_src(x, y)] != op_dst(f[x], f[y])
+                ),
+                None,
+            )
+            assert example == first, (m, n, side)
+
+
 def test_congruence_projection():
     for m, n in [(0, 3), (1, 2), (2, 2)]:
         rep = check_congruence_projection(m, n)
@@ -149,13 +271,13 @@ def test_shadow_quotient_is_shade_lattice():
         for a in dst.elements:
             for b in dst.elements:
                 image_le = any(
-                    src.leq[src.index(x), src.index(y)]
+                    src.le(src.index(x), src.index(y))
                     for x in src.elements
                     if shadow(x) == a
                     for y in src.elements
                     if shadow(y) == b
                 )
-                assert image_le == bool(dst.leq[dst.index(a), dst.index(b)])
+                assert image_le == dst.le(dst.index(a), dst.index(b))
 
 
 def test_word_subposet_counts_and_lattice():
@@ -260,3 +382,12 @@ def test_cycle_detection():
 def test_size_guard():
     with pytest.raises(ValueError):
         build_rotation_poset("shade", 5, 5)
+
+
+def test_library_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hochschild_kit.cli; sys.exit('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr

@@ -85,8 +85,8 @@ def test_fiber_extremes_are_rotation_extremes():
         for ls, pts in shadow_fibers(m, n).items():
             idxs = [poset.index(p) for p in pts]
             lo, hi = fiber_min(ls), fiber_max(ls)
-            assert all(poset.leq[poset.index(lo), i] for i in idxs)
-            assert all(poset.leq[i, poset.index(hi)] for i in idxs)
+            assert all(poset.le(poset.index(lo), i) for i in idxs)
+            assert all(poset.le(i, poset.index(hi)) for i in idxs)
 
 
 def test_single_tuple_fiber_extremes_are_combs():
