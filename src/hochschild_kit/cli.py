@@ -3,8 +3,8 @@
 Subcommands: enumerate (stream objects), polytope (V-rep, H-rep, Minkowski
 data, certification), verify (run a named suite), hasse (DOT diagrams).
 All output is deterministic; rationals are serialized as strings to avoid
-precision loss.  Exit codes: 0 success, 1 verification or I/O failure,
-2 usage error.
+precision loss.  Exit codes: 0 success, 1 verification, I/O or internal
+failure (a failed consistency check of the kit itself), 2 usage error.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def cmd_polytope(args) -> int:
             "barycenter": [str(c) for c in barycenter(config.kind, config.m, config.n)],
             "certification": {
                 "passed": report.passed,
-                "checks": report.checks,
+                "checks": dict(report.checks),
                 "counterexample": report.counterexample,
             },
         }
@@ -319,6 +319,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return 1
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
 
 

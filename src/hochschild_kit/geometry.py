@@ -1,19 +1,25 @@
 """Exact rational geometry of multiplihedra and Hochschild polytopes.
 
 Vertices, facet halfspaces, Minkowski parametrizations and the runtime
-polytopality certificate.  Everything is computed over exact rationals
-(integer coordinates, Fraction barycenters); there is no floating point and
-no convex-hull or LP dependency: polytopality is certified through vertex /
-facet incidence, edge directions and fan witnesses.
+polytopality certificate.  Everything is exact: coordinates are integers,
+affine ranks come from fraction-free integer elimination, and `Fraction`
+appears only in barycenters.  There is no floating point and no convex-hull
+or LP dependency: polytopality is certified through vertex / facet
+incidence, edge directions and fan witnesses.
+
+The vertex and facet objects of a polytope are built once per (m, n) cell by
+`_polytope_objects` and shared by every check of that cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from types import MappingProxyType
 
 from .painted import PaintedTree, binary_painted_trees, enum_painted_trees
 from .posets import FinitePoset
@@ -270,12 +276,11 @@ def minkowski_data(kind: str, m: int, n: int) -> MinkowskiData:
     d = m + n
     if kind == "multiplihedron":
         y_fn, z_fn = y_multiplihedron, z_multiplihedron
-        verts = [vertex_of_painted_tree(pt) for pt in binary_painted_trees(m, n)]
     elif kind == "hochschild":
         y_fn, z_fn = y_hochschild, z_hochschild
-        verts = [vertex_of_lighted_shade(ls) for ls in unary_lighted_shades(m, n)]
     else:
         raise ValueError("kind must be 'multiplihedron' or 'hochschild'")
+    _, verts, _, _ = _polytope_objects(kind, m, n)
     y = {s: y_fn(s, m, n) for s in _subsets(d)}
     z = {s: z_fn(s, m, n) for s in _subsets(d)}
     for s in z:
@@ -291,14 +296,16 @@ def minkowski_data(kind: str, m: int, n: int) -> MinkowskiData:
 # -- certification -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertificationReport:
+    """The outcome of one certificate; shared by every caller, so read-only."""
+
     kind: str
     m: int
     n: int
     num_vertices: int
     num_facets: int
-    checks: dict = field(default_factory=dict)
+    checks: Mapping[str, bool]
     counterexample: str | None = None
 
     @property
@@ -306,18 +313,25 @@ class CertificationReport:
         return all(self.checks.values())
 
 
+@lru_cache(maxsize=2)
 def _polytope_objects(kind, m, n):
+    """Vertex objects, vertices, facet objects and facet halfspaces.
+
+    Memoised for the two polytopes of the current (m, n) cell only, so every
+    check of a cell shares one set of objects (and their cached preposets)
+    without keeping earlier cells alive; `fan_suite` clears it when done.
+    """
     d = m + n
     if kind == "multiplihedron":
-        vert_objs = binary_painted_trees(m, n)
-        verts = [vertex_of_painted_tree(o) for o in vert_objs]
-        facet_objs = enum_painted_trees(m, n, rank=d - 2) if d >= 2 else []
-        facets = [facet_of_painted_tree(o) for o in facet_objs]
+        vert_objs = tuple(binary_painted_trees(m, n))
+        verts = tuple(vertex_of_painted_tree(o) for o in vert_objs)
+        facet_objs = tuple(enum_painted_trees(m, n, rank=d - 2)) if d >= 2 else ()
+        facets = tuple(facet_of_painted_tree(o) for o in facet_objs)
     elif kind == "hochschild":
-        vert_objs = unary_lighted_shades(m, n)
-        verts = [vertex_of_lighted_shade(o) for o in vert_objs]
-        facet_objs = enum_lighted_shades(m, n, rank=d - 2) if d >= 2 else []
-        facets = [facet_of_lighted_shade(o) for o in facet_objs]
+        vert_objs = tuple(unary_lighted_shades(m, n))
+        verts = tuple(vertex_of_lighted_shade(o) for o in vert_objs)
+        facet_objs = tuple(enum_lighted_shades(m, n, rank=d - 2)) if d >= 2 else ()
+        facets = tuple(facet_of_lighted_shade(o) for o in facet_objs)
     else:
         raise ValueError("kind must be 'multiplihedron' or 'hochschild'")
     return vert_objs, verts, facet_objs, facets
@@ -382,13 +396,14 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     """
     d = m + n
     vert_objs, verts, facet_objs, facets = _polytope_objects(kind, m, n)
-    report = CertificationReport(kind, m, n, len(verts), len(facets))
-    checks = report.checks
+    checks = {}
+    counterexample = None
 
     def fail(name, message):
+        nonlocal counterexample
         checks[name] = False
-        if report.counterexample is None:
-            report.counterexample = f"{name}: {message}"
+        if counterexample is None:
+            counterexample = f"{name}: {message}"
 
     checks["vertices_distinct"] = len(set(verts)) == len(verts)
     checks["facets_distinct"] = len(set(facets)) == len(facets)
@@ -442,7 +457,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
                 if _shade_edge_delta(lo_obj, hi_obj) != delta:
                     fail("edge_directions", f"shade case formula differs: {delta}")
 
-    _fan_checks(kind, m, n, report, fail)
+    _fan_checks(kind, m, n, vert_objs, checks, fail)
 
     z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
     checks["z_support_minimum"] = True
@@ -491,7 +506,9 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
             tight = sum(1 for f in facets if f.is_tight(v))
             if tight != d - 1:
                 fail("simple", f"{vo.canonical()} lies on {tight} facets")
-    return report
+    return CertificationReport(
+        kind, m, n, len(verts), len(facets), MappingProxyType(checks), counterexample
+    )
 
 
 def greedy_vertex(z, d, perm) -> tuple[int, ...]:
@@ -507,31 +524,33 @@ def greedy_vertex(z, d, perm) -> tuple[int, ...]:
 
 
 def _affine_rank(points) -> int:
-    """Dimension of the affine hull of exact integer points (-1 when empty)."""
+    """Dimension of the affine hull of exact integer points (-1 when empty).
+
+    Fraction-free forward elimination on the integer difference rows: a row
+    below the pivot becomes pv*row - f*pivot_row, which zeroes its pivot
+    column exactly and keeps every entry an integer.
+    """
     if not points:
         return -1
     base = points[0]
-    rows = []
-    for p in points[1:]:
-        rows.append([Fraction(a - b) for a, b in zip(p, base)])
+    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
     rank = 0
-    cols = len(base)
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+    for col in range(len(base)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col] / pv
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        pv = prow[col]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col]
+            if f:
+                rows[r] = [pv * a - f * b for a, b in zip(rows[r], prow)]
         rank += 1
     return rank
 
 
-def _fan_checks(kind, m, n, report, fail):
-    checks = report.checks
+def _fan_checks(kind, m, n, vert_objs, checks, fail):
     d = m + n
     if kind == "hochschild":
         all_shades = enum_lighted_shades(m, n)
@@ -545,16 +564,16 @@ def _fan_checks(kind, m, n, report, fail):
             for e in range(len(pre.hasse_edges)):
                 if pre.contract_hasse_edge(e) not in preposet_set:
                     fail("fan_face_closure", f"{ls.canonical()} edge {e}")
-        unary_pre = [ls.preposet for ls in unary_lighted_shades(m, n)]
+        unary_pre = [ls.preposet for ls in vert_objs]
         checks["coarsening_witness"] = True
-        for pt in binary_painted_trees(m, n):
+        for pt in _polytope_objects("multiplihedron", m, n)[0]:
             hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
             if hits != 1:
                 fail("coarsening_witness", f"{pt.canonical()} lands in {hits} cones")
     else:
         # maximal painted cones need not be simplicial (the multiplihedron is
         # not simple), so only the braid coarsening witness is checked here
-        binary_pre = [pt.preposet for pt in binary_painted_trees(m, n)]
+        binary_pre = [pt.preposet for pt in vert_objs]
         checks["coarsening_witness"] = True
         for perm in permutations(range(1, d + 1)):
             chain = Preposet.chain(d, perm)

@@ -438,10 +438,8 @@ def build_refinement_poset(kind: str, m: int, n: int, bound: int = SIZE_GUARD) -
         objs = enum_lighted_shades(m, n)
     else:
         raise ValueError("kind must be 'painted' or 'shade'")
-    # one int per object holding its preposet rows side by side; a is below
-    # b iff b's relation is contained in a's
-    d = len(objs[0].preposet.rows)
-    keys = [sum(row << d * x for x, row in enumerate(o.preposet.rows)) for o in objs]
+    # a is below b iff b's relation is contained in a's
+    keys = [o.preposet.packed for o in objs]
     up = [sum(1 << b for b, kb in enumerate(keys) if kb & ~ka == 0) for ka in keys]
     return FinitePoset.from_leq(objs, up)
 
@@ -655,7 +653,10 @@ def check_congruence_projection(m: int, n: int) -> CongruenceReport:
 
     Checks that every shadow fiber has a unique minimum equal to fiber_min,
     that projecting down is order preserving along every rotation edge, and
-    whether projecting up to fiber maxima preserves order.
+    whether projecting up to fiber maxima preserves order.  A fiber without
+    a unique minimum or maximum clears ``unique_minima`` and gets no
+    projection; the projection flags then cover the edges whose endpoints
+    both have one.
     """
     poset = build_rotation_poset("painted", m, n)
     fibers = shadow_fibers(m, n)
@@ -674,9 +675,10 @@ def check_congruence_projection(m: int, n: int) -> CongruenceReport:
         for i in idxs:
             down[i] = minima[0]
             up[i] = maxima[0]
-    down_ok = all(poset.le(down[lo], down[hi]) for lo, hi in poset.covers)
+    covers = [(lo, hi) for lo, hi in poset.covers if lo in down and hi in down]
+    down_ok = all(poset.le(down[lo], down[hi]) for lo, hi in covers)
     up_bad = None
-    for lo, hi in poset.covers:
+    for lo, hi in covers:
         if not poset.le(up[lo], up[hi]):
             up_bad = (poset.elements[lo], poset.elements[hi])
             break

@@ -1,8 +1,10 @@
 """Preposets (reflexive transitive relations) on the ground set {1, ..., d}.
 
 A preposet is stored as a tuple of d bitmask rows: bit j-1 of ``rows[i-1]``
-is set iff i is below j.  All instances are immutable and hashable, so they
-can be used as dictionary keys and shared freely between threads.
+is set iff i is below j.  The same rows side by side form one int,
+``packed``, with row i-1 at bits [(i-1)*d, i*d), so containment is a single
+int test.  All instances are immutable and hashable, so they can be used as
+dictionary keys.
 """
 
 from __future__ import annotations
@@ -14,11 +16,15 @@ from itertools import combinations
 class Preposet:
     """A reflexive transitive binary relation on {1, ..., d}."""
 
-    __slots__ = ("d", "rows", "__dict__")
+    __slots__ = ("d", "rows", "packed", "__dict__")
 
     def __init__(self, d: int, rows: tuple[int, ...]):
         self.d = d
         self.rows = rows
+        packed = 0
+        for i, row in enumerate(rows):
+            packed |= row << i * d
+        self.packed = packed
 
     @classmethod
     def from_pairs(cls, d: int, pairs) -> "Preposet":
@@ -57,7 +63,7 @@ class Preposet:
         """True iff every relation of ``other`` also holds in ``self``."""
         if self.d != other.d:
             raise ValueError("ground sets differ")
-        return all(o & ~s == 0 for s, o in zip(self.rows, other.rows))
+        return other.packed & ~self.packed == 0
 
     @cached_property
     def classes(self) -> tuple[frozenset, ...]:

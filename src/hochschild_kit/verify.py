@@ -17,6 +17,7 @@ from .cubic import (
     word_to_shade,
 )
 from .geometry import (
+    _polytope_objects,
     certify_polytope,
     freehedron_report,
     minkowski_data,
@@ -185,6 +186,7 @@ def fan_suite(bound: int = 6) -> SuiteResult:
                 and shared.shared_iff_singleton_tight
                 and shared.common_vertices_are_singletons,
             )
+    _polytope_objects.cache_clear()
     free = freehedron_report(3)
     res.record("freehedron(3) has 12 vertices", free.num_vertices == 12)
     res.record(

@@ -144,6 +144,21 @@ def test_output_io_failure(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_internal_failure_exits_1(capsys, monkeypatch, error):
+    import hochschild_kit.geometry as geometry
+
+    def broken(kind, m, n):
+        raise error("support minimum differs from z at [1]")
+
+    monkeypatch.setattr(geometry, "minkowski_data", broken)
+    code, out, err = run(
+        capsys, "polytope", "--kind", "hochschild", "--m", "1", "--n", "2",
+    )
+    assert code == 1 and out == ""
+    assert err == "internal error: support minimum differs from z at [1]\n"
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--kind", "bogus", "--n", "3"])

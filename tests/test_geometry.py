@@ -1,9 +1,14 @@
+import dataclasses
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import hochschild_kit.geometry as geometry
 from hochschild_kit.geometry import (
+    _affine_rank,
+    _subsets,
     barycenter,
     certify_polytope,
     facet_of_lighted_shade,
@@ -26,6 +31,7 @@ from hochschild_kit.geometry import (
 from hochschild_kit.painted import PaintedTree, binary_painted_trees, left_comb
 from hochschild_kit.posets import build_rotation_poset
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
+from hochschild_kit.verify import fan_suite
 
 
 def S(m, n, *entries):
@@ -271,3 +277,92 @@ def test_greedy_vertex_on_permutahedron():
             z[frozenset(c)] = comb(len(c) + 1, 2)
     assert greedy_vertex(z, 3, (1, 2, 3)) == (1, 2, 3)
     assert greedy_vertex(z, 3, (3, 2, 1)) == (3, 2, 1)
+
+
+def _affine_rank_oracle(points):
+    """Gauss-Jordan elimination over Fraction, the reference for _affine_rank."""
+    if not points:
+        return -1
+    base = points[0]
+    rows = [[Fraction(a - b) for a, b in zip(p, base)] for p in points[1:]]
+    rank = 0
+    for col in range(len(base)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                factor = rows[r][col] / pv
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("kind", ["multiplihedron", "hochschild"])
+def test_affine_rank_matches_fraction_oracle_on_tight_sets(kind):
+    z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
+    for d in range(1, 5):
+        for m in range(d + 1):
+            n = d - m
+            _, verts, _, _ = _polytope_objects(kind, m, n)
+            for s in _subsets(d):
+                tight = [v for v in verts if sum(v[i - 1] for i in s) == z_fn(s, m, n)]
+                assert _affine_rank(tight) == _affine_rank_oracle(tight), (m, n, s)
+
+
+def test_affine_rank_matches_fraction_oracle_on_random_points():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        pool = [tuple(rng.randint(-6, 6) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+        points = []
+        for _ in range(rng.randint(0, 9)):
+            a, b = rng.choice(pool), rng.choice(pool)
+            shape = rng.randrange(3)
+            if shape == 0:  # a fresh point
+                points.append(tuple(rng.randint(-6, 6) for _ in range(dim)))
+            elif shape == 1:  # a duplicate
+                points.append(a)
+            else:  # on the line through two pool points
+                t = rng.randint(-3, 3)
+                points.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
+        assert _affine_rank(points) == _affine_rank_oracle(points), points
+
+
+def test_certification_report_is_read_only():
+    rep = certify_polytope("hochschild", 1, 2)
+    with pytest.raises(TypeError):
+        rep.checks["simple"] = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.counterexample = "edited"
+    assert certify_polytope("hochschild", 1, 2).passed
+
+
+def test_cell_builds_each_polytope_once(monkeypatch):
+    calls = {"painted": 0, "shade": 0}
+
+    def counted(key, fn):
+        def wrapper(m, n):
+            calls[key] += 1
+            return fn(m, n)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "binary_painted_trees",
+                        counted("painted", geometry.binary_painted_trees))
+    monkeypatch.setattr(geometry, "unary_lighted_shades",
+                        counted("shade", geometry.unary_lighted_shades))
+    _polytope_objects.cache_clear()
+    for kind in ("multiplihedron", "hochschild"):
+        minkowski_data(kind, 1, 3)
+        oriented_skeleton(kind, 1, 3)
+        barycenter(kind, 1, 3)
+    shared_facet_report(1, 3)
+    assert calls == {"painted": 1, "shade": 1}
+    _polytope_objects.cache_clear()
+
+
+def test_fan_suite_releases_polytope_objects():
+    assert fan_suite(3).ok
+    assert _polytope_objects.cache_info().currsize == 0

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,31 @@ def test_congruence_projection():
         assert rep.minima_match_fiber_min
         assert rep.proj_down_order_preserving
     assert not check_congruence_projection(0, 3).proj_up_order_preserving
+
+
+def test_congruence_projection_reports_fiber_without_unique_minimum(monkeypatch):
+    # merging two fibers whose union has two minimal trees must give a
+    # report with unique_minima False, not a KeyError on the cover scan
+    import hochschild_kit.posets as posets
+    from hochschild_kit.shadow import shadow_fibers
+
+    poset = build_rotation_poset("painted", 1, 2)
+    fibers = shadow_fibers(1, 2)
+
+    def minima(pts):
+        return poset.extremes([poset.index(p) for p in pts])[0]
+
+    a, b = next(
+        (a, b) for a, b in combinations(fibers, 2)
+        if len(minima(fibers[a] + fibers[b])) > 1
+    )
+    merged = {k: v for k, v in fibers.items() if k != b}
+    merged[a] = fibers[a] + fibers[b]
+    monkeypatch.setattr(posets, "shadow_fibers", lambda m, n: merged)
+    rep = check_congruence_projection(1, 2)
+    assert not rep.unique_minima
+    assert rep.proj_down_order_preserving
+    assert rep.proj_up_order_preserving == (rep.proj_up_counterexample is None)
 
 
 def test_shadow_quotient_is_shade_lattice():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hochschild_kit.posets import build_refinement_poset
 from hochschild_kit.preposets import Preposet, transitive_closure_pairs
 
 
@@ -61,3 +62,14 @@ def test_closure_matches_naive_oracle(data):
 def test_ground_set_mismatch():
     with pytest.raises(ValueError):
         Preposet.from_pairs(2, []).contains(Preposet.from_pairs(3, []))
+    with pytest.raises(ValueError):
+        Preposet.from_pairs(3, []).contains(Preposet.from_pairs(2, []))
+
+
+@pytest.mark.parametrize("kind, m, n", [("painted", 1, 2), ("shade", 1, 2), ("painted", 0, 3)])
+def test_packed_contains_matches_row_oracle(kind, m, n):
+    pres = [o.preposet for o in build_refinement_poset(kind, m, n).elements]
+    for s in pres:
+        for o in pres:
+            rowwise = all(b & ~a == 0 for a, b in zip(s.rows, o.rows))
+            assert s.contains(o) == rowwise, (s, o)
