@@ -45,41 +45,13 @@ class Halfspace:
     rhs: int
 
     def value(self, point):
-        return sum(point[i - 1] for i in sorted(self.support))
+        return sum(point[i - 1] for i in self.support)
 
     def satisfied(self, point) -> bool:
         return self.value(point) >= self.rhs
 
     def is_tight(self, point) -> bool:
         return self.value(point) == self.rhs
-
-
-@dataclass(frozen=True)
-class PreposetCone:
-    """The cone of points with x_i <= x_j whenever i is below j.
-
-    Its facet inequalities come from the Hasse covers of the quotient poset;
-    the cone is simplicial exactly when that Hasse diagram is a forest.
-    """
-
-    preposet: Preposet
-
-    def inequalities(self):
-        """One (i, j) pair per Hasse cover, read as x_i <= x_j."""
-        classes = self.preposet.classes
-        return [
-            (min(classes[a]), min(classes[b]))
-            for a, b in self.preposet.hasse_edges
-        ]
-
-    @property
-    def is_simplicial(self) -> bool:
-        return self.preposet.hasse_is_forest
-
-    def contains(self, point) -> bool:
-        return all(
-            point[i - 1] <= point[j - 1] for i, j in self.preposet.pairs()
-        )
 
 
 # -- vertex maps ---------------------------------------------------------------

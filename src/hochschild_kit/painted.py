@@ -342,11 +342,11 @@ class PaintedTree:
         tree's preposet and its rank is one higher.
         """
         tagged = self._tagged()
-        out = []
-        for t in _contract_free_edges(tagged):
-            out.append(_from_tagged(self.m, self.n, t, self.parts))
-        for t in _absorb_parent_moves(tagged):
-            out.append(_from_tagged(self.m, self.n, t, self.parts))
+        out = [
+            _from_tagged(self.m, self.n, t, self.parts)
+            for rule in (_contract_free_edge, _absorb_parent)
+            for t in _rewrites(tagged, rule)
+        ]
         for i in range(self.k - 1):
             t = _join_cuts(tagged, i)
             if t is not None:
@@ -362,10 +362,9 @@ class PaintedTree:
         tagged = self._tagged()
         out = [
             _from_tagged(self.m, self.n, t, self.parts)
-            for t in _binary_rotations(tagged)
+            for rule in (_rotate_right, _sweep_cut)
+            for t in _rewrites(tagged, rule)
         ]
-        for t in _cut_sweeps(tagged):
-            out.append(_from_tagged(self.m, self.n, t, self.parts))
         for i in range(self.k - 1):
             a, b = min(self.parts[i]), min(self.parts[i + 1])
             if a < b and _cuts_adjacent(self, i):
@@ -410,6 +409,8 @@ def _tree_unjson(obj):
 #
 # During enumeration and moves, trees carry per-node cut tags:
 # a tagged node is (cut_index_or_None, children) and a leaf is LEAF.
+# Every move except the cut join is a node-local rule that yields the
+# replacements of one node; `_rewrites` applies a rule at every node.
 
 
 def _from_tagged(m, n, tagged, parts) -> PaintedTree:
@@ -433,62 +434,35 @@ def _from_tagged(m, n, tagged, parts) -> PaintedTree:
     return pt
 
 
-def _contract_free_edges(tagged):
+def _rewrites(tagged, local):
+    """Every tree made by replacing one internal node t with a result of local(t).
+
+    Only the path from the replaced node to the root is rebuilt; every other
+    subtree is shared with the input.
+    """
+    yield from local(tagged)
+    tag, children = tagged
+    for i, c in enumerate(children):
+        if c is not LEAF:
+            for new in _rewrites(c, local):
+                yield (tag, children[:i] + (new,) + children[i + 1:])
+
+
+def _contract_free_edge(t):
     """Contract one edge whose child carries no cut tag (move i)."""
-    results = []
-
-    def rebuild(t, path, replacement):
-        if not path:
-            return replacement
-        tag, children = t
-        i = path[0]
-        new_children = children[:i] + (rebuild(children[i], path[1:], replacement),) + children[i + 1:]
-        return (tag, new_children)
-
-    def walk(t, path):
-        tag, children = t
-        for i, c in enumerate(children):
-            if c is LEAF:
-                continue
-            ctag, cchildren = c
-            if ctag is None:
-                merged = (tag, children[:i] + cchildren + children[i + 1:])
-                results.append(rebuild(root, path, merged))
-            walk(c, path + [i])
-
-    root = tagged
-    walk(root, [])
-    return results
+    tag, children = t
+    for i, c in enumerate(children):
+        if c is not LEAF and c[0] is None:
+            yield (tag, children[:i] + c[1] + children[i + 1:])
 
 
-def _absorb_parent_moves(tagged):
+def _absorb_parent(t):
     """Merge an untagged parent into the common cut of all its children (move ii)."""
-    results = []
-
-    def rebuild(t, path, replacement):
-        if not path:
-            return replacement
-        tag, children = t
-        i = path[0]
-        return (tag, children[:i] + (rebuild(children[i], path[1:], replacement),) + children[i + 1:])
-
-    def walk(t, path):
-        tag, children = t
-        if tag is None and children and all(
-            c is not LEAF and c[0] is not None for c in children
-        ):
-            tags = {c[0] for c in children}
-            if len(tags) == 1:
-                new_children = tuple(gc for c in children for gc in c[1])
-                merged = (tags.pop(), new_children)
-                results.append(rebuild(root, path, merged))
-        for i, c in enumerate(children):
-            if c is not LEAF:
-                walk(c, path + [i])
-
-    root = tagged
-    walk(root, [])
-    return results
+    tag, children = t
+    if tag is None and all(c is not LEAF and c[0] is not None for c in children):
+        tags = {c[0] for c in children}
+        if len(tags) == 1:
+            yield (tags.pop(), tuple(gc for c in children for gc in c[1]))
 
 
 def _join_cuts(tagged, i):
@@ -529,67 +503,30 @@ def _join_cuts(tagged, i):
     return result if ok[0] else None
 
 
-def _binary_rotations(tagged):
-    """Right rotations of edges joining two untagged binary nodes (move i)."""
-    results = []
-
-    def rebuild(t, path, replacement):
-        if not path:
-            return replacement
-        tag, children = t
-        j = path[0]
-        return (tag, children[:j] + (rebuild(children[j], path[1:], replacement),) + children[j + 1:])
-
-    def walk(t, path):
-        tag, children = t
-        if tag is None and len(children) == 2:
-            left = children[0]
-            if left is not LEAF and left[0] is None and len(left[1]) == 2:
-                a, b = left[1]
-                rotated = (None, (a, (None, (b, children[1]))))
-                results.append(rebuild(root, path, rotated))
-        for j, c in enumerate(children):
-            if c is not LEAF:
-                walk(c, path + [j])
-
-    root = tagged
-    walk(root, [])
-    return results
+def _rotate_right(t):
+    """Right rotation of an edge joining two untagged binary nodes (move i)."""
+    tag, children = t
+    if tag is None and len(children) == 2:
+        left, right = children
+        if left is not LEAF and left[0] is None and len(left[1]) == 2:
+            a, b = left[1]
+            yield (None, (a, (None, (b, right))))
 
 
-def _cut_sweeps(tagged):
+def _sweep_cut(t):
     """Sweep a binary node by the cut just below it (move ii)."""
-    results = []
-
-    def rebuild(t, path, replacement):
-        if not path:
-            return replacement
-        tag, children = t
-        j = path[0]
-        return (tag, children[:j] + (rebuild(children[j], path[1:], replacement),) + children[j + 1:])
-
-    def walk(t, path):
-        tag, children = t
-        if tag is None and len(children) == 2:
-            l, r = children
-            if (
-                l is not LEAF
-                and r is not LEAF
-                and l[0] is not None
-                and l[0] == r[0]
-                and len(l[1]) == 1
-                and len(r[1]) == 1
-            ):
-                cut = l[0]
-                swept = (cut, ((None, (l[1][0], r[1][0])),))
-                results.append(rebuild(root, path, swept))
-        for j, c in enumerate(children):
-            if c is not LEAF:
-                walk(c, path + [j])
-
-    root = tagged
-    walk(root, [])
-    return results
+    tag, children = t
+    if tag is None and len(children) == 2:
+        l, r = children
+        if (
+            l is not LEAF
+            and r is not LEAF
+            and l[0] is not None
+            and l[0] == r[0]
+            and len(l[1]) == 1
+            and len(r[1]) == 1
+        ):
+            yield (l[0], ((None, (l[1][0], r[1][0])),))
 
 
 def _cuts_adjacent(pt: PaintedTree, i: int) -> bool:

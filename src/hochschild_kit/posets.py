@@ -17,17 +17,7 @@ from functools import cached_property, lru_cache
 
 from .painted import binary_painted_trees, enum_painted_trees
 from .shades import enum_lighted_shades, unary_lighted_shades
-from .shadow import fiber_min, shadow, shadow_fibers
-
-SIZE_GUARD = 8
-
-
-def _guard(m, n, bound=SIZE_GUARD):
-    if m + n > bound:
-        raise ValueError(
-            f"m + n = {m + n} exceeds the safety bound {bound}; "
-            "object counts grow superexponentially"
-        )
+from .shadow import fiber_min, shadow_fibers
 
 
 def _bits(mask):
@@ -404,9 +394,8 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
 
 
 @lru_cache(maxsize=None)
-def build_rotation_poset(kind: str, m: int, n: int, bound: int = SIZE_GUARD) -> FinitePoset:
+def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
     """Rotation poset on rank-0 objects; covers are the right rotations."""
-    _guard(m, n, bound)
     if kind == "painted":
         objs = binary_painted_trees(m, n)
     elif kind == "shade":
@@ -425,13 +414,12 @@ def build_rotation_poset(kind: str, m: int, n: int, bound: int = SIZE_GUARD) -> 
 
 
 @lru_cache(maxsize=None)
-def build_refinement_poset(kind: str, m: int, n: int, bound: int = SIZE_GUARD) -> FinitePoset:
+def build_refinement_poset(kind: str, m: int, n: int) -> FinitePoset:
     """Refinement poset on all objects, ordered by preposet containment.
 
     Larger preposet = smaller element; rank-0 objects are the maximal
     elements and the unique coarsest object is the minimum.
     """
-    _guard(m, n, bound)
     if kind == "painted":
         objs = enum_painted_trees(m, n)
     elif kind == "shade":
@@ -481,17 +469,6 @@ def lattice_analytics(p: FinitePoset) -> dict:
     }
 
 
-def analytics_csv(rows: list[dict]) -> str:
-    """Analytics dicts as CSV, one row per poset."""
-    if not rows:
-        return ""
-    keys = list(rows[0].keys())
-    lines = [",".join(keys)]
-    for row in rows:
-        lines.append(",".join(str(row.get(k, "")) for k in keys))
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CongruenceReport:
     unique_minima: bool
@@ -499,153 +476,6 @@ class CongruenceReport:
     proj_down_order_preserving: bool
     proj_up_order_preserving: bool
     proj_up_counterexample: tuple | None
-
-
-def word_fiber_comparison(m: int, n: int) -> dict:
-    """Compare the word poset with the ordered-lights subposet of the
-    rotation lattice.
-
-    The unary shades whose cut labels increase from the bottom up are in
-    bijection with the words; the induced rotation subposet is compared with
-    the componentwise order through that bijection.  Returns which of the two
-    alignments (order preserving or order reversing) holds.
-    """
-    from .cubic import shade_to_word, word_to_shade
-
-    words = word_subposet(m, n)
-    rot = build_rotation_poset("shade", m, n)
-    identity = tuple(range(1, m + 1))
-    shade_of = {w: word_to_shade(_HW(m, n, identity, w)) for w in words.elements}
-    idx = {w: rot.index(shade_of[w]) for w in words.elements}
-    same = reverse = True
-    for a in words.elements:
-        for b in words.elements:
-            word_le = words.le(words.index(a), words.index(b))
-            if word_le != rot.le(idx[a], idx[b]):
-                same = False
-            if word_le != rot.le(idx[b], idx[a]):
-                reverse = False
-    return {
-        "m": m,
-        "n": n,
-        "num_words": words.n,
-        "is_lattice": bool(words.is_lattice),
-        "order_preserving": same,
-        "order_reversing": reverse,
-    }
-
-
-def _HW(m, n, perm, word):
-    from .cubic import HochschildWord
-
-    return HochschildWord(m, n, perm, word)
-
-
-def _inversions(perm):
-    pos = {v: i for i, v in enumerate(perm)}
-    return frozenset(
-        (a, b)
-        for a in perm
-        for b in perm
-        if a < b and pos[a] > pos[b]
-    )
-
-
-def _weak_order_paths(src, dst):
-    """Swap-letter sequences of saturated weak-order chains from src to dst.
-
-    Each step swaps adjacent positions i, i + 1 (recorded as the 1-based
-    letter i) and must create an inversion while staying below dst.
-    """
-    inv_dst = _inversions(dst)
-    if not _inversions(src) <= inv_dst:
-        return
-    if src == dst:
-        yield ()
-        return
-    m = len(src)
-    for i in range(m - 1):
-        swapped = src[:i] + (src[i + 1], src[i]) + src[i + 2:]
-        if len(_inversions(swapped)) == len(_inversions(src)) + 1:
-            if _inversions(swapped) <= inv_dst:
-                for rest in _weak_order_paths(swapped, dst):
-                    yield (i + 1,) + rest
-
-
-def word_order_conjecture_probe(m: int, n: int) -> dict:
-    """Probe the conjectured description of the transported word order.
-
-    The candidate condition for x below y: the cut orders are comparable in
-    the weak order, the words are comparable componentwise, and some reduced
-    expression of the connecting permutation admits a chain of intermediate
-    words each missing the letter of its step.  The true order comes from the
-    rotation lattice; the probe tallies how the candidate matches it under
-    both placements of the avoid-the-letter constraint (on the word after or
-    before each step).  Purely exploratory: nothing in the library depends
-    on this description.
-    """
-    from .cubic import shade_to_word
-
-    rot = build_rotation_poset("shade", m, n)
-    encoded = [shade_to_word(ls) for ls in rot.elements]
-
-    def candidate(x, y, constrain_after):
-        if not _inversions(x.perm) <= _inversions(y.perm):
-            return False
-        if any(a < b for a, b in zip(x.word, y.word)):
-            return False  # letters decrease going up
-        for letters in _weak_order_paths(x.perm, y.perm):
-            if not letters:
-                return True
-            reachable = {x.word}
-            for letter in letters:
-                if constrain_after:
-                    reachable = {
-                        h
-                        for h in _words_between(y.word, reachable, m, n)
-                        if letter not in h
-                    }
-                else:
-                    reachable = _words_between(
-                        y.word,
-                        {r for r in reachable if letter not in r},
-                        m,
-                        n,
-                    )
-                if not reachable:
-                    break
-            if y.word in reachable:
-                return True
-        return False
-
-    totals = {"after": 0, "before": 0}
-    pairs = 0
-    for a, xa in enumerate(encoded):
-        for b, xb in enumerate(encoded):
-            truth = rot.le(a, b)
-            pairs += 1
-            for key, flag in (("after", True), ("before", False)):
-                if candidate(xa, xb, flag) == truth:
-                    totals[key] += 1
-    return {
-        "m": m,
-        "n": n,
-        "pairs": pairs,
-        "agree_constraint_after_step": totals["after"],
-        "agree_constraint_before_step": totals["before"],
-    }
-
-
-def _words_between(floor, ceilings, m, n):
-    """All valid words below some ceiling and above the floor, componentwise."""
-    from .cubic import enum_words
-
-    out = set()
-    for w in enum_words(m, n):
-        if all(f <= c for f, c in zip(floor, w)):
-            if any(all(x <= y for x, y in zip(w, r)) for r in ceilings):
-                out.add(w)
-    return out
 
 
 def check_congruence_projection(m: int, n: int) -> CongruenceReport:

@@ -53,12 +53,6 @@ class Preposet:
                 if j != i and row >> j & 1:
                     yield (i + 1, j + 1)
 
-    def strict_pairs(self) -> frozenset:
-        """Pairs (i, j) with i below j but j not below i."""
-        return frozenset(
-            (i, j) for i, j in self.pairs() if not self.le(j, i)
-        )
-
     def contains(self, other: "Preposet") -> bool:
         """True iff every relation of ``other`` also holds in ``self``."""
         if self.d != other.d:

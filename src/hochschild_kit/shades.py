@@ -296,7 +296,7 @@ def _light_distributions(seq, m):
         need = sum(1 for t in seq[pos:] if t == ())
         if len(remaining) < need:
             return
-        subsets = _subsets(remaining)
+        subsets = _subsets_of(remaining)
         for sub in subsets:
             if seq[pos] == () and not sub:
                 continue
@@ -306,7 +306,8 @@ def _light_distributions(seq, m):
     yield from rec(0, frozenset(range(1, m + 1)))
 
 
-def _subsets(s):
+def _subsets_of(s):
+    """Every subset of s, the empty one included."""
     items = sorted(s)
     for mask in range(1 << len(items)):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)

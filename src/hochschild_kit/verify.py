@@ -9,6 +9,7 @@ tests assert; every check is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from .cubic import (
     enum_words,
@@ -205,7 +206,7 @@ def cubic_suite(bound: int = 6) -> SuiteResult:
     for m, n in _cells(min(bound + 1, 7)):
         shades = unary_lighted_shades(m, n)
         round_trip = all(word_to_shade(shade_to_word(ls)) == ls for ls in shades)
-        count = len(enum_words(m, n)) * _factorial(m) == len(shades)
+        count = len(enum_words(m, n)) * factorial(m) == len(shades)
         res.record(f"word round trip({m},{n})", round_trip)
         res.record(f"word count({m},{n}) = shades / m!", count)
     for m, n in _cells(bound):
@@ -250,13 +251,6 @@ def analytics_suite(bound: int = 6) -> SuiteResult:
         if prof["is_extremal"] != expect_extremal:
             res.observe(f"shade({m},{n}): extremality observation differs")
     return res
-
-
-def _factorial(m):
-    out = 1
-    for i in range(2, m + 1):
-        out *= i
-    return out
 
 
 def run_suite(name: str, bound: int) -> list[SuiteResult]:

@@ -62,6 +62,8 @@ def test_safety_ceiling_exit_2(capsys):
         "--count-only",
     )
     assert code == 2 and "ceiling" in err
+    code, out, err = run(capsys, "hasse", "--kind", "shade", "--m", "5", "--n", "5")
+    assert code == 2 and out == "" and "ceiling" in err
 
 
 def test_polytope_hochschild_json(capsys):
@@ -163,3 +165,37 @@ def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--kind", "bogus", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_unsafe_bound_lifts_the_only_ceiling(capsys):
+    # the CLI ceiling is the one size policy: the poset builders have none
+    code, out, err = run(capsys, "hasse", "--kind", "shade", "--n", "9", "--unsafe-bound")
+    assert code == 0 and err == ""
+    assert out.count("label=") == 256
+
+
+@pytest.mark.parametrize("command", ["enumerate", "polytope"])
+def test_enumerate_and_polytope_reject_dot_and_csv(command):
+    kind = "shade" if command == "enumerate" else "hochschild"
+    for fmt in ("dot", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kind", kind, "--n", "2", "--format", fmt])
+        assert exc.value.code == 2
+
+
+def test_hasse_accepts_only_dot(capsys):
+    args = ("hasse", "--kind", "painted", "--n", "3")
+    for fmt in ("json", "text", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--format", fmt])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *args, "--format", "dot") == run(capsys, *args)
+
+
+def test_verify_csv_needs_the_tables_suite(capsys):
+    code, out, err = run(
+        capsys, "verify", "--suite", "lattice", "--bound", "2", "--format", "csv",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "tables" in err

@@ -30,6 +30,7 @@ from hochschild_kit.geometry import (
 )
 from hochschild_kit.painted import PaintedTree, binary_painted_trees, left_comb
 from hochschild_kit.posets import build_rotation_poset
+from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
 
@@ -244,9 +245,35 @@ def test_freehedron_pentagon_is_a_lattice():
     assert rep.num_vertices == 5 and rep.is_lattice
 
 
-def test_preposet_cones():
-    from hochschild_kit.geometry import PreposetCone
+@dataclasses.dataclass(frozen=True)
+class PreposetCone:
+    """The cone of points with x_i <= x_j whenever i is below j.
 
+    Its facet inequalities come from the Hasse covers of the quotient poset;
+    the cone is simplicial exactly when that Hasse diagram is a forest.
+    """
+
+    preposet: Preposet
+
+    def inequalities(self):
+        """One (i, j) pair per Hasse cover, read as x_i <= x_j."""
+        classes = self.preposet.classes
+        return [
+            (min(classes[a]), min(classes[b]))
+            for a, b in self.preposet.hasse_edges
+        ]
+
+    @property
+    def is_simplicial(self) -> bool:
+        return self.preposet.hasse_is_forest
+
+    def contains(self, point) -> bool:
+        return all(
+            point[i - 1] <= point[j - 1] for i, j in self.preposet.pairs()
+        )
+
+
+def test_preposet_cones():
     for ls in unary_lighted_shades(1, 3):
         cone = PreposetCone(ls.preposet)
         assert cone.is_simplicial
