@@ -62,8 +62,6 @@ def cmd_enumerate(args) -> int:
         objs = enum_lighted_shades(args.m, args.n, rank=args.rank)
     else:
         raise UsageError("enumerate expects --kind painted or shade")
-    if args.count_only:
-        return _emit(args, f"{len(objs)}\n")
     if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,
@@ -71,9 +69,14 @@ def cmd_enumerate(args) -> int:
             "m": args.m,
             "n": args.n,
             "rank": args.rank,
-            "objects": [o.to_json_obj() for o in objs],
         }
+        if args.count_only:
+            doc["count"] = len(objs)
+        else:
+            doc["objects"] = [o.to_json_obj() for o in objs]
         return _emit(args, json.dumps(doc, indent=1) + "\n")
+    if args.count_only:
+        return _emit(args, f"{len(objs)}\n")
     return _emit(args, "".join(o.canonical() + "\n" for o in objs))
 
 
@@ -91,6 +94,8 @@ def cmd_polytope(args) -> int:
     )
 
     if args.kind == "freehedron":
+        if args.m != 0:
+            raise UsageError("the freehedron takes --n only; --m must be 0")
         _check_size(args, args.n + 1)
         rep = freehedron_report(args.n)
         if args.format == "json":
@@ -186,9 +191,9 @@ def cmd_verify(args) -> int:
     if args.format == "csv" and args.suite != "tables":
         raise UsageError("--format csv is only available with --suite tables")
     if args.format == "csv":
-        from .tables import reproduce_tables
+        from .tables import EXHAUSTIVE_BOUND, reproduce_tables
 
-        report = reproduce_tables(bound=min(args.bound, 7))
+        report = reproduce_tables(bound=min(args.bound, EXHAUSTIVE_BOUND))
         code = _emit(args, report.to_csv())
         if code == 0 and not report.ok:
             return 1

@@ -1,7 +1,11 @@
 """Exact truncated power series and the closed enumeration formulas.
 
-Series live in up to three variables (x, y, z) with Fraction coefficients and
-trilateral truncation.  Square roots never appear: the algebraic generating
+Series live in up to three variables (x, y, z) with exact coefficients and
+trilateral truncation.  A coefficient is kept as given when it is an int or
+a Fraction, and anything else is coerced through Fraction; sums and products
+of ints stay ints.  Every generating function here is integral, so its
+arithmetic runs on Python ints, and a count read from a series is still
+checked to be an integer.  Square roots never appear: the algebraic generating
 functions are produced by fixed-point iteration on their quadratic functional
 equations, and compositions are checked to be y-adically admissible.
 
@@ -20,8 +24,8 @@ from math import comb, factorial
 class TruncatedSeries:
     """A polynomial truncation of a power series in x, y, z.
 
-    coeffs maps exponent triples to nonzero Fractions; exponents beyond the
-    truncation orders are discarded by every operation.
+    coeffs maps exponent triples to nonzero ints or Fractions; exponents
+    beyond the truncation orders are discarded by every operation.
     """
 
     __slots__ = ("orders", "coeffs")
@@ -32,29 +36,29 @@ class TruncatedSeries:
         if coeffs:
             for expo, c in coeffs.items():
                 if c and all(e <= o for e, o in zip(expo, self.orders)):
-                    self.coeffs[expo] = Fraction(c)
+                    self.coeffs[expo] = c if isinstance(c, (int, Fraction)) else Fraction(c)
 
     @classmethod
     def constant(cls, value, orders):
-        return cls(orders, {(0, 0, 0): Fraction(value)})
+        return cls(orders, {(0, 0, 0): value})
 
     @classmethod
     def variable(cls, name, orders):
         expo = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name]
-        return cls(orders, {expo: Fraction(1)})
+        return cls(orders, {expo: 1})
 
     def __add__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
+            out[e] = out.get(e, 0) + c
         return TruncatedSeries(self.orders, out)
 
     def __sub__(self, other):
         other = self._coerce(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) - c
+            out[e] = out.get(e, 0) - c
         return TruncatedSeries(self.orders, out)
 
     def __mul__(self, other):
@@ -69,7 +73,7 @@ class TruncatedSeries:
                 a, b, c = a1 + a2, b1 + b2, c1 + c2
                 if a <= ox and b <= oy and c <= oz:
                     key = (a, b, c)
-                    out[key] = out.get(key, Fraction(0)) + u * v
+                    out[key] = out.get(key, 0) + u * v
         return TruncatedSeries(self.orders, out)
 
     __rmul__ = __mul__
@@ -88,15 +92,12 @@ class TruncatedSeries:
             out = out * self
         return out
 
-    def coefficient(self, ex, ey, ez) -> Fraction:
-        return self.coeffs.get((ex, ey, ez), Fraction(0))
+    def coefficient(self, ex, ey, ez):
+        return self.coeffs.get((ex, ey, ez), 0)
 
-    def y_coefficient_total(self, ey) -> Fraction:
+    def y_coefficient_total(self, ey):
         """Sum over all z powers of the coefficients of y^ey (x power 0)."""
-        return sum(
-            (c for (a, b, _), c in self.coeffs.items() if a == 0 and b == ey),
-            Fraction(0),
-        )
+        return sum(c for (a, b, _), c in self.coeffs.items() if a == 0 and b == ey)
 
     def substitute_y(self, inner: "TruncatedSeries") -> "TruncatedSeries":
         """Compose in y: substitute ``inner`` (with zero y-constant) for y."""
@@ -114,7 +115,7 @@ class TruncatedSeries:
             for (a2, b2, c2), v in term.coeffs.items():
                 na, nc = a + a2, c + c2
                 if na <= ox and nc <= oz:
-                    shift[(na, b2, nc)] = shift.get((na, b2, nc), Fraction(0)) + v
+                    shift[(na, b2, nc)] = shift.get((na, b2, nc), 0) + v
             out = out + TruncatedSeries(self.orders, shift)
         return out
 
@@ -255,11 +256,21 @@ def face_generating_function(kind: str, m_max: int, n_max: int) -> TruncatedSeri
 
 def gf_face_count(kind: str, m: int, n: int, rank=None) -> int:
     """Face count from the generating function (all ranks, or one rank)."""
+    return _row_face_count(kind, m, n, rank, n)
+
+
+def _row_face_count(kind, m, n, rank, n_row):
+    """gf_face_count read from the row of m built for sizes up to n_row >= n.
+
+    Every series operation only drops the terms above its truncation orders,
+    so a larger row has the same coefficients at (n, rank) as the row built
+    for (m, n) alone, and one row per m serves every n.
+    """
     if kind == "painted":
-        row = painted_face_row(m, n + 1, m + n)
+        row = painted_face_row(m, n_row + 1, m + n_row)
         ey = n + 1
     elif kind == "shade":
-        row = shade_face_row(m, n, m + n)
+        row = shade_face_row(m, n_row, m + n_row)
         ey = n
     else:
         raise ValueError("kind must be 'painted' or 'shade'")
@@ -276,7 +287,7 @@ def count_binary_painted_trees(m: int, n: int) -> int:
     return _integral(val, f"Catalan tower count at ({m}, {n})")
 
 
-def _integral(val: Fraction, what: str) -> int:
+def _integral(val: int | Fraction, what: str) -> int:
     """``val`` as an int; a count that comes out fractional is a bug."""
     if val.denominator != 1:
         raise RuntimeError(f"{what} is {val}, not an integer")

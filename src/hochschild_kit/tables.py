@@ -12,28 +12,40 @@ with both the stated formulas and exhaustive generation:
 
 reproduce_tables recomputes every printed cell by closed form and generating
 function, and additionally by exhaustive generation up to a size bound, and
-diffs all of it against the fixtures.  Exhaustive generation makes one pass
-per family per (m, n) (exhaustive_census): each pass generates the painted
-trees or lighted shades of every rank once and counts them by rank, which
-gives the facet and face cells; one binary and one unary pass give the
-vertex cells and the shadow fibers behind the singleton cell.
+diffs all of it against the fixtures.  The generating-function cells of one
+(family, m) all read one series row, built at the largest n they need.
+
+Exhaustive generation makes one census per (m, n) (exhaustive_census).  The
+facet and face cells come from rank histograms in which labels are counted,
+not generated, because no rank depends on them: every tagged painted-tree
+shape with k cuts stands for surjection_count(m, k) labeled trees (the count
+the closed forms use as well), and every tuple sequence of a shade for its
+number of light distributions.  The labeled census that generates every
+object stays in the tests as the oracle of these histograms.  One labeled
+binary and one labeled unary pass give the vertex cells and the shadow
+fibers behind the singleton cell.  Both verify and the command line cap the
+exhaustive bound at EXHAUSTIVE_BOUND.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
+from math import comb, factorial
 
-from .painted import _check_params, _painted_trees
+from .painted import LEAF, _check_params, _painted_shapes, _painted_trees
 from .series import (
+    _row_face_count,
     count_binary_painted_trees,
     count_facet_objects,
     count_singletons,
     count_unary_lighted_shades,
-    gf_face_count,
+    surjection_count,
 )
-from .shades import _lighted_shades, _unary_shades
+from .shades import _tuple_sequences, _unary_shades
 from .shadow import _group_by_shadow
+
+# Largest m + n whose cells verify and the command line generate exhaustively.
+EXHAUSTIVE_BOUND = 8
 
 _ = None
 
@@ -155,30 +167,32 @@ def _closed(table, m, n):
     return None
 
 
-def _gf(table, m, n):
+def _gf(table, m, n, n_row):
+    """The series value of a cell, read from the row of m built at n_row >= n."""
     d = m + n
     if table == "multiplihedron_vertices":
-        return gf_face_count("painted", m, n, rank=0)
+        return _row_face_count("painted", m, n, 0, n_row)
     if table == "multiplihedron_facets":
-        return gf_face_count("painted", m, n, rank=d - 2) if d >= 2 else 0
+        return _row_face_count("painted", m, n, d - 2, n_row) if d >= 2 else 0
     if table == "multiplihedron_faces":
-        return gf_face_count("painted", m, n)
+        return _row_face_count("painted", m, n, None, n_row)
     if table == "hochschild_vertices":
-        return gf_face_count("shade", m, n, rank=0)
+        return _row_face_count("shade", m, n, 0, n_row)
     if table == "hochschild_facets":
-        return gf_face_count("shade", m, n, rank=d - 2) if d >= 2 else 0
+        return _row_face_count("shade", m, n, d - 2, n_row) if d >= 2 else 0
     if table == "hochschild_faces":
-        return gf_face_count("shade", m, n)
+        return _row_face_count("shade", m, n, None, n_row)
     return None
 
 
 @dataclass(frozen=True)
 class Census:
-    """Exhaustive object counts at one (m, n), by generation.
+    """Exhaustive object counts at one (m, n).
 
-    ``painted_ranks[p]`` and ``shade_ranks[p]`` count the generated objects
-    of rank p; the vertex and singleton counts come from separate binary and
-    unary passes, whose objects are grouped into shadow fibers.
+    ``painted_ranks[p]`` and ``shade_ranks[p]`` count the objects of rank p,
+    summed over the generated shapes with their label counts; the vertex and
+    singleton counts come from separate labeled binary and unary passes,
+    whose objects are grouped into shadow fibers.
     """
 
     painted_ranks: tuple
@@ -202,21 +216,58 @@ class Census:
 
 
 def exhaustive_census(m: int, n: int) -> Census:
-    """Generate every painted tree and lighted shade of (m, n) once, and count.
+    """Count every painted tree and lighted shade of (m, n) by rank.
 
-    One all-ranks pass per family fills its rank histogram; one binary
-    painted pass and one unary shade pass give the vertex counts and the
-    shadow fibers.  No object outlives its pass.
+    One pass over the unlabeled shapes per family fills its rank histogram;
+    one labeled binary painted pass and one labeled unary shade pass give the
+    vertex counts and the shadow fibers.  No object outlives its pass.
     """
     _check_params(m, n)
     binary, unary, singletons = _vertex_census(m, n)
     return Census(
-        _rank_histogram(_painted_trees(m, n), m + n),
-        _rank_histogram(_lighted_shades(m, n), m + n),
+        _painted_rank_histogram(m, n),
+        _shade_rank_histogram(m, n),
         binary,
         unary,
         singletons,
     )
+
+
+def _painted_rank_histogram(m, n):
+    """Painted trees by rank: each tagged shape with k cuts, weighted by the
+    surjection_count(m, k) label partitions it carries."""
+    hist = [0] * (m + n)
+    for shape, k in _painted_shapes(m, n, binary=False):
+        nodes, on_cuts = _shape_nodes(shape)
+        hist[m + n - nodes - k + on_cuts] += surjection_count(m, k)
+    return tuple(hist)
+
+
+def _shape_nodes(tagged):
+    """(internal nodes, nodes on a cut) of a tagged shape."""
+    tag, children = tagged
+    nodes, on_cuts = 1, tag is not None
+    for child in children:
+        if child is not LEAF:
+            a, b = _shape_nodes(child)
+            nodes += a
+            on_cuts += b
+    return nodes, on_cuts
+
+
+def _shade_rank_histogram(m, n):
+    """Lighted shades by rank: each tuple sequence, weighted by its number of
+    light distributions (maps from the m labels onto the positions that hit
+    every empty tuple, by inclusion-exclusion over the missed empty tuples)."""
+    hist = [0] * (m + n)
+    for seq in _tuple_sequences(n, m):
+        p = len(seq)
+        e = seq.count(())
+        weight = sum(map(len, seq))
+        hist[m - p + weight] += sum(
+            (-1) ** i * comb(e, i) * (p - i) ** m for i in range(e + 1)
+        )
+    return tuple(hist)
 
 
 def _vertex_census(m, n):
@@ -225,13 +276,6 @@ def _vertex_census(m, n):
     unary = list(_unary_shades(m, n))
     fibers = _group_by_shadow(unary, binary)
     return len(binary), len(unary), sum(1 for pts in fibers.values() if len(pts) == 1)
-
-
-def _rank_histogram(objects, d):
-    hist = [0] * d
-    for obj in objects:
-        hist[obj.rank] += 1
-    return tuple(hist)
 
 
 @dataclass
@@ -304,33 +348,41 @@ def reproduce_tables(bound: int = 7, formula_bound: int | None = None) -> TableR
     """
     report = TableReport(bound)
     censuses = {}  # (m, n) -> exhaustive value per table
-    for table, rows in PRINTED_TABLES.items():
-        for m, row in enumerate(rows):
-            for n, printed in enumerate(row):
-                if printed is None:
-                    continue
-                d = m + n
-                if formula_bound is not None and d > formula_bound and d > bound:
-                    continue
-                computed = {}
-                if formula_bound is None or d <= formula_bound:
-                    closed = _closed(table, m, n)
-                    if closed is not None:
-                        computed["closed"] = closed
-                    gf = _gf(table, m, n)
-                    if gf is not None:
-                        computed["gf"] = gf
-                if d <= bound:
-                    if (m, n) not in censuses:
-                        censuses[m, n] = exhaustive_census(m, n).cells()
-                    computed["exhaustive"] = censuses[m, n][table]
-                if not computed:
-                    continue
-                expected = expected_value(table, m, n)
-                report.cells.append(
-                    CellCheck(
-                        table, m, n, printed, expected, computed,
-                        (table, m, n) in ERRATA,
-                    )
-                )
+    printed_cells = [
+        (table, m, n, printed)
+        for table, rows in PRINTED_TABLES.items()
+        for m, row in enumerate(rows)
+        for n, printed in enumerate(row)
+        if printed is not None
+    ]
+    with_formulas = lambda d: formula_bound is None or d <= formula_bound  # noqa: E731
+    # The series cells of one (family, m) read one row, built at the largest
+    # n they need: truncation only drops higher terms, so the lower
+    # coefficients equal those of a per-cell row.
+    n_rows = {}
+    for _, m, n, _ in printed_cells:
+        if with_formulas(m + n):
+            n_rows[m] = max(n_rows.get(m, 0), n)
+    for table, m, n, printed in printed_cells:
+        d = m + n
+        computed = {}
+        if with_formulas(d):
+            closed = _closed(table, m, n)
+            if closed is not None:
+                computed["closed"] = closed
+            gf = _gf(table, m, n, n_rows[m])
+            if gf is not None:
+                computed["gf"] = gf
+        if d <= bound:
+            if (m, n) not in censuses:
+                censuses[m, n] = exhaustive_census(m, n).cells()
+            computed["exhaustive"] = censuses[m, n][table]
+        if not computed:
+            continue
+        expected = expected_value(table, m, n)
+        report.cells.append(
+            CellCheck(
+                table, m, n, printed, expected, computed, (table, m, n) in ERRATA
+            )
+        )
     return report

@@ -34,7 +34,7 @@ from .posets import (
 )
 from .shades import unary_lighted_shades
 from .shadow import shadow
-from .tables import reproduce_tables
+from .tables import EXHAUSTIVE_BOUND, reproduce_tables
 
 
 @dataclass
@@ -223,7 +223,7 @@ def cubic_suite(bound: int = 6) -> SuiteResult:
 def tables_suite(bound: int = 7) -> SuiteResult:
     """Appendix table regression (closed form, series, exhaustive)."""
     res = SuiteResult("tables", bound)
-    rep = reproduce_tables(bound=min(bound, 7))
+    rep = reproduce_tables(bound=min(bound, EXHAUSTIVE_BOUND))
     res.record("all printed cells reproduced", rep.ok, "; ".join(
         f"{c.table}({c.m},{c.n})" for c in rep.failures
     ))

@@ -92,6 +92,40 @@ def test_polytope_freehedron(capsys):
     assert "not a lattice" in out
 
 
+def test_freehedron_rejects_m(capsys):
+    # the freehedron has no m; --m used to be ignored and to pass the ceiling
+    for m in ("1", "5"):
+        code, out, err = run(
+            capsys, "polytope", "--kind", "freehedron", "--m", m, "--n", "3",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "--m" in err
+    code, out, _ = run(capsys, "polytope", "--kind", "freehedron", "--m", "0", "--n", "3")
+    assert code == 0 and "12 vertices" in out
+
+
+def test_enumerate_count_only_json(capsys):
+    code, out, _ = run(
+        capsys, "enumerate", "--kind", "shade", "--m", "1", "--n", "2",
+        "--count-only", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "format_version": 1, "kind": "shade", "m": 1, "n": 2, "rank": None, "count": 11,
+    }
+    assert list(json.loads(out)) == ["format_version", "kind", "m", "n", "rank", "count"]
+    code, out, _ = run(
+        capsys, "enumerate", "--kind", "painted", "--m", "0", "--n", "4",
+        "--rank", "0", "--count-only", "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["count"] == 14 and json.loads(out)["rank"] == 0
+    code, out, _ = run(
+        capsys, "enumerate", "--kind", "shade", "--m", "1", "--n", "2",
+        "--count-only", "--format", "text",
+    )
+    assert code == 0 and out == "11\n"
+
+
 def test_verify_tables_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "tables", "--bound", "4")
     assert code == 0

@@ -19,6 +19,7 @@ from hochschild_kit.series import (
 )
 from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
 from hochschild_kit.shadow import shadow_fibers
+from hochschild_kit.tables import reproduce_tables
 
 
 def test_catalan_functional_equation():
@@ -158,3 +159,44 @@ def test_non_integral_counts_raise(monkeypatch):
     monkeypatch.setattr(series, "catalan_tower", lambda i, oy: half)
     with pytest.raises(RuntimeError, match="not an integer"):
         series.count_binary_painted_trees(0, 1)
+
+
+def _per_cell_gf(table, m, n):
+    """A printed series cell read from the row built for (m, n) alone."""
+    kind = "painted" if table.startswith("multiplihedron") else "shade"
+    row = painted_face_row(m, n + 1, m + n) if kind == "painted" else shade_face_row(m, n, m + n)
+    ey = n + 1 if kind == "painted" else n
+    d = m + n
+    if table.endswith("vertices"):
+        return row.coefficient(0, ey, 0)
+    if table.endswith("facets"):
+        return row.coefficient(0, ey, d - 2) if d >= 2 else 0
+    return row.y_coefficient_total(ey)
+
+
+def test_per_m_row_matches_per_cell_rows():
+    # reproduce_tables reads every series cell of (family, m) from one row
+    # built at the largest printed n of that m
+    report = reproduce_tables(bound=0)
+    gf_cells = [c for c in report.cells if "gf" in c.computed]
+    assert len(gf_cells) == 6 * 54  # six series tables, 54 printed cells each
+    for c in gf_cells:
+        assert c.computed["gf"] == _per_cell_gf(c.table, c.m, c.n), (c.table, c.m, c.n)
+        assert type(c.computed["gf"]) is int
+
+
+def test_integral_series_hold_only_ints():
+    rows = [catalan_gf(9), schroder_gf(7, 7)]
+    for m in range(4):
+        rows += [painted_face_row(m, 7 - m, 6), shade_face_row(m, 6 - m, 6)]
+    for row in rows:
+        assert row.coeffs
+        assert all(type(c) is int for c in row.coeffs.values())
+
+
+def test_coefficients_keep_int_and_fraction_and_coerce_the_rest():
+    s = TruncatedSeries((0, 2, 0), {(0, 0, 0): 3, (0, 1, 0): Fraction(1, 3), (0, 2, 0): "2/4"})
+    assert type(s.coefficient(0, 0, 0)) is int
+    assert s.coefficient(0, 1, 0) == Fraction(1, 3)
+    assert s.coefficient(0, 2, 0) == Fraction(1, 2)
+    assert type((s * s).coefficient(0, 0, 0)) is int

@@ -1,19 +1,45 @@
-"""The exhaustive table census against the per-cell route it replaced.
+"""The exhaustive table census against the routes it replaced.
 
-The oracle below regenerates every painted tree or lighted shade of a cell
-with the public, sorted enumerators, once per printed cell.  The census makes
-one pass per family per (m, n) and counts by rank; both must agree.
+Two oracles: the per-cell one regenerates every painted tree or lighted shade
+of a cell with the public, sorted enumerators, once per printed cell; the
+labeled census generates every labeled object of (m, n) once and counts it by
+rank.  The census counts labels instead of generating them; all must agree.
 """
 
 import pytest
 
 from hochschild_kit import tables
-from hochschild_kit.painted import binary_painted_trees, enum_painted_trees
-from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
+from hochschild_kit.painted import (
+    _painted_trees,
+    binary_painted_trees,
+    enum_painted_trees,
+)
+from hochschild_kit.shades import (
+    _lighted_shades,
+    enum_lighted_shades,
+    unary_lighted_shades,
+)
 from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import PRINTED_TABLES, exhaustive_census, reproduce_tables
 
 CELLS = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
+CELLS_TO_6 = [(m, d - m) for d in range(1, 7) for m in range(d + 1)]
+
+
+def _rank_histogram(objects, d):
+    hist = [0] * d
+    for obj in objects:
+        hist[obj.rank] += 1
+    return tuple(hist)
+
+
+@pytest.mark.parametrize("mn", CELLS_TO_6)
+def test_shape_histograms_match_labeled_census(mn):
+    # every labeled painted tree and lighted shade, generated and counted
+    m, n = mn
+    census = exhaustive_census(m, n)
+    assert census.painted_ranks == _rank_histogram(_painted_trees(m, n), m + n)
+    assert census.shade_ranks == _rank_histogram(_lighted_shades(m, n), m + n)
 
 
 def per_cell_oracle(table, m, n):
@@ -92,3 +118,24 @@ def test_reproduce_tables_reads_exhaustive_values_from_census():
     assert len(exhaustive) == 7 * 14  # seven tables, 14 printed cells with m + n <= 4
     for c in exhaustive:
         assert c.computed["exhaustive"] == per_cell_oracle(c.table, c.m, c.n)
+
+
+def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
+    import hochschild_kit.painted as painted
+    import hochschild_kit.shades as shades
+
+    painted_ranks = _rank_histogram(_painted_trees(2, 2), 4)
+    shade_ranks = _rank_histogram(_lighted_shades(2, 2), 4)
+
+    def generated(*args):
+        raise AssertionError("labeled objects generated")
+
+    for module, name in [
+        (painted, "ordered_partitions"),
+        (painted, "_from_tagged"),
+        (shades, "_light_distributions"),
+        (shades, "LightedShade"),
+    ]:
+        monkeypatch.setattr(module, name, generated)
+    assert tables._painted_rank_histogram(2, 2) == painted_ranks
+    assert tables._shade_rank_histogram(2, 2) == shade_ranks
