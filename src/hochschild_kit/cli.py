@@ -4,13 +4,17 @@ Subcommands: enumerate (stream objects), polytope (V-rep, H-rep, Minkowski
 data, certification), verify (run a named suite), hasse (DOT diagrams).
 All output is deterministic; rationals are serialized as strings to avoid
 precision loss.  Exit codes: 0 success, 1 verification, I/O or internal
-failure (a failed consistency check of the kit itself), 2 usage error.
+failure (a failed consistency check of the kit itself, or any ValueError the
+library raises), 2 usage error.
 
 Each subcommand accepts only the formats it emits: enumerate and polytope
 ``json`` or ``text``, hasse ``dot``, verify ``json`` or ``text``, and ``csv``
-with ``--suite tables`` alone.  The size ceiling m + n <= 8 (``--bound`` for
-verify) is enforced here and nowhere else: ``--unsafe-bound`` lifts it, and
-the library enumerators and poset builders take any size.
+with ``--suite tables`` alone.  Every parameter is checked once, in
+``_check_params``, before the library runs: --m and --n are not negative,
+m + n >= 1 for the families that need it, --rank is a rank of (m, n), and
+--bound is at least 1.  The size ceiling m + n <= 8 (``--bound`` for verify)
+is enforced there and nowhere else: ``--unsafe-bound`` lifts it, and the
+library enumerators and poset builders take any size.
 """
 
 from __future__ import annotations
@@ -27,7 +31,27 @@ class UsageError(Exception):
     pass
 
 
-def _check_size(args, total: int):
+def _check_params(args):
+    """Raise UsageError unless the parameters name a valid size within the ceiling."""
+    if args.command == "verify":
+        if args.bound < 1:
+            raise UsageError(
+                f"invalid parameters: need --bound >= 1, got {args.bound}"
+            )
+        total = args.bound
+    else:
+        m, n = args.m, args.n
+        if args.kind in ("freehedron", "word"):
+            if m < 0 or n < 0:
+                raise UsageError("invalid parameters: need m >= 0 and n >= 0")
+        elif m < 0 or n < 0 or m + n < 1:
+            raise UsageError("invalid parameters: need m >= 0, n >= 0 and m + n >= 1")
+        if args.kind == "freehedron" and m != 0:
+            raise UsageError("the freehedron takes --n only; --m must be 0")
+        rank = getattr(args, "rank", None)
+        if rank is not None and not 0 <= rank <= m + n - 1:
+            raise UsageError(f"invalid parameters: rank must lie in [0, {m + n - 1}]")
+        total = n + 1 if args.kind == "freehedron" else m + n
     if total > DEFAULT_CEILING and not args.unsafe_bound:
         raise UsageError(
             f"m + n = {total} exceeds the safety ceiling {DEFAULT_CEILING}; "
@@ -54,14 +78,18 @@ def _emit(args, text: str) -> int:
 def cmd_enumerate(args) -> int:
     from .painted import enum_painted_trees
     from .shades import enum_lighted_shades
+    from .tables import _painted_rank_histogram, _shade_rank_histogram
 
-    _check_size(args, args.m + args.n)
-    if args.kind == "painted":
-        objs = enum_painted_trees(args.m, args.n, rank=args.rank)
-    elif args.kind == "shade":
-        objs = enum_lighted_shades(args.m, args.n, rank=args.rank)
+    painted = args.kind == "painted"
+    if args.count_only:
+        # the census histograms count labels instead of building objects
+        hist = (_painted_rank_histogram if painted else _shade_rank_histogram)(
+            args.m, args.n
+        )
+        count = sum(hist) if args.rank is None else hist[args.rank]
     else:
-        raise UsageError("enumerate expects --kind painted or shade")
+        enum = enum_painted_trees if painted else enum_lighted_shades
+        objs = enum(args.m, args.n, rank=args.rank)
     if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,
@@ -71,12 +99,12 @@ def cmd_enumerate(args) -> int:
             "rank": args.rank,
         }
         if args.count_only:
-            doc["count"] = len(objs)
+            doc["count"] = count
         else:
             doc["objects"] = [o.to_json_obj() for o in objs]
         return _emit(args, json.dumps(doc, indent=1) + "\n")
     if args.count_only:
-        return _emit(args, f"{len(objs)}\n")
+        return _emit(args, f"{count}\n")
     return _emit(args, "".join(o.canonical() + "\n" for o in objs))
 
 
@@ -94,9 +122,6 @@ def cmd_polytope(args) -> int:
     )
 
     if args.kind == "freehedron":
-        if args.m != 0:
-            raise UsageError("the freehedron takes --n only; --m must be 0")
-        _check_size(args, args.n + 1)
         rep = freehedron_report(args.n)
         if args.format == "json":
             doc = {
@@ -123,9 +148,6 @@ def cmd_polytope(args) -> int:
             )
         return _emit(args, "\n".join(lines) + "\n")
 
-    if args.kind not in ("multiplihedron", "hochschild"):
-        raise UsageError("polytope expects multiplihedron, hochschild or freehedron")
-    _check_size(args, args.m + args.n)
     report = certify_polytope(args.kind, args.m, args.n)
     vert_objs, verts, facet_objs, facets = _polytope_objects(
         args.kind, args.m, args.n
@@ -187,7 +209,6 @@ def cmd_polytope(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_suite
 
-    _check_size(args, args.bound)
     if args.format == "csv" and args.suite != "tables":
         raise UsageError("--format csv is only available with --suite tables")
     if args.format == "csv":
@@ -220,18 +241,15 @@ def cmd_verify(args) -> int:
 def cmd_hasse(args) -> int:
     from .posets import build_refinement_poset, build_rotation_poset, word_subposet
 
-    _check_size(args, args.m + args.n)
     if args.kind == "word":
         poset = word_subposet(args.m, args.n)
         label = lambda w: "".join(str(c) for c in w)  # noqa: E731
-    elif args.kind in ("painted", "shade"):
+    else:
         builder = (
             build_rotation_poset if args.poset == "rotation" else build_refinement_poset
         )
         poset = builder(args.kind, args.m, args.n)
         label = lambda o: o.canonical()  # noqa: E731
-    else:
-        raise UsageError("hasse expects --kind painted, shade or word")
     name = f"{args.kind}_{args.poset}_{args.m}_{args.n}"
     return _emit(args, poset.to_dot(label=label, name=name))
 
@@ -291,17 +309,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_params(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"invalid parameters: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, RuntimeError) as exc:
+    except (AssertionError, RuntimeError, ValueError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

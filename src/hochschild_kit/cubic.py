@@ -35,7 +35,7 @@ def bracket_vector(tree_or_pt) -> tuple[int, ...]:
             raise ValueError("bracket vectors come from binary unpainted trees")
         pt = tree_or_pt
     else:
-        pt = PaintedTree(0, _count_nodes(tree_or_pt), tree_or_pt, [], [])
+        pt = PaintedTree.from_cuts(0, _count_nodes(tree_or_pt), tree_or_pt, [], [])
     out = [0] * pt.n
     for v, node, _, child_ids in pt._nodes:
         label = pt.labels[v][0]

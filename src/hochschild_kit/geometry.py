@@ -47,9 +47,6 @@ class Halfspace:
     def value(self, point):
         return sum(point[i - 1] for i in self.support)
 
-    def satisfied(self, point) -> bool:
-        return self.value(point) >= self.rhs
-
     def is_tight(self, point) -> bool:
         return self.value(point) == self.rhs
 

@@ -6,8 +6,11 @@ path in exactly one node, and consecutive cuts are strictly stacked), plus an
 ordered partition of {1, ..., m} labeling the cuts from bottom to top.  Every
 unary node must lie on some cut.
 
-Trees are nested tuples: a leaf is ``None`` and an internal node is the tuple
-of its children.  Internal nodes are identified by their preorder index.
+A painted tree is stored as a tagged tree: a leaf is ``None`` and an internal
+node is the pair ``(cut index or None, children)``, cut 0 being the bottom
+cut.  Enumeration, the moves and the shadow map work on this form.  The
+node-id form of the JSON documents (nested tuples, each cut a set of preorder
+node ids) is a cached view of it; ``PaintedTree.from_cuts`` converts back.
 Instances are immutable; all derived data is computed on demand and cached.
 """
 
@@ -21,29 +24,23 @@ from .preposets import Preposet
 LEAF = None
 
 
-def tree_leaves(tree) -> int:
-    """Number of leaves of a nested-tuple tree."""
-    if tree is LEAF:
+def tree_leaves(tagged) -> int:
+    """Number of leaves of a tagged tree."""
+    if tagged is LEAF:
         return 1
-    return sum(tree_leaves(c) for c in tree)
+    return sum(tree_leaves(c) for c in tagged[1])
 
 
-def _preorder(tree):
-    """Preorder list of internal nodes as (id, children) with parent links."""
-    nodes = []
-
-    def walk(node, parent):
-        if node is LEAF:
-            return None
-        nid = len(nodes)
-        nodes.append([nid, node, parent, []])
-        for child in node:
-            cid = walk(child, nid)
-            nodes[nid][3].append(cid)
-        return nid
-
-    walk(tree, -1)
-    return nodes
+def shape_nodes(tagged):
+    """(internal nodes, nodes on a cut) of a tagged tree."""
+    tag, children = tagged
+    nodes, on_cuts = 1, tag is not None
+    for child in children:
+        if child is not LEAF:
+            a, b = shape_nodes(child)
+            nodes += a
+            on_cuts += b
+    return nodes, on_cuts
 
 
 class PaintedTree:
@@ -51,38 +48,80 @@ class PaintedTree:
 
     Attributes:
         m, n: the two size parameters.
-        tree: nested-tuple plane tree with n + 1 leaves.
-        cuts: tuple of frozensets of node ids, bottom cut first.
-        parts: tuple of frozensets of labels, ``parts[i]`` labeling ``cuts[i]``.
+        tagged: the tagged tree, the only stored form of the tree and its cuts.
+        parts: tuple of frozensets of labels, ``parts[i]`` labeling cut i.
+
+    ``tree`` (the nested-tuple plane tree with n + 1 leaves) and ``cuts``
+    (per cut, bottom cut first, the frozenset of its preorder node ids) are
+    views of ``tagged``.
     """
 
-    __slots__ = ("m", "n", "tree", "cuts", "parts", "__dict__")
+    __slots__ = ("m", "n", "tagged", "parts", "__dict__")
 
-    def __init__(self, m, n, tree, cuts, parts):
+    def __init__(self, m, n, tagged, parts):
         self.m = m
         self.n = n
-        self.tree = tree
-        self.cuts = tuple(frozenset(c) for c in cuts)
+        self.tagged = tagged
         self.parts = tuple(frozenset(p) for p in parts)
+
+    @classmethod
+    def from_cuts(cls, m, n, tree, cuts, parts) -> "PaintedTree":
+        """The painted tree of a nested-tuple tree whose cuts hold preorder node ids.
+
+        Raises ValueError when the numbers of cuts and parts differ, when an
+        id lies on two cuts, or when an id names no internal node.
+        """
+        if len(cuts) != len(parts):
+            raise ValueError("need one part per cut")
+        if tree is LEAF:
+            raise ValueError("a painted tree has an internal node")
+        cut_of = {}
+        for i, cut in enumerate(cuts):
+            for nid in frozenset(cut):
+                if nid in cut_of:
+                    raise ValueError(f"node {nid!r} lies on two cuts")
+                cut_of[nid] = i
+        counter = [0]
+
+        def tag(node):
+            nid = counter[0]
+            counter[0] += 1
+            children = tuple(LEAF if c is LEAF else tag(c) for c in node)
+            return (cut_of.pop(nid, None), children)
+
+        tagged = tag(tree)
+        if cut_of:
+            raise ValueError(f"cut id {next(iter(cut_of))!r} names no internal node")
+        return cls(m, n, tagged, parts)
 
     # -- structural data ---------------------------------------------------
 
     @cached_property
     def _nodes(self):
-        """List of [id, node, parent, child_ids] in preorder (leaf child -> None)."""
-        return _preorder(self.tree)
+        """List of [id, node, parent, child_ids] in preorder (leaf child -> None).
+
+        ``node`` is the nested-tuple subtree rooted at the node.
+        """
+        nodes = []
+
+        def walk(t, parent):
+            row = [len(nodes), None, parent, None]
+            nodes.append(row)
+            row[3] = [None if c is LEAF else walk(c, row[0]) for c in t[1]]
+            row[1] = tuple(LEAF if cid is None else nodes[cid][1] for cid in row[3])
+            return row[0]
+
+        walk(self.tagged, -1)
+        return nodes
 
     @cached_property
-    def node_count(self) -> int:
-        return len(self._nodes)
+    def tree(self):
+        """The nested-tuple plane tree: a leaf is ``None``, a node its children."""
+        return self._nodes[0][1]
 
     @cached_property
     def arity(self):
         return {nid: len(node) for nid, node, _, _ in self._nodes}
-
-    @cached_property
-    def parent(self):
-        return {nid: par for nid, _, par, _ in self._nodes}
 
     @cached_property
     def leaf_count(self):
@@ -114,8 +153,7 @@ class PaintedTree:
                     counter[0] += 1
                     out[nid].append(counter[0])
 
-        if self.tree is not LEAF:
-            walk(self.tree, 0)
+        walk(self.tree, 0)
         return {nid: tuple(v) for nid, v in out.items()}
 
     @cached_property
@@ -137,11 +175,25 @@ class PaintedTree:
 
     @cached_property
     def cut_of_node(self):
+        """Cut index of every node id that lies on a cut."""
         out = {}
-        for i, cut in enumerate(self.cuts):
-            for nid in cut:
-                out[nid] = i
+        stack = [self.tagged]
+        nid = 0
+        while stack:
+            tag, children = stack.pop()
+            if tag is not None:
+                out[nid] = tag
+            nid += 1
+            stack.extend(c for c in reversed(children) if c is not LEAF)
         return out
+
+    @cached_property
+    def cuts(self):
+        """Per cut, bottom cut first, the frozenset of its node ids."""
+        cuts = [set() for _ in self.parts]
+        for nid, i in self.cut_of_node.items():
+            cuts[i].add(nid)
+        return tuple(frozenset(c) for c in cuts)
 
     @cached_property
     def unary_nodes(self):
@@ -150,8 +202,6 @@ class PaintedTree:
     @cached_property
     def right_branch(self):
         """Node ids from the root to the rightmost leaf."""
-        if self.tree is LEAF:
-            return ()
         out = []
         nid = 0
         while nid is not None:
@@ -161,17 +211,15 @@ class PaintedTree:
 
     @cached_property
     def k(self) -> int:
-        return len(self.cuts)
+        return len(self.parts)
 
     # -- rank and preposet ----------------------------------------------------
 
     @cached_property
     def rank(self) -> int:
         """Dimension of the corresponding face of the multiplihedron."""
-        union = set()
-        for c in self.cuts:
-            union |= c
-        return self.m + self.n - self.node_count - self.k + len(union)
+        nodes, on_cuts = shape_nodes(self.tagged)
+        return self.m + self.n - nodes - self.k + on_cuts
 
     @cached_property
     def is_binary(self) -> bool:
@@ -229,7 +277,7 @@ class PaintedTree:
     def key(self):
         """Canonical sortable form (tree shape, cuts, parts)."""
         return (
-            _shape_key(self.tree),
+            _shape_key(self.tagged),
             tuple(tuple(sorted(c)) for c in self.cuts),
             tuple(tuple(sorted(p)) for p in self.parts),
         )
@@ -241,19 +289,15 @@ class PaintedTree:
         return {
             "m": self.m,
             "n": self.n,
-            "tree": _tree_json(self.tree),
+            "tree": _tree_json(self.tagged),
             "cuts": [sorted(c) for c in self.cuts],
             "parts": [sorted(p) for p in self.parts],
         }
 
     @classmethod
     def from_json_obj(cls, obj) -> "PaintedTree":
-        pt = cls(
-            obj["m"],
-            obj["n"],
-            _tree_unjson(obj["tree"]),
-            [frozenset(c) for c in obj["cuts"]],
-            [frozenset(p) for p in obj["parts"]],
+        pt = cls.from_cuts(
+            obj["m"], obj["n"], _tree_unjson(obj["tree"]), obj["cuts"], obj["parts"]
         )
         pt.validate()
         return pt
@@ -263,13 +307,12 @@ class PaintedTree:
             isinstance(other, PaintedTree)
             and self.m == other.m
             and self.n == other.n
-            and self.tree == other.tree
-            and self.cuts == other.cuts
+            and self.tagged == other.tagged
             and self.parts == other.parts
         )
 
     def __hash__(self):
-        return hash((self.m, self.n, self.tree, self.cuts, self.parts))
+        return hash((self.m, self.n, self.tagged, self.parts))
 
     def __repr__(self):
         return f"PaintedTree({self.canonical()})"
@@ -288,24 +331,23 @@ class PaintedTree:
                 else:
                     walk(cid, acc)
 
-        if self.tree is not LEAF:
-            walk(0, [])
+        walk(0, [])
         return paths
 
     def validate(self) -> None:
         """Raise ValueError if any painted-tree invariant fails."""
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError("need m >= 0, n >= 0, m + n >= 1")
-        if tree_leaves(self.tree) != self.n + 1:
+        if tree_leaves(self.tagged) != self.n + 1:
             raise ValueError("tree must have n + 1 leaves")
         if self.m == 0:
-            if self.cuts or self.parts:
+            if self.parts:
                 raise ValueError("no cuts allowed when m = 0")
             if self.unary_nodes:
                 raise ValueError("unary nodes require cuts")
             return
         k = self.k
-        if not 1 <= k <= self.m or len(self.parts) != k:
+        if not 1 <= k <= self.m:
             raise ValueError("need 1 <= k <= m cuts, one part per cut")
         seen = set()
         for p in self.parts:
@@ -327,10 +369,7 @@ class PaintedTree:
                 hi_pos = [pos[v] for v in hi if v in pos]
                 if lo_pos[0] <= hi_pos[0]:
                     raise ValueError("cuts must be strictly stacked")
-        covered = set()
-        for c in self.cuts:
-            covered |= c
-        if not self.unary_nodes <= covered:
+        if not self.unary_nodes <= self.cut_of_node.keys():
             raise ValueError("every unary node must lie on a cut")
 
     # -- moves -----------------------------------------------------------------
@@ -341,62 +380,45 @@ class PaintedTree:
         Each result is one move coarser: its preposet strictly contains this
         tree's preposet and its rank is one higher.
         """
-        tagged = self._tagged()
         out = [
-            _from_tagged(self.m, self.n, t, self.parts)
+            PaintedTree(self.m, self.n, t, self.parts)
             for rule in (_contract_free_edge, _absorb_parent)
-            for t in _rewrites(tagged, rule)
+            for t in _rewrites(self.tagged, rule)
         ]
         for i in range(self.k - 1):
-            t = _join_cuts(tagged, i)
+            t = _join_cuts(self.tagged, i)
             if t is not None:
                 parts = list(self.parts)
                 parts[i: i + 2] = [self.parts[i] | self.parts[i + 1]]
-                out.append(_from_tagged(self.m, self.n, t, parts))
+                out.append(PaintedTree(self.m, self.n, t, parts))
         return sorted(out, key=lambda x: x.key)
 
     def rotation_successors(self) -> list["PaintedTree"]:
         """Right-rotation successors of a binary painted tree."""
         if not self.is_binary:
             raise ValueError("rotations are defined on binary painted trees")
-        tagged = self._tagged()
         out = [
-            _from_tagged(self.m, self.n, t, self.parts)
+            PaintedTree(self.m, self.n, t, self.parts)
             for rule in (_rotate_right, _sweep_cut)
-            for t in _rewrites(tagged, rule)
+            for t in _rewrites(self.tagged, rule)
         ]
         for i in range(self.k - 1):
             a, b = min(self.parts[i]), min(self.parts[i + 1])
-            if a < b and _cuts_adjacent(self, i):
+            if a < b and _join_cuts(self.tagged, i) is not None:
                 parts = list(self.parts)
                 parts[i], parts[i + 1] = parts[i + 1], parts[i]
-                out.append(PaintedTree(self.m, self.n, self.tree, self.cuts, parts))
+                out.append(PaintedTree(self.m, self.n, self.tagged, parts))
         return sorted(out, key=lambda x: x.key)
 
-    def _tagged(self):
-        cut_of = self.cut_of_node
 
-        def walk(nid):
-            node = self._nodes[nid][1]
-            children = tuple(
-                LEAF if c is LEAF else walk(cid)
-                for c, cid in zip(node, self._nodes[nid][3])
-            )
-            return (cut_of.get(nid), children)
-
-        return walk(0)
+def _shape_key(tagged):
+    return tuple(() if c is LEAF else _shape_key(c) for c in tagged[1])
 
 
-def _shape_key(tree):
-    if tree is LEAF:
-        return ()
-    return tuple(_shape_key(c) for c in tree)
-
-
-def _tree_json(tree):
-    if tree is LEAF:
+def _tree_json(tagged):
+    if tagged is LEAF:
         return 0
-    return [_tree_json(c) for c in tree]
+    return [_tree_json(c) for c in tagged[1]]
 
 
 def _tree_unjson(obj):
@@ -407,31 +429,8 @@ def _tree_unjson(obj):
 
 # -- tagged-tree surgery ---------------------------------------------------
 #
-# During enumeration and moves, trees carry per-node cut tags:
-# a tagged node is (cut_index_or_None, children) and a leaf is LEAF.
 # Every move except the cut join is a node-local rule that yields the
-# replacements of one node; `_rewrites` applies a rule at every node.
-
-
-def _from_tagged(m, n, tagged, parts) -> PaintedTree:
-    """Untag in one preorder walk, collecting the node ids of each cut."""
-    cuts: dict[int, set] = {}
-    counter = [0]
-
-    def walk(t):
-        tag, children = t
-        nid = counter[0]
-        counter[0] += 1
-        if tag is not None:
-            cuts.setdefault(tag, set()).add(nid)
-        return tuple(LEAF if c is LEAF else walk(c) for c in children)
-
-    tree = walk(tagged)
-    k = len(parts)
-    cut_list = [frozenset(cuts.get(i, ())) for i in range(k)]
-    pt = PaintedTree(m, n, tree, cut_list, parts)
-    pt.__dict__["node_count"] = counter[0]  # the walk counted them; rank needs it
-    return pt
+# replacements of one tagged node; `_rewrites` applies a rule at every node.
 
 
 def _rewrites(tagged, local):
@@ -527,12 +526,6 @@ def _sweep_cut(t):
             and len(r[1]) == 1
         ):
             yield (l[0], ((None, (l[1][0], r[1][0])),))
-
-
-def _cuts_adjacent(pt: PaintedTree, i: int) -> bool:
-    """No node strictly between cuts i and i + 1."""
-    upper = pt.cuts[i + 1]
-    return all(pt.parent[v] in upper for v in pt.cuts[i])
 
 
 # -- enumeration ------------------------------------------------------------
@@ -666,7 +659,7 @@ def _painted_trees(m, n, binary=False):
     """
     for shape, k in _painted_shapes(m, n, binary):
         for parts in ordered_partitions(m, k):
-            yield _from_tagged(m, n, shape, parts)
+            yield PaintedTree(m, n, shape, parts)
 
 
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:

@@ -9,23 +9,19 @@ with the cuts placed at leaf or root level respectively.
 
 from __future__ import annotations
 
-from .painted import LEAF, PaintedTree, _from_tagged, binary_painted_trees
+from .painted import LEAF, PaintedTree, binary_painted_trees, tree_leaves
 from .shades import LightedShade, unary_lighted_shades
 
 
 def shadow(pt: PaintedTree) -> LightedShade:
     """The shade recorded along the right branch of a painted tree."""
     entries = []
-    cut_of = pt.cut_of_node
-    for v in pt.right_branch:
-        node = pt._nodes[v][1]
-        child_ids = pt._nodes[v][3]
-        vals = tuple(
-            1 if c is LEAF else pt.leaf_count[cid]
-            for c, cid in zip(node[:-1], child_ids[:-1])
-        )
-        lights = pt.parts[cut_of[v]] if v in cut_of else frozenset()
-        entries.append((vals, lights))
+    t = pt.tagged
+    while t is not LEAF:
+        tag, children = t
+        vals = tuple(tree_leaves(c) for c in children[:-1])
+        entries.append((vals, frozenset() if tag is None else pt.parts[tag]))
+        t = children[-1]
     return LightedShade(pt.m, pt.n, entries)
 
 
@@ -87,7 +83,7 @@ def _fiber_extreme(ls: LightedShade, minimum: bool) -> PaintedTree:
                 comb = (None, (LEAF, comb))
             comb = _dress(comb, tags)
         current = (None, (comb, current))
-    return _from_tagged(ls.m, ls.n, current, parts_bottom_up)
+    return PaintedTree(ls.m, ls.n, current, parts_bottom_up)
 
 
 def is_singleton(pt: PaintedTree) -> bool:

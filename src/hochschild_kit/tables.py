@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-from .painted import LEAF, _check_params, _painted_shapes, _painted_trees
+from .painted import _check_params, _painted_shapes, _painted_trees, shape_nodes
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
@@ -154,35 +154,35 @@ def expected_value(table: str, m: int, n: int):
 
 
 def _closed(table, m, n):
-    if table == "multiplihedron_vertices":
-        return count_binary_painted_trees(m, n)
-    if table == "multiplihedron_facets":
-        return count_facet_objects("painted", m, n)
-    if table == "hochschild_vertices":
-        return count_unary_lighted_shades(m, n)
-    if table == "hochschild_facets":
-        return count_facet_objects("shade", m, n)
-    if table == "singletons":
-        return count_singletons(m, n)
-    return None
+    """The closed-form value of a cell, or None when the table has none."""
+    # built per call, so that a counting function rebound on the module is the one run
+    routes = {
+        "multiplihedron_vertices": lambda: count_binary_painted_trees(m, n),
+        "multiplihedron_facets": lambda: count_facet_objects("painted", m, n),
+        "hochschild_vertices": lambda: count_unary_lighted_shades(m, n),
+        "hochschild_facets": lambda: count_facet_objects("shade", m, n),
+        "singletons": lambda: count_singletons(m, n),
+    }
+    return routes[table]() if table in routes else None
 
 
 def _gf(table, m, n, n_row):
     """The series value of a cell, read from the row of m built at n_row >= n."""
     d = m + n
-    if table == "multiplihedron_vertices":
-        return _row_face_count("painted", m, n, 0, n_row)
-    if table == "multiplihedron_facets":
-        return _row_face_count("painted", m, n, d - 2, n_row) if d >= 2 else 0
-    if table == "multiplihedron_faces":
-        return _row_face_count("painted", m, n, None, n_row)
-    if table == "hochschild_vertices":
-        return _row_face_count("shade", m, n, 0, n_row)
-    if table == "hochschild_facets":
-        return _row_face_count("shade", m, n, d - 2, n_row) if d >= 2 else 0
-    if table == "hochschild_faces":
-        return _row_face_count("shade", m, n, None, n_row)
-    return None
+    routes = {  # table -> (family, rank; None for all ranks)
+        "multiplihedron_vertices": ("painted", 0),
+        "multiplihedron_facets": ("painted", d - 2),
+        "multiplihedron_faces": ("painted", None),
+        "hochschild_vertices": ("shade", 0),
+        "hochschild_facets": ("shade", d - 2),
+        "hochschild_faces": ("shade", None),
+    }
+    if table not in routes:
+        return None
+    family, rank = routes[table]
+    if rank is not None and rank < 0:
+        return 0  # a point (m + n = 1) has no facets
+    return _row_face_count(family, m, n, rank, n_row)
 
 
 @dataclass(frozen=True)
@@ -238,21 +238,9 @@ def _painted_rank_histogram(m, n):
     surjection_count(m, k) label partitions it carries."""
     hist = [0] * (m + n)
     for shape, k in _painted_shapes(m, n, binary=False):
-        nodes, on_cuts = _shape_nodes(shape)
+        nodes, on_cuts = shape_nodes(shape)
         hist[m + n - nodes - k + on_cuts] += surjection_count(m, k)
     return tuple(hist)
-
-
-def _shape_nodes(tagged):
-    """(internal nodes, nodes on a cut) of a tagged shape."""
-    tag, children = tagged
-    nodes, on_cuts = 1, tag is not None
-    for child in children:
-        if child is not LEAF:
-            a, b = _shape_nodes(child)
-            nodes += a
-            on_cuts += b
-    return nodes, on_cuts
 
 
 def _shade_rank_histogram(m, n):

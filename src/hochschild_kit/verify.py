@@ -254,23 +254,23 @@ def analytics_suite(bound: int = 6) -> SuiteResult:
 
 
 def run_suite(name: str, bound: int) -> list[SuiteResult]:
-    if name == "lattice":
-        return [lattice_suite(bound)]
-    if name == "morphism":
-        return [morphism_suite(bound)]
-    if name == "fan":
-        return [fan_suite(bound)]
-    if name == "cubic":
-        return [cubic_suite(bound)]
-    if name == "tables":
-        return [tables_suite(bound)]
-    if name == "all":
-        return [
-            tables_suite(bound),
-            lattice_suite(min(bound, 6)),
-            morphism_suite(min(bound, 6)),
-            fan_suite(min(bound, 6)),
-            cubic_suite(min(bound, 6)),
-            analytics_suite(min(bound, 6)),
-        ]
-    raise ValueError(f"unknown suite {name!r}")
+    # built per call, so that a suite function rebound on the module is the one run
+    capped = min(bound, 6)
+    suites = {
+        "lattice": [(lattice_suite, bound)],
+        "morphism": [(morphism_suite, bound)],
+        "fan": [(fan_suite, bound)],
+        "cubic": [(cubic_suite, bound)],
+        "tables": [(tables_suite, bound)],
+        "all": [
+            (tables_suite, bound),
+            (lattice_suite, capped),
+            (morphism_suite, capped),
+            (fan_suite, capped),
+            (cubic_suite, capped),
+            (analytics_suite, capped),
+        ],
+    }
+    if name not in suites:
+        raise ValueError(f"unknown suite {name!r}")
+    return [suite(b) for suite, b in suites[name]]

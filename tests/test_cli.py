@@ -56,6 +56,22 @@ def test_invalid_parameters_exit_2(capsys):
     assert code == 2 and "invalid" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polytope", "--kind", "freehedron", "--n", "-1"),
+        ("hasse", "--kind", "word", "--m", "-1", "--n", "2"),
+        ("verify", "--suite", "lattice", "--bound", "-3"),
+        ("verify", "--suite", "tables", "--bound", "0"),
+    ],
+    ids=["freehedron-n-1", "word-m-1", "bound-3", "bound0"],
+)
+def test_negative_sizes_and_empty_bounds_exit_2(capsys, argv):
+    # each of these used to exit 0; the lattice suite passed with no checks
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "invalid" in err
+
+
 def test_safety_ceiling_exit_2(capsys):
     code, _, err = run(
         capsys, "enumerate", "--kind", "shade", "--m", "5", "--n", "5",
@@ -102,6 +118,26 @@ def test_freehedron_rejects_m(capsys):
         assert err.startswith("usage error:") and "--m" in err
     code, out, _ = run(capsys, "polytope", "--kind", "freehedron", "--m", "0", "--n", "3")
     assert code == 0 and "12 vertices" in out
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_count_only_matches_enumeration(capsys, kind):
+    from hochschild_kit.painted import enum_painted_trees
+    from hochschild_kit.shades import enum_lighted_shades
+
+    enum = enum_painted_trees if kind == "painted" else enum_lighted_shades
+    for d in range(1, 6):
+        for m in range(d + 1):
+            for rank in [None, *range(d)]:
+                argv = ["enumerate", "--kind", kind, "--m", str(m), "--n", str(d - m)]
+                argv += ["--count-only"] + ([] if rank is None else ["--rank", str(rank)])
+                code, out, _ = run(capsys, *argv)
+                assert code == 0 and out == f"{len(enum(m, d - m, rank=rank))}\n"
+    code, _, err = run(
+        capsys, "enumerate", "--kind", kind, "--m", "1", "--n", "2", "--rank", "3",
+        "--count-only",
+    )
+    assert code == 2 and "rank must lie in [0, 2]" in err
 
 
 def test_enumerate_count_only_json(capsys):
@@ -180,8 +216,10 @@ def test_output_io_failure(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError, ValueError])
 def test_internal_failure_exits_1(capsys, monkeypatch, error):
+    # parameters are checked before the library runs, so a library
+    # ValueError is a failure of the kit, not a usage error
     import hochschild_kit.geometry as geometry
 
     def broken(kind, m, n):

@@ -40,12 +40,12 @@ def S(m, n, *entries):
 
 
 def test_vertex_loday_left_comb():
-    pt = PaintedTree(0, 3, left_comb(3), [], [])
+    pt = PaintedTree.from_cuts(0, 3, left_comb(3), [], [])
     assert vertex_of_painted_tree(pt) == (1, 2, 3)
 
 
 def test_vertex_cut_above_left_comb():
-    pt = PaintedTree(1, 3, (left_comb(3),), [{0}], [{1}])
+    pt = PaintedTree.from_cuts(1, 3, (left_comb(3),), [{0}], [{1}])
     assert vertex_of_painted_tree(pt) == (4, 1, 2, 3)
 
 
@@ -56,9 +56,9 @@ def test_vertex_cut_below_left_comb():
         return tuple(dress(c) for c in t)
 
     tree = dress(left_comb(3))
-    pt = PaintedTree(1, 3, tree, [], [])
+    pt = PaintedTree.from_cuts(1, 3, tree, [], [])
     unary = [v for v, a in pt.arity.items() if a == 1]
-    pt = PaintedTree(1, 3, tree, [set(unary)], [{1}])
+    pt = PaintedTree.from_cuts(1, 3, tree, [set(unary)], [{1}])
     pt.validate()
     assert vertex_of_painted_tree(pt) == (1, 2, 3, 4)
 
@@ -104,7 +104,7 @@ def test_facet_rank_preconditions():
     with pytest.raises(ValueError):
         facet_of_lighted_shade(S(0, 3, ((3,), ())))
     with pytest.raises(ValueError):
-        facet_of_painted_tree(PaintedTree(0, 3, left_comb(3), [], []))
+        facet_of_painted_tree(PaintedTree.from_cuts(0, 3, left_comb(3), [], []))
 
 
 def test_vertex_rank_preconditions():
@@ -285,7 +285,7 @@ def test_preposet_cones():
     )
     assert chain_cone.contains((3, 2, 1))
     assert not chain_cone.contains((1, 2, 3))
-    diamond = PaintedTree(
+    diamond = PaintedTree.from_cuts(
         1, 3,
         (((None,), (None,)), ((None,), (None,))),
         [{2, 3, 5, 6}],

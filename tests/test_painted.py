@@ -1,6 +1,7 @@
 import pytest
 
 from hochschild_kit.painted import (
+    LEAF,
     PaintedTree,
     binary_painted_trees,
     enum_painted_trees,
@@ -46,18 +47,18 @@ def test_every_enumerated_tree_is_valid():
 
 
 def test_left_comb_preposet_is_a_chain():
-    pt = PaintedTree(0, 3, left_comb(3), [], [])
+    pt = PaintedTree.from_cuts(0, 3, left_comb(3), [], [])
     assert sorted(pt.preposet.pairs()) == [(1, 2), (1, 3), (2, 3)]
 
 
 def test_right_comb_preposet_is_reversed_chain():
-    pt = PaintedTree(0, 3, right_comb(3), [], [])
+    pt = PaintedTree.from_cuts(0, 3, right_comb(3), [], [])
     assert sorted(pt.preposet.pairs()) == [(2, 1), (3, 1), (3, 2)]
 
 
 def test_single_cut_preposet_on_one_element():
     # m = 1, n = 0: one unary node carrying the only cut
-    pt = PaintedTree(1, 0, (None,), [{0}], [{1}])
+    pt = PaintedTree.from_cuts(1, 0, (None,), [{0}], [{1}])
     pt.validate()
     assert list(pt.preposet.pairs()) == []
     assert pt.preposet.d == 1
@@ -88,7 +89,7 @@ def test_refinement_moves_grow_preposet_and_rank():
 
 
 def test_rotation_rejects_non_binary():
-    corolla = PaintedTree(0, 2, (None, None, None), [], [])
+    corolla = PaintedTree.from_cuts(0, 2, (None, None, None), [], [])
     with pytest.raises(ValueError):
         corolla.rotation_successors()
 
@@ -120,10 +121,98 @@ def test_enumeration_is_canonically_sorted_and_duplicate_free():
 def test_validation_rejects_uncovered_unary():
     # unary node without a cut through it
     with pytest.raises(ValueError):
-        PaintedTree(0, 1, (((None, None),),), [], []).validate()
+        PaintedTree.from_cuts(0, 1, (((None, None),),), [], []).validate()
 
 
 def test_validation_rejects_bad_partition():
-    pt = PaintedTree(2, 0, ((),), [{0}], [{1}])
+    pt = PaintedTree.from_cuts(2, 0, ((),), [{0}], [{1}])
     with pytest.raises(ValueError):
         pt.validate()
+
+
+# -- the node-id form, rebuilt from the tagged tree by the walks the kit
+# stored it with before the tagged tree became the only stored form
+
+
+def _preorder(tree):
+    """Preorder list of internal nodes as [id, node, parent, child_ids]."""
+    nodes = []
+
+    def walk(node, parent):
+        if node is LEAF:
+            return None
+        nid = len(nodes)
+        nodes.append([nid, node, parent, []])
+        for child in node:
+            cid = walk(child, nid)
+            nodes[nid][3].append(cid)
+        return nid
+
+    walk(tree, -1)
+    return nodes
+
+
+def _untag(tagged, k):
+    """(tree, cuts) of a tagged tree with k cuts, in one preorder walk."""
+    cuts = {}
+    counter = [0]
+
+    def walk(t):
+        tag, children = t
+        nid = counter[0]
+        counter[0] += 1
+        if tag is not None:
+            cuts.setdefault(tag, set()).add(nid)
+        return tuple(LEAF if c is LEAF else walk(c) for c in children)
+
+    tree = walk(tagged)
+    return tree, tuple(frozenset(cuts.get(i, ())) for i in range(k))
+
+
+def _shape_key(tree):
+    if tree is LEAF:
+        return ()
+    return tuple(_shape_key(c) for c in tree)
+
+
+ALL_CELLS_TO_5 = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
+
+
+@pytest.mark.parametrize("mn", ALL_CELLS_TO_5)
+def test_node_id_views_match_the_untag_oracle(mn):
+    for pt in enum_painted_trees(*mn):
+        tree, cuts = _untag(pt.tagged, len(pt.parts))
+        nodes = _preorder(tree)
+        on_cuts = set().union(*cuts)
+        assert pt.tree == tree and pt.cuts == cuts
+        assert pt._nodes == nodes
+        assert pt.rank == pt.m + pt.n - len(nodes) - len(cuts) + len(on_cuts)
+        assert pt.key == (
+            _shape_key(tree),
+            tuple(tuple(sorted(c)) for c in cuts),
+            tuple(tuple(sorted(p)) for p in pt.parts),
+        )
+        again = PaintedTree.from_cuts(pt.m, pt.n, pt.tree, pt.cuts, pt.parts)
+        assert again == pt and hash(again) == hash(pt)
+        assert again.tagged == pt.tagged
+
+
+@pytest.mark.parametrize(
+    "obj,message",
+    [
+        # node 7 does not exist; the tree used to be accepted with rank 1
+        ({"m": 1, "n": 1, "tree": [[0, 0]], "cuts": [[0, 7]], "parts": [[1]]},
+         "names no internal node"),
+        ({"m": 2, "n": 1, "tree": [[[0, 0]]], "cuts": [[1], [1]], "parts": [[1], [2]]},
+         "lies on two cuts"),
+        ({"m": 1, "n": 1, "tree": [[0, 0]], "cuts": [[1], [0]], "parts": [[1]]},
+         "one part per cut"),
+        # a bare leaf has no node for the cut; it used to be accepted with rank 0
+        ({"m": 1, "n": 0, "tree": 0, "cuts": [[]], "parts": [[1]]},
+         "has an internal node"),
+    ],
+    ids=["no-such-node", "node-on-two-cuts", "cut-part-mismatch", "bare-leaf"],
+)
+def test_from_json_rejects_malformed_cuts(obj, message):
+    with pytest.raises(ValueError, match=message):
+        PaintedTree.from_json_obj(obj)

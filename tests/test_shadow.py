@@ -20,8 +20,8 @@ SINGLETON_COUNTS = {(0, 3): 3, (1, 3): 7, (2, 2): 14, (0, 4): 5, (2, 1): 6}
 
 
 def test_shadow_of_combs():
-    lc = PaintedTree(0, 3, left_comb(3), [], [])
-    rc = PaintedTree(0, 3, right_comb(3), [], [])
+    lc = PaintedTree.from_cuts(0, 3, left_comb(3), [], [])
+    rc = PaintedTree.from_cuts(0, 3, right_comb(3), [], [])
     assert shadow(lc).entries == (((3,), frozenset()),)
     assert shadow(rc).entries == (((1,), frozenset()),) * 3
 
@@ -125,10 +125,10 @@ def test_singleton_characterizations_agree_with_fibers():
 
 def test_left_comb_is_not_singleton_for_large_n():
     for n in (3, 4, 5):
-        assert not is_singleton(PaintedTree(0, n, left_comb(n), [], []))
+        assert not is_singleton(PaintedTree.from_cuts(0, n, left_comb(n), [], []))
 
 
 def test_is_singleton_rejects_non_binary():
-    corolla = PaintedTree(0, 2, (None, None, None), [], [])
+    corolla = PaintedTree.from_cuts(0, 2, (None, None, None), [], [])
     with pytest.raises(ValueError):
         is_singleton(corolla)

@@ -132,7 +132,7 @@ def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
 
     for module, name in [
         (painted, "ordered_partitions"),
-        (painted, "_from_tagged"),
+        (painted, "PaintedTree"),
         (shades, "_light_distributions"),
         (shades, "LightedShade"),
     ]:
