@@ -296,9 +296,10 @@ class PaintedTree:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PaintedTree":
-        pt = cls.from_cuts(
-            obj["m"], obj["n"], _tree_unjson(obj["tree"]), obj["cuts"], obj["parts"]
-        )
+        m, n = _json_ints([obj["m"], obj["n"]])
+        cuts = [_json_ints(cut) for cut in obj["cuts"]]
+        parts = [_json_ints(part) for part in obj["parts"]]
+        pt = cls.from_cuts(m, n, _tree_unjson(obj["tree"]), cuts, parts)
         pt.validate()
         return pt
 
@@ -422,9 +423,18 @@ def _tree_json(tagged):
 
 
 def _tree_unjson(obj):
-    if obj == 0:
+    if type(obj) is int and obj == 0:
         return LEAF
+    if not isinstance(obj, list):
+        raise ValueError(f"a tree entry is 0 or an array, not {obj!r}")
     return tuple(_tree_unjson(c) for c in obj)
+
+
+def _json_ints(values):
+    """A JSON array of integers; ValueError for anything else, booleans included."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"expected an array of integers, not {values!r}")
+    return values
 
 
 # -- tagged-tree surgery ---------------------------------------------------

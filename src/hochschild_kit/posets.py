@@ -6,14 +6,19 @@ lazily.  The order is kept as Python-int bitmask rows, the idiom Preposet
 uses: bit j of ``leq[i]`` is set iff element i is below element j, and
 ``down`` holds the transposed rows.  The meet of a and b is the element whose
 down-set is ``down[a] & down[b]``, found by one dict lookup, so a full meet
-table costs O(n^2) word-parallel operations.  Instances are immutable after
-construction: every derived structure is a tuple.
+table costs O(n^2) word-parallel operations.  The zeta and Möbius matrices,
+the Coxeter polynomial and the cyclotomic-product test are exact integer
+computations on the same rows, with no computer-algebra dependency.
+Instances are immutable after construction: every derived structure is a
+tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import comb
+from operator import mul
 
 from .painted import binary_painted_trees, enum_painted_trees
 from .shades import enum_lighted_shades, unary_lighted_shades
@@ -287,28 +292,38 @@ class FinitePoset:
     def is_join_semidistributive(self) -> bool:
         return self.is_lattice and self.semidistributive_counterexample("join") is None
 
-    def zeta_matrix(self):
-        """Integer zeta matrix in a fixed linear extension order (sympy)."""
-        from sympy import ImmutableMatrix
-
+    def zeta_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Zeta matrix, rows and columns in topological order: 1 where the row
+        element is below the column element, else 0."""
         order = self.topological_order
-        n = self.n
-        return ImmutableMatrix(
-            n, n, lambda a, b: 1 if self.le(order[a], order[b]) else 0
-        )
+        return tuple(tuple(self.leq[i] >> j & 1 for j in order) for i in order)
 
-    def coxeter_polynomial(self):
-        """Characteristic polynomial of -Z^{-1} Z^T over the integers."""
-        from sympy import Poly, Symbol
+    def mobius_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Möbius matrix Z^{-1}, same order, by back substitution in the
+        unitriangular Z: row a is e_a minus the rows c > a with a below c."""
+        z, mu = self.zeta_matrix(), [()] * self.n
+        for a in reversed(range(self.n)):
+            above = [mu[c] for c in range(a + 1, self.n) if z[a][c]]
+            mu[a] = tuple(int(a == b) - sum(r) for b, *r in zip(range(self.n), *above))
+        return tuple(mu)
 
+    def coxeter_polynomial(self) -> tuple[int, ...]:
+        """det(x - C) for the Coxeter matrix C = -Z^{-1} Z^T, highest degree first.
+
+        Berkowitz's division-free recursion: bordering the leading k x k block
+        A by row r, column s and corner c multiplies its polynomial by the
+        Toeplitz matrix of (1, -c, -r s, -r A s, ..., -r A^(k-1) s).
+        """
         z = self.zeta_matrix()
-        cox = -(z.inv()) * z.T
-        x = Symbol("x")
-        return Poly(cox.charpoly(x).as_expr(), x)
-
-    def mobius_matrix(self):
-        """Integer Möbius function as a sympy matrix (linear extension order)."""
-        return self.zeta_matrix().inv()
+        cox = [[-sum(map(mul, mu, col)) for col in z] for mu in self.mobius_matrix()]
+        poly = [1]
+        for k, row in enumerate(cox):
+            s, t = [r[k] for r in cox[:k]], [1, -row[k]]
+            for _ in range(k):
+                t.append(-sum(map(mul, row, s)))
+                s = [sum(map(mul, r, s)) for r in cox[:k]]
+            poly = [sum(t[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+        return tuple(poly)
 
     # -- export --------------------------------------------------------------------
 
@@ -324,30 +339,25 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
-def is_cyclotomic_product(poly) -> bool:
-    """Exact test: is the integer polynomial a product of cyclotomics?"""
-    from sympy import Poly, cyclotomic_poly
+def is_cyclotomic_product(coeffs) -> bool:
+    """Exact test: is the integer polynomial (coefficients, highest degree
+    first) a product of cyclotomic polynomials?
 
-    p = Poly(poly)
-    x = p.gen
-    if p.degree() == 0:
-        return p.as_expr() == 1
-    if p.TC() == 0:
-        return False
-    deg = p.degree()
-    d = 1
-    while p.degree() > 0:
-        phi = Poly(cyclotomic_poly(d, x), x)
-        while p.degree() >= phi.degree():
-            q, r = divmod(p, phi)
-            if r.is_zero:
-                p = q
-            else:
-                break
-        d += 1
-        if d > 4 * deg * deg + 2:
-            return False
-    return p.as_expr() == 1
+    Such a product is monic with p(0) != 0 and has all its roots on the unit
+    circle, so |coefficient of x^(k-i)| <= C(k, i), and Graeffe's root squaring
+    g(x^2) = (-1)^k p(x) p(-x) reaches a fixed point.  Any other monic p with
+    p(0) != 0 has a root of modulus > 1 (Kronecker), so its iterates outgrow
+    those bounds, and no fixed point has one.
+    """
+    p, k = list(coeffs), len(coeffs) - 1
+    if k < 1 or p[0] != 1 or p[-1] == 0:
+        return p == [1]
+    while all(abs(c) <= comb(k, i) for i, c in enumerate(p)):
+        p, last = [sum((-1) ** j * p[j] * p[i - j] for j in range(max(0, i - k), min(i, k) + 1))
+                   for i in range(0, 2 * k + 1, 2)], p
+        if p == last:
+            return True
+    return False
 
 
 @dataclass
@@ -444,13 +454,24 @@ def word_subposet(m: int, n: int) -> FinitePoset:
     return FinitePoset.from_leq(words, up)
 
 
+def _poly_text(coeffs) -> str:
+    """A monic polynomial in x, terms by falling degree: 'x**3 - 2*x + 1'."""
+    text = ""
+    for k, c in zip(range(len(coeffs) - 1, -1, -1), coeffs):
+        if c:  # |c|*x**k with *x**0, **1 and a unit factor 1* dropped
+            term = f"{abs(c)}*x**{k}".removesuffix("*x**0").removesuffix("**1").removeprefix("1*")
+            text += (" - " if c < 0 else " + ") + term
+    return text[3:]
+
+
 def lattice_analytics(p: FinitePoset) -> dict:
     """Lattice-theoretic profile of a bounded poset.
 
     Returns the lattice flag, both semidistributivity flags, extremality and
     the Coxeter polynomial together with its cyclotomic-product flag.  All of
-    it is exact; the Coxeter polynomial is the characteristic polynomial of
-    the transformation -Z^{-1} Z^T of the zeta matrix.
+    it is exact integer arithmetic; the Coxeter polynomial is the
+    characteristic polynomial of the transformation -Z^{-1} Z^T of the zeta
+    matrix, written in x by falling degree, as in 'x**2 + x + 1'.
     """
     if not p.is_bounded:
         raise ValueError("analytics need a bounded poset")
@@ -464,7 +485,7 @@ def lattice_analytics(p: FinitePoset) -> dict:
         "is_meet_semidistributive": bool(p.is_meet_semidistributive),
         "is_join_semidistributive": bool(p.is_join_semidistributive),
         "is_extremal": bool(p.is_extremal),
-        "coxeter_polynomial": str(cox.as_expr()),
+        "coxeter_polynomial": _poly_text(cox),
         "coxeter_cyclotomic": is_cyclotomic_product(cox),
     }
 

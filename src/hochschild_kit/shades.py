@@ -16,6 +16,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 import json
 
+from .painted import _json_ints
 from .preposets import Preposet
 
 
@@ -148,11 +149,9 @@ class LightedShade:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LightedShade":
-        ls = cls(
-            obj["m"],
-            obj["n"],
-            [(e["tuple"], e["lights"]) for e in obj["entries"]],
-        )
+        m, n = _json_ints([obj["m"], obj["n"]])
+        entries = [(_json_ints(e["tuple"]), _json_ints(e["lights"])) for e in obj["entries"]]
+        ls = cls(m, n, entries)
         ls.validate()
         return ls
 

@@ -127,28 +127,17 @@ def singleton_tree_condition(pt: PaintedTree) -> bool:
     return True
 
 
-def _group_by_shadow(shades, trees):
-    """Map each unary shade to the list of binary painted trees shadowing it.
+def shadow_fibers(m, n):
+    """Group all binary painted trees by their shadow.
 
-    Raises AssertionError if some shade receives no tree: the shadow map
-    must be surjective.
+    Returns a dict mapping each unary shade to the list of binary painted
+    trees in its fiber, in canonical order.  Raises AssertionError if some
+    shade receives no tree: the shadow map must be surjective.
     """
-    fibers = {ls: [] for ls in shades}
-    for pt in trees:
+    fibers = {ls: [] for ls in unary_lighted_shades(m, n)}
+    for pt in binary_painted_trees(m, n):
         fibers[shadow(pt)].append(pt)
     for ls, pts in fibers.items():
         if not pts:
             raise AssertionError(f"shadow map misses {ls}")
-    return fibers
-
-
-def shadow_fibers(m, n):
-    """Group all binary painted trees by their shadow.
-
-    Returns a dict mapping each unary shade to the sorted list of binary
-    painted trees in its fiber; every unary shade appears (surjectivity).
-    """
-    fibers = _group_by_shadow(unary_lighted_shades(m, n), binary_painted_trees(m, n))
-    for pts in fibers.values():
-        pts.sort(key=lambda t: t.key)
     return fibers

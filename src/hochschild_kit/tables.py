@@ -23,12 +23,13 @@ the closed forms use as well), and every tuple sequence of a shade for its
 number of light distributions.  The labeled census that generates every
 object stays in the tests as the oracle of these histograms.  One labeled
 binary and one labeled unary pass give the vertex cells and the shadow
-fibers behind the singleton cell.  Both verify and the command line cap the
+fiber sizes behind the singleton cell.  Both verify and the command line cap the
 exhaustive bound at EXHAUSTIVE_BOUND.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
@@ -42,7 +43,7 @@ from .series import (
     surjection_count,
 )
 from .shades import _tuple_sequences, _unary_shades
-from .shadow import _group_by_shadow
+from .shadow import shadow
 
 # Largest m + n whose cells verify and the command line generate exhaustively.
 EXHAUSTIVE_BOUND = 8
@@ -259,11 +260,20 @@ def _shade_rank_histogram(m, n):
 
 
 def _vertex_census(m, n):
-    """(binary painted trees, unary shades, singleton fibers) of (m, n)."""
-    binary = list(_painted_trees(m, n, binary=True))
+    """(binary painted trees, unary shades, singleton fibers) of (m, n).
+
+    Raises AssertionError unless the shadows are exactly the unary shades.
+    """
     unary = list(_unary_shades(m, n))
-    fibers = _group_by_shadow(unary, binary)
-    return len(binary), len(unary), sum(1 for pts in fibers.values() if len(pts) == 1)
+    # seeded with the shades, so a shadow equal to one adds no second key object
+    sizes = Counter(dict.fromkeys(unary, 0))
+    sizes.update(shadow(pt) for pt in _painted_trees(m, n, binary=True))
+    for ls in unary:
+        if not sizes[ls]:
+            raise AssertionError(f"shadow map misses {ls}")
+    if len(sizes) > len(unary):
+        raise AssertionError(f"shadow {list(sizes)[len(unary)]} is not a unary shade")
+    return sum(sizes.values()), len(unary), sum(1 for size in sizes.values() if size == 1)
 
 
 @dataclass

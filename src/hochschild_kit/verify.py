@@ -136,12 +136,15 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
         dst = build_rotation_poset("shade", m, n)
         f = {pt: shadow(pt) for pt in src.elements}
         surjective = set(f.values()) == set(dst.elements)
-        rep = check_meet_morphism(f, src, dst)
-        cong = check_congruence_projection(m, n)
         res.record(f"shadow({m},{n}) surjective", surjective)
-        res.record(f"shadow({m},{n}) meet morphism", rep.is_meet_morphism)
-        if not rep.is_join_morphism:
-            join_counterexamples[(m, n)] = rep.join_counterexample
+        if surjective:
+            rep = check_meet_morphism(f, src, dst)
+            res.record(f"shadow({m},{n}) meet morphism", rep.is_meet_morphism)
+            if not rep.is_join_morphism:
+                join_counterexamples[(m, n)] = rep.join_counterexample
+        else:
+            res.record(f"shadow({m},{n}) meet morphism", False, "the map is not surjective")
+        cong = check_congruence_projection(m, n)
         res.record(f"fibers({m},{n}) unique minima", cong.unique_minima)
         res.record(f"fibers({m},{n}) minima = fiber_min", cong.minima_match_fiber_min)
         res.record(f"projection down({m},{n}) order preserving", cong.proj_down_order_preserving)

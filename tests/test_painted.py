@@ -8,6 +8,7 @@ from hochschild_kit.painted import (
     left_comb,
     right_comb,
 )
+from hochschild_kit.shades import LightedShade
 
 # spot values from the enumeration tables
 BINARY_COUNTS = {(1, 3): 21, (0, 4): 14, (2, 2): 24, (1, 0): 1, (2, 0): 2, (3, 0): 6}
@@ -216,3 +217,23 @@ def test_node_id_views_match_the_untag_oracle(mn):
 def test_from_json_rejects_malformed_cuts(obj, message):
     with pytest.raises(ValueError, match=message):
         PaintedTree.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "cls,obj",
+    [
+        (PaintedTree, {"m": 0, "n": 1, "tree": [0, 5], "cuts": [], "parts": []}),
+        (PaintedTree, {"m": 0, "n": 1, "tree": [0, True], "cuts": [], "parts": []}),
+        (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": [[[0]]], "parts": [[1]]}),
+        (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": [[0]], "parts": [[True]]}),
+        (LightedShade, {"m": 1, "n": 1, "entries": [{"tuple": [1], "lights": [[1]]}]}),
+        (LightedShade, {"m": 0, "n": 1, "entries": [{"tuple": [1.0], "lights": []}]}),
+        (LightedShade, {"m": 0, "n": 1, "entries": [{"tuple": [True], "lights": []}]}),
+        (LightedShade, {"m": 0, "n": 1, "entries": [{"tuple": 1, "lights": []}]}),
+    ],
+    ids=["tree-5", "tree-true", "nested-cut", "part-true", "nested-lights", "tuple-float",
+         "tuple-true", "tuple-not-array"],
+)
+def test_json_readers_reject_non_integer_entries(cls, obj):
+    with pytest.raises(ValueError):
+        cls.from_json_obj(obj)

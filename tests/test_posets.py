@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from itertools import combinations
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -282,6 +283,23 @@ def test_morphism_counterexample_is_first_row_major_violation():
             assert example == first, (m, n, side)
 
 
+def test_morphism_suite_records_a_non_surjective_shadow(monkeypatch):
+    import hochschild_kit.verify as verify
+    from hochschild_kit.shades import unary_lighted_shades
+
+    real = verify.shadow
+    one = unary_lighted_shades(0, 2)[0]
+    monkeypatch.setattr(
+        verify, "shadow", lambda pt: one if (pt.m, pt.n) == (0, 2) else real(pt)
+    )
+    res = verify.morphism_suite(2)
+    failed = [(name, detail) for name, ok, detail in res.checks if not ok]
+    assert failed == [
+        ("shadow(0,2) surjective", ""),
+        ("shadow(0,2) meet morphism", "the map is not surjective"),
+    ]
+
+
 def test_congruence_projection():
     for m, n in [(0, 3), (1, 2), (2, 2)]:
         rep = check_congruence_projection(m, n)
@@ -521,22 +539,113 @@ def test_lattice_analytics_spot_values():
     assert prof["is_lattice"]
 
 
+# -- sympy oracle for the integer Coxeter code ----------------------------------------
+# The computer-algebra route the kit used before its integer code; sympy is a
+# test-only dependency.
+
+
+def oracle_zeta_matrix(p):
+    """Integer zeta matrix in a fixed linear extension order (sympy)."""
+    from sympy import ImmutableMatrix
+
+    order = p.topological_order
+    n = p.n
+    return ImmutableMatrix(
+        n, n, lambda a, b: 1 if p.le(order[a], order[b]) else 0
+    )
+
+
+def oracle_coxeter_polynomial(p):
+    """Characteristic polynomial of -Z^{-1} Z^T over the integers."""
+    from sympy import Poly, Symbol
+
+    z = oracle_zeta_matrix(p)
+    cox = -(z.inv()) * z.T
+    x = Symbol("x")
+    return Poly(cox.charpoly(x).as_expr(), x)
+
+
+def oracle_mobius_matrix(p):
+    """Integer Möbius function as a sympy matrix (linear extension order)."""
+    return oracle_zeta_matrix(p).inv()
+
+
+def oracle_is_cyclotomic_product(poly) -> bool:
+    """Exact test: is the integer polynomial a product of cyclotomics?"""
+    from sympy import Poly, cyclotomic_poly
+
+    p = Poly(poly)
+    x = p.gen
+    if p.degree() == 0:
+        return p.as_expr() == 1
+    if p.TC() == 0:
+        return False
+    deg = p.degree()
+    d = 1
+    while p.degree() > 0:
+        phi = Poly(cyclotomic_poly(d, x), x)
+        while p.degree() >= phi.degree():
+            q, r = divmod(p, phi)
+            if r.is_zero:
+                p = q
+            else:
+                break
+        d += 1
+        if d > 4 * deg * deg + 2:
+            return False
+    return p.as_expr() == 1
+
+
+@pytest.mark.parametrize("p", oracle_posets())
+def test_integer_coxeter_code_matches_sympy_oracle(p):
+    from sympy import Poly, factor_list
+
+    assert [list(row) for row in p.zeta_matrix()] == oracle_zeta_matrix(p).tolist()
+    assert [list(row) for row in p.mobius_matrix()] == oracle_mobius_matrix(p).tolist()
+    poly = oracle_coxeter_polynomial(p)
+    cox = p.coxeter_polynomial()
+    assert list(cox) == poly.all_coeffs()
+    # the divisor oracle ends early only on a cyclotomic product; on the
+    # degree-24 polynomials that are none it divides by every Phi_d up to
+    # d = 2306 (minutes, hundreds of MB), so sympy's factorization decides those
+    content, factors = factor_list(poly.as_expr())
+    flag = is_cyclotomic_product(cox)
+    assert flag == (content == 1 and all(Poly(f, poly.gen).is_cyclotomic for f, _ in factors))
+    if flag:
+        assert oracle_is_cyclotomic_product(poly)
+    if p.is_bounded:
+        prof = lattice_analytics(p)
+        assert prof["coxeter_polynomial"] == str(poly.as_expr())
+        assert prof["coxeter_cyclotomic"] == flag
+
+
 def test_cyclotomic_product_detector():
     from sympy import Poly, Symbol
 
-    x = Symbol("x")
-    assert is_cyclotomic_product(Poly(x**2 + 2 * x + 1, x))
-    assert is_cyclotomic_product(Poly(x**2 + x + 1, x))
-    assert is_cyclotomic_product(Poly((x + 1) * (x**2 + 1), x))
-    assert not is_cyclotomic_product(Poly(x**2 - 2, x))
-    assert not is_cyclotomic_product(Poly(x**2 + 3 * x + 1, x))
-    assert not is_cyclotomic_product(Poly(x**2 + x, x))
+    cases = [
+        ((1, 2, 1), True),  # (x + 1)^2
+        ((1, 1, 1), True),
+        ((1, 1, 1, 1), True),  # (x + 1)(x^2 + 1)
+        ((1, 0, -2), False),
+        ((1, 3, 1), False),
+        ((1, 1, 0), False),  # x (x + 1)
+        ((-1, -1), False),  # -(x + 1)
+        ((-1,), False),
+        ((1,), True),
+        ((0,), False),
+    ]
+    for coeffs, expected in cases:
+        assert is_cyclotomic_product(coeffs) == expected, coeffs
+        assert oracle_is_cyclotomic_product(Poly(list(coeffs), Symbol("x"))) == expected, coeffs
 
 
 def test_mobius_matrix_is_zeta_inverse():
     p = pentagon()
-    z = p.zeta_matrix()
-    assert z * p.mobius_matrix() == z.eye(p.n)
+    z, mu = p.zeta_matrix(), p.mobius_matrix()
+    identity = [[int(a == b) for b in range(p.n)] for a in range(p.n)]
+    for left, right in ((z, mu), (mu, z)):
+        product = [[sum(map(mul, row, col)) for col in zip(*right)] for row in left]
+        assert product == identity
 
 
 def analytics_csv(rows: list[dict]) -> str:
@@ -576,10 +685,25 @@ def test_cycle_detection():
         FinitePoset(["a", "b"], [(0, 1), (1, 0)]).leq
 
 
-def test_library_import_leaves_numpy_out():
+def test_kit_runs_on_the_standard_library_alone():
+    # every top-level module that the import, a verify run and the analytics
+    # add to a fresh interpreter is the kit's own or in the standard library
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, hochschild_kit.cli; sys.exit('numpy' in sys.modules)"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io\n"
+        "from hochschild_kit.cli import main\n"
+        "from hochschild_kit.posets import build_rotation_poset, lattice_analytics\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = main(['verify', '--suite', 'all', '--bound', '3'])\n"
+        "lattice_analytics(build_rotation_poset('shade', 1, 3))\n"
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(added - set(sys.stdlib_module_names) - {'hochschild_kit'}))\n"
+        "sys.exit(status)\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, timeout=60
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -111,6 +111,23 @@ def test_census_raises_when_shadow_misses_a_shade(monkeypatch):
         exhaustive_census(1, 2)
 
 
+def test_census_raises_when_a_shadow_is_no_unary_shade(monkeypatch):
+    real = tables.shadow
+    seen = set()
+
+    def stray_after_first(pt):
+        # the first tree of each fiber keeps its shadow, so no shade is missed
+        ls = real(pt)
+        if ls in seen:
+            return "stray"
+        seen.add(ls)
+        return ls
+
+    monkeypatch.setattr(tables, "shadow", stray_after_first)
+    with pytest.raises(AssertionError, match="shadow stray is not a unary shade"):
+        exhaustive_census(0, 3)
+
+
 def test_reproduce_tables_reads_exhaustive_values_from_census():
     report = reproduce_tables(bound=4, formula_bound=4)
     assert report.ok
