@@ -5,12 +5,19 @@ get cubic vectors by counting preposet non-inversions.  Both vector families
 drop the constantly-zero first coordinate, decrease in exactly one coordinate
 along every rotation cover, and tile the boundary of their bounding box by
 the subcubes spanned by the faces of the corresponding polytope.
+
+The subdivision check runs on index bitsets: a face's vertices are read off
+its refinement up-set row, and per-coordinate threshold masks over the face
+cubes answer "which cubes contain this one" and "which cubes meet this one"
+with a few ANDs, so no step scans all vertices or all pairs of faces.  The
+`cubic` suite runs it for m + n <= 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import accumulate, product
+from operator import or_
 
 from .painted import PaintedTree
 from .shades import LightedShade
@@ -215,12 +222,37 @@ def _cube_contains(outer, inner) -> bool:
     )
 
 
-def _cube_intersection(c1, c2):
-    lo = tuple(max(a, c) for a, c in zip(c1[0], c2[0]))
-    hi = tuple(min(b, d) for b, d in zip(c1[1], c2[1]))
-    if any(a > b for a, b in zip(lo, hi)):
-        return None
-    return (lo, hi)
+def _threshold_masks(cubes, box):
+    """Prefix masks over indexed cubes inside box, one pair per coordinate.
+
+    cubes yields (bit, (lo, hi)).  For coordinate i and value t in the box,
+    ``lo_le[i][t - box_lo[i]]`` has the bits of the cubes with lo[i] <= t and
+    ``hi_ge[i][t - box_lo[i]]`` those with hi[i] >= t.
+    """
+    lo_le, hi_ge = [], []
+    cubes = list(cubes)
+    for i, (a, b) in enumerate(zip(*box)):
+        at_lo, at_hi = [0] * (b - a + 1), [0] * (b - a + 1)
+        for bit, (lo, hi) in cubes:
+            at_lo[lo[i] - a] |= 1 << bit
+            at_hi[hi[i] - a] |= 1 << bit
+        lo_le.append(list(accumulate(at_lo, or_)))
+        hi_ge.append(list(accumulate(reversed(at_hi), or_))[::-1])
+    return lo_le, hi_ge, box[0]
+
+
+def _cubes_around(masks, lo, hi) -> int:
+    """Bits of the cubes c with c.lo <= lo and c.hi >= hi coordinatewise.
+
+    With (lo, hi) a cube these are the cubes containing it; with (hi, lo) they
+    are the cubes meeting it.  All bits are set when there are no coordinates,
+    so callers intersect the result with the bits they range over.
+    """
+    lo_le, hi_ge, base = masks
+    out = -1
+    for i, (t, u, a) in enumerate(zip(lo, hi, base)):
+        out &= lo_le[i][t - a] & hi_ge[i][u - a]
+    return out
 
 
 def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True) -> CubicReport:
@@ -237,7 +269,7 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
 
     rot = build_rotation_poset(kind, m, n)
     gamma_fn = cubic_vector_painted if kind == "painted" else cubic_vector_shade
-    gamma = {o: gamma_fn(o) for o in rot.elements}
+    gamma = [gamma_fn(o) for o in rot.elements]
     report = CubicReport(kind, m, n)
     checks = report.checks
 
@@ -246,11 +278,11 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
         if report.counterexample is None:
             report.counterexample = f"{name}: {message}"
 
-    checks["injective"] = len(set(gamma.values())) == len(gamma)
+    checks["injective"] = len(set(gamma)) == len(gamma)
 
     checks["single_coordinate_decrease"] = True
     for lo, hi in rot.covers:
-        a, b = gamma[rot.elements[lo]], gamma[rot.elements[hi]]
+        a, b = gamma[lo], gamma[hi]
         diffs = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
         if len(diffs) != 1 or diffs[0][1] <= 0:
             fail(
@@ -258,79 +290,102 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
                 f"{rot.elements[lo]} -> {rot.elements[hi]}: {a} vs {b}",
             )
 
-    box = _cube_of(list(gamma.values()))
-    top, bottom = rot.elements[rot.top], rot.elements[rot.bottom]
-    checks["box_spanned_by_extremes"] = box == (gamma[top], gamma[bottom])
+    box = _cube_of(gamma)
+    checks["box_spanned_by_extremes"] = box == (gamma[rot.top], gamma[rot.bottom])
 
     checks["images_on_boundary"] = True
-    for o, g in gamma.items():
+    for o, g in zip(rot.elements, gamma):
         if not _on_boundary(g, box):
             fail("images_on_boundary", f"{o}: {g}")
 
-    if not subdivision:
-        return report
+    if subdivision:
+        _subdivision_checks(rot, build_refinement_poset(kind, m, n), gamma, box, checks, fail)
+    return report
 
-    ref = build_refinement_poset(kind, m, n)
+
+def _subdivision_checks(rot, ref, gamma, box, checks, fail):
+    """Sub-check (c) on integer indices.
+
+    A face's vertices are the rank-0 bits of its refinement up-set row, and
+    its cube is spanned by the cubic vectors (gamma, by rotation index) of
+    their rotation extremes.  Face cubes are bits of the refinement index;
+    the threshold masks turn "contains", "meets" and "lies inside" into ANDs
+    of one mask per coordinate and side.  Every check reports the first
+    failure of the row-major pair scans it replaces.
+    """
+    from .posets import _bits
+
+    ranks = [o.rank for o in ref.elements]
+    rot_bit = [1 << rot.index(o) if r == 0 else 0 for o, r in zip(ref.elements, ranks)]
+    vertices = sum(1 << j for j, r in enumerate(ranks) if r == 0)
+    points = _threshold_masks(((i, (g, g)) for i, g in enumerate(gamma)), box)
+
     cubes = {}
     checks["faces_span_subcubes"] = True
-    for o in ref.elements:
-        members = [v for v in rot.elements if o.preposet.contains(v.preposet)]
-        idxs = [rot.index(v) for v in members]
-        mins, maxs = rot.extremes(idxs)
+    for j, o in enumerate(ref.elements):
+        members = 0
+        for k in _bits(ref.leq[j] & vertices):
+            members |= rot_bit[k]
+        mins, maxs = rot.extremes(list(_bits(members)))
         if len(mins) != 1 or len(maxs) != 1:
             fail("faces_span_subcubes", f"{o}: no unique extremes")
             continue
-        cube = (gamma[rot.elements[maxs[0]]], gamma[rot.elements[mins[0]]])
+        cube = (gamma[maxs[0]], gamma[mins[0]])
         if any(a > b for a, b in zip(cube[0], cube[1])):
             fail("faces_span_subcubes", f"{o}: degenerate span")
             continue
         if _cube_dim(cube) != o.rank:
             fail("faces_span_subcubes", f"{o}: dim {_cube_dim(cube)} != rank {o.rank}")
-        for v in members:
-            if not _cube_contains(cube, (gamma[v], gamma[v])):
-                fail("faces_span_subcubes", f"{o}: vertex {v} outside its cube")
-        cubes[o] = cube
+        for v in _bits(members & ~_cubes_around(points, cube[1], cube[0])):
+            fail("faces_span_subcubes", f"{o}: vertex {rot.elements[v]} outside its cube")
+        cubes[j] = cube
 
-    whole = min(ref.elements, key=lambda o: -o.rank)
-    proper = {o: c for o, c in cubes.items() if o is not whole}
+    present = sum(1 << j for j in cubes)
+    whole = max(range(ref.n), key=ranks.__getitem__)
+    proper = present & ~(1 << whole)
+    faces = _threshold_masks(cubes.items(), box)
+
     checks["subcubes_on_boundary"] = True
-    for o, c in proper.items():
-        if not _cube_on_boundary(c, box):
-            fail("subcubes_on_boundary", f"{o}: {c}")
+    for j in _bits(proper):
+        if not _cube_on_boundary(cubes[j], box):
+            fail("subcubes_on_boundary", f"{ref.elements[j]}: {cubes[j]}")
 
     checks["boundary_covered"] = True
     for cell in _boundary_cells(box):
-        if not any(_cube_contains(c, cell) for c in proper.values()):
+        if not _cubes_around(faces, *cell) & proper:
             fail("boundary_covered", f"cell {cell}")
             break
 
     checks["intersections_in_collection"] = True
-    cube_set = set(proper.values())
-    items = list(proper.items())
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            c1, c2 = items[a][1], items[b][1]
-            inter = _cube_intersection(c1, c2)
-            if inter is None:
-                continue
-            if inter not in cube_set:
+    dims = {cubes[j]: _cube_dim(cubes[j]) for j in _bits(proper)}
+    for a in _bits(proper):
+        c1 = cubes[a]
+        later = proper & _cubes_around(faces, c1[1], c1[0]) & -(2 << a)
+        for b in _bits(later):
+            c2 = cubes[b]
+            # the two meet, so the coordinatewise bounds are a cube
+            inter = (tuple(map(max, c1[0], c2[0])), tuple(map(min, c1[1], c2[1])))
+            if inter not in dims:
                 fail(
                     "intersections_in_collection",
-                    f"{items[a][0]} and {items[b][0]} meet in {inter}",
+                    f"{ref.elements[a]} and {ref.elements[b]} meet in {inter}",
                 )
-            elif inter != c1 and inter != c2 and _cube_dim(inter) >= min(
-                _cube_dim(c1), _cube_dim(c2)
-            ):
+            elif inter != c1 and inter != c2 and dims[inter] >= min(dims[c1], dims[c2]):
                 fail("intersections_in_collection", f"dimension at {inter}")
 
     checks["containment_mirrors_refinement"] = True
-    objs = list(cubes)
-    for o1 in objs:
-        for o2 in objs:
-            refines = ref.le(ref.index(o1), ref.index(o2))
-            if refines != _cube_contains(cubes[o1], cubes[o2]):
-                fail("containment_mirrors_refinement", f"{o1} vs {o2}")
-    return report
+    if any(
+        _cubes_around(faces, *cubes[j]) & present != ref.down[j] & present
+        for j in cubes
+    ):
+        # some column differs: the row-major scan finds the first pair
+        for j1 in cubes:
+            for j2 in cubes:
+                if ref.le(j1, j2) != _cube_contains(cubes[j1], cubes[j2]):
+                    fail(
+                        "containment_mirrors_refinement",
+                        f"{ref.elements[j1]} vs {ref.elements[j2]}",
+                    )
 
 
 def _on_boundary(point, box) -> bool:

@@ -8,7 +8,8 @@ or LP dependency: polytopality is certified through vertex / facet
 incidence, edge directions and fan witnesses.
 
 The vertex and facet objects of a polytope are built once per (m, n) cell by
-`_polytope_objects` and shared by every check of that cell.
+`_polytope_objects`, and its rotation covers once by `_rotation_edges`; both
+are shared by every check of that cell.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from math import comb
 from types import MappingProxyType
 
 from .painted import PaintedTree, binary_painted_trees, enum_painted_trees
-from .posets import FinitePoset
+from .posets import FinitePoset, rotation_covers
 from .preposets import Preposet
 from .shades import LightedShade, enum_lighted_shades, unary_lighted_shades
 from .shadow import is_singleton, shadow
@@ -306,6 +307,18 @@ def _polytope_objects(kind, m, n):
     return vert_objs, verts, facet_objs, facets
 
 
+@lru_cache(maxsize=2)
+def _rotation_edges(kind, m, n) -> tuple[tuple[int, int], ...]:
+    """Rotation covers of the cell's vertex objects, as index pairs.
+
+    One pass per polytope of the current cell, next to `_polytope_objects`:
+    the edge checks of `certify_polytope` and `oriented_skeleton` read these
+    pairs and the vertex objects' own cached preposets.  `fan_suite` clears
+    it with `_polytope_objects`.
+    """
+    return rotation_covers(_polytope_objects(kind, m, n)[0])
+
+
 def inverted_pairs(lo: Preposet, hi: Preposet):
     """Pairs (i, j), i < j, strictly below in lo and strictly reversed in hi."""
     out = []
@@ -401,30 +414,27 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
 
     checks["edge_directions"] = True
     checks["edge_single_flip"] = True
-    vert_index = {o: i for i, o in enumerate(vert_objs)}
-    for lo_obj in vert_objs:
-        for hi_obj in lo_obj.rotation_successors():
-            lo_v = verts[vert_index[lo_obj]]
-            hi_v = verts[vert_index[hi_obj]]
-            delta = tuple(b - a for a, b in zip(lo_v, hi_v))
-            flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
-            back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
-            if len(flips) != 1 or back:
-                fail("edge_single_flip", f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
-                continue
-            i, j = flips[0]
-            expected_dir = [0] * d
-            lam = delta[i - 1]
-            expected_dir[i - 1] = lam
-            expected_dir[j - 1] = -lam
-            if lam <= 0 or tuple(expected_dir) != delta:
-                fail(
-                    "edge_directions",
-                    f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}",
-                )
-            if kind == "hochschild":
-                if _shade_edge_delta(lo_obj, hi_obj) != delta:
-                    fail("edge_directions", f"shade case formula differs: {delta}")
+    for lo, hi in _rotation_edges(kind, m, n):
+        lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
+        delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
+        flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
+        back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
+        if len(flips) != 1 or back:
+            fail("edge_single_flip", f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
+            continue
+        i, j = flips[0]
+        expected_dir = [0] * d
+        lam = delta[i - 1]
+        expected_dir[i - 1] = lam
+        expected_dir[j - 1] = -lam
+        if lam <= 0 or tuple(expected_dir) != delta:
+            fail(
+                "edge_directions",
+                f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}",
+            )
+        if kind == "hochschild":
+            if _shade_edge_delta(lo_obj, hi_obj) != delta:
+                fail("edge_directions", f"shade case formula differs: {delta}")
 
     _fan_checks(kind, m, n, vert_objs, checks, fail)
 
@@ -571,19 +581,15 @@ def oriented_skeleton(kind: str, m: int, n: int) -> OrientedSkeleton:
         raise AssertionError(f"certification failed: {report.counterexample}")
     vert_objs, verts, _, _ = _polytope_objects(kind, m, n)
     w = omega(m + n)
-    index = {o: i for i, o in enumerate(vert_objs)}
-    edges = []
-    for lo_obj in vert_objs:
-        for hi_obj in lo_obj.rotation_successors():
-            lo, hi = index[lo_obj], index[hi_obj]
-            gain = dot(verts[hi], w) - dot(verts[lo], w)
-            if gain == 0:
-                raise AssertionError(f"omega tie on edge {lo_obj} -> {hi_obj}")
-            if gain < 0:
-                raise AssertionError(
-                    f"omega orientation disagrees with rotation {lo_obj} -> {hi_obj}"
-                )
-            edges.append((lo, hi))
+    edges = _rotation_edges(kind, m, n)
+    for lo, hi in edges:
+        gain = dot(verts[hi], w) - dot(verts[lo], w)
+        if gain == 0:
+            raise AssertionError(f"omega tie on edge {vert_objs[lo]} -> {vert_objs[hi]}")
+        if gain < 0:
+            raise AssertionError(
+                f"omega orientation disagrees with rotation {vert_objs[lo]} -> {vert_objs[hi]}"
+            )
     return OrientedSkeleton(kind, m, n, list(vert_objs), list(verts), sorted(edges))
 
 

@@ -296,10 +296,11 @@ class PaintedTree:
 
     @classmethod
     def from_json_obj(cls, obj) -> "PaintedTree":
-        m, n = _json_ints([obj["m"], obj["n"]])
-        cuts = [_json_ints(cut) for cut in obj["cuts"]]
-        parts = [_json_ints(part) for part in obj["parts"]]
-        pt = cls.from_cuts(m, n, _tree_unjson(obj["tree"]), cuts, parts)
+        m, n, tree, cuts, parts = _json_fields(obj, "m", "n", "tree", "cuts", "parts")
+        m, n = _json_ints([m, n])
+        cuts = [_json_ints(cut) for cut in _json_array(cuts)]
+        parts = [_json_ints(part) for part in _json_array(parts)]
+        pt = cls.from_cuts(m, n, _tree_unjson(tree), cuts, parts)
         pt.validate()
         return pt
 
@@ -432,9 +433,27 @@ def _tree_unjson(obj):
 
 def _json_ints(values):
     """A JSON array of integers; ValueError for anything else, booleans included."""
-    if not isinstance(values, list) or any(type(v) is not int for v in values):
+    if any(type(v) is not int for v in _json_array(values)):
         raise ValueError(f"expected an array of integers, not {values!r}")
     return values
+
+
+def _json_array(values):
+    """A JSON array; ValueError for anything else."""
+    if not isinstance(values, list):
+        raise ValueError(f"expected an array, not {values!r}")
+    return values
+
+
+def _json_fields(obj, *names):
+    """The named fields of a JSON object; ValueError for a non-object or a
+    missing field."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, not {obj!r}")
+    missing = [name for name in names if name not in obj]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    return [obj[name] for name in names]
 
 
 # -- tagged-tree surgery ---------------------------------------------------

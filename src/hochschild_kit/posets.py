@@ -403,6 +403,16 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
 # -- posets of painted trees and lighted shades ------------------------------------
 
 
+def rotation_covers(objs) -> tuple[tuple[int, int], ...]:
+    """Right rotations among rank-0 objects, as index pairs (lo, hi) into objs.
+
+    The pairs come in the order of objs and, for each object, of its
+    rotation successors; every successor must be one of objs.
+    """
+    index = {o: i for i, o in enumerate(objs)}
+    return tuple((i, index[succ]) for i, o in enumerate(objs) for succ in o.rotation_successors())
+
+
 @lru_cache(maxsize=None)
 def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
     """Rotation poset on rank-0 objects; covers are the right rotations."""
@@ -412,12 +422,7 @@ def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
         objs = unary_lighted_shades(m, n)
     else:
         raise ValueError("kind must be 'painted' or 'shade'")
-    index = {o: i for i, o in enumerate(objs)}
-    covers = []
-    for i, o in enumerate(objs):
-        for succ in o.rotation_successors():
-            covers.append((i, index[succ]))
-    poset = FinitePoset(objs, covers)
+    poset = FinitePoset(objs, rotation_covers(objs))
     if poset.bottom is None or poset.top is None:
         raise AssertionError("rotation digraph must have a unique source and sink")
     return poset

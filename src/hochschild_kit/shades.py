@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 import json
 
-from .painted import _json_ints
+from .painted import _json_array, _json_fields, _json_ints
 from .preposets import Preposet
 
 
@@ -149,8 +149,12 @@ class LightedShade:
 
     @classmethod
     def from_json_obj(cls, obj) -> "LightedShade":
-        m, n = _json_ints([obj["m"], obj["n"]])
-        entries = [(_json_ints(e["tuple"]), _json_ints(e["lights"])) for e in obj["entries"]]
+        m, n, entries = _json_fields(obj, "m", "n", "entries")
+        m, n = _json_ints([m, n])
+        entries = [
+            [_json_ints(field) for field in _json_fields(e, "tuple", "lights")]
+            for e in _json_array(entries)
+        ]
         ls = cls(m, n, entries)
         ls.validate()
         return ls

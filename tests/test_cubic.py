@@ -1,5 +1,6 @@
 import pytest
 
+from hochschild_kit import cubic, posets
 from hochschild_kit.cubic import (
     HochschildWord,
     bracket_vector,
@@ -13,6 +14,7 @@ from hochschild_kit.cubic import (
     word_violation,
 )
 from hochschild_kit.painted import binary_painted_trees, left_comb, right_comb
+from hochschild_kit.posets import FinitePoset, build_refinement_poset, build_rotation_poset
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 
 
@@ -126,3 +128,196 @@ def test_cubic_realization_vectors_only():
     rep = verify_cubic_realization("shade", 2, 3, subdivision=False)
     assert rep.passed, rep.counterexample
     assert "boundary_covered" not in rep.checks
+
+
+# -- the subdivision loops before the bitset route, kept as the oracle ----------
+
+
+def _subdivision_oracle(rot, ref, gamma, box, checks, fail):
+    """Sub-check (c) by member scans over preposet containment and all-pairs
+    cube tests, keyed by objects: the loops the bitset route replaced."""
+    from hochschild_kit.cubic import (
+        _boundary_cells,
+        _cube_contains,
+        _cube_dim,
+        _cube_on_boundary,
+    )
+
+    def _cube_intersection(c1, c2):
+        lo = tuple(max(a, c) for a, c in zip(c1[0], c2[0]))
+        hi = tuple(min(b, d) for b, d in zip(c1[1], c2[1]))
+        if any(a > b for a, b in zip(lo, hi)):
+            return None
+        return (lo, hi)
+
+    gamma = dict(zip(rot.elements, gamma))
+    cubes = {}
+    checks["faces_span_subcubes"] = True
+    for o in ref.elements:
+        members = [v for v in rot.elements if o.preposet.contains(v.preposet)]
+        idxs = [rot.index(v) for v in members]
+        mins, maxs = rot.extremes(idxs)
+        if len(mins) != 1 or len(maxs) != 1:
+            fail("faces_span_subcubes", f"{o}: no unique extremes")
+            continue
+        cube = (gamma[rot.elements[maxs[0]]], gamma[rot.elements[mins[0]]])
+        if any(a > b for a, b in zip(cube[0], cube[1])):
+            fail("faces_span_subcubes", f"{o}: degenerate span")
+            continue
+        if _cube_dim(cube) != o.rank:
+            fail("faces_span_subcubes", f"{o}: dim {_cube_dim(cube)} != rank {o.rank}")
+        for v in members:
+            if not _cube_contains(cube, (gamma[v], gamma[v])):
+                fail("faces_span_subcubes", f"{o}: vertex {v} outside its cube")
+        cubes[o] = cube
+
+    whole = min(ref.elements, key=lambda o: -o.rank)
+    proper = {o: c for o, c in cubes.items() if o is not whole}
+    checks["subcubes_on_boundary"] = True
+    for o, c in proper.items():
+        if not _cube_on_boundary(c, box):
+            fail("subcubes_on_boundary", f"{o}: {c}")
+
+    checks["boundary_covered"] = True
+    for cell in _boundary_cells(box):
+        if not any(_cube_contains(c, cell) for c in proper.values()):
+            fail("boundary_covered", f"cell {cell}")
+            break
+
+    checks["intersections_in_collection"] = True
+    cube_set = set(proper.values())
+    items = list(proper.items())
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            c1, c2 = items[a][1], items[b][1]
+            inter = _cube_intersection(c1, c2)
+            if inter is None:
+                continue
+            if inter not in cube_set:
+                fail(
+                    "intersections_in_collection",
+                    f"{items[a][0]} and {items[b][0]} meet in {inter}",
+                )
+            elif inter != c1 and inter != c2 and _cube_dim(inter) >= min(
+                _cube_dim(c1), _cube_dim(c2)
+            ):
+                fail("intersections_in_collection", f"dimension at {inter}")
+
+    checks["containment_mirrors_refinement"] = True
+    objs = list(cubes)
+    for o1 in objs:
+        for o2 in objs:
+            refines = ref.le(ref.index(o1), ref.index(o2))
+            if refines != _cube_contains(cubes[o1], cubes[o2]):
+                fail("containment_mirrors_refinement", f"{o1} vs {o2}")
+
+
+CELLS_4 = [(m, t - m) for t in range(1, 5) for m in range(t + 1)]
+
+
+def _failures(subdivision_checks, kind, m, n):
+    """The checks and every failure message of one subdivision route."""
+    rot = build_rotation_poset(kind, m, n)
+    ref = posets.build_refinement_poset(kind, m, n)
+    gamma_fn = cubic.cubic_vector_painted if kind == "painted" else cubic.cubic_vector_shade
+    gamma = [gamma_fn(o) for o in rot.elements]
+    checks, messages = {}, []
+
+    def fail(name, message):
+        checks[name] = False
+        messages.append(f"{name}: {message}")
+
+    subdivision_checks(rot, ref, gamma, cubic._cube_of(gamma), checks, fail)
+    return checks, messages
+
+
+def _with_oracle(monkeypatch, kind, m, n):
+    """The bitset route's report, after checking that it and the oracle give
+    the same report and the same failure messages in the same order."""
+    new = verify_cubic_realization(kind, m, n)
+    with monkeypatch.context() as patch:
+        patch.setattr(cubic, "_subdivision_checks", _subdivision_oracle)
+        old = verify_cubic_realization(kind, m, n)
+    assert new.checks == old.checks
+    assert new.counterexample == old.counterexample
+    messages = _failures(cubic._subdivision_checks, kind, m, n)[1]
+    assert messages == _failures(_subdivision_oracle, kind, m, n)[1]
+    return new, messages
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_matches_oracle(kind, monkeypatch):
+    for m, n in CELLS_4:
+        rep, _ = _with_oracle(monkeypatch, kind, m, n)
+        assert rep.passed, rep.counterexample
+        assert "containment_mirrors_refinement" in rep.checks
+
+
+def test_subdivision_scans_pairs_only_after_a_mismatch(monkeypatch):
+    def pair_scan(*args):
+        raise AssertionError("containment pair scan on a passing cell")
+
+    monkeypatch.setattr(cubic, "_cube_contains", pair_scan)
+    for kind in ("painted", "shade"):
+        for m, n in CELLS_4:
+            rep = verify_cubic_realization(kind, m, n)
+            assert rep.passed, rep.counterexample
+
+
+def _corrupted(ref, drop=None, cut=None):
+    """ref without the element of index drop, or without the relation cut = (i, j)."""
+    keep = [j for j in range(ref.n) if j != drop]
+    rows = [
+        sum(1 << k for k, j in enumerate(keep) if ref.le(i, j) and (i, j) != cut)
+        for i in keep
+    ]
+    return FinitePoset.from_leq([ref.elements[j] for j in keep], rows)
+
+
+def _failed_checks(monkeypatch, kind, m, n, corrupt):
+    monkeypatch.setattr(posets, "build_refinement_poset", lambda *args: corrupt)
+    rep, _ = _with_oracle(monkeypatch, kind, m, n)
+    return {name for name, ok in rep.checks.items() if not ok}
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_oracle_on_a_perturbed_vector(kind, monkeypatch):
+    m, n = 1, 2
+    rot = build_rotation_poset(kind, m, n)
+    gamma_name = "cubic_vector_painted" if kind == "painted" else "cubic_vector_shade"
+    gamma_fn = getattr(cubic, gamma_name)
+    outside = 0
+    for victim in rot.elements:
+        for coord in range(m + n - 1):
+            for step in (-1, 1):
+                def perturbed(o, victim=victim, coord=coord, step=step):
+                    g = list(gamma_fn(o))
+                    if o == victim:
+                        g[coord] += step
+                    return tuple(g)
+
+                monkeypatch.setattr(cubic, gamma_name, perturbed)
+                rep, messages = _with_oracle(monkeypatch, kind, m, n)
+                assert not rep.passed
+                outside += any("outside its cube" in text for text in messages)
+    assert outside
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_oracle_on_each_dropped_face(kind, monkeypatch):
+    ref = build_refinement_poset(kind, 1, 3)
+    failed = set()
+    for j, o in enumerate(ref.elements):
+        if o.rank > 0:
+            failed |= _failed_checks(monkeypatch, kind, 1, 3, _corrupted(ref, drop=j))
+    assert {"boundary_covered", "intersections_in_collection"} <= failed
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_oracle_on_each_broken_containment(kind, monkeypatch):
+    # only covers between faces of positive rank: a face's vertex set stays
+    ref = build_refinement_poset(kind, 2, 1)
+    for lo, hi in ref.covers:
+        if ref.elements[hi].rank > 0:
+            failed = _failed_checks(monkeypatch, kind, 2, 1, _corrupted(ref, cut=(lo, hi)))
+            assert failed == {"containment_mirrors_refinement"}

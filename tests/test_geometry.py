@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 import hochschild_kit.geometry as geometry
+import hochschild_kit.posets as posets
 from hochschild_kit.geometry import (
     _affine_rank,
     _subsets,
@@ -27,6 +28,7 @@ from hochschild_kit.geometry import (
     z_hochschild,
     z_multiplihedron,
     _polytope_objects,
+    _rotation_edges,
 )
 from hochschild_kit.painted import PaintedTree, binary_painted_trees, left_comb
 from hochschild_kit.posets import build_rotation_poset
@@ -368,28 +370,49 @@ def test_certification_report_is_read_only():
 
 
 def test_cell_builds_each_polytope_once(monkeypatch):
-    calls = {"painted": 0, "shade": 0}
+    calls = {"painted": 0, "shade": 0, "covers": 0}
 
     def counted(key, fn):
-        def wrapper(m, n):
+        def wrapper(*args):
             calls[key] += 1
-            return fn(m, n)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(geometry, "binary_painted_trees",
-                        counted("painted", geometry.binary_painted_trees))
-    monkeypatch.setattr(geometry, "unary_lighted_shades",
-                        counted("shade", geometry.unary_lighted_shades))
+    for module in (geometry, posets):
+        monkeypatch.setattr(module, "binary_painted_trees",
+                            counted("painted", module.binary_painted_trees))
+        monkeypatch.setattr(module, "unary_lighted_shades",
+                            counted("shade", module.unary_lighted_shades))
+    monkeypatch.setattr(geometry, "rotation_covers", counted("covers", geometry.rotation_covers))
     _polytope_objects.cache_clear()
+    _rotation_edges.cache_clear()
     for kind in ("multiplihedron", "hochschild"):
+        # the certificate itself, past its own cache, then every other check
+        assert certify_polytope.__wrapped__(kind, 1, 3).passed
         minkowski_data(kind, 1, 3)
         oriented_skeleton(kind, 1, 3)
         barycenter(kind, 1, 3)
     shared_facet_report(1, 3)
-    assert calls == {"painted": 1, "shade": 1}
+    assert calls == {"painted": 1, "shade": 1, "covers": 2}
     _polytope_objects.cache_clear()
+    _rotation_edges.cache_clear()
+
+
+def test_cell_rotation_edges_are_the_rotation_covers():
+    for total in range(1, 5):
+        for m in range(total + 1):
+            n = total - m
+            for kind, order in (("multiplihedron", "painted"), ("hochschild", "shade")):
+                poset = build_rotation_poset(order, m, n)
+                edges = _rotation_edges(kind, m, n)
+                assert _polytope_objects(kind, m, n)[0] == poset.elements
+                assert len(set(edges)) == len(edges)
+                assert tuple(sorted(edges)) == poset.covers
+    _polytope_objects.cache_clear()
+    _rotation_edges.cache_clear()
 
 
 def test_fan_suite_releases_polytope_objects():
     assert fan_suite(3).ok
     assert _polytope_objects.cache_info().currsize == 0
+    assert _rotation_edges.cache_info().currsize == 0

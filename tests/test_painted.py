@@ -237,3 +237,24 @@ def test_from_json_rejects_malformed_cuts(obj, message):
 def test_json_readers_reject_non_integer_entries(cls, obj):
     with pytest.raises(ValueError):
         cls.from_json_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "cls,obj",
+    [
+        (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": 5, "parts": [[1]]}),
+        (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": [[0]], "parts": 5}),
+        (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": [[0]]}),
+        (PaintedTree, [1, 1]),
+        (LightedShade, {"m": 0, "n": 1, "entries": [5]}),
+        (LightedShade, {"m": 0, "n": 1, "entries": 5}),
+        (LightedShade, {"m": 0, "n": 1, "entries": [{"tuple": [1]}]}),
+        (LightedShade, {"m": 0, "n": 1}),
+        (LightedShade, [0, 1]),
+    ],
+    ids=["cuts-int", "parts-int", "parts-missing", "tree-not-object", "entry-int",
+         "entries-int", "lights-missing", "entries-missing", "shade-not-object"],
+)
+def test_json_readers_reject_malformed_containers(cls, obj):
+    with pytest.raises(ValueError):
+        cls.from_json_obj(obj)
