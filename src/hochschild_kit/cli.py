@@ -149,9 +149,7 @@ def cmd_polytope(args) -> int:
         return _emit(args, "\n".join(lines) + "\n")
 
     report = certify_polytope(args.kind, args.m, args.n)
-    vert_objs, verts, facet_objs, facets = _polytope_objects(
-        args.kind, args.m, args.n
-    )
+    rot, verts, facet_objs, facets = _polytope_objects(args.kind, args.m, args.n)
     mink = minkowski_data(args.kind, args.m, args.n)
     if args.format == "json":
         doc = {
@@ -161,7 +159,7 @@ def cmd_polytope(args) -> int:
             "n": args.n,
             "vertices": [
                 {"object": o.to_json_obj(), "point": [str(c) for c in v]}
-                for o, v in zip(vert_objs, verts)
+                for o, v in zip(rot.elements, verts)
             ],
             "facets": [
                 {

@@ -7,9 +7,9 @@ appears only in barycenters.  There is no floating point and no convex-hull
 or LP dependency: polytopality is certified through vertex / facet
 incidence, edge directions and fan witnesses.
 
-The vertex and facet objects of a polytope are built once per (m, n) cell by
-`_polytope_objects`, and its rotation covers once by `_rotation_edges`; both
-are shared by every check of that cell.
+The rotation poset and the facet objects of a polytope are built once per
+(m, n) cell by `_polytope_objects`, uncached beyond that cell, and shared by
+every check of it; the edge checks read the rotation covers.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from math import comb
 from types import MappingProxyType
 
 from .painted import PaintedTree, binary_painted_trees, enum_painted_trees
-from .posets import FinitePoset, rotation_covers
+from .posets import FinitePoset
 from .preposets import Preposet
 from .shades import LightedShade, enum_lighted_shades, unary_lighted_shades
-from .shadow import is_singleton, shadow
+from .shadow import is_singleton
 
 
 def omega(d: int) -> tuple[int, ...]:
@@ -285,7 +285,8 @@ class CertificationReport:
 
 @lru_cache(maxsize=2)
 def _polytope_objects(kind, m, n):
-    """Vertex objects, vertices, facet objects and facet halfspaces.
+    """Rotation poset of the vertex objects, vertices, facet objects and
+    facet halfspaces.
 
     Memoised for the two polytopes of the current (m, n) cell only, so every
     check of a cell shares one set of objects (and their cached preposets)
@@ -293,30 +294,19 @@ def _polytope_objects(kind, m, n):
     """
     d = m + n
     if kind == "multiplihedron":
-        vert_objs = tuple(binary_painted_trees(m, n))
-        verts = tuple(vertex_of_painted_tree(o) for o in vert_objs)
+        objs = binary_painted_trees(m, n)
+        verts = tuple(vertex_of_painted_tree(o) for o in objs)
         facet_objs = tuple(enum_painted_trees(m, n, rank=d - 2)) if d >= 2 else ()
         facets = tuple(facet_of_painted_tree(o) for o in facet_objs)
     elif kind == "hochschild":
-        vert_objs = tuple(unary_lighted_shades(m, n))
-        verts = tuple(vertex_of_lighted_shade(o) for o in vert_objs)
+        objs = unary_lighted_shades(m, n)
+        verts = tuple(vertex_of_lighted_shade(o) for o in objs)
         facet_objs = tuple(enum_lighted_shades(m, n, rank=d - 2)) if d >= 2 else ()
         facets = tuple(facet_of_lighted_shade(o) for o in facet_objs)
     else:
         raise ValueError("kind must be 'multiplihedron' or 'hochschild'")
-    return vert_objs, verts, facet_objs, facets
-
-
-@lru_cache(maxsize=2)
-def _rotation_edges(kind, m, n) -> tuple[tuple[int, int], ...]:
-    """Rotation covers of the cell's vertex objects, as index pairs.
-
-    One pass per polytope of the current cell, next to `_polytope_objects`:
-    the edge checks of `certify_polytope` and `oriented_skeleton` read these
-    pairs and the vertex objects' own cached preposets.  `fan_suite` clears
-    it with `_polytope_objects`.
-    """
-    return rotation_covers(_polytope_objects(kind, m, n)[0])
+    rot = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
+    return rot, verts, facet_objs, facets
 
 
 def inverted_pairs(lo: Preposet, hi: Preposet):
@@ -377,7 +367,8 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     Hochschild polytope.
     """
     d = m + n
-    vert_objs, verts, facet_objs, facets = _polytope_objects(kind, m, n)
+    rot, verts, facet_objs, facets = _polytope_objects(kind, m, n)
+    vert_objs = rot.elements
     checks = {}
     counterexample = None
 
@@ -414,7 +405,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
 
     checks["edge_directions"] = True
     checks["edge_single_flip"] = True
-    for lo, hi in _rotation_edges(kind, m, n):
+    for lo, hi in rot.covers:
         lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
         delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
         flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
@@ -545,7 +536,7 @@ def _fan_checks(kind, m, n, vert_objs, checks, fail):
                     fail("fan_face_closure", f"{ls.canonical()} edge {e}")
         unary_pre = [ls.preposet for ls in vert_objs]
         checks["coarsening_witness"] = True
-        for pt in _polytope_objects("multiplihedron", m, n)[0]:
+        for pt in _polytope_objects("multiplihedron", m, n)[0].elements:
             hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
             if hits != 1:
                 fail("coarsening_witness", f"{pt.canonical()} lands in {hits} cones")
@@ -579,10 +570,10 @@ def oriented_skeleton(kind: str, m: int, n: int) -> OrientedSkeleton:
     report = certify_polytope(kind, m, n)
     if not report.passed:
         raise AssertionError(f"certification failed: {report.counterexample}")
-    vert_objs, verts, _, _ = _polytope_objects(kind, m, n)
+    rot, verts, _, _ = _polytope_objects(kind, m, n)
+    vert_objs = rot.elements
     w = omega(m + n)
-    edges = _rotation_edges(kind, m, n)
-    for lo, hi in edges:
+    for lo, hi in rot.covers:
         gain = dot(verts[hi], w) - dot(verts[lo], w)
         if gain == 0:
             raise AssertionError(f"omega tie on edge {vert_objs[lo]} -> {vert_objs[hi]}")
@@ -590,7 +581,7 @@ def oriented_skeleton(kind: str, m: int, n: int) -> OrientedSkeleton:
             raise AssertionError(
                 f"omega orientation disagrees with rotation {vert_objs[lo]} -> {vert_objs[hi]}"
             )
-    return OrientedSkeleton(kind, m, n, list(vert_objs), list(verts), sorted(edges))
+    return OrientedSkeleton(kind, m, n, list(vert_objs), list(verts), list(rot.covers))
 
 
 def polytope_edges(verts, facets):
@@ -637,12 +628,12 @@ def shared_facet_report(m: int, n: int) -> SharedFacetReport:
     and a multiplihedron halfspace is shared exactly when it is tight at some
     common vertex of the two polytopes (a shadow singleton vertex).
     """
-    vert_objs, m_verts, _, m_facets = _polytope_objects("multiplihedron", m, n)
+    rot, m_verts, _, m_facets = _polytope_objects("multiplihedron", m, n)
     _, h_verts, _, h_facets = _polytope_objects("hochschild", m, n)
     m_set, h_set = set(m_facets), set(h_facets)
     subset = h_set <= m_set
     singleton_verts = [
-        v for vo, v in zip(vert_objs, m_verts) if is_singleton(vo)
+        v for vo, v in zip(rot.elements, m_verts) if is_singleton(vo)
     ]
     common_pts = set(m_verts) & set(h_verts)
     common_ok = common_pts == set(singleton_verts)

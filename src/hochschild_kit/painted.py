@@ -693,9 +693,7 @@ def _painted_trees(m, n, binary=False):
 
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
     """All m-painted n-trees in canonical order, optionally filtered by rank."""
-    _check_params(m, n)
-    if rank is not None and not 0 <= rank <= m + n - 1:
-        raise ValueError(f"rank must lie in [0, {m + n - 1}]")
+    _check_params(m, n, rank)
     if rank == 0:
         return binary_painted_trees(m, n)
     out = [pt for pt in _painted_trees(m, n) if rank is None or pt.rank == rank]
@@ -709,9 +707,11 @@ def binary_painted_trees(m, n) -> list[PaintedTree]:
     return sorted(_painted_trees(m, n, binary=True), key=lambda x: x.key)
 
 
-def _check_params(m, n):
+def _check_params(m, n, rank=None):
     if m < 0 or n < 0 or m + n < 1:
         raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
+    if rank is not None and not 0 <= rank <= m + n - 1:
+        raise ValueError(f"rank must lie in [0, {m + n - 1}]")
 
 
 def left_comb(n):

@@ -11,6 +11,8 @@ the Coxeter polynomial and the cyclotomic-product test are exact integer
 computations on the same rows, with no computer-algebra dependency.
 Instances are immutable after construction: every derived structure is a
 tuple.
+Every poset of painted trees or lighted shades is built from its local moves
+by `FinitePoset.from_moves`; `from_leq` reduces a given order (word posets).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from operator import mul
 
 from .painted import binary_painted_trees, enum_painted_trees
 from .shades import enum_lighted_shades, unary_lighted_shades
-from .shadow import fiber_min, shadow_fibers
+from .shadow import fiber_min, shadow
 
 
 def _bits(mask):
@@ -77,6 +79,13 @@ class FinitePoset:
             covers.extend((i, j) for j in _bits(above & ~reach))
         return cls(elements, covers, _leq=up)
 
+    @classmethod
+    def from_moves(cls, elements, moves) -> "FinitePoset":
+        """Build from local moves, given as (lower, upper) pairs of elements;
+        the moves must be exactly the covers."""
+        index = {e: i for i, e in enumerate(elements)}
+        return cls(elements, [(index[lo], index[hi]) for lo, hi in moves])
+
     def index(self, key) -> int:
         return self._index[key]
 
@@ -122,8 +131,8 @@ class FinitePoset:
 
     @cached_property
     def topological_order(self) -> tuple[int, ...]:
-        """Indices sorted bottom-up (every element after all it covers... i.e.
-        after everything below it)."""
+        """Indices sorted bottom-up: every element comes after all elements
+        below it."""
         indeg = [0] * self.n
         for _, hi in self.covers:
             indeg[hi] += 1
@@ -403,16 +412,6 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
 # -- posets of painted trees and lighted shades ------------------------------------
 
 
-def rotation_covers(objs) -> tuple[tuple[int, int], ...]:
-    """Right rotations among rank-0 objects, as index pairs (lo, hi) into objs.
-
-    The pairs come in the order of objs and, for each object, of its
-    rotation successors; every successor must be one of objs.
-    """
-    index = {o: i for i, o in enumerate(objs)}
-    return tuple((i, index[succ]) for i, o in enumerate(objs) for succ in o.rotation_successors())
-
-
 @lru_cache(maxsize=None)
 def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
     """Rotation poset on rank-0 objects; covers are the right rotations."""
@@ -422,7 +421,7 @@ def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
         objs = unary_lighted_shades(m, n)
     else:
         raise ValueError("kind must be 'painted' or 'shade'")
-    poset = FinitePoset(objs, rotation_covers(objs))
+    poset = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
     if poset.bottom is None or poset.top is None:
         raise AssertionError("rotation digraph must have a unique source and sink")
     return poset
@@ -430,10 +429,11 @@ def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
 
 @lru_cache(maxsize=None)
 def build_refinement_poset(kind: str, m: int, n: int) -> FinitePoset:
-    """Refinement poset on all objects, ordered by preposet containment.
+    """Refinement poset on all objects; covers are the coarsening moves.
 
-    Larger preposet = smaller element; rank-0 objects are the maximal
-    elements and the unique coarsest object is the minimum.
+    A move (`refinement_covers_down`) enlarges the preposet, and larger
+    preposet = smaller element; rank-0 objects are the maximal elements and
+    the unique coarsest object is the minimum.
     """
     if kind == "painted":
         objs = enum_painted_trees(m, n)
@@ -441,10 +441,7 @@ def build_refinement_poset(kind: str, m: int, n: int) -> FinitePoset:
         objs = enum_lighted_shades(m, n)
     else:
         raise ValueError("kind must be 'painted' or 'shade'")
-    # a is below b iff b's relation is contained in a's
-    keys = [o.preposet.packed for o in objs]
-    up = [sum(1 << b for b, kb in enumerate(keys) if kb & ~ka == 0) for ka in keys]
-    return FinitePoset.from_leq(objs, up)
+    return FinitePoset.from_moves(objs, ((r, o) for o in objs for r in o.refinement_covers_down()))
 
 
 def word_subposet(m: int, n: int) -> FinitePoset:
@@ -512,16 +509,17 @@ def check_congruence_projection(m: int, n: int) -> CongruenceReport:
     whether projecting up to fiber maxima preserves order.  A fiber without
     a unique minimum or maximum clears ``unique_minima`` and gets no
     projection; the projection flags then cover the edges whose endpoints
-    both have one.
+    both have one.  A shade the map misses has no fiber here.
     """
     poset = build_rotation_poset("painted", m, n)
-    fibers = shadow_fibers(m, n)
+    fibers = {}
+    for i, pt in enumerate(poset.elements):
+        fibers.setdefault(shadow(pt), []).append(i)
     unique = True
     match = True
     down = {}
     up = {}
-    for ls, pts in fibers.items():
-        idxs = [poset.index(p) for p in pts]
+    for ls, idxs in fibers.items():
         minima, maxima = poset.extremes(idxs)
         if len(minima) != 1 or len(maxima) != 1:
             unique = False

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 import json
 
-from .painted import _json_array, _json_fields, _json_ints
+from .painted import _check_params, _json_array, _json_fields, _json_ints
 from .preposets import Preposet
 
 
@@ -344,9 +344,7 @@ def _unary_shades(m, n):
 
 def enum_lighted_shades(m, n, rank=None) -> list[LightedShade]:
     """All m-lighted n-shades in canonical order, optionally rank filtered."""
-    _check_params(m, n)
-    if rank is not None and not 0 <= rank <= m + n - 1:
-        raise ValueError(f"rank must lie in [0, {m + n - 1}]")
+    _check_params(m, n, rank)
     if rank == 0:
         return unary_lighted_shades(m, n)
     out = [ls for ls in _lighted_shades(m, n) if rank is None or ls.rank == rank]
@@ -358,11 +356,6 @@ def unary_lighted_shades(m, n) -> list[LightedShade]:
     """All unary (rank 0) m-lighted n-shades in canonical order."""
     _check_params(m, n)
     return sorted(_unary_shades(m, n), key=lambda x: x.key)
-
-
-def _check_params(m, n):
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
 
 
 def _merge_patterns(k, m):

@@ -19,7 +19,6 @@ from .cubic import (
 )
 from .geometry import (
     _polytope_objects,
-    _rotation_edges,
     certify_polytope,
     freehedron_report,
     minkowski_data,
@@ -192,7 +191,6 @@ def fan_suite(bound: int = 6) -> SuiteResult:
                 and shared.common_vertices_are_singletons,
             )
     _polytope_objects.cache_clear()
-    _rotation_edges.cache_clear()
     free = freehedron_report(3)
     res.record("freehedron(3) has 12 vertices", free.num_vertices == 12)
     res.record(

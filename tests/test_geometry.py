@@ -28,7 +28,6 @@ from hochschild_kit.geometry import (
     z_hochschild,
     z_multiplihedron,
     _polytope_objects,
-    _rotation_edges,
 )
 from hochschild_kit.painted import PaintedTree, binary_painted_trees, left_comb
 from hochschild_kit.posets import build_rotation_poset
@@ -370,7 +369,7 @@ def test_certification_report_is_read_only():
 
 
 def test_cell_builds_each_polytope_once(monkeypatch):
-    calls = {"painted": 0, "shade": 0, "covers": 0}
+    calls = {"painted": 0, "shade": 0, "moves": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -383,9 +382,9 @@ def test_cell_builds_each_polytope_once(monkeypatch):
                             counted("painted", module.binary_painted_trees))
         monkeypatch.setattr(module, "unary_lighted_shades",
                             counted("shade", module.unary_lighted_shades))
-    monkeypatch.setattr(geometry, "rotation_covers", counted("covers", geometry.rotation_covers))
+    monkeypatch.setattr(posets.FinitePoset, "from_moves",
+                        counted("moves", posets.FinitePoset.from_moves))
     _polytope_objects.cache_clear()
-    _rotation_edges.cache_clear()
     for kind in ("multiplihedron", "hochschild"):
         # the certificate itself, past its own cache, then every other check
         assert certify_polytope.__wrapped__(kind, 1, 3).passed
@@ -393,9 +392,8 @@ def test_cell_builds_each_polytope_once(monkeypatch):
         oriented_skeleton(kind, 1, 3)
         barycenter(kind, 1, 3)
     shared_facet_report(1, 3)
-    assert calls == {"painted": 1, "shade": 1, "covers": 2}
+    assert calls == {"painted": 1, "shade": 1, "moves": 2}
     _polytope_objects.cache_clear()
-    _rotation_edges.cache_clear()
 
 
 def test_cell_rotation_edges_are_the_rotation_covers():
@@ -404,15 +402,12 @@ def test_cell_rotation_edges_are_the_rotation_covers():
             n = total - m
             for kind, order in (("multiplihedron", "painted"), ("hochschild", "shade")):
                 poset = build_rotation_poset(order, m, n)
-                edges = _rotation_edges(kind, m, n)
-                assert _polytope_objects(kind, m, n)[0] == poset.elements
-                assert len(set(edges)) == len(edges)
-                assert tuple(sorted(edges)) == poset.covers
+                rot = _polytope_objects(kind, m, n)[0]
+                assert rot is not poset
+                assert (rot.elements, rot.covers) == (poset.elements, poset.covers)
     _polytope_objects.cache_clear()
-    _rotation_edges.cache_clear()
 
 
 def test_fan_suite_releases_polytope_objects():
     assert fan_suite(3).ok
     assert _polytope_objects.cache_info().currsize == 0
-    assert _rotation_edges.cache_info().currsize == 0

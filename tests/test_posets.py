@@ -17,7 +17,9 @@ from hochschild_kit.posets import (
     lattice_analytics,
     word_subposet,
 )
+from hochschild_kit.painted import PaintedTree, enum_painted_trees
 from hochschild_kit.preposets import transitive_closure_pairs
+from hochschild_kit.shades import LightedShade, enum_lighted_shades
 from hochschild_kit.shadow import shadow
 
 
@@ -193,44 +195,78 @@ def test_refinement_poset_counts_and_grading():
     assert len(shade.maximal_elements) == 12
 
 
-def test_refinement_order_equals_move_reachability():
-    for kind, m, n in [("painted", 1, 2), ("shade", 2, 2), ("painted", 2, 2)]:
-        ref = build_refinement_poset(kind, m, n)
-        idx = {o: i + 1 for i, o in enumerate(ref.elements)}
-        moves = [
-            (idx[r], idx[o]) for o in ref.elements for r in o.refinement_covers_down()
-        ]
-        below = {(a - 1, b - 1) for a, b in transitive_closure_pairs(ref.n, moves)}
-        for a in range(ref.n):
-            for b in range(ref.n):
-                assert ref.le(a, b) == (a == b or (a, b) in below)
+def containment_refinement_poset(kind, m, n):
+    """Oracle: the refinement order read off preposet containment.
+
+    a is below b iff b's relation is contained in a's; the covers are the
+    transitive reduction of that relation, not the coarsening moves.
+    """
+    objs = enum_painted_trees(m, n) if kind == "painted" else enum_lighted_shades(m, n)
+    keys = [o.preposet.packed for o in objs]
+    up = [sum(1 << b for b, kb in enumerate(keys) if kb & ~ka == 0) for ka in keys]
+    return FinitePoset.from_leq(objs, up)
 
 
-@pytest.mark.parametrize("m, n", [(m, t - m) for t in range(1, 5) for m in range(t + 1)])
-def test_moves_are_exactly_the_refinement_covers(m, n):
-    # the node-local moves give each tree's lower covers in the containment
-    # order once each, and the rotations are the edges of the polytope: the
-    # pairs of binary trees above a common rank-1 tree
-    ref = build_refinement_poset("painted", m, n)
-    below = [set() for _ in range(ref.n)]
-    for lo, hi in ref.covers:
+def same_poset(p, q) -> bool:
+    return (p.elements, p.covers, p.leq, p.down) == (q.elements, q.covers, q.leq, q.down)
+
+
+def move_mismatch(oracle):
+    """The first object whose moves are not exactly its lower covers in the
+    oracle, each once, or None."""
+    below = [set() for _ in range(oracle.n)]
+    for lo, hi in oracle.covers:
         below[hi].add(lo)
-    for i, pt in enumerate(ref.elements):
-        moves = [ref.index(r) for r in pt.refinement_covers_down()]
-        assert len(moves) == len(set(moves)), pt
-        assert set(moves) == below[i], pt
-    binary = [i for i, pt in enumerate(ref.elements) if pt.rank == 0]
-    edges = {
-        frozenset((a, b))
-        for a, b in combinations(binary, 2)
-        if any(ref.elements[c].rank == 1 for c in below[a] & below[b])
-    }
-    rotations = {
-        frozenset((i, ref.index(r)))
-        for i in binary
-        for r in ref.elements[i].rotation_successors()
-    }
-    assert rotations == edges
+    for i, obj in enumerate(oracle.elements):
+        moves = [oracle.index(r) for r in obj.refinement_covers_down()]
+        if len(moves) != len(set(moves)) or set(moves) != below[i]:
+            return obj
+    return None
+
+
+CELLS_TO_5 = [(m, t - m) for t in range(1, 6) for m in range(t + 1)]
+
+
+def test_refinement_order_equals_move_reachability():
+    for m, n in CELLS_TO_5:
+        for kind in ("painted", "shade"):
+            ref = build_refinement_poset(kind, m, n)
+            assert same_poset(ref, containment_refinement_poset(kind, m, n)), (kind, m, n)
+
+
+@pytest.mark.parametrize("m, n", CELLS_TO_5)
+def test_moves_are_exactly_the_refinement_covers(m, n):
+    # the moves give each object's lower covers in the containment order once
+    # each, and the rotations are the edges of the polytope: the pairs of
+    # rank-0 objects above a common rank-1 object
+    for kind in ("painted", "shade"):
+        ref = containment_refinement_poset(kind, m, n)
+        assert move_mismatch(ref) is None, kind
+        below = [0] * ref.n
+        for lo, hi in ref.covers:
+            if ref.elements[lo].rank == 1:
+                below[hi] |= 1 << lo
+        vertices = [i for i, o in enumerate(ref.elements) if o.rank == 0]
+        edges = {frozenset((a, b)) for a, b in combinations(vertices, 2) if below[a] & below[b]}
+        rotations = {
+            frozenset((i, ref.index(r)))
+            for i in vertices
+            for r in ref.elements[i].rotation_successors()
+        }
+        assert rotations == edges, kind
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_a_dropped_move_fails_the_refinement_oracle(monkeypatch, kind):
+    cls = PaintedTree if kind == "painted" else LightedShade
+    real = cls.refinement_covers_down
+    oracle = containment_refinement_poset(kind, 1, 2)
+    victim = next(o for o in oracle.elements if len(real(o)) > 1)
+    monkeypatch.setattr(
+        cls, "refinement_covers_down", lambda self: real(self)[1:] if self == victim else real(self)
+    )
+    assert move_mismatch(oracle) == victim
+    assert not same_poset(build_refinement_poset.__wrapped__(kind, 1, 2), oracle)
 
 
 def test_refinement_semilattice_property():
@@ -300,6 +336,33 @@ def test_morphism_suite_records_a_non_surjective_shadow(monkeypatch):
     ]
 
 
+def test_morphism_suite_records_a_shadow_missing_a_shade_everywhere(monkeypatch):
+    # with every binding of the shadow map patched, the congruence check sees
+    # the same non-surjective map as the morphism check and must not raise;
+    # mapping every tree to the bottom tree's shade keeps fiber_min right
+    import hochschild_kit.verify as verify
+
+    src = build_rotation_poset("painted", 0, 2)
+    one = shadow(src.elements[src.bottom])
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("hochschild_kit"):
+            for key, value in list(vars(module).items()):
+                if value is shadow:
+                    monkeypatch.setattr(
+                        module, key, lambda pt: one if (pt.m, pt.n) == (0, 2) else shadow(pt)
+                    )
+                    patched.append(f"{name}.{key}")
+    assert {"hochschild_kit.shadow.shadow", "hochschild_kit.verify.shadow",
+            "hochschild_kit.posets.shadow"} <= set(patched)
+    res = verify.morphism_suite(2)
+    failed = [(name, detail) for name, ok, detail in res.checks if not ok]
+    assert failed == [
+        ("shadow(0,2) surjective", ""),
+        ("shadow(0,2) meet morphism", "the map is not surjective"),
+    ]
+
+
 def test_congruence_projection():
     for m, n in [(0, 3), (1, 2), (2, 2)]:
         rep = check_congruence_projection(m, n)
@@ -325,9 +388,7 @@ def test_congruence_projection_reports_fiber_without_unique_minimum(monkeypatch)
         (a, b) for a, b in combinations(fibers, 2)
         if len(minima(fibers[a] + fibers[b])) > 1
     )
-    merged = {k: v for k, v in fibers.items() if k != b}
-    merged[a] = fibers[a] + fibers[b]
-    monkeypatch.setattr(posets, "shadow_fibers", lambda m, n: merged)
+    monkeypatch.setattr(posets, "shadow", lambda pt: a if shadow(pt) == b else shadow(pt))
     rep = check_congruence_projection(1, 2)
     assert not rep.unique_minima
     assert rep.proj_down_order_preserving

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from hochschild_kit.painted import enum_painted_trees
 from hochschild_kit.preposets import transitive_closure_pairs
 from hochschild_kit.shades import (
     LightedShade,
@@ -142,6 +143,16 @@ def test_label_swap_needs_small_below():
     swapped = S(2, 0, ((), (1,)), ((), (2,)))
     assert swapped in ls.rotation_successors()
     assert not swapped.rotation_successors()
+
+
+def test_parameters_rejected_with_the_painted_messages():
+    for enum in (enum_lighted_shades, enum_painted_trees):
+        with pytest.raises(ValueError, match=r"need m >= 0, n >= 0 and m \+ n >= 1"):
+            enum(0, 0)
+        with pytest.raises(ValueError, match=r"rank must lie in \[0, 3\]"):
+            enum(1, 3, rank=4)
+    with pytest.raises(ValueError, match=r"need m >= 0, n >= 0 and m \+ n >= 1"):
+        unary_lighted_shades(-1, 2)
 
 
 def test_validation_errors():
