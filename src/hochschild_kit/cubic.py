@@ -38,16 +38,14 @@ def lehmer_code(perm) -> tuple[int, ...]:
 def bracket_vector(tree_or_pt) -> tuple[int, ...]:
     """Full bracket vector of a binary tree: left-subtree leaf counts minus 1."""
     if isinstance(tree_or_pt, PaintedTree):
-        if tree_or_pt.m != 0 or not tree_or_pt.is_binary:
-            raise ValueError("bracket vectors come from binary unpainted trees")
         pt = tree_or_pt
     else:
         pt = PaintedTree.from_cuts(0, _count_nodes(tree_or_pt), tree_or_pt, [], [])
+    if pt.m != 0 or not pt.is_binary:
+        raise ValueError("bracket vectors come from binary unpainted trees")
     out = [0] * pt.n
-    for v, node, _, child_ids in pt._nodes:
-        label = pt.labels[v][0]
-        left, cid = node[0], child_ids[0]
-        out[label - 1] = (1 if left is None else pt.leaf_count[cid]) - 1
+    for node in pt.walk:
+        out[node.labels[0] - 1] = node.counts[0] - 1
     return tuple(out)
 
 
@@ -161,20 +159,20 @@ def cubic_vector_painted(pt: PaintedTree) -> tuple[int, ...]:
     if not pt.is_binary:
         raise ValueError("cubic vectors come from binary painted trees")
     m, d = pt.m, pt.m + pt.n
-    cut_of_label = {}
-    for idx, part in enumerate(pt.parts):
-        for p in part:
-            cut_of_label[p] = idx
+    walk = pt.walk
+    cut_of_label = {p: i for i, part in enumerate(pt.parts) for p in part}
+    node_of_label = {node.labels[0]: v for v, node in enumerate(walk) if node.labels}
 
     def below(i, j) -> bool:
         if i <= m and j <= m:
             return cut_of_label[i] < cut_of_label[j]
         if i <= m < j:
-            return pt.cut_below_node(cut_of_label[i], pt.node_of_label[j - m])
+            return cut_of_label[i] < walk[node_of_label[j - m]].below
         if j <= m < i:
-            return pt.node_below_cut(pt.node_of_label[i - m], cut_of_label[j])
-        vi, vj = pt.node_of_label[i - m], pt.node_of_label[j - m]
-        return vi in pt.descendants[vj]
+            node = walk[node_of_label[i - m]]
+            return cut_of_label[j] >= node.below + (node.tag is not None)
+        u, v = node_of_label[i - m], node_of_label[j - m]
+        return v < u < v + walk[v].size
 
     full = [sum(1 for i in range(1, j) if below(i, j)) for j in range(1, d + 1)]
     return tuple(full[1:])

@@ -61,19 +61,16 @@ def vertex_of_painted_tree(pt: PaintedTree) -> tuple[int, ...]:
         raise ValueError("vertices come from binary painted trees")
     m, n = pt.m, pt.n
     coords = [0] * (m + n)
-    binary_nodes = [v for v, a in pt.arity.items() if a == 2]
+    binary_nodes = [node for node in pt.walk if len(node.counts) == 2]
     for i, part in enumerate(pt.parts):
-        below = sum(1 for v in binary_nodes if pt.node_below_cut(v, i))
+        below = sum(
+            1 for node in binary_nodes if i >= node.below + (node.tag is not None)
+        )
         for p in part:
             coords[p - 1] = (i + 1) + below
-    for v in binary_nodes:
-        label = pt.labels[v][0]
-        node, child_ids = pt._nodes[v][1], pt._nodes[v][3]
-        prod = 1
-        for c, cid in zip(node, child_ids):
-            prod *= 1 if c is None else pt.leaf_count[cid]
-        cuts_below = sum(1 for i in range(pt.k) if pt.cut_below_node(i, v))
-        coords[m + label - 1] = cuts_below + prod
+    for node in binary_nodes:
+        left, right = node.counts
+        coords[m + node.labels[0] - 1] = node.below + left * right
     return tuple(coords)
 
 
@@ -103,14 +100,12 @@ def facet_of_painted_tree(pt: PaintedTree) -> Halfspace:
     m, n = pt.m, pt.n
     if pt.rank != m + n - 2:
         raise ValueError("facets come from rank m+n-2 painted trees")
+    root_cut = pt.walk[0].tag
     a_set = set()
-    for i, cut in enumerate(pt.cuts):
-        if 0 not in cut:
-            a_set |= pt.parts[i]
-    blocks = []
-    for v, _, _, _ in pt._nodes:
-        if v != 0 and pt.arity[v] >= 2:
-            blocks.append({m + x for x in pt.labels[v]})
+    for i, part in enumerate(pt.parts):
+        if i != root_cut:
+            a_set |= part
+    blocks = [{m + x for x in node.labels} for node in pt.walk[1:] if node.labels]
     b_set = set().union(*blocks) if blocks else set()
     rhs = comb(len(a_set) + 1, 2) + sum(comb(len(b) + 1, 2) for b in blocks)
     rhs += len(a_set) * len(b_set)

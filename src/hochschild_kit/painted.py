@@ -11,13 +11,23 @@ node is the pair ``(cut index or None, children)``, cut 0 being the bottom
 cut.  Enumeration, the moves and the shadow map work on this form.  The
 node-id form of the JSON documents (nested tuples, each cut a set of preorder
 node ids) is a cached view of it; ``PaintedTree.from_cuts`` converts back.
+
+The maps on a painted tree (preposet, validation, multiplihedron vertex and
+facet, cubic and bracket vectors, the tree-side singleton test) read one
+cached preorder walk, ``PaintedTree.walk``.  It records, per internal node,
+the cut tag, the parent, the separator labels, the child leaf counts, the
+subtree size and the number of cuts passing below, so that "cut i passes
+below v", "v lies below cut i" and "u descends from v" are integer tests.
 Instances are immutable; all derived data is computed on demand and cached.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property, lru_cache
+from itertools import accumulate
 import json
+from typing import NamedTuple
 
 from .preposets import Preposet
 
@@ -51,9 +61,10 @@ class PaintedTree:
         tagged: the tagged tree, the only stored form of the tree and its cuts.
         parts: tuple of frozensets of labels, ``parts[i]`` labeling cut i.
 
-    ``tree`` (the nested-tuple plane tree with n + 1 leaves) and ``cuts``
-    (per cut, bottom cut first, the frozenset of its preorder node ids) are
-    views of ``tagged``.
+    ``tree`` (the nested-tuple plane tree with n + 1 leaves), ``cuts`` (per
+    cut, bottom cut first, the frozenset of its preorder node ids) and
+    ``walk`` (one record per internal node, read by the maps) are views of
+    ``tagged``.
     """
 
     __slots__ = ("m", "n", "tagged", "parts", "__dict__")
@@ -97,81 +108,43 @@ class PaintedTree:
     # -- structural data ---------------------------------------------------
 
     @cached_property
-    def _nodes(self):
-        """List of [id, node, parent, child_ids] in preorder (leaf child -> None).
+    def walk(self) -> tuple["Node", ...]:
+        """The internal nodes in preorder, indexed by their preorder node id.
 
-        ``node`` is the nested-tuple subtree rooted at the node.
+        With ``node = walk[v]``, the relations to the cuts and the tree order
+        are integer tests:
+
+        * cut i passes strictly below v iff ``i < node.below``;
+        * v lies strictly below cut i iff
+          ``i >= node.below + (node.tag is not None)``;
+        * u is a strict descendant of v iff ``v < u < v + node.size``.
         """
         nodes = []
 
-        def walk(t, parent):
-            row = [len(nodes), None, parent, None]
-            nodes.append(row)
-            row[3] = [None if c is LEAF else walk(c, row[0]) for c in t[1]]
-            row[1] = tuple(LEAF if cid is None else nodes[cid][1] for cid in row[3])
-            return row[0]
+        def visit(t, parent, lo):
+            tag, children = t
+            v = len(nodes)
+            nodes.append(None)
+            counts, below = [], 0
+            for c in children:
+                if c is LEAF:
+                    counts.append(1)
+                else:
+                    leaves, cuts = visit(c, v, lo + sum(counts))
+                    counts.append(leaves)
+                    below = max(below, cuts)
+            # the separator after child j is numbered by the leaves left of it
+            labels = tuple(accumulate(counts[:-1], initial=lo))[1:]
+            nodes[v] = Node(tag, parent, labels, tuple(counts), len(nodes) - v, below)
+            return sum(counts), below + (tag is not None)
 
-        walk(self.tagged, -1)
-        return nodes
+        visit(self.tagged, -1, 0)
+        return tuple(nodes)
 
     @cached_property
     def tree(self):
         """The nested-tuple plane tree: a leaf is ``None``, a node its children."""
-        return self._nodes[0][1]
-
-    @cached_property
-    def arity(self):
-        return {nid: len(node) for nid, node, _, _ in self._nodes}
-
-    @cached_property
-    def leaf_count(self):
-        """Leaves of the subtree rooted at each node id."""
-        counts = {}
-        for nid, node, _, _ in reversed(self._nodes):
-            counts[nid] = sum(
-                1 if c is LEAF else counts[cid]
-                for c, cid in zip(node, self._nodes[nid][3])
-            )
-        return counts
-
-    @cached_property
-    def labels(self):
-        """Inorder separator labels of each node, as a sorted tuple.
-
-        A node of arity a carries a - 1 labels, one between each pair of
-        consecutive child subtrees; unary nodes carry none.
-        """
-        out = {nid: [] for nid, _, _, _ in self._nodes}
-        counter = [0]
-
-        def walk(node, nid):
-            children = self._nodes[nid][3]
-            for pos, (child, cid) in enumerate(zip(node, children)):
-                if child is not LEAF:
-                    walk(child, cid)
-                if pos < len(node) - 1:
-                    counter[0] += 1
-                    out[nid].append(counter[0])
-
-        walk(self.tree, 0)
-        return {nid: tuple(v) for nid, v in out.items()}
-
-    @cached_property
-    def node_of_label(self):
-        return {x: nid for nid, xs in self.labels.items() for x in xs}
-
-    @cached_property
-    def descendants(self):
-        """Strict descendant node ids of each node."""
-        desc = {}
-        for nid, _, _, children in reversed(self._nodes):
-            d = set()
-            for cid in children:
-                if cid is not None:
-                    d.add(cid)
-                    d |= desc[cid]
-            desc[nid] = d
-        return desc
+        return _untag(self.tagged)
 
     @cached_property
     def cut_of_node(self):
@@ -196,20 +169,6 @@ class PaintedTree:
         return tuple(frozenset(c) for c in cuts)
 
     @cached_property
-    def unary_nodes(self):
-        return frozenset(nid for nid, a in self.arity.items() if a == 1)
-
-    @cached_property
-    def right_branch(self):
-        """Node ids from the root to the rightmost leaf."""
-        out = []
-        nid = 0
-        while nid is not None:
-            out.append(nid)
-            nid = self._nodes[nid][3][-1]
-        return tuple(out)
-
-    @cached_property
     def k(self) -> int:
         return len(self.parts)
 
@@ -232,44 +191,27 @@ class PaintedTree:
         Nodes of each cut are merged; relations are oriented towards the root.
         """
         m = self.m
-        class_of = {}
-        class_elems = []
-        for i, cut in enumerate(self.cuts):
-            elems = set(self.parts[i])
-            for nid in cut:
-                elems |= {m + x for x in self.labels[nid]}
-            idx = len(class_elems)
-            class_elems.append(elems)
-            for nid in cut:
-                class_of[nid] = idx
-        for nid, _, _, _ in self._nodes:
-            if nid not in class_of:
-                idx = len(class_elems)
-                class_elems.append({m + x for x in self.labels[nid]})
-                class_of[nid] = idx
+        # one class per cut, then one per node off the cuts
+        class_elems = [set(p) for p in self.parts]
+        class_of = []
+        for node in self.walk:
+            if node.tag is None:
+                class_of.append(len(class_elems))
+                class_elems.append(set())
+            else:
+                class_of.append(node.tag)
+            class_elems[class_of[-1]].update(m + x for x in node.labels)
+        firsts = [min(elems) for elems in class_elems]
         pairs = []
-        for elems in class_elems:
-            first = min(elems)
+        for first, elems in zip(firsts, class_elems):
             for e in elems:
                 if e != first:
                     pairs.append((first, e))
                     pairs.append((e, first))
-        for nid, _, par, _ in self._nodes:
-            if par >= 0 and class_of[nid] != class_of[par]:
-                pairs.append(
-                    (min(class_elems[class_of[nid]]), min(class_elems[class_of[par]]))
-                )
+        for v, node in enumerate(self.walk):
+            if node.parent >= 0 and class_of[v] != class_of[node.parent]:
+                pairs.append((firsts[class_of[v]], firsts[class_of[node.parent]]))
         return Preposet.from_pairs(m + self.n, pairs)
-
-    # -- relations to cuts ---------------------------------------------------
-
-    def cut_below_node(self, cut_index: int, nid: int) -> bool:
-        """True iff the given cut passes strictly below node ``nid``."""
-        return any(v in self.descendants[nid] for v in self.cuts[cut_index])
-
-    def node_below_cut(self, nid: int, cut_index: int) -> bool:
-        """True iff node ``nid`` lies strictly below the given cut."""
-        return any(nid in self.descendants[v] for v in self.cuts[cut_index])
 
     # -- canonical forms ------------------------------------------------------
 
@@ -298,8 +240,8 @@ class PaintedTree:
     def from_json_obj(cls, obj) -> "PaintedTree":
         m, n, tree, cuts, parts = _json_fields(obj, "m", "n", "tree", "cuts", "parts")
         m, n = _json_ints([m, n])
-        cuts = [_json_ints(cut) for cut in _json_array(cuts)]
-        parts = [_json_ints(part) for part in _json_array(parts)]
+        cuts = [_json_int_set(cut) for cut in _json_array(cuts)]
+        parts = [_json_int_set(part) for part in _json_array(parts)]
         pt = cls.from_cuts(m, n, _tree_unjson(tree), cuts, parts)
         pt.validate()
         return pt
@@ -321,31 +263,17 @@ class PaintedTree:
 
     # -- validation ------------------------------------------------------------
 
-    def root_leaf_paths(self):
-        """Node-id paths from the root to each leaf, left to right."""
-        paths = []
-
-        def walk(nid, acc):
-            acc = acc + [nid]
-            for child, cid in zip(self._nodes[nid][1], self._nodes[nid][3]):
-                if child is LEAF:
-                    paths.append(acc)
-                else:
-                    walk(cid, acc)
-
-        walk(0, [])
-        return paths
-
     def validate(self) -> None:
         """Raise ValueError if any painted-tree invariant fails."""
         if self.m < 0 or self.n < 0 or self.m + self.n < 1:
             raise ValueError("need m >= 0, n >= 0, m + n >= 1")
         if tree_leaves(self.tagged) != self.n + 1:
             raise ValueError("tree must have n + 1 leaves")
+        walk = self.walk
         if self.m == 0:
             if self.parts:
                 raise ValueError("no cuts allowed when m = 0")
-            if self.unary_nodes:
+            if any(len(node.counts) == 1 for node in walk):
                 raise ValueError("unary nodes require cuts")
             return
         k = self.k
@@ -358,20 +286,21 @@ class PaintedTree:
             seen |= p
         if seen != set(range(1, self.m + 1)):
             raise ValueError("parts must partition {1, ..., m}")
-        paths = self.root_leaf_paths()
-        for cut in self.cuts:
-            for path in paths:
-                if sum(1 for v in path if v in cut) != 1:
-                    raise ValueError("cut must meet every root-leaf path once")
-        for i in range(k - 1):
-            lo, hi = self.cuts[i], self.cuts[i + 1]
-            for path in paths:
-                pos = {v: p for p, v in enumerate(path)}
-                lo_pos = [pos[v] for v in lo if v in pos]
-                hi_pos = [pos[v] for v in hi if v in pos]
-                if lo_pos[0] <= hi_pos[0]:
-                    raise ValueError("cuts must be strictly stacked")
-        if not self.unary_nodes <= self.cut_of_node.keys():
+        # the cut tags met from the root down to each node, then to each leaf
+        above = []
+        for node in walk:
+            tags = above[node.parent] if node.parent >= 0 else ()
+            above.append(tags if node.tag is None else tags + (node.tag,))
+        inner_children = Counter(node.parent for node in walk)
+        paths = {
+            above[v] for v, node in enumerate(walk)
+            if len(node.counts) > inner_children[v]
+        }
+        if any(sorted(path) != list(range(k)) for path in paths):
+            raise ValueError("cut must meet every root-leaf path once")
+        if any(path != tuple(range(k - 1, -1, -1)) for path in paths):
+            raise ValueError("cuts must be strictly stacked")
+        if any(len(node.counts) == 1 and node.tag is None for node in walk):
             raise ValueError("every unary node must lie on a cut")
 
     # -- moves -----------------------------------------------------------------
@@ -413,6 +342,32 @@ class PaintedTree:
         return sorted(out, key=lambda x: x.key)
 
 
+class Node(NamedTuple):
+    """One internal node of a painted tree's preorder walk.
+
+    Attributes:
+        tag: the index of the cut through the node, or None.
+        parent: the preorder id of the parent, -1 at the root.
+        labels: the inorder separator labels, one between each pair of
+            consecutive children, so a - 1 of them at arity a.
+        counts: the leaf count of each child subtree, left to right.
+        size: the internal nodes of the subtree, the node included, so its
+            preorder ids are the interval [id, id + size).
+        below: the number of cuts passing strictly below the node.
+    """
+
+    tag: int | None
+    parent: int
+    labels: tuple[int, ...]
+    counts: tuple[int, ...]
+    size: int
+    below: int
+
+
+def _untag(tagged):
+    return tuple(LEAF if c is LEAF else _untag(c) for c in tagged[1])
+
+
 def _shape_key(tagged):
     return tuple(() if c is LEAF else _shape_key(c) for c in tagged[1])
 
@@ -435,6 +390,13 @@ def _json_ints(values):
     """A JSON array of integers; ValueError for anything else, booleans included."""
     if any(type(v) is not int for v in _json_array(values)):
         raise ValueError(f"expected an array of integers, not {values!r}")
+    return values
+
+
+def _json_int_set(values):
+    """A JSON array of distinct integers; ValueError for a repeat."""
+    if len(set(_json_ints(values))) != len(values):
+        raise ValueError(f"expected distinct integers, not {values!r}")
     return values
 
 

@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations, permutations
 import json
 
-from .painted import _check_params, _json_array, _json_fields, _json_ints
+from .painted import _check_params, _json_array, _json_fields, _json_int_set, _json_ints
 from .preposets import Preposet
 
 
@@ -151,11 +151,11 @@ class LightedShade:
     def from_json_obj(cls, obj) -> "LightedShade":
         m, n, entries = _json_fields(obj, "m", "n", "entries")
         m, n = _json_ints([m, n])
-        entries = [
-            [_json_ints(field) for field in _json_fields(e, "tuple", "lights")]
-            for e in _json_array(entries)
-        ]
-        ls = cls(m, n, entries)
+        rows = []
+        for e in _json_array(entries):
+            vals, lights = _json_fields(e, "tuple", "lights")
+            rows.append((_json_ints(vals), _json_int_set(lights)))
+        ls = cls(m, n, rows)
         ls.validate()
         return ls
 

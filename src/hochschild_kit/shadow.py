@@ -112,17 +112,22 @@ def singleton_tree_condition(pt: PaintedTree) -> bool:
     """Equivalent tree-side singleton test, used as a cross-check.
 
     Every binary node must lie on the right branch, or hang off a right-branch
-    node strictly below the bottom cut.
+    node strictly below the bottom cut.  A binary node lies on the right
+    branch iff its last child holds the last leaf; the parent of a binary node
+    off the branch is off it too when unary, since it holds the same leaves.
     """
     if not pt.is_binary:
         raise ValueError("singletons are defined for binary painted trees")
-    branch = set(pt.right_branch)
-    for v, _, parent, _ in pt._nodes:
-        if pt.arity[v] != 2 or v in branch:
+
+    def on_branch(node):
+        return len(node.counts) == 2 and node.labels[-1] + node.counts[-1] == pt.n + 1
+
+    for node in pt.walk:
+        if len(node.counts) != 2 or on_branch(node):
             continue
-        if parent not in branch:
+        if not on_branch(pt.walk[node.parent]):
             return False
-        if pt.cuts and not pt.node_below_cut(v, 0):
+        if pt.k and node.below + (node.tag is not None) > 0:
             return False
     return True
 

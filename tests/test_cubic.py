@@ -33,6 +33,13 @@ def test_bracket_examples():
     assert bracket_vector(right_comb(3)) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("tree", [((None, None),), (None, None, None)], ids=["unary", "ternary"])
+def test_bracket_vector_rejects_non_binary_trees(tree):
+    # a ternary root used to get the vector (0, 0), a unary node an IndexError
+    with pytest.raises(ValueError, match="binary"):
+        bracket_vector(tree)
+
+
 def test_word_counts():
     assert len(enum_words(1, 3)) == 12
     assert len(enum_words(0, 4)) == 8

@@ -58,7 +58,7 @@ def test_vertex_cut_below_left_comb():
 
     tree = dress(left_comb(3))
     pt = PaintedTree.from_cuts(1, 3, tree, [], [])
-    unary = [v for v, a in pt.arity.items() if a == 1]
+    unary = [v for v, node in enumerate(pt.walk) if len(node.counts) == 1]
     pt = PaintedTree.from_cuts(1, 3, tree, [set(unary)], [{1}])
     pt.validate()
     assert vertex_of_painted_tree(pt) == (1, 2, 3, 4)

@@ -176,6 +176,51 @@ def _shape_key(tree):
     return tuple(_shape_key(c) for c in tree)
 
 
+def _descendants(nodes):
+    """Strict descendant node ids of each node."""
+    desc = {}
+    for nid, _, _, children in reversed(nodes):
+        d = set()
+        for cid in children:
+            if cid is not None:
+                d.add(cid)
+                d |= desc[cid]
+        desc[nid] = d
+    return desc
+
+
+def _labels(nodes):
+    """Inorder separator labels of each node, numbered by one counter."""
+    out = {nid: [] for nid, _, _, _ in nodes}
+    counter = [0]
+
+    def walk(nid):
+        _, node, _, children = nodes[nid]
+        for pos, cid in enumerate(children):
+            if cid is not None:
+                walk(cid)
+            if pos < len(node) - 1:
+                counter[0] += 1
+                out[nid].append(counter[0])
+
+    walk(0)
+    return {nid: tuple(v) for nid, v in out.items()}
+
+
+def _leaf_counts(tree):
+    return 1 if tree is LEAF else sum(_leaf_counts(c) for c in tree)
+
+
+def cut_below_node(cuts, desc, i, nid):
+    """True iff cut i passes strictly below node ``nid``."""
+    return any(v in desc[nid] for v in cuts[i])
+
+
+def node_below_cut(cuts, desc, nid, i):
+    """True iff node ``nid`` lies strictly below cut i."""
+    return any(nid in desc[v] for v in cuts[i])
+
+
 ALL_CELLS_TO_5 = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 
 
@@ -186,7 +231,19 @@ def test_node_id_views_match_the_untag_oracle(mn):
         nodes = _preorder(tree)
         on_cuts = set().union(*cuts)
         assert pt.tree == tree and pt.cuts == cuts
-        assert pt._nodes == nodes
+        desc, labels = _descendants(nodes), _labels(nodes)
+        assert len(pt.walk) == len(nodes)
+        for (nid, node, parent, _), w in zip(nodes, pt.walk):
+            tag = next((i for i, cut in enumerate(cuts) if nid in cut), None)
+            assert w.parent == parent and w.tag == tag
+            assert w.labels == labels[nid]
+            assert w.counts == tuple(_leaf_counts(c) for c in node)
+            assert set(range(nid + 1, nid + w.size)) == desc[nid]
+            for i in range(len(cuts)):
+                assert (i < w.below) == cut_below_node(cuts, desc, i, nid)
+                assert (i >= w.below + (w.tag is not None)) == node_below_cut(
+                    cuts, desc, nid, i
+                )
         assert pt.rank == pt.m + pt.n - len(nodes) - len(cuts) + len(on_cuts)
         assert pt.key == (
             _shape_key(tree),
@@ -211,8 +268,18 @@ def test_node_id_views_match_the_untag_oracle(mn):
         # a bare leaf has no node for the cut; it used to be accepted with rank 0
         ({"m": 1, "n": 0, "tree": 0, "cuts": [[]], "parts": [[1]]},
          "has an internal node"),
+        ({"m": 1, "n": 2, "tree": [0, [0, 0]], "cuts": [[1]], "parts": [[1]]},
+         "cut must meet every root-leaf path once"),
+        ({"m": 2, "n": 1, "tree": [[[0, 0]]], "cuts": [[0], [1]], "parts": [[1], [2]]},
+         "cuts must be strictly stacked"),
+        # repeats used to be dropped silently and the tree re-serialized without them
+        ({"m": 1, "n": 1, "tree": [[0, 0]], "cuts": [[0, 0]], "parts": [[1]]},
+         "distinct"),
+        ({"m": 1, "n": 1, "tree": [[0, 0]], "cuts": [[0]], "parts": [[1, 1]]},
+         "distinct"),
     ],
-    ids=["no-such-node", "node-on-two-cuts", "cut-part-mismatch", "bare-leaf"],
+    ids=["no-such-node", "node-on-two-cuts", "cut-part-mismatch", "bare-leaf",
+         "cut-misses-a-path", "cuts-not-stacked", "repeated-cut-id", "repeated-part-label"],
 )
 def test_from_json_rejects_malformed_cuts(obj, message):
     with pytest.raises(ValueError, match=message):
@@ -251,9 +318,12 @@ def test_json_readers_reject_non_integer_entries(cls, obj):
         (LightedShade, {"m": 0, "n": 1, "entries": [{"tuple": [1]}]}),
         (LightedShade, {"m": 0, "n": 1}),
         (LightedShade, [0, 1]),
+        (LightedShade, {"m": 1, "n": 1, "entries": [{"tuple": [], "lights": [1, 1]},
+                                                    {"tuple": [1], "lights": []}]}),
     ],
     ids=["cuts-int", "parts-int", "parts-missing", "tree-not-object", "entry-int",
-         "entries-int", "lights-missing", "entries-missing", "shade-not-object"],
+         "entries-int", "lights-missing", "entries-missing", "shade-not-object",
+         "repeated-light"],
 )
 def test_json_readers_reject_malformed_containers(cls, obj):
     with pytest.raises(ValueError):
