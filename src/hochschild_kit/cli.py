@@ -11,10 +11,13 @@ Each subcommand accepts only the formats it emits: enumerate and polytope
 ``json`` or ``text``, hasse ``dot``, verify ``json`` or ``text``, and ``csv``
 with ``--suite tables`` alone.  Every parameter is checked once, in
 ``_check_params``, before the library runs: --m and --n are not negative,
-m + n >= 1 for the families that need it, --rank is a rank of (m, n), and
---bound is at least 1.  The size ceiling m + n <= 8 (``--bound`` for verify)
-is enforced there and nowhere else: ``--unsafe-bound`` lifts it, and the
-library enumerators and poset builders take any size.
+m + n >= 1 for the families that need it, --rank is a rank of (m, n),
+--bound is at least 1, and hasse asks for no refinement poset of words
+(words have only their componentwise order).  The size ceiling m + n <= 8
+(``--bound`` for verify) is enforced there and nowhere else:
+``--unsafe-bound`` lifts it, and the library enumerators and poset builders
+take any size.  How far each verify check reaches below the requested bound
+is ``verify.REACH``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ def _check_params(args):
             raise UsageError("invalid parameters: need m >= 0, n >= 0 and m + n >= 1")
         if args.kind == "freehedron" and m != 0:
             raise UsageError("the freehedron takes --n only; --m must be 0")
+        if args.kind == "word" and args.poset == "refinement":
+            raise UsageError("words have no refinement poset; use --poset rotation")
         rank = getattr(args, "rank", None)
         if rank is not None and not 0 <= rank <= m + n - 1:
             raise UsageError(f"invalid parameters: rank must lie in [0, {m + n - 1}]")
@@ -210,9 +215,10 @@ def cmd_verify(args) -> int:
     if args.format == "csv" and args.suite != "tables":
         raise UsageError("--format csv is only available with --suite tables")
     if args.format == "csv":
-        from .tables import EXHAUSTIVE_BOUND, reproduce_tables
+        from .tables import reproduce_tables
+        from .verify import reach
 
-        report = reproduce_tables(bound=min(args.bound, EXHAUSTIVE_BOUND))
+        report = reproduce_tables(bound=reach("tables", args.bound))
         code = _emit(args, report.to_csv())
         if code == 0 and not report.ok:
             return 1

@@ -10,7 +10,7 @@ The subdivision check runs on index bitsets: a face's vertices are read off
 its refinement up-set row, and per-coordinate threshold masks over the face
 cubes answer "which cubes contain this one" and "which cubes meet this one"
 with a few ANDs, so no step scans all vertices or all pairs of faces.  The
-`cubic` suite runs it for m + n <= 5.
+`cubic` suite runs it up to the `cubic subdivision` entry of `verify.REACH`.
 """
 
 from __future__ import annotations

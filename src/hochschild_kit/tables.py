@@ -23,8 +23,8 @@ the closed forms use as well), and every tuple sequence of a shade for its
 number of light distributions.  The labeled census that generates every
 object stays in the tests as the oracle of these histograms.  One labeled
 binary and one labeled unary pass give the vertex cells and the shadow
-fiber sizes behind the singleton cell.  Both verify and the command line cap the
-exhaustive bound at EXHAUSTIVE_BOUND.
+fiber sizes behind the singleton cell.  Both verify and the command line
+read the exhaustive bound from `verify.REACH`.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from .series import (
 )
 from .shades import _tuple_sequences, _unary_shades
 from .shadow import shadow
-
-# Largest m + n whose cells verify and the command line generate exhaustively.
-EXHAUSTIVE_BOUND = 8
 
 _ = None
 
@@ -337,12 +334,11 @@ class TableReport:
         return "\n".join(rows) + "\n"
 
 
-def reproduce_tables(bound: int = 7, formula_bound: int | None = None) -> TableReport:
+def reproduce_tables(bound: int = 7) -> TableReport:
     """Recompute all printed cells and diff against the fixtures.
 
     Closed forms and generating-function coefficients run at every printed
-    cell with m + n <= formula_bound (default: everything printed);
-    exhaustive generation runs for m + n <= bound.
+    cell; exhaustive generation runs for m + n <= bound.
     """
     report = TableReport(bound)
     censuses = {}  # (m, n) -> exhaustive value per table
@@ -353,30 +349,24 @@ def reproduce_tables(bound: int = 7, formula_bound: int | None = None) -> TableR
         for n, printed in enumerate(row)
         if printed is not None
     ]
-    with_formulas = lambda d: formula_bound is None or d <= formula_bound  # noqa: E731
     # The series cells of one (family, m) read one row, built at the largest
     # n they need: truncation only drops higher terms, so the lower
     # coefficients equal those of a per-cell row.
     n_rows = {}
     for _, m, n, _ in printed_cells:
-        if with_formulas(m + n):
-            n_rows[m] = max(n_rows.get(m, 0), n)
+        n_rows[m] = max(n_rows.get(m, 0), n)
     for table, m, n, printed in printed_cells:
-        d = m + n
         computed = {}
-        if with_formulas(d):
-            closed = _closed(table, m, n)
-            if closed is not None:
-                computed["closed"] = closed
-            gf = _gf(table, m, n, n_rows[m])
-            if gf is not None:
-                computed["gf"] = gf
-        if d <= bound:
+        closed = _closed(table, m, n)
+        if closed is not None:
+            computed["closed"] = closed
+        gf = _gf(table, m, n, n_rows[m])
+        if gf is not None:
+            computed["gf"] = gf
+        if m + n <= bound:
             if (m, n) not in censuses:
                 censuses[m, n] = exhaustive_census(m, n).cells()
             computed["exhaustive"] = censuses[m, n][table]
-        if not computed:
-            continue
         expected = expected_value(table, m, n)
         report.cells.append(
             CellCheck(

@@ -4,6 +4,10 @@ Each suite sweeps all (m, n) with 1 <= m + n <= bound, collects named checks
 with booleans and counterexamples, and reports a machine-readable summary.
 The suites are what the command line `verify` runs and what the acceptance
 tests assert; every check is exact.
+
+How far each check reaches is one policy, the REACH table: a suite clips the
+requested bound to its entry and records the clipped value as its bound, so a
+check stops at the same m + n whichever suite name ran it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,26 @@ from .posets import (
 )
 from .shades import unary_lighted_shades
 from .shadow import shadow
-from .tables import EXHAUSTIVE_BOUND, reproduce_tables
+from .tables import reproduce_tables
+
+# Largest m + n each check runs at, whatever bound was asked for.  No entry
+# exceeds the command line ceiling.
+REACH = {
+    "tables": 8,
+    "lattice": 6,
+    "morphism": 6,
+    "fan": 6,
+    "fan shared facets": 5,
+    "cubic": 6,
+    "cubic subdivision": 5,
+    "cubic words": 7,
+    "analytics": 6,
+}
+
+
+def reach(check: str, bound: int) -> int:
+    """The largest m + n that `check` runs at when `bound` is asked for."""
+    return min(REACH[check], bound)
 
 
 @dataclass
@@ -97,6 +120,7 @@ def _cells(bound):
 def lattice_suite(bound: int = 6) -> SuiteResult:
     """Rotation digraphs are bounded acyclic lattices; shade graphs are
     regular; painted lattices are semidistributive on exactly one side."""
+    bound = reach("lattice", bound)
     res = SuiteResult("lattice", bound)
     for m, n in _cells(bound):
         for kind in ("painted", "shade"):
@@ -129,6 +153,7 @@ def lattice_suite(bound: int = 6) -> SuiteResult:
 
 def morphism_suite(bound: int = 6) -> SuiteResult:
     """The shadow map is a surjective meet (not join) semilattice morphism."""
+    bound = reach("morphism", bound)
     res = SuiteResult("morphism", bound)
     join_counterexamples = {}
     for m, n in _cells(bound):
@@ -167,6 +192,8 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
 
 def fan_suite(bound: int = 6) -> SuiteResult:
     """Polytopality certificates, Minkowski data, skeletons, freehedron."""
+    bound = reach("fan", bound)
+    shared_reach = reach("fan shared facets", bound)
     res = SuiteResult("fan", bound)
     for m, n in _cells(bound):
         for kind in ("multiplihedron", "hochschild"):
@@ -182,7 +209,7 @@ def fan_suite(bound: int = 6) -> SuiteResult:
                 res.record(f"{kind}({m},{n}) oriented skeleton = rotations", True)
             except AssertionError as exc:
                 res.record(f"{kind}({m},{n}) oriented skeleton = rotations", False, exc)
-        if m + n <= 5:
+        if m + n <= shared_reach:
             shared = shared_facet_report(m, n)
             res.record(
                 f"shared facets({m},{n})",
@@ -205,8 +232,11 @@ def fan_suite(bound: int = 6) -> SuiteResult:
 
 def cubic_suite(bound: int = 6) -> SuiteResult:
     """Word bijection round trips, cubic vectors, cubic subdivisions."""
+    words_reach = reach("cubic words", bound + 1)
+    bound = reach("cubic", bound)
+    subdivision_reach = reach("cubic subdivision", bound)
     res = SuiteResult("cubic", bound)
-    for m, n in _cells(min(bound + 1, 7)):
+    for m, n in _cells(words_reach):
         shades = unary_lighted_shades(m, n)
         round_trip = all(word_to_shade(shade_to_word(ls)) == ls for ls in shades)
         count = len(enum_words(m, n)) * factorial(m) == len(shades)
@@ -214,9 +244,10 @@ def cubic_suite(bound: int = 6) -> SuiteResult:
         res.record(f"word count({m},{n}) = shades / m!", count)
     for m, n in _cells(bound):
         for kind in ("painted", "shade"):
-            rep = verify_cubic_realization(kind, m, n, subdivision=m + n <= 5)
+            subdivision = m + n <= subdivision_reach
+            rep = verify_cubic_realization(kind, m, n, subdivision=subdivision)
             res.record(
-                f"cubic {kind}({m},{n})" + ("" if m + n <= 5 else " (vectors only)"),
+                f"cubic {kind}({m},{n})" + ("" if subdivision else " (vectors only)"),
                 rep.passed,
                 rep.counterexample or "",
             )
@@ -225,8 +256,9 @@ def cubic_suite(bound: int = 6) -> SuiteResult:
 
 def tables_suite(bound: int = 7) -> SuiteResult:
     """Appendix table regression (closed form, series, exhaustive)."""
+    bound = reach("tables", bound)
     res = SuiteResult("tables", bound)
-    rep = reproduce_tables(bound=min(bound, EXHAUSTIVE_BOUND))
+    rep = reproduce_tables(bound=bound)
     res.record("all printed cells reproduced", rep.ok, "; ".join(
         f"{c.table}({c.m},{c.n})" for c in rep.failures
     ))
@@ -239,6 +271,7 @@ def tables_suite(bound: int = 7) -> SuiteResult:
 
 def analytics_suite(bound: int = 6) -> SuiteResult:
     """Spot lattice analytics and the word-poset lattice property."""
+    bound = reach("analytics", bound)
     res = SuiteResult("analytics", bound)
     for m, n in _cells(bound):
         w = word_subposet(m, n)
@@ -258,22 +291,17 @@ def analytics_suite(bound: int = 6) -> SuiteResult:
 
 def run_suite(name: str, bound: int) -> list[SuiteResult]:
     # built per call, so that a suite function rebound on the module is the one run
-    capped = min(bound, 6)
     suites = {
-        "lattice": [(lattice_suite, bound)],
-        "morphism": [(morphism_suite, bound)],
-        "fan": [(fan_suite, bound)],
-        "cubic": [(cubic_suite, bound)],
-        "tables": [(tables_suite, bound)],
+        "lattice": [lattice_suite],
+        "morphism": [morphism_suite],
+        "fan": [fan_suite],
+        "cubic": [cubic_suite],
+        "tables": [tables_suite],
         "all": [
-            (tables_suite, bound),
-            (lattice_suite, capped),
-            (morphism_suite, capped),
-            (fan_suite, capped),
-            (cubic_suite, capped),
-            (analytics_suite, capped),
+            tables_suite, lattice_suite, morphism_suite,
+            fan_suite, cubic_suite, analytics_suite,
         ],
     }
     if name not in suites:
         raise ValueError(f"unknown suite {name!r}")
-    return [suite(b) for suite, b in suites[name]]
+    return [suite(bound) for suite in suites[name]]

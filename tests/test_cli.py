@@ -192,6 +192,16 @@ def test_hasse_word_dot(capsys):
     assert out.count("label=") == 12
 
 
+def test_hasse_rejects_a_refinement_poset_of_words(capsys):
+    # words have only their componentwise order, which used to be printed
+    # under the name word_refinement_m_n
+    code, out, err = run(
+        capsys, "hasse", "--kind", "word", "--m", "1", "--n", "2", "--poset", "refinement",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "refinement" in err
+
+
 def test_hasse_shade_edge_count(capsys):
     code, out, _ = run(capsys, "hasse", "--kind", "shade", "--m", "1", "--n", "3")
     assert code == 0

@@ -129,7 +129,7 @@ def test_census_raises_when_a_shadow_is_no_unary_shade(monkeypatch):
 
 
 def test_reproduce_tables_reads_exhaustive_values_from_census():
-    report = reproduce_tables(bound=4, formula_bound=4)
+    report = reproduce_tables(bound=4)
     assert report.ok
     exhaustive = [c for c in report.cells if "exhaustive" in c.computed]
     assert len(exhaustive) == 7 * 14  # seven tables, 14 printed cells with m + n <= 4
