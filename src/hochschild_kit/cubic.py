@@ -20,6 +20,7 @@ from itertools import accumulate, product
 from operator import or_
 
 from .painted import PaintedTree
+from .preposets import _bits
 from .shades import LightedShade
 
 
@@ -311,8 +312,6 @@ def _subdivision_checks(rot, ref, gamma, box, checks, fail):
     of one mask per coordinate and side.  Every check reports the first
     failure of the row-major pair scans it replaces.
     """
-    from .posets import _bits
-
     ranks = [o.rank for o in ref.elements]
     rot_bit = [1 << rot.index(o) if r == 0 else 0 for o, r in zip(ref.elements, ranks)]
     vertices = sum(1 << j for j, r in enumerate(ranks) if r == 0)

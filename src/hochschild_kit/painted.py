@@ -381,8 +381,8 @@ def _tree_json(tagged):
 def _tree_unjson(obj):
     if type(obj) is int and obj == 0:
         return LEAF
-    if not isinstance(obj, list):
-        raise ValueError(f"a tree entry is 0 or an array, not {obj!r}")
+    if not isinstance(obj, list) or not obj:
+        raise ValueError(f"a tree entry is 0 or a non-empty array, not {obj!r}")
     return tuple(_tree_unjson(c) for c in obj)
 
 

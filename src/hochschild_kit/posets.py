@@ -12,7 +12,8 @@ computations on the same rows, with no computer-algebra dependency.
 Instances are immutable after construction: every derived structure is a
 tuple.
 Every poset of painted trees or lighted shades is built from its local moves
-by `FinitePoset.from_moves`; `from_leq` reduces a given order (word posets).
+by `FinitePoset.from_moves`; `from_leq` reduces a given order (word posets)
+with `preposets.cover_pairs`, the reduction `Preposet.hasse_edges` also uses.
 """
 
 from __future__ import annotations
@@ -23,16 +24,9 @@ from math import comb
 from operator import mul
 
 from .painted import binary_painted_trees, enum_painted_trees
+from .preposets import cover_pairs
 from .shades import enum_lighted_shades, unary_lighted_shades
 from .shadow import fiber_min, shadow
-
-
-def _bits(mask):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class FinitePoset:
@@ -59,25 +53,11 @@ class FinitePoset:
         """Build from up-set rows of a reflexive transitive relation.
 
         Bit j of ``leq[i]`` says element i is below element j.  The covers
-        are the transitive reduction: j covers i when j is strictly above i
-        and above nothing strictly above i.
+        are the transitive reduction, `preposets.cover_pairs`, which raises
+        ValueError when the relation is not antisymmetric.
         """
         up = tuple(row | 1 << i for i, row in enumerate(leq))
-        strict = [row ^ 1 << i for i, row in enumerate(up)]
-        covers = []
-        for i, above in enumerate(strict):
-            # a candidate already in reach lies above a visited element, so by
-            # transitivity its strict up-set is in reach too: skip it
-            reach = 0
-            rest = above
-            while rest:
-                low = rest & -rest
-                reach |= strict[low.bit_length() - 1]
-                rest = (rest ^ low) & ~reach
-            if reach >> i & 1:
-                raise ValueError("relation is not antisymmetric")
-            covers.extend((i, j) for j in _bits(above & ~reach))
-        return cls(elements, covers, _leq=up)
+        return cls(elements, cover_pairs(up), _leq=up)
 
     @classmethod
     def from_moves(cls, elements, moves) -> "FinitePoset":

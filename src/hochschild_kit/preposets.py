@@ -5,12 +5,53 @@ is set iff i is below j.  The same rows side by side form one int,
 ``packed``, with row i-1 at bits [(i-1)*d, i*d), so containment is a single
 int test.  All instances are immutable and hashable, so they can be used as
 dictionary keys.
+
+The bitmask order kernel lives here, shared with `posets`.  `from_pairs`
+closes its pairs in one Warshall pass, and a chain is read off its suffix
+masks.  Two elements share a class exactly when their rows are equal.
+`cover_pairs` is the one transitive reduction: `FinitePoset.from_leq` calls
+it on its rows, `Preposet.hasse_edges` on the rows of the class quotient.
+Contracting a Hasse edge needs no second closure, because adding one
+relation to a closed relation is a single OR per row (see
+`contract_hasse_edge`).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+
+
+def _bits(mask):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def cover_pairs(up_rows) -> list[tuple[int, int]]:
+    """The covers (i, j) of a partial order, in ascending (i, j) order.
+
+    Bit j of ``up_rows[i]`` says i is below j; the rows must be transitively
+    closed, with or without the diagonal.  j covers i when j is strictly
+    above i and above nothing strictly above i.  Raises ValueError when two
+    elements are each below the other.
+    """
+    strict = [row & ~(1 << i) for i, row in enumerate(up_rows)]
+    covers = []
+    for i, above in enumerate(strict):
+        # a candidate already in reach lies above a visited element, so by
+        # transitivity its strict up-set is in reach too: skip it
+        reach = 0
+        rest = above
+        while rest:
+            low = rest & -rest
+            reach |= strict[low.bit_length() - 1]
+            rest = (rest ^ low) & ~reach
+        if reach >> i & 1:
+            raise ValueError("relation is not antisymmetric")
+        covers.extend((i, j) for j in _bits(above & ~reach))
+    return covers
 
 
 class Preposet:
@@ -28,19 +69,30 @@ class Preposet:
 
     @classmethod
     def from_pairs(cls, d: int, pairs) -> "Preposet":
-        """Build the reflexive transitive closure of the given (i, j) pairs."""
+        """Build the reflexive transitive closure of the given (i, j) pairs.
+
+        Warshall: pass k ORs row k into every row that reaches k, so after
+        it each row holds every element it reaches through paths whose inner
+        elements are among the first k + 1.
+        """
         rows = [1 << i for i in range(d)]
         for i, j in pairs:
             rows[i - 1] |= 1 << (j - 1)
-        _close(rows)
+        for k in range(d):
+            row_k, bit = rows[k], 1 << k
+            rows = [row | row_k if row & bit else row for row in rows]
         return cls(d, tuple(rows))
 
     @classmethod
     def chain(cls, d: int, order) -> "Preposet":
-        """Total order with ``order[0]`` at the bottom."""
-        order = list(order)
-        pairs = [(order[a], order[b]) for a in range(d) for b in range(a + 1, d)]
-        return cls.from_pairs(d, pairs)
+        """Total order with ``order[0]`` at the bottom: each element's row is
+        the mask of itself and everything after it."""
+        rows = [0] * d
+        suffix = 0
+        for x in reversed(order):
+            suffix |= 1 << (x - 1)
+            rows[x - 1] = suffix
+        return cls(d, tuple(rows))
 
     def le(self, i: int, j: int) -> bool:
         return bool(self.rows[i - 1] >> (j - 1) & 1)
@@ -61,41 +113,23 @@ class Preposet:
 
     @cached_property
     def classes(self) -> tuple[frozenset, ...]:
-        """Equivalence classes of mutual relation, ordered by least element."""
-        seen = 0
-        out = []
-        for i in range(self.d):
-            if seen >> i & 1:
-                continue
-            cls_mask = 0
-            for j in range(self.d):
-                if self.rows[i] >> j & 1 and self.rows[j] >> i & 1:
-                    cls_mask |= 1 << j
-            seen |= cls_mask
-            out.append(frozenset(j + 1 for j in range(self.d) if cls_mask >> j & 1))
-        return tuple(out)
+        """Equivalence classes of mutual relation, ordered by least element.
+
+        i and j are each below the other iff their up-set rows are equal, so
+        a class is the set of elements sharing one row.
+        """
+        members = {}
+        for i, row in enumerate(self.rows):
+            members[row] = members.get(row, 0) | 1 << i
+        return tuple(frozenset(j + 1 for j in _bits(mask)) for mask in members.values())
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
-        """Cover pairs (a, b) of class indices: class a directly below class b."""
-        classes = self.classes
-        k = len(classes)
-        reps = [min(c) for c in classes]
-        below = [
-            [
-                a != b and self.le(reps[a], reps[b]) and not self.le(reps[b], reps[a])
-                for b in range(k)
-            ]
-            for a in range(k)
-        ]
-        edges = []
-        for a in range(k):
-            for b in range(k):
-                if below[a][b] and not any(
-                    below[a][c] and below[c][b] for c in range(k)
-                ):
-                    edges.append((a, b))
-        return tuple(edges)
+        """Cover pairs (a, b) of class indices, class a directly below class b,
+        in ascending order: `cover_pairs` of the quotient's up-set rows."""
+        reps = [min(c) - 1 for c in self.classes]
+        up = [sum(1 << b for b, rb in enumerate(reps) if self.rows[ra] >> rb & 1) for ra in reps]
+        return tuple(cover_pairs(up))
 
     @cached_property
     def hasse_is_forest(self) -> bool:
@@ -118,15 +152,18 @@ class Preposet:
         return True
 
     def contract_hasse_edge(self, edge_index: int) -> "Preposet":
-        """Merge the two classes of one Hasse cover into a coarser preposet."""
+        """Merge the two classes of one Hasse cover into a coarser preposet.
+
+        For the cover a < b this adds b <= a.  In the closed relation a new
+        pair u <= v needs a path u <= b, b <= a, a <= v, and a path through
+        the new pair twice, u <= b <= a <= w <= b <= a <= v, already has
+        u <= b and a <= v.  So the closure adds exactly the rows below b
+        times the up-set of a: it ORs row a into every row with bit b set.
+        """
         a, b = self.hasse_edges[edge_index]
-        ca, cb = self.classes[a], self.classes[b]
-        extra = [(y, x) for x in ca for y in cb]
-        rows = list(self.rows)
-        for i, j in extra:
-            rows[i - 1] |= 1 << (j - 1)
-        _close(rows)
-        return Preposet(self.d, tuple(rows))
+        up_a = self.rows[min(self.classes[a]) - 1]
+        bit_b = 1 << (min(self.classes[b]) - 1)
+        return Preposet(self.d, tuple(row | up_a if row & bit_b else row for row in self.rows))
 
     def __eq__(self, other):
         return isinstance(other, Preposet) and self.rows == other.rows
@@ -136,27 +173,6 @@ class Preposet:
 
     def __repr__(self):
         return f"Preposet({self.d}, {sorted(self.pairs())})"
-
-
-def _close(rows: list[int]) -> None:
-    """In-place reflexive transitive closure of bitmask rows."""
-    d = len(rows)
-    for i in range(d):
-        rows[i] |= 1 << i
-    changed = True
-    while changed:
-        changed = False
-        for i in range(d):
-            row = rows[i]
-            acc = row
-            m = row
-            while m:
-                j = (m & -m).bit_length() - 1
-                acc |= rows[j]
-                m &= m - 1
-            if acc != row:
-                rows[i] = acc
-                changed = True
 
 
 def transitive_closure_pairs(d: int, pairs) -> frozenset:

@@ -313,6 +313,8 @@ def test_json_readers_reject_non_integer_entries(cls, obj):
         (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": [[0]], "parts": 5}),
         (PaintedTree, {"m": 1, "n": 1, "tree": [0, 0], "cuts": [[0]]}),
         (PaintedTree, [1, 1]),
+        (PaintedTree, {"m": 1, "n": 0, "tree": [[], 0], "cuts": [[0]], "parts": [[1]]}),
+        (PaintedTree, {"m": 0, "n": 1, "tree": [[], 0, 0], "cuts": [], "parts": []}),
         (LightedShade, {"m": 0, "n": 1, "entries": [5]}),
         (LightedShade, {"m": 0, "n": 1, "entries": 5}),
         (LightedShade, {"m": 0, "n": 1, "entries": [{"tuple": [1]}]}),
@@ -321,9 +323,9 @@ def test_json_readers_reject_non_integer_entries(cls, obj):
         (LightedShade, {"m": 1, "n": 1, "entries": [{"tuple": [], "lights": [1, 1]},
                                                     {"tuple": [1], "lights": []}]}),
     ],
-    ids=["cuts-int", "parts-int", "parts-missing", "tree-not-object", "entry-int",
-         "entries-int", "lights-missing", "entries-missing", "shade-not-object",
-         "repeated-light"],
+    ids=["cuts-int", "parts-int", "parts-missing", "tree-not-object", "empty-node-binary",
+         "empty-node-ternary", "entry-int", "entries-int", "lights-missing",
+         "entries-missing", "shade-not-object", "repeated-light"],
 )
 def test_json_readers_reject_malformed_containers(cls, obj):
     with pytest.raises(ValueError):

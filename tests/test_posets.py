@@ -59,6 +59,12 @@ def test_semidistributivity_flags():
     assert not diamond_m3().is_join_semidistributive
 
 
+def test_from_leq_rejects_a_relation_that_is_not_antisymmetric():
+    # x and y are each below the other, so the reduction has no order to reduce
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        FinitePoset.from_leq(["x", "y"], [0b11, 0b11])
+
+
 # -- naive oracle for the bitset order kernel ----------------------------------------
 
 

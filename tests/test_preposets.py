@@ -1,8 +1,12 @@
+from itertools import permutations
+
 import pytest
 from hypothesis import given, strategies as st
 
+from hochschild_kit.painted import enum_painted_trees
 from hochschild_kit.posets import build_refinement_poset
 from hochschild_kit.preposets import Preposet, transitive_closure_pairs
+from hochschild_kit.shades import enum_lighted_shades
 
 
 def test_chain():
@@ -73,3 +77,122 @@ def test_packed_contains_matches_row_oracle(kind, m, n):
         for o in pres:
             rowwise = all(b & ~a == 0 for a, b in zip(s.rows, o.rows))
             assert s.contains(o) == rowwise, (s, o)
+
+
+# -- oracles: the fixpoint closure and the O(k^3) reduction -------------------------
+
+
+def fixpoint_close(rows):
+    """The former closure: OR in the row of every reached element, rescanning
+    until nothing changes."""
+    rows = list(rows)
+    d = len(rows)
+    for i in range(d):
+        rows[i] |= 1 << i
+    changed = True
+    while changed:
+        changed = False
+        for i in range(d):
+            row = rows[i]
+            acc = row
+            m = row
+            while m:
+                j = (m & -m).bit_length() - 1
+                acc |= rows[j]
+                m &= m - 1
+            if acc != row:
+                rows[i] = acc
+                changed = True
+    return tuple(rows)
+
+
+def pairs_closure(d, pairs):
+    rows = [0] * d
+    for i, j in pairs:
+        rows[i - 1] |= 1 << (j - 1)
+    return fixpoint_close(rows)
+
+
+def oracle_classes(p):
+    seen = 0
+    out = []
+    for i in range(p.d):
+        if seen >> i & 1:
+            continue
+        mask = 0
+        for j in range(p.d):
+            if p.rows[i] >> j & 1 and p.rows[j] >> i & 1:
+                mask |= 1 << j
+        seen |= mask
+        out.append(frozenset(j + 1 for j in range(p.d) if mask >> j & 1))
+    return tuple(out)
+
+
+def oracle_hasse_edges(p):
+    """Class a covered by class b: below, and below nothing in between."""
+    reps = [min(c) for c in oracle_classes(p)]
+    k = len(reps)
+    below = [
+        [a != b and p.le(reps[a], reps[b]) and not p.le(reps[b], reps[a]) for b in range(k)]
+        for a in range(k)
+    ]
+    return tuple(
+        (a, b)
+        for a in range(k)
+        for b in range(k)
+        if below[a][b] and not any(below[a][c] and below[c][b] for c in range(k))
+    )
+
+
+def oracle_contraction(p, edge_index):
+    """Add every pair of class b below class a, then close again."""
+    a, b = oracle_hasse_edges(p)[edge_index]
+    classes = oracle_classes(p)
+    rows = list(p.rows)
+    for y in classes[b]:
+        for x in classes[a]:
+            rows[y - 1] |= 1 << (x - 1)
+    return fixpoint_close(rows)
+
+
+def oracle_chain(d, order):
+    order = list(order)
+    return pairs_closure(d, [(order[a], order[b]) for a in range(d) for b in range(a + 1, d)])
+
+
+def assert_matches_oracles(p):
+    assert p.classes == oracle_classes(p)
+    assert p.hasse_edges == oracle_hasse_edges(p)
+    for e in range(len(p.hasse_edges)):
+        assert p.contract_hasse_edge(e).rows == oracle_contraction(p, e), (p, e)
+
+
+relations = st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(
+            st.tuples(st.integers(min_value=1, max_value=d), st.integers(min_value=1, max_value=d)),
+            max_size=12,
+        ),
+    )
+)
+
+
+@given(relations)
+def test_kernel_matches_fixpoint_oracles(data):
+    d, pairs = data
+    p = Preposet.from_pairs(d, pairs)
+    assert p.rows == pairs_closure(d, pairs)
+    assert_matches_oracles(p)
+
+
+@pytest.mark.parametrize("m, n", [(m, s - m) for s in range(1, 5) for m in range(s + 1)])
+def test_painted_and_shade_preposets_match_oracles(m, n):
+    for obj in [*enum_painted_trees(m, n), *enum_lighted_shades(m, n)]:
+        assert_matches_oracles(obj.preposet)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_chain_matches_pair_built_oracle(d):
+    for order in permutations(range(1, d + 1)):
+        assert Preposet.chain(d, order).rows == oracle_chain(d, order)
