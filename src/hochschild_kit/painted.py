@@ -12,6 +12,11 @@ cut.  Enumeration, the moves and the shadow map work on this form.  The
 node-id form of the JSON documents (nested tuples, each cut a set of preorder
 node ids) is a cached view of it; ``PaintedTree.from_cuts`` converts back.
 
+One rank rule, `shape_rank`, reads the tagged shape and its number of cuts
+only; the ``rank`` property, the census in `tables` and the enumerators read
+it, and a rank filter skips a shape before its labels are distributed.  Only
+the enumerators sort; the moves come in generation order.
+
 The maps on a painted tree (preposet, validation, multiplihedron vertex and
 facet, cubic and bracket vectors, the tree-side singleton test) read one
 cached preorder walk, ``PaintedTree.walk``.  It records, per internal node,
@@ -41,16 +46,20 @@ def tree_leaves(tagged) -> int:
     return sum(tree_leaves(c) for c in tagged[1])
 
 
-def shape_nodes(tagged):
-    """(internal nodes, nodes on a cut) of a tagged tree."""
+def shape_rank(m, n, shape, k) -> int:
+    """Rank (face dimension) of every m-painted n-tree on a tagged shape with
+    k cuts: m + n - k minus the internal nodes on no cut."""
+    return m + n - k - _free_nodes(shape)
+
+
+def _free_nodes(tagged) -> int:
+    """The internal nodes of a tagged tree that lie on no cut."""
     tag, children = tagged
-    nodes, on_cuts = 1, tag is not None
+    free = tag is None
     for child in children:
         if child is not LEAF:
-            a, b = shape_nodes(child)
-            nodes += a
-            on_cuts += b
-    return nodes, on_cuts
+            free += _free_nodes(child)
+    return free
 
 
 class PaintedTree:
@@ -62,9 +71,9 @@ class PaintedTree:
         parts: tuple of frozensets of labels, ``parts[i]`` labeling cut i.
 
     ``tree`` (the nested-tuple plane tree with n + 1 leaves), ``cuts`` (per
-    cut, bottom cut first, the frozenset of its preorder node ids) and
-    ``walk`` (one record per internal node, read by the maps) are views of
-    ``tagged``.
+    cut, bottom cut first, the frozenset of its preorder node ids), ``walk``
+    (one record per internal node, read by the maps), ``rank`` and ``key``
+    are views of ``tagged``.
     """
 
     __slots__ = ("m", "n", "tagged", "parts", "__dict__")
@@ -147,25 +156,17 @@ class PaintedTree:
         return _untag(self.tagged)
 
     @cached_property
-    def cut_of_node(self):
-        """Cut index of every node id that lies on a cut."""
-        out = {}
+    def cuts(self):
+        """Per cut, bottom cut first, the frozenset of its preorder node ids."""
+        cuts = [set() for _ in self.parts]
         stack = [self.tagged]
         nid = 0
         while stack:
             tag, children = stack.pop()
             if tag is not None:
-                out[nid] = tag
+                cuts[tag].add(nid)
             nid += 1
             stack.extend(c for c in reversed(children) if c is not LEAF)
-        return out
-
-    @cached_property
-    def cuts(self):
-        """Per cut, bottom cut first, the frozenset of its node ids."""
-        cuts = [set() for _ in self.parts]
-        for nid, i in self.cut_of_node.items():
-            cuts[i].add(nid)
         return tuple(frozenset(c) for c in cuts)
 
     @cached_property
@@ -177,8 +178,7 @@ class PaintedTree:
     @cached_property
     def rank(self) -> int:
         """Dimension of the corresponding face of the multiplihedron."""
-        nodes, on_cuts = shape_nodes(self.tagged)
-        return self.m + self.n - nodes - self.k + on_cuts
+        return shape_rank(self.m, self.n, self.tagged, self.k)
 
     @cached_property
     def is_binary(self) -> bool:
@@ -309,7 +309,8 @@ class PaintedTree:
         """Painted trees covered by this one in the refinement order.
 
         Each result is one move coarser: its preposet strictly contains this
-        tree's preposet and its rank is one higher.
+        tree's preposet and its rank is one higher.  The results come in
+        generation order; a poset orders its covers by element index.
         """
         out = [
             PaintedTree(self.m, self.n, t, self.parts)
@@ -322,10 +323,11 @@ class PaintedTree:
                 parts = list(self.parts)
                 parts[i: i + 2] = [self.parts[i] | self.parts[i + 1]]
                 out.append(PaintedTree(self.m, self.n, t, parts))
-        return sorted(out, key=lambda x: x.key)
+        return out
 
     def rotation_successors(self) -> list["PaintedTree"]:
-        """Right-rotation successors of a binary painted tree."""
+        """Right-rotation successors of a binary painted tree, in generation
+        order; a poset orders its covers by element index."""
         if not self.is_binary:
             raise ValueError("rotations are defined on binary painted trees")
         out = [
@@ -339,7 +341,7 @@ class PaintedTree:
                 parts = list(self.parts)
                 parts[i], parts[i + 1] = parts[i + 1], parts[i]
                 out.append(PaintedTree(self.m, self.n, self.tagged, parts))
-        return sorted(out, key=lambda x: x.key)
+        return out
 
 
 class Node(NamedTuple):
@@ -576,9 +578,9 @@ def _forest_structures(items, binary):
 
 @lru_cache(maxsize=None)
 def ordered_partitions(m, k):
-    """Ordered partitions of {1, ..., m} into k nonempty blocks."""
+    """Ordered partitions of {1, ..., m} into k nonempty blocks, as a shared tuple."""
     if k == 0:
-        return [()] if m == 0 else []
+        return ((),) if m == 0 else ()
     out = []
 
     def rec(label, blocks):
@@ -596,7 +598,7 @@ def ordered_partitions(m, k):
             b.pop()
 
     rec(1, [[] for _ in range(k)])
-    return out
+    return tuple(out)
 
 
 def _painted_shapes(m, n, binary):
@@ -643,14 +645,16 @@ def _cut_groupings(forest, level, binary):
     yield from rec(0)
 
 
-def _painted_trees(m, n, binary=False):
+def _painted_trees(m, n, binary=False, rank=None):
     """Generate every m-painted n-tree once, in generation order (unsorted).
 
-    With ``binary`` only the binary (rank 0) trees are generated.
+    With ``binary`` only the binary (rank 0) trees are generated, with
+    ``rank`` only the shapes of that rank are labeled.
     """
     for shape, k in _painted_shapes(m, n, binary):
-        for parts in ordered_partitions(m, k):
-            yield PaintedTree(m, n, shape, parts)
+        if rank is None or shape_rank(m, n, shape, k) == rank:
+            for parts in ordered_partitions(m, k):
+                yield PaintedTree(m, n, shape, parts)
 
 
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
@@ -658,9 +662,7 @@ def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
     _check_params(m, n, rank)
     if rank == 0:
         return binary_painted_trees(m, n)
-    out = [pt for pt in _painted_trees(m, n) if rank is None or pt.rank == rank]
-    out.sort(key=lambda x: x.key)
-    return out
+    return sorted(_painted_trees(m, n, rank=rank), key=lambda x: x.key)
 
 
 def binary_painted_trees(m, n) -> list[PaintedTree]:

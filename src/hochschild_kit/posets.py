@@ -12,8 +12,9 @@ computations on the same rows, with no computer-algebra dependency.
 Instances are immutable after construction: every derived structure is a
 tuple.
 Every poset of painted trees or lighted shades is built from its local moves
-by `FinitePoset.from_moves`; `from_leq` reduces a given order (word posets)
-with `preposets.cover_pairs`, the reduction `Preposet.hasse_edges` also uses.
+by `FinitePoset.from_moves`, in any order: a poset sorts its covers by
+element index.  `from_leq` reduces a given order (word posets) with
+`preposets.cover_pairs`, the reduction `Preposet.hasse_edges` also uses.
 """
 
 from __future__ import annotations

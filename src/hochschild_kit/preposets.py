@@ -2,9 +2,8 @@
 
 A preposet is stored as a tuple of d bitmask rows: bit j-1 of ``rows[i-1]``
 is set iff i is below j.  The same rows side by side form one int,
-``packed``, with row i-1 at bits [(i-1)*d, i*d), so containment is a single
-int test.  All instances are immutable and hashable, so they can be used as
-dictionary keys.
+``packed``, built on first use, so containment is a single int test.  All
+instances are immutable and hashable, so they can be used as dictionary keys.
 
 The bitmask order kernel lives here, shared with `posets`.  `from_pairs`
 closes its pairs in one Warshall pass, and a chain is read off its suffix
@@ -57,15 +56,19 @@ def cover_pairs(up_rows) -> list[tuple[int, int]]:
 class Preposet:
     """A reflexive transitive binary relation on {1, ..., d}."""
 
-    __slots__ = ("d", "rows", "packed", "__dict__")
+    __slots__ = ("d", "rows", "__dict__")
 
     def __init__(self, d: int, rows: tuple[int, ...]):
         self.d = d
         self.rows = rows
+
+    @cached_property
+    def packed(self) -> int:
+        """The rows side by side in one int, row i-1 at bits [(i-1)*d, i*d)."""
         packed = 0
-        for i, row in enumerate(rows):
-            packed |= row << i * d
-        self.packed = packed
+        for i, row in enumerate(self.rows):
+            packed |= row << i * self.d
+        return packed
 
     @classmethod
     def from_pairs(cls, d: int, pairs) -> "Preposet":
@@ -174,18 +177,3 @@ class Preposet:
     def __repr__(self):
         return f"Preposet({self.d}, {sorted(self.pairs())})"
 
-
-def transitive_closure_pairs(d: int, pairs) -> frozenset:
-    """Independent helper: the set of strict pairs generated by ``pairs``.
-
-    Kept deliberately naive (Warshall on a dict of sets); used by tests as an
-    oracle against the bitmask implementation.
-    """
-    reach = {i: {i} for i in range(1, d + 1)}
-    for i, j in pairs:
-        reach[i].add(j)
-    for k in range(1, d + 1):
-        for i in range(1, d + 1):
-            if k in reach[i]:
-                reach[i] |= reach[k]
-    return frozenset((i, j) for i in reach for j in reach[i] if i != j)

@@ -8,6 +8,10 @@ at least one light, and the light sets partition {1, ..., m}.
 The record-per-position storage makes both classical views (the triple of
 sequence, distinguished positions and ordered partition, and the pair of
 parallel sequences) directly derivable.
+One rank rule, `sequence_rank`, reads the tuple sequence only; the ``rank``
+property, the census in `tables` and the enumerators read it, and a rank
+filter skips a sequence before its lights are distributed.  Only the
+enumerators sort; the moves come in generation order.
 """
 
 from __future__ import annotations
@@ -46,14 +50,9 @@ class LightedShade:
         return len(self.entries)
 
     @cached_property
-    def weight(self) -> int:
-        """Total number of integer entries."""
-        return sum(len(vals) for vals, _ in self.entries)
-
-    @cached_property
     def rank(self) -> int:
         """Dimension of the corresponding face of the Hochschild polytope."""
-        return self.m - self.size + self.weight
+        return sequence_rank(self.m, [vals for vals, _ in self.entries])
 
     @cached_property
     def is_unary(self) -> bool:
@@ -203,7 +202,8 @@ class LightedShade:
 
         Move (i) concatenates two consecutive positions; move (ii) splits one
         integer entry in place.  Each result has rank one higher and a strictly
-        larger preposet.
+        larger preposet.  The results come in generation order; a poset
+        orders its covers by element index.
         """
         out = []
         ent = self.entries
@@ -221,10 +221,11 @@ class LightedShade:
                             self.m, self.n, ent[:i] + ((split, lights),) + ent[i + 1:]
                         )
                     )
-        return sorted(out, key=lambda x: x.key)
+        return out
 
     def rotation_successors(self) -> list["LightedShade"]:
-        """Right-rotation successors of a unary shade."""
+        """Right-rotation successors of a unary shade, in generation order;
+        a poset orders its covers by element index."""
         if not self.is_unary:
             raise ValueError("rotations are defined on unary shades")
         out = []
@@ -246,10 +247,16 @@ class LightedShade:
                     out.append(
                         LightedShade(self.m, self.n, ent[:i] + (b, a) + ent[i + 2:])
                     )
-        return sorted(out, key=lambda x: x.key)
+        return out
 
 
 # -- enumeration ---------------------------------------------------------------
+
+
+def sequence_rank(m, tuples) -> int:
+    """Rank (face dimension) of every m-lighted shade on a sequence of tuples:
+    m minus the positions plus the integer entries."""
+    return m - len(tuples) + sum(map(len, tuples))
 
 
 def _compositions(n):
@@ -316,11 +323,13 @@ def _subsets_of(s):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
-def _lighted_shades(m, n):
-    """Generate every m-lighted n-shade once, in generation order (unsorted)."""
+def _lighted_shades(m, n, rank=None):
+    """Generate every m-lighted n-shade once, in generation order (unsorted);
+    with ``rank`` only the tuple sequences of that rank are lighted."""
     for seq in _tuple_sequences(n, m):
-        for lights in _light_distributions(seq, m):
-            yield LightedShade(m, n, list(zip(seq, lights)))
+        if rank is None or sequence_rank(m, seq) == rank:
+            for lights in _light_distributions(seq, m):
+                yield LightedShade(m, n, list(zip(seq, lights)))
 
 
 def _unary_shades(m, n):
@@ -347,9 +356,7 @@ def enum_lighted_shades(m, n, rank=None) -> list[LightedShade]:
     _check_params(m, n, rank)
     if rank == 0:
         return unary_lighted_shades(m, n)
-    out = [ls for ls in _lighted_shades(m, n) if rank is None or ls.rank == rank]
-    out.sort(key=lambda x: x.key)
-    return out
+    return sorted(_lighted_shades(m, n, rank=rank), key=lambda x: x.key)
 
 
 def unary_lighted_shades(m, n) -> list[LightedShade]:

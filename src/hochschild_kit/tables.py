@@ -20,10 +20,11 @@ facet and face cells come from rank histograms in which labels are counted,
 not generated, because no rank depends on them: every tagged painted-tree
 shape with k cuts stands for surjection_count(m, k) labeled trees (the count
 the closed forms use as well), and every tuple sequence of a shade for its
-number of light distributions.  The labeled census that generates every
-object stays in the tests as the oracle of these histograms.  One labeled
-binary and one labeled unary pass give the vertex cells and the shadow
-fiber sizes behind the singleton cell.  Both verify and the command line
+number of light distributions, binned by the one rank rule of its family
+(`painted.shape_rank`, `shades.sequence_rank`).  The labeled census that
+generates every object stays in the tests as the oracle of these
+histograms.  One labeled binary and one labeled unary pass give the vertex
+cells and the shadow fiber sizes behind the singleton cell.  Both verify and the command line
 read the exhaustive bound from `verify.REACH`.
 """
 
@@ -33,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-from .painted import _check_params, _painted_shapes, _painted_trees, shape_nodes
+from .painted import _check_params, _painted_shapes, _painted_trees, shape_rank
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
@@ -42,7 +43,7 @@ from .series import (
     count_unary_lighted_shades,
     surjection_count,
 )
-from .shades import _tuple_sequences, _unary_shades
+from .shades import _tuple_sequences, _unary_shades, sequence_rank
 from .shadow import shadow
 
 _ = None
@@ -236,8 +237,7 @@ def _painted_rank_histogram(m, n):
     surjection_count(m, k) label partitions it carries."""
     hist = [0] * (m + n)
     for shape, k in _painted_shapes(m, n, binary=False):
-        nodes, on_cuts = shape_nodes(shape)
-        hist[m + n - nodes - k + on_cuts] += surjection_count(m, k)
+        hist[shape_rank(m, n, shape, k)] += surjection_count(m, k)
     return tuple(hist)
 
 
@@ -249,8 +249,7 @@ def _shade_rank_histogram(m, n):
     for seq in _tuple_sequences(n, m):
         p = len(seq)
         e = seq.count(())
-        weight = sum(map(len, seq))
-        hist[m - p + weight] += sum(
+        hist[sequence_rank(m, seq)] += sum(
             (-1) ** i * comb(e, i) * (p - i) ** m for i in range(e + 1)
         )
     return tuple(hist)

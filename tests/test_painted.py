@@ -6,6 +6,7 @@ from hochschild_kit.painted import (
     binary_painted_trees,
     enum_painted_trees,
     left_comb,
+    ordered_partitions,
     right_comb,
 )
 from hochschild_kit.shades import LightedShade
@@ -23,6 +24,14 @@ def test_binary_counts(mn, count):
 @pytest.mark.parametrize("mn,count", sorted(FACE_COUNTS.items()))
 def test_face_counts(mn, count):
     assert len(enum_painted_trees(*mn)) == count
+
+
+def test_cached_partitions_cannot_be_changed_by_a_caller():
+    # the partitions are cached for the process, so a changed result would
+    # change every later enumeration
+    with pytest.raises(AttributeError):
+        ordered_partitions(2, 1).append("junk")
+    assert len(enum_painted_trees(2, 0)) == 3
 
 
 def test_rank_zero_filter_is_binary():

@@ -18,9 +18,10 @@ from hochschild_kit.posets import (
     word_subposet,
 )
 from hochschild_kit.painted import PaintedTree, enum_painted_trees
-from hochschild_kit.preposets import transitive_closure_pairs
 from hochschild_kit.shades import LightedShade, enum_lighted_shades
 from hochschild_kit.shadow import shadow
+
+from oracles import key_sorted, transitive_closure_pairs
 
 
 def pentagon():
@@ -260,6 +261,38 @@ def test_moves_are_exactly_the_refinement_covers(m, n):
             for r in ref.elements[i].rotation_successors()
         }
         assert rotations == edges, kind
+
+
+@pytest.mark.parametrize("m, n", CELLS_TO_5)
+def test_moves_match_the_key_sorted_oracle(m, n):
+    # the moves come in generation order, each once.  Sorted by key, the
+    # refinement moves are the lower covers of the containment order, and
+    # the rotations are the polytope edges at a vertex that invert a pair
+    from hochschild_kit.geometry import inverted_pairs
+
+    for kind in ("painted", "shade"):
+        ref = containment_refinement_poset(kind, m, n)
+        below = [[] for _ in range(ref.n)]
+        for lo, hi in ref.covers:
+            below[hi].append(ref.elements[lo])
+        edge_ends = [0] * ref.n
+        for lo, hi in ref.covers:
+            if ref.elements[lo].rank == 1:
+                edge_ends[hi] |= 1 << lo
+        vertices = [o for o in ref.elements if o.rank == 0]
+        for i, obj in enumerate(ref.elements):
+            moves = obj.refinement_covers_down()
+            assert len(set(moves)) == len(moves), obj
+            assert key_sorted(moves) == key_sorted(below[i]), obj
+            if obj.rank == 0:
+                succ = obj.rotation_successors()
+                assert len(set(succ)) == len(succ), obj
+                edges = [
+                    v for v in vertices
+                    if v != obj and edge_ends[i] & edge_ends[ref.index(v)]
+                    and inverted_pairs(obj.preposet, v.preposet)
+                ]
+                assert key_sorted(succ) == key_sorted(edges), obj
 
 
 @pytest.mark.parametrize("kind", ["painted", "shade"])

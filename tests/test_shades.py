@@ -2,12 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hochschild_kit.painted import enum_painted_trees
-from hochschild_kit.preposets import transitive_closure_pairs
 from hochschild_kit.shades import (
     LightedShade,
     enum_lighted_shades,
     unary_lighted_shades,
 )
+
+from oracles import transitive_closure_pairs
 
 UNARY_COUNTS = {(1, 3): 12, (0, 4): 8, (2, 2): 18, (3, 0): 6, (1, 0): 1}
 FACE_COUNTS = {(1, 3): 39, (0, 3): 9, (2, 2): 57, (2, 0): 3, (1, 6): 1539}
