@@ -154,7 +154,7 @@ def cmd_polytope(args) -> int:
         return _emit(args, "\n".join(lines) + "\n")
 
     report = certify_polytope(args.kind, args.m, args.n)
-    rot, verts, facet_objs, facets = _polytope_objects(args.kind, args.m, args.n)
+    poly = _polytope_objects(args.kind, args.m, args.n)
     mink = minkowski_data(args.kind, args.m, args.n)
     if args.format == "json":
         doc = {
@@ -164,7 +164,7 @@ def cmd_polytope(args) -> int:
             "n": args.n,
             "vertices": [
                 {"object": o.to_json_obj(), "point": [str(c) for c in v]}
-                for o, v in zip(rot.elements, verts)
+                for o, v in zip(poly.rotation.elements, poly.vertices)
             ],
             "facets": [
                 {
@@ -172,7 +172,7 @@ def cmd_polytope(args) -> int:
                     "support": sorted(f.support),
                     "rhs": str(f.rhs),
                 }
-                for o, f in zip(facet_objs, facets)
+                for o, f in zip(poly.facet_objects, poly.facets)
             ],
             "minkowski": mink.to_json_obj(),
             "barycenter": [str(c) for c in barycenter(args.kind, args.m, args.n)],
@@ -189,11 +189,11 @@ def cmd_polytope(args) -> int:
             f"{report.num_vertices} vertices, {report.num_facets} facets",
             "V-representation (one vertex per line):",
         ]
-        lines += ["  " + " ".join(str(c) for c in v) for v in verts]
+        lines += ["  " + " ".join(str(c) for c in v) for v in poly.vertices]
         lines.append("H-representation (support >= rhs):")
         lines += [
             f"  {'+'.join('x' + str(i) for i in sorted(f.support))} >= {f.rhs}"
-            for f in facets
+            for f in poly.facets
         ]
         lines.append(
             "certification: " + ("certified" if report.passed else "FAILED")

@@ -7,9 +7,10 @@ appears only in barycenters.  There is no floating point and no convex-hull
 or LP dependency: polytopality is certified through vertex / facet
 incidence, edge directions and fan witnesses.
 
-The rotation poset and the facet objects of a polytope are built once per
-(m, n) cell by `_polytope_objects`, uncached beyond that cell, and shared by
-every check of it; the edge checks read the rotation covers.
+Every check of a polytope reads one `PolytopeObjects` record (rotation poset,
+vertices, facets, z table and vertex subset sums), built once per (m, n) cell
+by `_polytope_objects`, the one place that maps a kind to its objects and
+maps, and uncached beyond that cell.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
+from operator import add
 from types import MappingProxyType
 
 from .painted import PaintedTree, binary_painted_trees, enum_painted_trees
@@ -238,22 +240,15 @@ def minkowski_data(kind: str, m: int, n: int) -> MinkowskiData:
     exactly, and that every z_J equals the minimum of the coordinate sum over
     the polytope vertices.
     """
-    d = m + n
-    if kind == "multiplihedron":
-        y_fn, z_fn = y_multiplihedron, z_multiplihedron
-    elif kind == "hochschild":
-        y_fn, z_fn = y_hochschild, z_hochschild
-    else:
-        raise ValueError("kind must be 'multiplihedron' or 'hochschild'")
-    _, verts, _, _ = _polytope_objects(kind, m, n)
-    y = {s: y_fn(s, m, n) for s in _subsets(d)}
-    z = {s: z_fn(s, m, n) for s in _subsets(d)}
+    poly = _polytope_objects(kind, m, n)
+    y_fn = y_multiplihedron if kind == "multiplihedron" else y_hochschild
+    y = {s: y_fn(s, m, n) for s in _subsets(m + n)}
+    z = dict(poly.z)
     for s in z:
         total = sum(v for i, v in y.items() if i <= s)
         if total != z[s]:
             raise AssertionError(f"Moebius inversion fails at {sorted(s)}")
-        support_min = min(sum(v[i - 1] for i in s) for v in verts)
-        if support_min != z[s]:
+        if min(poly.sums[s]) != z[s]:
             raise AssertionError(f"support minimum differs from z at {sorted(s)}")
     return MinkowskiData(kind, m, n, y, z)
 
@@ -278,30 +273,53 @@ class CertificationReport:
         return all(self.checks.values())
 
 
+@dataclass(frozen=True)
+class PolytopeObjects:
+    """``vertices[i]`` is the point of ``rotation.elements[i]``, ``facets[i]``
+    the halfspace of ``facet_objects[i]``; the read-only ``z`` and ``sums`` map
+    each nonempty J to z_J and to the vertex sums over J, in vertex order."""
+
+    rotation: FinitePoset
+    vertices: tuple
+    facet_objects: tuple
+    facets: tuple
+    z: Mapping
+    sums: Mapping
+
+
 @lru_cache(maxsize=2)
-def _polytope_objects(kind, m, n):
-    """Rotation poset of the vertex objects, vertices, facet objects and
-    facet halfspaces.
+def _polytope_objects(kind, m, n) -> PolytopeObjects:
+    """The `PolytopeObjects` record of one polytope.
 
     Memoised for the two polytopes of the current (m, n) cell only, so every
-    check of a cell shares one set of objects (and their cached preposets)
+    check of a cell shares one record (and the objects' cached preposets)
     without keeping earlier cells alive; `fan_suite` clears it when done.
     """
     d = m + n
     if kind == "multiplihedron":
         objs = binary_painted_trees(m, n)
-        verts = tuple(vertex_of_painted_tree(o) for o in objs)
-        facet_objs = tuple(enum_painted_trees(m, n, rank=d - 2)) if d >= 2 else ()
-        facets = tuple(facet_of_painted_tree(o) for o in facet_objs)
+        vertex_of, enum_faces = vertex_of_painted_tree, enum_painted_trees
+        facet_of, z_fn = facet_of_painted_tree, z_multiplihedron
     elif kind == "hochschild":
         objs = unary_lighted_shades(m, n)
-        verts = tuple(vertex_of_lighted_shade(o) for o in objs)
-        facet_objs = tuple(enum_lighted_shades(m, n, rank=d - 2)) if d >= 2 else ()
-        facets = tuple(facet_of_lighted_shade(o) for o in facet_objs)
+        vertex_of, enum_faces = vertex_of_lighted_shade, enum_lighted_shades
+        facet_of, z_fn = facet_of_lighted_shade, z_hochschild
     else:
         raise ValueError("kind must be 'multiplihedron' or 'hochschild'")
+    verts = tuple(vertex_of(o) for o in objs)
+    facet_objs = tuple(enum_faces(m, n, rank=d - 2)) if d >= 2 else ()
+    facets = tuple(facet_of(o) for o in facet_objs)
     rot = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
-    return rot, verts, facet_objs, facets
+    z = {s: z_fn(s, m, n) for s in _subsets(d)}
+    # subsets come by size, so J minus its largest coordinate is already summed
+    columns = tuple(zip(*verts))
+    sums = {}
+    for s in z:
+        top = max(s)
+        rest = s - {top}
+        sums[s] = tuple(map(add, sums[rest], columns[top - 1])) if rest else columns[top - 1]
+    z, sums = MappingProxyType(z), MappingProxyType(sums)
+    return PolytopeObjects(rot, verts, facet_objs, facets, z, sums)
 
 
 def inverted_pairs(lo: Preposet, hi: Preposet):
@@ -362,8 +380,10 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     Hochschild polytope.
     """
     d = m + n
-    rot, verts, facet_objs, facets = _polytope_objects(kind, m, n)
+    poly = _polytope_objects(kind, m, n)
+    rot, verts, facets, sums = poly.rotation, poly.vertices, poly.facets, poly.sums
     vert_objs = rot.elements
+    facet_sums = [sums[f.support] for f in facets]
     checks = {}
     counterexample = None
 
@@ -384,9 +404,9 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
 
     checks["halfspaces_satisfied"] = True
     checks["incidence_iff_refinement"] = True
-    for vo, v in zip(vert_objs, verts):
-        for fo, f in zip(facet_objs, facets):
-            val = f.value(v)
+    for k, (vo, v) in enumerate(zip(vert_objs, verts)):
+        for fo, f, values in zip(poly.facet_objects, facets, facet_sums):
+            val = values[k]
             if val < f.rhs:
                 fail("halfspaces_satisfied", f"{v} violates {f}")
             tight = val == f.rhs
@@ -409,11 +429,8 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
             fail("edge_single_flip", f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
             continue
         i, j = flips[0]
-        expected_dir = [0] * d
         lam = delta[i - 1]
-        expected_dir[i - 1] = lam
-        expected_dir[j - 1] = -lam
-        if lam <= 0 or tuple(expected_dir) != delta:
+        if lam <= 0 or _scaled_basis_diff(d, lam, i, j) != delta:
             fail(
                 "edge_directions",
                 f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}",
@@ -424,25 +441,18 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
 
     _fan_checks(kind, m, n, vert_objs, checks, fail)
 
-    z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
     checks["z_support_minimum"] = True
     checks["z_supermodular"] = True
-    z = {s: z_fn(s, m, n) for s in _subsets(d)}
-    z[frozenset()] = 0
-    for s in list(z):
-        if not s:
-            continue
-        if min(sum(v[i - 1] for i in s) for v in verts) != z[s]:
-            fail("z_support_minimum", f"J={sorted(s)}")
-    subsets = [s for s in z if s]
+    subsets = list(poly.z)
     for s in subsets:
-        for t in subsets:
-            if z[s] + z[t] > z[s | t] + z[s & t]:
-                fail("z_supermodular", f"I={sorted(s)}, J={sorted(t)}")
-                break
-        else:
-            continue
-        break
+        if min(sums[s]) != poly.z[s]:
+            fail("z_support_minimum", f"J={sorted(s)}")
+    z = {**poly.z, frozenset(): 0}
+    pair = next(
+        ((s, t) for s in subsets for t in subsets if z[s] + z[t] > z[s | t] + z[s & t]), None
+    )
+    if pair:
+        fail("z_supermodular", f"I={sorted(pair[0])}, J={sorted(pair[1])}")
 
     # with z supermodular, the polytope it defines has exactly the greedy
     # vertices; matching them against the claimed vertex set closes the loop
@@ -454,10 +464,10 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     checks["facets_identified"] = True
     if d >= 2:
         claimed = {f.support for f in facets}
-        for s in _subsets(d):
+        for s in subsets:
             if len(s) == d:
                 continue
-            tight_pts = [v for v in verts if sum(v[i - 1] for i in s) == z[s]]
+            tight_pts = [v for v, total in zip(verts, sums[s]) if total == z[s]]
             is_facet = _affine_rank(tight_pts) == d - 2
             if is_facet != (s in claimed):
                 fail(
@@ -467,8 +477,8 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
 
     if kind == "hochschild" and d >= 2:
         checks["simple"] = True
-        for vo, v in zip(vert_objs, verts):
-            tight = sum(1 for f in facets if f.is_tight(v))
+        for k, vo in enumerate(vert_objs):
+            tight = sum(1 for f, values in zip(facets, facet_sums) if values[k] == f.rhs)
             if tight != d - 1:
                 fail("simple", f"{vo.canonical()} lies on {tight} facets")
     return CertificationReport(
@@ -531,7 +541,7 @@ def _fan_checks(kind, m, n, vert_objs, checks, fail):
                     fail("fan_face_closure", f"{ls.canonical()} edge {e}")
         unary_pre = [ls.preposet for ls in vert_objs]
         checks["coarsening_witness"] = True
-        for pt in _polytope_objects("multiplihedron", m, n)[0].elements:
+        for pt in _polytope_objects("multiplihedron", m, n).rotation.elements:
             hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
             if hits != 1:
                 fail("coarsening_witness", f"{pt.canonical()} lands in {hits} cones")
@@ -565,7 +575,8 @@ def oriented_skeleton(kind: str, m: int, n: int) -> OrientedSkeleton:
     report = certify_polytope(kind, m, n)
     if not report.passed:
         raise AssertionError(f"certification failed: {report.counterexample}")
-    rot, verts, _, _ = _polytope_objects(kind, m, n)
+    poly = _polytope_objects(kind, m, n)
+    rot, verts = poly.rotation, poly.vertices
     vert_objs = rot.elements
     w = omega(m + n)
     for lo, hi in rot.covers:
@@ -597,7 +608,7 @@ def polytope_edges(verts, facets):
 
 def barycenter(kind: str, m: int, n: int) -> tuple[Fraction, ...]:
     """Vertex barycenter, as exact fractions."""
-    _, verts, _, _ = _polytope_objects(kind, m, n)
+    verts = _polytope_objects(kind, m, n).vertices
     k = len(verts)
     return tuple(Fraction(sum(col), k) for col in zip(*verts))
 
@@ -623,19 +634,21 @@ def shared_facet_report(m: int, n: int) -> SharedFacetReport:
     and a multiplihedron halfspace is shared exactly when it is tight at some
     common vertex of the two polytopes (a shadow singleton vertex).
     """
-    rot, m_verts, _, m_facets = _polytope_objects("multiplihedron", m, n)
-    _, h_verts, _, h_facets = _polytope_objects("hochschild", m, n)
-    m_set, h_set = set(m_facets), set(h_facets)
+    mult = _polytope_objects("multiplihedron", m, n)
+    hoch = _polytope_objects("hochschild", m, n)
+    m_set, h_set = set(mult.facets), set(hoch.facets)
     subset = h_set <= m_set
-    singleton_verts = [
-        v for vo, v in zip(rot.elements, m_verts) if is_singleton(vo)
+    singletons = [
+        k for k, vo in enumerate(mult.rotation.elements) if is_singleton(vo)
     ]
-    common_pts = set(m_verts) & set(h_verts)
+    singleton_verts = [mult.vertices[k] for k in singletons]
+    common_pts = set(mult.vertices) & set(hoch.vertices)
     common_ok = common_pts == set(singleton_verts)
     shared_ok = True
-    for f in m_facets:
+    for f in mult.facets:
         shared = f in h_set
-        tight_at_singleton = any(f.is_tight(v) for v in singleton_verts)
+        values = mult.sums[f.support]
+        tight_at_singleton = any(values[k] == f.rhs for k in singletons)
         if shared != tight_at_singleton:
             shared_ok = False
     return SharedFacetReport(

@@ -676,19 +676,3 @@ def _check_params(m, n, rank=None):
         raise ValueError("need m >= 0, n >= 0 and m + n >= 1")
     if rank is not None and not 0 <= rank <= m + n - 1:
         raise ValueError(f"rank must lie in [0, {m + n - 1}]")
-
-
-def left_comb(n):
-    """Nested-tuple left comb with n binary nodes (n + 1 leaves)."""
-    t = LEAF
-    for _ in range(n):
-        t = (t, LEAF)
-    return t
-
-
-def right_comb(n):
-    """Nested-tuple right comb with n binary nodes."""
-    t = LEAF
-    for _ in range(n):
-        t = (LEAF, t)
-    return t

@@ -39,15 +39,13 @@ class FinitePoset:
     to be transitively irredundant.
     """
 
-    def __init__(self, elements, covers, _leq=None):
+    def __init__(self, elements, covers):
         self.elements = tuple(elements)
         self.covers = tuple(sorted(set(covers)))
         self.n = len(self.elements)
         self._index = {e: i for i, e in enumerate(self.elements)}
         if len(self._index) != self.n:
             raise ValueError("elements must be distinct")
-        if _leq is not None:
-            self._leq_cache = _leq
 
     @classmethod
     def from_leq(cls, elements, leq) -> "FinitePoset":
@@ -57,8 +55,7 @@ class FinitePoset:
         are the transitive reduction, `preposets.cover_pairs`, which raises
         ValueError when the relation is not antisymmetric.
         """
-        up = tuple(row | 1 << i for i, row in enumerate(leq))
-        return cls(elements, cover_pairs(up), _leq=up)
+        return cls(elements, cover_pairs(leq))
 
     @classmethod
     def from_moves(cls, elements, moves) -> "FinitePoset":
@@ -73,8 +70,6 @@ class FinitePoset:
     @cached_property
     def leq(self) -> tuple[int, ...]:
         """Up-set rows: bit j of leq[i] is set iff element i is below j."""
-        if hasattr(self, "_leq_cache"):
-            return self._leq_cache
         up = [1 << i for i in range(self.n)]
         for i in reversed(self.topological_order):
             for hi in self._covers_up[i]:

@@ -136,13 +136,16 @@ def shadow_fibers(m, n):
     """Group all binary painted trees by their shadow.
 
     Returns a dict mapping each unary shade to the list of binary painted
-    trees in its fiber, in canonical order.  Raises AssertionError if some
-    shade receives no tree: the shadow map must be surjective.
+    trees in its fiber, in canonical order.  Raises AssertionError unless the
+    shadows are exactly the unary shades, as `tables` does.
     """
     fibers = {ls: [] for ls in unary_lighted_shades(m, n)}
+    unary = len(fibers)
     for pt in binary_painted_trees(m, n):
-        fibers[shadow(pt)].append(pt)
+        fibers.setdefault(shadow(pt), []).append(pt)
     for ls, pts in fibers.items():
         if not pts:
             raise AssertionError(f"shadow map misses {ls}")
+    if len(fibers) > unary:
+        raise AssertionError(f"shadow {list(fibers)[unary]} is not a unary shade")
     return fibers

@@ -156,6 +156,7 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
     bound = reach("morphism", bound)
     res = SuiteResult("morphism", bound)
     join_counterexamples = {}
+    projections = {}
     for m, n in _cells(bound):
         src = build_rotation_poset("painted", m, n)
         dst = build_rotation_poset("shade", m, n)
@@ -169,7 +170,7 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
                 join_counterexamples[(m, n)] = rep.join_counterexample
         else:
             res.record(f"shadow({m},{n}) meet morphism", False, "the map is not surjective")
-        cong = check_congruence_projection(m, n)
+        cong = projections[(m, n)] = check_congruence_projection(m, n)
         res.record(f"fibers({m},{n}) unique minima", cong.unique_minima)
         res.record(f"fibers({m},{n}) minima = fiber_min", cong.minima_match_fiber_min)
         res.record(f"projection down({m},{n}) order preserving", cong.proj_down_order_preserving)
@@ -181,7 +182,7 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
             (0, 3) in join_counterexamples,
             str(join_counterexamples.get((0, 3))),
         )
-        up = check_congruence_projection(0, 3)
+        up = projections[(0, 3)]
         res.record(
             "projection up not order preserving at (0,3)",
             not up.proj_up_order_preserving,

@@ -1,7 +1,35 @@
 """Oracles shared by the test modules: simple routes the kit's fast code is
 compared with."""
 
-from hochschild_kit.painted import PaintedTree
+from itertools import combinations, permutations
+from math import comb
+
+from hochschild_kit.geometry import (
+    _affine_rank,
+    _fan_checks,
+    _shade_edge_delta,
+    greedy_vertex,
+    inverted_pairs,
+    z_hochschild,
+    z_multiplihedron,
+)
+from hochschild_kit.painted import LEAF, PaintedTree
+
+
+def left_comb(n):
+    """Nested-tuple left comb with n binary nodes (n + 1 leaves)."""
+    t = LEAF
+    for _ in range(n):
+        t = (t, LEAF)
+    return t
+
+
+def right_comb(n):
+    """Nested-tuple right comb with n binary nodes."""
+    t = LEAF
+    for _ in range(n):
+        t = (LEAF, t)
+    return t
 
 
 def transitive_closure_pairs(d: int, pairs) -> frozenset:
@@ -42,3 +70,117 @@ def key_sorted(objects) -> list:
     """Objects in canonical order, the order in which the move methods once
     returned their results."""
     return sorted(objects, key=lambda obj: obj.key)
+
+
+def subset_sums(verts, d) -> dict:
+    """Each nonempty coordinate subset J mapped to the tuple of sum(v_i for i
+    in J) over the vertices, one vertex and one J at a time."""
+    return {
+        frozenset(c): tuple(sum(v[i - 1] for i in c) for v in verts)
+        for r in range(1, d + 1)
+        for c in combinations(range(1, d + 1), r)
+    }
+
+
+def halfspace_values(verts, facets) -> list:
+    """``Halfspace.value`` of every vertex on every facet, vertex-major."""
+    return [[f.value(v) for f in facets] for v in verts]
+
+
+def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
+    """The polytope certificate's (checks, counterexample), comparing each
+    vertex with each facet and each subset J by its own sum.
+
+    Same checks, order and messages as `geometry.certify_polytope`, which
+    reads one table of subset sums instead.
+    """
+    d = m + n
+    vert_objs = rotation.elements
+    checks = {}
+    counterexample = None
+
+    def fail(name, message):
+        nonlocal counterexample
+        checks[name] = False
+        if counterexample is None:
+            counterexample = f"{name}: {message}"
+
+    checks["vertices_distinct"] = len(set(verts)) == len(verts)
+    checks["facets_distinct"] = len(set(facets)) == len(facets)
+    checks["vertices_on_hyperplane"] = True
+    for v in verts:
+        if sum(v) != comb(d + 1, 2):
+            fail("vertices_on_hyperplane", f"{v} has coordinate sum {sum(v)}")
+    checks["halfspaces_satisfied"] = True
+    checks["incidence_iff_refinement"] = True
+    for vo, v in zip(vert_objs, verts):
+        for fo, f in zip(facet_objs, facets):
+            val = f.value(v)
+            if val < f.rhs:
+                fail("halfspaces_satisfied", f"{v} violates {f}")
+            tight = val == f.rhs
+            refines = fo.preposet.contains(vo.preposet)
+            if tight != refines:
+                fail(
+                    "incidence_iff_refinement",
+                    f"vertex {vo.canonical()} vs facet {fo.canonical()}: "
+                    f"tight={tight} refines={refines}",
+                )
+    checks["edge_directions"] = True
+    checks["edge_single_flip"] = True
+    for lo, hi in rotation.covers:
+        lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
+        delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
+        flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
+        back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
+        if len(flips) != 1 or back:
+            fail("edge_single_flip", f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
+            continue
+        i, j = flips[0]
+        expected_dir = [0] * d
+        lam = delta[i - 1]
+        expected_dir[i - 1] = lam
+        expected_dir[j - 1] = -lam
+        if lam <= 0 or tuple(expected_dir) != delta:
+            fail("edge_directions", f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}")
+        if kind == "hochschild" and _shade_edge_delta(lo_obj, hi_obj) != delta:
+            fail("edge_directions", f"shade case formula differs: {delta}")
+    _fan_checks(kind, m, n, vert_objs, checks, fail)
+    z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
+    checks["z_support_minimum"] = True
+    checks["z_supermodular"] = True
+    subsets = list(subset_sums(verts, d))
+    z = {s: z_fn(s, m, n) for s in subsets}
+    for s in subsets:
+        if min(sum(v[i - 1] for i in s) for v in verts) != z[s]:
+            fail("z_support_minimum", f"J={sorted(s)}")
+    z[frozenset()] = 0
+    for s in subsets:
+        for t in subsets:
+            if z[s] + z[t] > z[s | t] + z[s & t]:
+                fail("z_supermodular", f"I={sorted(s)}, J={sorted(t)}")
+                break
+        else:
+            continue
+        break
+    checks["greedy_vertices_match"] = True
+    greedy = {greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
+    if greedy != set(verts):
+        fail("greedy_vertices_match", f"{len(greedy)} greedy vs {len(verts)} claimed")
+    checks["facets_identified"] = True
+    if d >= 2:
+        claimed = {f.support for f in facets}
+        for s in subsets:
+            if len(s) == d:
+                continue
+            tight_pts = [v for v in verts if sum(v[i - 1] for i in s) == z[s]]
+            is_facet = _affine_rank(tight_pts) == d - 2
+            if is_facet != (s in claimed):
+                fail("facets_identified", f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}")
+    if kind == "hochschild" and d >= 2:
+        checks["simple"] = True
+        for vo, v in zip(vert_objs, verts):
+            tight = sum(1 for f in facets if f.is_tight(v))
+            if tight != d - 1:
+                fail("simple", f"{vo.canonical()} lies on {tight} facets")
+    return checks, counterexample

@@ -13,9 +13,11 @@ from hochschild_kit.cubic import (
     word_to_shade,
     word_violation,
 )
-from hochschild_kit.painted import binary_painted_trees, left_comb, right_comb
+from hochschild_kit.painted import binary_painted_trees
 from hochschild_kit.posets import FinitePoset, build_refinement_poset, build_rotation_poset
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
+
+from oracles import left_comb, right_comb
 
 
 def S(m, n, *entries):

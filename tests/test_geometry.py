@@ -29,11 +29,13 @@ from hochschild_kit.geometry import (
     z_multiplihedron,
     _polytope_objects,
 )
-from hochschild_kit.painted import PaintedTree, binary_painted_trees, left_comb
+from hochschild_kit.painted import PaintedTree, binary_painted_trees
 from hochschild_kit.posets import build_rotation_poset
 from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
+
+from oracles import halfspace_values, left_comb, per_pair_certificate, subset_sums
 
 
 def S(m, n, *entries):
@@ -95,8 +97,8 @@ def test_facet_shade_examples():
 
 
 def test_facet_count_relation_1_3():
-    _, _, facet_objs_m, facets_m = _polytope_objects("multiplihedron", 1, 3)
-    _, _, facet_objs_h, facets_h = _polytope_objects("hochschild", 1, 3)
+    facets_m = _polytope_objects("multiplihedron", 1, 3).facets
+    facets_h = _polytope_objects("hochschild", 1, 3).facets
     assert len(facets_m) == 13 and len(facets_h) == 8
     assert set(facets_h) <= set(facets_m)
 
@@ -175,7 +177,8 @@ def test_polytope_edges_match_rotation_covers():
         ("hochschild", "shade", 1, 3),
         ("multiplihedron", "painted", 0, 4),
     ]:
-        _, verts, _, facets = _polytope_objects(kind, m, n)
+        cell = _polytope_objects(kind, m, n)
+        verts, facets = cell.vertices, cell.facets
         poset = build_rotation_poset(poset_kind, m, n)
         geometric = {frozenset((verts[a], verts[b])) for a, b in polytope_edges(verts, facets)}
         combinatorial = {
@@ -334,7 +337,7 @@ def test_affine_rank_matches_fraction_oracle_on_tight_sets(kind):
     for d in range(1, 5):
         for m in range(d + 1):
             n = d - m
-            _, verts, _, _ = _polytope_objects(kind, m, n)
+            verts = _polytope_objects(kind, m, n).vertices
             for s in _subsets(d):
                 tight = [v for v in verts if sum(v[i - 1] for i in s) == z_fn(s, m, n)]
                 assert _affine_rank(tight) == _affine_rank_oracle(tight), (m, n, s)
@@ -402,7 +405,7 @@ def test_cell_rotation_edges_are_the_rotation_covers():
             n = total - m
             for kind, order in (("multiplihedron", "painted"), ("hochschild", "shade")):
                 poset = build_rotation_poset(order, m, n)
-                rot = _polytope_objects(kind, m, n)[0]
+                rot = _polytope_objects(kind, m, n).rotation
                 assert rot is not poset
                 assert (rot.elements, rot.covers) == (poset.elements, poset.covers)
     _polytope_objects.cache_clear()
@@ -411,3 +414,79 @@ def test_cell_rotation_edges_are_the_rotation_covers():
 def test_fan_suite_releases_polytope_objects():
     assert fan_suite(3).ok
     assert _polytope_objects.cache_info().currsize == 0
+
+
+KINDS = ("multiplihedron", "hochschild")
+
+
+def _per_pair(kind, m, n, poly):
+    """The oracle certificate on the record's objects, not on its tables."""
+    return per_pair_certificate(
+        kind, m, n, poly.rotation, poly.vertices, poly.facet_objects, poly.facets
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_record_and_certificate_match_the_per_pair_route(kind):
+    z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
+    for d in range(1, 6):
+        for m in range(d + 1):
+            n = d - m
+            poly = _polytope_objects(kind, m, n)
+            assert dict(poly.z) == {s: z_fn(s, m, n) for s in _subsets(d)}
+            assert dict(poly.sums) == subset_sums(poly.vertices, d)
+            table = [
+                [poly.sums[f.support][k] for f in poly.facets]
+                for k in range(len(poly.vertices))
+            ]
+            assert table == halfspace_values(poly.vertices, poly.facets)
+            report = certify_polytope(kind, m, n)
+            assert report.passed, (m, n)
+            assert (dict(report.checks), report.counterexample) == _per_pair(kind, m, n, poly)
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", [(1, 2), (0, 3), (2, 2), (1, 3), (3, 1), (0, 4)])
+@pytest.mark.parametrize("move", [((0, 1),), ((0, 1), (1, -1)), ((2, -1), (0, 1))])
+def test_a_corrupted_vertex_fails_as_the_per_pair_route_fails(monkeypatch, kind, mn, move):
+    # shift coordinates of one vertex; a balanced shift stays on the hyperplane
+    m, n = mn
+    name = "vertex_of_painted_tree" if kind == "multiplihedron" else "vertex_of_lighted_shade"
+    true_vertex = getattr(geometry, name)
+    _polytope_objects.cache_clear()
+    objs = _polytope_objects(kind, m, n).rotation.elements
+    target = objs[len(objs) // 2]
+
+    def corrupted(obj):
+        v = list(true_vertex(obj))
+        if obj == target:
+            for i, shift in move:
+                v[i] += shift
+        return tuple(v)
+
+    monkeypatch.setattr(geometry, name, corrupted)
+    _polytope_objects.cache_clear()
+    try:
+        poly = _polytope_objects(kind, m, n)
+        assert dict(poly.sums) == subset_sums(poly.vertices, m + n)
+        report = certify_polytope.__wrapped__(kind, m, n)
+        assert not report.passed
+        assert (dict(report.checks), report.counterexample) == _per_pair(kind, m, n, poly)
+    finally:
+        _polytope_objects.cache_clear()
+
+
+def test_record_tables_are_read_only_and_minkowski_copies_z():
+    poly = _polytope_objects("hochschild", 1, 2)
+    key = frozenset({1})
+    with pytest.raises(TypeError):
+        poly.z[key] = 0
+    with pytest.raises(TypeError):
+        poly.sums[key] = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        poly.vertices = ()
+    data = minkowski_data("hochschild", 1, 2)
+    data.z[key] += 1
+    assert poly.z[key] == data.z[key] - 1
+    _polytope_objects.cache_clear()

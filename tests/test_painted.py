@@ -5,11 +5,11 @@ from hochschild_kit.painted import (
     PaintedTree,
     binary_painted_trees,
     enum_painted_trees,
-    left_comb,
     ordered_partitions,
-    right_comb,
 )
 from hochschild_kit.shades import LightedShade
+
+from oracles import left_comb, right_comb
 
 # spot values from the enumeration tables
 BINARY_COUNTS = {(1, 3): 21, (0, 4): 14, (2, 2): 24, (1, 0): 1, (2, 0): 2, (3, 0): 6}

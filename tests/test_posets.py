@@ -60,6 +60,19 @@ def test_semidistributivity_flags():
     assert not diamond_m3().is_join_semidistributive
 
 
+def test_from_leq_order_is_the_given_closed_rows():
+    # the covers alone fix the order, so closing them gives the rows back
+    for total in range(1, 6):
+        for m in range(total + 1):
+            words = enum_words(m, total - m)
+            rows = tuple(
+                sum(1 << b for b, v in enumerate(words) if all(x <= y for x, y in zip(w, v)))
+                for w in words
+            )
+            assert FinitePoset.from_leq(words, rows).leq == rows, (m, total - m)
+            assert word_subposet(m, total - m).leq == rows, (m, total - m)
+
+
 def test_from_leq_rejects_a_relation_that_is_not_antisymmetric():
     # x and y are each below the other, so the reduction has no order to reduce
     with pytest.raises(ValueError, match="not antisymmetric"):

@@ -1,11 +1,9 @@
+import sys
+
 import pytest
 
-from hochschild_kit.painted import (
-    PaintedTree,
-    binary_painted_trees,
-    left_comb,
-    right_comb,
-)
+from hochschild_kit import tables
+from hochschild_kit.painted import PaintedTree, binary_painted_trees
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.shadow import (
     fiber_max,
@@ -15,6 +13,8 @@ from hochschild_kit.shadow import (
     shadow_fibers,
     singleton_tree_condition,
 )
+
+from oracles import left_comb, right_comb
 
 SINGLETON_COUNTS = {(0, 3): 3, (1, 3): 7, (2, 2): 14, (0, 4): 5, (2, 1): 6}
 
@@ -132,3 +132,29 @@ def test_is_singleton_rejects_non_binary():
     corolla = PaintedTree.from_cuts(0, 2, (None, None, None), [], [])
     with pytest.raises(ValueError):
         is_singleton(corolla)
+
+
+@pytest.mark.parametrize("m,n,stray,message", [
+    # every tree strays, so a unary shade is missed first
+    (0, 2, ((1, 1),), "shadow map misses"),
+    # one tree of a two-tree fiber strays, so no shade is missed
+    (0, 3, ((1, 1, 1),), "is not a unary shade"),
+])
+def test_a_stray_shadow_fails_fibers_as_it_fails_the_census(monkeypatch, m, n, stray, message):
+    # the package attribute hochschild_kit.shadow is the function, not the module
+    shadow_module = sys.modules["hochschild_kit.shadow"]
+    fibers = shadow_fibers(m, n)
+    strays = {pts[-1] for pts in fibers.values() if len(pts) > 1} or set(binary_painted_trees(m, n))
+    bad = LightedShade(m, n, [(vals, frozenset()) for vals in stray])
+
+    def patched(pt):
+        return bad if pt in strays else shadow(pt)
+
+    monkeypatch.setattr(shadow_module, "shadow", patched)
+    monkeypatch.setattr(tables, "shadow", patched)
+    with pytest.raises(AssertionError) as census:
+        tables._vertex_census(m, n)
+    with pytest.raises(AssertionError) as grouped:
+        shadow_fibers(m, n)
+    assert message in str(census.value)
+    assert str(grouped.value) == str(census.value)

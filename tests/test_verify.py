@@ -83,3 +83,19 @@ def test_run_suite_reads_the_suite_functions_at_call_time(monkeypatch):
     stub = verify.SuiteResult("lattice", 1)
     monkeypatch.setattr(verify, "lattice_suite", lambda bound: stub)
     assert verify.run_suite("lattice", 7) == [stub]
+
+
+def test_morphism_suite_projects_each_cell_once(monkeypatch):
+    calls = []
+    check = verify.check_congruence_projection
+
+    def counted(m, n):
+        calls.append((m, n))
+        return check(m, n)
+
+    monkeypatch.setattr(verify, "check_congruence_projection", counted)
+    res = verify.morphism_suite(3)
+    assert sorted(calls) == sorted(_cells(3))
+    assert dict((name, ok) for name, ok, _ in res.checks)[
+        "projection up not order preserving at (0,3)"
+    ]
