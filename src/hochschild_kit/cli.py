@@ -81,20 +81,15 @@ def _emit(args, text: str) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    from .painted import enum_painted_trees
-    from .shades import enum_lighted_shades
-    from .tables import _painted_rank_histogram, _shade_rank_histogram
+    from .families import family
 
-    painted = args.kind == "painted"
+    fam = family(args.kind)
     if args.count_only:
         # the census histograms count labels instead of building objects
-        hist = (_painted_rank_histogram if painted else _shade_rank_histogram)(
-            args.m, args.n
-        )
+        hist = fam.rank_histogram(args.m, args.n)
         count = sum(hist) if args.rank is None else hist[args.rank]
     else:
-        enum = enum_painted_trees if painted else enum_lighted_shades
-        objs = enum(args.m, args.n, rank=args.rank)
+        objs = fam.enum(args.m, args.n, rank=args.rank)
     if args.format == "json":
         doc = {
             "format_version": FORMAT_VERSION,

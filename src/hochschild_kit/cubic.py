@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, product
 from operator import or_
 
+from .families import family
 from .painted import PaintedTree
 from .preposets import _bits
 from .shades import LightedShade
@@ -267,7 +268,7 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
     from .posets import build_refinement_poset, build_rotation_poset
 
     rot = build_rotation_poset(kind, m, n)
-    gamma_fn = cubic_vector_painted if kind == "painted" else cubic_vector_shade
+    gamma_fn = family(kind).cubic_vector
     gamma = [gamma_fn(o) for o in rot.elements]
     report = CubicReport(kind, m, n)
     checks = report.checks

@@ -9,8 +9,8 @@ incidence, edge directions and fan witnesses.
 
 Every check of a polytope reads one `PolytopeObjects` record (rotation poset,
 vertices, facets, z table and vertex subset sums), built once per (m, n) cell
-by `_polytope_objects`, the one place that maps a kind to its objects and
-maps, and uncached beyond that cell.
+by `_polytope_objects` from the objects and maps of `families.family`, and
+uncached beyond that cell.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from math import comb
 from operator import add
 from types import MappingProxyType
 
-from .painted import PaintedTree, binary_painted_trees, enum_painted_trees
+from .families import family
+from .painted import PaintedTree
 from .posets import FinitePoset
 from .preposets import Preposet
-from .shades import LightedShade, enum_lighted_shades, unary_lighted_shades
+from .shades import LightedShade
 from .shadow import is_singleton
 
 
@@ -241,7 +242,7 @@ def minkowski_data(kind: str, m: int, n: int) -> MinkowskiData:
     the polytope vertices.
     """
     poly = _polytope_objects(kind, m, n)
-    y_fn = y_multiplihedron if kind == "multiplihedron" else y_hochschild
+    y_fn = family(kind).y
     y = {s: y_fn(s, m, n) for s in _subsets(m + n)}
     z = dict(poly.z)
     for s in z:
@@ -289,28 +290,21 @@ class PolytopeObjects:
 
 @lru_cache(maxsize=2)
 def _polytope_objects(kind, m, n) -> PolytopeObjects:
-    """The `PolytopeObjects` record of one polytope.
+    """The `PolytopeObjects` record of one polytope, from the objects and
+    maps of its `families.family` record.
 
     Memoised for the two polytopes of the current (m, n) cell only, so every
     check of a cell shares one record (and the objects' cached preposets)
     without keeping earlier cells alive; `fan_suite` clears it when done.
     """
     d = m + n
-    if kind == "multiplihedron":
-        objs = binary_painted_trees(m, n)
-        vertex_of, enum_faces = vertex_of_painted_tree, enum_painted_trees
-        facet_of, z_fn = facet_of_painted_tree, z_multiplihedron
-    elif kind == "hochschild":
-        objs = unary_lighted_shades(m, n)
-        vertex_of, enum_faces = vertex_of_lighted_shade, enum_lighted_shades
-        facet_of, z_fn = facet_of_lighted_shade, z_hochschild
-    else:
-        raise ValueError("kind must be 'multiplihedron' or 'hochschild'")
-    verts = tuple(vertex_of(o) for o in objs)
-    facet_objs = tuple(enum_faces(m, n, rank=d - 2)) if d >= 2 else ()
-    facets = tuple(facet_of(o) for o in facet_objs)
+    fam = family(kind)
+    objs = fam.vertices(m, n)
+    verts = tuple(fam.vertex_of(o) for o in objs)
+    facet_objs = tuple(fam.enum(m, n, rank=d - 2)) if d >= 2 else ()
+    facets = tuple(fam.facet_of(o) for o in facet_objs)
     rot = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
-    z = {s: z_fn(s, m, n) for s in _subsets(d)}
+    z = {s: fam.z(s, m, n) for s in _subsets(d)}
     # subsets come by size, so J minus its largest coordinate is already summed
     columns = tuple(zip(*verts))
     sums = {}
@@ -380,6 +374,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     Hochschild polytope.
     """
     d = m + n
+    simple = family(kind).simple
     poly = _polytope_objects(kind, m, n)
     rot, verts, facets, sums = poly.rotation, poly.vertices, poly.facets, poly.sums
     vert_objs = rot.elements
@@ -435,9 +430,8 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
                 "edge_directions",
                 f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}",
             )
-        if kind == "hochschild":
-            if _shade_edge_delta(lo_obj, hi_obj) != delta:
-                fail("edge_directions", f"shade case formula differs: {delta}")
+        if simple and _shade_edge_delta(lo_obj, hi_obj) != delta:
+            fail("edge_directions", f"shade case formula differs: {delta}")
 
     _fan_checks(kind, m, n, vert_objs, checks, fail)
 
@@ -475,7 +469,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
                     f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}",
                 )
 
-    if kind == "hochschild" and d >= 2:
+    if simple and d >= 2:
         checks["simple"] = True
         for k, vo in enumerate(vert_objs):
             tight = sum(1 for f, values in zip(facets, facet_sums) if values[k] == f.rhs)
@@ -527,8 +521,9 @@ def _affine_rank(points) -> int:
 
 def _fan_checks(kind, m, n, vert_objs, checks, fail):
     d = m + n
-    if kind == "hochschild":
-        all_shades = enum_lighted_shades(m, n)
+    fam = family(kind)
+    if fam.simple:
+        all_shades = fam.enum(m, n)
         preposet_set = {ls.preposet for ls in all_shades}
         checks["cones_simplicial"] = True
         checks["fan_face_closure"] = True

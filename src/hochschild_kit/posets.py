@@ -24,9 +24,8 @@ from functools import cached_property, lru_cache
 from math import comb
 from operator import mul
 
-from .painted import binary_painted_trees, enum_painted_trees
+from .families import family
 from .preposets import cover_pairs
-from .shades import enum_lighted_shades, unary_lighted_shades
 from .shadow import fiber_min, shadow
 
 
@@ -391,12 +390,7 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
 @lru_cache(maxsize=None)
 def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
     """Rotation poset on rank-0 objects; covers are the right rotations."""
-    if kind == "painted":
-        objs = binary_painted_trees(m, n)
-    elif kind == "shade":
-        objs = unary_lighted_shades(m, n)
-    else:
-        raise ValueError("kind must be 'painted' or 'shade'")
+    objs = family(kind).vertices(m, n)
     poset = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
     if poset.bottom is None or poset.top is None:
         raise AssertionError("rotation digraph must have a unique source and sink")
@@ -411,12 +405,7 @@ def build_refinement_poset(kind: str, m: int, n: int) -> FinitePoset:
     preposet = smaller element; rank-0 objects are the maximal elements and
     the unique coarsest object is the minimum.
     """
-    if kind == "painted":
-        objs = enum_painted_trees(m, n)
-    elif kind == "shade":
-        objs = enum_lighted_shades(m, n)
-    else:
-        raise ValueError("kind must be 'painted' or 'shade'")
+    objs = family(kind).enum(m, n)
     return FinitePoset.from_moves(objs, ((r, o) for o in objs for r in o.refinement_covers_down()))
 
 

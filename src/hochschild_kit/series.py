@@ -19,24 +19,29 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from types import MappingProxyType
+
+from .families import family
 
 
 class TruncatedSeries:
     """A polynomial truncation of a power series in x, y, z.
 
     coeffs maps exponent triples to nonzero ints or Fractions; exponents
-    beyond the truncation orders are discarded by every operation.
+    beyond the truncation orders are discarded by every operation.  It is a
+    read-only view, so a series held by a cache cannot be changed by a caller.
     """
 
     __slots__ = ("orders", "coeffs")
 
     def __init__(self, orders, coeffs=None):
         self.orders = tuple(orders)
-        self.coeffs = {}
+        kept = {}
         if coeffs:
             for expo, c in coeffs.items():
                 if c and all(e <= o for e, o in zip(expo, self.orders)):
-                    self.coeffs[expo] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+                    kept[expo] = c if isinstance(c, (int, Fraction)) else Fraction(c)
+        self.coeffs = MappingProxyType(kept)
 
     @classmethod
     def constant(cls, value, orders):
@@ -49,14 +54,14 @@ class TruncatedSeries:
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()  # a dict copy; dict() of the view copies key by key
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) + c
         return TruncatedSeries(self.orders, out)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for e, c in other.coeffs.items():
             out[e] = out.get(e, 0) - c
         return TruncatedSeries(self.orders, out)
@@ -68,8 +73,9 @@ class TruncatedSeries:
             )
         out = {}
         ox, oy, oz = self.orders
+        theirs = other.coeffs.items()
         for (a1, b1, c1), u in self.coeffs.items():
-            for (a2, b2, c2), v in other.coeffs.items():
+            for (a2, b2, c2), v in theirs:
                 a, b, c = a1 + a2, b1 + b2, c1 + c2
                 if a <= ox and b <= oy and c <= oz:
                     key = (a, b, c)
@@ -238,14 +244,13 @@ def shade_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
 
 def face_generating_function(kind: str, m_max: int, n_max: int) -> TruncatedSeries:
     """Three-variable face series: x the labels, y the sizes, z the rank."""
-    if kind not in ("painted", "shade"):
-        raise ValueError("kind must be 'painted' or 'shade'")
-    oy = n_max + (1 if kind == "painted" else 0)
+    fam = family(kind)
+    oy = n_max + fam.row_shift
     oz = m_max + n_max
     orders = (m_max, oy, oz)
     out = TruncatedSeries(orders)
     for m in range(m_max + 1):
-        row = painted_face_row(m, oy, oz) if kind == "painted" else shade_face_row(m, oy, oz)
+        row = fam.face_row(m, oy, oz)
         shifted = {(m, b, c): v for (_, b, c), v in row.coeffs.items()}
         out = out + TruncatedSeries(orders, shifted)
     return out
@@ -266,14 +271,9 @@ def _row_face_count(kind, m, n, rank, n_row):
     so a larger row has the same coefficients at (n, rank) as the row built
     for (m, n) alone, and one row per m serves every n.
     """
-    if kind == "painted":
-        row = painted_face_row(m, n_row + 1, m + n_row)
-        ey = n + 1
-    elif kind == "shade":
-        row = shade_face_row(m, n_row, m + n_row)
-        ey = n
-    else:
-        raise ValueError("kind must be 'painted' or 'shade'")
+    fam = family(kind)
+    row = fam.face_row(m, n_row + fam.row_shift, m + n_row)
+    ey = n + fam.row_shift
     if rank is None:
         val = row.y_coefficient_total(ey)
     else:
@@ -309,11 +309,15 @@ def count_unary_lighted_shades(m: int, n: int) -> int:
 
 def count_facet_objects(kind: str, m: int, n: int) -> int:
     """Closed count of rank m+n-2 objects (facets of the polytope)."""
-    if kind == "painted":
-        return comb(n + 1, 2) - 1 + 2 ** (m + n) - 2 ** n
-    if kind == "shade":
-        return (2 ** m + 1) * (n + 1) - 4 + (1 if n == 0 else 0)
-    raise ValueError("kind must be 'painted' or 'shade'")
+    return family(kind).facet_count(m, n)
+
+
+def _painted_facet_count(m: int, n: int) -> int:
+    return comb(n + 1, 2) - 1 + 2 ** (m + n) - 2 ** n
+
+
+def _shade_facet_count(m: int, n: int) -> int:
+    return (2 ** m + 1) * (n + 1) - 4 + (1 if n == 0 else 0)
 
 
 @lru_cache(maxsize=None)

@@ -108,30 +108,6 @@ def is_singleton(pt: PaintedTree) -> bool:
     return True
 
 
-def singleton_tree_condition(pt: PaintedTree) -> bool:
-    """Equivalent tree-side singleton test, used as a cross-check.
-
-    Every binary node must lie on the right branch, or hang off a right-branch
-    node strictly below the bottom cut.  A binary node lies on the right
-    branch iff its last child holds the last leaf; the parent of a binary node
-    off the branch is off it too when unary, since it holds the same leaves.
-    """
-    if not pt.is_binary:
-        raise ValueError("singletons are defined for binary painted trees")
-
-    def on_branch(node):
-        return len(node.counts) == 2 and node.labels[-1] + node.counts[-1] == pt.n + 1
-
-    for node in pt.walk:
-        if len(node.counts) != 2 or on_branch(node):
-            continue
-        if not on_branch(pt.walk[node.parent]):
-            return False
-        if pt.k and node.below + (node.tag is not None) > 0:
-            return False
-    return True
-
-
 def shadow_fibers(m, n):
     """Group all binary painted trees by their shadow.
 

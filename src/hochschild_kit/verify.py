@@ -21,6 +21,7 @@ from .cubic import (
     verify_cubic_realization,
     word_to_shade,
 )
+from .families import family
 from .geometry import (
     _polytope_objects,
     certify_polytope,
@@ -118,8 +119,9 @@ def _cells(bound):
 
 
 def lattice_suite(bound: int = 6) -> SuiteResult:
-    """Rotation digraphs are bounded acyclic lattices; shade graphs are
-    regular; painted lattices are semidistributive on exactly one side."""
+    """Rotation digraphs are bounded acyclic lattices; the graphs of a simple
+    polytope (the shades') are (d-1)-regular; painted lattices are
+    semidistributive on exactly one side."""
     bound = reach("lattice", bound)
     res = SuiteResult("lattice", bound)
     for m, n in _cells(bound):
@@ -127,19 +129,19 @@ def lattice_suite(bound: int = 6) -> SuiteResult:
             poset = build_rotation_poset(kind, m, n)
             res.record(f"{kind}({m},{n}) bounded", poset.is_bounded)
             res.record(f"{kind}({m},{n}) lattice", poset.is_lattice)
-            if kind == "shade":
+            if family(kind).simple:
                 deg = [0] * poset.n
                 for lo, hi in poset.covers:
                     deg[lo] += 1
                     deg[hi] += 1
                 regular = all(d == m + n - 1 for d in deg)
-                res.record(f"shade({m},{n}) regular degree {m + n - 1}", regular)
+                res.record(f"{kind}({m},{n}) regular degree {m + n - 1}", regular)
             else:
                 meet_sd = poset.is_meet_semidistributive
                 join_sd = poset.is_join_semidistributive
                 expect_meet = m == 0 or n <= 2
                 res.record(
-                    f"painted({m},{n}) semidistributivity",
+                    f"{kind}({m},{n}) semidistributivity",
                     join_sd and meet_sd == expect_meet,
                     f"meetSD={meet_sd} joinSD={join_sd}",
                 )

@@ -6,7 +6,9 @@ from math import comb
 import pytest
 
 import hochschild_kit.geometry as geometry
+import hochschild_kit.painted as painted
 import hochschild_kit.posets as posets
+import hochschild_kit.shades as shades
 from hochschild_kit.geometry import (
     _affine_rank,
     _subsets,
@@ -380,11 +382,10 @@ def test_cell_builds_each_polytope_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for module in (geometry, posets):
-        monkeypatch.setattr(module, "binary_painted_trees",
-                            counted("painted", module.binary_painted_trees))
-        monkeypatch.setattr(module, "unary_lighted_shades",
-                            counted("shade", module.unary_lighted_shades))
+    monkeypatch.setattr(painted, "binary_painted_trees",
+                        counted("painted", painted.binary_painted_trees))
+    monkeypatch.setattr(shades, "unary_lighted_shades",
+                        counted("shade", shades.unary_lighted_shades))
     monkeypatch.setattr(posets.FinitePoset, "from_moves",
                         counted("moves", posets.FinitePoset.from_moves))
     _polytope_objects.cache_clear()

@@ -6,6 +6,7 @@ from hochschild_kit.painted import binary_painted_trees, enum_painted_trees
 from hochschild_kit.series import (
     TruncatedSeries,
     catalan_gf,
+    catalan_tower,
     count_binary_painted_trees,
     count_facet_objects,
     count_singletons,
@@ -159,6 +160,16 @@ def test_non_integral_counts_raise(monkeypatch):
     monkeypatch.setattr(series, "catalan_tower", lambda i, oy: half)
     with pytest.raises(RuntimeError, match="not an integer"):
         series.count_binary_painted_trees(0, 1)
+
+
+def test_cached_series_are_read_only():
+    # the rows and towers are process-wide caches shared by every caller
+    with pytest.raises(TypeError):
+        painted_face_row(1, 3, 3).coeffs[(0, 3, 0)] = 999
+    with pytest.raises(AttributeError):
+        catalan_tower(2, 3).coeffs.clear()
+    assert gf_face_count("painted", 1, 2, rank=0) == 6
+    assert count_binary_painted_trees(1, 2) == 6
 
 
 def _per_cell_gf(table, m, n):

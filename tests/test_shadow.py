@@ -11,10 +11,9 @@ from hochschild_kit.shadow import (
     is_singleton,
     shadow,
     shadow_fibers,
-    singleton_tree_condition,
 )
 
-from oracles import left_comb, right_comb
+from oracles import left_comb, right_comb, singleton_tree_condition
 
 SINGLETON_COUNTS = {(0, 3): 3, (1, 3): 7, (2, 2): 14, (0, 4): 5, (2, 1): 6}
 
