@@ -12,10 +12,16 @@ cut.  Enumeration, the moves and the shadow map work on this form.  The
 node-id form of the JSON documents (nested tuples, each cut a set of preorder
 node ids) is a cached view of it; ``PaintedTree.from_cuts`` converts back.
 
+Shapes are generated bottom-up one cut layer at a time (none when m = 0).
+Each layer boundary gets one interval table, `_tree_table`: the plane trees
+with no unary node over every interval of the boundary, filled by length, so
+each subtree is built once.  A forest is a product over one split of the
+table, and the next cut layer one split of the forest's roots.
+
 One rank rule, `shape_rank`, reads the tagged shape and its number of cuts
 only; the ``rank`` property, the census in `tables` and the enumerators read
 it, and a rank filter skips a shape before its labels are distributed.  Only
-the enumerators sort; the moves come in generation order.
+the enumerators sort; shapes and moves come in generation order.
 
 The maps on a painted tree (preposet, validation, multiplihedron vertex and
 facet, cubic and bracket vectors, the tree-side singleton test) read one
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations, product
 import json
 from typing import NamedTuple
 
@@ -524,56 +530,32 @@ def _sweep_cut(t):
 # -- enumeration ------------------------------------------------------------
 
 
-def _tree_structures(items, lo, hi, binary):
-    """Plane trees with no unary node whose leaf sequence is items[lo:hi].
+def _splits(lo, hi, parts):
+    """The splits of [lo, hi) into ``parts`` consecutive nonempty blocks."""
+    for cuts in combinations(range(lo + 1, hi), parts - 1):
+        bounds = (lo, *cuts, hi)
+        yield tuple(zip(bounds, bounds[1:]))
 
-    Leaves of the generated tree are the (already tagged) boundary items;
-    a single item is itself a valid tree.
+
+def _tree_table(items, binary):
+    """The plane trees with no unary node over each interval items[lo:hi].
+
+    The table maps (lo, hi) to the list of trees whose leaves are the
+    (already tagged) items of that interval; a single item is itself a tree.
+    Intervals are filled by length, a root over each split of an interval
+    taking every product of its blocks' trees, so each subtree is built once.
     """
-    if hi - lo == 1:
-        yield items[lo]
-        return
-    arities = [2] if binary else range(2, hi - lo + 1)
-    for c in arities:
-        for blocks in _compositions_blocks(lo, hi, c):
-            for children in _product_trees(items, blocks, 0, binary):
-                yield (None, tuple(children))
-
-
-def _product_trees(items, blocks, i, binary):
-    if i == len(blocks):
-        yield []
-        return
-    lo, hi = blocks[i]
-    for t in _tree_structures(items, lo, hi, binary):
-        for rest in _product_trees(items, blocks, i + 1, binary):
-            yield [t] + rest
-
-
-def _compositions_blocks(lo, hi, c):
-    """Split [lo, hi) into c consecutive nonempty blocks."""
-    if c == 1:
-        yield [(lo, hi)]
-        return
-    for mid in range(lo + 1, hi - c + 2):
-        for rest in _compositions_blocks(mid, hi, c - 1):
-            yield [(lo, mid)] + rest
-
-
-def _forest_structures(items, binary):
-    """All no-unary forests over the item sequence (any number of roots)."""
-    n = len(items)
-
-    def f(lo):
-        if lo == n:
-            yield []
-            return
-        for mid in range(lo + 1, n + 1):
-            for t in _tree_structures(items, lo, mid, binary):
-                for rest in f(mid):
-                    yield [t] + rest
-
-    return f(0)
+    table = {(lo, lo + 1): [item] for lo, item in enumerate(items)}
+    for length in range(2, len(items) + 1):
+        for lo in range(len(items) - length + 1):
+            hi = lo + length
+            table[lo, hi] = [
+                (None, children)
+                for arity in ([2] if binary else range(2, length + 1))
+                for split in _splits(lo, hi, arity)
+                for children in product(*(table[block] for block in split))
+            ]
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -603,46 +585,32 @@ def ordered_partitions(m, k):
 
 def _painted_shapes(m, n, binary):
     """Tagged tree shapes with k cuts, without the label partition."""
-    if m == 0:
-        if n == 0:
-            return
-        leaves = [LEAF] * (n + 1)
-        yield from ((t, 0) for t in _tree_structures(leaves, 0, n + 1, binary))
+    if m + n == 0:
         return
-    k_range = [m] if binary else range(1, m + 1)
-    leaves = [LEAF] * (n + 1)
+    k_range = [m] if binary or m == 0 else range(1, m + 1)
     for k in k_range:
-        for shape in _stack_layers(leaves, 0, k, binary):
+        for shape in _stack_layers([LEAF] * (n + 1), 0, k, binary):
             yield shape, k
 
 
 def _stack_layers(boundary, level, k, binary):
-    """Grow forests and cut layers bottom-up; yields the final tagged root."""
-    for forest in _forest_structures(boundary, binary):
-        for grouped in _cut_groupings(forest, level, binary):
-            if level + 1 < k:
-                yield from _stack_layers(grouped, level + 1, k, binary)
-            else:
-                yield from _tree_structures(grouped, 0, len(grouped), binary)
+    """Grow forests and cut layers bottom-up; yields the final tagged root.
 
-
-def _cut_groupings(forest, level, binary):
-    """Partition the forest roots into consecutive groups, one per cut node."""
-    n = len(forest)
-    if binary:
-        yield [(level, (t,)) for t in forest]
+    A forest is a product over one split of the boundary's tree table, and a
+    cut layer one split of the forest's roots into consecutive groups, one
+    group per cut node (each root alone when ``binary``).
+    """
+    table = _tree_table(boundary, binary)
+    if level == k:
+        yield from table[0, len(boundary)]
         return
-
-    def rec(lo):
-        if lo == n:
-            yield []
-            return
-        for hi in range(lo + 1, n + 1):
-            head = (level, tuple(forest[lo:hi]))
-            for rest in rec(hi):
-                yield [head] + rest
-
-    yield from rec(0)
+    for roots in range(1, len(boundary) + 1):
+        for split in _splits(0, len(boundary), roots):
+            for forest in product(*(table[block] for block in split)):
+                for groups in [roots] if binary else range(1, roots + 1):
+                    for cut in _splits(0, roots, groups):
+                        layer = [(level, forest[lo:hi]) for lo, hi in cut]
+                        yield from _stack_layers(layer, level + 1, k, binary)
 
 
 def _painted_trees(m, n, binary=False, rank=None):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, permutations
 import json
+from types import MappingProxyType
 
 from .painted import _check_params, _json_array, _json_fields, _json_int_set, _json_ints
 from .preposets import Preposet
@@ -69,13 +70,14 @@ class LightedShade:
         return tuple(self.entries[i][1] for i in self.cut_positions)
 
     @cached_property
-    def light_position(self) -> dict:
-        """Position of the cut carrying each label."""
+    def light_position(self) -> MappingProxyType:
+        """Position of the cut carrying each label, read-only: the shade is
+        shared by every caller of the poset caches."""
         out = {}
         for i, (_, lights) in enumerate(self.entries):
             for x in lights:
                 out[x] = i
-        return out
+        return MappingProxyType(out)
 
     @cached_property
     def flat_entries(self):
@@ -261,12 +263,10 @@ def sequence_rank(m, tuples) -> int:
 
 def _compositions(n):
     """All tuples of positive integers summing to n (n >= 1)."""
-    if n == 0:
-        yield ()
-        return
-    for first in range(1, n + 1):
+    for first in range(1, n):
         for rest in _compositions(n - first):
             yield (first,) + rest
+    yield (n,)
 
 
 def _tuple_sequences(n, max_empty):

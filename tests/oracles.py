@@ -208,3 +208,106 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
             if tight != d - 1:
                 fail("simple", f"{vo.canonical()} lies on {tight} facets")
     return checks, counterexample
+
+
+# -- painted shapes by recursive generators --------------------------------
+#
+# The route `painted._painted_shapes` took before its interval table; each
+# generator rebuilds the subtrees of every prefix it extends.
+
+
+def _tree_structures(items, lo, hi, binary):
+    """Plane trees with no unary node whose leaf sequence is items[lo:hi].
+
+    Leaves of the generated tree are the (already tagged) boundary items;
+    a single item is itself a valid tree.
+    """
+    if hi - lo == 1:
+        yield items[lo]
+        return
+    arities = [2] if binary else range(2, hi - lo + 1)
+    for c in arities:
+        for blocks in _compositions_blocks(lo, hi, c):
+            for children in _product_trees(items, blocks, 0, binary):
+                yield (None, tuple(children))
+
+
+def _product_trees(items, blocks, i, binary):
+    if i == len(blocks):
+        yield []
+        return
+    lo, hi = blocks[i]
+    for t in _tree_structures(items, lo, hi, binary):
+        for rest in _product_trees(items, blocks, i + 1, binary):
+            yield [t] + rest
+
+
+def _compositions_blocks(lo, hi, c):
+    """Split [lo, hi) into c consecutive nonempty blocks."""
+    if c == 1:
+        yield [(lo, hi)]
+        return
+    for mid in range(lo + 1, hi - c + 2):
+        for rest in _compositions_blocks(mid, hi, c - 1):
+            yield [(lo, mid)] + rest
+
+
+def _forest_structures(items, binary):
+    """All no-unary forests over the item sequence (any number of roots)."""
+    n = len(items)
+
+    def f(lo):
+        if lo == n:
+            yield []
+            return
+        for mid in range(lo + 1, n + 1):
+            for t in _tree_structures(items, lo, mid, binary):
+                for rest in f(mid):
+                    yield [t] + rest
+
+    return f(0)
+
+
+def recursive_painted_shapes(m, n, binary):
+    """Tagged tree shapes with k cuts, without the label partition."""
+    if m == 0:
+        if n == 0:
+            return
+        leaves = [LEAF] * (n + 1)
+        yield from ((t, 0) for t in _tree_structures(leaves, 0, n + 1, binary))
+        return
+    k_range = [m] if binary else range(1, m + 1)
+    leaves = [LEAF] * (n + 1)
+    for k in k_range:
+        for shape in _stack_layers(leaves, 0, k, binary):
+            yield shape, k
+
+
+def _stack_layers(boundary, level, k, binary):
+    """Grow forests and cut layers bottom-up; yields the final tagged root."""
+    for forest in _forest_structures(boundary, binary):
+        for grouped in _cut_groupings(forest, level, binary):
+            if level + 1 < k:
+                yield from _stack_layers(grouped, level + 1, k, binary)
+            else:
+                yield from _tree_structures(grouped, 0, len(grouped), binary)
+
+
+def _cut_groupings(forest, level, binary):
+    """Partition the forest roots into consecutive groups, one per cut node."""
+    n = len(forest)
+    if binary:
+        yield [(level, (t,)) for t in forest]
+        return
+
+    def rec(lo):
+        if lo == n:
+            yield []
+            return
+        for hi in range(lo + 1, n + 1):
+            head = (level, tuple(forest[lo:hi]))
+            for rest in rec(hi):
+                yield [head] + rest
+
+    yield from rec(0)
+

@@ -373,6 +373,15 @@ def test_certification_report_is_read_only():
     assert certify_polytope("hochschild", 1, 2).passed
 
 
+def test_cached_shade_light_positions_are_read_only():
+    # the shade is shared by every caller of the rotation poset cache
+    shade = build_rotation_poset("shade", 2, 1).elements[0]
+    lp = shade.light_position
+    with pytest.raises(TypeError):
+        lp[1], lp[2] = lp[2], lp[1]
+    assert vertex_of_lighted_shade(shade) == (3, 2, 1)
+
+
 def test_cell_builds_each_polytope_once(monkeypatch):
     calls = {"painted": 0, "shade": 0, "moves": 0}
 

@@ -1,15 +1,18 @@
+from collections import Counter
+
 import pytest
 
 from hochschild_kit.painted import (
     LEAF,
     PaintedTree,
+    _painted_shapes,
     binary_painted_trees,
     enum_painted_trees,
     ordered_partitions,
 )
 from hochschild_kit.shades import LightedShade
 
-from oracles import left_comb, right_comb
+from oracles import left_comb, recursive_painted_shapes, right_comb
 
 # spot values from the enumeration tables
 BINARY_COUNTS = {(1, 3): 21, (0, 4): 14, (2, 2): 24, (1, 0): 1, (2, 0): 2, (3, 0): 6}
@@ -339,3 +342,11 @@ def test_json_readers_reject_non_integer_entries(cls, obj):
 def test_json_readers_reject_malformed_containers(cls, obj):
     with pytest.raises(ValueError):
         cls.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(7) for m in range(s + 1)])
+def test_interval_table_shapes_match_the_recursive_oracle(mn, binary):
+    shapes = Counter(_painted_shapes(*mn, binary))
+    assert shapes == Counter(recursive_painted_shapes(*mn, binary))
+    assert set(shapes.values()) <= {1}
