@@ -295,7 +295,7 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
 
     checks["images_on_boundary"] = True
     for o, g in zip(rot.elements, gamma):
-        if not _on_boundary(g, box):
+        if not _cube_on_boundary((g, g), box):
             fail("images_on_boundary", f"{o}: {g}")
 
     if subdivision:
@@ -384,13 +384,6 @@ def _subdivision_checks(rot, ref, gamma, box, checks, fail):
                         "containment_mirrors_refinement",
                         f"{ref.elements[j1]} vs {ref.elements[j2]}",
                     )
-
-
-def _on_boundary(point, box) -> bool:
-    lo, hi = box
-    if not point:
-        return True
-    return any(p == a or p == b for p, a, b in zip(point, lo, hi))
 
 
 def _cube_on_boundary(cube, box) -> bool:

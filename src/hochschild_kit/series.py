@@ -5,9 +5,10 @@ trilateral truncation.  A coefficient is kept as given when it is an int or
 a Fraction, and anything else is coerced through Fraction; sums and products
 of ints stay ints.  Every generating function here is integral, so its
 arithmetic runs on Python ints, and a count read from a series is still
-checked to be an integer.  Square roots never appear: the algebraic generating
-functions are produced by fixed-point iteration on their quadratic functional
-equations, and compositions are checked to be y-adically admissible.
+checked to be an integer.  Every generating function is built from sums,
+products and fixed-point iteration on its functional equation, the rational
+shade denominator 1/(1 - y(z + 2)) included, so no square root or inverse is
+taken; compositions are checked to be y-adically admissible.
 
 Throughout, y marks leaves for tree-like series (an object with parameter n
 sits in degree n + 1 for painted trees, degree n for shades) and z marks the
@@ -53,18 +54,14 @@ class TruncatedSeries:
         return cls(orders, {expo: 1})
 
     def __add__(self, other):
-        other = self._coerce(other)
+        theirs = {(0, 0, 0): other} if isinstance(other, (int, Fraction)) else other.coeffs
         out = self.coeffs.copy()  # a dict copy; dict() of the view copies key by key
-        for e, c in other.coeffs.items():
+        for e, c in theirs.items():
             out[e] = out.get(e, 0) + c
         return TruncatedSeries(self.orders, out)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = self.coeffs.copy()
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return TruncatedSeries(self.orders, out)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -84,11 +81,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TruncatedSeries.constant(other, self.orders)
-        return other
-
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
@@ -106,39 +98,18 @@ class TruncatedSeries:
         return sum(c for (a, b, _), c in self.coeffs.items() if a == 0 and b == ey)
 
     def substitute_y(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """Compose in y: substitute ``inner`` (with zero y-constant) for y."""
-        if any(b == 0 for (a, b, c) in inner.coeffs if inner.coeffs[(a, b, c)]):
-            raise ValueError("composition needs a series with zero y-constant term")
-        powers = {0: TruncatedSeries.constant(1, self.orders)}
-        max_pow = max((b for (_, b, _) in self.coeffs), default=0)
-        for i in range(1, max_pow + 1):
-            powers[i] = powers[i - 1] * inner
-        out = TruncatedSeries(self.orders)
-        for (a, b, c), u in self.coeffs.items():
-            term = powers[b] * u
-            shift = {}
-            ox, oy, oz = self.orders
-            for (a2, b2, c2), v in term.coeffs.items():
-                na, nc = a + a2, c + c2
-                if na <= ox and nc <= oz:
-                    shift[(na, b2, nc)] = shift.get((na, b2, nc), 0) + v
-            out = out + TruncatedSeries(self.orders, shift)
-        return out
+        """Compose in y: substitute ``inner`` (with zero y-constant) for y.
 
-    def geometric_inverse(self) -> "TruncatedSeries":
-        """Inverse of a series with constant term 1 and no other x^0 y^0 z^0."""
-        one = TruncatedSeries.constant(1, self.orders)
-        u = one - self
-        if u.coefficient(0, 0, 0) != 0:
-            raise ValueError("inverse needs constant term 1")
-        out = TruncatedSeries.constant(1, self.orders)
-        term = TruncatedSeries.constant(1, self.orders)
-        bound = sum(self.orders) + 1
-        for _ in range(bound):
-            term = term * u
-            if not term.coeffs:
-                break
-            out = out + term
+        Sums P_b inner^b over self = sum_b P_b y^b; inner^b starts at y^b."""
+        if any(b == 0 for (_, b, _) in inner.coeffs):
+            raise ValueError("composition needs a series with zero y-constant term")
+        out = TruncatedSeries(self.orders)
+        power = TruncatedSeries.constant(1, self.orders)
+        for b in range(max((b for _, b, _ in self.coeffs), default=0) + 1):
+            if b:
+                power = power * inner
+            layer = {(a, 0, c): u for (a, e, c), u in self.coeffs.items() if e == b}
+            out = out + TruncatedSeries(self.orders, layer) * power
         return out
 
     def __repr__(self):
@@ -195,8 +166,6 @@ def _schroder_shifted(i: int, oy: int, oz: int) -> TruncatedSeries:
     z = TruncatedSeries.variable("z", orders)
     one = TruncatedSeries.constant(1, orders)
     t1 = (one + z) * schroder_gf(oy, oz) - y * z
-    if i == 1:
-        return t1
     return _schroder_shifted(i - 1, oy, oz).substitute_y(t1)
 
 
@@ -231,7 +200,9 @@ def shade_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
     z = TruncatedSeries.variable("z", orders)
     one = TruncatedSeries.constant(1, orders)
     out = TruncatedSeries(orders)
-    denom_inv = (one - y * (z + 2 * one)).geometric_inverse()
+    denom_inv = TruncatedSeries(orders)
+    for _ in range(oy + 1):  # the fixed point of d = 1 + y(z + 2) d is 1 / (1 - y(z + 2))
+        denom_inv = one + y * (z + 2 * one) * denom_inv
     for k in range(m + 1):
         cnt = surjection_count(m, k)
         if cnt == 0:
@@ -248,11 +219,10 @@ def face_generating_function(kind: str, m_max: int, n_max: int) -> TruncatedSeri
     oy = n_max + fam.row_shift
     oz = m_max + n_max
     orders = (m_max, oy, oz)
+    x = TruncatedSeries.variable("x", orders)
     out = TruncatedSeries(orders)
     for m in range(m_max + 1):
-        row = fam.face_row(m, oy, oz)
-        shifted = {(m, b, c): v for (_, b, c), v in row.coeffs.items()}
-        out = out + TruncatedSeries(orders, shifted)
+        out = out + x.power(m) * fam.face_row(m, oy, oz)
     return out
 
 

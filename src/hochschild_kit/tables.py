@@ -304,24 +304,6 @@ class TableReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self) -> str:
-        lines = [
-            f"checked {len(self.cells)} printed cells "
-            f"(exhaustive generation up to m + n = {self.bound})"
-        ]
-        for c in self.errata:
-            lines.append(
-                f"  erratum {c.table}({c.m},{c.n}): printed {c.printed}, "
-                f"computed {c.expected}"
-            )
-        for c in self.failures:
-            lines.append(
-                f"  FAIL {c.table}({c.m},{c.n}): expected {c.expected}, "
-                f"computed {c.computed}"
-            )
-        lines.append("result: " + ("PASS" if self.ok else "FAIL"))
-        return "\n".join(lines)
-
     def to_csv(self) -> str:
         rows = ["table,m,n,printed,expected,methods,ok,erratum"]
         for c in self.cells:

@@ -14,6 +14,7 @@ from hochschild_kit.geometry import (
     z_multiplihedron,
 )
 from hochschild_kit.painted import LEAF, PaintedTree
+from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 
 
 def left_comb(n):
@@ -311,3 +312,112 @@ def _cut_groupings(forest, level, binary):
 
     yield from rec(0)
 
+
+
+# -- series by per-term composition and a Neumann inverse ------------------
+#
+# The routes `series` took before every series operation was built from one
+# sum, one product and fixed points: `TruncatedSeries.substitute_y` and
+# `TruncatedSeries.geometric_inverse` unchanged (as functions of the series),
+# and the face rows and the three-variable series built on them.
+
+
+def substitute_y(self, inner: "TruncatedSeries") -> "TruncatedSeries":
+    """Compose in y: substitute ``inner`` (with zero y-constant) for y."""
+    if any(b == 0 for (a, b, c) in inner.coeffs if inner.coeffs[(a, b, c)]):
+        raise ValueError("composition needs a series with zero y-constant term")
+    powers = {0: TruncatedSeries.constant(1, self.orders)}
+    max_pow = max((b for (_, b, _) in self.coeffs), default=0)
+    for i in range(1, max_pow + 1):
+        powers[i] = powers[i - 1] * inner
+    out = TruncatedSeries(self.orders)
+    for (a, b, c), u in self.coeffs.items():
+        term = powers[b] * u
+        shift = {}
+        ox, oy, oz = self.orders
+        for (a2, b2, c2), v in term.coeffs.items():
+            na, nc = a + a2, c + c2
+            if na <= ox and nc <= oz:
+                shift[(na, b2, nc)] = shift.get((na, b2, nc), 0) + v
+        out = out + TruncatedSeries(self.orders, shift)
+    return out
+
+
+def geometric_inverse(self) -> "TruncatedSeries":
+    """Inverse of a series with constant term 1 and no other x^0 y^0 z^0."""
+    one = TruncatedSeries.constant(1, self.orders)
+    u = one - self
+    if u.coefficient(0, 0, 0) != 0:
+        raise ValueError("inverse needs constant term 1")
+    out = TruncatedSeries.constant(1, self.orders)
+    term = TruncatedSeries.constant(1, self.orders)
+    bound = sum(self.orders) + 1
+    for _ in range(bound):
+        term = term * u
+        if not term.coeffs:
+            break
+        out = out + term
+    return out
+
+
+def _schroder_shifted(i, oy, oz):
+    orders = (0, oy, oz)
+    y = TruncatedSeries.variable("y", orders)
+    if i == 0:
+        return y
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    t1 = (one + z) * schroder_gf(oy, oz) - y * z
+    if i == 1:
+        return t1
+    return substitute_y(_schroder_shifted(i - 1, oy, oz), t1)
+
+
+def per_term_painted_face_row(m, oy, oz):
+    """`series.painted_face_row` with every composition by `substitute_y`."""
+    orders = (0, oy, oz)
+    out = TruncatedSeries(orders)
+    z = TruncatedSeries.variable("z", orders)
+    s = schroder_gf(oy, oz)
+    for k in range(m + 1):
+        cnt = surjection_count(m, k)
+        if cnt == 0:
+            continue
+        term = substitute_y(s, _schroder_shifted(k, oy, oz)) * cnt * z.power(m - k)
+        out = out + term
+    return out
+
+
+def neumann_shade_face_row(m, oy, oz):
+    """`series.shade_face_row` with the denominator by `geometric_inverse`."""
+    orders = (0, oy, oz)
+    y = TruncatedSeries.variable("y", orders)
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    out = TruncatedSeries(orders)
+    denom_inv = geometric_inverse(one - y * (z + 2 * one))
+    for k in range(m + 1):
+        cnt = surjection_count(m, k)
+        if cnt == 0:
+            continue
+        num = (one - y).power(k) * (one - y * (z + one))
+        term = num * denom_inv.power(k + 1) * cnt * z.power(m - k)
+        out = out + term
+    return out
+
+
+def shifted_face_generating_function(kind, m_max, n_max):
+    """`series.face_generating_function` with x^m put on by rebuilt keys."""
+    face_row, row_shift = {
+        "painted": (per_term_painted_face_row, 1),
+        "shade": (neumann_shade_face_row, 0),
+    }[kind]
+    oy = n_max + row_shift
+    oz = m_max + n_max
+    orders = (m_max, oy, oz)
+    out = TruncatedSeries(orders)
+    for m in range(m_max + 1):
+        row = face_row(m, oy, oz)
+        shifted = {(m, b, c): v for (_, b, c), v in row.coeffs.items()}
+        out = out + TruncatedSeries(orders, shifted)
+    return out

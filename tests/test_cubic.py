@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from hochschild_kit import cubic, posets
@@ -131,6 +133,15 @@ def test_smallest_mixed_case_vectors():
 def test_cubic_realization_with_subdivision(kind, mn):
     rep = verify_cubic_realization(kind, *mn, subdivision=True)
     assert rep.passed, rep.counterexample
+
+
+def test_a_point_is_on_the_boundary_iff_a_coordinate_is_extreme():
+    # images_on_boundary reads each image as the degenerate cube (point, point)
+    box = ((0, 0, 1), (2, 3, 3))
+    for point in product(range(3), range(4), range(1, 4)):
+        on = any(c in (a, b) for c, a, b in zip(point, *box))
+        assert cubic._cube_on_boundary((point, point), box) == on, point
+    assert cubic._cube_on_boundary(((), ()), ((), ()))
 
 
 def test_cubic_realization_vectors_only():

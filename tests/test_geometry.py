@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from types import SimpleNamespace
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +12,7 @@ import hochschild_kit.posets as posets
 import hochschild_kit.shades as shades
 from hochschild_kit.geometry import (
     _affine_rank,
+    _fan_checks,
     _subsets,
     barycenter,
     certify_polytope,
@@ -500,3 +502,83 @@ def test_record_tables_are_read_only_and_minkowski_copies_z():
     data.z[key] += 1
     assert poly.z[key] == data.z[key] - 1
     _polytope_objects.cache_clear()
+
+
+# -- the fan certificate on corrupted fixtures ---------------------------------------
+
+
+def _fan_failures(kind, m, n, vert_objs):
+    """The fan checks on the given vertex objects: their flags and every failure."""
+    checks, failures = {}, []
+
+    def fail(name, message):
+        checks[name] = False
+        failures.append((name, message))
+
+    _fan_checks(kind, m, n, vert_objs, checks, fail)
+    return checks, failures
+
+
+# the first chain (multiplihedron) or binary painted tree (hochschild) whose
+# cone count goes wrong when the first vertex of (1, 2) is dropped or doubled
+_WITNESS = {
+    "multiplihedron": "chain (1, 3, 2)",
+    "hochschild": '{"m":1,"n":2,"tree":[[0,[0,0]]],"cuts":[[0]],"parts":[[1]]}',
+}
+
+
+def _not_antisymmetric(d):
+    return SimpleNamespace(preposet=Preposet.from_pairs(d, [(1, 2), (2, 1)]))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "corrupt, hits",
+    [
+        (lambda objs: objs[1:], 0),
+        (lambda objs: objs + objs[:1], 2),
+        (lambda objs: [_not_antisymmetric(3)] + objs[1:], 0),
+    ],
+    ids=["dropped", "duplicated", "not_antisymmetric"],
+)
+def test_a_wrong_vertex_cone_set_fails_the_coarsening_witness(kind, corrupt, hits):
+    objs = list(_polytope_objects(kind, 1, 2).rotation.elements)
+    checks, failures = _fan_failures(kind, 1, 2, objs)
+    assert all(checks.values()) and not failures
+    checks, failures = _fan_failures(kind, 1, 2, corrupt(objs))
+    assert failures == [("coarsening_witness", f"{_WITNESS[kind]} lands in {hits} cones")]
+    assert [name for name, ok in checks.items() if not ok] == ["coarsening_witness"]
+
+
+def test_missing_rank_one_shades_fail_the_face_closure(monkeypatch):
+    objs = list(unary_lighted_shades(1, 2))
+    every_shade = shades.enum_lighted_shades
+    monkeypatch.setattr(
+        shades,
+        "enum_lighted_shades",
+        lambda m, n, rank=None: [ls for ls in every_shade(m, n, rank) if ls.rank != 1],
+    )
+    checks, failures = _fan_failures("hochschild", 1, 2, objs)
+    assert [name for name, ok in checks.items() if not ok] == ["fan_face_closure"]
+    assert len(failures) == 10
+    assert failures[0] == (
+        "fan_face_closure",
+        '{"m":1,"n":2,"entries":[{"tuple":[],"lights":[1]},'
+        '{"tuple":[1],"lights":[]},{"tuple":[1],"lights":[]}]} edge 0',
+    )
+
+
+def test_a_diamond_cone_fails_simpliciality(monkeypatch):
+    objs = list(unary_lighted_shades(1, 3))
+    diamond = SimpleNamespace(
+        preposet=Preposet.from_pairs(4, [(1, 2), (1, 3), (2, 4), (3, 4)]),
+        canonical=lambda: "diamond",
+    )
+    assert not diamond.preposet.hasse_is_forest
+    every_shade = shades.enum_lighted_shades
+    monkeypatch.setattr(
+        shades, "enum_lighted_shades", lambda m, n, rank=None: every_shade(m, n, rank) + [diamond]
+    )
+    checks, failures = _fan_failures("hochschild", 1, 3, objs)
+    assert not checks["cones_simplicial"] and checks["coarsening_witness"]
+    assert [f for f in failures if f[0] == "cones_simplicial"] == [("cones_simplicial", "diamond")]

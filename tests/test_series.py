@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hochschild_kit.painted import binary_painted_trees, enum_painted_trees
 from hochschild_kit.series import (
@@ -21,6 +22,13 @@ from hochschild_kit.series import (
 from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
 from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import reproduce_tables
+
+from oracles import (
+    neumann_shade_face_row,
+    per_term_painted_face_row,
+    shifted_face_generating_function,
+    substitute_y,
+)
 
 
 def test_catalan_functional_equation():
@@ -211,3 +219,67 @@ def test_coefficients_keep_int_and_fraction_and_coerce_the_rest():
     assert s.coefficient(0, 1, 0) == Fraction(1, 3)
     assert s.coefficient(0, 2, 0) == Fraction(1, 2)
     assert type((s * s).coefficient(0, 0, 0)) is int
+
+
+ROW_ORACLES = {"painted_face_row": per_term_painted_face_row, "shade_face_row": neumann_shade_face_row}
+
+
+def _rows_read_by_reproduce_tables(monkeypatch):
+    """(row function name, m, oy, oz) of every face row the printed tables read."""
+    import hochschild_kit.series as series
+
+    read = set()
+    for name in ROW_ORACLES:
+
+        def record(m, oy, oz, name=name, build=getattr(series, name)):
+            read.add((name, m, oy, oz))
+            return build(m, oy, oz)
+
+        monkeypatch.setattr(series, name, record)
+    reproduce_tables(bound=0)
+    monkeypatch.undo()
+    return sorted(read)
+
+
+def test_table_rows_match_the_per_term_and_neumann_routes(monkeypatch):
+    import hochschild_kit.series as series
+
+    read = _rows_read_by_reproduce_tables(monkeypatch)
+    # one row per (family, m), built at the largest printed n of that m
+    assert [(name, m) for name, m, _, _ in read] == [
+        (name, m) for name in sorted(ROW_ORACLES) for m in range(10)
+    ]
+    for name, m, oy, oz in read:
+        row = getattr(series, name)(m, oy, oz)
+        assert dict(row.coeffs) == dict(ROW_ORACLES[name](m, oy, oz).coeffs), (name, m)
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_face_generating_function_matches_the_shifted_route(kind):
+    for m_max in range(4):
+        for n_max in range(5):
+            gf = face_generating_function(kind, m_max, n_max)
+            oracle = shifted_face_generating_function(kind, m_max, n_max)
+            assert gf.orders == oracle.orders
+            assert dict(gf.coeffs) == dict(oracle.coeffs), (m_max, n_max)
+
+
+@st.composite
+def _series_pair(draw):
+    """A small series and one to substitute for its y, on the same orders."""
+    orders = (draw(st.integers(0, 2)), draw(st.integers(1, 5)), draw(st.integers(0, 2)))
+    values = st.integers(-4, 4) | st.fractions(-2, 2, max_denominator=3)
+
+    def terms(min_y):
+        keys = st.tuples(
+            st.integers(0, orders[0]), st.integers(min_y, orders[1]), st.integers(0, orders[2])
+        )
+        return draw(st.dictionaries(keys, values, max_size=6))
+
+    return TruncatedSeries(orders, terms(0)), TruncatedSeries(orders, terms(1))
+
+
+@given(_series_pair())
+def test_layered_substitution_matches_the_per_term_route(pair):
+    outer, inner = pair
+    assert dict(outer.substitute_y(inner).coeffs) == dict(substitute_y(outer, inner).coeffs)
