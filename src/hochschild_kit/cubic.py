@@ -15,11 +15,13 @@ with a few ANDs, so no step scans all vertices or all pairs of faces.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from itertools import accumulate, product
 from operator import or_
 
 from .families import family
+from .ledger import Ledger
 from .painted import PaintedTree
 from .preposets import _bits
 from .shades import LightedShade
@@ -191,12 +193,14 @@ def cubic_vector_shade(ls: LightedShade) -> tuple[int, ...]:
 # -- cubic realization checks ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CubicReport:
+    """The outcome of one cubic realization check; read-only."""
+
     kind: str
     m: int
     n: int
-    checks: dict = field(default_factory=dict)
+    checks: Mapping[str, bool]
     counterexample: str | None = None
 
     @property
@@ -270,40 +274,34 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
     rot = build_rotation_poset(kind, m, n)
     gamma_fn = family(kind).cubic_vector
     gamma = [gamma_fn(o) for o in rot.elements]
-    report = CubicReport(kind, m, n)
-    checks = report.checks
+    ledger = Ledger()
+    distinct = len(set(gamma))
+    detail = f"{distinct} of {len(gamma)} vectors distinct"
+    ledger.record("injective", distinct == len(gamma), detail)
 
-    def fail(name, message):
-        checks[name] = False
-        if report.counterexample is None:
-            report.counterexample = f"{name}: {message}"
-
-    checks["injective"] = len(set(gamma)) == len(gamma)
-
-    checks["single_coordinate_decrease"] = True
+    ledger.record("single_coordinate_decrease", True)
     for lo, hi in rot.covers:
         a, b = gamma[lo], gamma[hi]
         diffs = [(i, x - y) for i, (x, y) in enumerate(zip(a, b)) if x != y]
         if len(diffs) != 1 or diffs[0][1] <= 0:
-            fail(
-                "single_coordinate_decrease",
-                f"{rot.elements[lo]} -> {rot.elements[hi]}: {a} vs {b}",
-            )
+            detail = f"{rot.elements[lo]} -> {rot.elements[hi]}: {a} vs {b}"
+            ledger.record("single_coordinate_decrease", False, detail)
 
     box = _cube_of(gamma)
-    checks["box_spanned_by_extremes"] = box == (gamma[rot.top], gamma[rot.bottom])
+    spanned = (gamma[rot.top], gamma[rot.bottom])
+    ledger.record("box_spanned_by_extremes", box == spanned, f"box {box}, extremes span {spanned}")
 
-    checks["images_on_boundary"] = True
+    ledger.record("images_on_boundary", True)
     for o, g in zip(rot.elements, gamma):
         if not _cube_on_boundary((g, g), box):
-            fail("images_on_boundary", f"{o}: {g}")
+            ledger.record("images_on_boundary", False, f"{o}: {g}")
 
     if subdivision:
-        _subdivision_checks(rot, build_refinement_poset(kind, m, n), gamma, box, checks, fail)
-    return report
+        _subdivision_checks(rot, build_refinement_poset(kind, m, n), gamma, box, ledger)
+    return CubicReport(kind, m, n, ledger.verdicts(), ledger.first_failure())
 
 
-def _subdivision_checks(rot, ref, gamma, box, checks, fail):
+def _subdivision_checks(rot, ref, gamma, box, ledger):
     """Sub-check (c) on integer indices.
 
     A face's vertices are the rank-0 bits of its refinement up-set row, and
@@ -319,23 +317,25 @@ def _subdivision_checks(rot, ref, gamma, box, checks, fail):
     points = _threshold_masks(((i, (g, g)) for i, g in enumerate(gamma)), box)
 
     cubes = {}
-    checks["faces_span_subcubes"] = True
+    ledger.record("faces_span_subcubes", True)
     for j, o in enumerate(ref.elements):
         members = 0
         for k in _bits(ref.leq[j] & vertices):
             members |= rot_bit[k]
         mins, maxs = rot.extremes(list(_bits(members)))
         if len(mins) != 1 or len(maxs) != 1:
-            fail("faces_span_subcubes", f"{o}: no unique extremes")
+            ledger.record("faces_span_subcubes", False, f"{o}: no unique extremes")
             continue
         cube = (gamma[maxs[0]], gamma[mins[0]])
         if any(a > b for a, b in zip(cube[0], cube[1])):
-            fail("faces_span_subcubes", f"{o}: degenerate span")
+            ledger.record("faces_span_subcubes", False, f"{o}: degenerate span")
             continue
         if _cube_dim(cube) != o.rank:
-            fail("faces_span_subcubes", f"{o}: dim {_cube_dim(cube)} != rank {o.rank}")
+            detail = f"{o}: dim {_cube_dim(cube)} != rank {o.rank}"
+            ledger.record("faces_span_subcubes", False, detail)
         for v in _bits(members & ~_cubes_around(points, cube[1], cube[0])):
-            fail("faces_span_subcubes", f"{o}: vertex {rot.elements[v]} outside its cube")
+            detail = f"{o}: vertex {rot.elements[v]} outside its cube"
+            ledger.record("faces_span_subcubes", False, detail)
         cubes[j] = cube
 
     present = sum(1 << j for j in cubes)
@@ -343,18 +343,18 @@ def _subdivision_checks(rot, ref, gamma, box, checks, fail):
     proper = present & ~(1 << whole)
     faces = _threshold_masks(cubes.items(), box)
 
-    checks["subcubes_on_boundary"] = True
+    ledger.record("subcubes_on_boundary", True)
     for j in _bits(proper):
         if not _cube_on_boundary(cubes[j], box):
-            fail("subcubes_on_boundary", f"{ref.elements[j]}: {cubes[j]}")
+            ledger.record("subcubes_on_boundary", False, f"{ref.elements[j]}: {cubes[j]}")
 
-    checks["boundary_covered"] = True
+    ledger.record("boundary_covered", True)
     for cell in _boundary_cells(box):
         if not _cubes_around(faces, *cell) & proper:
-            fail("boundary_covered", f"cell {cell}")
+            ledger.record("boundary_covered", False, f"cell {cell}")
             break
 
-    checks["intersections_in_collection"] = True
+    ledger.record("intersections_in_collection", True)
     dims = {cubes[j]: _cube_dim(cubes[j]) for j in _bits(proper)}
     for a in _bits(proper):
         c1 = cubes[a]
@@ -364,14 +364,12 @@ def _subdivision_checks(rot, ref, gamma, box, checks, fail):
             # the two meet, so the coordinatewise bounds are a cube
             inter = (tuple(map(max, c1[0], c2[0])), tuple(map(min, c1[1], c2[1])))
             if inter not in dims:
-                fail(
-                    "intersections_in_collection",
-                    f"{ref.elements[a]} and {ref.elements[b]} meet in {inter}",
-                )
+                detail = f"{ref.elements[a]} and {ref.elements[b]} meet in {inter}"
+                ledger.record("intersections_in_collection", False, detail)
             elif inter != c1 and inter != c2 and dims[inter] >= min(dims[c1], dims[c2]):
-                fail("intersections_in_collection", f"dimension at {inter}")
+                ledger.record("intersections_in_collection", False, f"dimension at {inter}")
 
-    checks["containment_mirrors_refinement"] = True
+    ledger.record("containment_mirrors_refinement", True)
     if any(
         _cubes_around(faces, *cubes[j]) & present != ref.down[j] & present
         for j in cubes
@@ -380,10 +378,8 @@ def _subdivision_checks(rot, ref, gamma, box, checks, fail):
         for j1 in cubes:
             for j2 in cubes:
                 if ref.le(j1, j2) != _cube_contains(cubes[j1], cubes[j2]):
-                    fail(
-                        "containment_mirrors_refinement",
-                        f"{ref.elements[j1]} vs {ref.elements[j2]}",
-                    )
+                    detail = f"{ref.elements[j1]} vs {ref.elements[j2]}"
+                    ledger.record("containment_mirrors_refinement", False, detail)
 
 
 def _cube_on_boundary(cube, box) -> bool:

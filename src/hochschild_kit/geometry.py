@@ -25,6 +25,7 @@ from operator import add
 from types import MappingProxyType
 
 from .families import family
+from .ledger import Ledger
 from .painted import PaintedTree
 from .posets import FinitePoset
 from .preposets import Preposet
@@ -35,10 +36,6 @@ from .shadow import is_singleton
 def omega(d: int) -> tuple[int, ...]:
     """The orientation vector (d, d-1, ..., 1) - (1, 2, ..., d)."""
     return tuple(d + 1 - 2 * i for i in range(1, d + 1))
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -379,83 +376,75 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     rot, verts, facets, sums = poly.rotation, poly.vertices, poly.facets, poly.sums
     vert_objs = rot.elements
     facet_sums = [sums[f.support] for f in facets]
-    checks = {}
-    counterexample = None
-
-    def fail(name, message):
-        nonlocal counterexample
-        checks[name] = False
-        if counterexample is None:
-            counterexample = f"{name}: {message}"
-
-    checks["vertices_distinct"] = len(set(verts)) == len(verts)
-    checks["facets_distinct"] = len(set(facets)) == len(facets)
+    ledger = Ledger()
+    for name, items in (("vertices", verts), ("facets", facets)):
+        distinct = len(set(items))
+        detail = f"{distinct} of {len(items)} {name} distinct"
+        ledger.record(f"{name}_distinct", distinct == len(items), detail)
 
     plane = comb(d + 1, 2)
-    checks["vertices_on_hyperplane"] = True
+    ledger.record("vertices_on_hyperplane", True)
     for v in verts:
         if sum(v) != plane:
-            fail("vertices_on_hyperplane", f"{v} has coordinate sum {sum(v)}")
+            ledger.record("vertices_on_hyperplane", False, f"{v} has coordinate sum {sum(v)}")
 
-    checks["halfspaces_satisfied"] = True
-    checks["incidence_iff_refinement"] = True
+    ledger.record("halfspaces_satisfied", True)
+    ledger.record("incidence_iff_refinement", True)
     for k, (vo, v) in enumerate(zip(vert_objs, verts)):
         for fo, f, values in zip(poly.facet_objects, facets, facet_sums):
             val = values[k]
             if val < f.rhs:
-                fail("halfspaces_satisfied", f"{v} violates {f}")
+                ledger.record("halfspaces_satisfied", False, f"{v} violates {f}")
             tight = val == f.rhs
             refines = fo.preposet.contains(vo.preposet)
             if tight != refines:
-                fail(
-                    "incidence_iff_refinement",
-                    f"vertex {vo.canonical()} vs facet {fo.canonical()}: "
-                    f"tight={tight} refines={refines}",
-                )
+                detail = f"vertex {vo.canonical()} vs facet {fo.canonical()}: "
+                detail += f"tight={tight} refines={refines}"
+                ledger.record("incidence_iff_refinement", False, detail)
 
-    checks["edge_directions"] = True
-    checks["edge_single_flip"] = True
+    ledger.record("edge_directions", True)
+    ledger.record("edge_single_flip", True)
     for lo, hi in rot.covers:
         lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
         delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
         flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
         back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
         if len(flips) != 1 or back:
-            fail("edge_single_flip", f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
+            detail = f"{lo_obj.canonical()} -> {hi_obj.canonical()}"
+            ledger.record("edge_single_flip", False, detail)
             continue
         i, j = flips[0]
         lam = delta[i - 1]
         if lam <= 0 or _scaled_basis_diff(d, lam, i, j) != delta:
-            fail(
-                "edge_directions",
-                f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}",
-            )
+            detail = f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}"
+            ledger.record("edge_directions", False, detail)
         if simple and _shade_edge_delta(lo_obj, hi_obj) != delta:
-            fail("edge_directions", f"shade case formula differs: {delta}")
+            ledger.record("edge_directions", False, f"shade case formula differs: {delta}")
 
-    _fan_checks(kind, m, n, vert_objs, checks, fail)
+    _fan_checks(kind, m, n, vert_objs, ledger)
 
-    checks["z_support_minimum"] = True
-    checks["z_supermodular"] = True
+    ledger.record("z_support_minimum", True)
+    ledger.record("z_supermodular", True)
     subsets = list(poly.z)
     for s in subsets:
         if min(sums[s]) != poly.z[s]:
-            fail("z_support_minimum", f"J={sorted(s)}")
+            ledger.record("z_support_minimum", False, f"J={sorted(s)}")
     z = {**poly.z, frozenset(): 0}
     pair = next(
         ((s, t) for s in subsets for t in subsets if z[s] + z[t] > z[s | t] + z[s & t]), None
     )
     if pair:
-        fail("z_supermodular", f"I={sorted(pair[0])}, J={sorted(pair[1])}")
+        ledger.record("z_supermodular", False, f"I={sorted(pair[0])}, J={sorted(pair[1])}")
 
     # with z supermodular, the polytope it defines has exactly the greedy
     # vertices; matching them against the claimed vertex set closes the loop
-    checks["greedy_vertices_match"] = True
+    ledger.record("greedy_vertices_match", True)
     greedy = {greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
     if greedy != set(verts):
-        fail("greedy_vertices_match", f"{len(greedy)} greedy vs {len(verts)} claimed")
+        detail = f"{len(greedy)} greedy vs {len(verts)} claimed"
+        ledger.record("greedy_vertices_match", False, detail)
 
-    checks["facets_identified"] = True
+    ledger.record("facets_identified", True)
     if d >= 2:
         claimed = {f.support for f in facets}
         for s in subsets:
@@ -464,19 +453,17 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
             tight_pts = [v for v, total in zip(verts, sums[s]) if total == z[s]]
             is_facet = _affine_rank(tight_pts) == d - 2
             if is_facet != (s in claimed):
-                fail(
-                    "facets_identified",
-                    f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}",
-                )
+                detail = f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}"
+                ledger.record("facets_identified", False, detail)
 
     if simple and d >= 2:
-        checks["simple"] = True
+        ledger.record("simple", True)
         for k, vo in enumerate(vert_objs):
             tight = sum(1 for f, values in zip(facets, facet_sums) if values[k] == f.rhs)
             if tight != d - 1:
-                fail("simple", f"{vo.canonical()} lies on {tight} facets")
+                ledger.record("simple", False, f"{vo.canonical()} lies on {tight} facets")
     return CertificationReport(
-        kind, m, n, len(verts), len(facets), MappingProxyType(checks), counterexample
+        kind, m, n, len(verts), len(facets), ledger.verdicts(), ledger.first_failure()
     )
 
 
@@ -519,37 +506,38 @@ def _affine_rank(points) -> int:
     return rank
 
 
-def _fan_checks(kind, m, n, vert_objs, checks, fail):
+def _fan_checks(kind, m, n, vert_objs, ledger):
     d = m + n
     fam = family(kind)
     if fam.simple:
         all_shades = fam.enum(m, n)
         preposet_set = {ls.preposet for ls in all_shades}
-        checks["cones_simplicial"] = True
-        checks["fan_face_closure"] = True
+        ledger.record("cones_simplicial", True)
+        ledger.record("fan_face_closure", True)
         for ls in all_shades:
             pre = ls.preposet
             if not pre.hasse_is_forest:
-                fail("cones_simplicial", ls.canonical())
+                ledger.record("cones_simplicial", False, ls.canonical())
             for e in range(len(pre.hasse_edges)):
                 if pre.contract_hasse_edge(e) not in preposet_set:
-                    fail("fan_face_closure", f"{ls.canonical()} edge {e}")
+                    ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
         unary_pre = [ls.preposet for ls in vert_objs]
-        checks["coarsening_witness"] = True
+        ledger.record("coarsening_witness", True)
         for pt in _polytope_objects("multiplihedron", m, n).rotation.elements:
             hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
             if hits != 1:
-                fail("coarsening_witness", f"{pt.canonical()} lands in {hits} cones")
+                detail = f"{pt.canonical()} lands in {hits} cones"
+                ledger.record("coarsening_witness", False, detail)
     else:
         # maximal painted cones need not be simplicial (the multiplihedron is
         # not simple), so only the braid coarsening witness is checked here
         binary_pre = [pt.preposet for pt in vert_objs]
-        checks["coarsening_witness"] = True
+        ledger.record("coarsening_witness", True)
         for perm in permutations(range(1, d + 1)):
             chain = Preposet.chain(d, perm)
             hits = sum(1 for p in binary_pre if chain.contains(p))
             if hits != 1:
-                fail("coarsening_witness", f"chain {perm} lands in {hits} cones")
+                ledger.record("coarsening_witness", False, f"chain {perm} lands in {hits} cones")
 
 
 # -- oriented skeleton ----------------------------------------------------------------
@@ -566,39 +554,20 @@ class OrientedSkeleton:
 
 
 def oriented_skeleton(kind: str, m: int, n: int) -> OrientedSkeleton:
-    """Polytope skeleton oriented by omega; must match the rotation digraph."""
+    """The polytope skeleton oriented by omega, read off the certificate.
+
+    A passed certificate has checked `edge_directions`: every rotation cover
+    lo -> hi moves the vertex by lam * (e_i - e_j) with lam > 0 and i < j.
+    Since omega_i = d + 1 - 2i, omega gains lam * (omega_i - omega_j) =
+    2 * lam * (j - i) > 0 along the cover, so the omega orientation of the
+    edges is the rotation order and the oriented skeleton is the covers.
+    """
     report = certify_polytope(kind, m, n)
     if not report.passed:
         raise AssertionError(f"certification failed: {report.counterexample}")
     poly = _polytope_objects(kind, m, n)
-    rot, verts = poly.rotation, poly.vertices
-    vert_objs = rot.elements
-    w = omega(m + n)
-    for lo, hi in rot.covers:
-        gain = dot(verts[hi], w) - dot(verts[lo], w)
-        if gain == 0:
-            raise AssertionError(f"omega tie on edge {vert_objs[lo]} -> {vert_objs[hi]}")
-        if gain < 0:
-            raise AssertionError(
-                f"omega orientation disagrees with rotation {vert_objs[lo]} -> {vert_objs[hi]}"
-            )
-    return OrientedSkeleton(kind, m, n, list(vert_objs), list(verts), list(rot.covers))
-
-
-def polytope_edges(verts, facets):
-    """Vertex adjacency from tight facet sets (no third vertex dominates)."""
-    tight = []
-    for v in verts:
-        tight.append(frozenset(i for i, f in enumerate(facets) if f.is_tight(v)))
-    edges = []
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            common = tight[a] & tight[b]
-            if not any(
-                c != a and c != b and common <= tight[c] for c in range(len(verts))
-            ):
-                edges.append((a, b))
-    return edges
+    rot = poly.rotation
+    return OrientedSkeleton(kind, m, n, list(rot.elements), list(poly.vertices), list(rot.covers))
 
 
 def barycenter(kind: str, m: int, n: int) -> tuple[Fraction, ...]:
@@ -639,13 +608,10 @@ def shared_facet_report(m: int, n: int) -> SharedFacetReport:
     singleton_verts = [mult.vertices[k] for k in singletons]
     common_pts = set(mult.vertices) & set(hoch.vertices)
     common_ok = common_pts == set(singleton_verts)
-    shared_ok = True
-    for f in mult.facets:
-        shared = f in h_set
-        values = mult.sums[f.support]
-        tight_at_singleton = any(values[k] == f.rhs for k in singletons)
-        if shared != tight_at_singleton:
-            shared_ok = False
+    shared_ok = all(
+        (f in h_set) == any(mult.sums[f.support][k] == f.rhs for k in singletons)
+        for f in mult.facets
+    )
     return SharedFacetReport(
         m, n, subset, shared_ok, common_ok, len(h_set & m_set), len(singleton_verts)
     )
@@ -691,22 +657,26 @@ def freehedron_report(n: int) -> FreehedronReport:
     """
     d = n + 1
     y = freehedron_minkowski(n)
-    z = {}
-    for s in _subsets(d):
-        z[s] = sum(v for i, v in y.items() if i <= s)
+    z = {s: sum(v for i, v in y.items() if i <= s) for s in _subsets(d)}
     z[frozenset()] = 0
-    verts = sorted({greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))})
-    halfspaces = [Halfspace(s, z[s]) for s in _subsets(d) if len(s) < d]
-    edges = polytope_edges(verts, halfspaces)
-    w = omega(d)
-    oriented = []
-    for a, b in edges:
-        ga, gb = dot(verts[a], w), dot(verts[b], w)
-        if ga == gb:
-            raise AssertionError("omega tie on a freehedron edge")
-        oriented.append((a, b) if ga < gb else (b, a))
+    chamber = {perm: greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
+    verts = sorted(set(chamber.values()))
+    index = {v: k for k, v in enumerate(verts)}
+    # z is supermodular, so the normal fan coarsens the braid fan: the edges
+    # are the walls between adjacent chambers (perm, and perm with its entries
+    # a, b at positions i, i + 1 swapped) whose greedy vertices differ.  The
+    # swap moves the vertex by delta * (e_a - e_b), where delta >= 0 is z's
+    # supermodular gap at that wall, and omega by 2 * delta * (b - a).  So
+    # every edge is found omega-increasing from the ascents a < b alone.
+    edges = set()
+    for perm, v in chamber.items():
+        for i in range(d - 1):
+            if perm[i] < perm[i + 1]:
+                u = chamber[perm[:i] + (perm[i + 1], perm[i]) + perm[i + 2:]]
+                if u != v:
+                    edges.add((index[v], index[u]))
     # only the order is read, so redundant skeleton edges may stand as covers
-    poset = FinitePoset(range(len(verts)), oriented)
+    poset = FinitePoset(range(len(verts)), edges)
     joinless = _first_missing(poset.join_table)
     meetless = _first_missing(poset.meet_table)
     return FreehedronReport(
@@ -717,7 +687,7 @@ def freehedron_report(n: int) -> FreehedronReport:
         joinless,
         meetless,
         verts,
-        sorted(oriented),
+        sorted(edges),
     )
 
 

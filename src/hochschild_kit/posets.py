@@ -59,9 +59,12 @@ class FinitePoset:
     @classmethod
     def from_moves(cls, elements, moves) -> "FinitePoset":
         """Build from local moves, given as (lower, upper) pairs of elements;
-        the moves must be exactly the covers."""
+        the moves must be exactly the covers, all inside the elements."""
         index = {e: i for i, e in enumerate(elements)}
-        return cls(elements, [(index[lo], index[hi]) for lo, hi in moves])
+        try:
+            return cls(elements, [(index[lo], index[hi]) for lo, hi in moves])
+        except KeyError as exc:
+            raise ValueError(f"a move reaches {exc.args[0]!r}, which is not an element") from None
 
     def index(self, key) -> int:
         return self._index[key]

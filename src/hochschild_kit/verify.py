@@ -12,7 +12,6 @@ check stops at the same m + n whichever suite name ran it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import factorial
 
 from .cubic import (
@@ -30,6 +29,7 @@ from .geometry import (
     oriented_skeleton,
     shared_facet_report,
 )
+from .ledger import Ledger
 from .posets import (
     build_rotation_poset,
     check_congruence_projection,
@@ -61,28 +61,17 @@ def reach(check: str, bound: int) -> int:
     return min(REACH[check], bound)
 
 
-@dataclass
-class SuiteResult:
-    suite: str
-    bound: int
-    checks: list = field(default_factory=list)  # (name, ok, detail)
-    observations: list = field(default_factory=list)
+class SuiteResult(Ledger):
+    """One suite's checks, each row a `Ledger` record, and its observations."""
 
-    @property
-    def ok(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
-
-    def record(self, name, ok, detail=""):
-        self.checks.append((name, bool(ok), str(detail)))
+    def __init__(self, suite: str, bound: int):
+        super().__init__()
+        self.suite = suite
+        self.bound = bound
+        self.observations = []
 
     def observe(self, text):
         self.observations.append(text)
-
-    def first_failure(self):
-        for name, ok, detail in self.checks:
-            if not ok:
-                return f"{name}: {detail}"
-        return None
 
     def to_json_obj(self):
         return {
@@ -167,7 +156,8 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
         res.record(f"shadow({m},{n}) surjective", surjective)
         if surjective:
             rep = check_meet_morphism(f, src, dst)
-            res.record(f"shadow({m},{n}) meet morphism", rep.is_meet_morphism)
+            witness = "" if rep.is_meet_morphism else f"meet of {rep.meet_counterexample}"
+            res.record(f"shadow({m},{n}) meet morphism", rep.is_meet_morphism, witness)
             if not rep.is_join_morphism:
                 join_counterexamples[(m, n)] = rep.join_counterexample
         else:
@@ -214,12 +204,10 @@ def fan_suite(bound: int = 6) -> SuiteResult:
                 res.record(f"{kind}({m},{n}) oriented skeleton = rotations", False, exc)
         if m + n <= shared_reach:
             shared = shared_facet_report(m, n)
-            res.record(
-                f"shared facets({m},{n})",
-                shared.facets_subset
-                and shared.shared_iff_singleton_tight
-                and shared.common_vertices_are_singletons,
-            )
+            clauses = ("facets_subset", "shared_iff_singleton_tight",
+                       "common_vertices_are_singletons")
+            failed = [clause for clause in clauses if not getattr(shared, clause)]
+            res.record(f"shared facets({m},{n})", not failed, ", ".join(failed))
     _polytope_objects.cache_clear()
     free = freehedron_report(3)
     res.record("freehedron(3) has 12 vertices", free.num_vertices == 12)

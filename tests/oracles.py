@@ -13,6 +13,7 @@ from hochschild_kit.geometry import (
     z_hochschild,
     z_multiplihedron,
 )
+from hochschild_kit.ledger import Ledger
 from hochschild_kit.painted import LEAF, PaintedTree
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 
@@ -112,6 +113,36 @@ def halfspace_values(verts, facets) -> list:
     return [[f.value(v) for f in facets] for v in verts]
 
 
+class FailureLog(Ledger):
+    """A ledger that also keeps every failed record, as (name, detail) in
+    the order recorded."""
+
+    def __init__(self):
+        super().__init__()
+        self.failures = []
+
+    def record(self, name, ok, detail=""):
+        super().record(name, ok, detail)
+        if not ok:
+            self.failures.append((name, detail))
+
+
+def polytope_edges(verts, facets):
+    """Vertex adjacency from tight facet sets (no third vertex dominates)."""
+    tight = []
+    for v in verts:
+        tight.append(frozenset(i for i, f in enumerate(facets) if f.is_tight(v)))
+    edges = []
+    for a in range(len(verts)):
+        for b in range(a + 1, len(verts)):
+            common = tight[a] & tight[b]
+            if not any(
+                c != a and c != b and common <= tight[c] for c in range(len(verts))
+            ):
+                edges.append((a, b))
+    return edges
+
+
 def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
     """The polytope certificate's (checks, counterexample), comparing each
     vertex with each facet and each subset J by its own sum.
@@ -121,45 +152,41 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
     """
     d = m + n
     vert_objs = rotation.elements
-    checks = {}
-    counterexample = None
-
-    def fail(name, message):
-        nonlocal counterexample
-        checks[name] = False
-        if counterexample is None:
-            counterexample = f"{name}: {message}"
-
-    checks["vertices_distinct"] = len(set(verts)) == len(verts)
-    checks["facets_distinct"] = len(set(facets)) == len(facets)
-    checks["vertices_on_hyperplane"] = True
+    ledger = Ledger()
+    record = ledger.record
+    for name, items in (("vertices", verts), ("facets", facets)):
+        distinct = len(set(items))
+        detail = f"{distinct} of {len(items)} {name} distinct"
+        record(f"{name}_distinct", distinct == len(items), detail)
+    record("vertices_on_hyperplane", True)
     for v in verts:
         if sum(v) != comb(d + 1, 2):
-            fail("vertices_on_hyperplane", f"{v} has coordinate sum {sum(v)}")
-    checks["halfspaces_satisfied"] = True
-    checks["incidence_iff_refinement"] = True
+            record("vertices_on_hyperplane", False, f"{v} has coordinate sum {sum(v)}")
+    record("halfspaces_satisfied", True)
+    record("incidence_iff_refinement", True)
     for vo, v in zip(vert_objs, verts):
         for fo, f in zip(facet_objs, facets):
             val = f.value(v)
             if val < f.rhs:
-                fail("halfspaces_satisfied", f"{v} violates {f}")
+                record("halfspaces_satisfied", False, f"{v} violates {f}")
             tight = val == f.rhs
             refines = fo.preposet.contains(vo.preposet)
             if tight != refines:
-                fail(
+                record(
                     "incidence_iff_refinement",
+                    False,
                     f"vertex {vo.canonical()} vs facet {fo.canonical()}: "
                     f"tight={tight} refines={refines}",
                 )
-    checks["edge_directions"] = True
-    checks["edge_single_flip"] = True
+    record("edge_directions", True)
+    record("edge_single_flip", True)
     for lo, hi in rotation.covers:
         lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
         delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
         flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
         back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
         if len(flips) != 1 or back:
-            fail("edge_single_flip", f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
+            record("edge_single_flip", False, f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
             continue
         i, j = flips[0]
         expected_dir = [0] * d
@@ -167,32 +194,33 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
         expected_dir[i - 1] = lam
         expected_dir[j - 1] = -lam
         if lam <= 0 or tuple(expected_dir) != delta:
-            fail("edge_directions", f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}")
+            detail = f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}"
+            record("edge_directions", False, detail)
         if kind == "hochschild" and _shade_edge_delta(lo_obj, hi_obj) != delta:
-            fail("edge_directions", f"shade case formula differs: {delta}")
-    _fan_checks(kind, m, n, vert_objs, checks, fail)
+            record("edge_directions", False, f"shade case formula differs: {delta}")
+    _fan_checks(kind, m, n, vert_objs, ledger)
     z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
-    checks["z_support_minimum"] = True
-    checks["z_supermodular"] = True
+    record("z_support_minimum", True)
+    record("z_supermodular", True)
     subsets = list(subset_sums(verts, d))
     z = {s: z_fn(s, m, n) for s in subsets}
     for s in subsets:
         if min(sum(v[i - 1] for i in s) for v in verts) != z[s]:
-            fail("z_support_minimum", f"J={sorted(s)}")
+            record("z_support_minimum", False, f"J={sorted(s)}")
     z[frozenset()] = 0
     for s in subsets:
         for t in subsets:
             if z[s] + z[t] > z[s | t] + z[s & t]:
-                fail("z_supermodular", f"I={sorted(s)}, J={sorted(t)}")
+                record("z_supermodular", False, f"I={sorted(s)}, J={sorted(t)}")
                 break
         else:
             continue
         break
-    checks["greedy_vertices_match"] = True
+    record("greedy_vertices_match", True)
     greedy = {greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
     if greedy != set(verts):
-        fail("greedy_vertices_match", f"{len(greedy)} greedy vs {len(verts)} claimed")
-    checks["facets_identified"] = True
+        record("greedy_vertices_match", False, f"{len(greedy)} greedy vs {len(verts)} claimed")
+    record("facets_identified", True)
     if d >= 2:
         claimed = {f.support for f in facets}
         for s in subsets:
@@ -201,14 +229,15 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
             tight_pts = [v for v in verts if sum(v[i - 1] for i in s) == z[s]]
             is_facet = _affine_rank(tight_pts) == d - 2
             if is_facet != (s in claimed):
-                fail("facets_identified", f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}")
+                detail = f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}"
+                record("facets_identified", False, detail)
     if kind == "hochschild" and d >= 2:
-        checks["simple"] = True
+        record("simple", True)
         for vo, v in zip(vert_objs, verts):
             tight = sum(1 for f in facets if f.is_tight(v))
             if tight != d - 1:
-                fail("simple", f"{vo.canonical()} lies on {tight} facets")
-    return checks, counterexample
+                record("simple", False, f"{vo.canonical()} lies on {tight} facets")
+    return dict(ledger.verdicts()), ledger.first_failure()
 
 
 # -- painted shapes by recursive generators --------------------------------

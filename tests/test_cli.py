@@ -281,3 +281,21 @@ def test_verify_csv_needs_the_tables_suite(capsys):
     )
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "tables" in err
+
+
+def test_a_move_outside_the_elements_is_one_internal_error_line(capsys, monkeypatch):
+    from hochschild_kit import posets
+    from hochschild_kit.shades import LightedShade
+
+    stray = LightedShade(0, 3, [((3,), set())])
+    every_successor = LightedShade.rotation_successors
+    monkeypatch.setattr(
+        LightedShade, "rotation_successors", lambda ls: every_successor(ls) + [stray]
+    )
+    posets.build_rotation_poset.cache_clear()
+    try:
+        code, out, err = run(capsys, "hasse", "--kind", "shade", "--m", "1", "--n", "2")
+    finally:
+        posets.build_rotation_poset.cache_clear()
+    assert code == 1 and out == ""
+    assert err == f"internal error: a move reaches {stray!r}, which is not an element\n"

@@ -1,4 +1,6 @@
+import dataclasses
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,11 +17,12 @@ from hochschild_kit.cubic import (
     word_to_shade,
     word_violation,
 )
+from hochschild_kit.families import family
 from hochschild_kit.painted import binary_painted_trees
 from hochschild_kit.posets import FinitePoset, build_refinement_poset, build_rotation_poset
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 
-from oracles import left_comb, right_comb
+from oracles import FailureLog, left_comb, right_comb
 
 
 def S(m, n, *entries):
@@ -153,7 +156,7 @@ def test_cubic_realization_vectors_only():
 # -- the subdivision loops before the bitset route, kept as the oracle ----------
 
 
-def _subdivision_oracle(rot, ref, gamma, box, checks, fail):
+def _subdivision_oracle(rot, ref, gamma, box, ledger):
     """Sub-check (c) by member scans over preposet containment and all-pairs
     cube tests, keyed by objects: the loops the bitset route replaced."""
     from hochschild_kit.cubic import (
@@ -172,39 +175,40 @@ def _subdivision_oracle(rot, ref, gamma, box, checks, fail):
 
     gamma = dict(zip(rot.elements, gamma))
     cubes = {}
-    checks["faces_span_subcubes"] = True
+    ledger.record("faces_span_subcubes", True)
     for o in ref.elements:
         members = [v for v in rot.elements if o.preposet.contains(v.preposet)]
         idxs = [rot.index(v) for v in members]
         mins, maxs = rot.extremes(idxs)
         if len(mins) != 1 or len(maxs) != 1:
-            fail("faces_span_subcubes", f"{o}: no unique extremes")
+            ledger.record("faces_span_subcubes", False, f"{o}: no unique extremes")
             continue
         cube = (gamma[rot.elements[maxs[0]]], gamma[rot.elements[mins[0]]])
         if any(a > b for a, b in zip(cube[0], cube[1])):
-            fail("faces_span_subcubes", f"{o}: degenerate span")
+            ledger.record("faces_span_subcubes", False, f"{o}: degenerate span")
             continue
         if _cube_dim(cube) != o.rank:
-            fail("faces_span_subcubes", f"{o}: dim {_cube_dim(cube)} != rank {o.rank}")
+            detail = f"{o}: dim {_cube_dim(cube)} != rank {o.rank}"
+            ledger.record("faces_span_subcubes", False, detail)
         for v in members:
             if not _cube_contains(cube, (gamma[v], gamma[v])):
-                fail("faces_span_subcubes", f"{o}: vertex {v} outside its cube")
+                ledger.record("faces_span_subcubes", False, f"{o}: vertex {v} outside its cube")
         cubes[o] = cube
 
     whole = min(ref.elements, key=lambda o: -o.rank)
     proper = {o: c for o, c in cubes.items() if o is not whole}
-    checks["subcubes_on_boundary"] = True
+    ledger.record("subcubes_on_boundary", True)
     for o, c in proper.items():
         if not _cube_on_boundary(c, box):
-            fail("subcubes_on_boundary", f"{o}: {c}")
+            ledger.record("subcubes_on_boundary", False, f"{o}: {c}")
 
-    checks["boundary_covered"] = True
+    ledger.record("boundary_covered", True)
     for cell in _boundary_cells(box):
         if not any(_cube_contains(c, cell) for c in proper.values()):
-            fail("boundary_covered", f"cell {cell}")
+            ledger.record("boundary_covered", False, f"cell {cell}")
             break
 
-    checks["intersections_in_collection"] = True
+    ledger.record("intersections_in_collection", True)
     cube_set = set(proper.values())
     items = list(proper.items())
     for a in range(len(items)):
@@ -214,22 +218,23 @@ def _subdivision_oracle(rot, ref, gamma, box, checks, fail):
             if inter is None:
                 continue
             if inter not in cube_set:
-                fail(
+                ledger.record(
                     "intersections_in_collection",
+                    False,
                     f"{items[a][0]} and {items[b][0]} meet in {inter}",
                 )
             elif inter != c1 and inter != c2 and _cube_dim(inter) >= min(
                 _cube_dim(c1), _cube_dim(c2)
             ):
-                fail("intersections_in_collection", f"dimension at {inter}")
+                ledger.record("intersections_in_collection", False, f"dimension at {inter}")
 
-    checks["containment_mirrors_refinement"] = True
+    ledger.record("containment_mirrors_refinement", True)
     objs = list(cubes)
     for o1 in objs:
         for o2 in objs:
             refines = ref.le(ref.index(o1), ref.index(o2))
             if refines != _cube_contains(cubes[o1], cubes[o2]):
-                fail("containment_mirrors_refinement", f"{o1} vs {o2}")
+                ledger.record("containment_mirrors_refinement", False, f"{o1} vs {o2}")
 
 
 CELLS_4 = [(m, t - m) for t in range(1, 5) for m in range(t + 1)]
@@ -241,14 +246,9 @@ def _failures(subdivision_checks, kind, m, n):
     ref = posets.build_refinement_poset(kind, m, n)
     gamma_fn = cubic.cubic_vector_painted if kind == "painted" else cubic.cubic_vector_shade
     gamma = [gamma_fn(o) for o in rot.elements]
-    checks, messages = {}, []
-
-    def fail(name, message):
-        checks[name] = False
-        messages.append(f"{name}: {message}")
-
-    subdivision_checks(rot, ref, gamma, cubic._cube_of(gamma), checks, fail)
-    return checks, messages
+    log = FailureLog()
+    subdivision_checks(rot, ref, gamma, cubic._cube_of(gamma), log)
+    return dict(log.verdicts()), [f"{name}: {detail}" for name, detail in log.failures]
 
 
 def _with_oracle(monkeypatch, kind, m, n):
@@ -341,3 +341,58 @@ def test_subdivision_oracle_on_each_broken_containment(kind, monkeypatch):
         if ref.elements[hi].rank > 0:
             failed = _failed_checks(monkeypatch, kind, 2, 1, _corrupted(ref, cut=(lo, hi)))
             assert failed == {"containment_mirrors_refinement"}
+
+
+# -- every failed check names itself in the counterexample ---------------------------
+
+CUBIC_CHECKS = [
+    "injective", "single_coordinate_decrease", "box_spanned_by_extremes", "images_on_boundary",
+    "faces_span_subcubes", "subcubes_on_boundary", "boundary_covered",
+    "intersections_in_collection", "containment_mirrors_refinement",
+]
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_cubic_checks_keep_their_order(kind):
+    assert list(verify_cubic_realization(kind, 2, 2).checks) == CUBIC_CHECKS
+    assert list(verify_cubic_realization(kind, 2, 2, subdivision=False).checks) == CUBIC_CHECKS[:4]
+
+
+def test_a_cubic_report_is_read_only():
+    rep = verify_cubic_realization("shade", 1, 2)
+    with pytest.raises(TypeError):
+        rep.checks["injective"] = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.counterexample = "edited"
+
+
+def _vectors_only(monkeypatch, kind, stand_in):
+    """The vectors-only report on a stand-in rotation poset."""
+    monkeypatch.setattr(posets, "build_rotation_poset", lambda *args: stand_in)
+    rep = verify_cubic_realization(kind, 1, 2, subdivision=False)
+    return rep, [name for name, ok in rep.checks.items() if not ok]
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_a_repeated_vector_names_injective(monkeypatch, kind):
+    rot = build_rotation_poset(kind, 1, 2)
+    stand_in = SimpleNamespace(
+        elements=rot.elements + rot.elements[:1], covers=rot.covers, top=rot.top, bottom=rot.bottom
+    )
+    rep, failed = _vectors_only(monkeypatch, kind, stand_in)
+    assert failed == ["injective"]
+    assert rep.counterexample == f"injective: {rot.n} of {rot.n + 1} vectors distinct"
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_extremes_short_of_the_box_name_box_spanned_by_extremes(monkeypatch, kind):
+    # no covers to check, and a top that is the bottom: one point spans nothing
+    rot = build_rotation_poset(kind, 1, 2)
+    stand_in = SimpleNamespace(elements=rot.elements, covers=(), top=rot.bottom, bottom=rot.bottom)
+    rep, failed = _vectors_only(monkeypatch, kind, stand_in)
+    gamma = [family(kind).cubic_vector(o) for o in rot.elements]
+    low = gamma[rot.bottom]
+    assert failed == ["box_spanned_by_extremes"]
+    assert rep.counterexample == (
+        f"box_spanned_by_extremes: box {cubic._cube_of(gamma)}, extremes span {(low, low)}"
+    )

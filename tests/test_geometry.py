@@ -2,6 +2,7 @@ import dataclasses
 import random
 from types import SimpleNamespace
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -11,6 +12,7 @@ import hochschild_kit.painted as painted
 import hochschild_kit.posets as posets
 import hochschild_kit.shades as shades
 from hochschild_kit.geometry import (
+    Halfspace,
     _affine_rank,
     _fan_checks,
     _subsets,
@@ -24,7 +26,6 @@ from hochschild_kit.geometry import (
     minkowski_data,
     omega,
     oriented_skeleton,
-    polytope_edges,
     shared_facet_report,
     vertex_of_lighted_shade,
     vertex_of_painted_tree,
@@ -39,7 +40,14 @@ from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
 
-from oracles import halfspace_values, left_comb, per_pair_certificate, subset_sums
+from oracles import (
+    FailureLog,
+    halfspace_values,
+    left_comb,
+    per_pair_certificate,
+    polytope_edges,
+    subset_sums,
+)
 
 
 def S(m, n, *entries):
@@ -509,14 +517,9 @@ def test_record_tables_are_read_only_and_minkowski_copies_z():
 
 def _fan_failures(kind, m, n, vert_objs):
     """The fan checks on the given vertex objects: their flags and every failure."""
-    checks, failures = {}, []
-
-    def fail(name, message):
-        checks[name] = False
-        failures.append((name, message))
-
-    _fan_checks(kind, m, n, vert_objs, checks, fail)
-    return checks, failures
+    log = FailureLog()
+    _fan_checks(kind, m, n, vert_objs, log)
+    return dict(log.verdicts()), log.failures
 
 
 # the first chain (multiplihedron) or binary painted tree (hochschild) whose
@@ -582,3 +585,97 @@ def test_a_diamond_cone_fails_simpliciality(monkeypatch):
     checks, failures = _fan_failures("hochschild", 1, 3, objs)
     assert not checks["cones_simplicial"] and checks["coarsening_witness"]
     assert [f for f in failures if f[0] == "cones_simplicial"] == [("cones_simplicial", "diamond")]
+
+
+# -- every failed check names itself in the counterexample ---------------------------
+
+CERTIFICATE_CHECKS = {
+    "multiplihedron": [
+        "vertices_distinct", "facets_distinct", "vertices_on_hyperplane",
+        "halfspaces_satisfied", "incidence_iff_refinement", "edge_directions",
+        "edge_single_flip", "coarsening_witness", "z_support_minimum", "z_supermodular",
+        "greedy_vertices_match", "facets_identified",
+    ],
+    "hochschild": [
+        "vertices_distinct", "facets_distinct", "vertices_on_hyperplane",
+        "halfspaces_satisfied", "incidence_iff_refinement", "edge_directions",
+        "edge_single_flip", "cones_simplicial", "fan_face_closure", "coarsening_witness",
+        "z_support_minimum", "z_supermodular", "greedy_vertices_match", "facets_identified",
+        "simple",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_checks_keep_their_order(kind):
+    report = certify_polytope(kind, 2, 2)
+    assert report.passed and report.counterexample is None
+    assert list(report.checks) == CERTIFICATE_CHECKS[kind]
+
+
+@pytest.mark.parametrize("kind, module, name", [
+    ("multiplihedron", painted, "enum_painted_trees"),
+    ("hochschild", shades, "enum_lighted_shades"),
+])
+def test_a_duplicated_facet_object_names_facets_distinct(monkeypatch, kind, module, name):
+    every_object = getattr(module, name)
+
+    def doubled(m, n, rank=None):
+        objs = every_object(m, n, rank)
+        return objs + objs[:1] if rank == m + n - 2 else objs
+
+    monkeypatch.setattr(module, name, doubled)
+    _polytope_objects.cache_clear()
+    try:
+        facets = len(_polytope_objects(kind, 1, 2).facets)
+        report = certify_polytope.__wrapped__(kind, 1, 2)
+    finally:
+        _polytope_objects.cache_clear()
+    assert report.counterexample == f"facets_distinct: {facets - 1} of {facets} facets distinct"
+    failed = [check for check, ok in report.checks.items() if not ok]
+    # a doubled facet puts its vertices on one facet too many
+    assert failed == ["facets_distinct"] + (["simple"] if kind == "hochschild" else [])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_repeated_vertex_names_vertices_distinct(monkeypatch, kind):
+    # a stand-in record that lists the first vertex (and its object) twice
+    real = _polytope_objects(kind, 1, 2)
+    rotation = SimpleNamespace(
+        elements=real.rotation.elements + real.rotation.elements[:1],
+        covers=real.rotation.covers,
+    )
+    sums = {s: total + total[:1] for s, total in real.sums.items()}
+    stand_in = dataclasses.replace(
+        real, rotation=rotation, vertices=real.vertices + real.vertices[:1], sums=sums
+    )
+    every_record = geometry._polytope_objects
+    monkeypatch.setattr(
+        geometry,
+        "_polytope_objects",
+        lambda k, m, n: stand_in if (k, m, n) == (kind, 1, 2) else every_record(k, m, n),
+    )
+    report = certify_polytope.__wrapped__(kind, 1, 2)
+    count = len(real.vertices)
+    assert report.counterexample == f"vertices_distinct: {count} of {count + 1} vertices distinct"
+    assert not report.checks["vertices_distinct"]
+    _polytope_objects.cache_clear()
+
+
+def test_freehedron_edges_match_the_tight_facet_route():
+    for n in range(7):
+        report = freehedron_report(n)
+        d = n + 1
+        y = freehedron_minkowski(n)
+        z = {s: sum(v for i, v in y.items() if i <= s) for s in _subsets(d)}
+        halfspaces = [Halfspace(s, z[s]) for s in _subsets(d) if len(s) < d]
+        edges = polytope_edges(report.vertices, halfspaces)
+        assert sorted(tuple(sorted(e)) for e in report.edges) == edges, n
+        assert report.num_edges == len(edges)
+        w = omega(d)
+        height = [sum(a * b for a, b in zip(v, w)) for v in report.vertices]
+        assert all(height[lo] < height[hi] for lo, hi in report.edges)
+        z[frozenset()] = 0
+        greedy = {greedy_vertex(z, d, p) for p in permutations(range(1, d + 1))}
+        assert report.vertices == sorted(greedy)
+    assert freehedron_report(6).num_edges == 432

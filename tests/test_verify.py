@@ -1,9 +1,11 @@
+import dataclasses
 import re
 
 import pytest
 
 from hochschild_kit import cli, verify
 from hochschild_kit.cli import main
+from hochschild_kit.posets import build_rotation_poset
 
 SMALL_REACH = {
     "tables": 3,
@@ -99,3 +101,41 @@ def test_morphism_suite_projects_each_cell_once(monkeypatch):
     assert dict((name, ok) for name, ok, _ in res.checks)[
         "projection up not order preserving at (0,3)"
     ]
+
+
+def test_a_failed_meet_morphism_row_names_its_pair(monkeypatch):
+    # the shadow map with the two shades of (0, 2) swapped: still onto, but
+    # it reverses the order of a two-element chain
+    real = verify.shadow
+    low, high = build_rotation_poset("shade", 0, 2).elements
+
+    def swapped(pt):
+        shade = real(pt)
+        if (pt.m, pt.n) != (0, 2):
+            return shade
+        return high if shade == low else low
+
+    monkeypatch.setattr(verify, "shadow", swapped)
+    res = verify.morphism_suite(2)
+    failed = [(name, detail) for name, ok, detail in res.checks if not ok]
+    assert failed == [(
+        "shadow(0,2) meet morphism",
+        'meet of (PaintedTree({"m":0,"n":2,"tree":[0,[0,0]],"cuts":[],"parts":[]}), '
+        'PaintedTree({"m":0,"n":2,"tree":[[0,0],0],"cuts":[],"parts":[]}))',
+    )]
+
+
+def test_a_failed_shared_facets_row_names_its_clauses(monkeypatch):
+    real = verify.shared_facet_report
+
+    def broken(m, n):
+        rep = real(m, n)
+        if (m, n) != (1, 1):
+            return rep
+        return dataclasses.replace(rep, facets_subset=False, common_vertices_are_singletons=False)
+
+    monkeypatch.setattr(verify, "shared_facet_report", broken)
+    res = verify.fan_suite(2)
+    failed = [(name, detail) for name, ok, detail in res.checks if not ok]
+    assert failed == [("shared facets(1,1)", "facets_subset, common_vertices_are_singletons")]
+    assert res.first_failure() == "shared facets(1,1): facets_subset, common_vertices_are_singletons"
