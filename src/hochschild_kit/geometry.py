@@ -659,9 +659,17 @@ def freehedron_report(n: int) -> FreehedronReport:
     y = freehedron_minkowski(n)
     z = {s: sum(v for i, v in y.items() if i <= s) for s in _subsets(d)}
     z[frozenset()] = 0
-    chamber = {perm: greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
-    verts = sorted(set(chamber.values()))
-    index = {v: k for k, v in enumerate(verts)}
+    # a chamber keeps the number of its vertex, in order of first appearance,
+    # so one vertex tuple per vertex outlives the greedy pass
+    first = {}
+    chamber = {
+        perm: first.setdefault(greedy_vertex(z, d, perm), len(first))
+        for perm in permutations(range(1, d + 1))
+    }
+    verts = sorted(first)
+    index = [0] * len(verts)  # number of first appearance -> sorted index
+    for k, v in enumerate(verts):
+        index[first[v]] = k
     # z is supermodular, so the normal fan coarsens the braid fan: the edges
     # are the walls between adjacent chambers (perm, and perm with its entries
     # a, b at positions i, i + 1 swapped) whose greedy vertices differ.  The

@@ -1,14 +1,25 @@
 """Finite posets built from cover relations, with lattice analytics.
 
 FinitePoset stores an element tuple and the Hasse diagram; the order
-relation, meet/join tables and the lattice-theoretic predicates are derived
-lazily.  The order is kept as Python-int bitmask rows, the idiom Preposet
-uses: bit j of ``leq[i]`` is set iff element i is below element j, and
-``down`` holds the transposed rows.  The meet of a and b is the element whose
-down-set is ``down[a] & down[b]``, found by one dict lookup, so a full meet
-table costs O(n^2) word-parallel operations.  The zeta and Möbius matrices,
-the Coxeter polynomial and the cyclotomic-product test are exact integer
-computations on the same rows, with no computer-algebra dependency.
+relation, the lattice-theoretic predicates and the meet/join tables are
+derived lazily.  The order is kept as Python-int bitmask rows, the idiom
+Preposet uses: bit j of ``leq[i]`` is set iff element i is below element j,
+and ``down`` holds the transposed rows.  The meet of a and b is the element
+whose down-set is ``down[a] & down[b]``, found by one dict lookup.
+
+The suites read local certificates, which fill no table: the lattice flag
+looks up a join of every two upper covers of an element, each
+semidistributivity flag a kappa at every irreducible, and
+`check_meet_morphism` the bounds of every element with an irreducible.
+Only a morphism side that fails its certificate is scanned pair by pair,
+for the same first counterexample as the full tables give.  The full meet
+and join tables (O(n^2) lookups each) and `semidistributive_counterexample`
+stay as lazy API: the freehedron reads the tables, and the tests compare
+both with the certificates.
+
+The zeta and Möbius matrices, the Coxeter polynomial and the
+cyclotomic-product test are exact integer computations on the same rows,
+with no computer-algebra dependency.
 Instances are immutable after construction: every derived structure is a
 tuple.
 Every poset of painted trees or lighted shades is built from its local moves
@@ -21,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import comb
 from operator import mul
 
@@ -34,8 +46,9 @@ class FinitePoset:
 
     covers holds (lo, hi) index pairs with lo below hi; the order is their
     reflexive transitive closure, so the cover digraph must be acyclic.  The
-    Hasse-diagram analytics (height, irreducibles, extremality) also need it
-    to be transitively irredundant.
+    Hasse-diagram analytics (height, irreducibles, extremality,
+    semidistributivity) and `check_meet_morphism`, which read the
+    irreducibles, also need it to be transitively irredundant.
     """
 
     def __init__(self, elements, covers):
@@ -108,6 +121,13 @@ class FinitePoset:
         return out
 
     @cached_property
+    def _covers_down(self):
+        out = [[] for _ in range(self.n)]
+        for lo, hi in self.covers:
+            out[hi].append(lo)
+        return out
+
+    @cached_property
     def topological_order(self) -> tuple[int, ...]:
         """Indices sorted bottom-up: every element comes after all elements
         below it."""
@@ -171,24 +191,45 @@ class FinitePoset:
         its down-set is exactly the set of common lower bounds.  With up-set
         rows it is the least common upper bound.
         """
-        owner = {row: i for i, row in enumerate(rows)}.get
+        owner = _owner(rows)
         return tuple(tuple(owner(ra & rb, -1) for rb in rows) for ra in rows)
+
+    @cached_property
+    def _meet_of(self):
+        """The element whose down-set is a given row, or the default."""
+        return _owner(self.down)
+
+    @cached_property
+    def _join_of(self):
+        """The element whose up-set is a given row, or the default."""
+        return _owner(self.leq)
 
     def meet(self, a, b):
         """Greatest lower bound of two element keys, or None."""
-        idx = self.meet_table[self.index(a)][self.index(b)]
+        idx = self._meet_of(self.down[self.index(a)] & self.down[self.index(b)], -1)
         return self.elements[idx] if idx >= 0 else None
 
     def join(self, a, b):
-        idx = self.join_table[self.index(a)][self.index(b)]
+        idx = self._join_of(self.leq[self.index(a)] & self.leq[self.index(b)], -1)
         return self.elements[idx] if idx >= 0 else None
 
     @cached_property
     def is_lattice(self) -> bool:
-        return (
-            self.is_bounded
-            and all(-1 not in row for row in self.meet_table)
-            and all(-1 not in row for row in self.join_table)
+        """Bounded, and every two upper covers of an element have a join.
+
+        That is enough for a finite poset (Björner, Edelman and Ziegler,
+        "Hyperplane arrangements with a lattice of regions", 1990, Lemma
+        2.1), so the check is one lookup per pair of upper covers, not one
+        per pair of elements.  A redundant cover edge only adds pairs whose
+        joins a lattice has anyway.
+        """
+        if not self.is_bounded:
+            return False
+        leq, join_of = self.leq, self._join_of
+        return all(
+            join_of(leq[y] & leq[z]) is not None
+            for upper in self._covers_up
+            for y, z in combinations(upper, 2)
         )
 
     # -- analytics ------------------------------------------------------------------
@@ -273,11 +314,40 @@ class FinitePoset:
 
     @cached_property
     def is_meet_semidistributive(self) -> bool:
-        return self.is_lattice and self.semidistributive_counterexample("meet") is None
+        """Every join-irreducible j has a kappa: the elements above j's lower
+        cover and not above j have a greatest one.  A finite lattice is meet
+        semidistributive iff that holds (Freese, Ježek and Nation, *Free
+        Lattices*, 1995, ch. 2)."""
+        return self.is_lattice and self._kappas_exist(
+            self.join_irreducibles, self._covers_down, self._covers_up, self.leq, self.down
+        )
 
     @cached_property
     def is_join_semidistributive(self) -> bool:
-        return self.is_lattice and self.semidistributive_counterexample("join") is None
+        """The dual: every meet-irreducible m has a dual kappa, a least element
+        among those below m's upper cover and not below m."""
+        return self.is_lattice and self._kappas_exist(
+            self.meet_irreducibles, self._covers_up, self._covers_down, self.down, self.leq
+        )
+
+    @staticmethod
+    def _kappas_exist(irreducibles, lower, upper, rows, co_rows) -> bool:
+        """Whether, for each irreducible j with its one `lower` cover c, the
+        set rows[c] & ~rows[j] has a greatest element, reading `upper` edges
+        and `co_rows` as the order of that side.
+
+        The set is convex (an up-set minus an up-set), so the walk from c up
+        along edges that stay in it ends at a maximal element x, and the set
+        has a greatest element iff it lies in co_rows[x].
+        """
+        for j in irreducibles:
+            (x,) = lower[j]
+            rest = rows[x] & ~rows[j]
+            while (y := next((y for y in upper[x] if rest >> y & 1), -1)) >= 0:
+                x = y
+            if rest & ~co_rows[x]:
+                return False
+        return True
 
     def zeta_matrix(self) -> tuple[tuple[int, ...], ...]:
         """Zeta matrix, rows and columns in topological order: 1 where the row
@@ -326,6 +396,11 @@ class FinitePoset:
         return "\n".join(lines) + "\n"
 
 
+def _owner(rows):
+    """Row -> index lookup over distinct rows: the ``get`` of a dict."""
+    return {row: i for i, row in enumerate(rows)}.get
+
+
 def is_cyclotomic_product(coeffs) -> bool:
     """Exact test: is the integer polynomial (coefficients, highest degree
     first) a product of cyclotomic polynomials?
@@ -356,35 +431,64 @@ class MorphismCheckReport:
 
 
 def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckReport:
-    """Exhaustively check f(x op y) = f(x) op f(y) for both lattice operations.
+    """Check f(x op y) = f(x) op f(y) for both lattice operations.
 
     f maps source element keys to destination element keys; it must be total
-    and surjective.
+    and surjective.  A counterexample is the first pair (x, y), in row-major
+    order of the source, whose bound is missing on one side only or maps
+    wrong.
+
+    Between lattices each side is first certified locally: f preserves every
+    meet iff f(top) = top and f(a ∧ m) = f(a) ∧ f(m) for every a and every
+    meet-irreducible m.  Every b is the meet of the meet-irreducibles above
+    it (top the empty meet), and b = b' ∧ m gives f(a ∧ b) = f(a ∧ b') ∧ f(m)
+    = f(a) ∧ f(b') ∧ f(m) = f(a) ∧ f(b) by induction on their number.  Joins
+    are dual, with bottom and the join-irreducibles.  Only a side that fails
+    its certificate, or a poset that is not a lattice, is scanned pair by
+    pair for its first counterexample, one source row at a time.
     """
     if set(f.keys()) != set(src.elements):
         raise ValueError("f must be total on the source")
     if set(f.values()) != set(dst.elements):
         raise ValueError("f must be surjective onto the destination")
     fi = [dst.index(f[e]) for e in src.elements]
-    # a missing source bound (-1) maps to -1 through the extra last entry, so
-    # it must match a missing destination bound
-    f_or_missing = fi + [-1]
+    lattices = src.is_lattice and dst.is_lattice
     example = {}
-    for side in ("meet", "join"):
-        src_t = src.meet_table if side == "meet" else src.join_table
-        dst_t = dst.meet_table if side == "meet" else dst.join_table
-        example[side] = None
-        for a, row in enumerate(src_t):
-            mapped = [f_or_missing[c] for c in row]
-            dst_row = dst_t[fi[a]]
-            expected = [dst_row[j] for j in fi]
-            if mapped != expected:
-                b = next(b for b, (x, y) in enumerate(zip(mapped, expected)) if x != y)
-                example[side] = (src.elements[a], src.elements[b])
-                break
+    for side, rows, bound_of, d_rows, d_bound_of, ends, irreducibles in (
+        ("meet", src.down, src._meet_of, dst.down, dst._meet_of,
+         (src.top, dst.top), src.meet_irreducibles),
+        ("join", src.leq, src._join_of, dst.leq, dst._join_of,
+         (src.bottom, dst.bottom), src.join_irreducibles),
+    ):
+        images = [d_rows[j] for j in fi]
+        certified = (
+            lattices
+            and fi[ends[0]] == ends[1]
+            and all(
+                [fi[bound_of(r & rows[i])] for r in rows]
+                == [d_bound_of(d & images[i]) for d in images]
+                for i in irreducibles
+            )
+        )
+        pair = None if certified else _first_unpreserved(fi, rows, bound_of, images, d_bound_of)
+        example[side] = pair and tuple(src.elements[i] for i in pair)
     return MorphismCheckReport(
         example["meet"] is None, example["join"] is None, example["meet"], example["join"]
     )
+
+
+def _first_unpreserved(fi, rows, bound_of, images, d_bound_of):
+    """The first index pair (a, b), in row-major order, whose bound f does
+    not carry to the destination's bound, or None; a bound missing on both
+    sides agrees.  images[a] is the destination row of f(a).  Each bound is
+    one lookup, and no table is stored."""
+    f_or_missing = fi + [-1]  # a missing source bound (-1) maps to -1
+    for a, ra in enumerate(rows):
+        da = images[a]
+        for b, rb in enumerate(rows):
+            if f_or_missing[bound_of(ra & rb, -1)] != d_bound_of(da & images[b], -1):
+                return a, b
+    return None
 
 
 # -- posets of painted trees and lighted shades ------------------------------------

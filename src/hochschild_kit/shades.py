@@ -332,13 +332,17 @@ def _lighted_shades(m, n, rank=None):
                 yield LightedShade(m, n, list(zip(seq, lights)))
 
 
-def _unary_shades(m, n):
-    """Generate every unary m-lighted n-shade once, in generation order."""
+def _unary_shades(m, n, orders=None):
+    """Generate every unary m-lighted n-shade once, in generation order.
+
+    ``orders`` are the orders, top to bottom, in which the labels may light
+    the cuts; by default every permutation of 1, ..., m.
+    """
     comps = [()] if n == 0 else _compositions(n)
     for comp in comps:
         k = len(comp)
         for pattern in _merge_patterns(k, m):
-            for perm in permutations(range(1, m + 1)):
+            for perm in orders or permutations(range(1, m + 1)):
                 entries = []
                 ci = si = 0
                 for is_cut in pattern:

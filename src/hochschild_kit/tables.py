@@ -23,9 +23,11 @@ the closed forms use as well), and every tuple sequence of a shade for its
 number of light distributions, binned by the one rank rule of its family
 (`painted.shape_rank`, `shades.sequence_rank`).  The labeled census that
 generates every object stays in the tests as the oracle of these
-histograms.  One labeled binary and one labeled unary pass give the vertex
-cells and the shadow fiber sizes behind the singleton cell.  Both verify and the command line
-read the exhaustive bound from `verify.REACH`.
+histograms.  One binary and one unary pass over a representative of each
+orbit of label permutations give the vertex cells and the shadow fiber sizes
+behind the singleton cell, times m!; the labeled pass is their test oracle.
+Both verify and the command line read the exhaustive bound from
+`verify.REACH`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-from .painted import _check_params, _painted_shapes, _painted_trees, shape_rank
+from .painted import PaintedTree, _check_params, _painted_shapes, shape_rank
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
@@ -190,8 +192,8 @@ class Census:
 
     ``painted_ranks[p]`` and ``shade_ranks[p]`` count the objects of rank p,
     summed over the generated shapes with their label counts; the vertex and
-    singleton counts come from separate labeled binary and unary passes,
-    whose objects are grouped into shadow fibers.
+    singleton counts come from separate binary and unary passes over orbit
+    representatives, whose objects are grouped into shadow fibers.
     """
 
     painted_ranks: tuple
@@ -218,8 +220,9 @@ def exhaustive_census(m: int, n: int) -> Census:
     """Count every painted tree and lighted shade of (m, n) by rank.
 
     One pass over the unlabeled shapes per family fills its rank histogram;
-    one labeled binary painted pass and one labeled unary shade pass give the
-    vertex counts and the shadow fibers.  No object outlives its pass.
+    one binary painted pass and one unary shade pass over orbit
+    representatives give the vertex counts and the shadow fibers
+    (`_vertex_census`).  No object outlives its pass.
     """
     _check_params(m, n)
     binary, unary, singletons = _vertex_census(m, n)
@@ -258,18 +261,39 @@ def _shade_rank_histogram(m, n):
 def _vertex_census(m, n):
     """(binary painted trees, unary shades, singleton fibers) of (m, n).
 
-    Raises AssertionError unless the shadows are exactly the unary shades.
+    Counted on one orbit representative of the label permutations per shape,
+    then multiplied by m!.  A permutation of 1, ..., m relabels the parts of
+    a painted tree and the lights of a shade.  Every part of a binary painted
+    tree and every light of a unary shade is a single label, so the symmetric
+    group S_m acts freely on both sets, and each orbit has exactly one
+    representative: the tree whose parts, bottom cut first, are ({1}, ...,
+    {m}), and the shade whose lights read m, m - 1, ..., 1 from top to
+    bottom.  `shadow` copies the parts into the lights, top cut first, so it
+    commutes with relabeling and a tree is a representative iff its shadow's
+    lights read m, ..., 1.  So every labeled fiber is a relabeled fiber over a
+    representative shade: the vertex counts and the singleton fibers of the
+    labeled objects are m! times those of the representatives, and the shadow
+    of the binary trees is exactly the unary shades iff the shadow of the
+    representative trees is exactly the representative shades.
+
+    Raises AssertionError unless the shadows of the representative trees are
+    exactly the representative unary shades.
     """
-    unary = list(_unary_shades(m, n))
+    parts = tuple(frozenset({label}) for label in range(1, m + 1))
+    unary = list(_unary_shades(m, n, orders=[tuple(range(m, 0, -1))]))
     # seeded with the shades, so a shadow equal to one adds no second key object
     sizes = Counter(dict.fromkeys(unary, 0))
-    sizes.update(shadow(pt) for pt in _painted_trees(m, n, binary=True))
+    sizes.update(
+        shadow(PaintedTree(m, n, shape, parts)) for shape, _ in _painted_shapes(m, n, binary=True)
+    )
     for ls in unary:
         if not sizes[ls]:
             raise AssertionError(f"shadow map misses {ls}")
     if len(sizes) > len(unary):
         raise AssertionError(f"shadow {list(sizes)[len(unary)]} is not a unary shade")
-    return sum(sizes.values()), len(unary), sum(1 for size in sizes.values() if size == 1)
+    orbit = factorial(m)
+    singletons = sum(1 for size in sizes.values() if size == 1)
+    return orbit * sum(sizes.values()), orbit * len(unary), orbit * singletons
 
 
 @dataclass

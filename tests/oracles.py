@@ -1,6 +1,7 @@
 """Oracles shared by the test modules: simple routes the kit's fast code is
 compared with."""
 
+from collections import Counter
 from itertools import combinations, permutations
 from math import comb
 
@@ -14,8 +15,11 @@ from hochschild_kit.geometry import (
     z_multiplihedron,
 )
 from hochschild_kit.ledger import Ledger
-from hochschild_kit.painted import LEAF, PaintedTree
+from hochschild_kit.painted import LEAF, PaintedTree, _painted_trees
+from hochschild_kit.posets import MorphismCheckReport
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
+from hochschild_kit.shades import _unary_shades
+from hochschild_kit.shadow import shadow
 
 
 def left_comb(n):
@@ -56,6 +60,56 @@ def singleton_tree_condition(pt: PaintedTree) -> bool:
         if pt.k and node.below + (node.tag is not None) > 0:
             return False
     return True
+
+
+def table_lattice_flags(p):
+    """(lattice, meet SD, join SD) read off the full meet and join tables:
+    every pair has both bounds, and the table fold finds no SD triple."""
+    lattice = p.is_bounded and all(
+        -1 not in row for table in (p.meet_table, p.join_table) for row in table
+    )
+    if not lattice:
+        return False, False, False
+    return (
+        True,
+        p.semidistributive_counterexample("meet") is None,
+        p.semidistributive_counterexample("join") is None,
+    )
+
+
+def table_morphism_check(f, src, dst) -> MorphismCheckReport:
+    """The bound-preservation check on the full tables: for each side the
+    first source row whose mapped bounds differ from the destination's, and
+    in it the first column, with a missing bound (-1) on both sides agreeing."""
+    fi = [dst.index(f[e]) for e in src.elements]
+    f_or_missing = fi + [-1]
+    example = {}
+    for side in ("meet", "join"):
+        src_t = src.meet_table if side == "meet" else src.join_table
+        dst_t = dst.meet_table if side == "meet" else dst.join_table
+        example[side] = None
+        for a, row in enumerate(src_t):
+            mapped = [f_or_missing[c] for c in row]
+            dst_row = dst_t[fi[a]]
+            expected = [dst_row[j] for j in fi]
+            if mapped != expected:
+                b = next(b for b, (x, y) in enumerate(zip(mapped, expected)) if x != y)
+                example[side] = (src.elements[a], src.elements[b])
+                break
+    return MorphismCheckReport(
+        example["meet"] is None, example["join"] is None, example["meet"], example["join"]
+    )
+
+
+def labeled_vertex_census(m, n):
+    """(binary painted trees, unary shades, singleton fibers) of (m, n), from
+    every labeled binary painted tree and unary shade: the pass that
+    `tables._vertex_census` runs on orbit representatives only."""
+    unary = list(_unary_shades(m, n))
+    sizes = Counter(dict.fromkeys(unary, 0))
+    sizes.update(shadow(pt) for pt in _painted_trees(m, n, binary=True))
+    assert len(sizes) == len(unary) and all(sizes.values())
+    return sum(sizes.values()), len(unary), sum(1 for size in sizes.values() if size == 1)
 
 
 def transitive_closure_pairs(d: int, pairs) -> frozenset:

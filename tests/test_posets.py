@@ -21,7 +21,12 @@ from hochschild_kit.painted import PaintedTree, enum_painted_trees
 from hochschild_kit.shades import LightedShade, enum_lighted_shades
 from hochschild_kit.shadow import shadow
 
-from oracles import key_sorted, transitive_closure_pairs
+from oracles import (
+    key_sorted,
+    table_lattice_flags,
+    table_morphism_check,
+    transitive_closure_pairs,
+)
 
 
 def pentagon():
@@ -32,6 +37,11 @@ def pentagon():
 def diamond_m3():
     return FinitePoset(["bot", "a", "b", "c", "top"],
                        [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
+
+
+def vee():
+    """Bounded below, two maxima: no join of the two tops."""
+    return FinitePoset(["bot", "x", "y"], [(0, 1), (0, 2)])
 
 
 def test_meet_join_on_pentagon():
@@ -171,12 +181,12 @@ def test_cached_posets_are_immutable_and_non_lattices_raise():
             table[0][0] = -1
     assert build_rotation_poset("shade", 1, 2).meet_table is p.meet_table
     # a V shape: bounded below, two maxima, so no join of the two tops
-    vee = FinitePoset(["bot", "x", "y"], [(0, 1), (0, 2)])
-    assert not vee.is_lattice
+    v = vee()
+    assert not v.is_lattice
     for side in ("meet", "join"):
         with pytest.raises(ValueError):
-            vee.semidistributive_counterexample(side)
-    assert not vee.is_meet_semidistributive and not vee.is_join_semidistributive
+            v.semidistributive_counterexample(side)
+    assert not v.is_meet_semidistributive and not v.is_join_semidistributive
 
 
 def test_rotation_poset_shapes():
@@ -326,6 +336,143 @@ def test_refinement_semilattice_property():
     for kind, m, n in [("shade", 1, 3), ("shade", 2, 2), ("painted", 1, 3)]:
         ref = build_refinement_poset(kind, m, n)
         assert all(c >= 0 for row in ref.meet_table for c in row)
+
+
+# -- local certificates against the table route ------------------------------------
+
+
+def fresh(poset):
+    """A copy of a poset with nothing derived yet, so no table is cached."""
+    return FinitePoset(poset.elements, poset.covers)
+
+
+def bowtie():
+    """Bounded, but its two atoms have two minimal upper bounds: no join."""
+    return FinitePoset(["bot", "a", "b", "c", "d", "top"],
+                       [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 5), (4, 5)])
+
+
+def certificate_posets():
+    yield pytest.param(pentagon(), id="pentagon")
+    yield pytest.param(diamond_m3(), id="M3")
+    yield pytest.param(vee(), id="vee")
+    yield pytest.param(bowtie(), id="bowtie")
+    for m, n in CELLS_TO_5:
+        for kind in ("painted", "shade"):
+            yield pytest.param(build_rotation_poset(kind, m, n), id=f"rotation {kind}({m},{n})")
+    for t in range(1, 4):
+        for m in range(t + 1):
+            for kind in ("painted", "shade"):
+                yield pytest.param(
+                    build_refinement_poset(kind, m, t - m), id=f"refinement {kind}({m},{t - m})"
+                )
+            yield pytest.param(word_subposet(m, t - m), id=f"word({m},{t - m})")
+
+
+@pytest.mark.parametrize("p", certificate_posets())
+def test_local_lattice_flags_match_the_tables(p, monkeypatch):
+    expected = table_lattice_flags(fresh(p))
+    q = fresh(p)
+    monkeypatch.setattr(FinitePoset, "_bound_table", None)  # the flags read no table
+    assert (q.is_lattice, q.is_meet_semidistributive, q.is_join_semidistributive) == expected
+
+
+def test_certificate_fixtures_cover_every_outcome():
+    outcomes = {
+        (p.is_bounded, *table_lattice_flags(fresh(p)))
+        for p in (param.values[0] for param in certificate_posets())
+    }
+    # a bounded non-lattice, unbounded posets and lattices with each SD pattern
+    assert {(True, False, False, False), (False, False, False, False), (True, True, True, True),
+            (True, True, False, True), (True, True, False, False)} <= outcomes
+
+
+def swapped(f, x, y):
+    g = dict(f)
+    g[x], g[y] = f[y], f[x]
+    return g
+
+
+def corrupted_shadows(src, f):
+    """Corruptions of f that stay surjective: two differing images swapped,
+    and the image of the top (bottom) swapped with that of a lower (upper)
+    cover, which moves f(top) off the top (f(bottom) off the bottom)."""
+    elements = src.elements
+    pair = next(
+        ((x, y) for x, y in combinations(elements[1:-1], 2) if f[x] != f[y]), None
+    )
+    if pair is not None:
+        yield "swap", swapped(f, *pair)
+    top, bottom = elements[src.top], elements[src.bottom]
+    below_top = [elements[lo] for lo, hi in src.covers if hi == src.top]
+    above_bottom = [elements[hi] for lo, hi in src.covers if lo == src.bottom]
+    if below_top and f[below_top[0]] != f[top]:
+        yield "top moved", swapped(f, top, below_top[0])
+    if above_bottom and f[above_bottom[0]] != f[bottom]:
+        yield "bottom moved", swapped(f, bottom, above_bottom[0])
+
+
+def shadow_maps():
+    for m, n in CELLS_TO_5:
+        src = build_rotation_poset("painted", m, n)
+        dst = build_rotation_poset("shade", m, n)
+        f = {pt: shadow(pt) for pt in src.elements}
+        yield pytest.param(src, dst, f, id=f"shadow({m},{n})")
+        for name, g in corrupted_shadows(src, f):
+            yield pytest.param(src, dst, g, id=f"shadow({m},{n}) {name}")
+    for t in range(1, 4):
+        for m in range(t + 1):
+            p = build_refinement_poset("shade", m, t - m)
+            identity = {e: e for e in p.elements}
+            yield pytest.param(p, p, identity, id=f"refinement({m},{t - m}) identity")
+    v = vee()
+    yield pytest.param(v, v, {"bot": "bot", "x": "y", "y": "x"}, id="vee swap")
+    yield pytest.param(pentagon(), diamond_m3(),
+                       dict(zip(pentagon().elements, diamond_m3().elements)), id="pentagon to M3")
+
+
+@pytest.mark.parametrize("src, dst, f", shadow_maps())
+def test_local_morphism_check_matches_the_table_scan(src, dst, f, monkeypatch):
+    expected = table_morphism_check(f, fresh(src), fresh(dst))
+    monkeypatch.setattr(FinitePoset, "_bound_table", None)  # the check reads no table
+    assert check_meet_morphism(f, fresh(src), fresh(dst)) == expected
+
+
+def test_a_moved_extreme_fails_its_side():
+    # a surjective meet morphism sends top to top, a join morphism bottom to bottom
+    moved = 0
+    for m, n in CELLS_TO_5:
+        src = build_rotation_poset("painted", m, n)
+        dst = build_rotation_poset("shade", m, n)
+        f = {pt: shadow(pt) for pt in src.elements}
+        for name, g in corrupted_shadows(src, f):
+            rep = check_meet_morphism(g, src, dst)
+            if name == "top moved":
+                assert not rep.is_meet_morphism and rep.meet_counterexample is not None
+                moved += 1
+            elif name == "bottom moved":
+                assert not rep.is_join_morphism and rep.join_counterexample is not None
+                moved += 1
+    assert moved > 20
+
+
+def test_order_suites_fill_no_table(monkeypatch):
+    import hochschild_kit.posets as posets
+    import hochschild_kit.verify as verify
+    from functools import lru_cache
+
+    expected = [verify.lattice_suite(4).to_json_obj(), verify.morphism_suite(4).to_json_obj()]
+
+    def no_table(*args):
+        raise AssertionError("a suite filled a meet or join table")
+
+    monkeypatch.setattr(FinitePoset, "_bound_table", no_table)
+    monkeypatch.setattr(FinitePoset, "semidistributive_counterexample", no_table)
+    rebuilt = lru_cache(maxsize=None)(build_rotation_poset.__wrapped__)
+    monkeypatch.setattr(verify, "build_rotation_poset", rebuilt)
+    monkeypatch.setattr(posets, "build_rotation_poset", rebuilt)
+    got = [verify.lattice_suite(4).to_json_obj(), verify.morphism_suite(4).to_json_obj()]
+    assert got == expected
 
 
 def test_meet_morphism_identity():

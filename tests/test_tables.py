@@ -4,12 +4,15 @@ Two oracles: the per-cell one regenerates every painted tree or lighted shade
 of a cell with the public, sorted enumerators, once per printed cell; the
 labeled census generates every labeled object of (m, n) once and counts it by
 rank.  The census counts labels instead of generating them; all must agree.
+The vertex census runs on one representative per orbit of label
+permutations; `oracles.labeled_vertex_census` is its labeled pass.
 """
 
 import pytest
 
 from hochschild_kit import tables
 from hochschild_kit.painted import (
+    PaintedTree,
     _painted_trees,
     binary_painted_trees,
     enum_painted_trees,
@@ -21,6 +24,8 @@ from hochschild_kit.shades import (
 )
 from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import PRINTED_TABLES, exhaustive_census, reproduce_tables
+
+from oracles import labeled_vertex_census
 
 CELLS = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 CELLS_TO_6 = [(m, d - m) for d in range(1, 7) for m in range(d + 1)]
@@ -93,6 +98,34 @@ def test_rank_histogram_matches_rank_filtered_enumeration(mn):
         assert census.shade_ranks[rank] == len(enum_lighted_shades(m, n, rank=rank))
 
 
+@pytest.mark.parametrize("mn", CELLS_TO_6)
+def test_vertex_census_on_orbit_representatives_matches_labeled_pass(mn):
+    assert tables._vertex_census(*mn) == labeled_vertex_census(*mn)
+
+
+def test_vertex_census_builds_one_representative_per_orbit(monkeypatch):
+    m, n = 3, 1
+    labeled = labeled_vertex_census(m, n)
+    trees, lights = [], []
+    real_shades = tables._unary_shades
+
+    def tree(m, n, tagged, parts):
+        trees.append(parts)
+        return PaintedTree(m, n, tagged, parts)
+
+    def shades(*args, **kwargs):
+        for ls in real_shades(*args, **kwargs):
+            lights.append(tuple(label for _, lit in ls.entries for label in lit))
+            yield ls
+
+    monkeypatch.setattr(tables, "PaintedTree", tree)
+    monkeypatch.setattr(tables, "_unary_shades", shades)
+    assert tables._vertex_census(m, n) == labeled
+    assert len(trees) == labeled[0] // 6 and len(lights) == labeled[1] // 6
+    assert set(trees) == {(frozenset({1}), frozenset({2}), frozenset({3}))}
+    assert set(lights) == {(3, 2, 1)}
+
+
 def test_census_rejects_invalid_parameters():
     with pytest.raises(ValueError):
         exhaustive_census(0, 0)
@@ -101,12 +134,12 @@ def test_census_rejects_invalid_parameters():
 
 
 def test_census_raises_when_shadow_misses_a_shade(monkeypatch):
-    real = tables._painted_trees
+    real = tables._painted_shapes
 
-    def no_binary_trees(m, n, binary=False):
-        return iter(()) if binary else real(m, n)
+    def no_binary_shapes(m, n, binary):
+        return iter(()) if binary else real(m, n, binary)
 
-    monkeypatch.setattr(tables, "_painted_trees", no_binary_trees)
+    monkeypatch.setattr(tables, "_painted_shapes", no_binary_shapes)
     with pytest.raises(AssertionError, match="shadow map misses"):
         exhaustive_census(1, 2)
 
