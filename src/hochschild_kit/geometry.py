@@ -11,6 +11,18 @@ Every check of a polytope reads one `PolytopeObjects` record (rotation poset,
 vertices, facets, z table and vertex subset sums), built once per (m, n) cell
 by `_polytope_objects` from the objects and maps of `families.family`, and
 uncached beyond that cell.
+
+The fan's coarsening witnesses run on chamber labels.  Each permutation
+sigma is a chamber of the braid fan, and it is labeled with the greedy vertex
+of sigma, which for supermodular z minimizes every functional in sigma's
+chamber (Edmonds, "Submodular functions, matroids, and certain polyhedra",
+1970; Postnikov, "Permutohedra, associahedra, and beyond", 2009, for the
+braid-fan picture).  The labels only propose a cone per chamber; the proof
+is combinatorial (`_cones_partition_chambers`): antisymmetric cones, each
+chamber inside its label's cone, and sum e(P) = d! linear extensions over
+the cones.  That takes d! `contains` calls in place of d! * |V|, and one
+more per binary painted tree for the Hochschild fan.  When the labels do
+not close, the witness counts every pair, as it always did.
 """
 
 from __future__ import annotations
@@ -18,9 +30,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 from operator import add
 from types import MappingProxyType
 
@@ -284,6 +296,19 @@ class PolytopeObjects:
     z: Mapping
     sums: Mapping
 
+    @cached_property
+    def chambers(self) -> tuple:
+        """The greedy vertex of z for each permutation, in `permutations`
+        order: the label of each braid chamber."""
+        d = len(self.vertices[0])
+        return tuple(greedy_vertex(self.z, d, perm) for perm in permutations(range(1, d + 1)))
+
+    def chamber_cones(self) -> list:
+        """The preposet of each chamber's label, or None for a label that is
+        no vertex; the chambers of a cone are the orders its preposet is in."""
+        cone_of = {v: o.preposet for v, o in zip(self.vertices, self.rotation.elements)}
+        return [cone_of.get(v) for v in self.chambers]
+
 
 @lru_cache(maxsize=2)
 def _polytope_objects(kind, m, n) -> PolytopeObjects:
@@ -367,8 +392,12 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     object's preposet; (c) every rotation edge moves by a positive multiple of
     e_i - e_j for its unique inverted pair (with the exact shade formulas);
     (d) fan sanity: simplicial maximal cones, face closure, and the coarsening
-    witnesses; plus z support minima, supermodularity, and simplicity for the
-    Hochschild polytope.
+    witnesses, which place every braid chamber in exactly one maximal cone
+    (and, for the Hochschild polytope, every binary painted cone in exactly
+    one unary shade cone) from the greedy vertex of each chamber, shared with
+    ``greedy_vertices_match`` (see the module docstring for the argument and
+    its sources); plus z support minima, supermodularity, and simplicity for
+    the Hochschild polytope.
     """
     d = m + n
     simple = family(kind).simple
@@ -421,7 +450,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
         if simple and _shade_edge_delta(lo_obj, hi_obj) != delta:
             ledger.record("edge_directions", False, f"shade case formula differs: {delta}")
 
-    _fan_checks(kind, m, n, vert_objs, ledger)
+    _fan_checks(kind, m, n, vert_objs, ledger, poly.chamber_cones())
 
     ledger.record("z_support_minimum", True)
     ledger.record("z_supermodular", True)
@@ -439,7 +468,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     # with z supermodular, the polytope it defines has exactly the greedy
     # vertices; matching them against the claimed vertex set closes the loop
     ledger.record("greedy_vertices_match", True)
-    greedy = {greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
+    greedy = set(poly.chambers)
     if greedy != set(verts):
         detail = f"{len(greedy)} greedy vs {len(verts)} claimed"
         ledger.record("greedy_vertices_match", False, detail)
@@ -506,12 +535,64 @@ def _affine_rank(points) -> int:
     return rank
 
 
-def _fan_checks(kind, m, n, vert_objs, ledger):
+def _cones_partition_chambers(d, cones, labels) -> bool:
+    """True when every braid chamber lies in exactly one of the cones.
+
+    ``cones`` are preposets, one per maximal cone (repeats count twice), and
+    ``labels`` one candidate cone per chamber, in `permutations` order.  A
+    chamber lies in a cone when its `Preposet.chain` contains the cone's
+    preposet.  If every cone is antisymmetric, every chamber lies in its
+    label's cone, and the cones hold sum e(P) = d! chambers in all (e counts
+    linear extensions), then no chamber lies in two cones: d! incidences
+    fall on d! chambers with at least one each.  d! `contains` calls.
+    """
+    if not all(p.is_antisymmetric for p in cones):
+        return False
+    members = set(cones)
+    for perm, label in zip(permutations(range(1, d + 1)), labels):
+        if label not in members or not Preposet.chain(d, perm).contains(label):
+            return False
+    return sum(p.linear_extension_count() for p in cones) == factorial(d)
+
+
+def _hochschild_witness(d, binary, unary_cones, shade_labels, painted_labels) -> bool:
+    """True when every binary painted cone lies in exactly one unary shade cone.
+
+    Once the shade cones partition the chambers, a binary cone P lies in a
+    shade cone Q exactly when its chambers (the linear extensions of P, at
+    least one when P is antisymmetric) lie in Q's, so in at most one.  The
+    candidate Q is the shade label of the chambers that carry P's painted
+    label, which must agree; one `contains` call per binary tree shows it.
+    """
+    if not _cones_partition_chambers(d, unary_cones, shade_labels):
+        return False
+    over = {}
+    for painted, shade in zip(painted_labels, shade_labels):
+        if over.setdefault(painted, shade) != shade:
+            return False
+    for pt in binary:
+        cone = over.get(pt.preposet)
+        if cone is None or not pt.preposet.is_antisymmetric or not pt.preposet.contains(cone):
+            return False
+    return True
+
+
+def _fan_checks(kind, m, n, vert_objs, ledger, labels=None):
+    """Face closure, simplicial cones and the coarsening witness of one fan.
+
+    ``labels`` gives, for each braid chamber in `permutations` order, the
+    cone of ``kind`` its greedy vertex names (`PolytopeObjects.chamber_cones`).
+    With it the witness runs on the labels (`_cones_partition_chambers`,
+    `_hochschild_witness`).  Without it, or when the labels do not close,
+    every pair is counted, so each failure and its message come from the
+    pairwise count.
+    """
     d = m + n
     fam = family(kind)
+    cones = [o.preposet for o in vert_objs]
     if fam.simple:
         all_shades = fam.enum(m, n)
-        preposet_set = {ls.preposet for ls in all_shades}
+        faces = {ls.preposet.rows for ls in all_shades}
         ledger.record("cones_simplicial", True)
         ledger.record("fan_face_closure", True)
         for ls in all_shades:
@@ -519,23 +600,29 @@ def _fan_checks(kind, m, n, vert_objs, ledger):
             if not pre.hasse_is_forest:
                 ledger.record("cones_simplicial", False, ls.canonical())
             for e in range(len(pre.hasse_edges)):
-                if pre.contract_hasse_edge(e) not in preposet_set:
+                if pre.contracted_rows(e) not in faces:
                     ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
-        unary_pre = [ls.preposet for ls in vert_objs]
         ledger.record("coarsening_witness", True)
-        for pt in _polytope_objects("multiplihedron", m, n).rotation.elements:
-            hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
+        mult = _polytope_objects("multiplihedron", m, n)
+        binary = mult.rotation.elements
+        if labels is not None and _hochschild_witness(
+            d, binary, cones, labels, mult.chamber_cones()
+        ):
+            return
+        for pt in binary:
+            hits = sum(1 for p in cones if pt.preposet.contains(p))
             if hits != 1:
                 detail = f"{pt.canonical()} lands in {hits} cones"
                 ledger.record("coarsening_witness", False, detail)
     else:
         # maximal painted cones need not be simplicial (the multiplihedron is
         # not simple), so only the braid coarsening witness is checked here
-        binary_pre = [pt.preposet for pt in vert_objs]
         ledger.record("coarsening_witness", True)
+        if labels is not None and _cones_partition_chambers(d, cones, labels):
+            return
         for perm in permutations(range(1, d + 1)):
             chain = Preposet.chain(d, perm)
-            hits = sum(1 for p in binary_pre if chain.contains(p))
+            hits = sum(1 for p in cones if chain.contains(p))
             if hits != 1:
                 ledger.record("coarsening_witness", False, f"chain {perm} lands in {hits} cones")
 

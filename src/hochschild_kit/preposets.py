@@ -9,10 +9,11 @@ The bitmask order kernel lives here, shared with `posets`.  `from_pairs`
 closes its pairs in one Warshall pass, and a chain is read off its suffix
 masks.  Two elements share a class exactly when their rows are equal.
 `cover_pairs` is the one transitive reduction: `FinitePoset.from_leq` calls
-it on its rows, `Preposet.hasse_edges` on the rows of the class quotient.
-Contracting a Hasse edge needs no second closure, because adding one
-relation to a closed relation is a single OR per row (see
-`contract_hasse_edge`).
+it on its rows, and a preposet calls it once on its rows cut down to one
+representative per class (a bitmask); that one pass serves `hasse_edges`,
+`hasse_is_forest` and the contractions.  Contracting a Hasse edge needs no
+second closure, because adding one relation to a closed relation is a
+single OR per row (see `contracted_rows`).
 """
 
 from __future__ import annotations
@@ -127,19 +128,46 @@ class Preposet:
         return tuple(frozenset(j + 1 for j in _bits(mask)) for mask in members.values())
 
     @cached_property
+    def _reps(self) -> int:
+        """Mask of the class representatives: i is one when no lower element
+        has its row, so each class is represented by its least element."""
+        seen = set()
+        reps = 0
+        for i, row in enumerate(self.rows):
+            if row not in seen:
+                seen.add(row)
+                reps |= 1 << i
+        return reps
+
+    @cached_property
+    def _covers(self) -> tuple[tuple[int, int], ...]:
+        """The Hasse covers as pairs of representatives (0-based elements), in
+        ascending order: `cover_pairs` of the rows cut down to the
+        representatives.  Representatives ascend with their class index, so
+        this is `hasse_edges` in the same order; it is the one pass that
+        `hasse_edges`, `hasse_is_forest` and the contractions read."""
+        reps = self._reps
+        return tuple(cover_pairs([row & reps if reps >> i & 1 else 0
+                                  for i, row in enumerate(self.rows)]))
+
+    @property
+    def is_antisymmetric(self) -> bool:
+        """True iff every class is a single element (the preposet is a poset)."""
+        return self._reps == (1 << self.d) - 1
+
+    @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (a, b) of class indices, class a directly below class b,
-        in ascending order: `cover_pairs` of the quotient's up-set rows."""
-        reps = [min(c) - 1 for c in self.classes]
-        up = [sum(1 << b for b, rb in enumerate(reps) if self.rows[ra] >> rb & 1) for ra in reps]
-        return tuple(cover_pairs(up))
+        in ascending order."""
+        reps = self._reps
+        index = {i: k for k, i in enumerate(_bits(reps))}
+        return tuple((index[a], index[b]) for a, b in self._covers)
 
     @cached_property
     def hasse_is_forest(self) -> bool:
         """True iff the Hasse diagram of the quotient poset is acyclic as an
         undirected graph (no two distinct paths between classes)."""
-        k = len(self.classes)
-        parent = list(range(k))
+        parent = list(range(self.d))
 
         def find(x):
             while parent[x] != x:
@@ -147,15 +175,15 @@ class Preposet:
                 x = parent[x]
             return x
 
-        for a, b in self.hasse_edges:
+        for a, b in self._covers:
             ra, rb = find(a), find(b)
             if ra == rb:
                 return False
             parent[ra] = rb
         return True
 
-    def contract_hasse_edge(self, edge_index: int) -> "Preposet":
-        """Merge the two classes of one Hasse cover into a coarser preposet.
+    def contracted_rows(self, edge_index: int) -> tuple[int, ...]:
+        """The rows of `contract_hasse_edge`, with no preposet built.
 
         For the cover a < b this adds b <= a.  In the closed relation a new
         pair u <= v needs a path u <= b, b <= a, a <= v, and a path through
@@ -163,10 +191,37 @@ class Preposet:
         u <= b and a <= v.  So the closure adds exactly the rows below b
         times the up-set of a: it ORs row a into every row with bit b set.
         """
-        a, b = self.hasse_edges[edge_index]
-        up_a = self.rows[min(self.classes[a]) - 1]
-        bit_b = 1 << (min(self.classes[b]) - 1)
-        return Preposet(self.d, tuple(row | up_a if row & bit_b else row for row in self.rows))
+        a, b = self._covers[edge_index]
+        up_a, bit_b = self.rows[a], 1 << b
+        return tuple(row | up_a if row & bit_b else row for row in self.rows)
+
+    def contract_hasse_edge(self, edge_index: int) -> "Preposet":
+        """Merge the two classes of one Hasse cover into a coarser preposet."""
+        return Preposet(self.d, self.contracted_rows(edge_index))
+
+    def linear_extension_count(self) -> int:
+        """The number of orders whose `chain` contains this preposet.
+
+        Counts the orders by their prefixes: an element may come next once
+        everything strictly below it has come, so one pass per length over
+        the reachable prefix sets (the down-sets) adds up the ways to reach
+        each.  Two elements each below the other never come, so a preposet
+        that is not antisymmetric counts 0.
+        """
+        below = [0] * self.d
+        for i, row in enumerate(self.rows):
+            for j in _bits(row & ~(1 << i)):
+                below[j] |= 1 << i
+        ways = {0: 1}
+        for _ in range(self.d):
+            longer = {}
+            for prefix, count in ways.items():
+                for x, need in enumerate(below):
+                    if not prefix >> x & 1 and need & ~prefix == 0:
+                        grown = prefix | 1 << x
+                        longer[grown] = longer.get(grown, 0) + count
+            ways = longer
+        return sum(ways.values())
 
     def __eq__(self, other):
         return isinstance(other, Preposet) and self.rows == other.rows

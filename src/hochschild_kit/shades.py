@@ -105,29 +105,32 @@ class LightedShade:
 
     @cached_property
     def preposet(self) -> Preposet:
-        """Preposet on {1, ..., m + n} generated by the four relation clauses."""
+        """Preposet on {1, ..., m + n}, built as closed rows.
+
+        Its four relation clauses say: a label is below every label lit at or
+        above its position and below the top (last element) of every entry
+        at or above it; an element of an entry's block is below the same two
+        sets, taken at the entry's position.  So one prefix mask per position,
+        the labels lit and the entry tops at or above it, ORed with the
+        element's own bit, is its row.  The rows are already closed: every
+        label or top in a row at position p sits at a position q <= p, and
+        its own row is the prefix mask at q, which lies inside the one at p.
+        """
         m = self.m
-        pairs = []
-        lp = self.light_position
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                if i != j and lp[i] >= lp[j]:
-                    pairs.append((i, j))
-        flat = self.flat_entries
-        for xpos, _, xval, xps in flat:
-            for ypos, _, _, yps in flat:
-                if xpos >= ypos:
-                    for k in range(xps - xval + 1, xps + 1):
-                        pairs.append((k, yps))
-        for i in range(1, m + 1):
-            cpos = lp[i]
-            for xpos, _, xval, xps in flat:
-                if xpos <= cpos:
-                    pairs.append((i, xps))
-                if xpos >= cpos:
-                    for k in range(xps - xval + 1, xps + 1):
-                        pairs.append((k, i))
-        return Preposet.from_pairs(m + self.n, pairs)
+        rows = [0] * (m + self.n)
+        above = 0
+        top = m  # the last element of the entries passed; the labels come first
+        for vals, lights in self.entries:
+            for x in lights:
+                above |= 1 << x - 1
+            for v in vals:
+                top += v
+                above |= 1 << top - 1
+            for x in lights:
+                rows[x - 1] = above
+            for k in range(top - sum(vals), top):
+                rows[k] = above | 1 << k
+        return Preposet(m + self.n, tuple(rows))
 
     # -- canonical forms ---------------------------------------------------------
 

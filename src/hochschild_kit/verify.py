@@ -47,12 +47,12 @@ REACH = {
     "tables": 8,
     "lattice": 7,
     "morphism": 7,
-    "fan": 6,
-    "fan shared facets": 5,
-    "cubic": 6,
-    "cubic subdivision": 5,
+    "fan": 7,
+    "fan shared facets": 7,
+    "cubic": 7,
+    "cubic subdivision": 6,
     "cubic words": 7,
-    "analytics": 6,
+    "analytics": 7,
 }
 
 

@@ -8,15 +8,18 @@ from math import comb
 from hochschild_kit.geometry import (
     _affine_rank,
     _fan_checks,
+    _polytope_objects,
     _shade_edge_delta,
     greedy_vertex,
     inverted_pairs,
     z_hochschild,
     z_multiplihedron,
 )
+from hochschild_kit.families import family
 from hochschild_kit.ledger import Ledger
 from hochschild_kit.painted import LEAF, PaintedTree, _painted_trees
 from hochschild_kit.posets import MorphismCheckReport
+from hochschild_kit.preposets import Preposet, cover_pairs
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 from hochschild_kit.shades import _unary_shades
 from hochschild_kit.shadow import shadow
@@ -126,6 +129,98 @@ def transitive_closure_pairs(d: int, pairs) -> frozenset:
             if k in reach[i]:
                 reach[i] |= reach[k]
     return frozenset((i, j) for i in reach for j in reach[i] if i != j)
+
+
+def clause_shade_preposet(ls) -> Preposet:
+    """The shade preposet from its four relation clauses as a pair list,
+    closed by `Preposet.from_pairs`: the route `LightedShade.preposet` took
+    before it ORed prefix masks into rows."""
+    m = ls.m
+    pairs = []
+    lp = ls.light_position
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if i != j and lp[i] >= lp[j]:
+                pairs.append((i, j))
+    flat = ls.flat_entries
+    for xpos, _, xval, xps in flat:
+        for ypos, _, _, yps in flat:
+            if xpos >= ypos:
+                for k in range(xps - xval + 1, xps + 1):
+                    pairs.append((k, yps))
+    for i in range(1, m + 1):
+        cpos = lp[i]
+        for xpos, _, xval, xps in flat:
+            if xpos <= cpos:
+                pairs.append((i, xps))
+            if xpos >= cpos:
+                for k in range(xps - xval + 1, xps + 1):
+                    pairs.append((k, i))
+    return Preposet.from_pairs(m + ls.n, pairs)
+
+
+def frozenset_class_hasse(p: Preposet):
+    """(hasse_edges, hasse_is_forest, the rows of every contraction) of a
+    preposet, each read off its frozenset classes and their least elements:
+    the route `Preposet` took before it kept one representative mask."""
+    reps = [min(c) - 1 for c in p.classes]
+    up = [sum(1 << b for b, rb in enumerate(reps) if p.rows[ra] >> rb & 1) for ra in reps]
+    edges = tuple(cover_pairs(up))
+    parent = list(range(len(reps)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    forest = True
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            forest = False
+        parent[ra] = rb
+    contractions = []
+    for a, b in edges:
+        up_a = p.rows[min(p.classes[a]) - 1]
+        bit_b = 1 << (min(p.classes[b]) - 1)
+        contractions.append(tuple(row | up_a if row & bit_b else row for row in p.rows))
+    return edges, forest, contractions
+
+
+def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
+    """The fan checks with both coarsening witnesses as all-pairs `contains`
+    counts and the face closure on a set of preposets: the route
+    `geometry._fan_checks` takes with no chamber labels, as it stood before
+    the labels."""
+    d = m + n
+    fam = family(kind)
+    if fam.simple:
+        all_shades = fam.enum(m, n)
+        preposet_set = {ls.preposet for ls in all_shades}
+        ledger.record("cones_simplicial", True)
+        ledger.record("fan_face_closure", True)
+        for ls in all_shades:
+            pre = ls.preposet
+            if not pre.hasse_is_forest:
+                ledger.record("cones_simplicial", False, ls.canonical())
+            for e in range(len(pre.hasse_edges)):
+                if pre.contract_hasse_edge(e) not in preposet_set:
+                    ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
+        unary_pre = [ls.preposet for ls in vert_objs]
+        ledger.record("coarsening_witness", True)
+        for pt in _polytope_objects("multiplihedron", m, n).rotation.elements:
+            hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
+            if hits != 1:
+                detail = f"{pt.canonical()} lands in {hits} cones"
+                ledger.record("coarsening_witness", False, detail)
+    else:
+        binary_pre = [pt.preposet for pt in vert_objs]
+        ledger.record("coarsening_witness", True)
+        for perm in permutations(range(1, d + 1)):
+            chain = Preposet.chain(d, perm)
+            hits = sum(1 for p in binary_pre if chain.contains(p))
+            if hits != 1:
+                ledger.record("coarsening_witness", False, f"chain {perm} lands in {hits} cones")
 
 
 def object_rank(obj) -> int:

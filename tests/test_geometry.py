@@ -3,7 +3,7 @@ import random
 from types import SimpleNamespace
 from fractions import Fraction
 from itertools import permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -44,6 +44,7 @@ from oracles import (
     FailureLog,
     halfspace_values,
     left_comb,
+    pairwise_fan_checks,
     per_pair_certificate,
     polytope_edges,
     subset_sums,
@@ -585,6 +586,128 @@ def test_a_diamond_cone_fails_simpliciality(monkeypatch):
     checks, failures = _fan_failures("hochschild", 1, 3, objs)
     assert not checks["cones_simplicial"] and checks["coarsening_witness"]
     assert [f for f in failures if f[0] == "cones_simplicial"] == [("cones_simplicial", "diamond")]
+
+
+# -- the coarsening witnesses on chamber labels -----------------------------------------
+
+WITNESS_CELLS = [(m, d - m) for d in range(2, 5) for m in range(d + 1)] + [(2, 3), (1, 4)]
+
+
+def _dropped(objs, k):
+    return objs[:k] + objs[k + 1:]
+
+
+def _duplicated(objs, k):
+    return objs + [objs[k]]
+
+
+def _merged(objs, k):
+    # the vertex preposet with its first Hasse cover contracted: not antisymmetric
+    stand_in = SimpleNamespace(preposet=objs[k].preposet.contract_hasse_edge(0))
+    return objs[:k] + [stand_in] + objs[k + 1:]
+
+
+def _labels_close(kind, m, n, objs):
+    """The label route alone, on the chamber labels of the true records."""
+    poly = _polytope_objects(kind, m, n)
+    cones = [o.preposet for o in objs]
+    if kind == "multiplihedron":
+        return geometry._cones_partition_chambers(m + n, cones, poly.chamber_cones())
+    mult = _polytope_objects("multiplihedron", m, n)
+    return geometry._hochschild_witness(
+        m + n, mult.rotation.elements, cones, poly.chamber_cones(), mult.chamber_cones()
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("corrupt", [None, _dropped, _duplicated, _merged])
+def test_label_witness_agrees_with_the_pairwise_route(kind, corrupt):
+    for m, n in WITNESS_CELLS:
+        poly = _polytope_objects(kind, m, n)
+        objs = list(poly.rotation.elements)
+        positions = [None] if corrupt is None else sorted({0, len(objs) // 2, len(objs) - 1})
+        for k in positions:
+            vert_objs = objs if corrupt is None else corrupt(objs, k)
+            log, oracle = FailureLog(), FailureLog()
+            _fan_checks(kind, m, n, vert_objs, log, poly.chamber_cones())
+            pairwise_fan_checks(kind, m, n, vert_objs, oracle)
+            assert dict(log.verdicts()) == dict(oracle.verdicts()), (m, n, k)
+            assert log.failures == oracle.failures, (m, n, k)
+            assert log.first_failure() == oracle.first_failure()
+            witness = oracle.verdicts()["coarsening_witness"]
+            assert witness == (corrupt is None)
+            assert _labels_close(kind, m, n, vert_objs) == witness, (m, n, k)
+    _polytope_objects.cache_clear()
+
+
+def test_a_binary_cone_with_no_chamber_does_not_pass_the_labels():
+    # one binary tree's preposet made the full relation: it contains every shade
+    # cone but has no linear extension, and its chambers are relabeled to match
+    m, n = 1, 3
+    hoch = _polytope_objects("hochschild", m, n)
+    mult = _polytope_objects("multiplihedron", m, n)
+    full = Preposet(m + n, ((1 << m + n) - 1,) * (m + n))
+    target = mult.rotation.elements[0].preposet
+    binary = [SimpleNamespace(preposet=full)] + list(mult.rotation.elements[1:])
+    painted = [full if p == target else p for p in mult.chamber_cones()]
+    cones = [o.preposet for o in hoch.rotation.elements]
+    assert all(full.contains(c) for c in cones)
+    assert not geometry._hochschild_witness(m + n, binary, cones, hoch.chamber_cones(), painted)
+    _polytope_objects.cache_clear()
+
+
+def test_labels_that_do_not_close_fall_back_to_the_pairwise_count():
+    m, n = 1, 3
+    hoch = _polytope_objects("hochschild", m, n)
+    mult = _polytope_objects("multiplihedron", m, n)
+    cones = [o.preposet for o in hoch.rotation.elements]
+    shade, painted = hoch.chamber_cones(), mult.chamber_cones()
+    assert geometry._hochschild_witness(m + n, mult.rotation.elements, cones, shade, painted)
+    # chamber k takes the painted label of an earlier chamber j in another shade
+    # cone, while k's own binary cone keeps a chamber: only j's binary cone,
+    # which now carries two shade labels, is wrong
+    k, j = next(
+        (k, j)
+        for k in range(len(painted))
+        if painted.count(painted[k]) > 1
+        for j in range(k)
+        if shade[j] != shade[k]
+    )
+    mixed = painted[:k] + [painted[j]] + painted[k + 1:]
+    assert not geometry._hochschild_witness(m + n, mult.rotation.elements, cones, shade, mixed)
+    # shade labels rotated by one chamber do not close either; the pairwise
+    # count then finds the fan unchanged
+    log = FailureLog()
+    _fan_checks("hochschild", m, n, hoch.rotation.elements, log, shade[1:] + shade[:1])
+    assert all(log.verdicts().values()) and not log.failures
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", [(1, 3), (2, 2), (3, 2)])
+def test_the_witnesses_make_at_most_d_factorial_plus_v_contains_calls(monkeypatch, kind, mn):
+    # V is the binary painted trees, the vertices of the multiplihedron: the
+    # cones into which the chambers fall, and which fall into the shade cones
+    m, n = mn
+    poly = _polytope_objects(kind, m, n)
+    binary = _polytope_objects("multiplihedron", m, n).rotation.elements
+    calls = []
+    contains = Preposet.contains
+
+    def counted(self, other):
+        calls.append(1)
+        return contains(self, other)
+
+    monkeypatch.setattr(Preposet, "contains", counted)
+    log = FailureLog()
+    _fan_checks(kind, m, n, poly.rotation.elements, log, poly.chamber_cones())
+    assert all(log.verdicts().values()) and not log.failures
+    assert len(calls) <= factorial(m + n) + len(binary)
+    calls.clear()
+    pairwise_fan_checks(kind, m, n, poly.rotation.elements, FailureLog())
+    pairwise = (factorial(m + n) if kind == "multiplihedron" else len(binary)) * len(poly.vertices)
+    assert len(calls) == pairwise
+    _polytope_objects.cache_clear()
 
 
 # -- every failed check names itself in the counterexample ---------------------------

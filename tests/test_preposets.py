@@ -8,7 +8,7 @@ from hochschild_kit.posets import build_refinement_poset
 from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import enum_lighted_shades
 
-from oracles import transitive_closure_pairs
+from oracles import frozenset_class_hasse, transitive_closure_pairs
 
 
 def test_chain():
@@ -198,3 +198,38 @@ def test_painted_and_shade_preposets_match_oracles(m, n):
 def test_chain_matches_pair_built_oracle(d):
     for order in permutations(range(1, d + 1)):
         assert Preposet.chain(d, order).rows == oracle_chain(d, order)
+
+
+# -- the representative-mask Hasse pass against the frozenset-class route ---------
+
+DIAMOND = Preposet.from_pairs(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+# the diamond with a class {1, 5} at the bottom, so not antisymmetric
+FAT_DIAMOND = Preposet.from_pairs(5, [(1, 5), (5, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+
+
+def hasse_views(p):
+    contractions = [p.contracted_rows(e) for e in range(len(p.hasse_edges))]
+    assert contractions == [p.contract_hasse_edge(e).rows for e in range(len(p.hasse_edges))]
+    return p.hasse_edges, p.hasse_is_forest, contractions
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_hasse_pass_matches_the_frozenset_class_route(d):
+    for m in range(d + 1):
+        for obj in [*enum_lighted_shades(m, d - m), *enum_painted_trees(m, d - m)]:
+            assert hasse_views(obj.preposet) == frozenset_class_hasse(obj.preposet), obj
+
+
+@pytest.mark.parametrize("p", [DIAMOND, FAT_DIAMOND], ids=["diamond", "fat_diamond"])
+def test_hasse_pass_matches_the_frozenset_class_route_on_diamonds(p):
+    assert hasse_views(p) == frozenset_class_hasse(p)
+    assert not p.hasse_is_forest
+
+
+@given(relations)
+def test_antisymmetry_and_linear_extensions_match_the_chains(data):
+    d, pairs = data
+    p = Preposet.from_pairs(d, pairs)
+    assert p.is_antisymmetric == (len(p.classes) == d)
+    chains = [Preposet.chain(d, order) for order in permutations(range(1, d + 1))]
+    assert p.linear_extension_count() == sum(1 for c in chains if c.contains(p))

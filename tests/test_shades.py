@@ -8,7 +8,7 @@ from hochschild_kit.shades import (
     unary_lighted_shades,
 )
 
-from oracles import transitive_closure_pairs
+from oracles import clause_shade_preposet, transitive_closure_pairs
 
 UNARY_COUNTS = {(1, 3): 12, (0, 4): 8, (2, 2): 18, (3, 0): 6, (1, 0): 1}
 FACE_COUNTS = {(1, 3): 39, (0, 3): 9, (2, 2): 57, (2, 0): 3, (1, 6): 1539}
@@ -170,3 +170,14 @@ def test_json_round_trip(seed):
     shades = enum_lighted_shades(2, 2)
     ls = shades[seed % len(shades)]
     assert LightedShade.from_json_obj(ls.to_json_obj()) == ls
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_row_built_preposet_matches_the_clause_route(d):
+    # every shade with m + n <= 6: 18,141 in all
+    count = 0
+    for m in range(d + 1):
+        for ls in enum_lighted_shades(m, d - m):
+            assert ls.preposet.rows == clause_shade_preposet(ls).rows, ls
+            count += 1
+    assert count == {1: 2, 2: 9, 3: 46, 4: 273, 5: 1914, 6: 15897}[d]
