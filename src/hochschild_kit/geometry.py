@@ -18,11 +18,11 @@ of sigma, which for supermodular z minimizes every functional in sigma's
 chamber (Edmonds, "Submodular functions, matroids, and certain polyhedra",
 1970; Postnikov, "Permutohedra, associahedra, and beyond", 2009, for the
 braid-fan picture).  The labels only propose a cone per chamber; the proof
-is combinatorial (`_cones_partition_chambers`): antisymmetric cones, each
-chamber inside its label's cone, and sum e(P) = d! linear extensions over
-the cones.  That takes d! `contains` calls in place of d! * |V|, and one
-more per binary painted tree for the Hochschild fan.  When the labels do
-not close, the witness counts every pair, as it always did.
+is combinatorial (`_cones_partition_chambers`): each chamber inside its
+label's cone, and sum e(P) = d! linear extensions over the cones.  That
+takes d! `contains` calls in place of d! * |V|, and one more per binary
+painted tree for the Hochschild fan.  When the labels do not close, the
+witness counts every pair.
 """
 
 from __future__ import annotations
@@ -287,14 +287,29 @@ class CertificationReport:
 class PolytopeObjects:
     """``vertices[i]`` is the point of ``rotation.elements[i]``, ``facets[i]``
     the halfspace of ``facet_objects[i]``; the read-only ``z`` and ``sums`` map
-    each nonempty J to z_J and to the vertex sums over J, in vertex order."""
+    each nonempty J to z_J and to the vertex sums over J, in vertex order.
+    The facets are built on first use: the fan checks read a record for its
+    chamber labels and never for its facets."""
 
+    kind: str
+    m: int
+    n: int
     rotation: FinitePoset
     vertices: tuple
-    facet_objects: tuple
-    facets: tuple
     z: Mapping
     sums: Mapping
+
+    @cached_property
+    def facet_objects(self) -> tuple:
+        """The objects of rank m + n - 2, one per facet."""
+        d = self.m + self.n
+        return tuple(family(self.kind).enum(self.m, self.n, rank=d - 2)) if d >= 2 else ()
+
+    @cached_property
+    def facets(self) -> tuple:
+        """The halfspace of each facet object."""
+        facet_of = family(self.kind).facet_of
+        return tuple(facet_of(o) for o in self.facet_objects)
 
     @cached_property
     def chambers(self) -> tuple:
@@ -323,8 +338,6 @@ def _polytope_objects(kind, m, n) -> PolytopeObjects:
     fam = family(kind)
     objs = fam.vertices(m, n)
     verts = tuple(fam.vertex_of(o) for o in objs)
-    facet_objs = tuple(fam.enum(m, n, rank=d - 2)) if d >= 2 else ()
-    facets = tuple(fam.facet_of(o) for o in facet_objs)
     rot = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
     z = {s: fam.z(s, m, n) for s in _subsets(d)}
     # subsets come by size, so J minus its largest coordinate is already summed
@@ -335,7 +348,7 @@ def _polytope_objects(kind, m, n) -> PolytopeObjects:
         rest = s - {top}
         sums[s] = tuple(map(add, sums[rest], columns[top - 1])) if rest else columns[top - 1]
     z, sums = MappingProxyType(z), MappingProxyType(sums)
-    return PolytopeObjects(rot, verts, facet_objs, facets, z, sums)
+    return PolytopeObjects(kind, m, n, rot, verts, z, sums)
 
 
 def inverted_pairs(lo: Preposet, hi: Preposet):
@@ -450,7 +463,7 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
         if simple and _shade_edge_delta(lo_obj, hi_obj) != delta:
             ledger.record("edge_directions", False, f"shade case formula differs: {delta}")
 
-    _fan_checks(kind, m, n, vert_objs, ledger, poly.chamber_cones())
+    _fan_checks(kind, m, n, vert_objs, ledger)
 
     ledger.record("z_support_minimum", True)
     ledger.record("z_supermodular", True)
@@ -541,15 +554,14 @@ def _cones_partition_chambers(d, cones, labels) -> bool:
     ``cones`` are preposets, one per maximal cone (repeats count twice), and
     ``labels`` one candidate cone per chamber, in `permutations` order.  A
     chamber lies in a cone when its `Preposet.chain` contains the cone's
-    preposet.  If every cone is antisymmetric, every chamber lies in its
-    label's cone, and the cones hold sum e(P) = d! chambers in all (e counts
-    linear extensions), then no chamber lies in two cones: d! incidences
-    fall on d! chambers with at least one each.  d! `contains` calls.
+    preposet.  If every chamber lies in its label's cone, and the cones hold
+    sum e(P) = d! chambers in all (e counts linear extensions, so a cone
+    that is not antisymmetric holds none), then no chamber lies in two
+    cones: d! incidences fall on d! chambers with at least one each.  d!
+    `contains` calls.
     """
-    if not all(p.is_antisymmetric for p in cones):
-        return False
     members = set(cones)
-    for perm, label in zip(permutations(range(1, d + 1)), labels):
+    for perm, label in zip(permutations(range(1, d + 1)), labels, strict=True):
         if label not in members or not Preposet.chain(d, perm).contains(label):
             return False
     return sum(p.linear_extension_count() for p in cones) == factorial(d)
@@ -561,15 +573,12 @@ def _hochschild_witness(d, binary, unary_cones, shade_labels, painted_labels) ->
     Once the shade cones partition the chambers, a binary cone P lies in a
     shade cone Q exactly when its chambers (the linear extensions of P, at
     least one when P is antisymmetric) lie in Q's, so in at most one.  The
-    candidate Q is the shade label of the chambers that carry P's painted
-    label, which must agree; one `contains` call per binary tree shows it.
+    candidate Q is the shade label of a chamber that carries P's painted
+    label; one `contains` call per binary tree shows that P lies in it.
     """
     if not _cones_partition_chambers(d, unary_cones, shade_labels):
         return False
-    over = {}
-    for painted, shade in zip(painted_labels, shade_labels):
-        if over.setdefault(painted, shade) != shade:
-            return False
+    over = dict(zip(painted_labels, shade_labels))
     for pt in binary:
         cone = over.get(pt.preposet)
         if cone is None or not pt.preposet.is_antisymmetric or not pt.preposet.contains(cone):
@@ -577,19 +586,19 @@ def _hochschild_witness(d, binary, unary_cones, shade_labels, painted_labels) ->
     return True
 
 
-def _fan_checks(kind, m, n, vert_objs, ledger, labels=None):
+def _fan_checks(kind, m, n, vert_objs, ledger):
     """Face closure, simplicial cones and the coarsening witness of one fan.
 
-    ``labels`` gives, for each braid chamber in `permutations` order, the
-    cone of ``kind`` its greedy vertex names (`PolytopeObjects.chamber_cones`).
-    With it the witness runs on the labels (`_cones_partition_chambers`,
-    `_hochschild_witness`).  Without it, or when the labels do not close,
+    The witness first runs on the chamber labels of the (m, n) polytope of
+    ``kind`` (`PolytopeObjects.chamber_cones`, `_cones_partition_chambers`,
+    `_hochschild_witness`).  When the labels do not close over ``vert_objs``
     every pair is counted, so each failure and its message come from the
     pairwise count.
     """
     d = m + n
     fam = family(kind)
     cones = [o.preposet for o in vert_objs]
+    labels = _polytope_objects(kind, m, n).chamber_cones()
     if fam.simple:
         all_shades = fam.enum(m, n)
         faces = {ls.preposet.rows for ls in all_shades}
@@ -599,15 +608,13 @@ def _fan_checks(kind, m, n, vert_objs, ledger, labels=None):
             pre = ls.preposet
             if not pre.hasse_is_forest:
                 ledger.record("cones_simplicial", False, ls.canonical())
-            for e in range(len(pre.hasse_edges)):
-                if pre.contracted_rows(e) not in faces:
+            for e in range(pre.hasse_edge_count):
+                if pre.contract_hasse_edge(e).rows not in faces:
                     ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
         ledger.record("coarsening_witness", True)
         mult = _polytope_objects("multiplihedron", m, n)
         binary = mult.rotation.elements
-        if labels is not None and _hochschild_witness(
-            d, binary, cones, labels, mult.chamber_cones()
-        ):
+        if _hochschild_witness(d, binary, cones, labels, mult.chamber_cones()):
             return
         for pt in binary:
             hits = sum(1 for p in cones if pt.preposet.contains(p))
@@ -618,7 +625,7 @@ def _fan_checks(kind, m, n, vert_objs, ledger, labels=None):
         # maximal painted cones need not be simplicial (the multiplihedron is
         # not simple), so only the braid coarsening witness is checked here
         ledger.record("coarsening_witness", True)
-        if labels is not None and _cones_partition_chambers(d, cones, labels):
+        if _cones_partition_chambers(d, cones, labels):
             return
         for perm in permutations(range(1, d + 1)):
             chain = Preposet.chain(d, perm)

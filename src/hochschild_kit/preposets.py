@@ -13,7 +13,7 @@ it on its rows, and a preposet calls it once on its rows cut down to one
 representative per class (a bitmask); that one pass serves `hasse_edges`,
 `hasse_is_forest` and the contractions.  Contracting a Hasse edge needs no
 second closure, because adding one relation to a closed relation is a
-single OR per row (see `contracted_rows`).
+single OR per row (see `contract_hasse_edge`).
 """
 
 from __future__ import annotations
@@ -163,6 +163,11 @@ class Preposet:
         index = {i: k for k, i in enumerate(_bits(reps))}
         return tuple((index[a], index[b]) for a, b in self._covers)
 
+    @property
+    def hasse_edge_count(self) -> int:
+        """``len(hasse_edges)``, with no class indices built."""
+        return len(self._covers)
+
     @cached_property
     def hasse_is_forest(self) -> bool:
         """True iff the Hasse diagram of the quotient poset is acyclic as an
@@ -182,8 +187,8 @@ class Preposet:
             parent[ra] = rb
         return True
 
-    def contracted_rows(self, edge_index: int) -> tuple[int, ...]:
-        """The rows of `contract_hasse_edge`, with no preposet built.
+    def contract_hasse_edge(self, edge_index: int) -> "Preposet":
+        """Merge the two classes of one Hasse cover into a coarser preposet.
 
         For the cover a < b this adds b <= a.  In the closed relation a new
         pair u <= v needs a path u <= b, b <= a, a <= v, and a path through
@@ -193,11 +198,7 @@ class Preposet:
         """
         a, b = self._covers[edge_index]
         up_a, bit_b = self.rows[a], 1 << b
-        return tuple(row | up_a if row & bit_b else row for row in self.rows)
-
-    def contract_hasse_edge(self, edge_index: int) -> "Preposet":
-        """Merge the two classes of one Hasse cover into a coarser preposet."""
-        return Preposet(self.d, self.contracted_rows(edge_index))
+        return Preposet(self.d, tuple(row | up_a if row & bit_b else row for row in self.rows))
 
     def linear_extension_count(self) -> int:
         """The number of orders whose `chain` contains this preposet.

@@ -189,9 +189,9 @@ def frozenset_class_hasse(p: Preposet):
 
 def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
     """The fan checks with both coarsening witnesses as all-pairs `contains`
-    counts and the face closure on a set of preposets: the route
-    `geometry._fan_checks` takes with no chamber labels, as it stood before
-    the labels."""
+    counts and the face closure on a set of preposets: the fan checks as
+    they stood before the chamber labels, and the count `geometry._fan_checks`
+    falls back to when the labels do not close."""
     d = m + n
     fam = family(kind)
     if fam.simple:

@@ -629,7 +629,7 @@ def test_label_witness_agrees_with_the_pairwise_route(kind, corrupt):
         for k in positions:
             vert_objs = objs if corrupt is None else corrupt(objs, k)
             log, oracle = FailureLog(), FailureLog()
-            _fan_checks(kind, m, n, vert_objs, log, poly.chamber_cones())
+            _fan_checks(kind, m, n, vert_objs, log)
             pairwise_fan_checks(kind, m, n, vert_objs, oracle)
             assert dict(log.verdicts()) == dict(oracle.verdicts()), (m, n, k)
             assert log.failures == oracle.failures, (m, n, k)
@@ -656,29 +656,35 @@ def test_a_binary_cone_with_no_chamber_does_not_pass_the_labels():
     _polytope_objects.cache_clear()
 
 
-def test_labels_that_do_not_close_fall_back_to_the_pairwise_count():
+def test_labels_that_do_not_close_fall_back_to_the_pairwise_count(monkeypatch):
     m, n = 1, 3
     hoch = _polytope_objects("hochschild", m, n)
     mult = _polytope_objects("multiplihedron", m, n)
     cones = [o.preposet for o in hoch.rotation.elements]
     shade, painted = hoch.chamber_cones(), mult.chamber_cones()
     assert geometry._hochschild_witness(m + n, mult.rotation.elements, cones, shade, painted)
-    # chamber k takes the painted label of an earlier chamber j in another shade
-    # cone, while k's own binary cone keeps a chamber: only j's binary cone,
-    # which now carries two shade labels, is wrong
+    # chamber k, after every chamber of j's binary cone, takes j's painted
+    # label, so that cone is proposed k's shade cone, which does not hold it
     k, j = next(
         (k, j)
         for k in range(len(painted))
         if painted.count(painted[k]) > 1
         for j in range(k)
-        if shade[j] != shade[k]
+        if shade[j] != shade[k] and painted[j] not in painted[k:]
     )
     mixed = painted[:k] + [painted[j]] + painted[k + 1:]
     assert not geometry._hochschild_witness(m + n, mult.rotation.elements, cones, shade, mixed)
     # shade labels rotated by one chamber do not close either; the pairwise
     # count then finds the fan unchanged
+    rotated = shade[1:] + shade[:1]
+    assert not geometry._cones_partition_chambers(m + n, cones, rotated)
+    monkeypatch.setattr(
+        geometry.PolytopeObjects,
+        "chamber_cones",
+        lambda poly: rotated if poly is hoch else painted,
+    )
     log = FailureLog()
-    _fan_checks("hochschild", m, n, hoch.rotation.elements, log, shade[1:] + shade[:1])
+    _fan_checks("hochschild", m, n, hoch.rotation.elements, log)
     assert all(log.verdicts().values()) and not log.failures
     _polytope_objects.cache_clear()
 
@@ -700,7 +706,7 @@ def test_the_witnesses_make_at_most_d_factorial_plus_v_contains_calls(monkeypatc
 
     monkeypatch.setattr(Preposet, "contains", counted)
     log = FailureLog()
-    _fan_checks(kind, m, n, poly.rotation.elements, log, poly.chamber_cones())
+    _fan_checks(kind, m, n, poly.rotation.elements, log)
     assert all(log.verdicts().values()) and not log.failures
     assert len(calls) <= factorial(m + n) + len(binary)
     calls.clear()
