@@ -40,7 +40,7 @@ from .families import family
 from .ledger import Ledger
 from .painted import PaintedTree
 from .posets import FinitePoset
-from .preposets import Preposet
+from .preposets import Preposet, _bits
 from .shades import LightedShade
 from .shadow import is_singleton
 
@@ -352,12 +352,16 @@ def _polytope_objects(kind, m, n) -> PolytopeObjects:
 
 
 def inverted_pairs(lo: Preposet, hi: Preposet):
-    """Pairs (i, j), i < j, strictly below in lo and strictly reversed in hi."""
+    """Pairs (i, j), i < j, strictly below in lo and strictly reversed in hi.
+
+    Bit j of ``lo.rows[i] & ~hi.rows[i]`` says i is below j in lo and not in
+    hi; of those bits above i, keep the j below i in hi and not in lo.
+    """
     out = []
-    for i in range(1, lo.d + 1):
-        for j in range(i + 1, lo.d + 1):
-            if lo.le(i, j) and not lo.le(j, i) and hi.le(j, i) and not hi.le(i, j):
-                out.append((i, j))
+    for i, (lo_row, hi_row) in enumerate(zip(lo.rows, hi.rows)):
+        for j in _bits((lo_row & ~hi_row) >> i + 1 << i + 1):
+            if hi.rows[j] >> i & 1 and not lo.rows[j] >> i & 1:
+                out.append((i + 1, j + 1))
     return out
 
 
@@ -779,8 +783,12 @@ def freehedron_report(n: int) -> FreehedronReport:
                     edges.add((index[v], index[u]))
     # only the order is read, so redundant skeleton edges may stand as covers
     poset = FinitePoset(range(len(verts)), edges)
-    joinless = _first_missing(poset.join_table)
-    meetless = _first_missing(poset.meet_table)
+    # the first pairs a < b, row-major, with no join and with no meet; the
+    # elements are their own indices
+    joinless, meetless = (
+        next((p for p in combinations(range(poset.n), 2) if bound(*p) is None), None)
+        for bound in (poset.join, poset.meet)
+    )
     return FreehedronReport(
         n,
         len(verts),
@@ -791,12 +799,3 @@ def freehedron_report(n: int) -> FreehedronReport:
         verts,
         sorted(edges),
     )
-
-
-def _first_missing(table):
-    """The first pair (a, b), a < b in row-major order, with no bound, or None."""
-    for a, row in enumerate(table):
-        for b in range(a + 1, len(row)):
-            if row[b] < 0:
-                return (a, b)
-    return None

@@ -29,6 +29,8 @@ cached preorder walk, ``PaintedTree.walk``.  It records, per internal node,
 the cut tag, the parent, the separator labels, the child leaf counts, the
 subtree size and the number of cuts passing below, so that "cut i passes
 below v", "v lies below cut i" and "u descends from v" are integer tests.
+The preposet is written from the walk as closed rows, one per cut level and
+one per node off the cuts, with no closure pass.
 Instances are immutable; all derived data is computed on demand and cached.
 """
 
@@ -192,32 +194,44 @@ class PaintedTree:
 
     @cached_property
     def preposet(self) -> Preposet:
-        """Preposet on {1, ..., m + n}: cut labels first, tree labels shifted by m.
+        """Preposet on {1, ..., m + n}, built as closed rows: cut labels first,
+        tree labels shifted by m.
 
-        Nodes of each cut are merged; relations are oriented towards the root.
+        Nodes of each cut are merged with the cut's part into one class, every
+        node off the cuts is a class of its own, and each class lies below its
+        parent's.  Call a node's level ``below + (tag is not None)``, so cut i
+        passes strictly below v iff v's level exceeds i.  The row of cut i is
+        the parts of cuts i, i+1, ... and the labels of every node of level
+        above i.  That is closed: each node above cut i is an ancestor of some
+        node on cut i (every root-leaf path meets the cut), its ancestors are
+        above cut i too, and nothing else lies above the class.  A node off
+        the cuts has its own labels ORed with its parent's row, which preorder
+        has already built.
         """
-        m = self.m
-        # one class per cut, then one per node off the cuts
-        class_elems = [set(p) for p in self.parts]
-        class_of = []
-        for node in self.walk:
-            if node.tag is None:
-                class_of.append(len(class_elems))
-                class_elems.append(set())
-            else:
-                class_of.append(node.tag)
-            class_elems[class_of[-1]].update(m + x for x in node.labels)
-        firsts = [min(elems) for elems in class_elems]
-        pairs = []
-        for first, elems in zip(firsts, class_elems):
-            for e in elems:
-                if e != first:
-                    pairs.append((first, e))
-                    pairs.append((e, first))
-        for v, node in enumerate(self.walk):
-            if node.parent >= 0 and class_of[v] != class_of[node.parent]:
-                pairs.append((firsts[class_of[v]], firsts[class_of[node.parent]]))
-        return Preposet.from_pairs(m + self.n, pairs)
+        m, walk, k = self.m, self.walk, len(self.parts)
+        node_rows = []  # each node's own labels, until its row replaces them
+        levels = [0] * (k + 1)  # the labels of the nodes at each level
+        for node in walk:
+            labels = sum(1 << m + x - 1 for x in node.labels)
+            node_rows.append(labels)
+            levels[node.below + (node.tag is not None)] |= labels
+        rows = [0] * (m + self.n)
+        cut_rows = [0] * k
+        above = 0
+        for i in reversed(range(k)):
+            part = self.parts[i]
+            above |= sum(1 << x - 1 for x in part) | levels[i + 1]
+            cut_rows[i] = above
+            for x in part:
+                rows[x - 1] = above
+        for v, node in enumerate(walk):
+            if node.tag is not None:
+                node_rows[v] = cut_rows[node.tag]
+            elif node.parent >= 0:
+                node_rows[v] |= node_rows[node.parent]
+            for x in node.labels:
+                rows[m + x - 1] = node_rows[v]
+        return Preposet(m + self.n, tuple(rows))
 
     # -- canonical forms ------------------------------------------------------
 

@@ -1,21 +1,21 @@
 """Finite posets built from cover relations, with lattice analytics.
 
 FinitePoset stores an element tuple and the Hasse diagram; the order
-relation, the lattice-theoretic predicates and the meet/join tables are
-derived lazily.  The order is kept as Python-int bitmask rows, the idiom
-Preposet uses: bit j of ``leq[i]`` is set iff element i is below element j,
-and ``down`` holds the transposed rows.  The meet of a and b is the element
-whose down-set is ``down[a] & down[b]``, found by one dict lookup.
+relation and the lattice-theoretic predicates are derived lazily.  The order
+is kept as Python-int bitmask rows, the idiom Preposet uses: bit j of
+``leq[i]`` is set iff element i is below element j, and ``down`` holds the
+transposed rows.  The meet of a and b is the element whose down-set is
+``down[a] & down[b]``, found by one dict lookup.
 
 The suites read local certificates, which fill no table: the lattice flag
 looks up a join of every two upper covers of an element, each
 semidistributivity flag a kappa at every irreducible, and
 `check_meet_morphism` the bounds of every element with an irreducible.
 Only a morphism side that fails its certificate is scanned pair by pair,
-for the same first counterexample as the full tables give.  The full meet
-and join tables (O(n^2) lookups each) and `semidistributive_counterexample`
-stay as lazy API: the freehedron reads the tables, and the tests compare
-both with the certificates.
+for the same first counterexample as the full tables give.  No table is
+cached: `_bound_table` builds a full meet or join table (O(n^2) lookups) only
+for `semidistributive_counterexample`, the fold the tests compare the
+certificates with and `kitbench/tracer.py` times.
 
 The zeta and Möbius matrices, the Coxeter polynomial and the
 cyclotomic-product test are exact integer computations on the same rows,
@@ -175,15 +175,6 @@ class FinitePoset:
 
     # -- meet / join -------------------------------------------------------------
 
-    @cached_property
-    def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        """meet_table[a][b] = index of the meet, or -1 if it does not exist."""
-        return self._bound_table(self.down)
-
-    @cached_property
-    def join_table(self) -> tuple[tuple[int, ...], ...]:
-        return self._bound_table(self.leq)
-
     def _bound_table(self, rows) -> tuple[tuple[int, ...], ...]:
         """table[a][b] = the element whose row is rows[a] & rows[b], or -1.
 
@@ -291,14 +282,12 @@ class FinitePoset:
         gives the triple (a, accumulated join, b).  Join SD is the dual.
         Raises ValueError on a poset that is not a lattice.
         """
-        if side == "meet":
-            prim, other = self.meet_table, self.join_table
-        elif side == "join":
-            prim, other = self.join_table, self.meet_table
-        else:
+        if side not in ("meet", "join"):
             raise ValueError("side must be 'meet' or 'join'")
         if not self.is_lattice:
             raise ValueError("semidistributivity is defined on lattices only")
+        meets, joins = self._bound_table(self.down), self._bound_table(self.leq)
+        prim, other = (meets, joins) if side == "meet" else (joins, meets)
         for a, row in enumerate(prim):
             fold = {}  # u -> join of the b's seen so far with a op b = u
             for b, u in enumerate(row):

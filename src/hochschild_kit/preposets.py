@@ -5,15 +5,17 @@ is set iff i is below j.  The same rows side by side form one int,
 ``packed``, built on first use, so containment is a single int test.  All
 instances are immutable and hashable, so they can be used as dictionary keys.
 
-The bitmask order kernel lives here, shared with `posets`.  `from_pairs`
-closes its pairs in one Warshall pass, and a chain is read off its suffix
-masks.  Two elements share a class exactly when their rows are equal.
-`cover_pairs` is the one transitive reduction: `FinitePoset.from_leq` calls
-it on its rows, and a preposet calls it once on its rows cut down to one
-representative per class (a bitmask); that one pass serves `hasse_edges`,
-`hasse_is_forest` and the contractions.  Contracting a Hasse edge needs no
-second closure, because adding one relation to a closed relation is a
-single OR per row (see `contract_hasse_edge`).
+The bitmask order kernel lives here, shared with `posets`.  Every preposet
+the library builds is born closed, so the kernel has no closure pass: a
+shade's rows are prefix masks (`LightedShade.preposet`), a painted tree's are
+read off its cut levels (`PaintedTree.preposet`), a chain's are suffix masks,
+and contracting a Hasse edge is one OR per row, because adding one relation
+to a closed relation needs no second closure (see `contract_hasse_edge`).
+Two elements share a class exactly when their rows are equal.  `cover_pairs`
+is the one transitive reduction: `FinitePoset.from_leq` calls it on its rows,
+and a preposet calls it once on its rows cut down to one representative per
+class (a bitmask); that one pass serves `hasse_edges`, `hasse_is_forest` and
+the contractions.
 """
 
 from __future__ import annotations
@@ -70,22 +72,6 @@ class Preposet:
         for i, row in enumerate(self.rows):
             packed |= row << i * self.d
         return packed
-
-    @classmethod
-    def from_pairs(cls, d: int, pairs) -> "Preposet":
-        """Build the reflexive transitive closure of the given (i, j) pairs.
-
-        Warshall: pass k ORs row k into every row that reaches k, so after
-        it each row holds every element it reaches through paths whose inner
-        elements are among the first k + 1.
-        """
-        rows = [1 << i for i in range(d)]
-        for i, j in pairs:
-            rows[i - 1] |= 1 << (j - 1)
-        for k in range(d):
-            row_k, bit = rows[k], 1 << k
-            rows = [row | row_k if row & bit else row for row in rows]
-        return cls(d, tuple(rows))
 
     @classmethod
     def chain(cls, d: int, order) -> "Preposet":

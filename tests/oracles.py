@@ -11,7 +11,6 @@ from hochschild_kit.geometry import (
     _polytope_objects,
     _shade_edge_delta,
     greedy_vertex,
-    inverted_pairs,
     z_hochschild,
     z_multiplihedron,
 )
@@ -68,9 +67,8 @@ def singleton_tree_condition(pt: PaintedTree) -> bool:
 def table_lattice_flags(p):
     """(lattice, meet SD, join SD) read off the full meet and join tables:
     every pair has both bounds, and the table fold finds no SD triple."""
-    lattice = p.is_bounded and all(
-        -1 not in row for table in (p.meet_table, p.join_table) for row in table
-    )
+    tables = (p._bound_table(p.down), p._bound_table(p.leq))
+    lattice = p.is_bounded and all(-1 not in row for table in tables for row in table)
     if not lattice:
         return False, False, False
     return (
@@ -88,8 +86,8 @@ def table_morphism_check(f, src, dst) -> MorphismCheckReport:
     f_or_missing = fi + [-1]
     example = {}
     for side in ("meet", "join"):
-        src_t = src.meet_table if side == "meet" else src.join_table
-        dst_t = dst.meet_table if side == "meet" else dst.join_table
+        src_t = src._bound_table(src.down if side == "meet" else src.leq)
+        dst_t = dst._bound_table(dst.down if side == "meet" else dst.leq)
         example[side] = None
         for a, row in enumerate(src_t):
             mapped = [f_or_missing[c] for c in row]
@@ -131,9 +129,25 @@ def transitive_closure_pairs(d: int, pairs) -> frozenset:
     return frozenset((i, j) for i in reach for j in reach[i] if i != j)
 
 
+def closed_preposet(d: int, pairs) -> Preposet:
+    """Build the reflexive transitive closure of the given (i, j) pairs.
+
+    Warshall: pass k ORs row k into every row that reaches k, so after
+    it each row holds every element it reaches through paths whose inner
+    elements are among the first k + 1.
+    """
+    rows = [1 << i for i in range(d)]
+    for i, j in pairs:
+        rows[i - 1] |= 1 << (j - 1)
+    for k in range(d):
+        row_k, bit = rows[k], 1 << k
+        rows = [row | row_k if row & bit else row for row in rows]
+    return Preposet(d, tuple(rows))
+
+
 def clause_shade_preposet(ls) -> Preposet:
     """The shade preposet from its four relation clauses as a pair list,
-    closed by `Preposet.from_pairs`: the route `LightedShade.preposet` took
+    closed by `closed_preposet`: the route `LightedShade.preposet` took
     before it ORed prefix masks into rows."""
     m = ls.m
     pairs = []
@@ -156,7 +170,57 @@ def clause_shade_preposet(ls) -> Preposet:
             if xpos >= cpos:
                 for k in range(xps - xval + 1, xps + 1):
                     pairs.append((k, i))
-    return Preposet.from_pairs(m + ls.n, pairs)
+    return closed_preposet(m + ls.n, pairs)
+
+
+def class_pair_painted_preposet(pt) -> Preposet:
+    """The painted-tree preposet from one class per cut and one per node off
+    the cuts, each class paired both ways with its least element and below
+    its parent's, closed by `closed_preposet`: the route
+    `PaintedTree.preposet` took before it wrote rows from the cut levels."""
+    m = pt.m
+    # one class per cut, then one per node off the cuts
+    class_elems = [set(p) for p in pt.parts]
+    class_of = []
+    for node in pt.walk:
+        if node.tag is None:
+            class_of.append(len(class_elems))
+            class_elems.append(set())
+        else:
+            class_of.append(node.tag)
+        class_elems[class_of[-1]].update(m + x for x in node.labels)
+    firsts = [min(elems) for elems in class_elems]
+    pairs = []
+    for first, elems in zip(firsts, class_elems):
+        for e in elems:
+            if e != first:
+                pairs.append((first, e))
+                pairs.append((e, first))
+    for v, node in enumerate(pt.walk):
+        if node.parent >= 0 and class_of[v] != class_of[node.parent]:
+            pairs.append((firsts[class_of[v]], firsts[class_of[node.parent]]))
+    return closed_preposet(m + pt.n, pairs)
+
+
+def le_inverted_pairs(lo: Preposet, hi: Preposet):
+    """`geometry.inverted_pairs` by four `Preposet.le` calls per pair (i, j),
+    i < j: the route it took before it walked the row bits."""
+    out = []
+    for i in range(1, lo.d + 1):
+        for j in range(i + 1, lo.d + 1):
+            if lo.le(i, j) and not lo.le(j, i) and hi.le(j, i) and not hi.le(i, j):
+                out.append((i, j))
+    return out
+
+
+def first_missing(table):
+    """The first pair (a, b), a < b in row-major order, with no bound, or None:
+    the scan `geometry.freehedron_report` ran on the full meet and join tables."""
+    for a, row in enumerate(table):
+        for b in range(a + 1, len(row)):
+            if row[b] < 0:
+                return (a, b)
+    return None
 
 
 def frozenset_class_hasse(p: Preposet):
@@ -332,8 +396,8 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
     for lo, hi in rotation.covers:
         lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
         delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
-        flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
-        back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
+        flips = le_inverted_pairs(lo_obj.preposet, hi_obj.preposet)
+        back = le_inverted_pairs(hi_obj.preposet, lo_obj.preposet)
         if len(flips) != 1 or back:
             record("edge_single_flip", False, f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
             continue

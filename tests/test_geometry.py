@@ -23,6 +23,7 @@ from hochschild_kit.geometry import (
     freehedron_minkowski,
     freehedron_report,
     greedy_vertex,
+    inverted_pairs,
     minkowski_data,
     omega,
     oriented_skeleton,
@@ -35,14 +36,17 @@ from hochschild_kit.geometry import (
     _polytope_objects,
 )
 from hochschild_kit.painted import PaintedTree, binary_painted_trees
-from hochschild_kit.posets import build_rotation_poset
+from hochschild_kit.posets import FinitePoset, build_rotation_poset
 from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
 
 from oracles import (
     FailureLog,
+    closed_preposet,
+    first_missing,
     halfspace_values,
+    le_inverted_pairs,
     left_comb,
     pairwise_fan_checks,
     per_pair_certificate,
@@ -532,7 +536,7 @@ _WITNESS = {
 
 
 def _not_antisymmetric(d):
-    return SimpleNamespace(preposet=Preposet.from_pairs(d, [(1, 2), (2, 1)]))
+    return SimpleNamespace(preposet=closed_preposet(d, [(1, 2), (2, 1)]))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -575,7 +579,7 @@ def test_missing_rank_one_shades_fail_the_face_closure(monkeypatch):
 def test_a_diamond_cone_fails_simpliciality(monkeypatch):
     objs = list(unary_lighted_shades(1, 3))
     diamond = SimpleNamespace(
-        preposet=Preposet.from_pairs(4, [(1, 2), (1, 3), (2, 4), (3, 4)]),
+        preposet=closed_preposet(4, [(1, 2), (1, 3), (2, 4), (3, 4)]),
         canonical=lambda: "diamond",
     )
     assert not diamond.preposet.hasse_is_forest
@@ -808,3 +812,26 @@ def test_freehedron_edges_match_the_tight_facet_route():
         greedy = {greedy_vertex(z, d, p) for p in permutations(range(1, d + 1))}
         assert report.vertices == sorted(greedy)
     assert freehedron_report(6).num_edges == 432
+
+
+def test_freehedron_pairs_match_the_first_missing_table_entry():
+    for n in range(7):
+        report = freehedron_report(n)
+        poset = FinitePoset(range(report.num_vertices), report.edges)
+        assert report.joinless_pair == first_missing(poset._bound_table(poset.leq)), n
+        assert report.meetless_pair == first_missing(poset._bound_table(poset.down)), n
+        assert report.is_lattice == (report.joinless_pair is None and report.meetless_pair is None)
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_row_inverted_pairs_match_the_le_route_on_every_rotation_cover(kind):
+    covers = 0
+    for t in range(1, 6):
+        for m in range(t + 1):
+            rot = build_rotation_poset(kind, m, t - m)
+            for lo, hi in rot.covers:
+                pres = rot.elements[lo].preposet, rot.elements[hi].preposet
+                for a, b in (pres, pres[::-1]):
+                    assert inverted_pairs(a, b) == le_inverted_pairs(a, b)
+                covers += 1
+    assert covers == {"painted": 1375, "shade": 989}[kind]

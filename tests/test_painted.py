@@ -12,7 +12,7 @@ from hochschild_kit.painted import (
 )
 from hochschild_kit.shades import LightedShade
 
-from oracles import left_comb, recursive_painted_shapes, right_comb
+from oracles import class_pair_painted_preposet, left_comb, recursive_painted_shapes, right_comb
 
 # spot values from the enumeration tables
 BINARY_COUNTS = {(1, 3): 21, (0, 4): 14, (2, 2): 24, (1, 0): 1, (2, 0): 2, (3, 0): 6}
@@ -99,6 +99,17 @@ def test_refinement_moves_grow_preposet_and_rank():
                 assert cov.rank == pt.rank + 1
                 assert cov.preposet.contains(pt.preposet)
                 assert cov.preposet != pt.preposet
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_level_rows_match_the_class_pair_route(d):
+    # every painted tree with m + n <= 5: 3,096 in all
+    count = 0
+    for m in range(d + 1):
+        for pt in enum_painted_trees(m, d - m):
+            assert pt.preposet.rows == class_pair_painted_preposet(pt).rows, pt
+            count += 1
+    assert count == {1: 2, 2: 9, 3: 50, 4: 337, 5: 2698}[d]
 
 
 def test_rotation_rejects_non_binary():

@@ -55,12 +55,13 @@ def test_meet_join_on_pentagon():
 
 def test_meet_join_against_brute_force():
     p = build_rotation_poset("shade", 2, 2)
+    meets = p._bound_table(p.down)
     for a in range(p.n):
         for b in range(p.n):
             lower = [c for c in range(p.n) if p.le(c, a) and p.le(c, b)]
             maxima = [c for c in lower if not any(p.le(c, d) for d in lower if d != c)]
             expected = maxima[0] if len(maxima) == 1 else -1
-            assert p.meet_table[a][b] == expected
+            assert meets[a][b] == expected
 
 
 def test_semidistributivity_flags():
@@ -146,8 +147,8 @@ def test_kernel_matches_naive_oracle(p):
             assert (p.down[b] >> a & 1 == 1) == le(a, b)
     meet = naive_bound_table(p, le, upper=False)
     join = naive_bound_table(p, le, upper=True)
-    assert [list(row) for row in p.meet_table] == meet
-    assert [list(row) for row in p.join_table] == join
+    assert [list(row) for row in p._bound_table(p.down)] == meet
+    assert [list(row) for row in p._bound_table(p.leq)] == join
     lattice = p.is_bounded and all(-1 not in row for row in meet + join)
     assert p.is_lattice == lattice
     for side, prim, other in (("meet", meet, join), ("join", join, meet)):
@@ -167,19 +168,19 @@ def test_kernel_matches_naive_oracle(p):
 def test_refinement_oracle_poset_misses_joins():
     ref = build_refinement_poset("shade", 1, 2)
     assert not ref.is_lattice
-    assert any(-1 in row for row in ref.join_table)
-    assert all(-1 not in row for row in ref.meet_table)
+    assert any(-1 in row for row in ref._bound_table(ref.leq))
+    assert all(-1 not in row for row in ref._bound_table(ref.down))
 
 
 def test_cached_posets_are_immutable_and_non_lattices_raise():
     p = build_rotation_poset("shade", 1, 2)
-    for value in (p.elements, p.covers, p.leq, p.down, p.meet_table, p.join_table):
+    tables = (p._bound_table(p.down), p._bound_table(p.leq))
+    for value in (p.elements, p.covers, p.leq, p.down, *tables):
         assert isinstance(value, tuple)
-    for table in (p.meet_table, p.join_table):
+    for table in tables:
         assert all(isinstance(row, tuple) for row in table)
         with pytest.raises(TypeError):
             table[0][0] = -1
-    assert build_rotation_poset("shade", 1, 2).meet_table is p.meet_table
     # a V shape: bounded below, two maxima, so no join of the two tops
     v = vee()
     assert not v.is_lattice
@@ -335,7 +336,7 @@ def test_refinement_semilattice_property():
     # every pair with a common lower bound has a greatest one
     for kind, m, n in [("shade", 1, 3), ("shade", 2, 2), ("painted", 1, 3)]:
         ref = build_refinement_poset(kind, m, n)
-        assert all(c >= 0 for row in ref.meet_table for c in row)
+        assert all(c >= 0 for row in ref._bound_table(ref.down) for c in row)
 
 
 # -- local certificates against the table route ------------------------------------
@@ -457,22 +458,37 @@ def test_a_moved_extreme_fails_its_side():
 
 
 def test_order_suites_fill_no_table(monkeypatch):
+    import hochschild_kit.geometry as geometry
     import hochschild_kit.posets as posets
     import hochschild_kit.verify as verify
     from functools import lru_cache
 
-    expected = [verify.lattice_suite(4).to_json_obj(), verify.morphism_suite(4).to_json_obj()]
+    def documents():
+        # "all" runs the lattice and morphism suites too
+        return [
+            [res.to_json_obj() for res in verify.run_suite("all", 4)],
+            [geometry.freehedron_report(n) for n in range(6)],
+        ]
+
+    expected = documents()
 
     def no_table(*args):
-        raise AssertionError("a suite filled a meet or join table")
+        raise AssertionError("the library filled a meet or join table")
 
     monkeypatch.setattr(FinitePoset, "_bound_table", no_table)
     monkeypatch.setattr(FinitePoset, "semidistributive_counterexample", no_table)
-    rebuilt = lru_cache(maxsize=None)(build_rotation_poset.__wrapped__)
-    monkeypatch.setattr(verify, "build_rotation_poset", rebuilt)
-    monkeypatch.setattr(posets, "build_rotation_poset", rebuilt)
-    got = [verify.lattice_suite(4).to_json_obj(), verify.morphism_suite(4).to_json_obj()]
-    assert got == expected
+    # fresh caches, so that no poset or report built before the patch is reused
+    rebuilt = {
+        name: lru_cache(maxsize=None)(getattr(owner, name).__wrapped__)
+        for owner, name in [(posets, "build_rotation_poset"),
+                            (posets, "build_refinement_poset"),
+                            (geometry, "certify_polytope")]
+    }
+    for module in (verify, posets, geometry):
+        for name, fn in rebuilt.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fn)
+    assert documents() == expected
 
 
 def test_meet_morphism_identity():

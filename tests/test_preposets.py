@@ -3,12 +3,18 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
+from hochschild_kit.geometry import inverted_pairs
 from hochschild_kit.painted import enum_painted_trees
 from hochschild_kit.posets import build_refinement_poset
 from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import enum_lighted_shades
 
-from oracles import frozenset_class_hasse, transitive_closure_pairs
+from oracles import (
+    closed_preposet,
+    frozenset_class_hasse,
+    le_inverted_pairs,
+    transitive_closure_pairs,
+)
 
 
 def test_chain():
@@ -18,27 +24,27 @@ def test_chain():
 
 
 def test_contains():
-    big = Preposet.from_pairs(3, [(1, 2), (2, 3)])
-    small = Preposet.from_pairs(3, [(1, 3)])
+    big = closed_preposet(3, [(1, 2), (2, 3)])
+    small = closed_preposet(3, [(1, 3)])
     assert big.contains(small)
     assert not small.contains(big)
     assert big.contains(big)
 
 
 def test_classes_and_hasse():
-    p = Preposet.from_pairs(4, [(1, 2), (2, 1), (1, 3), (3, 4)])
+    p = closed_preposet(4, [(1, 2), (2, 1), (1, 3), (3, 4)])
     assert p.classes == (frozenset({1, 2}), frozenset({3}), frozenset({4}))
     assert p.hasse_edges == ((0, 1), (1, 2))
     assert p.hasse_is_forest
 
 
 def test_diamond_is_not_forest():
-    p = Preposet.from_pairs(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+    p = closed_preposet(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
     assert not p.hasse_is_forest
 
 
 def test_contract_hasse_edge():
-    p = Preposet.from_pairs(3, [(1, 2), (2, 3)])
+    p = closed_preposet(3, [(1, 2), (2, 3)])
     q = p.contract_hasse_edge(0)
     assert q.le(1, 2) and q.le(2, 1)
     assert q.le(1, 3) and not q.le(3, 1)
@@ -60,16 +66,16 @@ def test_contract_hasse_edge():
 )
 def test_closure_matches_naive_oracle(data):
     d, pairs = data
-    fast = Preposet.from_pairs(d, pairs)
+    fast = closed_preposet(d, pairs)
     naive = transitive_closure_pairs(d, pairs)
     assert frozenset(fast.pairs()) == naive
 
 
 def test_ground_set_mismatch():
     with pytest.raises(ValueError):
-        Preposet.from_pairs(2, []).contains(Preposet.from_pairs(3, []))
+        closed_preposet(2, []).contains(closed_preposet(3, []))
     with pytest.raises(ValueError):
-        Preposet.from_pairs(3, []).contains(Preposet.from_pairs(2, []))
+        closed_preposet(3, []).contains(closed_preposet(2, []))
 
 
 @pytest.mark.parametrize("kind, m, n", [("painted", 1, 2), ("shade", 1, 2), ("painted", 0, 3)])
@@ -169,21 +175,22 @@ def assert_matches_oracles(p):
         assert p.contract_hasse_edge(e).rows == oracle_contraction(p, e), (p, e)
 
 
-relations = st.integers(min_value=1, max_value=6).flatmap(
-    lambda d: st.tuples(
-        st.just(d),
-        st.lists(
-            st.tuples(st.integers(min_value=1, max_value=d), st.integers(min_value=1, max_value=d)),
-            max_size=12,
-        ),
+def pair_lists(d):
+    return st.lists(
+        st.tuples(st.integers(min_value=1, max_value=d), st.integers(min_value=1, max_value=d)),
+        max_size=12,
     )
+
+
+relations = st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.tuples(st.just(d), pair_lists(d))
 )
 
 
 @given(relations)
 def test_kernel_matches_fixpoint_oracles(data):
     d, pairs = data
-    p = Preposet.from_pairs(d, pairs)
+    p = closed_preposet(d, pairs)
     assert p.rows == pairs_closure(d, pairs)
     assert_matches_oracles(p)
 
@@ -202,9 +209,9 @@ def test_chain_matches_pair_built_oracle(d):
 
 # -- the representative-mask Hasse pass against the frozenset-class route ---------
 
-DIAMOND = Preposet.from_pairs(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
+DIAMOND = closed_preposet(4, [(1, 2), (1, 3), (2, 4), (3, 4)])
 # the diamond with a class {1, 5} at the bottom, so not antisymmetric
-FAT_DIAMOND = Preposet.from_pairs(5, [(1, 5), (5, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+FAT_DIAMOND = closed_preposet(5, [(1, 5), (5, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
 
 
 def hasse_views(p):
@@ -229,7 +236,17 @@ def test_hasse_pass_matches_the_frozenset_class_route_on_diamonds(p):
 @given(relations)
 def test_antisymmetry_and_linear_extensions_match_the_chains(data):
     d, pairs = data
-    p = Preposet.from_pairs(d, pairs)
+    p = closed_preposet(d, pairs)
     assert p.is_antisymmetric == (len(p.classes) == d)
     chains = [Preposet.chain(d, order) for order in permutations(range(1, d + 1))]
     assert p.linear_extension_count() == sum(1 for c in chains if c.contains(p))
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.tuples(st.just(d), pair_lists(d), pair_lists(d))
+))
+def test_row_inverted_pairs_match_the_le_route(data):
+    # preposets with classes too, where i below j does not rule out j below i
+    d, lo_pairs, hi_pairs = data
+    lo, hi = closed_preposet(d, lo_pairs), closed_preposet(d, hi_pairs)
+    assert inverted_pairs(lo, hi) == le_inverted_pairs(lo, hi)
