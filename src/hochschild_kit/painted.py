@@ -9,8 +9,9 @@ unary node must lie on some cut.
 A painted tree is stored as a tagged tree: a leaf is ``None`` and an internal
 node is the pair ``(cut index or None, children)``, cut 0 being the bottom
 cut.  Enumeration, the moves and the shadow map work on this form.  The
-node-id form of the JSON documents (nested tuples, each cut a set of preorder
-node ids) is a cached view of it; ``PaintedTree.from_cuts`` converts back.
+node-id form of the JSON documents (nested tuples, each cut its ascending
+preorder node ids) is a view of it computed on read, by one preorder walk
+over the tagged tree; ``PaintedTree.from_cuts`` converts back.
 
 Shapes are generated bottom-up one cut layer at a time (none when m = 0).
 Each layer boundary gets one interval table, `_tree_table`: the plane trees
@@ -31,7 +32,12 @@ subtree size and the number of cuts passing below, so that "cut i passes
 below v", "v lies below cut i" and "u descends from v" are integer tests.
 The preposet is written from the walk as closed rows, one per cut level and
 one per node off the cuts, with no closure pass.
-Instances are immutable; all derived data is computed on demand and cached.
+
+Instances are immutable.  A derived member is a cached property only when
+the checks read it again (``walk``, ``rank``, ``is_binary``, ``preposet``);
+the views read once, by the enumerators' one sort or by the JSON writer
+(``key``, ``cuts``, ``tree``, ``k``), are computed on every read, so a face
+that a cached poset keeps for the whole process holds one form.
 """
 
 from __future__ import annotations
@@ -79,9 +85,10 @@ class PaintedTree:
         parts: tuple of frozensets of labels, ``parts[i]`` labeling cut i.
 
     ``tree`` (the nested-tuple plane tree with n + 1 leaves), ``cuts`` (per
-    cut, bottom cut first, the frozenset of its preorder node ids), ``walk``
-    (one record per internal node, read by the maps), ``rank`` and ``key``
-    are views of ``tagged``.
+    cut, bottom cut first, the ascending tuple of its preorder node ids),
+    ``walk`` (one record per internal node, read by the maps), ``rank`` and
+    ``key`` are views of ``tagged``.  ``walk`` and ``rank`` are cached;
+    ``tree``, ``cuts``, ``k`` and ``key`` are computed on each read.
     """
 
     __slots__ = ("m", "n", "tagged", "parts", "__dict__")
@@ -158,26 +165,27 @@ class PaintedTree:
         visit(self.tagged, -1, 0)
         return tuple(nodes)
 
-    @cached_property
+    @property
     def tree(self):
         """The nested-tuple plane tree: a leaf is ``None``, a node its children."""
         return _untag(self.tagged)
 
-    @cached_property
-    def cuts(self):
-        """Per cut, bottom cut first, the frozenset of its preorder node ids."""
-        cuts = [set() for _ in self.parts]
+    @property
+    def cuts(self) -> tuple[tuple[int, ...], ...]:
+        """Per cut, bottom cut first, the ascending preorder ids of its nodes:
+        one preorder walk meets each cut's nodes in ascending order."""
+        cuts = [[] for _ in self.parts]
         stack = [self.tagged]
         nid = 0
         while stack:
             tag, children = stack.pop()
             if tag is not None:
-                cuts[tag].add(nid)
+                cuts[tag].append(nid)
             nid += 1
             stack.extend(c for c in reversed(children) if c is not LEAF)
-        return tuple(frozenset(c) for c in cuts)
+        return tuple(map(tuple, cuts))
 
-    @cached_property
+    @property
     def k(self) -> int:
         return len(self.parts)
 
@@ -235,12 +243,12 @@ class PaintedTree:
 
     # -- canonical forms ------------------------------------------------------
 
-    @cached_property
+    @property
     def key(self):
         """Canonical sortable form (tree shape, cuts, parts)."""
         return (
             _shape_key(self.tagged),
-            tuple(tuple(sorted(c)) for c in self.cuts),
+            self.cuts,
             tuple(tuple(sorted(p)) for p in self.parts),
         )
 
@@ -252,7 +260,7 @@ class PaintedTree:
             "m": self.m,
             "n": self.n,
             "tree": _tree_json(self.tagged),
-            "cuts": [sorted(c) for c in self.cuts],
+            "cuts": [list(c) for c in self.cuts],
             "parts": [sorted(p) for p in self.parts],
         }
 

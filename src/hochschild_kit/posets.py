@@ -235,24 +235,6 @@ class FinitePoset:
         return max(depth, default=0)
 
     @cached_property
-    def is_graded(self) -> bool:
-        return self.rank_vector is not None
-
-    @cached_property
-    def rank_vector(self):
-        """Cover-consistent rank function, or None if the poset is not graded."""
-        rank = [None] * self.n
-        for i in self.minimal_elements:
-            rank[i] = 0
-        for i in self.topological_order:
-            for hi in self._covers_up[i]:
-                if rank[hi] is None:
-                    rank[hi] = rank[i] + 1
-                elif rank[hi] != rank[i] + 1:
-                    return None
-        return tuple(rank)
-
-    @cached_property
     def join_irreducibles(self) -> tuple[int, ...]:
         lower = [0] * self.n
         for _, hi in self.covers:

@@ -12,6 +12,10 @@ One rank rule, `sequence_rank`, reads the tuple sequence only; the ``rank``
 property, the census in `tables` and the enumerators read it, and a rank
 filter skips a sequence before its lights are distributed.  Only the
 enumerators sort; the moves come in generation order.
+
+``entries`` is the only stored form.  A derived member is a cached property
+only when the checks read it again; ``key`` (read by the enumerators' one
+sort) and ``size`` are computed on every read.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class LightedShade:
 
     # -- basic views ---------------------------------------------------------
 
-    @cached_property
+    @property
     def size(self) -> int:
         """Number of positions |S|."""
         return len(self.entries)
@@ -134,7 +138,7 @@ class LightedShade:
 
     # -- canonical forms ---------------------------------------------------------
 
-    @cached_property
+    @property
     def key(self):
         return tuple((vals, tuple(sorted(l))) for vals, l in self.entries)
 

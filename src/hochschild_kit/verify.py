@@ -48,7 +48,6 @@ REACH = {
     "lattice": 7,
     "morphism": 7,
     "fan": 7,
-    "fan shared facets": 7,
     "cubic": 7,
     "cubic subdivision": 6,
     "cubic words": 7,
@@ -186,7 +185,6 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
 def fan_suite(bound: int = 6) -> SuiteResult:
     """Polytopality certificates, Minkowski data, skeletons, freehedron."""
     bound = reach("fan", bound)
-    shared_reach = reach("fan shared facets", bound)
     res = SuiteResult("fan", bound)
     for m, n in _cells(bound):
         for kind in ("multiplihedron", "hochschild"):
@@ -202,12 +200,11 @@ def fan_suite(bound: int = 6) -> SuiteResult:
                 res.record(f"{kind}({m},{n}) oriented skeleton = rotations", True)
             except AssertionError as exc:
                 res.record(f"{kind}({m},{n}) oriented skeleton = rotations", False, exc)
-        if m + n <= shared_reach:
-            shared = shared_facet_report(m, n)
-            clauses = ("facets_subset", "shared_iff_singleton_tight",
-                       "common_vertices_are_singletons")
-            failed = [clause for clause in clauses if not getattr(shared, clause)]
-            res.record(f"shared facets({m},{n})", not failed, ", ".join(failed))
+        shared = shared_facet_report(m, n)
+        clauses = ("facets_subset", "shared_iff_singleton_tight",
+                   "common_vertices_are_singletons")
+        failed = [clause for clause in clauses if not getattr(shared, clause)]
+        res.record(f"shared facets({m},{n})", not failed, ", ".join(failed))
     _polytope_objects.cache_clear()
     free = freehedron_report(3)
     res.record("freehedron(3) has 12 vertices", free.num_vertices == 12)

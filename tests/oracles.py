@@ -16,7 +16,7 @@ from hochschild_kit.geometry import (
 )
 from hochschild_kit.families import family
 from hochschild_kit.ledger import Ledger
-from hochschild_kit.painted import LEAF, PaintedTree, _painted_trees
+from hochschild_kit.painted import LEAF, PaintedTree, _painted_trees, _shape_key, _tree_json
 from hochschild_kit.posets import MorphismCheckReport
 from hochschild_kit.preposets import Preposet, cover_pairs
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
@@ -309,6 +309,76 @@ def key_sorted(objects) -> list:
     """Objects in canonical order, the order in which the move methods once
     returned their results."""
     return sorted(objects, key=lambda obj: obj.key)
+
+
+def rank_vector(p):
+    """A cover-consistent rank function of a finite poset, its minimal
+    elements at rank 0, or None if the poset is not graded."""
+    rank = [None] * p.n
+    for i in p.minimal_elements:
+        rank[i] = 0
+    for i in p.topological_order:
+        for hi in p._covers_up[i]:
+            if rank[hi] is None:
+                rank[hi] = rank[i] + 1
+            elif rank[hi] != rank[i] + 1:
+                return None
+    return tuple(rank)
+
+
+# -- node-id views by frozenset cuts, sorted on every read ------------------
+
+
+def frozenset_cuts(pt):
+    """Per cut of a painted tree, bottom cut first, the frozenset of its
+    preorder node ids."""
+    cuts = [set() for _ in pt.parts]
+    stack = [pt.tagged]
+    nid = 0
+    while stack:
+        tag, children = stack.pop()
+        if tag is not None:
+            cuts[tag].add(nid)
+        nid += 1
+        stack.extend(c for c in reversed(children) if c is not LEAF)
+    return tuple(frozenset(c) for c in cuts)
+
+
+def sorted_painted_key(pt):
+    """The canonical sort key of a painted tree, each cut sorted on read."""
+    return (
+        _shape_key(pt.tagged),
+        tuple(tuple(sorted(c)) for c in frozenset_cuts(pt)),
+        tuple(tuple(sorted(p)) for p in pt.parts),
+    )
+
+
+def sorted_painted_json(pt):
+    """The JSON object of a painted tree, each cut sorted on read."""
+    return {
+        "m": pt.m,
+        "n": pt.n,
+        "tree": _tree_json(pt.tagged),
+        "cuts": [sorted(c) for c in frozenset_cuts(pt)],
+        "parts": [sorted(p) for p in pt.parts],
+    }
+
+
+def sorted_shade_key(ls):
+    """The canonical sort key of a lighted shade, each light set sorted."""
+    return tuple((vals, tuple(sorted(lights))) for vals, lights in ls.entries)
+
+
+def sorted_shade_json(ls):
+    """The JSON object of a lighted shade, each light set sorted."""
+    return {
+        "m": ls.m,
+        "n": ls.n,
+        "entries": [
+            {"tuple": list(vals), "lights": sorted(lights)}
+            for vals, lights in ls.entries
+        ],
+    }
 
 
 def subset_sums(verts, d) -> dict:

@@ -1,4 +1,5 @@
 from collections import Counter
+import json
 
 import pytest
 
@@ -12,7 +13,15 @@ from hochschild_kit.painted import (
 )
 from hochschild_kit.shades import LightedShade
 
-from oracles import class_pair_painted_preposet, left_comb, recursive_painted_shapes, right_comb
+from oracles import (
+    class_pair_painted_preposet,
+    frozenset_cuts,
+    left_comb,
+    recursive_painted_shapes,
+    right_comb,
+    sorted_painted_json,
+    sorted_painted_key,
+)
 
 # spot values from the enumeration tables
 BINARY_COUNTS = {(1, 3): 21, (0, 4): 14, (2, 2): 24, (1, 0): 1, (2, 0): 2, (3, 0): 6}
@@ -253,7 +262,7 @@ def test_node_id_views_match_the_untag_oracle(mn):
         tree, cuts = _untag(pt.tagged, len(pt.parts))
         nodes = _preorder(tree)
         on_cuts = set().union(*cuts)
-        assert pt.tree == tree and pt.cuts == cuts
+        assert pt.tree == tree and pt.cuts == tuple(tuple(sorted(c)) for c in cuts)
         desc, labels = _descendants(nodes), _labels(nodes)
         assert len(pt.walk) == len(nodes)
         for (nid, node, parent, _), w in zip(nodes, pt.walk):
@@ -276,6 +285,17 @@ def test_node_id_views_match_the_untag_oracle(mn):
         again = PaintedTree.from_cuts(pt.m, pt.n, pt.tree, pt.cuts, pt.parts)
         assert again == pt and hash(again) == hash(pt)
         assert again.tagged == pt.tagged
+
+
+@pytest.mark.parametrize("mn", ALL_CELLS_TO_5)
+def test_views_match_the_sorted_frozenset_route(mn):
+    # the cuts come ascending from one preorder walk; the route they replace
+    # collects frozensets and sorts each cut in the key and the JSON writer
+    for pt in enum_painted_trees(*mn):
+        assert pt.cuts == tuple(tuple(sorted(c)) for c in frozenset_cuts(pt))
+        assert pt.key == sorted_painted_key(pt)
+        assert pt.to_json_obj() == sorted_painted_json(pt)
+        assert pt.canonical() == json.dumps(sorted_painted_json(pt), separators=(",", ":"))
 
 
 @pytest.mark.parametrize(

@@ -17,12 +17,13 @@ from hochschild_kit.posets import (
     lattice_analytics,
     word_subposet,
 )
-from hochschild_kit.painted import PaintedTree, enum_painted_trees
-from hochschild_kit.shades import LightedShade, enum_lighted_shades
+from hochschild_kit.painted import PaintedTree, binary_painted_trees, enum_painted_trees
+from hochschild_kit.shades import LightedShade, enum_lighted_shades, unary_lighted_shades
 from hochschild_kit.shadow import shadow
 
 from oracles import (
     key_sorted,
+    rank_vector,
     table_lattice_flags,
     table_morphism_check,
     transitive_closure_pairs,
@@ -221,9 +222,31 @@ def test_refinement_poset_counts_and_grading():
     assert shade.n == 39
     painted = build_refinement_poset("painted", 1, 3)
     assert painted.n == 67
-    assert shade.is_graded
+    assert rank_vector(shade) is not None
+    assert rank_vector(pentagon()) is None
     assert shade.bottom is not None
     assert len(shade.maximal_elements) == 12
+
+
+VIEWS_READ_ONCE = ("key", "cuts", "tree", "k", "size")
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 5) for m in range(s + 1)])
+def test_faces_store_no_view_read_once(mn):
+    # a poset keeps its faces for the whole process, so each keeps only its
+    # defining form, whichever enumerator, builder or view has read it
+    m, n = mn
+    objs = [*binary_painted_trees(m, n), *unary_lighted_shades(m, n)]
+    for rank in (None, *range(m + n)):
+        objs += enum_painted_trees(m, n, rank=rank) + enum_lighted_shades(m, n, rank=rank)
+    for kind in ("painted", "shade"):
+        objs += build_rotation_poset(kind, m, n).elements
+        objs += build_refinement_poset(kind, m, n).elements
+    for obj in objs:
+        obj.canonical()
+        for name in VIEWS_READ_ONCE:
+            getattr(obj, name, None)
+        assert not set(VIEWS_READ_ONCE) & set(vars(obj)), obj
 
 
 def containment_refinement_poset(kind, m, n):

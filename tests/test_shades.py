@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,7 +10,7 @@ from hochschild_kit.shades import (
     unary_lighted_shades,
 )
 
-from oracles import clause_shade_preposet, transitive_closure_pairs
+from oracles import clause_shade_preposet, sorted_shade_json, sorted_shade_key, transitive_closure_pairs
 
 UNARY_COUNTS = {(1, 3): 12, (0, 4): 8, (2, 2): 18, (3, 0): 6, (1, 0): 1}
 FACE_COUNTS = {(1, 3): 39, (0, 3): 9, (2, 2): 57, (2, 0): 3, (1, 6): 1539}
@@ -181,3 +183,12 @@ def test_row_built_preposet_matches_the_clause_route(d):
             assert ls.preposet.rows == clause_shade_preposet(ls).rows, ls
             count += 1
     assert count == {1: 2, 2: 9, 3: 46, 4: 273, 5: 1914, 6: 15897}[d]
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 6) for m in range(s + 1)])
+def test_views_match_the_sorted_route(mn):
+    for ls in enum_lighted_shades(*mn):
+        assert ls.size == len(ls.entries)
+        assert ls.key == sorted_shade_key(ls)
+        assert ls.to_json_obj() == sorted_shade_json(ls)
+        assert ls.canonical() == json.dumps(sorted_shade_json(ls), separators=(",", ":"))
