@@ -15,14 +15,21 @@ over the tagged tree; ``PaintedTree.from_cuts`` converts back.
 
 Shapes are generated bottom-up one cut layer at a time (none when m = 0).
 Each layer boundary gets one interval table, `_tree_table`: the plane trees
-with no unary node over every interval of the boundary, filled by length, so
-each subtree is built once.  A forest is a product over one split of the
-table, and the next cut layer one split of the forest's roots.
+with no unary node over every interval of the boundary, filled by length and
+kept by their count of uncut internal nodes, so each subtree is built once.
+A forest is a product over one split of the table, and the next cut layer
+one split of the forest's roots.  The one rank rule, `shape_rank`, is
+m + n - k minus the uncut internal nodes.  The ``rank`` property counts them
+on the tagged shape; the generator carries the count with each shape, so the
+census in `tables` reads ranks without walking a shape, and a rank filter
+prunes inside the tables: a tree or forest whose count is over the rank's is
+dropped before anything is built on it.
 
-One rank rule, `shape_rank`, reads the tagged shape and its number of cuts
-only; the ``rank`` property, the census in `tables` and the enumerators read
-it, and a rank filter skips a shape before its labels are distributed.  Only
-the enumerators sort; shapes and moves come in generation order.
+The enumerators sort shapes, not trees.  The shape half of the sort key (the
+shape of the plane tree and the cuts) determines the shape, and the cached
+`ordered_partitions` come in the order of the key's last part, so the
+shapes are sorted once and each one's labelings emitted in turn; moves come
+in generation order.
 
 The maps on a painted tree (preposet, validation, multiplihedron vertex and
 facet, cubic and bracket vectors, the tree-side singleton test) read one
@@ -35,9 +42,9 @@ one per node off the cuts, with no closure pass.
 
 Instances are immutable.  A derived member is a cached property only when
 the checks read it again (``walk``, ``rank``, ``is_binary``, ``preposet``);
-the views read once, by the enumerators' one sort or by the JSON writer
-(``key``, ``cuts``, ``tree``, ``k``), are computed on every read, so a face
-that a cached poset keeps for the whole process holds one form.
+the views that no check reads twice (``key``, which defines the canonical
+order, ``cuts``, ``tree``, ``k``) are computed on every read, so a face that
+a cached poset keeps for the whole process holds one form.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, product
 import json
+from operator import itemgetter
 from typing import NamedTuple
 
 from .preposets import Preposet
@@ -172,18 +180,8 @@ class PaintedTree:
 
     @property
     def cuts(self) -> tuple[tuple[int, ...], ...]:
-        """Per cut, bottom cut first, the ascending preorder ids of its nodes:
-        one preorder walk meets each cut's nodes in ascending order."""
-        cuts = [[] for _ in self.parts]
-        stack = [self.tagged]
-        nid = 0
-        while stack:
-            tag, children = stack.pop()
-            if tag is not None:
-                cuts[tag].append(nid)
-            nid += 1
-            stack.extend(c for c in reversed(children) if c is not LEAF)
-        return tuple(map(tuple, cuts))
+        """Per cut, bottom cut first, the ascending preorder ids of its nodes."""
+        return _cut_ids(self.tagged, len(self.parts))
 
     @property
     def k(self) -> int:
@@ -246,11 +244,7 @@ class PaintedTree:
     @property
     def key(self):
         """Canonical sortable form (tree shape, cuts, parts)."""
-        return (
-            _shape_key(self.tagged),
-            self.cuts,
-            tuple(tuple(sorted(p)) for p in self.parts),
-        )
+        return (*_shape_sort_key(self.tagged, len(self.parts)), _parts_key(self.parts))
 
     def canonical(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
@@ -400,6 +394,33 @@ def _untag(tagged):
 
 def _shape_key(tagged):
     return tuple(() if c is LEAF else _shape_key(c) for c in tagged[1])
+
+
+def _cut_ids(tagged, k):
+    """Per cut of the k, bottom cut first, the ascending preorder ids of its
+    nodes: one preorder walk meets each cut's nodes in ascending order."""
+    cuts = [[] for _ in range(k)]
+    stack = [tagged]
+    nid = 0
+    while stack:
+        tag, children = stack.pop()
+        if tag is not None:
+            cuts[tag].append(nid)
+        nid += 1
+        stack.extend(c for c in reversed(children) if c is not LEAF)
+    return tuple(map(tuple, cuts))
+
+
+def _shape_sort_key(tagged, k):
+    """The shape half of `PaintedTree.key`: the plane tree's shape and the
+    cuts of a tagged shape with k cuts.  It determines the shape
+    (`PaintedTree.from_cuts`)."""
+    return _shape_key(tagged), _cut_ids(tagged, k)
+
+
+def _parts_key(parts):
+    """The last part of `PaintedTree.key`: each part as a sorted tuple."""
+    return tuple(tuple(sorted(p)) for p in parts)
 
 
 def _tree_json(tagged):
@@ -559,38 +580,54 @@ def _splits(lo, hi, parts):
         yield tuple(zip(bounds, bounds[1:]))
 
 
-def _tree_table(items, binary):
-    """The plane trees with no unary node over each interval items[lo:hi].
+def _tree_table(items, binary, budget):
+    """The plane trees with no unary node over each interval items[lo:hi], by
+    their count of uncut internal nodes.
 
-    The table maps (lo, hi) to the list of trees whose leaves are the
-    (already tagged) items of that interval; a single item is itself a tree.
-    Intervals are filled by length, a root over each split of an interval
-    taking every product of its blocks' trees, so each subtree is built once.
+    The table maps (lo, hi) to a dict from a count to the trees with that
+    many uncut internal nodes whose leaves are the (already tagged) items of
+    that interval; a single item is itself a tree, of count 0.  Intervals are
+    filled by length, a root over each split of an interval taking every
+    product of its blocks' trees, so each subtree is built once.  Trees of a
+    count over ``budget`` are dropped, and so never built on.
     """
-    table = {(lo, lo + 1): [item] for lo, item in enumerate(items)}
+    table = {(lo, lo + 1): {0: [item]} for lo, item in enumerate(items)}
     for length in range(2, len(items) + 1):
         for lo in range(len(items) - length + 1):
             hi = lo + length
-            table[lo, hi] = [
-                (None, children)
-                for arity in ([2] if binary else range(2, length + 1))
-                for split in _splits(lo, hi, arity)
-                for children in product(*(table[block] for block in split))
-            ]
+            trees = {}
+            for arity in [2] if binary else range(2, length + 1):
+                for split in _splits(lo, hi, arity):
+                    blocks = [table[block] for block in split]
+                    for counts in product(*blocks):
+                        free = 1 + sum(counts)
+                        if free <= budget:
+                            trees.setdefault(free, []).extend(
+                                (None, children) for children in _pick(blocks, counts)
+                            )
+            table[lo, hi] = trees
     return table
+
+
+def _pick(blocks, counts):
+    """Every choice of one tree per block, each of the given count."""
+    return product(*(block[count] for block, count in zip(blocks, counts)))
 
 
 @lru_cache(maxsize=None)
 def ordered_partitions(m, k):
-    """Ordered partitions of {1, ..., m} into k nonempty blocks, as a shared tuple."""
+    """Ordered partitions of {1, ..., m} into k nonempty blocks, as a shared
+    tuple in key order: by the blocks as sorted tuples, bottom cut first (the
+    last part of `PaintedTree.key`).  Equal blocks are one frozenset."""
     if k == 0:
         return ((),) if m == 0 else ()
     out = []
+    shared = {}
 
     def rec(label, blocks):
         if label > m:
             if all(blocks):
-                out.append(tuple(frozenset(b) for b in blocks))
+                out.append(tuple(shared.setdefault(tuple(b), frozenset(b)) for b in blocks))
             return
         remaining = m - label + 1
         empty = sum(1 for b in blocks if not b)
@@ -602,49 +639,78 @@ def ordered_partitions(m, k):
             b.pop()
 
     rec(1, [[] for _ in range(k)])
-    return tuple(out)
+    return tuple(sorted(out, key=_parts_key))
 
 
-def _painted_shapes(m, n, binary):
-    """Tagged tree shapes with k cuts, without the label partition."""
+def _painted_shapes(m, n, binary, rank=None):
+    """Tagged tree shapes, without the label partition, as (shape, k, free):
+    k cuts and ``free`` internal nodes on no cut, so of rank m + n - k - free
+    (`shape_rank`).
+
+    With ``rank`` only the shapes of that rank are yielded: every tree and
+    forest with more uncut nodes than the rank allows is dropped inside the
+    tables, before anything is built on it.
+    """
     if m + n == 0:
         return
     k_range = [m] if binary or m == 0 else range(1, m + 1)
     for k in k_range:
-        for shape in _stack_layers([LEAF] * (n + 1), 0, k, binary):
-            yield shape, k
+        budget = m + n - k - (rank or 0)
+        if budget < 0:
+            continue
+        for shape, free in _stack_layers([LEAF] * (n + 1), 0, k, binary, 0, budget):
+            if rank is None or free == budget:
+                yield shape, k, free
 
 
-def _stack_layers(boundary, level, k, binary):
-    """Grow forests and cut layers bottom-up; yields the final tagged root.
+def _stack_layers(boundary, level, k, binary, free, budget):
+    """Grow forests and cut layers bottom-up; yields each final tagged root
+    with its count of uncut internal nodes.
 
-    A forest is a product over one split of the boundary's tree table, and a
-    cut layer one split of the forest's roots into consecutive groups, one
-    group per cut node (each root alone when ``binary``).
+    ``free`` counts the uncut nodes below the boundary.  A forest is a
+    product over one split of the boundary's tree table, and a cut layer one
+    split of the forest's roots into consecutive groups, one group per cut
+    node (each root alone when ``binary``).  A forest that takes the count
+    over ``budget`` is dropped.
     """
-    table = _tree_table(boundary, binary)
+    table = _tree_table(boundary, binary, budget - free)
     if level == k:
-        yield from table[0, len(boundary)]
+        for count, trees in table[0, len(boundary)].items():
+            for tree in trees:
+                yield tree, free + count
         return
     for roots in range(1, len(boundary) + 1):
         for split in _splits(0, len(boundary), roots):
-            for forest in product(*(table[block] for block in split)):
-                for groups in [roots] if binary else range(1, roots + 1):
-                    for cut in _splits(0, roots, groups):
-                        layer = [(level, forest[lo:hi]) for lo, hi in cut]
-                        yield from _stack_layers(layer, level + 1, k, binary)
+            blocks = [table[block] for block in split]
+            for counts in product(*blocks):
+                below = free + sum(counts)
+                if below > budget:
+                    continue
+                for forest in _pick(blocks, counts):
+                    for groups in [roots] if binary else range(1, roots + 1):
+                        for cut in _splits(0, roots, groups):
+                            layer = [(level, forest[lo:hi]) for lo, hi in cut]
+                            yield from _stack_layers(layer, level + 1, k, binary, below, budget)
 
 
 def _painted_trees(m, n, binary=False, rank=None):
-    """Generate every m-painted n-tree once, in generation order (unsorted).
+    """Generate every m-painted n-tree once, in canonical order.
 
-    With ``binary`` only the binary (rank 0) trees are generated, with
-    ``rank`` only the shapes of that rank are labeled.
+    The shapes are sorted once by the shape half of the key, and each
+    shape's labelings follow from `ordered_partitions`, already in the order
+    of the key's last part.  With ``binary`` only the binary (rank 0) trees
+    are generated, with ``rank`` only the shapes of that rank are labeled.
     """
-    for shape, k in _painted_shapes(m, n, binary):
-        if rank is None or shape_rank(m, n, shape, k) == rank:
-            for parts in ordered_partitions(m, k):
-                yield PaintedTree(m, n, shape, parts)
+    shapes = sorted(
+        (
+            (_shape_sort_key(shape, k), shape, k)
+            for shape, k, _ in _painted_shapes(m, n, binary, rank)
+        ),
+        key=itemgetter(0),
+    )
+    for _, shape, k in shapes:
+        for parts in ordered_partitions(m, k):
+            yield PaintedTree(m, n, shape, parts)
 
 
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
@@ -652,13 +718,13 @@ def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:
     _check_params(m, n, rank)
     if rank == 0:
         return binary_painted_trees(m, n)
-    return sorted(_painted_trees(m, n, rank=rank), key=lambda x: x.key)
+    return list(_painted_trees(m, n, rank=rank))
 
 
 def binary_painted_trees(m, n) -> list[PaintedTree]:
     """All binary (rank 0) m-painted n-trees in canonical order."""
     _check_params(m, n)
-    return sorted(_painted_trees(m, n, binary=True), key=lambda x: x.key)
+    return list(_painted_trees(m, n, binary=True))
 
 
 def _check_params(m, n, rank=None):

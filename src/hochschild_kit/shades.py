@@ -10,8 +10,12 @@ sequence, distinguished positions and ordered partition, and the pair of
 parallel sequences) directly derivable.
 One rank rule, `sequence_rank`, reads the tuple sequence only; the ``rank``
 property, the census in `tables` and the enumerators read it, and a rank
-filter skips a sequence before its lights are distributed.  Only the
-enumerators sort; the moves come in generation order.
+filter skips a sequence before its lights are distributed.  The lights of a
+sequence are the cached ordered partitions of the labels
+(`painted.ordered_partitions`) placed on its lit positions, so the shades
+share their light sets: the partitions' blocks and one empty set, `_UNLIT`.
+The unary shades of a call share `_UNLIT` and one singleton per label.
+Only the enumerators sort; the moves come in generation order.
 
 ``entries`` is the only stored form.  A derived member is a cached property
 only when the checks read it again; ``key`` (read by the enumerators' one
@@ -25,8 +29,17 @@ from itertools import combinations, permutations
 import json
 from types import MappingProxyType
 
-from .painted import _check_params, _json_array, _json_fields, _json_int_set, _json_ints
+from .painted import (
+    _check_params,
+    _json_array,
+    _json_fields,
+    _json_int_set,
+    _json_ints,
+    ordered_partitions,
+)
 from .preposets import Preposet
+
+_UNLIT = frozenset()  # the light set of every unlit position
 
 
 class LightedShade:
@@ -299,35 +312,23 @@ def _tuple_sequences(n, max_empty):
 
 
 def _light_distributions(seq, m):
-    """Assign disjoint label subsets covering {1, ..., m} to the positions.
+    """Assign disjoint label sets covering {1, ..., m} to the positions.
 
-    Positions holding an empty tuple must receive at least one label.
+    Every position holding an empty tuple is lit, and so is any subset of
+    the other positions, at most m lit in all; each ordered partition of the
+    labels into as many blocks as lit positions is placed on them, top
+    first.
     """
-    positions = len(seq)
-
-    def rec(pos, remaining):
-        if pos == positions:
-            if not remaining:
-                yield []
-            return
-        need = sum(1 for t in seq[pos:] if t == ())
-        if len(remaining) < need:
-            return
-        subsets = _subsets_of(remaining)
-        for sub in subsets:
-            if seq[pos] == () and not sub:
-                continue
-            for rest in rec(pos + 1, remaining - sub):
-                yield [sub] + rest
-
-    yield from rec(0, frozenset(range(1, m + 1)))
-
-
-def _subsets_of(s):
-    """Every subset of s, the empty one included."""
-    items = sorted(s)
-    for mask in range(1 << len(items)):
-        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+    empty = [pos for pos, t in enumerate(seq) if not t]
+    others = [pos for pos, t in enumerate(seq) if t]
+    for extra in range(m - len(empty) + 1):
+        for chosen in combinations(others, extra):
+            lit = sorted(empty + list(chosen))
+            for parts in ordered_partitions(m, len(lit)):
+                lights = [_UNLIT] * len(seq)
+                for pos, part in zip(lit, parts):
+                    lights[pos] = part
+                yield lights
 
 
 def _lighted_shades(m, n, rank=None):
@@ -343,8 +344,10 @@ def _unary_shades(m, n, orders=None):
     """Generate every unary m-lighted n-shade once, in generation order.
 
     ``orders`` are the orders, top to bottom, in which the labels may light
-    the cuts; by default every permutation of 1, ..., m.
+    the cuts; by default every permutation of 1, ..., m.  The shades share
+    `_UNLIT` and one singleton light set per label.
     """
+    lit = [_UNLIT, *(frozenset({x}) for x in range(1, m + 1))]  # lit[x] lights x
     comps = [()] if n == 0 else _compositions(n)
     for comp in comps:
         k = len(comp)
@@ -354,10 +357,10 @@ def _unary_shades(m, n, orders=None):
                 ci = si = 0
                 for is_cut in pattern:
                     if is_cut:
-                        entries.append(((), frozenset({perm[ci]})))
+                        entries.append(((), lit[perm[ci]]))
                         ci += 1
                     else:
-                        entries.append(((comp[si],), frozenset()))
+                        entries.append(((comp[si],), _UNLIT))
                         si += 1
                 yield LightedShade(m, n, entries)
 

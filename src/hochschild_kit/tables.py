@@ -36,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-from .painted import PaintedTree, _check_params, _painted_shapes, shape_rank
+from .painted import PaintedTree, _check_params, _painted_shapes
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
@@ -237,10 +237,12 @@ def exhaustive_census(m: int, n: int) -> Census:
 
 def _painted_rank_histogram(m, n):
     """Painted trees by rank: each tagged shape with k cuts, weighted by the
-    surjection_count(m, k) label partitions it carries."""
+    surjection_count(m, k) label partitions it carries, at the rank
+    (`painted.shape_rank`) of the uncut-node count it comes with."""
     hist = [0] * (m + n)
-    for shape, k in _painted_shapes(m, n, binary=False):
-        hist[shape_rank(m, n, shape, k)] += surjection_count(m, k)
+    labelings = [surjection_count(m, k) for k in range(m + 1)]
+    for _, k, free in _painted_shapes(m, n, binary=False):
+        hist[m + n - k - free] += labelings[k]
     return tuple(hist)
 
 
@@ -284,7 +286,8 @@ def _vertex_census(m, n):
     # seeded with the shades, so a shadow equal to one adds no second key object
     sizes = Counter(dict.fromkeys(unary, 0))
     sizes.update(
-        shadow(PaintedTree(m, n, shape, parts)) for shape, _ in _painted_shapes(m, n, binary=True)
+        shadow(PaintedTree(m, n, shape, parts))
+        for shape, _, _ in _painted_shapes(m, n, binary=True)
     )
     for ls in unary:
         if not sizes[ls]:

@@ -16,11 +16,20 @@ from hochschild_kit.geometry import (
 )
 from hochschild_kit.families import family
 from hochschild_kit.ledger import Ledger
-from hochschild_kit.painted import LEAF, PaintedTree, _painted_trees, _shape_key, _tree_json
+from hochschild_kit.painted import (
+    LEAF,
+    PaintedTree,
+    _check_params,
+    _painted_trees,
+    _shape_key,
+    _tree_json,
+    ordered_partitions,
+    shape_rank,
+)
 from hochschild_kit.posets import MorphismCheckReport
 from hochschild_kit.preposets import Preposet, cover_pairs
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
-from hochschild_kit.shades import _unary_shades
+from hochschild_kit.shades import LightedShade, _tuple_sequences, _unary_shades, sequence_rank
 from hochschild_kit.shadow import shadow
 
 
@@ -624,6 +633,87 @@ def _cut_groupings(forest, level, binary):
 
     yield from rec(0)
 
+
+
+# -- enumeration by building, filtering and sorting every object ------------
+#
+# The routes the four enumerators took before they sorted shapes instead of
+# trees, pruned ranks inside the shape tables and lit positions from the
+# cached ordered partitions: every shape of every rank is built and those of
+# another rank dropped, every labeled object is sorted by its key, and the
+# lights are distributed recursively over fresh subsets of the labels left.
+
+
+def filtered_painted_trees(m, n, binary=False, rank=None):
+    """Every m-painted n-tree once, in generation order; with ``rank``,
+    every shape is built and those of another rank are dropped."""
+    for shape, k in recursive_painted_shapes(m, n, binary):
+        if rank is None or shape_rank(m, n, shape, k) == rank:
+            for parts in ordered_partitions(m, k):
+                yield PaintedTree(m, n, shape, parts)
+
+
+def key_sorted_painted_trees(m, n, rank=None):
+    """`enum_painted_trees` by sorting every tree by its key."""
+    _check_params(m, n, rank)
+    if rank == 0:
+        return key_sorted_binary_painted_trees(m, n)
+    return sorted(filtered_painted_trees(m, n, rank=rank), key=sorted_painted_key)
+
+
+def key_sorted_binary_painted_trees(m, n):
+    """`binary_painted_trees` by sorting every tree by its key."""
+    _check_params(m, n)
+    return sorted(filtered_painted_trees(m, n, binary=True), key=sorted_painted_key)
+
+
+def recursive_light_distributions(seq, m):
+    """Assign disjoint label subsets covering {1, ..., m} to the positions.
+
+    Positions holding an empty tuple must receive at least one label.
+    """
+    positions = len(seq)
+
+    def rec(pos, remaining):
+        if pos == positions:
+            if not remaining:
+                yield []
+            return
+        need = sum(1 for t in seq[pos:] if t == ())
+        if len(remaining) < need:
+            return
+        subsets = _subsets_of(remaining)
+        for sub in subsets:
+            if seq[pos] == () and not sub:
+                continue
+            for rest in rec(pos + 1, remaining - sub):
+                yield [sub] + rest
+
+    yield from rec(0, frozenset(range(1, m + 1)))
+
+
+def _subsets_of(s):
+    """Every subset of s, the empty one included."""
+    items = sorted(s)
+    for mask in range(1 << len(items)):
+        yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
+
+
+def filtered_lighted_shades(m, n, rank=None):
+    """Every m-lighted n-shade once, in generation order, lit by
+    `recursive_light_distributions`; with ``rank`` only the tuple sequences
+    of that rank are lighted."""
+    for seq in _tuple_sequences(n, m):
+        if rank is None or sequence_rank(m, seq) == rank:
+            for lights in recursive_light_distributions(seq, m):
+                yield LightedShade(m, n, list(zip(seq, lights)))
+
+
+def key_sorted_lighted_shades(m, n, rank=None):
+    """`enum_lighted_shades` by the recursive lights; rank 0 is the unary
+    shades, here filtered from every sequence rather than generated."""
+    _check_params(m, n, rank)
+    return sorted(filtered_lighted_shades(m, n, rank=rank), key=sorted_shade_key)
 
 
 # -- series by per-term composition and a Neumann inverse ------------------

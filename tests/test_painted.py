@@ -11,6 +11,7 @@ from hochschild_kit.painted import (
     enum_painted_trees,
     ordered_partitions,
 )
+from hochschild_kit.series import surjection_count
 from hochschild_kit.shades import LightedShade
 
 from oracles import (
@@ -44,6 +45,17 @@ def test_cached_partitions_cannot_be_changed_by_a_caller():
     with pytest.raises(AttributeError):
         ordered_partitions(2, 1).append("junk")
     assert len(enum_painted_trees(2, 0)) == 3
+
+
+@pytest.mark.parametrize("m", range(6))
+def test_ordered_partitions_come_in_key_order(m):
+    # the last part of PaintedTree.key, so a shape's labelings need no sort
+    for k in range(m + 2):
+        keys = [tuple(tuple(sorted(p)) for p in parts) for parts in ordered_partitions(m, k)]
+        assert keys == sorted(set(keys))
+        assert len(keys) == surjection_count(m, k)
+        blocks = [block for parts in ordered_partitions(m, k) for block in parts]
+        assert len({id(block) for block in blocks}) == len(set(blocks))
 
 
 def test_rank_zero_filter_is_binary():
@@ -378,6 +390,6 @@ def test_json_readers_reject_malformed_containers(cls, obj):
 @pytest.mark.parametrize("binary", [False, True])
 @pytest.mark.parametrize("mn", [(m, s - m) for s in range(7) for m in range(s + 1)])
 def test_interval_table_shapes_match_the_recursive_oracle(mn, binary):
-    shapes = Counter(_painted_shapes(*mn, binary))
+    shapes = Counter((shape, k) for shape, k, _ in _painted_shapes(*mn, binary))
     assert shapes == Counter(recursive_painted_shapes(*mn, binary))
     assert set(shapes.values()) <= {1}

@@ -192,3 +192,11 @@ def test_views_match_the_sorted_route(mn):
         assert ls.key == sorted_shade_key(ls)
         assert ls.to_json_obj() == sorted_shade_json(ls)
         assert ls.canonical() == json.dumps(sorted_shade_json(ls), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 6) for m in range(s + 1)])
+def test_unary_shades_share_their_light_sets(mn):
+    # one empty set and one singleton per label, however many shades
+    m, n = mn
+    shades = unary_lighted_shades(m, n)
+    assert len({id(lights) for ls in shades for _, lights in ls.entries}) <= m + 1

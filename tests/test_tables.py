@@ -136,8 +136,8 @@ def test_census_rejects_invalid_parameters():
 def test_census_raises_when_shadow_misses_a_shade(monkeypatch):
     real = tables._painted_shapes
 
-    def no_binary_shapes(m, n, binary):
-        return iter(()) if binary else real(m, n, binary)
+    def no_binary_shapes(m, n, binary, rank=None):
+        return iter(()) if binary else real(m, n, binary, rank)
 
     monkeypatch.setattr(tables, "_painted_shapes", no_binary_shapes)
     with pytest.raises(AssertionError, match="shadow map misses"):
