@@ -34,7 +34,7 @@ class Family(NamedTuple):
     cubic_vector: Callable
     face_row: Callable  # (m, oy, oz) -> the face series row of m
     row_shift: int  # an object with parameter n sits in y-degree n + row_shift
-    rank_histogram: Callable  # (m, n) -> object count per rank, from labels
+    rank_histogram: Callable  # (m, n) -> object count per rank, counted, not built
     facet_count: Callable  # (m, n) -> closed count of the rank m+n-2 objects
     simple: bool  # the polytope is simple: (d-1)-regular, simplicial cones
 

@@ -21,9 +21,10 @@ A forest is a product over one split of the table, and the next cut layer
 one split of the forest's roots.  The one rank rule, `shape_rank`, is
 m + n - k minus the uncut internal nodes.  The ``rank`` property counts them
 on the tagged shape; the generator carries the count with each shape, so the
-census in `tables` reads ranks without walking a shape, and a rank filter
-prunes inside the tables: a tree or forest whose count is over the rank's is
-dropped before anything is built on it.
+enumerators read ranks without walking a shape, and a rank filter prunes
+inside the tables: a tree or forest whose count is over the rank's is
+dropped before anything is built on it.  The census in `tables` builds no
+shape: `_painted_shape_counts` sums the same grammar by count.
 
 The enumerators sort shapes, not trees.  The shape half of the sort key (the
 shape of the plane tree and the cuts) determines the shape, and the cached
@@ -53,6 +54,7 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, product
 import json
+from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -691,6 +693,57 @@ def _stack_layers(boundary, level, k, binary, free, budget):
                         for cut in _splits(0, roots, groups):
                             layer = [(level, forest[lo:hi]) for lo, hi in cut]
                             yield from _stack_layers(layer, level + 1, k, binary, below, budget)
+
+
+def _painted_shape_counts(m, n):
+    """The tagged shapes of `_painted_shapes(m, n, binary=False)`, counted
+    with none built: a Counter from (k, free) to the number of shapes with k
+    cuts (none when m = 0) and ``free`` uncut internal nodes.
+
+    It sums the grammar of `_stack_layers` by count.  A shape is one sequence
+    of choices, bottom cut first: a forest of r consecutive trees over the
+    boundary, a grouping of its r roots into the g nodes of the cut, which
+    are the next boundary, and at the top one tree over the last boundary.
+    Distinct sequences give distinct shapes, since the cut nodes of a shape
+    determine every layer, and how many choices a step has depends only on
+    the lengths before it: ``trees[L][c]`` counts the trees with no unary
+    node over L items with c uncut nodes (one item, or an uncut root over
+    r >= 2 consecutive trees), ``forests[L][r][c]`` the forests of r
+    consecutive trees over L items, and C(r - 1, g - 1) the groupings.  So
+    each product of table entries along a sequence of lengths counts its
+    shapes once, and a state (boundary length, uncut nodes so far) ->
+    multiplicity, advanced one layer per cut, sums them.
+    """
+    trees, forests = [None, {0: 1}], [None, [None, {0: 1}]]
+    for length in range(2, n + 2):
+        row = [None, None]
+        for r in range(2, length + 1):
+            row.append(Counter())
+            for first in range(1, length - r + 2):
+                for a, u in trees[first].items():
+                    for b, v in forests[length - first][r - 1].items():
+                        row[r][a + b] += u * v
+        row[1] = Counter()
+        for forest in row[2:]:
+            for c, v in forest.items():
+                row[1][c + 1] += v
+        trees.append(row[1])
+        forests.append(row)
+    counts, states = Counter(), {(n + 1, 0): 1}
+    for k in range(1, m + 1) if m else [0]:
+        if k:
+            layer = Counter()
+            for (b, c), mult in states.items():
+                for r in range(1, b + 1):
+                    for g in range(1, r + 1):
+                        ways = mult * comb(r - 1, g - 1)
+                        for free, v in forests[b][r].items():
+                            layer[g, c + free] += ways * v
+            states = layer
+        for (b, c), mult in states.items():
+            for free, v in trees[b].items():
+                counts[k, c + free] += mult * v
+    return counts
 
 
 def _painted_trees(m, n, binary=False, rank=None):

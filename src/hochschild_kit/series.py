@@ -3,7 +3,11 @@
 Series live in up to three variables (x, y, z) with exact coefficients and
 trilateral truncation.  A coefficient is kept as given when it is an int or
 a Fraction, and anything else is coerced through Fraction; sums and products
-of ints stay ints.  Every generating function here is integral, so its
+of ints stay ints.  A product, a scalar multiple and a sum of two series on
+the same orders build their terms within the orders from ints and Fractions
+already, so they skip that check through one private constructor,
+`TruncatedSeries._exact`, which only drops the zeros; any other sum takes
+the checked one.  Every generating function here is integral, so its
 arithmetic runs on Python ints, and a count read from a series is still
 checked to be an integer.  Every generating function is built from sums,
 products and fixed-point iteration on its functional equation, the rational
@@ -53,31 +57,47 @@ class TruncatedSeries:
         expo = {"x": (1, 0, 0), "y": (0, 1, 0), "z": (0, 0, 1)}[name]
         return cls(orders, {expo: 1})
 
+    @classmethod
+    def _exact(cls, orders, coeffs):
+        """The series of ``coeffs`` that are already within ``orders`` and ints
+        or Fractions, as every product and every sum of two series with the
+        same orders build them: only the zeros are dropped."""
+        out = cls.__new__(cls)
+        out.orders = orders
+        out.coeffs = MappingProxyType({e: c for e, c in coeffs.items() if c})
+        return out
+
     def __add__(self, other):
-        theirs = {(0, 0, 0): other} if isinstance(other, (int, Fraction)) else other.coeffs
+        if isinstance(other, (int, Fraction)):
+            theirs, exact = {(0, 0, 0): other}, False
+        else:
+            theirs, exact = other.coeffs, other.orders == self.orders
         out = self.coeffs.copy()  # a dict copy; dict() of the view copies key by key
         for e, c in theirs.items():
             out[e] = out.get(e, 0) + c
-        return TruncatedSeries(self.orders, out)
+        return (TruncatedSeries._exact if exact else TruncatedSeries)(self.orders, out)
 
     def __sub__(self, other):
         return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return TruncatedSeries(
+            return TruncatedSeries._exact(
                 self.orders, {e: c * other for e, c in self.coeffs.items()}
             )
         out = {}
         ox, oy, oz = self.orders
-        theirs = other.coeffs.items()
+        theirs = sorted(other.coeffs.items(), key=lambda item: item[0][1])
         for (a1, b1, c1), u in self.coeffs.items():
             for (a2, b2, c2), v in theirs:
-                a, b, c = a1 + a2, b1 + b2, c1 + c2
-                if a <= ox and b <= oy and c <= oz:
+                b = b1 + b2
+                if b > oy:
+                    break  # the rest of theirs is of y-degree b2 or more
+                a, c = a1 + a2, c1 + c2
+                if a <= ox and c <= oz:
                     key = (a, b, c)
                     out[key] = out.get(key, 0) + u * v
-        return TruncatedSeries(self.orders, out)
+        return TruncatedSeries._exact(self.orders, out)
 
     __rmul__ = __mul__
 
@@ -85,6 +105,8 @@ class TruncatedSeries:
         return isinstance(other, TruncatedSeries) and self.coeffs == other.coeffs
 
     def power(self, k):
+        if k < 0:
+            raise ValueError(f"power {k} is negative")
         out = TruncatedSeries.constant(1, self.orders)
         for _ in range(k):
             out = out * self

@@ -21,13 +21,15 @@ not generated, because no rank depends on them: every tagged painted-tree
 shape with k cuts stands for surjection_count(m, k) labeled trees (the count
 the closed forms use as well), and every tuple sequence of a shade for its
 number of light distributions, binned by the one rank rule of its family
-(`painted.shape_rank`, `shades.sequence_rank`).  The labeled census that
-generates every object stays in the tests as the oracle of these
-histograms.  One binary and one unary pass over a representative of each
-orbit of label permutations give the vertex cells and the shadow fiber sizes
-behind the singleton cell, times m!; the labeled pass is their test oracle.
-Both verify and the command line read the exhaustive bound from
-`verify.REACH`.
+(`painted.shape_rank`, `shades.sequence_rank`).  The painted shapes are
+counted too, not built: `painted._painted_shape_counts` sums the grammar of
+the shape tables by count, per number of cuts and of uncut nodes.  The
+labeled census that generates every object, and the walk over every painted
+shape, stay in the tests as the oracles of these histograms.  One binary and
+one unary pass over a representative of each orbit of label permutations
+give the vertex cells and the shadow fiber sizes behind the singleton cell,
+times m!; the labeled pass is their test oracle.  Both verify and the
+command line read the exhaustive bound from `verify.REACH`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-from .painted import PaintedTree, _check_params, _painted_shapes
+from .painted import PaintedTree, _check_params, _painted_shape_counts, _painted_shapes
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
@@ -191,9 +193,10 @@ class Census:
     """Exhaustive object counts at one (m, n).
 
     ``painted_ranks[p]`` and ``shade_ranks[p]`` count the objects of rank p,
-    summed over the generated shapes with their label counts; the vertex and
-    singleton counts come from separate binary and unary passes over orbit
-    representatives, whose objects are grouped into shadow fibers.
+    summed over the counted painted shapes and the generated tuple sequences
+    with their label counts; the vertex and singleton counts come from
+    separate binary and unary passes over orbit representatives, whose
+    objects are grouped into shadow fibers.
     """
 
     painted_ranks: tuple
@@ -219,10 +222,10 @@ class Census:
 def exhaustive_census(m: int, n: int) -> Census:
     """Count every painted tree and lighted shade of (m, n) by rank.
 
-    One pass over the unlabeled shapes per family fills its rank histogram;
-    one binary painted pass and one unary shade pass over orbit
-    representatives give the vertex counts and the shadow fibers
-    (`_vertex_census`).  No object outlives its pass.
+    One count of the painted shapes and one pass over the shade tuple
+    sequences fill the rank histograms; one binary painted pass and one
+    unary shade pass over orbit representatives give the vertex counts and
+    the shadow fibers (`_vertex_census`).  No object outlives its pass.
     """
     _check_params(m, n)
     binary, unary, singletons = _vertex_census(m, n)
@@ -236,13 +239,13 @@ def exhaustive_census(m: int, n: int) -> Census:
 
 
 def _painted_rank_histogram(m, n):
-    """Painted trees by rank: each tagged shape with k cuts, weighted by the
-    surjection_count(m, k) label partitions it carries, at the rank
-    (`painted.shape_rank`) of the uncut-node count it comes with."""
+    """Painted trees by rank, counted with no shape built: the tagged shapes
+    with k cuts and ``free`` uncut nodes (`painted._painted_shape_counts`),
+    each weighted by the surjection_count(m, k) label partitions it carries,
+    at rank m + n - k - free (`painted.shape_rank`)."""
     hist = [0] * (m + n)
-    labelings = [surjection_count(m, k) for k in range(m + 1)]
-    for _, k, free in _painted_shapes(m, n, binary=False):
-        hist[m + n - k - free] += labelings[k]
+    for (k, free), count in _painted_shape_counts(m, n).items():
+        hist[m + n - k - free] += surjection_count(m, k) * count
     return tuple(hist)
 
 

@@ -2,6 +2,7 @@
 compared with."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
@@ -20,6 +21,7 @@ from hochschild_kit.painted import (
     LEAF,
     PaintedTree,
     _check_params,
+    _painted_shapes,
     _painted_trees,
     _shape_key,
     _tree_json,
@@ -635,6 +637,23 @@ def _cut_groupings(forest, level, binary):
 
 
 
+# -- the painted census by walking every shape ------------------------------
+#
+# The route `tables._painted_rank_histogram` took before it counted the
+# shapes: every tagged shape of every rank is built and binned.
+
+
+def shape_walk_rank_histogram(m, n):
+    """Painted trees by rank: each tagged shape with k cuts, weighted by the
+    surjection_count(m, k) label partitions it carries, at the rank
+    (`painted.shape_rank`) of the uncut-node count it comes with."""
+    hist = [0] * (m + n)
+    labelings = [surjection_count(m, k) for k in range(m + 1)]
+    for _, k, free in _painted_shapes(m, n, binary=False):
+        hist[m + n - k - free] += labelings[k]
+    return tuple(hist)
+
+
 # -- enumeration by building, filtering and sorting every object ------------
 #
 # The routes the four enumerators took before they sorted shapes instead of
@@ -721,7 +740,8 @@ def key_sorted_lighted_shades(m, n, rank=None):
 # The routes `series` took before every series operation was built from one
 # sum, one product and fixed points: `TruncatedSeries.substitute_y` and
 # `TruncatedSeries.geometric_inverse` unchanged (as functions of the series),
-# and the face rows and the three-variable series built on them.
+# and the face rows and the three-variable series built on them; and the sum
+# and product before they skipped the checked constructor.
 
 
 def substitute_y(self, inner: "TruncatedSeries") -> "TruncatedSeries":
@@ -760,6 +780,34 @@ def geometric_inverse(self) -> "TruncatedSeries":
             break
         out = out + term
     return out
+
+
+def checked_add(self, other):
+    """`TruncatedSeries.__add__` when every sum went through the checked constructor."""
+    theirs = {(0, 0, 0): other} if isinstance(other, (int, Fraction)) else other.coeffs
+    out = self.coeffs.copy()  # a dict copy; dict() of the view copies key by key
+    for e, c in theirs.items():
+        out[e] = out.get(e, 0) + c
+    return TruncatedSeries(self.orders, out)
+
+
+def checked_mul(self, other):
+    """`TruncatedSeries.__mul__` when every product went through the checked
+    constructor and scanned every pair of terms."""
+    if isinstance(other, (int, Fraction)):
+        return TruncatedSeries(
+            self.orders, {e: c * other for e, c in self.coeffs.items()}
+        )
+    out = {}
+    ox, oy, oz = self.orders
+    theirs = other.coeffs.items()
+    for (a1, b1, c1), u in self.coeffs.items():
+        for (a2, b2, c2), v in theirs:
+            a, b, c = a1 + a2, b1 + b2, c1 + c2
+            if a <= ox and b <= oy and c <= oz:
+                key = (a, b, c)
+                out[key] = out.get(key, 0) + u * v
+    return TruncatedSeries(self.orders, out)
 
 
 def _schroder_shifted(i, oy, oz):

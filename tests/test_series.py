@@ -24,6 +24,8 @@ from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import reproduce_tables
 
 from oracles import (
+    checked_add,
+    checked_mul,
     neumann_shade_face_row,
     per_term_painted_face_row,
     shifted_face_generating_function,
@@ -283,3 +285,69 @@ def _series_pair(draw):
 def test_layered_substitution_matches_the_per_term_route(pair):
     outer, inner = pair
     assert dict(outer.substitute_y(inner).coeffs) == dict(substitute_y(outer, inner).coeffs)
+
+
+def _stored(s):
+    """The coefficients of ``s`` with their types, after checking that none
+    is zero, lies above the orders, or is neither an int nor a Fraction."""
+    for expo, c in s.coeffs.items():
+        assert c != 0, expo
+        assert all(e <= o for e, o in zip(expo, s.orders)), expo
+        assert isinstance(c, (int, Fraction)), (expo, c)
+    return {expo: (type(c), c) for expo, c in s.coeffs.items()}
+
+
+@st.composite
+def _operands(draw):
+    """Two small series with int and Fraction coefficients, on the same orders
+    or on different ones."""
+    values = st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3)
+
+    def series(orders):
+        keys = st.tuples(*(st.integers(0, o) for o in orders))
+        return TruncatedSeries(orders, draw(st.dictionaries(keys, values, max_size=6)))
+
+    def orders():
+        return tuple(draw(st.integers(0, top)) for top in (2, 4, 2))
+
+    a = series(orders())
+    return a, series(a.orders if draw(st.booleans()) else orders())
+
+
+@given(_operands(), st.sampled_from([0, 1, -3, Fraction(0), Fraction(-1, 2)]))
+def test_sum_and_product_match_the_checked_routes(pair, scalar):
+    a, b = pair
+    cases = [
+        (a + b, checked_add(a, b)),
+        (b + a, checked_add(b, a)),
+        (a * b, checked_mul(a, b)),
+        (b * a, checked_mul(b, a)),
+        (a - a, checked_add(a, checked_mul(a, -1))),
+        (a * scalar, checked_mul(a, scalar)),
+        (scalar * a, checked_mul(a, scalar)),
+        (a + scalar, checked_add(a, scalar)),
+    ]
+    for got, want in cases:
+        assert got.orders == want.orders
+        assert _stored(got) == _stored(want)
+
+
+def test_cancelled_sums_and_zero_scalars_store_nothing():
+    orders = (1, 3, 2)
+    s = TruncatedSeries(orders, {(0, 1, 0): 2, (1, 2, 1): Fraction(1, 3), (0, 0, 2): -1})
+    t = TruncatedSeries(orders, {(0, 1, 0): -2, (1, 2, 1): Fraction(-1, 3)})
+    assert dict((s + t).coeffs) == {(0, 0, 2): -1}
+    assert not (s - s).coeffs and not (s * 0).coeffs and not (0 * s).coeffs
+    assert not (s * Fraction(0)).coeffs
+    # (1 + y)(1 - y) = 1 - y^2: the y terms cancel inside the product
+    y = TruncatedSeries.variable("y", orders)
+    one = TruncatedSeries.constant(1, orders)
+    assert dict(((one + y) * (one - y)).coeffs) == {(0, 0, 0): 1, (0, 2, 0): -1}
+
+
+def test_power_rejects_a_negative_exponent():
+    y = TruncatedSeries.variable("y", (0, 3, 0))
+    assert dict(y.power(0).coeffs) == {(0, 0, 0): 1}
+    assert dict(y.power(2).coeffs) == {(0, 2, 0): 1}
+    with pytest.raises(ValueError, match="negative"):
+        y.power(-1)

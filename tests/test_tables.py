@@ -25,10 +25,11 @@ from hochschild_kit.shades import (
 from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import PRINTED_TABLES, exhaustive_census, reproduce_tables
 
-from oracles import labeled_vertex_census
+from oracles import labeled_vertex_census, shape_walk_rank_histogram
 
 CELLS = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 CELLS_TO_6 = [(m, d - m) for d in range(1, 7) for m in range(d + 1)]
+CELLS_TO_7 = [(m, d - m) for d in range(1, 8) for m in range(d + 1)]
 
 
 def _rank_histogram(objects, d):
@@ -170,6 +171,22 @@ def test_reproduce_tables_reads_exhaustive_values_from_census():
         assert c.computed["exhaustive"] == per_cell_oracle(c.table, c.m, c.n)
 
 
+def _forbid_painted_shapes(monkeypatch):
+    """Make every builder of painted shapes raise."""
+    import hochschild_kit.painted as painted
+
+    def built(*args):
+        raise AssertionError("painted shapes built")
+
+    for module, name in [
+        (painted, "_tree_table"),
+        (painted, "_stack_layers"),
+        (painted, "_painted_shapes"),
+        (tables, "_painted_shapes"),
+    ]:
+        monkeypatch.setattr(module, name, built)
+
+
 def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
     import hochschild_kit.painted as painted
     import hochschild_kit.shades as shades
@@ -187,5 +204,27 @@ def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
         (shades, "LightedShade"),
     ]:
         monkeypatch.setattr(module, name, generated)
+    # nor are the unlabeled painted shapes: they are counted
+    _forbid_painted_shapes(monkeypatch)
     assert tables._painted_rank_histogram(2, 2) == painted_ranks
     assert tables._shade_rank_histogram(2, 2) == shade_ranks
+
+
+@pytest.mark.parametrize("mn", CELLS_TO_7)
+def test_counted_painted_histogram_matches_the_shape_walk(mn):
+    assert tables._painted_rank_histogram(*mn) == shape_walk_rank_histogram(*mn)
+
+
+def test_painted_census_and_count_only_build_no_shape(monkeypatch, capsys):
+    from hochschild_kit.cli import main
+
+    walked = {mn: shape_walk_rank_histogram(*mn) for mn in CELLS}
+    _forbid_painted_shapes(monkeypatch)
+    for (m, n), hist in walked.items():
+        assert tables._painted_rank_histogram(m, n) == hist
+        for rank in [None, *range(m + n)]:
+            argv = ["enumerate", "--kind", "painted", "--m", str(m), "--n", str(n)]
+            argv += ["--count-only"] + ([] if rank is None else ["--rank", str(rank)])
+            assert main(argv) == 0
+            want = sum(hist) if rank is None else hist[rank]
+            assert capsys.readouterr().out == f"{want}\n", (m, n, rank)
