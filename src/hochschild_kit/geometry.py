@@ -12,17 +12,26 @@ vertices, facets, z table and vertex subset sums), built once per (m, n) cell
 by `_polytope_objects` from the objects and maps of `families.family`, and
 uncached beyond that cell.
 
-The fan's coarsening witnesses run on chamber labels.  Each permutation
-sigma is a chamber of the braid fan, and it is labeled with the greedy vertex
-of sigma, which for supermodular z minimizes every functional in sigma's
-chamber (Edmonds, "Submodular functions, matroids, and certain polyhedra",
-1970; Postnikov, "Permutohedra, associahedra, and beyond", 2009, for the
-braid-fan picture).  The labels only propose a cone per chamber; the proof
-is combinatorial (`_cones_partition_chambers`): each chamber inside its
-label's cone, and sum e(P) = d! linear extensions over the cones.  That
-takes d! `contains` calls in place of d! * |V|, and one more per binary
-painted tree for the Hochschild fan.  When the labels do not close, the
-witness counts every pair.
+The fan's coarsening witnesses stand on tight sets.  For supermodular z, the
+sets J tight at a point of the polytope (its coordinate sum over J is z_J)
+are closed under union and intersection, and the greedy vertex of a
+permutation sigma is the one point at which every prefix of sigma is tight
+(Edmonds, "Submodular functions, matroids, and certain polyhedra", 1970;
+Fujishige, "Submodular Functions and Optimization", 2nd ed., 2005).  The
+prefixes of the linear extensions of a vertex preposet P are the down-sets of
+P, and each is a union of principal ones.  So when every principal down-set
+of P is tight at P's vertex, that vertex is the greedy vertex of every
+linear extension of P: d lookups in the vertex sums (`_tight_partition`).
+Distinct vertices then have disjoint cones, and if the cones hold
+sum e(P) = d! linear extensions, each at least one, they partition the braid
+chambers.  That proves the multiplihedron's coarsening witness and
+``greedy_vertices_match`` for both polytopes.  A binary painted cone lies in
+a shade cone only if one linear extension of it does, and that extension
+lies in the cone of its greedy vertex alone: one `greedy_vertex` and one
+`contains` call per binary tree (`_binary_cones_fit`).  When a premise or
+the route fails, the witness counts every pair and the greedy vertices are
+read off all d! permutations, so each failure and its message come from
+those counts.
 """
 
 from __future__ import annotations
@@ -289,7 +298,7 @@ class PolytopeObjects:
     the halfspace of ``facet_objects[i]``; the read-only ``z`` and ``sums`` map
     each nonempty J to z_J and to the vertex sums over J, in vertex order.
     The facets are built on first use: the fan checks read a record for its
-    chamber labels and never for its facets."""
+    vertex sums and never for its facets."""
 
     kind: str
     m: int
@@ -310,19 +319,6 @@ class PolytopeObjects:
         """The halfspace of each facet object."""
         facet_of = family(self.kind).facet_of
         return tuple(facet_of(o) for o in self.facet_objects)
-
-    @cached_property
-    def chambers(self) -> tuple:
-        """The greedy vertex of z for each permutation, in `permutations`
-        order: the label of each braid chamber."""
-        d = len(self.vertices[0])
-        return tuple(greedy_vertex(self.z, d, perm) for perm in permutations(range(1, d + 1)))
-
-    def chamber_cones(self) -> list:
-        """The preposet of each chamber's label, or None for a label that is
-        no vertex; the chambers of a cone are the orders its preposet is in."""
-        cone_of = {v: o.preposet for v, o in zip(self.vertices, self.rotation.elements)}
-        return [cone_of.get(v) for v in self.chambers]
 
 
 @lru_cache(maxsize=2)
@@ -411,10 +407,17 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     (d) fan sanity: simplicial maximal cones, face closure, and the coarsening
     witnesses, which place every braid chamber in exactly one maximal cone
     (and, for the Hochschild polytope, every binary painted cone in exactly
-    one unary shade cone) from the greedy vertex of each chamber, shared with
-    ``greedy_vertices_match`` (see the module docstring for the argument and
-    its sources); plus z support minima, supermodularity, and simplicity for
-    the Hochschild polytope.
+    one unary shade cone); plus z support minima, supermodularity, the
+    greedy vertices, and simplicity for the Hochschild polytope.
+
+    The witnesses and the greedy vertices stand on tight ideals (Edmonds
+    1970; Fujishige 2005; see the module docstring): when the vertices are
+    distinct and satisfy every z halfspace, and z is supermodular, every
+    principal down-set of each vertex preposet tight at its vertex and
+    sum e(P) = d! over the cones prove both.  The z checks run before the
+    fan checks for that, and are recorded after them.  Otherwise the
+    witnesses count every pair and the greedy vertices of all d!
+    permutations are compared with the claimed ones.
     """
     d = m + n
     simple = family(kind).simple
@@ -467,28 +470,34 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
         if simple and _shade_edge_delta(lo_obj, hi_obj) != delta:
             ledger.record("edge_directions", False, f"shade case formula differs: {delta}")
 
-    _fan_checks(kind, m, n, vert_objs, ledger)
-
-    ledger.record("z_support_minimum", True)
-    ledger.record("z_supermodular", True)
+    # the fan's tight route stands on the z checks, so they run first and
+    # are recorded after the fan checks, in the ledger's order
     subsets = list(poly.z)
-    for s in subsets:
-        if min(sums[s]) != poly.z[s]:
-            ledger.record("z_support_minimum", False, f"J={sorted(s)}")
     z = {**poly.z, frozenset(): 0}
+    gaps = [min(sums[s]) - z[s] for s in subsets]
     pair = next(
         ((s, t) for s in subsets for t in subsets if z[s] + z[t] > z[s | t] + z[s & t]), None
     )
+    premises = ledger.verdicts()["vertices_distinct"] and min(gaps) >= 0 and pair is None
+    partitioned = _fan_checks(kind, m, n, vert_objs, ledger, premises)
+
+    ledger.record("z_support_minimum", True)
+    ledger.record("z_supermodular", True)
+    for s, gap in zip(subsets, gaps):
+        if gap:
+            ledger.record("z_support_minimum", False, f"J={sorted(s)}")
     if pair:
         ledger.record("z_supermodular", False, f"I={sorted(pair[0])}, J={sorted(pair[1])}")
 
     # with z supermodular, the polytope it defines has exactly the greedy
-    # vertices; matching them against the claimed vertex set closes the loop
+    # vertices; the tight route has matched them with the claimed ones, and
+    # without it every permutation's greedy vertex is read
     ledger.record("greedy_vertices_match", True)
-    greedy = set(poly.chambers)
-    if greedy != set(verts):
-        detail = f"{len(greedy)} greedy vs {len(verts)} claimed"
-        ledger.record("greedy_vertices_match", False, detail)
+    if not partitioned:
+        greedy = {greedy_vertex(z, d, perm) for perm in permutations(range(1, d + 1))}
+        if greedy != set(verts):
+            detail = f"{len(greedy)} greedy vs {len(verts)} claimed"
+            ledger.record("greedy_vertices_match", False, detail)
 
     ledger.record("facets_identified", True)
     if d >= 2:
@@ -552,57 +561,65 @@ def _affine_rank(points) -> int:
     return rank
 
 
-def _cones_partition_chambers(d, cones, labels) -> bool:
-    """True when every braid chamber lies in exactly one of the cones.
+def _tight_partition(poly: PolytopeObjects, cones) -> bool:
+    """True when ``cones[k]`` holds exactly the braid chambers whose greedy
+    vertex is the record's vertex k, and the cones partition the chambers.
 
-    ``cones`` are preposets, one per maximal cone (repeats count twice), and
-    ``labels`` one candidate cone per chamber, in `permutations` order.  A
-    chamber lies in a cone when its `Preposet.chain` contains the cone's
-    preposet.  If every chamber lies in its label's cone, and the cones hold
-    sum e(P) = d! chambers in all (e counts linear extensions, so a cone
-    that is not antisymmetric holds none), then no chamber lies in two
-    cones: d! incidences fall on d! chambers with at least one each.  d!
-    `contains` calls.
+    Sound when the record's vertices are distinct and satisfy every z
+    halfspace, and z is supermodular (see the module docstring).  Every
+    principal down-set of ``cones[k]`` must be tight at vertex k, read from
+    ``poly.sums``; each cone must hold a chamber, and all of them d!.
     """
-    members = set(cones)
-    for perm, label in zip(permutations(range(1, d + 1)), labels, strict=True):
-        if label not in members or not Preposet.chain(d, perm).contains(label):
-            return False
-    return sum(p.linear_extension_count() for p in cones) == factorial(d)
-
-
-def _hochschild_witness(d, binary, unary_cones, shade_labels, painted_labels) -> bool:
-    """True when every binary painted cone lies in exactly one unary shade cone.
-
-    Once the shade cones partition the chambers, a binary cone P lies in a
-    shade cone Q exactly when its chambers (the linear extensions of P, at
-    least one when P is antisymmetric) lie in Q's, so in at most one.  The
-    candidate Q is the shade label of a chamber that carries P's painted
-    label; one `contains` call per binary tree shows that P lies in it.
-    """
-    if not _cones_partition_chambers(d, unary_cones, shade_labels):
+    if len(cones) != len(poly.vertices):
         return False
-    over = dict(zip(painted_labels, shade_labels))
+    d = poly.m + poly.n
+    # each subset J as a mask, with its vertex sums and z_J
+    by_mask = {sum(1 << i - 1 for i in s): (poly.sums[s], z) for s, z in poly.z.items()}
+    total = 0
+    for k, pre in enumerate(cones):
+        count = pre.linear_extension_count()
+        if count < 1 or any(sums[k] != z for sums, z in map(by_mask.get, pre.down_rows)):
+            return False
+        total += count
+    return total == factorial(d)
+
+
+def _binary_cones_fit(poly: PolytopeObjects, cones, binary) -> bool:
+    """True when every binary painted cone lies in exactly one shade cone,
+    given that the shade cones ``cones`` pass `_tight_partition`.
+
+    A binary cone P that holds a chamber (P is antisymmetric) lies in the
+    shade cone Q only if that chamber does, and the chamber lies only in
+    the cone of its greedy vertex.  Sorting 1..d by descending up-set size
+    gives one chamber of P, so one `greedy_vertex` call finds Q and one
+    `contains` call shows that P lies in it.
+    """
+    d = poly.m + poly.n
+    cone_of = dict(zip(poly.vertices, cones))
     for pt in binary:
-        cone = over.get(pt.preposet)
-        if cone is None or not pt.preposet.is_antisymmetric or not pt.preposet.contains(cone):
+        pre = pt.preposet
+        order = sorted(range(1, d + 1), key=lambda i: -pre.rows[i - 1].bit_count())
+        if not (pre.is_antisymmetric and pre.contains(cone_of[greedy_vertex(poly.z, d, order)])):
             return False
     return True
 
 
-def _fan_checks(kind, m, n, vert_objs, ledger):
+def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
     """Face closure, simplicial cones and the coarsening witness of one fan.
 
-    The witness first runs on the chamber labels of the (m, n) polytope of
-    ``kind`` (`PolytopeObjects.chamber_cones`, `_cones_partition_chambers`,
-    `_hochschild_witness`).  When the labels do not close over ``vert_objs``
-    every pair is counted, so each failure and its message come from the
-    pairwise count.
+    ``premises`` says that the record's vertices are distinct and satisfy
+    every z halfspace, and that z is supermodular.  Then the witness runs on
+    tight ideals (`_tight_partition` on the cones of ``vert_objs``, paired
+    with the record's vertices, and `_binary_cones_fit`), and the result of
+    `_tight_partition` is returned.  Otherwise, or when that route does not
+    close, every pair is counted, so each failure and its message come from
+    the pairwise count.
     """
     d = m + n
     fam = family(kind)
+    poly = _polytope_objects(kind, m, n)
     cones = [o.preposet for o in vert_objs]
-    labels = _polytope_objects(kind, m, n).chamber_cones()
+    tight = premises and _tight_partition(poly, cones)
     if fam.simple:
         all_shades = fam.enum(m, n)
         faces = {ls.preposet.rows for ls in all_shades}
@@ -615,27 +632,21 @@ def _fan_checks(kind, m, n, vert_objs, ledger):
             for e in range(pre.hasse_edge_count):
                 if pre.contract_hasse_edge(e).rows not in faces:
                     ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
-        ledger.record("coarsening_witness", True)
-        mult = _polytope_objects("multiplihedron", m, n)
-        binary = mult.rotation.elements
-        if _hochschild_witness(d, binary, cones, labels, mult.chamber_cones()):
-            return
-        for pt in binary:
-            hits = sum(1 for p in cones if pt.preposet.contains(p))
-            if hits != 1:
-                detail = f"{pt.canonical()} lands in {hits} cones"
-                ledger.record("coarsening_witness", False, detail)
+        binary = _polytope_objects("multiplihedron", m, n).rotation.elements
+        fits = tight and _binary_cones_fit(poly, cones, binary)
+        probes = () if fits else ((pt.canonical(), pt.preposet) for pt in binary)
     else:
         # maximal painted cones need not be simplicial (the multiplihedron is
         # not simple), so only the braid coarsening witness is checked here
-        ledger.record("coarsening_witness", True)
-        if _cones_partition_chambers(d, cones, labels):
-            return
-        for perm in permutations(range(1, d + 1)):
-            chain = Preposet.chain(d, perm)
-            hits = sum(1 for p in cones if chain.contains(p))
-            if hits != 1:
-                ledger.record("coarsening_witness", False, f"chain {perm} lands in {hits} cones")
+        probes = () if tight else (
+            (f"chain {p}", Preposet.chain(d, p)) for p in permutations(range(1, d + 1))
+        )
+    ledger.record("coarsening_witness", True)
+    for name, probe in probes:
+        hits = sum(1 for p in cones if probe.contains(p))
+        if hits != 1:
+            ledger.record("coarsening_witness", False, f"{name} lands in {hits} cones")
+    return tight
 
 
 # -- oriented skeleton ----------------------------------------------------------------

@@ -186,6 +186,16 @@ class Preposet:
         up_a, bit_b = self.rows[a], 1 << b
         return Preposet(self.d, tuple(row | up_a if row & bit_b else row for row in self.rows))
 
+    @cached_property
+    def down_rows(self) -> tuple[int, ...]:
+        """The rows of the opposite relation: bit i-1 of ``down_rows[j-1]``
+        is set iff i is below j, so each is a principal down-set."""
+        down = [0] * self.d
+        for i, row in enumerate(self.rows):
+            for j in _bits(row):
+                down[j] |= 1 << i
+        return tuple(down)
+
     def linear_extension_count(self) -> int:
         """The number of orders whose `chain` contains this preposet.
 
@@ -195,10 +205,7 @@ class Preposet:
         each.  Two elements each below the other never come, so a preposet
         that is not antisymmetric counts 0.
         """
-        below = [0] * self.d
-        for i, row in enumerate(self.rows):
-            for j in _bits(row & ~(1 << i)):
-                below[j] |= 1 << i
+        below = [row & ~(1 << j) for j, row in enumerate(self.down_rows)]
         ways = {0: 1}
         for _ in range(self.d):
             longer = {}

@@ -200,23 +200,31 @@ def surjection_count(m: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def painted_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
-    """Series whose y^{n+1} z^p coefficient counts rank-p m-painted n-trees."""
+    """Series whose y^{n+1} z^p coefficient counts rank-p m-painted n-trees.
+
+    The terms T_k z^(m - k) add up by Horner's rule in z: each step carries
+    the sum so far up by one power of z, so no power of z is taken.
+    """
     orders = (0, oy, oz)
     out = TruncatedSeries(orders)
     z = TruncatedSeries.variable("z", orders)
     s = schroder_gf(oy, oz)
     for k in range(m + 1):
+        out = out * z
         cnt = surjection_count(m, k)
-        if cnt == 0:
-            continue
-        term = s.substitute_y(_schroder_shifted(k, oy, oz)) * cnt * z.power(m - k)
-        out = out + term
+        if cnt:
+            out = out + s.substitute_y(_schroder_shifted(k, oy, oz)) * cnt
     return out
 
 
 @lru_cache(maxsize=None)
 def shade_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
-    """Series whose y^n z^p coefficient counts rank-p m-lighted n-shades."""
+    """Series whose y^n z^p coefficient counts rank-p m-lighted n-shades.
+
+    The k-th term is (1 - y)^k (1 - y(z + 1)) / (1 - y(z + 2))^(k + 1) times
+    z^(m - k); both powers of k are carried from the term before, and the
+    terms add up by Horner's rule in z, as in `painted_face_row`.
+    """
     orders = (0, oy, oz)
     y = TruncatedSeries.variable("y", orders)
     z = TruncatedSeries.variable("z", orders)
@@ -225,13 +233,15 @@ def shade_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
     denom_inv = TruncatedSeries(orders)
     for _ in range(oy + 1):  # the fixed point of d = 1 + y(z + 2) d is 1 / (1 - y(z + 2))
         denom_inv = one + y * (z + 2 * one) * denom_inv
+    one_minus_y = one - y
+    num, den = one - y * (z + one), denom_inv
     for k in range(m + 1):
+        if k:
+            num, den = num * one_minus_y, den * denom_inv
+        out = out * z
         cnt = surjection_count(m, k)
-        if cnt == 0:
-            continue
-        num = (one - y).power(k) * (one - y * (z + one))
-        term = num * denom_inv.power(k + 1) * cnt * z.power(m - k)
-        out = out + term
+        if cnt:
+            out = out + num * den * cnt
     return out
 
 

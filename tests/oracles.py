@@ -4,11 +4,10 @@ compared with."""
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 from hochschild_kit.geometry import (
     _affine_rank,
-    _fan_checks,
     _polytope_objects,
     _shade_edge_delta,
     greedy_vertex,
@@ -266,7 +265,7 @@ def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
     """The fan checks with both coarsening witnesses as all-pairs `contains`
     counts and the face closure on a set of preposets: the fan checks as
     they stood before the chamber labels, and the count `geometry._fan_checks`
-    falls back to when the labels do not close."""
+    falls back to when the tight route does not close."""
     d = m + n
     fam = family(kind)
     if fam.simple:
@@ -296,6 +295,55 @@ def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
             hits = sum(1 for p in binary_pre if chain.contains(p))
             if hits != 1:
                 ledger.record("coarsening_witness", False, f"chain {perm} lands in {hits} cones")
+
+
+def chamber_cones(poly):
+    """The chamber labels of one `PolytopeObjects` record: for each permutation,
+    in `permutations` order, the preposet of its greedy vertex, or None for
+    a greedy vertex that is no vertex of the record."""
+    d = poly.m + poly.n
+    cone_of = {v: o.preposet for v, o in zip(poly.vertices, poly.rotation.elements)}
+    return [cone_of.get(greedy_vertex(poly.z, d, p)) for p in permutations(range(1, d + 1))]
+
+
+def cones_partition_chambers(d, cones, labels) -> bool:
+    """True when every braid chamber lies in exactly one of the cones, on
+    chamber labels: the d! route `geometry._tight_partition` replaced.
+
+    ``cones`` are preposets, one per maximal cone (repeats count twice), and
+    ``labels`` one candidate cone per chamber, in `permutations` order.  A
+    chamber lies in a cone when its `Preposet.chain` contains the cone's
+    preposet.  If every chamber lies in its label's cone, and the cones hold
+    sum e(P) = d! chambers in all (e counts linear extensions, so a cone
+    that is not antisymmetric holds none), then no chamber lies in two
+    cones: d! incidences fall on d! chambers with at least one each.  d!
+    `contains` calls.
+    """
+    members = set(cones)
+    for perm, label in zip(permutations(range(1, d + 1)), labels, strict=True):
+        if label not in members or not Preposet.chain(d, perm).contains(label):
+            return False
+    return sum(p.linear_extension_count() for p in cones) == factorial(d)
+
+
+def label_hochschild_witness(d, binary, unary_cones, shade_labels, painted_labels) -> bool:
+    """True when every binary painted cone lies in exactly one unary shade
+    cone, on the chamber labels of both polytopes.
+
+    Once the shade cones partition the chambers, a binary cone P lies in a
+    shade cone Q exactly when its chambers (the linear extensions of P, at
+    least one when P is antisymmetric) lie in Q's, so in at most one.  The
+    candidate Q is the shade label of a chamber that carries P's painted
+    label; one `contains` call per binary tree shows that P lies in it.
+    """
+    if not cones_partition_chambers(d, unary_cones, shade_labels):
+        return False
+    over = dict(zip(painted_labels, shade_labels))
+    for pt in binary:
+        cone = over.get(pt.preposet)
+        if cone is None or not pt.preposet.is_antisymmetric or not pt.preposet.contains(cone):
+            return False
+    return True
 
 
 def object_rank(obj) -> int:
@@ -442,7 +490,9 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
     vertex with each facet and each subset J by its own sum.
 
     Same checks, order and messages as `geometry.certify_polytope`, which
-    reads one table of subset sums instead.
+    reads one table of subset sums instead, and proves the fan witnesses and
+    the greedy vertices on tight ideals where this counts every pair and
+    every permutation.
     """
     d = m + n
     vert_objs = rotation.elements
@@ -492,7 +542,7 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
             record("edge_directions", False, detail)
         if kind == "hochschild" and _shade_edge_delta(lo_obj, hi_obj) != delta:
             record("edge_directions", False, f"shade case formula differs: {delta}")
-    _fan_checks(kind, m, n, vert_objs, ledger)
+    pairwise_fan_checks(kind, m, n, vert_objs, ledger)
     z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
     record("z_support_minimum", True)
     record("z_supermodular", True)

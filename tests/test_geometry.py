@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 from types import SimpleNamespace
 from fractions import Fraction
 from itertools import permutations
@@ -43,9 +44,12 @@ from hochschild_kit.verify import fan_suite
 
 from oracles import (
     FailureLog,
+    chamber_cones,
     closed_preposet,
+    cones_partition_chambers,
     first_missing,
     halfspace_values,
+    label_hochschild_witness,
     le_inverted_pairs,
     left_comb,
     pairwise_fan_checks,
@@ -521,9 +525,10 @@ def test_record_tables_are_read_only_and_minkowski_copies_z():
 
 
 def _fan_failures(kind, m, n, vert_objs):
-    """The fan checks on the given vertex objects: their flags and every failure."""
+    """The fan checks on the given vertex objects: their flags and every failure.
+    The true records meet the tight route's premises."""
     log = FailureLog()
-    _fan_checks(kind, m, n, vert_objs, log)
+    _fan_checks(kind, m, n, vert_objs, log, True)
     return dict(log.verdicts()), log.failures
 
 
@@ -592,9 +597,13 @@ def test_a_diamond_cone_fails_simpliciality(monkeypatch):
     assert [f for f in failures if f[0] == "cones_simplicial"] == [("cones_simplicial", "diamond")]
 
 
-# -- the coarsening witnesses on chamber labels -----------------------------------------
+# -- the coarsening witnesses on tight ideals ------------------------------------------
 
 WITNESS_CELLS = [(m, d - m) for d in range(2, 5) for m in range(d + 1)] + [(2, 3), (1, 4)]
+
+
+def _stand_in(objs, k, pre):
+    return objs[:k] + [SimpleNamespace(preposet=pre)] + objs[k + 1:]
 
 
 def _dropped(objs, k):
@@ -607,24 +616,84 @@ def _duplicated(objs, k):
 
 def _merged(objs, k):
     # the vertex preposet with its first Hasse cover contracted: not antisymmetric
-    stand_in = SimpleNamespace(preposet=objs[k].preposet.contract_hasse_edge(0))
-    return objs[:k] + [stand_in] + objs[k + 1:]
+    return _stand_in(objs, k, objs[k].preposet.contract_hasse_edge(0))
+
+
+def _swapped(objs, k):
+    # the preposets of vertices k and k + 1 trade places: the same cone multiset
+    j = (k + 1) % len(objs)
+    out = list(objs)
+    out[k], out[j] = objs[j], objs[k]
+    return out
+
+
+def _extra_relation(objs, k):
+    # i below j added for the first incomparable pair of vertex k's preposet,
+    # closed by ORing row j into every row at or below i; None for a chain
+    rows = objs[k].preposet.rows
+    d = len(rows)
+    pair = next(
+        ((i, j) for i in range(d) for j in range(d) if not (rows[i] >> j | rows[j] >> i) & 1),
+        None,
+    )
+    if pair is None:
+        return None
+    i, j = pair
+    extra = tuple(row | rows[j] if row >> i & 1 else row for row in rows)
+    return _stand_in(objs, k, Preposet(d, extra))
+
+
+def _dropped_cover(objs, k):
+    # the first Hasse cover a < b of vertex k's preposet removed; no relation
+    # passes through a cover, so the rows stay closed
+    pre = objs[k].preposet
+    a, b = pre._covers[0]
+    rows = pre.rows[:a] + (pre.rows[a] & ~(1 << b),) + pre.rows[a + 1:]
+    return _stand_in(objs, k, Preposet(pre.d, rows))
+
+
+def _tight_route(kind, m, n, objs):
+    """The tight route alone, on the record's vertices and the objects' cones."""
+    poly = _polytope_objects(kind, m, n)
+    cones = [o.preposet for o in objs]
+    if not geometry._tight_partition(poly, cones):
+        return False
+    binary = _polytope_objects("multiplihedron", m, n).rotation.elements
+    return kind == "multiplihedron" or geometry._binary_cones_fit(poly, cones, binary)
 
 
 def _labels_close(kind, m, n, objs):
-    """The label route alone, on the chamber labels of the true records."""
+    """The chamber-label oracle alone, on the chamber labels of the true records."""
     poly = _polytope_objects(kind, m, n)
     cones = [o.preposet for o in objs]
     if kind == "multiplihedron":
-        return geometry._cones_partition_chambers(m + n, cones, poly.chamber_cones())
+        return cones_partition_chambers(m + n, cones, chamber_cones(poly))
     mult = _polytope_objects("multiplihedron", m, n)
-    return geometry._hochschild_witness(
-        m + n, mult.rotation.elements, cones, poly.chamber_cones(), mult.chamber_cones()
+    return label_hochschild_witness(
+        m + n, mult.rotation.elements, cones, chamber_cones(poly), chamber_cones(mult)
     )
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("corrupt", [None, _dropped, _duplicated, _merged])
+def test_the_tight_route_and_the_chamber_labels_agree_through_six(kind):
+    # both close at every cell, and the chambers labeled with a vertex's cone
+    # are as many as that cone's linear extensions
+    for d in range(1, 7):
+        for m in range(d + 1):
+            poly = _polytope_objects(kind, m, d - m)
+            objs = list(poly.rotation.elements)
+            assert _tight_route(kind, m, d - m, objs), (m, d - m)
+            assert _labels_close(kind, m, d - m, objs), (m, d - m)
+            extensions = {o.preposet: o.preposet.linear_extension_count() for o in objs}
+            assert Counter(chamber_cones(poly)) == extensions, (m, d - m)
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize(
+    "corrupt",
+    [None, _dropped, _duplicated, _merged, _swapped, _extra_relation, _dropped_cover],
+)
 def test_label_witness_agrees_with_the_pairwise_route(kind, corrupt):
     for m, n in WITNESS_CELLS:
         poly = _polytope_objects(kind, m, n)
@@ -632,15 +701,24 @@ def test_label_witness_agrees_with_the_pairwise_route(kind, corrupt):
         positions = [None] if corrupt is None else sorted({0, len(objs) // 2, len(objs) - 1})
         for k in positions:
             vert_objs = objs if corrupt is None else corrupt(objs, k)
+            if vert_objs is None:
+                continue
             log, oracle = FailureLog(), FailureLog()
-            _fan_checks(kind, m, n, vert_objs, log)
+            _fan_checks(kind, m, n, vert_objs, log, True)
             pairwise_fan_checks(kind, m, n, vert_objs, oracle)
             assert dict(log.verdicts()) == dict(oracle.verdicts()), (m, n, k)
             assert log.failures == oracle.failures, (m, n, k)
             assert log.first_failure() == oracle.first_failure()
+            assert _tight_route(kind, m, n, vert_objs) == (corrupt is None), (m, n, k)
             witness = oracle.verdicts()["coarsening_witness"]
-            assert witness == (corrupt is None)
-            assert _labels_close(kind, m, n, vert_objs) == witness, (m, n, k)
+            labels = _labels_close(kind, m, n, vert_objs)
+            if (kind, corrupt) == ("hochschild", _dropped_cover):
+                # a binary cone inside the shrunk shade cone lies inside the
+                # grown one, so the pairwise count may miss what the labels see
+                assert not labels, (m, n, k)
+            else:
+                assert witness == (corrupt in (None, _swapped)), (m, n, k)
+                assert labels == witness, (m, n, k)
     _polytope_objects.cache_clear()
 
 
@@ -653,10 +731,14 @@ def test_a_binary_cone_with_no_chamber_does_not_pass_the_labels():
     full = Preposet(m + n, ((1 << m + n) - 1,) * (m + n))
     target = mult.rotation.elements[0].preposet
     binary = [SimpleNamespace(preposet=full)] + list(mult.rotation.elements[1:])
-    painted = [full if p == target else p for p in mult.chamber_cones()]
+    painted = [full if p == target else p for p in chamber_cones(mult)]
     cones = [o.preposet for o in hoch.rotation.elements]
     assert all(full.contains(c) for c in cones)
-    assert not geometry._hochschild_witness(m + n, binary, cones, hoch.chamber_cones(), painted)
+    assert not label_hochschild_witness(m + n, binary, cones, chamber_cones(hoch), painted)
+    # nor the tight route, which takes a chamber of the binary cone
+    assert geometry._tight_partition(hoch, cones)
+    assert geometry._binary_cones_fit(hoch, cones, mult.rotation.elements)
+    assert not geometry._binary_cones_fit(hoch, cones, binary)
     _polytope_objects.cache_clear()
 
 
@@ -665,8 +747,8 @@ def test_labels_that_do_not_close_fall_back_to_the_pairwise_count(monkeypatch):
     hoch = _polytope_objects("hochschild", m, n)
     mult = _polytope_objects("multiplihedron", m, n)
     cones = [o.preposet for o in hoch.rotation.elements]
-    shade, painted = hoch.chamber_cones(), mult.chamber_cones()
-    assert geometry._hochschild_witness(m + n, mult.rotation.elements, cones, shade, painted)
+    shade, painted = chamber_cones(hoch), chamber_cones(mult)
+    assert label_hochschild_witness(m + n, mult.rotation.elements, cones, shade, painted)
     # chamber k, after every chamber of j's binary cone, takes j's painted
     # label, so that cone is proposed k's shade cone, which does not hold it
     k, j = next(
@@ -677,46 +759,99 @@ def test_labels_that_do_not_close_fall_back_to_the_pairwise_count(monkeypatch):
         if shade[j] != shade[k] and painted[j] not in painted[k:]
     )
     mixed = painted[:k] + [painted[j]] + painted[k + 1:]
-    assert not geometry._hochschild_witness(m + n, mult.rotation.elements, cones, shade, mixed)
-    # shade labels rotated by one chamber do not close either; the pairwise
-    # count then finds the fan unchanged
+    assert not label_hochschild_witness(m + n, mult.rotation.elements, cones, shade, mixed)
+    # shade labels rotated by one chamber do not close either
     rotated = shade[1:] + shade[:1]
-    assert not geometry._cones_partition_chambers(m + n, cones, rotated)
-    monkeypatch.setattr(
-        geometry.PolytopeObjects,
-        "chamber_cones",
-        lambda poly: rotated if poly is hoch else painted,
-    )
+    assert not cones_partition_chambers(m + n, cones, rotated)
+    # without the premises the tight route is not taken, and the pairwise
+    # count finds the fan unchanged
     log = FailureLog()
-    _fan_checks("hochschild", m, n, hoch.rotation.elements, log)
+    assert not _fan_checks("hochschild", m, n, hoch.rotation.elements, log, False)
     assert all(log.verdicts().values()) and not log.failures
+    # a route that does not close leaves both certificates to the counts
+    monkeypatch.setattr(geometry, "_tight_partition", lambda poly, cones: False)
+    for kind in KINDS:
+        report = certify_polytope.__wrapped__(kind, m, n)
+        assert report == certify_polytope(kind, m, n) and report.passed
     _polytope_objects.cache_clear()
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    wrapped = getattr(module, name)
+
+    def counted(*args):
+        calls.append(1)
+        return wrapped(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("mn", [(1, 3), (2, 2), (3, 2)])
 def test_the_witnesses_make_at_most_d_factorial_plus_v_contains_calls(monkeypatch, kind, mn):
-    # V is the binary painted trees, the vertices of the multiplihedron: the
-    # cones into which the chambers fall, and which fall into the shade cones
+    # V is the binary painted trees, the vertices of the multiplihedron: each
+    # falls into one shade cone, found from its greedy vertex; the chambers
+    # take no call at all
     m, n = mn
     poly = _polytope_objects(kind, m, n)
     binary = _polytope_objects("multiplihedron", m, n).rotation.elements
-    calls = []
-    contains = Preposet.contains
-
-    def counted(self, other):
-        calls.append(1)
-        return contains(self, other)
-
-    monkeypatch.setattr(Preposet, "contains", counted)
+    allowed = 0 if kind == "multiplihedron" else len(binary)
+    contains = _counting(monkeypatch, Preposet, "contains")
     log = FailureLog()
-    _fan_checks(kind, m, n, poly.rotation.elements, log)
+    assert _fan_checks(kind, m, n, poly.rotation.elements, log, True)
     assert all(log.verdicts().values()) and not log.failures
-    assert len(calls) <= factorial(m + n) + len(binary)
-    calls.clear()
+    assert len(contains) <= allowed
+    contains.clear()
     pairwise_fan_checks(kind, m, n, poly.rotation.elements, FailureLog())
     pairwise = (factorial(m + n) if kind == "multiplihedron" else len(binary)) * len(poly.vertices)
-    assert len(calls) == pairwise
+    assert len(contains) == pairwise
+    greedy = _counting(monkeypatch, geometry, "greedy_vertex")
+    assert certify_polytope.__wrapped__(kind, m, n).passed
+    assert len(greedy) <= allowed
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_passing_certificate_loops_over_no_permutation(monkeypatch, kind):
+    def refused(*args):
+        raise AssertionError("a permutation loop ran")
+
+    monkeypatch.setattr(geometry, "permutations", refused)
+    for m, n in [(1, 0), (0, 2), (1, 2), (2, 2), (3, 1), (2, 3)]:
+        assert certify_polytope.__wrapped__(kind, m, n).passed, (m, n)
+    # the loops stand behind the route
+    monkeypatch.setattr(geometry, "_tight_partition", lambda poly, cones: False)
+    with pytest.raises(AssertionError, match="a permutation loop ran"):
+        certify_polytope.__wrapped__(kind, 1, 2)
+    _polytope_objects.cache_clear()
+
+
+def test_the_certificate_takes_the_tight_route_only_on_its_premises(monkeypatch):
+    # the premises come from the certificate's own checks: a record with a
+    # repeated vertex does not meet them
+    seen = []
+    fan_checks = geometry._fan_checks
+
+    def spy(kind, m, n, vert_objs, ledger, premises):
+        seen.append(premises)
+        return fan_checks(kind, m, n, vert_objs, ledger, premises)
+
+    monkeypatch.setattr(geometry, "_fan_checks", spy)
+    assert certify_polytope.__wrapped__("hochschild", 1, 2).passed
+    real = _polytope_objects("hochschild", 1, 2)
+    rotation = SimpleNamespace(
+        elements=real.rotation.elements + real.rotation.elements[:1],
+        covers=real.rotation.covers,
+    )
+    sums = {s: total + total[:1] for s, total in real.sums.items()}
+    stand_in = dataclasses.replace(
+        real, rotation=rotation, vertices=real.vertices + real.vertices[:1], sums=sums
+    )
+    monkeypatch.setattr(geometry, "_polytope_objects", lambda k, m, n: stand_in)
+    assert not certify_polytope.__wrapped__("hochschild", 1, 2).passed
+    assert seen == [True, False]
     _polytope_objects.cache_clear()
 
 

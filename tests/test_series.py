@@ -256,6 +256,31 @@ def test_table_rows_match_the_per_term_and_neumann_routes(monkeypatch):
         assert dict(row.coeffs) == dict(ROW_ORACLES[name](m, oy, oz).coeffs), (name, m)
 
 
+@pytest.mark.parametrize("name", sorted(ROW_ORACLES))
+def test_one_more_label_adds_one_term_of_products_to_a_row(monkeypatch, name):
+    # the powers in a row's terms are carried from term to term, so the row
+    # of m + 1 takes the products of the row of m and a fixed number more
+    import hochschild_kit.series as series
+
+    oy, oz = 3, 12
+    build = getattr(series, name).__wrapped__
+    build(10, oy, oz)  # fills the shared Schroeder caches
+    calls = []
+    product = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    counts = []
+    for m in range(1, 11):
+        calls.clear()
+        build(m, oy, oz)
+        counts.append(len(calls))
+    assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
+
+
 @pytest.mark.parametrize("kind", ["painted", "shade"])
 def test_face_generating_function_matches_the_shifted_route(kind):
     for m_max in range(4):
