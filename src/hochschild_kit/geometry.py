@@ -40,7 +40,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import comb, factorial
 from operator import add
 from types import MappingProxyType
@@ -613,7 +613,8 @@ def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
     with the record's vertices, and `_binary_cones_fit`), and the result of
     `_tight_partition` is returned.  Otherwise, or when that route does not
     close, every pair is counted, so each failure and its message come from
-    the pairwise count.
+    the pairwise count: each braid chamber against the cones, after each
+    binary painted cone for the Hochschild fan.
     """
     d = m + n
     fam = family(kind)
@@ -634,19 +635,24 @@ def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
                     ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
         binary = _polytope_objects("multiplihedron", m, n).rotation.elements
         fits = tight and _binary_cones_fit(poly, cones, binary)
-        probes = () if fits else ((pt.canonical(), pt.preposet) for pt in binary)
+        binaries = ((pt.canonical(), pt.preposet) for pt in binary)
+        probes = () if fits else chain(binaries, _chamber_probes(d))
     else:
         # maximal painted cones need not be simplicial (the multiplihedron is
         # not simple), so only the braid coarsening witness is checked here
-        probes = () if tight else (
-            (f"chain {p}", Preposet.chain(d, p)) for p in permutations(range(1, d + 1))
-        )
+        probes = () if tight else _chamber_probes(d)
     ledger.record("coarsening_witness", True)
     for name, probe in probes:
         hits = sum(1 for p in cones if probe.contains(p))
         if hits != 1:
             ledger.record("coarsening_witness", False, f"{name} lands in {hits} cones")
     return tight
+
+
+def _chamber_probes(d):
+    """Each braid chamber, in `permutations` order, as its name and chain."""
+    for p in permutations(range(1, d + 1)):
+        yield f"chain {p}", Preposet.chain(d, p)
 
 
 # -- oriented skeleton ----------------------------------------------------------------

@@ -26,11 +26,13 @@ inside the tables: a tree or forest whose count is over the rank's is
 dropped before anything is built on it.  The census in `tables` builds no
 shape: `_painted_shape_counts` sums the same grammar by count.
 
-The enumerators sort shapes, not trees.  The shape half of the sort key (the
-shape of the plane tree and the cuts) determines the shape, and the cached
-`ordered_partitions` come in the order of the key's last part, so the
-shapes are sorted once and each one's labelings emitted in turn; moves come
-in generation order.
+The canonical order of painted trees compares the plane tree's shape
+(`_shape_key`), then the cuts, then the parts, each part a sorted tuple
+(`_parts_key`), bottom cut first.  The enumerators sort shapes, not trees.
+The shape half of that order (the shape of the plane tree and the cuts)
+determines the shape, and the cached `ordered_partitions` come in the
+order of the parts, so the shapes are sorted once and each one's labelings
+emitted in turn; moves come in generation order.
 
 The maps on a painted tree (preposet, validation, multiplihedron vertex and
 facet, cubic and bracket vectors, the tree-side singleton test) read one
@@ -43,9 +45,9 @@ one per node off the cuts, with no closure pass.
 
 Instances are immutable.  A derived member is a cached property only when
 the checks read it again (``walk``, ``rank``, ``is_binary``, ``preposet``);
-the views that no check reads twice (``key``, which defines the canonical
-order, ``cuts``, ``tree``, ``k``) are computed on every read, so a face that
-a cached poset keeps for the whole process holds one form.
+the views that no check reads twice (``cuts``, ``tree``, ``k``) are
+computed on every read, so a face that a cached poset keeps for the whole
+process holds one form.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ class PaintedTree:
 
     ``tree`` (the nested-tuple plane tree with n + 1 leaves), ``cuts`` (per
     cut, bottom cut first, the ascending tuple of its preorder node ids),
-    ``walk`` (one record per internal node, read by the maps), ``rank`` and
-    ``key`` are views of ``tagged``.  ``walk`` and ``rank`` are cached;
-    ``tree``, ``cuts``, ``k`` and ``key`` are computed on each read.
+    ``walk`` (one record per internal node, read by the maps) and ``rank``
+    are views of ``tagged``.  ``walk`` and ``rank`` are cached; ``tree``,
+    ``cuts`` and ``k`` are computed on each read.
     """
 
     __slots__ = ("m", "n", "tagged", "parts", "__dict__")
@@ -242,11 +244,6 @@ class PaintedTree:
         return Preposet(m + self.n, tuple(rows))
 
     # -- canonical forms ------------------------------------------------------
-
-    @property
-    def key(self):
-        """Canonical sortable form (tree shape, cuts, parts)."""
-        return (*_shape_sort_key(self.tagged, len(self.parts)), _parts_key(self.parts))
 
     def canonical(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
@@ -414,14 +411,14 @@ def _cut_ids(tagged, k):
 
 
 def _shape_sort_key(tagged, k):
-    """The shape half of `PaintedTree.key`: the plane tree's shape and the
+    """The shape half of the canonical order: the plane tree's shape and the
     cuts of a tagged shape with k cuts.  It determines the shape
     (`PaintedTree.from_cuts`)."""
     return _shape_key(tagged), _cut_ids(tagged, k)
 
 
 def _parts_key(parts):
-    """The last part of `PaintedTree.key`: each part as a sorted tuple."""
+    """The last part of the canonical order: each part as a sorted tuple."""
     return tuple(tuple(sorted(p)) for p in parts)
 
 
@@ -619,8 +616,8 @@ def _pick(blocks, counts):
 @lru_cache(maxsize=None)
 def ordered_partitions(m, k):
     """Ordered partitions of {1, ..., m} into k nonempty blocks, as a shared
-    tuple in key order: by the blocks as sorted tuples, bottom cut first (the
-    last part of `PaintedTree.key`).  Equal blocks are one frozenset."""
+    tuple in canonical order: by the blocks as sorted tuples, bottom cut
+    first (`_parts_key`).  Equal blocks are one frozenset."""
     if k == 0:
         return ((),) if m == 0 else ()
     out = []
@@ -749,9 +746,9 @@ def _painted_shape_counts(m, n):
 def _painted_trees(m, n, binary=False, rank=None):
     """Generate every m-painted n-tree once, in canonical order.
 
-    The shapes are sorted once by the shape half of the key, and each
-    shape's labelings follow from `ordered_partitions`, already in the order
-    of the key's last part.  With ``binary`` only the binary (rank 0) trees
+    The shapes are sorted once by the shape half of the canonical order, and
+    each shape's labelings follow from `ordered_partitions`, already in the
+    order of the parts.  With ``binary`` only the binary (rank 0) trees
     are generated, with ``rank`` only the shapes of that rank are labeled.
     """
     shapes = sorted(

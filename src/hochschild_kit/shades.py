@@ -9,23 +9,22 @@ The record-per-position storage makes both classical views (the triple of
 sequence, distinguished positions and ordered partition, and the pair of
 parallel sequences) directly derivable.
 One rank rule, `sequence_rank`, reads the tuple sequence only; the ``rank``
-property, the census in `tables` and the enumerators read it, and a rank
-filter skips a sequence before its lights are distributed.  The lights of a
-sequence are the cached ordered partitions of the labels
-(`painted.ordered_partitions`) placed on its lit positions, so the shades
-share their light sets: the partitions' blocks and one empty set, `_UNLIT`.
-The unary shades of a call share `_UNLIT` and one singleton per label.
-Only the enumerators sort; the moves come in generation order.
+property and the census in `tables` read it, and the generator adds it up
+one position at a time.  One generator, `_shades`, builds the shades of
+every rank position by position, already in canonical order (the
+lexicographic order of the entries, each light set read as a sorted tuple),
+so nothing is sorted; a rank filter prunes each position by the same rule,
+and rank 0 gives the unary shades.  The shades share their light sets: one
+frozenset per set of labels, the empty one `_UNLIT`.  The moves come in
+generation order.
 
 ``entries`` is the only stored form.  A derived member is a cached property
-only when the checks read it again; ``key`` (read by the enumerators' one
-sort) and ``size`` are computed on every read.
+only when the checks read it again; ``size`` is computed on every read.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import combinations, permutations
+from functools import cached_property, lru_cache
 import json
 from types import MappingProxyType
 
@@ -35,7 +34,6 @@ from .painted import (
     _json_fields,
     _json_int_set,
     _json_ints,
-    ordered_partitions,
 )
 from .preposets import Preposet
 
@@ -150,10 +148,6 @@ class LightedShade:
         return Preposet(m + self.n, tuple(rows))
 
     # -- canonical forms ---------------------------------------------------------
-
-    @property
-    def key(self):
-        return tuple((vals, tuple(sorted(l))) for vals, l in self.entries)
 
     def canonical(self) -> str:
         return json.dumps(self.to_json_obj(), separators=(",", ":"))
@@ -281,12 +275,38 @@ def sequence_rank(m, tuples) -> int:
     return m - len(tuples) + sum(map(len, tuples))
 
 
-def _compositions(n):
-    """All tuples of positive integers summing to n (n >= 1)."""
-    for first in range(1, n):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
-    yield (n,)
+@lru_cache(maxsize=None)
+def _tuples_upto(s):
+    """The tuples of positive integers with sum at most s, in lexicographic
+    order with () first, each as (tuple, its sum, its rank step len - 1)."""
+    return (((), 0, -1),) + tuple(
+        ((v, *vals), v + used, step + 1)
+        for v in range(1, s + 1)
+        for vals, used, step in _tuples_upto(s - v)
+    )
+
+
+_LIGHT_SETS = {0: _UNLIT}  # label bitmask -> its one shared light set
+
+
+@lru_cache(maxsize=None)
+def _light_subsets(left):
+    """The subsets of the labels in the bitmask ``left``, in the order of
+    their sorted tuples with the empty set first, each as (light set, the
+    labels still left, how many).  Each light set is the one frozenset of
+    `_LIGHT_SETS` for its labels."""
+    labels = [x for x in range(1, left.bit_length() + 1) if left >> x - 1 & 1]
+    out = []
+
+    def rec(mask, start):
+        lights = _LIGHT_SETS.setdefault(mask, frozenset(x for x in labels if mask >> x - 1 & 1))
+        rest = left & ~mask
+        out.append((lights, rest, rest.bit_count()))
+        for i in range(start, len(labels)):
+            rec(mask | 1 << labels[i] - 1, i + 1)
+
+    rec(0, 0)
+    return tuple(out)
 
 
 def _tuple_sequences(n, max_empty):
@@ -298,91 +318,58 @@ def _tuple_sequences(n, max_empty):
     def rec(remaining, empties_left):
         if remaining == 0:
             yield []
-        for s in range(1, remaining + 1):
-            for comp in _compositions(s):
-                for rest in rec(remaining - s, empties_left):
-                    yield [comp] + rest
-        if empties_left:
-            for rest in rec(remaining, empties_left - 1):
-                yield [()] + rest
+        for vals, used, _ in _tuples_upto(remaining):
+            if vals or empties_left:
+                for rest in rec(remaining - used, empties_left - (not vals)):
+                    yield [vals] + rest
 
     for seq in rec(n, max_empty):
         if seq:
             yield seq
 
 
-def _light_distributions(seq, m):
-    """Assign disjoint label sets covering {1, ..., m} to the positions.
+def _reachable(need, left, count):
+    """Whether positions still to come, over a sum ``left`` and ``count``
+    labels, can add up ``need`` rank steps: the totals -count .. left - 1
+    are reachable (-count .. -1 with no sum left, only 0 with nothing left)."""
+    return -count <= need < (left or count == 0)
 
-    Every position holding an empty tuple is lit, and so is any subset of
-    the other positions, at most m lit in all; each ordered partition of the
-    labels into as many blocks as lit positions is placed on them, top
-    first.
+
+def _shades(m, n, rank=None):
+    """Every m-lighted n-shade of the given rank (of every rank with None),
+    built position by position in canonical order.
+
+    Each position tries its entries (tuple, lights) in order: the tuples of
+    sum at most what is left in lexicographic order with () first, then for
+    each the subsets of the labels left, as sorted tuples with the empty set
+    first; an entry with neither is skipped.  A shade is complete once the
+    sum and the labels are used up, and a complete one extends no further,
+    so no shade is a prefix of another and the shades come in the
+    lexicographic order of their entries: the canonical order.  Each entry
+    adds len(tuple) - 1 to the rank minus m (`sequence_rank`); with
+    ``rank`` an entry after which that rank is out of reach is skipped, so
+    every branch ends in a shade.
     """
-    empty = [pos for pos, t in enumerate(seq) if not t]
-    others = [pos for pos, t in enumerate(seq) if t]
-    for extra in range(m - len(empty) + 1):
-        for chosen in combinations(others, extra):
-            lit = sorted(empty + list(chosen))
-            for parts in ordered_partitions(m, len(lit)):
-                lights = [_UNLIT] * len(seq)
-                for pos, part in zip(lit, parts):
-                    lights[pos] = part
-                yield lights
 
+    def walk(left, labels, need, entries):
+        if not (left or labels):
+            yield LightedShade(m, n, entries)
+        for vals, used, step in _tuples_upto(left):
+            rest, later = left - used, None if need is None else need - step
+            for lights, after, count in _light_subsets(labels):
+                if (vals or lights) and (need is None or _reachable(later, rest, count)):
+                    yield from walk(rest, after, later, entries + ((vals, lights),))
 
-def _lighted_shades(m, n, rank=None):
-    """Generate every m-lighted n-shade once, in generation order (unsorted);
-    with ``rank`` only the tuple sequences of that rank are lighted."""
-    for seq in _tuple_sequences(n, m):
-        if rank is None or sequence_rank(m, seq) == rank:
-            for lights in _light_distributions(seq, m):
-                yield LightedShade(m, n, list(zip(seq, lights)))
-
-
-def _unary_shades(m, n, orders=None):
-    """Generate every unary m-lighted n-shade once, in generation order.
-
-    ``orders`` are the orders, top to bottom, in which the labels may light
-    the cuts; by default every permutation of 1, ..., m.  The shades share
-    `_UNLIT` and one singleton light set per label.
-    """
-    lit = [_UNLIT, *(frozenset({x}) for x in range(1, m + 1))]  # lit[x] lights x
-    comps = [()] if n == 0 else _compositions(n)
-    for comp in comps:
-        k = len(comp)
-        for pattern in _merge_patterns(k, m):
-            for perm in orders or permutations(range(1, m + 1)):
-                entries = []
-                ci = si = 0
-                for is_cut in pattern:
-                    if is_cut:
-                        entries.append(((), lit[perm[ci]]))
-                        ci += 1
-                    else:
-                        entries.append(((comp[si],), _UNLIT))
-                        si += 1
-                yield LightedShade(m, n, entries)
+    return walk(n, (1 << m) - 1, None if rank is None else rank - m, ())
 
 
 def enum_lighted_shades(m, n, rank=None) -> list[LightedShade]:
     """All m-lighted n-shades in canonical order, optionally rank filtered."""
     _check_params(m, n, rank)
-    if rank == 0:
-        return unary_lighted_shades(m, n)
-    return sorted(_lighted_shades(m, n, rank=rank), key=lambda x: x.key)
+    return list(_shades(m, n, rank))
 
 
 def unary_lighted_shades(m, n) -> list[LightedShade]:
     """All unary (rank 0) m-lighted n-shades in canonical order."""
     _check_params(m, n)
-    return sorted(_unary_shades(m, n), key=lambda x: x.key)
-
-
-def _merge_patterns(k, m):
-    """0/1 sequences with k zeros (singletons) and m ones (cuts)."""
-    for cut_slots in combinations(range(k + m), m):
-        pattern = [False] * (k + m)
-        for c in cut_slots:
-            pattern[c] = True
-        yield pattern
+    return list(_shades(m, n, 0))

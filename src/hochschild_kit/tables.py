@@ -47,7 +47,7 @@ from .series import (
     count_unary_lighted_shades,
     surjection_count,
 )
-from .shades import _tuple_sequences, _unary_shades, sequence_rank
+from .shades import _UNLIT, LightedShade, _tuple_sequences, sequence_rank
 from .shadow import shadow
 
 _ = None
@@ -285,7 +285,7 @@ def _vertex_census(m, n):
     exactly the representative unary shades.
     """
     parts = tuple(frozenset({label}) for label in range(1, m + 1))
-    unary = list(_unary_shades(m, n, orders=[tuple(range(m, 0, -1))]))
+    unary = list(_representative_unary_shades(m, n))
     # seeded with the shades, so a shadow equal to one adds no second key object
     sizes = Counter(dict.fromkeys(unary, 0))
     sizes.update(
@@ -300,6 +300,22 @@ def _vertex_census(m, n):
     orbit = factorial(m)
     singletons = sum(1 for size in sizes.values() if size == 1)
     return orbit * sum(sizes.values()), orbit * len(unary), orbit * singletons
+
+
+def _representative_unary_shades(m, n):
+    """The unary shades whose lights read m, ..., 1 from top to bottom: each
+    position holds a one-entry tuple or the next label's cut."""
+    cuts = [((), frozenset({label})) for label in range(m, 0, -1)]
+
+    def walk(left, k, entries):
+        if not left and k == m:
+            yield LightedShade(m, n, entries)
+        if k < m:
+            yield from walk(left, k + 1, entries + [cuts[k]])
+        for v in range(1, left + 1):
+            yield from walk(left - v, k, entries + [((v,), _UNLIT)])
+
+    return walk(n, 0, [])
 
 
 @dataclass

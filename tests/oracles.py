@@ -30,7 +30,7 @@ from hochschild_kit.painted import (
 from hochschild_kit.posets import MorphismCheckReport
 from hochschild_kit.preposets import Preposet, cover_pairs
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
-from hochschild_kit.shades import LightedShade, _tuple_sequences, _unary_shades, sequence_rank
+from hochschild_kit.shades import LightedShade, _tuple_sequences, sequence_rank
 from hochschild_kit.shadow import shadow
 
 
@@ -116,7 +116,7 @@ def labeled_vertex_census(m, n):
     """(binary painted trees, unary shades, singleton fibers) of (m, n), from
     every labeled binary painted tree and unary shade: the pass that
     `tables._vertex_census` runs on orbit representatives only."""
-    unary = list(_unary_shades(m, n))
+    unary = list(filtered_lighted_shades(m, n, rank=0))
     sizes = Counter(dict.fromkeys(unary, 0))
     sizes.update(shadow(pt) for pt in _painted_trees(m, n, binary=True))
     assert len(sizes) == len(unary) and all(sizes.values())
@@ -262,12 +262,15 @@ def frozenset_class_hasse(p: Preposet):
 
 
 def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
-    """The fan checks with both coarsening witnesses as all-pairs `contains`
-    counts and the face closure on a set of preposets: the fan checks as
-    they stood before the chamber labels, and the count `geometry._fan_checks`
-    falls back to when the tight route does not close."""
+    """The fan checks with the coarsening witness as all-pairs `contains`
+    counts (each binary painted cone of the Hochschild fan, then each braid
+    chamber, against every cone) and the face closure on a set of
+    preposets: the fan checks as they stood before the chamber labels, and
+    the count `geometry._fan_checks` falls back to when the tight route does
+    not close."""
     d = m + n
     fam = family(kind)
+    probes = []
     if fam.simple:
         all_shades = fam.enum(m, n)
         preposet_set = {ls.preposet for ls in all_shades}
@@ -280,21 +283,16 @@ def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
             for e in range(len(pre.hasse_edges)):
                 if pre.contract_hasse_edge(e) not in preposet_set:
                     ledger.record("fan_face_closure", False, f"{ls.canonical()} edge {e}")
-        unary_pre = [ls.preposet for ls in vert_objs]
-        ledger.record("coarsening_witness", True)
         for pt in _polytope_objects("multiplihedron", m, n).rotation.elements:
-            hits = sum(1 for p in unary_pre if pt.preposet.contains(p))
-            if hits != 1:
-                detail = f"{pt.canonical()} lands in {hits} cones"
-                ledger.record("coarsening_witness", False, detail)
-    else:
-        binary_pre = [pt.preposet for pt in vert_objs]
-        ledger.record("coarsening_witness", True)
-        for perm in permutations(range(1, d + 1)):
-            chain = Preposet.chain(d, perm)
-            hits = sum(1 for p in binary_pre if chain.contains(p))
-            if hits != 1:
-                ledger.record("coarsening_witness", False, f"chain {perm} lands in {hits} cones")
+            probes.append((pt.canonical(), pt.preposet))
+    for perm in permutations(range(1, d + 1)):
+        probes.append((f"chain {perm}", Preposet.chain(d, perm)))
+    cones = [o.preposet for o in vert_objs]
+    ledger.record("coarsening_witness", True)
+    for name, probe in probes:
+        hits = sum(1 for p in cones if probe.contains(p))
+        if hits != 1:
+            ledger.record("coarsening_witness", False, f"{name} lands in {hits} cones")
 
 
 def chamber_cones(poly):
@@ -367,7 +365,10 @@ def rank_filtered(objects, rank) -> list:
 def key_sorted(objects) -> list:
     """Objects in canonical order, the order in which the move methods once
     returned their results."""
-    return sorted(objects, key=lambda obj: obj.key)
+    return sorted(
+        objects,
+        key=lambda obj: sorted_painted_key(obj) if isinstance(obj, PaintedTree) else sorted_shade_key(obj),
+    )
 
 
 def rank_vector(p):
@@ -707,10 +708,10 @@ def shape_walk_rank_histogram(m, n):
 # -- enumeration by building, filtering and sorting every object ------------
 #
 # The routes the four enumerators took before they sorted shapes instead of
-# trees, pruned ranks inside the shape tables and lit positions from the
-# cached ordered partitions: every shape of every rank is built and those of
-# another rank dropped, every labeled object is sorted by its key, and the
-# lights are distributed recursively over fresh subsets of the labels left.
+# trees, pruned ranks inside the shape tables and built the shades in
+# canonical order: every shape of every rank is built and those of another
+# rank dropped, every labeled object is sorted by its key, and the lights
+# are distributed recursively over fresh subsets of the labels left.
 
 
 def filtered_painted_trees(m, n, binary=False, rank=None):

@@ -1,12 +1,15 @@
 """The four enumerators against the routes they replaced.
 
 The painted enumerators sort shapes, not trees, and a rank filter prunes
-inside the shape tables; the shade enumerators light positions from the
-cached ordered partitions.  The former routes build every shape of every
-rank, filter it, and sort every labeled object by its key, with lights
-distributed over fresh subsets; they stay in `oracles` and must give the
-same objects in the same order.
+inside the shape tables; the one shade generator builds shades position by
+position, already in canonical order, and prunes each position by the rank
+rule.  The former routes build every shape of every rank, filter it, and
+sort every labeled object by its key, with lights distributed over fresh
+subsets; they stay in `oracles` and must give the same objects in the same
+order.
 """
+
+from itertools import islice
 
 import pytest
 
@@ -19,7 +22,8 @@ from hochschild_kit.painted import (
     shape_rank,
 )
 from hochschild_kit.shades import (
-    _light_distributions,
+    LightedShade,
+    _shades,
     _tuple_sequences,
     enum_lighted_shades,
     unary_lighted_shades,
@@ -29,17 +33,21 @@ from oracles import (
     key_sorted_binary_painted_trees,
     key_sorted_lighted_shades,
     key_sorted_painted_trees,
+    object_rank,
     recursive_light_distributions,
 )
 
 CELLS_TO_4 = [(m, d - m) for d in range(1, 5) for m in range(d + 1)]
 CELLS_TO_6 = [(m, d - m) for d in range(1, 7) for m in range(d + 1)]
+CELLS_7 = [(m, 7 - m) for m in range(8)]
 
 
 @pytest.mark.parametrize("kind", ["painted", "shade"])
-@pytest.mark.parametrize("mn", CELLS_TO_6)
+@pytest.mark.parametrize("mn", CELLS_TO_6 + CELLS_7)
 def test_enumerators_match_the_key_sorted_routes(kind, mn):
-    # object for object and in order, with no rank filter and with each rank
+    # object for object and in order, with no rank filter and with each rank,
+    # each object of the rank it was asked for; at m + n = 7 the vertices and
+    # the facets only
     m, n = mn
     if kind == "painted":
         enum, vertices, oracle = enum_painted_trees, binary_painted_trees, key_sorted_painted_trees
@@ -47,21 +55,47 @@ def test_enumerators_match_the_key_sorted_routes(kind, mn):
     else:
         enum, vertices, oracle = enum_lighted_shades, unary_lighted_shades, key_sorted_lighted_shades
     assert vertices(m, n) == oracle(m, n, rank=0)
-    for rank in [None, *range(m + n)]:
-        assert enum(m, n, rank=rank) == oracle(m, n, rank=rank), rank
+    ranks = [None, *range(m + n)] if m + n < 7 else [0, m + n - 2]
+    for rank in ranks:
+        got = enum(m, n, rank=rank)
+        assert got == oracle(m, n, rank=rank), rank
+        assert rank is None or all(obj.rank == object_rank(obj) == rank for obj in got), rank
 
 
 @pytest.mark.parametrize("m", range(5))
 @pytest.mark.parametrize("n", range(4))
 def test_light_distributions_match_the_subset_route(m, n):
-    # up to two more empty tuples than labels: those sequences get no lights
+    # the lights the generator puts on each tuple sequence; up to two more
+    # empty tuples than labels: those sequences get no lights
+    lit = {}
+    for ls in enum_lighted_shades(m, n) if m + n else ():
+        lit.setdefault(tuple(vals for vals, _ in ls.entries), []).append(
+            tuple(lights for _, lights in ls.entries)
+        )
     for seq in _tuple_sequences(n, m + 2):
-        got = [tuple(lights) for lights in _light_distributions(seq, m)]
+        got = lit.pop(tuple(seq), [])
         want = {tuple(lights) for lights in recursive_light_distributions(seq, m)}
         assert len(got) == len(set(got)), seq
         assert set(got) == want, seq
         if seq.count(()) > m:
             assert not got, seq
+    assert not lit
+
+
+def test_the_generator_streams_in_canonical_order(monkeypatch):
+    # no list of the cell is built: the first shades cost only themselves
+    real = LightedShade.__init__
+    built = [0]
+
+    def counted(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(LightedShade, "__init__", counted)
+    first = list(islice(_shades(7, 1), 50))
+    assert len(first) == 50 and built[0] <= 50
+    monkeypatch.undo()
+    assert list(islice(_shades(4, 3), 200)) == key_sorted_lighted_shades(4, 3)[:200]
 
 
 @pytest.mark.parametrize("binary", [False, True])

@@ -7,6 +7,8 @@ from hochschild_kit.painted import (
     LEAF,
     PaintedTree,
     _painted_shapes,
+    _parts_key,
+    _shape_sort_key,
     binary_painted_trees,
     enum_painted_trees,
     ordered_partitions,
@@ -49,7 +51,7 @@ def test_cached_partitions_cannot_be_changed_by_a_caller():
 
 @pytest.mark.parametrize("m", range(6))
 def test_ordered_partitions_come_in_key_order(m):
-    # the last part of PaintedTree.key, so a shape's labelings need no sort
+    # the order of the parts in the canonical order, so a shape's labelings need no sort
     for k in range(m + 2):
         keys = [tuple(tuple(sorted(p)) for p in parts) for parts in ordered_partitions(m, k)]
         assert keys == sorted(set(keys))
@@ -158,7 +160,7 @@ def test_canonical_json_round_trip():
 
 def test_enumeration_is_canonically_sorted_and_duplicate_free():
     objs = enum_painted_trees(2, 2)
-    keys = [o.key for o in objs]
+    keys = [sorted_painted_key(o) for o in objs]
     assert keys == sorted(keys)
     assert len(set(objs)) == len(objs)
 
@@ -289,10 +291,9 @@ def test_node_id_views_match_the_untag_oracle(mn):
                     cuts, desc, nid, i
                 )
         assert pt.rank == pt.m + pt.n - len(nodes) - len(cuts) + len(on_cuts)
-        assert pt.key == (
+        assert _shape_sort_key(pt.tagged, len(pt.parts)) == (
             _shape_key(tree),
             tuple(tuple(sorted(c)) for c in cuts),
-            tuple(tuple(sorted(p)) for p in pt.parts),
         )
         again = PaintedTree.from_cuts(pt.m, pt.n, pt.tree, pt.cuts, pt.parts)
         assert again == pt and hash(again) == hash(pt)
@@ -305,7 +306,9 @@ def test_views_match_the_sorted_frozenset_route(mn):
     # collects frozensets and sorts each cut in the key and the JSON writer
     for pt in enum_painted_trees(*mn):
         assert pt.cuts == tuple(tuple(sorted(c)) for c in frozenset_cuts(pt))
-        assert pt.key == sorted_painted_key(pt)
+        # the enumerators' two sort keys, the shapes' and the parts'
+        key = (*_shape_sort_key(pt.tagged, len(pt.parts)), _parts_key(pt.parts))
+        assert key == sorted_painted_key(pt)
         assert pt.to_json_obj() == sorted_painted_json(pt)
         assert pt.canonical() == json.dumps(sorted_painted_json(pt), separators=(",", ":"))
 

@@ -1,7 +1,8 @@
 """The one rank rule per family against the object-level routes it replaced.
 
-A rank-filtered enumeration skips a painted-tree shape or a tuple sequence
-of another rank before its labels are distributed.  The former route built
+A rank-filtered enumeration skips a painted-tree shape of another rank
+before its labels are distributed, and a shade entry after which the rank
+is out of reach.  The former route built
 every labeled object of (m, n) and filtered on the object; it stays here as
 the oracle, with a rank read off the object itself.
 """
@@ -9,14 +10,14 @@ the oracle, with a rank read off the object itself.
 import pytest
 
 from hochschild_kit.painted import PaintedTree, _painted_trees, enum_painted_trees
-from hochschild_kit.shades import LightedShade, _lighted_shades, enum_lighted_shades
+from hochschild_kit.shades import LightedShade, enum_lighted_shades
 
-from oracles import object_rank, rank_filtered
+from oracles import filtered_lighted_shades, object_rank, rank_filtered
 
 CELLS_TO_5 = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 KINDS = {
     "painted": (PaintedTree, _painted_trees, enum_painted_trees),
-    "shade": (LightedShade, _lighted_shades, enum_lighted_shades),
+    "shade": (LightedShade, filtered_lighted_shades, enum_lighted_shades),
 }
 
 

@@ -10,7 +10,7 @@ from hochschild_kit.shades import (
     unary_lighted_shades,
 )
 
-from oracles import clause_shade_preposet, sorted_shade_json, sorted_shade_key, transitive_closure_pairs
+from oracles import clause_shade_preposet, sorted_shade_json, transitive_closure_pairs
 
 UNARY_COUNTS = {(1, 3): 12, (0, 4): 8, (2, 2): 18, (3, 0): 6, (1, 0): 1}
 FACE_COUNTS = {(1, 3): 39, (0, 3): 9, (2, 2): 57, (2, 0): 3, (1, 6): 1539}
@@ -189,7 +189,6 @@ def test_row_built_preposet_matches_the_clause_route(d):
 def test_views_match_the_sorted_route(mn):
     for ls in enum_lighted_shades(*mn):
         assert ls.size == len(ls.entries)
-        assert ls.key == sorted_shade_key(ls)
         assert ls.to_json_obj() == sorted_shade_json(ls)
         assert ls.canonical() == json.dumps(sorted_shade_json(ls), separators=(",", ":"))
 
@@ -200,3 +199,12 @@ def test_unary_shades_share_their_light_sets(mn):
     m, n = mn
     shades = unary_lighted_shades(m, n)
     assert len({id(lights) for ls in shades for _, lights in ls.entries}) <= m + 1
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 6) for m in range(s + 1)])
+def test_shades_of_every_rank_share_their_light_sets(mn):
+    # within one enumeration, each distinct light set is one object
+    m, n = mn
+    for rank in [None, *range(m + n)]:
+        sets = [lights for ls in enum_lighted_shades(m, n, rank) for _, lights in ls.entries]
+        assert len({id(lights) for lights in sets}) == len(set(sets)), rank

@@ -17,11 +17,7 @@ from hochschild_kit.painted import (
     binary_painted_trees,
     enum_painted_trees,
 )
-from hochschild_kit.shades import (
-    _lighted_shades,
-    enum_lighted_shades,
-    unary_lighted_shades,
-)
+from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
 from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import PRINTED_TABLES, exhaustive_census, reproduce_tables
 
@@ -45,7 +41,7 @@ def test_shape_histograms_match_labeled_census(mn):
     m, n = mn
     census = exhaustive_census(m, n)
     assert census.painted_ranks == _rank_histogram(_painted_trees(m, n), m + n)
-    assert census.shade_ranks == _rank_histogram(_lighted_shades(m, n), m + n)
+    assert census.shade_ranks == _rank_histogram(enum_lighted_shades(m, n), m + n)
 
 
 def per_cell_oracle(table, m, n):
@@ -108,7 +104,7 @@ def test_vertex_census_builds_one_representative_per_orbit(monkeypatch):
     m, n = 3, 1
     labeled = labeled_vertex_census(m, n)
     trees, lights = [], []
-    real_shades = tables._unary_shades
+    real_shades = tables._representative_unary_shades
 
     def tree(m, n, tagged, parts):
         trees.append(parts)
@@ -120,7 +116,7 @@ def test_vertex_census_builds_one_representative_per_orbit(monkeypatch):
             yield ls
 
     monkeypatch.setattr(tables, "PaintedTree", tree)
-    monkeypatch.setattr(tables, "_unary_shades", shades)
+    monkeypatch.setattr(tables, "_representative_unary_shades", shades)
     assert tables._vertex_census(m, n) == labeled
     assert len(trees) == labeled[0] // 6 and len(lights) == labeled[1] // 6
     assert set(trees) == {(frozenset({1}), frozenset({2}), frozenset({3}))}
@@ -192,7 +188,7 @@ def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
     import hochschild_kit.shades as shades
 
     painted_ranks = _rank_histogram(_painted_trees(2, 2), 4)
-    shade_ranks = _rank_histogram(_lighted_shades(2, 2), 4)
+    shade_ranks = _rank_histogram(enum_lighted_shades(2, 2), 4)
 
     def generated(*args):
         raise AssertionError("labeled objects generated")
@@ -200,7 +196,7 @@ def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
     for module, name in [
         (painted, "ordered_partitions"),
         (painted, "PaintedTree"),
-        (shades, "_light_distributions"),
+        (shades, "_shades"),
         (shades, "LightedShade"),
     ]:
         monkeypatch.setattr(module, name, generated)
