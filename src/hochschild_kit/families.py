@@ -27,6 +27,7 @@ class Family(NamedTuple):
     polytope: str  # the polytope's name: "multiplihedron" or "hochschild"
     enum: Callable  # (m, n, rank=None) -> the objects, all or of one rank
     vertices: Callable  # (m, n) -> the rank-0 objects, the polytope's vertices
+    rotation_covers: Callable  # (vertices) -> their rotation covers as index pairs, from shape moves
     vertex_of: Callable
     facet_of: Callable
     z: Callable
@@ -46,7 +47,7 @@ def family(name: str) -> Family:
     if name in ("painted", "multiplihedron"):
         return Family(
             "painted", "multiplihedron",
-            painted.enum_painted_trees, painted.binary_painted_trees,
+            painted.enum_painted_trees, painted.binary_painted_trees, painted.rotation_covers,
             geometry.vertex_of_painted_tree, geometry.facet_of_painted_tree,
             geometry.z_multiplihedron, geometry.y_multiplihedron,
             cubic.cubic_vector_painted, series.painted_face_row, 1,
@@ -55,7 +56,7 @@ def family(name: str) -> Family:
     if name in ("shade", "hochschild"):
         return Family(
             "shade", "hochschild",
-            shades.enum_lighted_shades, shades.unary_lighted_shades,
+            shades.enum_lighted_shades, shades.unary_lighted_shades, shades.rotation_covers,
             geometry.vertex_of_lighted_shade, geometry.facet_of_lighted_shade,
             geometry.z_hochschild, geometry.y_hochschild,
             cubic.cubic_vector_shade, series.shade_face_row, 0,

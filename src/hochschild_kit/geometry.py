@@ -48,7 +48,7 @@ from types import MappingProxyType
 from .families import family
 from .ledger import Ledger
 from .painted import PaintedTree
-from .posets import FinitePoset
+from .posets import FinitePoset, rotation_poset
 from .preposets import Preposet, _bits
 from .shades import LightedShade
 from .shadow import is_singleton
@@ -332,9 +332,8 @@ def _polytope_objects(kind, m, n) -> PolytopeObjects:
     """
     d = m + n
     fam = family(kind)
-    objs = fam.vertices(m, n)
-    verts = tuple(fam.vertex_of(o) for o in objs)
-    rot = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
+    rot = rotation_poset(kind, m, n)
+    verts = tuple(fam.vertex_of(o) for o in rot.elements)
     z = {s: fam.z(s, m, n) for s in _subsets(d)}
     # subsets come by size, so J minus its largest coordinate is already summed
     columns = tuple(zip(*verts))

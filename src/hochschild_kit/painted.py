@@ -32,7 +32,17 @@ The canonical order of painted trees compares the plane tree's shape
 The shape half of that order (the shape of the plane tree and the cuts)
 determines the shape, and the cached `ordered_partitions` come in the
 order of the parts, so the shapes are sorted once and each one's labelings
-emitted in turn; moves come in generation order.
+emitted in turn.  The enumerators hand the parts over as they are, through
+the internal constructor ``PaintedTree._new``; the public constructor
+freezes every part again.
+
+The refinement moves build their results as trees, in generation order.
+The rotation moves never build a tree: every rotation but one acts on the
+shape alone, and S_m acts freely on the binary trees, so `rotation_covers`
+computes each shape's moves once (`_shape_moves`) and lifts them to its m!
+labelings, which the enumerator lays out one shape after another.  The
+one label move, the swap of two adjacent cuts, reads a table cached per m
+(`_swap_table`).
 
 The maps on a painted tree (preposet, validation, multiplihedron vertex and
 facet, cubic and bracket vectors, the tree-side singleton test) read one
@@ -110,6 +120,14 @@ class PaintedTree:
         self.n = n
         self.tagged = tagged
         self.parts = tuple(frozenset(p) for p in parts)
+
+    @classmethod
+    def _new(cls, m, n, tagged, parts) -> "PaintedTree":
+        """The internal constructor: ``parts`` is already a tuple of
+        frozensets and is stored as it is, with no copy."""
+        pt = cls.__new__(cls)
+        pt.m, pt.n, pt.tagged, pt.parts = m, n, tagged, parts
+        return pt
 
     @classmethod
     def from_cuts(cls, m, n, tree, cuts, parts) -> "PaintedTree":
@@ -334,34 +352,16 @@ class PaintedTree:
         generation order; a poset orders its covers by element index.
         """
         out = [
-            PaintedTree(self.m, self.n, t, self.parts)
+            PaintedTree._new(self.m, self.n, t, self.parts)
             for rule in (_contract_free_edge, _absorb_parent)
             for t in _rewrites(self.tagged, rule)
         ]
+        parts = self.parts
         for i in range(self.k - 1):
             t = _join_cuts(self.tagged, i)
             if t is not None:
-                parts = list(self.parts)
-                parts[i: i + 2] = [self.parts[i] | self.parts[i + 1]]
-                out.append(PaintedTree(self.m, self.n, t, parts))
-        return out
-
-    def rotation_successors(self) -> list["PaintedTree"]:
-        """Right-rotation successors of a binary painted tree, in generation
-        order; a poset orders its covers by element index."""
-        if not self.is_binary:
-            raise ValueError("rotations are defined on binary painted trees")
-        out = [
-            PaintedTree(self.m, self.n, t, self.parts)
-            for rule in (_rotate_right, _sweep_cut)
-            for t in _rewrites(self.tagged, rule)
-        ]
-        for i in range(self.k - 1):
-            a, b = min(self.parts[i]), min(self.parts[i + 1])
-            if a < b and _join_cuts(self.tagged, i) is not None:
-                parts = list(self.parts)
-                parts[i], parts[i + 1] = parts[i + 1], parts[i]
-                out.append(PaintedTree(self.m, self.n, self.tagged, parts))
+                joined = parts[:i] + (parts[i] | parts[i + 1],) + parts[i + 2:]
+                out.append(PaintedTree._new(self.m, self.n, t, joined))
         return out
 
 
@@ -569,6 +569,80 @@ def _sweep_cut(t):
             yield (l[0], ((None, (l[1][0], r[1][0])),))
 
 
+# -- rotation covers -----------------------------------------------------------
+
+
+def _shape_moves(shape):
+    """The right rotations of a binary tagged shape, which keep every label
+    in place: rotations (move i) and cut sweeps (move ii), in generation
+    order."""
+    return [t for rule in (_rotate_right, _sweep_cut) for t in _rewrites(shape, rule)]
+
+
+@lru_cache(maxsize=None)
+def _swap_table(m):
+    """For each pair of adjacent cuts i, i + 1 of a binary m-painted tree,
+    the index pairs (j, j') into `ordered_partitions(m, m)` of the
+    labelings with min(parts[i]) < min(parts[i + 1]) and of the same
+    labeling with parts i and i + 1 swapped: the label moves up the order."""
+    labelings = ordered_partitions(m, m)
+    index = {parts: j for j, parts in enumerate(labelings)}
+    return tuple(
+        tuple(
+            (j, index[parts[:i] + (parts[i + 1], parts[i]) + parts[i + 2:]])
+            for j, parts in enumerate(labelings)
+            if min(parts[i]) < min(parts[i + 1])
+        )
+        for i in range(m - 1)
+    )
+
+
+def rotation_covers(objs) -> list[tuple[int, int]]:
+    """The covers of the rotation order on the binary painted trees
+    ``objs``, as (lower, upper) index pairs, in no particular order.
+
+    ``objs`` is read in the layout `binary_painted_trees` yields: each
+    tagged shape, then its m! labelings in `ordered_partitions(m, m)`
+    order, so vertex s * m! + j is labeling j of shape s.  The layout is
+    checked as it is read; a vertex that is not the expected labeling raises
+    ValueError.  S_m acts freely on the vertices, and every move but one
+    acts on the shape alone, so the moves are computed once per shape: a
+    rotation or a cut sweep taking shape s to shape t is the m! covers
+    (s * m! + j, t * m! + j).  The one label move swaps the labels of two
+    adjacent cuts i, i + 1 (`_join_cuts` finds no node between them) when
+    the lower cut holds the smaller label; `_swap_table` lists it per i.
+    A shape move that reaches no vertex raises ValueError.
+    """
+    if not objs:
+        return []
+    m, n = objs[0].m, objs[0].n
+    labelings = ordered_partitions(m, m)
+    orbit = len(labelings)
+    if len(objs) % orbit:
+        raise ValueError(f"{len(objs)} binary painted trees are not whole orbits of {orbit}")
+    shapes = {}
+    for base in range(0, len(objs), orbit):
+        shape = objs[base].tagged
+        for j, parts in enumerate(labelings):
+            pt = objs[base + j]
+            if pt.tagged != shape or pt.parts != parts:
+                raise ValueError(f"vertex {base + j} is {pt!r}, not labeling {j} of its shape")
+        shapes[shape] = base
+    swaps = _swap_table(m)
+    covers = []
+    for shape, base in shapes.items():
+        for moved in _shape_moves(shape):
+            upper = shapes.get(moved)
+            if upper is None:
+                stray = PaintedTree(m, n, moved, labelings[0])
+                raise ValueError(f"a move reaches {stray!r}, which is not an element")
+            covers += zip(range(base, base + orbit), range(upper, upper + orbit))
+        for i in range(m - 1):
+            if _join_cuts(shape, i) is not None:
+                covers += ((base + j, base + swapped) for j, swapped in swaps[i])
+    return covers
+
+
 # -- enumeration ------------------------------------------------------------
 
 
@@ -760,7 +834,7 @@ def _painted_trees(m, n, binary=False, rank=None):
     )
     for _, shape, k in shapes:
         for parts in ordered_partitions(m, k):
-            yield PaintedTree(m, n, shape, parts)
+            yield PaintedTree._new(m, n, shape, parts)
 
 
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:

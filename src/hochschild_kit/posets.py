@@ -22,10 +22,14 @@ cyclotomic-product test are exact integer computations on the same rows,
 with no computer-algebra dependency.
 Instances are immutable after construction: every derived structure is a
 tuple.
-Every poset of painted trees or lighted shades is built from its local moves
-by `FinitePoset.from_moves`, in any order: a poset sorts its covers by
-element index.  `from_leq` reduces a given order (word posets) with
-`preposets.cover_pairs`, the reduction `Preposet.hasse_edges` also uses.
+A rotation poset is built by `rotation_poset` from its family's
+`rotation_covers`: the moves are computed on the unlabeled shapes, once per
+shape, and read off as index pairs, so no successor object is built and no
+face is hashed to find its index.  The refinement posets are built from
+their local moves by `FinitePoset.from_moves`.  Either way the covers may
+come in any order: a poset sorts them by element index.  `from_leq` reduces
+a given order (word posets) with `preposets.cover_pairs`, the reduction
+`Preposet.hasse_edges` also uses.
 """
 
 from __future__ import annotations
@@ -465,11 +469,19 @@ def _first_unpreserved(fi, rows, bound_of, images, d_bound_of):
 # -- posets of painted trees and lighted shades ------------------------------------
 
 
+def rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
+    """The rotation poset on one family's rank-0 objects, uncached: its
+    covers are the right rotations, read as index pairs off the moves on the
+    objects' shapes (`Family.rotation_covers`)."""
+    fam = family(kind)
+    objs = fam.vertices(m, n)
+    return FinitePoset(objs, fam.rotation_covers(objs))
+
+
 @lru_cache(maxsize=None)
 def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
-    """Rotation poset on rank-0 objects; covers are the right rotations."""
-    objs = family(kind).vertices(m, n)
-    poset = FinitePoset.from_moves(objs, ((o, r) for o in objs for r in o.rotation_successors()))
+    """Rotation poset on rank-0 objects (`rotation_poset`), cached per cell."""
+    poset = rotation_poset(kind, m, n)
     if poset.bottom is None or poset.top is None:
         raise AssertionError("rotation digraph must have a unique source and sink")
     return poset
@@ -544,7 +556,7 @@ class CongruenceReport:
     proj_up_counterexample: tuple | None
 
 
-def check_congruence_projection(m: int, n: int) -> CongruenceReport:
+def check_congruence_projection(m: int, n: int, shadows=None) -> CongruenceReport:
     """Verify the shadow congruence on the painted rotation lattice.
 
     Checks that every shadow fiber has a unique minimum equal to fiber_min,
@@ -552,12 +564,15 @@ def check_congruence_projection(m: int, n: int) -> CongruenceReport:
     whether projecting up to fiber maxima preserves order.  A fiber without
     a unique minimum or maximum clears ``unique_minima`` and gets no
     projection; the projection flags then cover the edges whose endpoints
-    both have one.  A shade the map misses has no fiber here.
+    both have one.  A shade the map misses has no fiber here.  ``shadows``,
+    when given, maps every binary painted tree of the cell to its shadow,
+    so a caller that has computed them passes them in instead.
     """
     poset = build_rotation_poset("painted", m, n)
+    shade_of = shadow if shadows is None else shadows.__getitem__
     fibers = {}
     for i, pt in enumerate(poset.elements):
-        fibers.setdefault(shadow(pt), []).append(i)
+        fibers.setdefault(shade_of(pt), []).append(i)
     unique = True
     match = True
     down = {}

@@ -15,8 +15,16 @@ every rank position by position, already in canonical order (the
 lexicographic order of the entries, each light set read as a sorted tuple),
 so nothing is sorted; a rank filter prunes each position by the same rule,
 and rank 0 gives the unary shades.  The shades share their light sets: one
-frozenset per set of labels, the empty one `_UNLIT`.  The moves come in
-generation order.
+frozenset per set of labels, the empty one `_UNLIT`.  The generator and the
+shadow map hand their entries over as they are, through the internal
+constructor ``LightedShade._new``; the public constructor normalises every
+entry again.
+
+The refinement moves build their results as shades, in generation order.
+The rotation moves build none: `rotation_covers` reads a unary shade as its
+sequence of values and cuts plus its labels top to bottom, computes each
+sequence's moves once (`_sequence_moves`) and finds each successor's index
+in one dict.
 
 ``entries`` is the only stored form.  A derived member is a cached property
 only when the checks read it again; ``size`` is computed on every read.
@@ -57,6 +65,14 @@ class LightedShade:
         self.entries = tuple(
             (tuple(vals), frozenset(lights)) for vals, lights in entries
         )
+
+    @classmethod
+    def _new(cls, m, n, entries) -> "LightedShade":
+        """The internal constructor: ``entries`` is already a tuple of
+        (tuple, frozenset) pairs and is stored as it is, with no copy."""
+        ls = cls.__new__(cls)
+        ls.m, ls.n, ls.entries = m, n, entries
+        return ls
 
     # -- basic views ---------------------------------------------------------
 
@@ -225,43 +241,15 @@ class LightedShade:
         ent = self.entries
         for i in range(len(ent) - 1):
             merged = (ent[i][0] + ent[i + 1][0], ent[i][1] | ent[i + 1][1])
-            out.append(
-                LightedShade(self.m, self.n, ent[:i] + (merged,) + ent[i + 2:])
-            )
+            out.append(LightedShade._new(self.m, self.n, ent[:i] + (merged,) + ent[i + 2:]))
         for i, (vals, lights) in enumerate(ent):
             for j, v in enumerate(vals):
                 for y in range(1, v):
                     split = vals[:j] + (y, v - y) + vals[j + 1:]
                     out.append(
-                        LightedShade(
+                        LightedShade._new(
                             self.m, self.n, ent[:i] + ((split, lights),) + ent[i + 1:]
                         )
-                    )
-        return out
-
-    def rotation_successors(self) -> list["LightedShade"]:
-        """Right-rotation successors of a unary shade, in generation order;
-        a poset orders its covers by element index."""
-        if not self.is_unary:
-            raise ValueError("rotations are defined on unary shades")
-        out = []
-        ent = self.entries
-        for i, (vals, lights) in enumerate(ent):
-            if len(vals) == 1 and vals[0] >= 2:
-                r = vals[0]
-                for s in range(1, r):
-                    new = ent[:i] + (((s,), frozenset()), ((r - s,), frozenset())) + ent[i + 1:]
-                    out.append(LightedShade(self.m, self.n, new))
-        for i in range(len(ent) - 1):
-            a, b = ent[i], ent[i + 1]
-            if a[0] and not a[1] and b[1] and not b[0]:
-                out.append(
-                    LightedShade(self.m, self.n, ent[:i] + (b, a) + ent[i + 2:])
-                )
-            elif a[1] and b[1] and not a[0] and not b[0]:
-                if min(b[1]) < min(a[1]):
-                    out.append(
-                        LightedShade(self.m, self.n, ent[:i] + (b, a) + ent[i + 2:])
                     )
         return out
 
@@ -353,7 +341,7 @@ def _shades(m, n, rank=None):
 
     def walk(left, labels, need, entries):
         if not (left or labels):
-            yield LightedShade(m, n, entries)
+            yield LightedShade._new(m, n, entries)
         for vals, used, step in _tuples_upto(left):
             rest, later = left - used, None if need is None else need - step
             for lights, after, count in _light_subsets(labels):
@@ -373,3 +361,70 @@ def unary_lighted_shades(m, n) -> list[LightedShade]:
     """All unary (rank 0) m-lighted n-shades in canonical order."""
     _check_params(m, n)
     return list(_shades(m, n, 0))
+
+
+# -- rotation covers -------------------------------------------------------------
+
+
+def _sequence_moves(seq):
+    """The right rotations of a unary shade that keep its labels in order,
+    on its sequence of values and cuts (0 for a cut), top first: split a
+    value r >= 2 into s, r - s, or move a cut above the value just above it."""
+    out = [
+        seq[:i] + (s, r - s) + seq[i + 1:]
+        for i, r in enumerate(seq)
+        for s in range(1, r)
+    ]
+    out += (
+        seq[:i] + (0, seq[i]) + seq[i + 2:]
+        for i in range(len(seq) - 1)
+        if seq[i] and not seq[i + 1]
+    )
+    return out
+
+
+def rotation_covers(objs) -> list[tuple[int, int]]:
+    """The covers of the rotation order on the unary shades ``objs``, as
+    (lower, upper) index pairs, in no particular order.
+
+    A unary shade is its sequence of values and cuts (`_sequence_moves`)
+    plus its labels read top to bottom, and one dict built in one pass maps
+    that pair to the shade's index.  The shape moves, memoised per sequence,
+    keep the labels; the one label move swaps two adjacent cuts when the
+    lower one holds the smaller label.  A move that reaches no shade of
+    ``objs`` raises ValueError.
+    """
+    if not objs:
+        return []
+    m, n = objs[0].m, objs[0].n
+    index = {
+        (
+            tuple(vals[0] if vals else 0 for vals, _ in ls.entries),
+            tuple(x for _, lights in ls.entries for x in lights),
+        ): i
+        for i, ls in enumerate(objs)
+    }
+
+    def reach(seq, labels):
+        upper = index.get((seq, labels))
+        if upper is None:
+            left = iter(labels)
+            stray = LightedShade(m, n, [((v,), ()) if v else ((), {next(left)}) for v in seq])
+            raise ValueError(f"a move reaches {stray!r}, which is not an element")
+        return upper
+
+    memo = {}  # sequence -> (its shape moves, the cut index of each adjacent cut pair)
+    covers = []
+    for (seq, labels), lower in index.items():
+        moves = memo.get(seq)
+        if moves is None:
+            cuts = [p for p, v in enumerate(seq) if not v]
+            pairs = [c for c, (p, q) in enumerate(zip(cuts, cuts[1:])) if q == p + 1]
+            moves = memo[seq] = _sequence_moves(seq), pairs
+        for moved in moves[0]:
+            covers.append((lower, reach(moved, labels)))
+        for c in moves[1]:
+            if labels[c + 1] < labels[c]:
+                swapped = labels[:c] + (labels[c + 1], labels[c]) + labels[c + 2:]
+                covers.append((lower, reach(seq, swapped)))
+    return covers

@@ -10,7 +10,7 @@ with the cuts placed at leaf or root level respectively.
 from __future__ import annotations
 
 from .painted import LEAF, PaintedTree, binary_painted_trees, tree_leaves
-from .shades import LightedShade, unary_lighted_shades
+from .shades import _UNLIT, LightedShade, unary_lighted_shades
 
 
 def shadow(pt: PaintedTree) -> LightedShade:
@@ -20,9 +20,9 @@ def shadow(pt: PaintedTree) -> LightedShade:
     while t is not LEAF:
         tag, children = t
         vals = tuple(tree_leaves(c) for c in children[:-1])
-        entries.append((vals, frozenset() if tag is None else pt.parts[tag]))
+        entries.append((vals, _UNLIT if tag is None else pt.parts[tag]))
         t = children[-1]
-    return LightedShade(pt.m, pt.n, entries)
+    return LightedShade._new(pt.m, pt.n, tuple(entries))
 
 
 def _cut_tags_below(ls: LightedShade, pos: int) -> list[int]:
@@ -83,7 +83,7 @@ def _fiber_extreme(ls: LightedShade, minimum: bool) -> PaintedTree:
                 comb = (None, (LEAF, comb))
             comb = _dress(comb, tags)
         current = (None, (comb, current))
-    return PaintedTree(ls.m, ls.n, current, parts_bottom_up)
+    return PaintedTree._new(ls.m, ls.n, current, parts_bottom_up)
 
 
 def is_singleton(pt: PaintedTree) -> bool:

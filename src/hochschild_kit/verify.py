@@ -161,7 +161,7 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
                 join_counterexamples[(m, n)] = rep.join_counterexample
         else:
             res.record(f"shadow({m},{n}) meet morphism", False, "the map is not surjective")
-        cong = projections[(m, n)] = check_congruence_projection(m, n)
+        cong = projections[(m, n)] = check_congruence_projection(m, n, f)
         res.record(f"fibers({m},{n}) unique minima", cong.unique_minima)
         res.record(f"fibers({m},{n}) minima = fiber_min", cong.minima_match_fiber_min)
         res.record(f"projection down({m},{n}) order preserving", cong.proj_down_order_preserving)

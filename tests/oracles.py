@@ -20,14 +20,18 @@ from hochschild_kit.painted import (
     LEAF,
     PaintedTree,
     _check_params,
+    _join_cuts,
     _painted_shapes,
     _painted_trees,
+    _rewrites,
+    _rotate_right,
     _shape_key,
+    _sweep_cut,
     _tree_json,
     ordered_partitions,
     shape_rank,
 )
-from hochschild_kit.posets import MorphismCheckReport
+from hochschild_kit.posets import FinitePoset, MorphismCheckReport
 from hochschild_kit.preposets import Preposet, cover_pairs
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 from hochschild_kit.shades import LightedShade, _tuple_sequences, sequence_rank
@@ -342,6 +346,80 @@ def label_hochschild_witness(d, binary, unary_cones, shade_labels, painted_label
         if cone is None or not pt.preposet.is_antisymmetric or not pt.preposet.contains(cone):
             return False
     return True
+
+
+def rotation_successors(obj) -> list:
+    """Right-rotation successors of a binary painted tree or a unary shade,
+    each built as an object, in generation order: the route the rotation
+    posets took before their covers came from moves on shapes."""
+    if isinstance(obj, PaintedTree):
+        return _painted_rotation_successors(obj)
+    return _shade_rotation_successors(obj)
+
+
+def _painted_rotation_successors(pt):
+    if not pt.is_binary:
+        raise ValueError("rotations are defined on binary painted trees")
+    out = [
+        PaintedTree(pt.m, pt.n, t, pt.parts)
+        for rule in (_rotate_right, _sweep_cut)
+        for t in _rewrites(pt.tagged, rule)
+    ]
+    for i in range(pt.k - 1):
+        a, b = min(pt.parts[i]), min(pt.parts[i + 1])
+        if a < b and _join_cuts(pt.tagged, i) is not None:
+            parts = list(pt.parts)
+            parts[i], parts[i + 1] = parts[i + 1], parts[i]
+            out.append(PaintedTree(pt.m, pt.n, pt.tagged, parts))
+    return out
+
+
+def _shade_rotation_successors(ls):
+    if not ls.is_unary:
+        raise ValueError("rotations are defined on unary shades")
+    out = []
+    ent = ls.entries
+    for i, (vals, lights) in enumerate(ent):
+        if len(vals) == 1 and vals[0] >= 2:
+            r = vals[0]
+            for s in range(1, r):
+                new = ent[:i] + (((s,), frozenset()), ((r - s,), frozenset())) + ent[i + 1:]
+                out.append(LightedShade(ls.m, ls.n, new))
+    for i in range(len(ent) - 1):
+        a, b = ent[i], ent[i + 1]
+        if a[0] and not a[1] and b[1] and not b[0]:
+            out.append(LightedShade(ls.m, ls.n, ent[:i] + (b, a) + ent[i + 2:]))
+        elif a[1] and b[1] and not a[0] and not b[0]:
+            if min(b[1]) < min(a[1]):
+                out.append(LightedShade(ls.m, ls.n, ent[:i] + (b, a) + ent[i + 2:]))
+    return out
+
+
+def successor_rotation_poset(kind, m, n) -> FinitePoset:
+    """The rotation poset built from `rotation_successors`: every successor
+    an object, hashed back to its index by `FinitePoset.from_moves`."""
+    objs = family(kind).vertices(m, n)
+    return FinitePoset.from_moves(objs, ((o, r) for o in objs for r in rotation_successors(o)))
+
+
+def count_constructions(monkeypatch, cls):
+    """A one-item list counting the objects of ``cls`` built from now on
+    through either constructor, the public ``__init__`` or the internal
+    ``_new``."""
+    built = [0]
+    init, new = cls.__init__, cls._new.__func__
+
+    def counted_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    def counted_new(klass, *args):
+        built[0] += 1
+        return new(klass, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted_init)
+    monkeypatch.setattr(cls, "_new", classmethod(counted_new))
+    return built
 
 
 def object_rank(obj) -> int:

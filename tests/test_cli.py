@@ -284,14 +284,13 @@ def test_verify_csv_needs_the_tables_suite(capsys):
 
 
 def test_a_move_outside_the_elements_is_one_internal_error_line(capsys, monkeypatch):
-    from hochschild_kit import posets
+    from hochschild_kit import posets, shades
     from hochschild_kit.shades import LightedShade
 
-    stray = LightedShade(0, 3, [((3,), set())])
-    every_successor = LightedShade.rotation_successors
-    monkeypatch.setattr(
-        LightedShade, "rotation_successors", lambda ls: every_successor(ls) + [stray]
-    )
+    # one more shape move, to a sequence whose values sum to 3, not 2
+    stray = LightedShade(1, 2, [((3,), set()), ((), {1})])
+    every_move = shades._sequence_moves
+    monkeypatch.setattr(shades, "_sequence_moves", lambda seq: every_move(seq) + [(3, 0)])
     posets.build_rotation_poset.cache_clear()
     try:
         code, out, err = run(capsys, "hasse", "--kind", "shade", "--m", "1", "--n", "2")

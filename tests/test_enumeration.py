@@ -30,6 +30,7 @@ from hochschild_kit.shades import (
 )
 
 from oracles import (
+    count_constructions,
     key_sorted_binary_painted_trees,
     key_sorted_lighted_shades,
     key_sorted_painted_trees,
@@ -83,15 +84,9 @@ def test_light_distributions_match_the_subset_route(m, n):
 
 
 def test_the_generator_streams_in_canonical_order(monkeypatch):
-    # no list of the cell is built: the first shades cost only themselves
-    real = LightedShade.__init__
-    built = [0]
-
-    def counted(self, *args):
-        built[0] += 1
-        real(self, *args)
-
-    monkeypatch.setattr(LightedShade, "__init__", counted)
+    # no list of the cell is built: the first shades cost only themselves,
+    # counted at both constructors, the public and the internal one
+    built = count_constructions(monkeypatch, LightedShade)
     first = list(islice(_shades(7, 1), 50))
     assert len(first) == 50 and built[0] <= 50
     monkeypatch.undo()

@@ -402,7 +402,7 @@ def test_cached_shade_light_positions_are_read_only():
 
 
 def test_cell_builds_each_polytope_once(monkeypatch):
-    calls = {"painted": 0, "shade": 0, "moves": 0}
+    calls = {"painted": 0, "shade": 0, "rotation": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -414,8 +414,11 @@ def test_cell_builds_each_polytope_once(monkeypatch):
                         counted("painted", painted.binary_painted_trees))
     monkeypatch.setattr(shades, "unary_lighted_shades",
                         counted("shade", shades.unary_lighted_shades))
-    monkeypatch.setattr(posets.FinitePoset, "from_moves",
-                        counted("moves", posets.FinitePoset.from_moves))
+    # every rotation poset is built by posets.rotation_poset, which geometry
+    # imports by name
+    build = counted("rotation", posets.rotation_poset)
+    monkeypatch.setattr(posets, "rotation_poset", build)
+    monkeypatch.setattr(geometry, "rotation_poset", build)
     _polytope_objects.cache_clear()
     for kind in ("multiplihedron", "hochschild"):
         # the certificate itself, past its own cache, then every other check
@@ -424,7 +427,7 @@ def test_cell_builds_each_polytope_once(monkeypatch):
         oriented_skeleton(kind, 1, 3)
         barycenter(kind, 1, 3)
     shared_facet_report(1, 3)
-    assert calls == {"painted": 1, "shade": 1, "moves": 2}
+    assert calls == {"painted": 1, "shade": 1, "rotation": 2}
     _polytope_objects.cache_clear()
 
 

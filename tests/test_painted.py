@@ -22,6 +22,7 @@ from oracles import (
     left_comb,
     recursive_painted_shapes,
     right_comb,
+    rotation_successors,
     sorted_painted_json,
     sorted_painted_key,
 )
@@ -138,7 +139,7 @@ def test_level_rows_match_the_class_pair_route(d):
 def test_rotation_rejects_non_binary():
     corolla = PaintedTree.from_cuts(0, 2, (None, None, None), [], [])
     with pytest.raises(ValueError):
-        corolla.rotation_successors()
+        rotation_successors(corolla)
 
 
 def test_rotation_flips_exactly_one_inverted_pair():
@@ -146,7 +147,7 @@ def test_rotation_flips_exactly_one_inverted_pair():
 
     for m, n in [(1, 2), (2, 1), (0, 4), (2, 2), (1, 3)]:
         for pt in binary_painted_trees(m, n):
-            for succ in pt.rotation_successors():
+            for succ in rotation_successors(pt):
                 flips = inverted_pairs(pt.preposet, succ.preposet)
                 back = inverted_pairs(succ.preposet, pt.preposet)
                 assert len(flips) == 1 and not back

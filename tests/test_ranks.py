@@ -12,7 +12,7 @@ import pytest
 from hochschild_kit.painted import PaintedTree, _painted_trees, enum_painted_trees
 from hochschild_kit.shades import LightedShade, enum_lighted_shades
 
-from oracles import filtered_lighted_shades, object_rank, rank_filtered
+from oracles import count_constructions, filtered_lighted_shades, object_rank, rank_filtered
 
 CELLS_TO_5 = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 KINDS = {
@@ -41,15 +41,9 @@ def test_rank_filter_matches_the_object_filter(kind, m, n):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_rank_filter_builds_only_what_it_returns(monkeypatch, kind):
+    # objects are counted at both constructors, the public and the internal one
     cls, _, enum = KINDS[kind]
-    real = cls.__init__
-    built = [0]
-
-    def counted(self, *args):
-        built[0] += 1
-        real(self, *args)
-
-    monkeypatch.setattr(cls, "__init__", counted)
+    built = count_constructions(monkeypatch, cls)
     for m, n in CELLS_TO_5:
         for rank in range(m + n):
             built[0] = 0

@@ -3,9 +3,11 @@ import re
 
 import pytest
 
-from hochschild_kit import cli, verify
+from hochschild_kit import cli, posets, verify
 from hochschild_kit.cli import main
+from hochschild_kit.painted import binary_painted_trees
 from hochschild_kit.posets import build_rotation_poset
+from hochschild_kit.shadow import shadow
 
 SMALL_REACH = {
     "tables": 3,
@@ -90,9 +92,9 @@ def test_morphism_suite_projects_each_cell_once(monkeypatch):
     calls = []
     check = verify.check_congruence_projection
 
-    def counted(m, n):
+    def counted(m, n, shadows):
         calls.append((m, n))
-        return check(m, n)
+        return check(m, n, shadows)
 
     monkeypatch.setattr(verify, "check_congruence_projection", counted)
     res = verify.morphism_suite(3)
@@ -102,9 +104,25 @@ def test_morphism_suite_projects_each_cell_once(monkeypatch):
     ]
 
 
+def test_morphism_suite_computes_each_shadow_once(monkeypatch):
+    # the suite's map is passed to the congruence check, which computes none
+    calls = [0]
+
+    def counted(pt):
+        calls[0] += 1
+        return shadow(pt)
+
+    for module in (verify, posets):
+        monkeypatch.setattr(module, "shadow", counted)
+    assert verify.morphism_suite(4).ok
+    assert calls[0] == sum(len(binary_painted_trees(m, n)) for m, n in _cells(4))
+
+
 def test_a_failed_meet_morphism_row_names_its_pair(monkeypatch):
     # the shadow map with the two shades of (0, 2) swapped: still onto, but
-    # it reverses the order of a two-element chain
+    # it reverses the order of a two-element chain.  The suite computes the
+    # map once and the congruence check reads it too, so each swapped fiber
+    # also has a minimum other than its fiber_min
     real = verify.shadow
     low, high = build_rotation_poset("shade", 0, 2).elements
 
@@ -121,7 +139,7 @@ def test_a_failed_meet_morphism_row_names_its_pair(monkeypatch):
         "shadow(0,2) meet morphism",
         'meet of (PaintedTree({"m":0,"n":2,"tree":[0,[0,0]],"cuts":[],"parts":[]}), '
         'PaintedTree({"m":0,"n":2,"tree":[[0,0],0],"cuts":[],"parts":[]}))',
-    )]
+    ), ("fibers(0,2) minima = fiber_min", "")]
 
 
 def test_a_failed_shared_facets_row_names_its_clauses(monkeypatch):
