@@ -32,6 +32,25 @@ lies in the cone of its greedy vertex alone: one `greedy_vertex` and one
 the route fails, the witness counts every pair and the greedy vertices are
 read off all d! permutations, so each failure and its message come from
 those counts.
+
+The rest of the certificate reads whole columns instead of pairs, on three
+arguments.  (1) Bulk predicates: per facet, one vertex mask holds the
+vertices tight on it, read from the vertex sums, and one the vertices whose
+packed preposet it contains, the complement of the OR of one vertex column
+per relation the facet preposet lacks.  ``halfspaces_satisfied``,
+``incidence_iff_refinement`` and ``simple`` are these masks and their
+per-vertex counts; a cover's single flip is one pass over the relations
+its two preposets differ in.  Each is the per-pair predicate evaluated at
+once, not a weaker one.  (2) Local supermodularity: on the Boolean lattice,
+z(I) + z(J) <= z(I | J) + z(I & J) for all I, J iff it holds on every
+square, z(S + i) + z(S + j) <= z(S + i + j) + z(S) (Topkis, "Minimizing a
+submodular function on a lattice", 1978; Fujishige 2005), so C(d, 2) 2^(d-2)
+squares replace the 4^d pairs.  (3) The rank cap: when every vertex lies on
+the hyperplane sum(x) = C(d + 1, 2), the tight points of a proper subset J
+lie on sum over J = z_J too, two independent hyperplanes, so their affine
+rank is at most d - 2, and elimination stops there without changing the
+rank.  When a bulk predicate fails, that check runs its per-pair scan, so
+every verdict, message and first counterexample is the scan's.
 """
 
 from __future__ import annotations
@@ -40,9 +59,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, permutations
-from math import comb, factorial
-from operator import add
+from itertools import chain, combinations, compress, permutations, repeat
+from math import comb, factorial, gcd
+from operator import add, and_, rshift
 from types import MappingProxyType
 
 from .families import family
@@ -346,18 +365,27 @@ def _polytope_objects(kind, m, n) -> PolytopeObjects:
     return PolytopeObjects(kind, m, n, rot, verts, z, sums)
 
 
-def inverted_pairs(lo: Preposet, hi: Preposet):
-    """Pairs (i, j), i < j, strictly below in lo and strictly reversed in hi.
+def _single_flip(lo: Preposet, hi: Preposet):
+    """The pair (i, j), i < j, strictly below in lo and strictly reversed in
+    hi, when it is the only such pair and no pair i < j is strictly below in
+    hi and strictly reversed in lo; None otherwise.
 
-    Bit j of ``lo.rows[i] & ~hi.rows[i]`` says i is below j in lo and not in
-    hi; of those bits above i, keep the j below i in hi and not in lo.
+    A pair is inverted either way only when both of its relations differ,
+    so one pass over the set bits of ``lo.packed ^ hi.packed`` above the
+    diagonal finds every candidate: bit i * d + j with its mirror
+    j * d + i also set, and lo holding exactly one of the two.
     """
-    out = []
-    for i, (lo_row, hi_row) in enumerate(zip(lo.rows, hi.rows)):
-        for j in _bits((lo_row & ~hi_row) >> i + 1 << i + 1):
-            if hi.rows[j] >> i & 1 and not lo.rows[j] >> i & 1:
-                out.append((i + 1, j + 1))
-    return out
+    d, packed = lo.d, lo.packed
+    diff = packed ^ hi.packed
+    flip = None
+    for bit in _bits(diff):
+        i, j = divmod(bit, d)
+        mirror = j * d + i
+        if i < j and diff >> mirror & 1 and (packed >> bit ^ packed >> mirror) & 1:
+            if flip or not packed >> bit & 1:
+                return None
+            flip = (i + 1, j + 1)
+    return flip
 
 
 def _shade_edge_delta(lo: LightedShade, hi: LightedShade):
@@ -417,12 +445,21 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     fan checks for that, and are recorded after them.  Otherwise the
     witnesses count every pair and the greedy vertices of all d!
     permutations are compared with the claimed ones.
+
+    No check visits (vertex, facet) pairs or all 4^d pairs (I, J) while it
+    passes (see the module docstring).  (a), (b) and simplicity read two
+    vertex masks per facet and the per-vertex tight counts; (c) reads each
+    cover's differing relations once; supermodularity is checked on the
+    squares of the Boolean lattice; and once the vertices are on the
+    hyperplane, each rank elimination stops at d - 2, which it cannot
+    exceed.  A failing mask check reruns the per-pair scan, and a failing
+    square the pair scan, so the first counterexample is the scan's.
     """
     d = m + n
     simple = family(kind).simple
     poly = _polytope_objects(kind, m, n)
     rot, verts, facets, sums = poly.rotation, poly.vertices, poly.facets, poly.sums
-    vert_objs = rot.elements
+    vert_objs, facet_objs = rot.elements, poly.facet_objects
     facet_sums = [sums[f.support] for f in facets]
     ledger = Ledger()
     for name, items in (("vertices", verts), ("facets", facets)):
@@ -438,30 +475,29 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
 
     ledger.record("halfspaces_satisfied", True)
     ledger.record("incidence_iff_refinement", True)
-    for k, (vo, v) in enumerate(zip(vert_objs, verts)):
-        for fo, f, values in zip(poly.facet_objects, facets, facet_sums):
-            val = values[k]
-            if val < f.rhs:
-                ledger.record("halfspaces_satisfied", False, f"{v} violates {f}")
-            tight = val == f.rhs
-            refines = fo.preposet.contains(vo.preposet)
-            if tight != refines:
-                detail = f"vertex {vo.canonical()} vs facet {fo.canonical()}: "
-                detail += f"tight={tight} refines={refines}"
-                ledger.record("incidence_iff_refinement", False, detail)
+    # both checks read two vertex masks per facet, tight and inside its cone;
+    # the simple check counts the tight facets of each vertex on the way
+    inside = _inside_masks(vert_objs, facet_objs)
+    bulk = True
+    counts = [0] * len(verts)
+    for f, values, cone in zip(facets, facet_sums, inside):
+        digits = _compared(values, f.rhs)
+        bulk = bulk and b"2" not in digits and _mask(digits) == cone
+        if simple:
+            counts = list(map(add, counts, digits.translate(_TIGHT)))
+    if not bulk:
+        _incidence_scan(ledger, vert_objs, verts, facet_objs, facets, facet_sums)
 
     ledger.record("edge_directions", True)
     ledger.record("edge_single_flip", True)
     for lo, hi in rot.covers:
         lo_obj, hi_obj = vert_objs[lo], vert_objs[hi]
-        delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
-        flips = inverted_pairs(lo_obj.preposet, hi_obj.preposet)
-        back = inverted_pairs(hi_obj.preposet, lo_obj.preposet)
-        if len(flips) != 1 or back:
-            detail = f"{lo_obj.canonical()} -> {hi_obj.canonical()}"
-            ledger.record("edge_single_flip", False, detail)
+        flip = _single_flip(lo_obj.preposet, hi_obj.preposet)
+        if flip is None:
+            ledger.record("edge_single_flip", False, f"{lo_obj.canonical()} -> {hi_obj.canonical()}")
             continue
-        i, j = flips[0]
+        i, j = flip
+        delta = tuple(b - a for a, b in zip(verts[lo], verts[hi]))
         lam = delta[i - 1]
         if lam <= 0 or _scaled_basis_diff(d, lam, i, j) != delta:
             detail = f"{lo_obj.canonical()} -> {hi_obj.canonical()}: delta {delta}"
@@ -470,11 +506,13 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
             ledger.record("edge_directions", False, f"shade case formula differs: {delta}")
 
     # the fan's tight route stands on the z checks, so they run first and
-    # are recorded after the fan checks, in the ledger's order
+    # are recorded after the fan checks, in the ledger's order; z is
+    # supermodular iff it is on every square, and only a failing square
+    # looks for the first failing pair
     subsets = list(poly.z)
     z = {**poly.z, frozenset(): 0}
     gaps = [min(sums[s]) - z[s] for s in subsets]
-    pair = next(
+    pair = None if _locally_supermodular(z, d) else next(
         ((s, t) for s in subsets for t in subsets if z[s] + z[t] > z[s | t] + z[s & t]), None
     )
     premises = ledger.verdicts()["vertices_distinct"] and min(gaps) >= 0 and pair is None
@@ -501,23 +539,116 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     ledger.record("facets_identified", True)
     if d >= 2:
         claimed = {f.support for f in facets}
+        # on the hyperplane, the tight points of a proper J lie on a second,
+        # independent hyperplane, so their rank is at most d - 2
+        cap = d - 2 if ledger.verdicts()["vertices_on_hyperplane"] else None
         for s in subsets:
             if len(s) == d:
                 continue
-            tight_pts = [v for v, total in zip(verts, sums[s]) if total == z[s]]
-            is_facet = _affine_rank(tight_pts) == d - 2
+            tight_pts = compress(verts, map(z[s].__eq__, sums[s]))
+            is_facet = _affine_rank(tight_pts, cap) == d - 2
             if is_facet != (s in claimed):
                 detail = f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}"
                 ledger.record("facets_identified", False, detail)
 
     if simple and d >= 2:
         ledger.record("simple", True)
-        for k, vo in enumerate(vert_objs):
-            tight = sum(1 for f, values in zip(facets, facet_sums) if values[k] == f.rhs)
+        for vo, tight in zip(vert_objs, counts):
             if tight != d - 1:
                 ledger.record("simple", False, f"{vo.canonical()} lies on {tight} facets")
     return CertificationReport(
         kind, m, n, len(verts), len(facets), ledger.verdicts(), ledger.first_failure()
+    )
+
+
+# a table per bit b that translates a byte to the digit b"1" when its bit b
+# is set, else to b"0"; and one from the digits of `_compared` to tight flags
+_BIT_DIGITS = [bytes(48 + (u >> b & 1) for u in range(256)) for b in range(8)]
+_TIGHT = bytes.maketrans(b"012", b"\0\1\0")
+
+
+def _mask(digits) -> int:
+    """The int whose bit k is set iff ``digits[k]`` is b"1", for digits of
+    b"0" and b"1": the digits read lowest first by one `int` call."""
+    return int(digits[::-1] or b"0", 2)
+
+
+def _compared(values, rhs) -> bytes:
+    """One digit per value: b"1" when it equals rhs, b"2" when it is below
+    rhs, b"0" when it is above.  When rhs and the values fit a byte, the
+    values are translated in one call."""
+    if 0 <= rhs < 256:
+        try:
+            return bytes(values).translate(b"2" * rhs + b"1" + b"0" * (255 - rhs))
+        except ValueError:  # a value outside a byte
+            pass
+    return bytes(48 + (v == rhs) + 2 * (v < rhs) for v in values)
+
+
+def _bit_columns(values, width) -> list[int]:
+    """For each b < width, the mask of the k with bit b of ``values[k]`` set:
+    the values' bits transposed, eight bit positions per pass over them."""
+    columns = []
+    for low in range(0, width, 8):
+        octets = bytes(map(and_, map(rshift, values, repeat(low)), repeat(255)))
+        columns += (_mask(octets.translate(table)) for table in _BIT_DIGITS[: width - low])
+    return columns
+
+
+def _inside_masks(vert_objs, facet_objs) -> list[int]:
+    """For each facet object, the mask of the vertices whose preposet it
+    contains: bit k is ``facet_objs[f].preposet.contains(vert_objs[k].preposet)``.
+
+    The facet preposet contains vertex k's unless k's packed preposet holds
+    a relation that the facet's lacks.  So the mask is the complement of the
+    OR of one vertex column per relation the facet lacks, each column the
+    vertices that hold the relation.  Raises ValueError, as `contains` does,
+    when two of the preposets compared have different ground sets.
+    """
+    cones = [o.preposet for o in vert_objs]
+    faces = [o.preposet for o in facet_objs]
+    if cones and faces and len({p.d for p in chain(cones, faces)}) > 1:
+        raise ValueError("ground sets differ")
+    packs = [p.packed for p in cones]
+    width = max(packs, default=0).bit_length()
+    columns = _bit_columns(packs, width)
+    everyone = (1 << len(packs)) - 1
+    masks = []
+    for face in faces:
+        outside = 0
+        for relation in _bits(~face.packed & (1 << width) - 1):
+            outside |= columns[relation]
+        masks.append(everyone & ~outside)
+    return masks
+
+
+def _incidence_scan(ledger, vert_objs, verts, facet_objs, facets, facet_sums) -> None:
+    """``halfspaces_satisfied`` and ``incidence_iff_refinement`` one
+    (vertex, facet) pair at a time, recording each failure in that order."""
+    for k, (vo, v) in enumerate(zip(vert_objs, verts)):
+        for fo, f, values in zip(facet_objs, facets, facet_sums):
+            val = values[k]
+            if val < f.rhs:
+                ledger.record("halfspaces_satisfied", False, f"{v} violates {f}")
+            tight = val == f.rhs
+            refines = fo.preposet.contains(vo.preposet)
+            if tight != refines:
+                detail = f"vertex {vo.canonical()} vs facet {fo.canonical()}: "
+                detail += f"tight={tight} refines={refines}"
+                ledger.record("incidence_iff_refinement", False, detail)
+
+
+def _locally_supermodular(z, d) -> bool:
+    """True when z(S + i) + z(S + j) <= z(S + i + j) + z(S) for every i < j
+    and every S holding neither: C(d, 2) * 2^(d-2) squares.  On the Boolean
+    lattice that is supermodularity, z(I) + z(J) <= z(I | J) + z(I & J) for
+    all I, J (Topkis 1978; Fujishige 2005)."""
+    at = {sum(1 << i - 1 for i in s): v for s, v in z.items()}
+    return all(
+        at[s | a] + at[s | b] <= at[s | a | b] + at[s]
+        for a, b in combinations([1 << i for i in range(d)], 2)
+        for s in range(1 << d)
+        if not s & (a | b)
     )
 
 
@@ -533,31 +664,36 @@ def greedy_vertex(z, d, perm) -> tuple[int, ...]:
     return tuple(coords)
 
 
-def _affine_rank(points) -> int:
-    """Dimension of the affine hull of exact integer points (-1 when empty).
+def _affine_rank(points, cap=None) -> int:
+    """Dimension of the affine hull of exact integer points (-1 when there
+    are none), or ``cap`` once the dimension reaches it.
 
-    Fraction-free forward elimination on the integer difference rows: a row
-    below the pivot becomes pv*row - f*pivot_row, which zeroes its pivot
-    column exactly and keeps every entry an integer.
+    The points are read one at a time.  Each one's difference from the first
+    is reduced against the echelon rows kept so far, fraction-free: the row
+    becomes pv*row - f*pivot_row, which zeroes that pivot column exactly and
+    keeps every entry an integer.  A row left nonzero is independent of the
+    kept ones, and is kept, divided by the gcd of its entries.  So an
+    iterator of points is read no further than the cap.
     """
-    if not points:
+    points = iter(points)
+    base = next(points, None)
+    if base is None:
         return -1
-    base = points[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
-    rank = 0
-    for col in range(len(base)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        pv = prow[col]
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col]
+    echelon = []  # (pivot column, row), each row zero at the earlier pivots
+    for p in points:
+        if len(echelon) == cap:
+            break
+        row = [a - b for a, b in zip(p, base)]
+        for col, prow in echelon:
+            f = row[col]
             if f:
-                rows[r] = [pv * a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-    return rank
+                pv = prow[col]
+                row = [pv * a - f * b for a, b in zip(row, prow)]
+        col = next((c for c, a in enumerate(row) if a), None)
+        if col is not None:
+            g = gcd(*row)
+            echelon.append((col, [a // g for a in row]))
+    return len(echelon)
 
 
 def _tight_partition(poly: PolytopeObjects, cones) -> bool:

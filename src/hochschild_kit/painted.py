@@ -53,6 +53,9 @@ below v", "v lies below cut i" and "u descends from v" are integer tests.
 The preposet is written from the walk as closed rows, one per cut level and
 one per node off the cuts, with no closure pass.
 
+The walk depends on the shape alone, so the labelings that one enumeration
+yields from a shape share one walk, built on the first read of any of them.
+
 Instances are immutable.  A derived member is a cached property only when
 the checks read it again (``walk``, ``rank``, ``is_binary``, ``preposet``);
 the views that no check reads twice (``cuts``, ``tree``, ``k``) are
@@ -113,20 +116,22 @@ class PaintedTree:
     ``cuts`` and ``k`` are computed on each read.
     """
 
-    __slots__ = ("m", "n", "tagged", "parts", "__dict__")
+    __slots__ = ("m", "n", "tagged", "parts", "_walk_from", "__dict__")
 
     def __init__(self, m, n, tagged, parts):
         self.m = m
         self.n = n
         self.tagged = tagged
         self.parts = tuple(frozenset(p) for p in parts)
+        self._walk_from = None
 
     @classmethod
-    def _new(cls, m, n, tagged, parts) -> "PaintedTree":
+    def _new(cls, m, n, tagged, parts, walk_from=None) -> "PaintedTree":
         """The internal constructor: ``parts`` is already a tuple of
-        frozensets and is stored as it is, with no copy."""
+        frozensets and is stored as it is, with no copy.  ``walk_from`` is a
+        tree on the same ``tagged`` whose walk this one reads, or None."""
         pt = cls.__new__(cls)
-        pt.m, pt.n, pt.tagged, pt.parts = m, n, tagged, parts
+        pt.m, pt.n, pt.tagged, pt.parts, pt._walk_from = m, n, tagged, parts, walk_from
         return pt
 
     @classmethod
@@ -172,7 +177,13 @@ class PaintedTree:
         * v lies strictly below cut i iff
           ``i >= node.below + (node.tag is not None)``;
         * u is a strict descendant of v iff ``v < u < v + node.size``.
+
+        The walk depends on ``tagged`` alone, so the labelings that the
+        enumerators yield from one shape read the walk of its first
+        labeling, built on the first read of any of them.
         """
+        if self._walk_from is not None:
+            return self._walk_from.walk
         nodes = []
 
         def visit(t, parent, lo):
@@ -833,8 +844,11 @@ def _painted_trees(m, n, binary=False, rank=None):
         key=itemgetter(0),
     )
     for _, shape, k in shapes:
+        first = None
         for parts in ordered_partitions(m, k):
-            yield PaintedTree._new(m, n, shape, parts)
+            pt = PaintedTree._new(m, n, shape, parts, first)
+            first = first or pt
+            yield pt
 
 
 def enum_painted_trees(m, n, rank=None) -> list[PaintedTree]:

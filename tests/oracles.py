@@ -11,8 +11,6 @@ from hochschild_kit.geometry import (
     _polytope_objects,
     _shade_edge_delta,
     greedy_vertex,
-    z_hochschild,
-    z_multiplihedron,
 )
 from hochschild_kit.families import family
 from hochschild_kit.ledger import Ledger
@@ -32,7 +30,7 @@ from hochschild_kit.painted import (
     shape_rank,
 )
 from hochschild_kit.posets import FinitePoset, MorphismCheckReport
-from hochschild_kit.preposets import Preposet, cover_pairs
+from hochschild_kit.preposets import Preposet, _bits, cover_pairs
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 from hochschild_kit.shades import LightedShade, _tuple_sequences, sequence_rank
 from hochschild_kit.shadow import shadow
@@ -216,9 +214,25 @@ def class_pair_painted_preposet(pt) -> Preposet:
     return closed_preposet(m + pt.n, pairs)
 
 
+def inverted_pairs(lo: Preposet, hi: Preposet):
+    """Pairs (i, j), i < j, strictly below in lo and strictly reversed in hi:
+    the certificate called it once each way per cover before
+    `geometry._single_flip` read both ways in one pass.
+
+    Bit j of ``lo.rows[i] & ~hi.rows[i]`` says i is below j in lo and not in
+    hi; of those bits above i, keep the j below i in hi and not in lo.
+    """
+    out = []
+    for i, (lo_row, hi_row) in enumerate(zip(lo.rows, hi.rows)):
+        for j in _bits((lo_row & ~hi_row) >> i + 1 << i + 1):
+            if hi.rows[j] >> i & 1 and not lo.rows[j] >> i & 1:
+                out.append((i + 1, j + 1))
+    return out
+
+
 def le_inverted_pairs(lo: Preposet, hi: Preposet):
-    """`geometry.inverted_pairs` by four `Preposet.le` calls per pair (i, j),
-    i < j: the route it took before it walked the row bits."""
+    """`inverted_pairs` by four `Preposet.le` calls per pair (i, j), i < j:
+    the route it took before it walked the row bits."""
     out = []
     for i in range(1, lo.d + 1):
         for j in range(i + 1, lo.d + 1):
@@ -569,9 +583,10 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
     vertex with each facet and each subset J by its own sum.
 
     Same checks, order and messages as `geometry.certify_polytope`, which
-    reads one table of subset sums instead, and proves the fan witnesses and
-    the greedy vertices on tight ideals where this counts every pair and
-    every permutation.
+    reads one table of subset sums and per-facet vertex masks instead,
+    checks supermodularity on squares, caps the facet ranks, and proves the
+    fan witnesses and the greedy vertices on tight ideals where this counts
+    every pair and every permutation.
     """
     d = m + n
     vert_objs = rotation.elements
@@ -622,7 +637,7 @@ def per_pair_certificate(kind, m, n, rotation, verts, facet_objs, facets):
         if kind == "hochschild" and _shade_edge_delta(lo_obj, hi_obj) != delta:
             record("edge_directions", False, f"shade case formula differs: {delta}")
     pairwise_fan_checks(kind, m, n, vert_objs, ledger)
-    z_fn = z_multiplihedron if kind == "multiplihedron" else z_hochschild
+    z_fn = family(kind).z
     record("z_support_minimum", True)
     record("z_supermodular", True)
     subsets = list(subset_sums(verts, d))

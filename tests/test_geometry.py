@@ -24,7 +24,6 @@ from hochschild_kit.geometry import (
     freehedron_minkowski,
     freehedron_report,
     greedy_vertex,
-    inverted_pairs,
     minkowski_data,
     omega,
     oriented_skeleton,
@@ -42,6 +41,7 @@ from hochschild_kit.preposets import Preposet
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
 
+import oracles
 from oracles import (
     FailureLog,
     chamber_cones,
@@ -49,6 +49,7 @@ from oracles import (
     cones_partition_chambers,
     first_missing,
     halfspace_values,
+    inverted_pairs,
     label_hochschild_witness,
     le_inverted_pairs,
     left_comb,
@@ -361,7 +362,12 @@ def test_affine_rank_matches_fraction_oracle_on_tight_sets(kind):
             verts = _polytope_objects(kind, m, n).vertices
             for s in _subsets(d):
                 tight = [v for v in verts if sum(v[i - 1] for i in s) == z_fn(s, m, n)]
-                assert _affine_rank(tight) == _affine_rank_oracle(tight), (m, n, s)
+                rank = _affine_rank_oracle(tight)
+                assert _affine_rank(tight) == rank, (m, n, s)
+                # a proper J's tight points lie on two hyperplanes: the cap is never hit
+                assert len(s) == d or rank <= d - 2
+                for cap in range(d):
+                    assert _affine_rank(iter(tight), cap) == min(rank, cap), (m, n, s, cap)
 
 
 def test_affine_rank_matches_fraction_oracle_on_random_points():
@@ -380,7 +386,10 @@ def test_affine_rank_matches_fraction_oracle_on_random_points():
             else:  # on the line through two pool points
                 t = rng.randint(-3, 3)
                 points.append(tuple(x + t * (y - x) for x, y in zip(a, b)))
-        assert _affine_rank(points) == _affine_rank_oracle(points), points
+        rank = _affine_rank_oracle(points)
+        assert _affine_rank(points) == rank, points
+        for cap in range(dim + 1):
+            assert _affine_rank(iter(points), cap) == min(rank, cap), (points, cap)
 
 
 def test_certification_report_is_read_only():
@@ -498,6 +507,7 @@ def test_a_corrupted_vertex_fails_as_the_per_pair_route_fails(monkeypatch, kind,
         return tuple(v)
 
     monkeypatch.setattr(geometry, name, corrupted)
+    caps = _rank_caps(monkeypatch)
     _polytope_objects.cache_clear()
     try:
         poly = _polytope_objects(kind, m, n)
@@ -505,8 +515,272 @@ def test_a_corrupted_vertex_fails_as_the_per_pair_route_fails(monkeypatch, kind,
         report = certify_polytope.__wrapped__(kind, m, n)
         assert not report.passed
         assert (dict(report.checks), report.counterexample) == _per_pair(kind, m, n, poly)
+        # a vertex off the hyperplane leaves every facet rank uncapped
+        on_plane = sum(shift for _, shift in move) == 0
+        assert set(caps) == {m + n - 2 if on_plane else None}
     finally:
         _polytope_objects.cache_clear()
+
+
+def _rank_caps(monkeypatch):
+    """The cap of every `_affine_rank` call the certificate makes from now on."""
+    caps = []
+    rank = geometry._affine_rank
+
+    def spy(points, cap=None):
+        caps.append(cap)
+        return rank(points, cap)
+
+    monkeypatch.setattr(geometry, "_affine_rank", spy)
+    return caps
+
+
+# -- each fast check on a corrupted fixture, against the per-pair oracle ------------
+
+FIXTURE_CELLS = [(1, 2), (0, 3), (2, 2), (1, 3), (3, 1), (0, 4), (2, 3)]
+
+
+def _failure_logs(monkeypatch):
+    """Every ledger the certificate and the oracle build from now on, each
+    a `FailureLog`, so that every failed record can be compared."""
+    logs = []
+
+    class Logged(FailureLog):
+        def __init__(self):
+            super().__init__()
+            logs.append(self)
+
+    monkeypatch.setattr(geometry, "Ledger", Logged)
+    monkeypatch.setattr(oracles, "Ledger", Logged)
+    return logs
+
+
+def _both_on(monkeypatch, kind, m, n, stand_in):
+    """The certificate and the oracle on a stand-in record of the cell, with
+    every failed record of each."""
+    every_record = geometry._polytope_objects
+    monkeypatch.setattr(
+        geometry,
+        "_polytope_objects",
+        lambda k, mm, nn: stand_in if (k, mm, nn) == (kind, m, n) else every_record(k, mm, nn),
+    )
+    logs = _failure_logs(monkeypatch)
+    report = certify_polytope.__wrapped__(kind, m, n)
+    assert (dict(report.checks), report.counterexample) == _per_pair(kind, m, n, stand_in)
+    certificate, oracle = logs
+    return report, certificate.failures, oracle.failures
+
+
+def _replaced(real, **fields):
+    """A copy of a record with some fields, or its cached facets, replaced."""
+    cached = {key: fields.pop(key) for key in ("facet_objects", "facets") if key in fields}
+    stand_in = dataclasses.replace(real, **fields)
+    vars(stand_in).update({"facet_objects": real.facet_objects, "facets": real.facets, **cached})
+    return stand_in
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", FIXTURE_CELLS)
+def test_a_relation_added_to_a_facet_preposet_fails_the_incidence(monkeypatch, kind, mn):
+    # i below j added for the first pair the facet preposet lacks, closed by
+    # ORing row j into every row at or below i
+    m, n = mn
+    real = _polytope_objects(kind, m, n)
+    for f in sorted({0, len(real.facets) // 2, len(real.facets) - 1}):
+        fo = real.facet_objects[f]
+        rows = fo.preposet.rows
+        d = len(rows)
+        i, j = next((i, j) for i in range(d) for j in range(d) if not rows[i] >> j & 1)
+        extra = Preposet(d, tuple(row | rows[j] if row >> i & 1 else row for row in rows))
+        stand = SimpleNamespace(preposet=extra, canonical=fo.canonical)
+        objs = real.facet_objects[:f] + (stand,) + real.facet_objects[f + 1:]
+        report, failures, oracle = _both_on(monkeypatch, kind, m, n, _replaced(real, facet_objects=objs))
+        assert report.counterexample.startswith("incidence_iff_refinement: "), (mn, f)
+        assert failures == oracle
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", FIXTURE_CELLS)
+def test_a_vertex_below_a_facet_on_the_hyperplane_fails_as_the_scan_fails(monkeypatch, kind, mn):
+    # one unit moves from a coordinate in a tight facet's support to one
+    # outside it: the vertex stays on the hyperplane, below that facet
+    m, n = mn
+    d = m + n
+    name = "vertex_of_painted_tree" if kind == "multiplihedron" else "vertex_of_lighted_shade"
+    true_vertex = getattr(geometry, name)
+    real = _polytope_objects(kind, m, n)
+    k = len(real.vertices) // 2
+    target = real.rotation.elements[k]
+    f = next(f for f in real.facets if real.sums[f.support][k] == f.rhs)
+    i, j = min(f.support), min(set(range(1, d + 1)) - f.support)
+
+    def corrupted(obj):
+        v = list(true_vertex(obj))
+        if obj == target:
+            v[i - 1] -= 1
+            v[j - 1] += 1
+        return tuple(v)
+
+    monkeypatch.setattr(geometry, name, corrupted)
+    caps = _rank_caps(monkeypatch)
+    _polytope_objects.cache_clear()
+    try:
+        report, failures, oracle = _both_on(monkeypatch, kind, m, n, _polytope_objects(kind, m, n))
+        assert not report.checks["halfspaces_satisfied"] and report.checks["vertices_on_hyperplane"]
+        assert failures == oracle
+        assert set(caps) == {d - 2}
+    finally:
+        _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", FIXTURE_CELLS)
+def test_a_z_off_supermodular_reports_the_first_pair_of_the_scan(monkeypatch, kind, mn):
+    # z raised on {1, d} by more than any vertex sum, through the family's
+    # z, which the record and the oracle both read
+    m, n = mn
+    d = m + n
+    name = "z_multiplihedron" if kind == "multiplihedron" else "z_hochschild"
+    true_z = getattr(geometry, name)
+    raised = frozenset({1, d})
+    lift = comb(d + 1, 2) + 1
+    monkeypatch.setattr(
+        geometry, name, lambda s, m, n: true_z(s, m, n) + lift * (frozenset(s) == raised)
+    )
+    _polytope_objects.cache_clear()
+    try:
+        poly = _polytope_objects(kind, m, n)
+        z = {**poly.z, frozenset(): 0}
+        first = next(
+            (s, t) for s in poly.z for t in poly.z if z[s] + z[t] > z[s | t] + z[s & t]
+        )
+        report, failures, oracle = _both_on(monkeypatch, kind, m, n, poly)
+        assert not report.checks["z_supermodular"]
+        detail = f"I={sorted(first[0])}, J={sorted(first[1])}"
+        assert [f for f in failures if f[0] == "z_supermodular"] == [("z_supermodular", detail)]
+        assert failures == oracle
+    finally:
+        _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", FIXTURE_CELLS)
+def test_a_facet_above_every_vertex_fails_as_the_scan_fails(monkeypatch, kind, mn):
+    # a stand-in facet one above the largest vertex sum on its support, whose
+    # preposet holds no relation: no vertex is tight on it or inside it, so
+    # only the halfspace check can see it
+    m, n = mn
+    real = _polytope_objects(kind, m, n)
+    f = len(real.facets) // 2
+    support = real.facets[f].support
+    above = Halfspace(support, max(real.sums[support]) + 1)
+    empty = SimpleNamespace(
+        preposet=Preposet(m + n, (0,) * (m + n)), canonical=real.facet_objects[f].canonical
+    )
+    stand_in = _replaced(
+        real,
+        facet_objects=real.facet_objects[:f] + (empty,) + real.facet_objects[f + 1:],
+        facets=real.facets[:f] + (above,) + real.facets[f + 1:],
+    )
+    report, failures, oracle = _both_on(monkeypatch, kind, m, n, stand_in)
+    assert report.counterexample == f"halfspaces_satisfied: {real.vertices[0]} violates {above}"
+    assert report.checks["incidence_iff_refinement"]
+    assert failures == oracle
+    _polytope_objects.cache_clear()
+
+
+def _two_step_covers(rot):
+    """The first pair (lo, hi) two covers apart whose preposets differ in two
+    inverted pairs, and none back: not a cover, so not a single flip."""
+    up = {}
+    for lo, hi in rot.covers:
+        up.setdefault(lo, []).append(hi)
+    pres = [o.preposet for o in rot.elements]
+    return next(
+        (lo, top)
+        for lo, his in sorted(up.items())
+        for hi in his
+        for top in up.get(hi, [])
+        if len(inverted_pairs(pres[lo], pres[top])) == 2 and not inverted_pairs(pres[top], pres[lo])
+    )
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", FIXTURE_CELLS)
+@pytest.mark.parametrize("reverse", [False, True], ids=["two_flips", "reversed"])
+def test_a_cover_off_a_single_flip_fails_as_the_scan_fails(monkeypatch, kind, mn, reverse):
+    # a stand-in cover two rotations long, or a true cover turned round
+    m, n = mn
+    real = _polytope_objects(kind, m, n)
+    rot = real.rotation
+    lo, hi = rot.covers[len(rot.covers) // 2][::-1] if reverse else _two_step_covers(rot)
+    covers = list(rot.covers) + [(lo, hi)]
+    stand_in = _replaced(real, rotation=SimpleNamespace(elements=rot.elements, covers=covers))
+    report, failures, oracle = _both_on(monkeypatch, kind, m, n, stand_in)
+    objs = rot.elements
+    detail = f"{objs[lo].canonical()} -> {objs[hi].canonical()}"
+    assert report.counterexample == f"edge_single_flip: {detail}"
+    assert failures == oracle
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_facet_preposet_on_another_ground_set_raises(monkeypatch, kind):
+    real = _polytope_objects(kind, 1, 2)
+    fo = real.facet_objects[0]
+    wide = SimpleNamespace(preposet=Preposet(4, fo.preposet.rows + (8,)), canonical=fo.canonical)
+    stand_in = _replaced(real, facet_objects=(wide,) + real.facet_objects[1:])
+    monkeypatch.setattr(geometry, "_polytope_objects", lambda k, m, n: stand_in)
+    with pytest.raises(ValueError, match="ground sets differ"):
+        certify_polytope.__wrapped__(kind, 1, 2)
+    with pytest.raises(ValueError, match="ground sets differ"):
+        _per_pair(kind, 1, 2, stand_in)
+    _polytope_objects.cache_clear()
+
+
+def test_the_bulk_helpers_match_their_per_value_routes():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        values = [rng.randrange(1 << rng.randint(0, 20)) for _ in range(rng.randint(0, 40))]
+        width = max(values, default=0).bit_length() + rng.randint(0, 9)
+        columns = geometry._bit_columns(values, width)
+        assert columns == [
+            sum(1 << k for k, v in enumerate(values) if v >> b & 1) for b in range(width)
+        ]
+        rhs = rng.choice(values + [-3, 0, 255, 256, 300]) if values else 7
+        digits = geometry._compared(values, rhs)
+        assert digits == b"".join(b"1" if v == rhs else b"2" if v < rhs else b"0" for v in values)
+        tight = sum(1 << k for k, v in enumerate(values) if v == rhs)
+        assert geometry._mask(digits.replace(b"2", b"0")) == tight
+    assert geometry._compared((-1, 5, 300), 5) == b"210"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
+def test_a_passing_certificate_calls_contains_only_to_fit_the_binary_cones(monkeypatch, kind, mn):
+    # the multiplihedron certificate makes no call; the Hochschild one makes
+    # at most one per binary painted tree, all from _binary_cones_fit
+    m, n = mn
+    binary = _polytope_objects("multiplihedron", m, n).rotation.elements
+    contains = _counting(monkeypatch, Preposet, "contains")
+    fitting = []
+    fit = geometry._binary_cones_fit
+
+    def counted_fit(*args):
+        before = len(contains)
+        try:
+            return fit(*args)
+        finally:
+            fitting.append(len(contains) - before)
+
+    monkeypatch.setattr(geometry, "_binary_cones_fit", counted_fit)
+    assert certify_polytope.__wrapped__(kind, m, n).passed
+    if kind == "multiplihedron":
+        assert contains == [] and fitting == []
+    else:
+        assert fitting == [len(contains)] and 0 < len(contains) <= len(binary)
+    _polytope_objects.cache_clear()
 
 
 def test_record_tables_are_read_only_and_minkowski_copies_z():
@@ -967,5 +1241,9 @@ def test_row_inverted_pairs_match_the_le_route_on_every_rotation_cover(kind):
                 pres = rot.elements[lo].preposet, rot.elements[hi].preposet
                 for a, b in (pres, pres[::-1]):
                     assert inverted_pairs(a, b) == le_inverted_pairs(a, b)
+                # the certificate's one pass: the cover's flip up, none down
+                (flip,) = inverted_pairs(*pres)
+                assert geometry._single_flip(*pres) == flip
+                assert geometry._single_flip(*pres[::-1]) is None
                 covers += 1
     assert covers == {"painted": 1375, "shade": 989}[kind]

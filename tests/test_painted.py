@@ -13,12 +13,14 @@ from hochschild_kit.painted import (
     enum_painted_trees,
     ordered_partitions,
 )
+from hochschild_kit import posets
 from hochschild_kit.series import surjection_count
 from hochschild_kit.shades import LightedShade
 
 from oracles import (
     class_pair_painted_preposet,
     frozenset_cuts,
+    inverted_pairs,
     left_comb,
     recursive_painted_shapes,
     right_comb,
@@ -143,14 +145,31 @@ def test_rotation_rejects_non_binary():
 
 
 def test_rotation_flips_exactly_one_inverted_pair():
-    from hochschild_kit.geometry import inverted_pairs
-
     for m, n in [(1, 2), (2, 1), (0, 4), (2, 2), (1, 3)]:
         for pt in binary_painted_trees(m, n):
             for succ in rotation_successors(pt):
                 flips = inverted_pairs(pt.preposet, succ.preposet)
                 back = inverted_pairs(succ.preposet, pt.preposet)
                 assert len(flips) == 1 and not back
+
+
+def test_the_labelings_of_a_shape_share_one_walk():
+    trees = binary_painted_trees(3, 2)
+    by_shape = {}
+    for pt in trees:
+        by_shape.setdefault(pt.tagged, []).append(pt)
+    assert all(len(pts) == 6 for pts in by_shape.values())
+    for shape, pts in by_shape.items():
+        # a later labeling read first builds the walk of the shape's first one
+        walks = [pt.walk for pt in reversed(pts)]
+        assert all(walk is walks[0] for walk in walks)
+        assert walks[0] == PaintedTree(3, 2, shape, pts[0].parts).walk
+        assert pts[0].__dict__["walk"] is walks[0]
+
+
+def test_the_rotation_order_reads_no_walk():
+    poset = posets.rotation_poset("painted", 3, 2)
+    assert poset.elements and not any("walk" in vars(pt) for pt in poset.elements)
 
 
 def test_canonical_json_round_trip():

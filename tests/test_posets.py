@@ -24,6 +24,7 @@ from hochschild_kit.shades import LightedShade, enum_lighted_shades, unary_light
 from hochschild_kit.shadow import shadow
 
 from oracles import (
+    inverted_pairs,
     key_sorted,
     rank_vector,
     rotation_successors,
@@ -319,8 +320,6 @@ def test_moves_match_the_key_sorted_oracle(m, n):
     # the moves come in generation order, each once.  Sorted by key, the
     # refinement moves are the lower covers of the containment order, and
     # the rotations are the polytope edges at a vertex that invert a pair
-    from hochschild_kit.geometry import inverted_pairs
-
     for kind in ("painted", "shade"):
         ref = containment_refinement_poset(kind, m, n)
         below = [[] for _ in range(ref.n)]

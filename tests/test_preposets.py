@@ -3,7 +3,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, strategies as st
 
-from hochschild_kit.geometry import inverted_pairs
+from hochschild_kit.geometry import _single_flip
 from hochschild_kit.painted import enum_painted_trees
 from hochschild_kit.posets import build_refinement_poset
 from hochschild_kit.preposets import Preposet
@@ -12,6 +12,7 @@ from hochschild_kit.shades import enum_lighted_shades
 from oracles import (
     closed_preposet,
     frozenset_class_hasse,
+    inverted_pairs,
     le_inverted_pairs,
     transitive_closure_pairs,
 )
@@ -250,3 +251,13 @@ def test_row_inverted_pairs_match_the_le_route(data):
     d, lo_pairs, hi_pairs = data
     lo, hi = closed_preposet(d, lo_pairs), closed_preposet(d, hi_pairs)
     assert inverted_pairs(lo, hi) == le_inverted_pairs(lo, hi)
+
+
+@given(st.integers(min_value=1, max_value=6).flatmap(
+    lambda d: st.tuples(st.just(d), pair_lists(d), pair_lists(d))
+))
+def test_the_single_flip_matches_the_inverted_pairs_both_ways(data):
+    d, lo_pairs, hi_pairs = data
+    lo, hi = closed_preposet(d, lo_pairs), closed_preposet(d, hi_pairs)
+    flips, back = inverted_pairs(lo, hi), inverted_pairs(hi, lo)
+    assert _single_flip(lo, hi) == (flips[0] if len(flips) == 1 and not back else None)
