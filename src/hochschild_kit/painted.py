@@ -13,26 +13,28 @@ node-id form of the JSON documents (nested tuples, each cut its ascending
 preorder node ids) is a view of it computed on read, by one preorder walk
 over the tagged tree; ``PaintedTree.from_cuts`` converts back.
 
-Shapes are generated bottom-up one cut layer at a time (none when m = 0).
-Each layer boundary gets one interval table, `_tree_table`: the plane trees
-with no unary node over every interval of the boundary, filled by length and
-kept by their count of uncut internal nodes, so each subtree is built once.
-A forest is a product over one split of the table, and the next cut layer
-one split of the forest's roots.  The one rank rule, `shape_rank`, is
+Shapes come from one grammar read top down (with no cut when m = 0).
+T(j, L, f), `_shape_trees`, is the set of tagged trees over L leaves with f
+uncut internal nodes in which every root-to-leaf path crosses the cuts
+j - 1, ..., 0: a leaf, a node on cut j - 1 over trees of T(j - 1), or an
+uncut node over at least two trees of T(j).  T and the child sequences are
+memoised in one dict per enumeration, so each subtree is built once and the
+memo goes with the generator.  The one rank rule, `shape_rank`, is
 m + n - k minus the uncut internal nodes.  The ``rank`` property counts them
 on the tagged shape; the generator carries the count with each shape, so the
-enumerators read ranks without walking a shape, and a rank filter prunes
-inside the tables: a tree or forest whose count is over the rank's is
-dropped before anything is built on it.  The census in `tables` builds no
-shape: `_painted_shape_counts` sums the same grammar by count.
+enumerators read ranks without walking a shape, and a rank filter reads
+only T(k, n + 1, m + n - k - rank).  The census in `tables`
+builds no shape: `_painted_shape_counts` counts the shapes bottom-up, one
+cut layer at a time.
 
 The canonical order of painted trees compares the plane tree's shape
 (`_shape_key`), then the cuts, then the parts, each part a sorted tuple
 (`_parts_key`), bottom cut first.  The enumerators sort shapes, not trees.
 The shape half of that order (the shape of the plane tree and the cuts)
 determines the shape, and the cached `ordered_partitions` come in the
-order of the parts, so the shapes are sorted once and each one's labelings
-emitted in turn.  The enumerators hand the parts over as they are, through
+order of the parts, each block chosen among the subsets of the labels left
+(`_label_subsets`, which the shades read too), so the shapes are sorted
+once and each one's labelings emitted in turn.  The enumerators hand the parts over as they are, through
 the internal constructor ``PaintedTree._new``; the public constructor
 freezes every part again.
 
@@ -67,7 +69,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property, lru_cache
-from itertools import accumulate, combinations, product
+from itertools import accumulate, product
 import json
 from math import comb
 from operator import itemgetter
@@ -657,73 +659,57 @@ def rotation_covers(objs) -> list[tuple[int, int]]:
 # -- enumeration ------------------------------------------------------------
 
 
-def _splits(lo, hi, parts):
-    """The splits of [lo, hi) into ``parts`` consecutive nonempty blocks."""
-    for cuts in combinations(range(lo + 1, hi), parts - 1):
-        bounds = (lo, *cuts, hi)
-        yield tuple(zip(bounds, bounds[1:]))
+_LABEL_SETS = {0: frozenset()}  # label bitmask -> its one shared frozenset
 
 
-def _tree_table(items, binary, budget):
-    """The plane trees with no unary node over each interval items[lo:hi], by
-    their count of uncut internal nodes.
+@lru_cache(maxsize=None)
+def _label_subsets(left):
+    """The subsets of the labels in the bitmask ``left``, in the order of
+    their sorted tuples with the empty set first, each as (the subset, the
+    labels still left, how many).  Each subset is the one frozenset of
+    `_LABEL_SETS` for its labels: the parts of the painted trees and the
+    lights of the shades share them."""
+    labels = [x for x in range(1, left.bit_length() + 1) if left >> x - 1 & 1]
+    out = []
 
-    The table maps (lo, hi) to a dict from a count to the trees with that
-    many uncut internal nodes whose leaves are the (already tagged) items of
-    that interval; a single item is itself a tree, of count 0.  Intervals are
-    filled by length, a root over each split of an interval taking every
-    product of its blocks' trees, so each subtree is built once.  Trees of a
-    count over ``budget`` are dropped, and so never built on.
-    """
-    table = {(lo, lo + 1): {0: [item]} for lo, item in enumerate(items)}
-    for length in range(2, len(items) + 1):
-        for lo in range(len(items) - length + 1):
-            hi = lo + length
-            trees = {}
-            for arity in [2] if binary else range(2, length + 1):
-                for split in _splits(lo, hi, arity):
-                    blocks = [table[block] for block in split]
-                    for counts in product(*blocks):
-                        free = 1 + sum(counts)
-                        if free <= budget:
-                            trees.setdefault(free, []).extend(
-                                (None, children) for children in _pick(blocks, counts)
-                            )
-            table[lo, hi] = trees
-    return table
+    def rec(mask, start):
+        subset = _LABEL_SETS.setdefault(mask, frozenset(x for x in labels if mask >> x - 1 & 1))
+        rest = left & ~mask
+        out.append((subset, rest, rest.bit_count()))
+        for i in range(start, len(labels)):
+            rec(mask | 1 << labels[i] - 1, i + 1)
 
-
-def _pick(blocks, counts):
-    """Every choice of one tree per block, each of the given count."""
-    return product(*(block[count] for block, count in zip(blocks, counts)))
+    rec(0, 0)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def ordered_partitions(m, k):
     """Ordered partitions of {1, ..., m} into k nonempty blocks, as a shared
     tuple in canonical order: by the blocks as sorted tuples, bottom cut
-    first (`_parts_key`).  Equal blocks are one frozenset."""
-    if k == 0:
-        return ((),) if m == 0 else ()
-    out = []
-    shared = {}
+    first (`_parts_key`).
 
-    def rec(label, blocks):
-        if label > m:
-            if all(blocks):
-                out.append(tuple(shared.setdefault(tuple(b), frozenset(b)) for b in blocks))
-            return
-        remaining = m - label + 1
-        empty = sum(1 for b in blocks if not b)
-        if empty > remaining:
-            return
-        for b in blocks:
-            b.append(label)
-            rec(label + 1, blocks)
-            b.pop()
+    Block 0 is each nonempty subset of the labels left, in the order of
+    `_label_subsets`, that leaves a label for each block still to come, and
+    the rest is a partition of what it leaves, so the partitions come in
+    canonical order with no sort; the partitions of each (labels left,
+    blocks to come) are built once.  At k = m they are the m! permutations.
+    Equal blocks are one frozenset."""
+    memo = {}
 
-    rec(1, [[] for _ in range(k)])
-    return tuple(sorted(out, key=_parts_key))
+    def rec(left, k):
+        if k == 0:
+            return [()] if not left else []
+        if (left, k) not in memo:
+            memo[left, k] = [
+                (block, *tail)
+                for block, rest, count in _label_subsets(left)[1:]
+                if count >= k - 1
+                for tail in rec(rest, k - 1)
+            ]
+        return memo[left, k]
+
+    return tuple(rec((1 << m) - 1, k))
 
 
 def _painted_shapes(m, n, binary, rank=None):
@@ -731,50 +717,64 @@ def _painted_shapes(m, n, binary, rank=None):
     k cuts and ``free`` internal nodes on no cut, so of rank m + n - k - free
     (`shape_rank`).
 
-    With ``rank`` only the shapes of that rank are yielded: every tree and
-    forest with more uncut nodes than the rank allows is dropped inside the
-    tables, before anything is built on it.
+    A shape with k cuts is a tree of T(k, n + 1, free) (`_shape_trees`), so
+    with ``rank`` only free = m + n - k - rank is read.  The memo of the
+    grammar is local to the call: each subtree is built once per
+    enumeration, and nothing outlives it.
     """
     if m + n == 0:
         return
-    k_range = [m] if binary or m == 0 else range(1, m + 1)
-    for k in k_range:
-        budget = m + n - k - (rank or 0)
-        if budget < 0:
-            continue
-        for shape, free in _stack_layers([LEAF] * (n + 1), 0, k, binary, 0, budget):
-            if rank is None or free == budget:
+    memo = {}
+    for k in [m] if binary or m == 0 else range(1, m + 1):
+        for free in range(n + 1) if rank is None else [m + n - k - rank]:
+            for shape in _shape_trees(memo, binary, k, n + 1, free):
                 yield shape, k, free
 
 
-def _stack_layers(boundary, level, k, binary, free, budget):
-    """Grow forests and cut layers bottom-up; yields each final tagged root
-    with its count of uncut internal nodes.
+def _shape_trees(memo, binary, j, leaves, free):
+    """T(j, leaves, free): the tagged trees over ``leaves`` leaves with
+    ``free`` uncut internal nodes in which every root-to-leaf path crosses
+    the j cuts j - 1, ..., 0, top down.
 
-    ``free`` counts the uncut nodes below the boundary.  A forest is a
-    product over one split of the boundary's tree table, and a cut layer one
-    split of the forest's roots into consecutive groups, one group per cut
-    node (each root alone when ``binary``).  A forest that takes the count
-    over ``budget`` is dropped.
+    Such a tree is a leaf (j = 0, one leaf, free = 0), a node on cut j - 1
+    over r >= 1 trees of T(j - 1), or an uncut node over r >= 2 trees of
+    T(j); with ``binary`` r is 1 and 2.  Each tree is one such choice, so
+    none comes twice, and ``memo`` keeps every list it builds.
     """
-    table = _tree_table(boundary, binary, budget - free)
-    if level == k:
-        for count, trees in table[0, len(boundary)].items():
-            for tree in trees:
-                yield tree, free + count
-        return
-    for roots in range(1, len(boundary) + 1):
-        for split in _splits(0, len(boundary), roots):
-            blocks = [table[block] for block in split]
-            for counts in product(*blocks):
-                below = free + sum(counts)
-                if below > budget:
-                    continue
-                for forest in _pick(blocks, counts):
-                    for groups in [roots] if binary else range(1, roots + 1):
-                        for cut in _splits(0, roots, groups):
-                            layer = [(level, forest[lo:hi]) for lo, hi in cut]
-                            yield from _stack_layers(layer, level + 1, k, binary, below, budget)
+    key = j, leaves, free
+    trees = memo.get(key)
+    if trees is None:
+        trees = [LEAF] if key == (0, 1, 0) else []
+        if j:
+            for r in [1] if binary else range(1, leaves + 1):
+                trees += [(j - 1, row) for row in _shape_rows(memo, binary, j - 1, leaves, free, r)]
+        if free:
+            for r in [2] if binary else range(2, leaves + 1):
+                trees += [(None, row) for row in _shape_rows(memo, binary, j, leaves, free - 1, r)]
+        memo[key] = trees
+    return trees
+
+
+def _shape_rows(memo, binary, j, leaves, free, r):
+    """The sequences of r trees of T(j) (`_shape_trees`) over ``leaves``
+    leaves and with ``free`` uncut nodes in all: the children of one node."""
+    key = j, leaves, free, r
+    rows = memo.get(key)
+    if rows is None:
+        if r == 1:
+            rows = [(tree,) for tree in _shape_trees(memo, binary, j, leaves, free)]
+        else:
+            rows = [
+                (tree, *rest)
+                for first in range(1, leaves - r + 2)
+                for own in range(min(free, first - 1) + 1)
+                for tree, rest in product(
+                    _shape_trees(memo, binary, j, first, own),
+                    _shape_rows(memo, binary, j, leaves - first, free - own, r - 1),
+                )
+            ]
+        memo[key] = rows
+    return rows
 
 
 def _painted_shape_counts(m, n):
@@ -782,7 +782,7 @@ def _painted_shape_counts(m, n):
     with none built: a Counter from (k, free) to the number of shapes with k
     cuts (none when m = 0) and ``free`` uncut internal nodes.
 
-    It sums the grammar of `_stack_layers` by count.  A shape is one sequence
+    It counts the shapes bottom-up, building none.  A shape is one sequence
     of choices, bottom cut first: a forest of r consecutive trees over the
     boundary, a grouping of its r roots into the g nodes of the cut, which
     are the next boundary, and at the top one tree over the last boundary.

@@ -15,10 +15,11 @@ every rank position by position, already in canonical order (the
 lexicographic order of the entries, each light set read as a sorted tuple),
 so nothing is sorted; a rank filter prunes each position by the same rule,
 and rank 0 gives the unary shades.  The shades share their light sets: one
-frozenset per set of labels, the empty one `_UNLIT`.  The generator and the
-shadow map hand their entries over as they are, through the internal
-constructor ``LightedShade._new``; the public constructor normalises every
-entry again.
+frozenset per set of labels, the empty one `_UNLIT`, from the table of
+label subsets that `painted.ordered_partitions` reads too.  The generator
+and the shadow map hand their entries over as they are, through the
+internal constructor ``LightedShade._new``; the public constructor
+normalises every entry again.
 
 The refinement moves build their results as shades, in generation order.
 The rotation moves build none: `rotation_covers` reads a unary shade as its
@@ -37,15 +38,17 @@ import json
 from types import MappingProxyType
 
 from .painted import (
+    _LABEL_SETS,
     _check_params,
     _json_array,
     _json_fields,
     _json_int_set,
     _json_ints,
+    _label_subsets,
 )
 from .preposets import Preposet
 
-_UNLIT = frozenset()  # the light set of every unlit position
+_UNLIT = _LABEL_SETS[0]  # the light set of every unlit position
 
 
 class LightedShade:
@@ -274,29 +277,6 @@ def _tuples_upto(s):
     )
 
 
-_LIGHT_SETS = {0: _UNLIT}  # label bitmask -> its one shared light set
-
-
-@lru_cache(maxsize=None)
-def _light_subsets(left):
-    """The subsets of the labels in the bitmask ``left``, in the order of
-    their sorted tuples with the empty set first, each as (light set, the
-    labels still left, how many).  Each light set is the one frozenset of
-    `_LIGHT_SETS` for its labels."""
-    labels = [x for x in range(1, left.bit_length() + 1) if left >> x - 1 & 1]
-    out = []
-
-    def rec(mask, start):
-        lights = _LIGHT_SETS.setdefault(mask, frozenset(x for x in labels if mask >> x - 1 & 1))
-        rest = left & ~mask
-        out.append((lights, rest, rest.bit_count()))
-        for i in range(start, len(labels)):
-            rec(mask | 1 << labels[i] - 1, i + 1)
-
-    rec(0, 0)
-    return tuple(out)
-
-
 def _tuple_sequences(n, max_empty):
     """Sequences of tuples (each possibly empty) with total sum n.
 
@@ -344,7 +324,7 @@ def _shades(m, n, rank=None):
             yield LightedShade._new(m, n, entries)
         for vals, used, step in _tuples_upto(left):
             rest, later = left - used, None if need is None else need - step
-            for lights, after, count in _light_subsets(labels):
+            for lights, after, count in _label_subsets(labels):
                 if (vals or lights) and (need is None or _reachable(later, rest, count)):
                     yield from walk(rest, after, later, entries + ((vals, lights),))
 

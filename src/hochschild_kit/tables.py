@@ -22,8 +22,8 @@ shape with k cuts stands for surjection_count(m, k) labeled trees (the count
 the closed forms use as well), and every tuple sequence of a shade for its
 number of light distributions, binned by the one rank rule of its family
 (`painted.shape_rank`, `shades.sequence_rank`).  The painted shapes are
-counted too, not built: `painted._painted_shape_counts` sums the grammar of
-the shape tables by count, per number of cuts and of uncut nodes.  The
+counted too, not built: `painted._painted_shape_counts` counts them one cut
+layer at a time, per number of cuts and of uncut nodes.  The
 labeled census that generates every object, and the walk over every painted
 shape, stay in the tests as the oracles of these histograms.  One binary and
 one unary pass over a representative of each orbit of label permutations

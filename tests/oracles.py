@@ -3,7 +3,7 @@ compared with."""
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 from hochschild_kit.geometry import (
@@ -21,6 +21,7 @@ from hochschild_kit.painted import (
     _join_cuts,
     _painted_shapes,
     _painted_trees,
+    _parts_key,
     _rewrites,
     _rotate_right,
     _shape_key,
@@ -779,6 +780,115 @@ def _cut_groupings(forest, level, binary):
 
     yield from rec(0)
 
+
+
+# -- painted shapes by interval tables --------------------------------------
+#
+# The route `painted._painted_shapes` took before its top-down grammar: shapes
+# grow bottom-up one cut layer at a time, and each layer boundary gets a
+# fresh interval table of plane trees, so one subtree is rebuilt once per
+# boundary.  A rank filter prunes by a budget of uncut nodes.
+
+
+def interval_table_painted_shapes(m, n, binary, rank=None):
+    """Tagged shapes as (shape, k, free), like `painted._painted_shapes`."""
+    if m + n == 0:
+        return
+    k_range = [m] if binary or m == 0 else range(1, m + 1)
+    for k in k_range:
+        budget = m + n - k - (rank or 0)
+        if budget < 0:
+            continue
+        for shape, free in _table_layers([LEAF] * (n + 1), 0, k, binary, 0, budget):
+            if rank is None or free == budget:
+                yield shape, k, free
+
+
+def _splits(lo, hi, parts):
+    """The splits of [lo, hi) into ``parts`` consecutive nonempty blocks."""
+    for cuts in combinations(range(lo + 1, hi), parts - 1):
+        bounds = (lo, *cuts, hi)
+        yield tuple(zip(bounds, bounds[1:]))
+
+
+def _tree_table(items, binary, budget):
+    """The plane trees with no unary node over each interval items[lo:hi],
+    as a dict from (lo, hi) to a dict from a count of uncut internal nodes
+    to the trees with that many; counts over ``budget`` are dropped."""
+    table = {(lo, lo + 1): {0: [item]} for lo, item in enumerate(items)}
+    for length in range(2, len(items) + 1):
+        for lo in range(len(items) - length + 1):
+            hi = lo + length
+            trees = {}
+            for arity in [2] if binary else range(2, length + 1):
+                for split in _splits(lo, hi, arity):
+                    blocks = [table[block] for block in split]
+                    for counts in product(*blocks):
+                        free = 1 + sum(counts)
+                        if free <= budget:
+                            trees.setdefault(free, []).extend(
+                                (None, children) for children in _pick(blocks, counts)
+                            )
+            table[lo, hi] = trees
+    return table
+
+
+def _pick(blocks, counts):
+    """Every choice of one tree per block, each of the given count."""
+    return product(*(block[count] for block, count in zip(blocks, counts)))
+
+
+def _table_layers(boundary, level, k, binary, free, budget):
+    """Grow forests and cut layers bottom-up over one interval table per
+    boundary; yields each final tagged root with its count of uncut nodes."""
+    table = _tree_table(boundary, binary, budget - free)
+    if level == k:
+        for count, trees in table[0, len(boundary)].items():
+            for tree in trees:
+                yield tree, free + count
+        return
+    for roots in range(1, len(boundary) + 1):
+        for split in _splits(0, len(boundary), roots):
+            blocks = [table[block] for block in split]
+            for counts in product(*blocks):
+                below = free + sum(counts)
+                if below > budget:
+                    continue
+                for forest in _pick(blocks, counts):
+                    for groups in [roots] if binary else range(1, roots + 1):
+                        for cut in _splits(0, roots, groups):
+                            layer = [(level, forest[lo:hi]) for lo, hi in cut]
+                            yield from _table_layers(layer, level + 1, k, binary, below, budget)
+
+
+# -- ordered partitions by assigning labels and sorting ---------------------
+#
+# The route `painted.ordered_partitions` took before it chose each block
+# among the subsets of the labels left: every label goes to every block, and
+# the partitions are sorted by their key.
+
+
+def sorted_ordered_partitions(m, k):
+    """Ordered partitions of {1, ..., m} into k nonempty blocks, in
+    canonical order, as tuples of frozensets."""
+    if k == 0:
+        return [()] if m == 0 else []
+    out = []
+
+    def rec(label, blocks):
+        if label > m:
+            if all(blocks):
+                out.append(tuple(frozenset(b) for b in blocks))
+            return
+        if sum(1 for b in blocks if not b) > m - label + 1:
+            return
+        for b in blocks:
+            b.append(label)
+            rec(label + 1, blocks)
+            b.pop()
+
+    rec(1, [[] for _ in range(k)])
+    return sorted(out, key=_parts_key)
 
 
 # -- the painted census by walking every shape ------------------------------

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import permutations
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from hochschild_kit.painted import (
     binary_painted_trees,
     enum_painted_trees,
     ordered_partitions,
+    shape_rank,
 )
 from hochschild_kit import posets
 from hochschild_kit.series import surjection_count
@@ -20,11 +22,13 @@ from hochschild_kit.shades import LightedShade
 from oracles import (
     class_pair_painted_preposet,
     frozenset_cuts,
+    interval_table_painted_shapes,
     inverted_pairs,
     left_comb,
     recursive_painted_shapes,
     right_comb,
     rotation_successors,
+    sorted_ordered_partitions,
     sorted_painted_json,
     sorted_painted_key,
 )
@@ -61,6 +65,15 @@ def test_ordered_partitions_come_in_key_order(m):
         assert len(keys) == surjection_count(m, k)
         blocks = [block for parts in ordered_partitions(m, k) for block in parts]
         assert len({id(block) for block in blocks}) == len(set(blocks))
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_ordered_partitions_match_the_sorting_oracle(m):
+    for k in range(m + 2):
+        assert list(ordered_partitions(m, k)) == sorted_ordered_partitions(m, k), k
+    # with one block per label they are the permutations, as singletons
+    perms = [tuple(next(iter(p)) for p in parts) for parts in ordered_partitions(m, m)]
+    assert perms == sorted(permutations(range(1, m + 1)))
 
 
 def test_rank_zero_filter_is_binary():
@@ -413,6 +426,21 @@ def test_json_readers_reject_malformed_containers(cls, obj):
 @pytest.mark.parametrize("binary", [False, True])
 @pytest.mark.parametrize("mn", [(m, s - m) for s in range(7) for m in range(s + 1)])
 def test_interval_table_shapes_match_the_recursive_oracle(mn, binary):
-    shapes = Counter((shape, k) for shape, k, _ in _painted_shapes(*mn, binary))
+    shapes = Counter((shape, k) for shape, k, _ in interval_table_painted_shapes(*mn, binary))
     assert shapes == Counter(recursive_painted_shapes(*mn, binary))
     assert set(shapes.values()) <= {1}
+
+
+@pytest.mark.parametrize("binary", [False, True])
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(8) for m in range(s + 1)])
+def test_grammar_shapes_match_both_oracles_at_every_rank(mn, binary):
+    m, n = mn
+    ranked = [(shape, k, shape_rank(m, n, shape, k))
+              for shape, k in recursive_painted_shapes(m, n, binary)]
+    for rank in [None, *range(m + n)]:
+        shapes = Counter(_painted_shapes(m, n, binary, rank))
+        assert set(shapes.values()) <= {1}
+        assert shapes == Counter(interval_table_painted_shapes(m, n, binary, rank)), rank
+        assert shapes == Counter(
+            (shape, k, m + n - k - r) for shape, k, r in ranked if rank in (None, r)
+        ), rank

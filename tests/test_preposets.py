@@ -243,6 +243,31 @@ def test_antisymmetry_and_linear_extensions_match_the_chains(data):
     assert p.linear_extension_count() == sum(1 for c in chains if c.contains(p))
 
 
+@pytest.mark.parametrize("d", range(6))
+def test_a_chain_counts_one_extension_with_no_down_set_pass(d):
+    for order in permutations(range(1, d + 1)):
+        p = Preposet.chain(d, order)
+        assert p.linear_extension_count() == 1
+        assert "down_rows" not in p.__dict__, order
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_a_chain_with_one_cover_dropped_or_made_mutual_goes_through_the_down_sets(d):
+    # dropping a cover x < y of a chain leaves it closed with two extensions;
+    # adding y <= x merges a class and leaves none
+    chains = [Preposet.chain(d, order) for order in permutations(range(1, d + 1))]
+    for order in permutations(range(1, d + 1)):
+        rows = list(Preposet.chain(d, order).rows)
+        for x, y in zip(order, order[1:]):
+            dropped = rows[:x - 1] + [rows[x - 1] & ~(1 << y - 1)] + rows[x:]
+            merged = rows[:y - 1] + [rows[x - 1]] + rows[y:]
+            for near, count in ((dropped, 2), (merged, 0)):
+                p = Preposet(d, tuple(near))
+                assert p.linear_extension_count() == count
+                assert count == sum(1 for c in chains if c.contains(p))
+                assert "down_rows" in p.__dict__, (order, x, y)
+
+
 @given(st.integers(min_value=1, max_value=6).flatmap(
     lambda d: st.tuples(st.just(d), pair_lists(d), pair_lists(d))
 ))

@@ -175,8 +175,8 @@ def _forbid_painted_shapes(monkeypatch):
         raise AssertionError("painted shapes built")
 
     for module, name in [
-        (painted, "_tree_table"),
-        (painted, "_stack_layers"),
+        (painted, "_shape_trees"),
+        (painted, "_shape_rows"),
         (painted, "_painted_shapes"),
         (tables, "_painted_shapes"),
     ]:
