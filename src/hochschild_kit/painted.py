@@ -596,15 +596,17 @@ def _shape_moves(shape):
 def _swap_table(m):
     """For each pair of adjacent cuts i, i + 1 of a binary m-painted tree,
     the index pairs (j, j') into `ordered_partitions(m, m)` of the
-    labelings with min(parts[i]) < min(parts[i + 1]) and of the same
-    labeling with parts i and i + 1 swapped: the label moves up the order."""
-    labelings = ordered_partitions(m, m)
-    index = {parts: j for j, parts in enumerate(labelings)}
+    labelings whose label on cut i is smaller than the one on cut i + 1 and
+    of the same labeling with those two labels swapped: the label moves up
+    the order."""
+    # every part is one label, so a labeling reads as its tuple of labels
+    orders = [tuple(label for (label,) in parts) for parts in ordered_partitions(m, m)]
+    index = {order: j for j, order in enumerate(orders)}
     return tuple(
         tuple(
-            (j, index[parts[:i] + (parts[i + 1], parts[i]) + parts[i + 2:]])
-            for j, parts in enumerate(labelings)
-            if min(parts[i]) < min(parts[i + 1])
+            (j, index[order[:i] + (order[i + 1], order[i]) + order[i + 2:]])
+            for j, order in enumerate(orders)
+            if order[i] < order[i + 1]
         )
         for i in range(m - 1)
     )

@@ -15,7 +15,9 @@ Two elements share a class exactly when their rows are equal.  `cover_pairs`
 is the one transitive reduction: `FinitePoset.from_leq` calls it on its rows,
 and a preposet calls it once on its rows cut down to one representative per
 class (a bitmask); that one pass serves `hasse_edges`, `hasse_is_forest` and
-the contractions.
+the contractions.  `relabel_canonically` renumbers the first m elements, the
+labels, in order of row size; the Hochschild face closure reads its label
+orbits through it.
 """
 
 from __future__ import annotations
@@ -29,6 +31,35 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def relabel_canonically(rows, m) -> tuple[int, ...]:
+    """The rows with the elements 1..m renumbered in order of (popcount of
+    the element's row, element), and the elements above m left in place.
+
+    The renumbering is a relabeling, so the result is an isomorphic
+    preposet, and its rows of 1..m have nondecreasing popcounts; so it is
+    its own canonical form, and the rows come back unchanged exactly when
+    their first m popcounts are already nondecreasing.
+    """
+    counts = [row.bit_count() for row in rows[:m]]
+    order = sorted(range(m), key=counts.__getitem__)
+    if order == list(range(m)):
+        return tuple(rows)
+    image = [0] * m  # the bit old element i + 1 moves to
+    for k, i in enumerate(order):
+        image[i] = 1 << k
+    low = (1 << m) - 1
+    relabeled = []
+    for row in [rows[i] for i in order] + list(rows[m:]):
+        moved = row & low
+        row ^= moved
+        while moved:  # `_bits` inline: this runs once per face of a cell
+            bit = moved & -moved
+            row |= image[bit.bit_length() - 1]
+            moved ^= bit
+        relabeled.append(row)
+    return tuple(relabeled)
 
 
 def cover_pairs(up_rows) -> list[tuple[int, int]]:

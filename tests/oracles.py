@@ -314,6 +314,39 @@ def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
             ledger.record("coarsening_witness", False, f"{name} lands in {hits} cones")
 
 
+def per_face_closure(objs, ledger):
+    """``cones_simplicial`` and ``fan_face_closure`` one face at a time over
+    every face of ``objs``, against the set of their rows: the scan that
+    `geometry._face_closure` runs on label-orbit representatives first."""
+    faces = {o.preposet.rows for o in objs}
+    ledger.record("cones_simplicial", True)
+    ledger.record("fan_face_closure", True)
+    for o in objs:
+        pre = o.preposet
+        if not pre.hasse_is_forest:
+            ledger.record("cones_simplicial", False, o.canonical())
+        for e in range(pre.hasse_edge_count):
+            if pre.contract_hasse_edge(e).rows not in faces:
+                ledger.record("fan_face_closure", False, f"{o.canonical()} edge {e}")
+
+
+def relabeled_rows(rows, sigma):
+    """The rows of a relation with each element i + 1 renamed sigma[i] + 1,
+    rebuilt pair by pair: i below j becomes sigma(i) below sigma(j)."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in range(len(rows)):
+            if row >> j & 1:
+                out[sigma[i]] |= 1 << sigma[j]
+    return tuple(out)
+
+
+def label_orbit(rows, m):
+    """Every relabeling of the rows by a permutation of the labels 1..m."""
+    rest = tuple(range(m, len(rows)))
+    return {relabeled_rows(rows, sigma + rest) for sigma in permutations(range(m))}
+
+
 def chamber_cones(poly):
     """The chamber labels of one `PolytopeObjects` record: for each permutation,
     in `permutations` order, the preposet of its greedy vertex, or None for
@@ -415,6 +448,21 @@ def successor_rotation_poset(kind, m, n) -> FinitePoset:
     an object, hashed back to its index by `FinitePoset.from_moves`."""
     objs = family(kind).vertices(m, n)
     return FinitePoset.from_moves(objs, ((o, r) for o in objs for r in rotation_successors(o)))
+
+
+def min_swap_table(m):
+    """`painted._swap_table` read with `min` on each part: the route that
+    compared two frozensets' least labels per labeling and pair."""
+    labelings = ordered_partitions(m, m)
+    index = {parts: j for j, parts in enumerate(labelings)}
+    return tuple(
+        tuple(
+            (j, index[parts[:i] + (parts[i + 1], parts[i]) + parts[i + 2:]])
+            for j, parts in enumerate(labelings)
+            if min(parts[i]) < min(parts[i + 1])
+        )
+        for i in range(m - 1)
+    )
 
 
 def count_constructions(monkeypatch, cls):

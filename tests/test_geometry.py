@@ -37,7 +37,7 @@ from hochschild_kit.geometry import (
 )
 from hochschild_kit.painted import PaintedTree, binary_painted_trees
 from hochschild_kit.posets import FinitePoset, build_rotation_poset
-from hochschild_kit.preposets import Preposet
+from hochschild_kit.preposets import Preposet, relabel_canonically
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
 
@@ -873,6 +873,194 @@ def test_a_diamond_cone_fails_simpliciality(monkeypatch):
     checks, failures = _fan_failures("hochschild", 1, 3, objs)
     assert not checks["cones_simplicial"] and checks["coarsening_witness"]
     assert [f for f in failures if f[0] == "cones_simplicial"] == [("cones_simplicial", "diamond")]
+
+
+# -- the face closure on label orbits -------------------------------------------------
+
+
+def _closure_both(objs, m):
+    """The face closure's flags and failures, the orbit route's and the
+    per-face scan's, which must be equal."""
+    route, scan = FailureLog(), FailureLog()
+    geometry._face_closure(objs, m, route)
+    oracles.per_face_closure(objs, scan)
+    assert (dict(route.verdicts()), route.failures) == (dict(scan.verdicts()), scan.failures)
+    return dict(route.verdicts()), route.failures
+
+
+@pytest.mark.parametrize("m, n", [(m, d - m) for d in range(1, 7) for m in range(d + 1)])
+def test_the_orbit_route_matches_the_per_face_scan(m, n):
+    checks, failures = _closure_both(shades.enum_lighted_shades(m, n), m)
+    assert all(checks.values()) and not failures
+
+
+@pytest.mark.parametrize("m, n", [(m, d - m) for d in range(2, 6) for m in range(2, d + 1)])
+def test_the_representatives_are_one_face_per_label_orbit(m, n):
+    objs = shades.enum_lighted_shades(m, n)
+    faces = {o.preposet.rows for o in objs}
+    reps = geometry._orbit_representatives(objs, m, faces)
+    orbits = [oracles.label_orbit(o.preposet.rows, m) for o in reps]
+    assert all(orbit <= faces for orbit in orbits)
+    assert sum(map(len, orbits)) == len(faces) == len(set().union(*orbits))
+
+
+def _is_canonical(o, m):
+    return relabel_canonically(o.preposet.rows, m) == o.preposet.rows
+
+
+def _rank_one_orbit_dropped(objs, m):
+    # every relabeling of the first canonical rank-1 face
+    rows = next(o.preposet.rows for o in objs if o.rank == 1 and _is_canonical(o, m))
+    orbit = oracles.label_orbit(rows, m)
+    assert len(orbit) > 1
+    return [o for o in objs if o.preposet.rows not in orbit]
+
+
+def _labeling_dropped(canonical):
+    # one face of rank 1 or more (a vertex is no contraction) in an orbit of
+    # two or more: a canonical one, or another
+    def corrupt(objs, m):
+        k = next(
+            k for k, o in enumerate(objs)
+            if o.rank and len(oracles.label_orbit(o.preposet.rows, m)) > 1
+            and _is_canonical(o, m) == canonical
+        )
+        return objs[:k] + objs[k + 1:]
+    return corrupt
+
+
+def _non_shade_added(pairs, name):
+    # one closed preposet on the cell's ground set that no shade has
+    def corrupt(objs, m):
+        d = objs[0].preposet.d
+        pre = closed_preposet(d, pairs)
+        assert pre.rows not in {o.preposet.rows for o in objs}
+        return objs + [SimpleNamespace(preposet=pre, canonical=lambda: name)]
+    return corrupt
+
+
+# labels 1 and 2 one class on top of a diamond: at m = 2 this is canonical
+# with weight 1, so adding it keeps both premises
+_MERGED_DIAMOND = [(1, 2), (2, 1), (3, 1), (4, 1), (5, 3), (5, 4)]
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 1)])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _labeling_dropped(canonical=False),
+        _labeling_dropped(canonical=True),
+        _rank_one_orbit_dropped,
+        # not canonical: label 1's row is longer than label 2's
+        _non_shade_added([(1, 2), (1, 3), (2, 4), (3, 4)], "diamond"),
+        # canonical at m <= 3, with distinct label rows: a weight above 1
+        _non_shade_added([(3, 1), (3, 2), (1, 4), (2, 4)], "diamond"),
+        _non_shade_added(_MERGED_DIAMOND, "merged diamond"),
+    ],
+    ids=["labeling", "canonical_labeling", "rank_one_orbit", "diamond",
+         "canonical_diamond", "merged_diamond"],
+)
+def test_a_corrupted_face_set_fails_as_the_per_face_scan_fails(m, n, corrupt):
+    objs = list(shades.enum_lighted_shades(m, n))
+    checks, failures = _closure_both(corrupt(objs, m), m)
+    assert failures and not all(checks.values())
+
+
+def _weights_balanced(objs, m):
+    # a canonical face C of rank 1 or more dropped, with w(C) - 1 other faces
+    # of a second orbit: the weights still sum to the face count, so only
+    # the lookup of each face's canonical form sees that C's orbit is cut
+    orbits = [(o, oracles.label_orbit(o.preposet.rows, m)) for o in objs if _is_canonical(o, m)]
+    first, orbit = next((o, orbit) for o, orbit in orbits if o.rank and len(orbit) > 1)
+    w = len(orbit)
+    second = next(orbit for o, orbit in orbits if o is not first and len(orbit) >= w)
+    gone = {first.preposet.rows, *sorted(second - {relabel_canonically(min(second), m)})[: w - 1]}
+    return [o for o in objs if o.preposet.rows not in gone]
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 1)])
+def test_balanced_weights_do_not_hide_a_cut_orbit(m, n):
+    bad = _weights_balanced(list(shades.enum_lighted_shades(m, n)), m)
+    faces = {o.preposet.rows for o in bad}
+    canonical = [o.preposet.rows for o in bad if _is_canonical(o, m)]
+    assert sum(len(oracles.label_orbit(rows, m)) for rows in canonical) == len(faces)
+    assert geometry._orbit_representatives(bad, m, faces) is None
+    checks, failures = _closure_both(bad, m)
+    assert failures and not all(checks.values())
+
+
+def test_a_face_set_closed_under_labels_fails_on_its_representative():
+    # the merged diamond keeps both premises, so only the Hasse pass on the
+    # representatives finds it, and the scan then reports it
+    corrupt = _non_shade_added(_MERGED_DIAMOND, "merged diamond")
+    bad = corrupt(list(shades.enum_lighted_shades(2, 3)), 2)
+    faces = {o.preposet.rows for o in bad}
+    reps = geometry._orbit_representatives(bad, 2, faces)
+    assert reps is not None and reps[-1] is bad[-1]
+    assert not geometry._closes(bad[-1].preposet, faces)
+    checks, failures = _closure_both(bad, 2)
+    assert ("cones_simplicial", "merged diamond") in failures
+
+
+@pytest.mark.parametrize(
+    "mn, passes", [((5, 0), 16), ((4, 1), 48), ((3, 2), 96), ((1, 4), 0), ((0, 5), 0)]
+)
+def test_a_passing_certificate_runs_the_hasse_pass_once_per_representative(monkeypatch, mn, passes):
+    # with m <= 1 the per-face scan runs as before, and no face is relabeled
+    calls = _counting(monkeypatch, geometry, "_closes")
+    relabels = _counting(monkeypatch, geometry, "relabel_canonically")
+    try:
+        assert certify_polytope.__wrapped__("hochschild", *mn).passed
+    finally:
+        _polytope_objects.cache_clear()
+    assert len(calls) == passes
+    assert (len(relabels) > 0) == (mn[0] >= 2)
+
+
+# -- the tight partition's down-sets and the facets' tight points ----------------------
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_chain_down_sets_are_the_down_rows(d):
+    for order in permutations(range(1, d + 1)):
+        pre = Preposet.chain(d, order)
+        assert geometry._chain_down_sets(pre.rows) == list(pre.down_rows), order
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", [(4, 0), (3, 1), (2, 2), (0, 4)])
+def test_the_tight_partition_reads_down_rows_only_off_non_chains(monkeypatch, kind, mn):
+    built = []
+    down_rows = Preposet.down_rows.func
+
+    def spy(self):
+        built.append(self)
+        return down_rows(self)
+
+    monkeypatch.setattr(Preposet, "down_rows", property(spy))
+    poly = _polytope_objects(kind, *mn)
+    cones = [o.preposet for o in poly.rotation.elements]
+    try:
+        assert geometry._tight_partition(poly, cones)
+    finally:
+        _polytope_objects.cache_clear()
+    # a non-chain's extension count reads its down-sets too; no chain's are built
+    built_ids = {id(p) for p in built}
+    chains = [p for p in cones if len(set(p.rows)) == p.d == len({r.bit_count() for r in p.rows})]
+    assert built_ids == {id(p) for p in cones} - {id(p) for p in chains}
+
+
+@pytest.mark.parametrize("stride", range(1, 12))
+def test_spread_reads_each_marked_item_once(stride):
+    rng = random.Random(stride)
+    items = [f"item {k}" for k in range(10)]
+    digits = bytes(rng.choice(b"012") for _ in items)
+    spread = list(geometry._spread(items, digits, stride))
+    marked = [item for item, digit in zip(items, digits) if digit == ord("1")]
+    assert sorted(spread) == sorted(marked) and len(spread) == len(marked)
+    # the first pass reads positions 0, stride, 2 * stride, ...
+    first = [item for item in marked if int(item.split()[1]) % stride == 0]
+    assert spread[: len(first)] == first
 
 
 # -- the coarsening witnesses on tight ideals ------------------------------------------

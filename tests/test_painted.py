@@ -10,6 +10,7 @@ from hochschild_kit.painted import (
     _painted_shapes,
     _parts_key,
     _shape_sort_key,
+    _swap_table,
     binary_painted_trees,
     enum_painted_trees,
     ordered_partitions,
@@ -25,6 +26,7 @@ from oracles import (
     interval_table_painted_shapes,
     inverted_pairs,
     left_comb,
+    min_swap_table,
     recursive_painted_shapes,
     right_comb,
     rotation_successors,
@@ -444,3 +446,9 @@ def test_grammar_shapes_match_both_oracles_at_every_rank(mn, binary):
         assert shapes == Counter(
             (shape, k, m + n - k - r) for shape, k, r in ranked if rank in (None, r)
         ), rank
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_swap_table_matches_the_min_route(m):
+    # each part of a binary tree is one label, read without `min`
+    assert _swap_table(m) == min_swap_table(m)

@@ -6,14 +6,16 @@ from hypothesis import given, strategies as st
 from hochschild_kit.geometry import _single_flip
 from hochschild_kit.painted import enum_painted_trees
 from hochschild_kit.posets import build_refinement_poset
-from hochschild_kit.preposets import Preposet
+from hochschild_kit.preposets import Preposet, _bits, relabel_canonically
 from hochschild_kit.shades import enum_lighted_shades
 
 from oracles import (
     closed_preposet,
     frozenset_class_hasse,
     inverted_pairs,
+    label_orbit,
     le_inverted_pairs,
+    relabeled_rows,
     transitive_closure_pairs,
 )
 
@@ -286,3 +288,57 @@ def test_the_single_flip_matches_the_inverted_pairs_both_ways(data):
     lo, hi = closed_preposet(d, lo_pairs), closed_preposet(d, hi_pairs)
     flips, back = inverted_pairs(lo, hi), inverted_pairs(hi, lo)
     assert _single_flip(lo, hi) == (flips[0] if len(flips) == 1 and not back else None)
+
+
+# -- the set-bit iterator and the canonical relabeling ------------------------------
+
+BIT_MASKS = [
+    0,
+    1,
+    1 << 24,
+    0b1011001,
+    (1 << 25) - 1,
+    1 << 699,
+    1 | 1 << 350 | 1 << 699,
+    sum(1 << b for b in range(0, 700, 97)),
+    (1 << 700) - 1,
+    (1 << 700) - 1 ^ 1 << 333,
+    int("10" * 350, 2),
+]
+
+
+@pytest.mark.parametrize("mask", BIT_MASKS, ids=lambda k: f"{k.bit_length()}b{k.bit_count()}")
+def test_bits_matches_a_range_scan(mask):
+    assert list(_bits(mask)) == [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
+def _relabeled_by_sort(rows, m):
+    """The rows relabeled pair by pair, labels sorted by (popcount, label)."""
+    order = sorted(range(m), key=lambda i: (rows[i].bit_count(), i))
+    sigma = [0] * len(rows)
+    for k, i in enumerate(order):
+        sigma[i] = k
+    sigma[m:] = range(m, len(rows))
+    return relabeled_rows(rows, sigma)
+
+
+@given(relations, st.integers(min_value=0, max_value=6))
+def test_canonical_relabeling_matches_the_pair_route(data, m):
+    d, pairs = data
+    m = min(m, d)
+    rows = closed_preposet(d, pairs).rows
+    canonical = relabel_canonically(rows, m)
+    assert canonical == _relabeled_by_sort(rows, m)
+    assert relabel_canonically(canonical, m) == canonical
+    counts = [row.bit_count() for row in rows[:m]]
+    assert (canonical == rows) == (counts == sorted(counts))
+
+
+@pytest.mark.parametrize("m, n", [(m, s - m) for s in range(2, 6) for m in range(2, s + 1)])
+def test_the_canonical_form_stays_in_the_label_orbit(m, n):
+    # the canonical form lies in the face's label orbit and is a fixed point
+    for ls in enum_lighted_shades(m, n):
+        rows = ls.preposet.rows
+        orbit = label_orbit(rows, m)
+        assert relabel_canonically(rows, m) in orbit
+        assert all(relabel_canonically(other, m) in orbit for other in orbit)
