@@ -54,43 +54,50 @@ the cap after far fewer points than the vertex order.  When a bulk
 predicate fails, that check runs its per-pair scan, so every verdict,
 message and first counterexample is the scan's.
 
-The Hochschild face closure runs once per orbit of the labels.  Its faces
-are the lighted shades, and their preposets must have forest Hasse diagrams
-whose edge contractions are again face preposets (Postnikov, Reiner and
-Williams, "Faces of generalized permutohedra", 2008).  S_m acts on a
-preposet on {1, ..., d} by renaming the labels 1..m.  A renaming is an
-isomorphism, so it maps Hasse diagrams to Hasse diagrams and commutes with
-contraction; on a set R of face preposets closed under S_m, a face passes
-iff every face of its orbit does.  `relabel_canonically` renumbers the
-labels in order of (popcount of the label's row, label), which keeps a face
-in its orbit and is idempotent; a face is canonical when it is left
-unchanged.  Labels with equal rows have equal columns by transitivity, so
-swapping them fixes the face, and a canonical face C has at most
-w(C) = m!/prod k_i! faces in its orbit, k_i the sizes of the classes of
-labels with equal rows.  If the canonical form of every face is in R, each
-orbit that meets R holds a canonical face of R, so |R| <= sum of w(C) over
-the canonical faces, with equality only when every such orbit lies whole in
-R: then R is closed under S_m.  So `_face_closure` checks both premises on
-every face, one relabeling and one lookup each, and runs the Hasse pass on
-the canonical faces alone: the symmetry reduction of Bremner, Dutour
-Sikirić and Schürmann ("Polyhedral representation conversion up to
-symmetries", 2009).  Hochschild (7,1) has 545,835 faces in 576 orbits.
-When a premise or a canonical face fails, every face is scanned, so every
-verdict and message is the scan's.
+The Hochschild face closure runs on one shade per orbit of the labels.
+Its faces are the lighted shades, and their preposets must have forest
+Hasse diagrams whose edge contractions are again face preposets
+(Postnikov, Reiner and Williams, "Faces of generalized permutohedra",
+2008).  S_m acts on the shades by renaming their labels 1..m, and on the
+preposets on {1, ..., d} by renaming the elements 1..m.
+`LightedShade.preposet` commutes with that action: a label's row is the
+prefix mask at its light's position, and the labels enter the masks only
+as a set.  A renaming is an isomorphism, so it maps Hasse diagrams to
+Hasse diagrams and commutes with contraction: a shade passes iff every
+shade of its orbit does.  `shades.canonical_shades` yields one shade per
+orbit, the one lit by consecutive label intervals from the top, with its
+orbit size m!/prod k_i!.  They are shades and S_m maps shades to shades,
+so their orbits hold shades only.  An orbit holds one interval shade, so
+representatives with distinct rows have disjoint orbits, and when the
+orbit sizes sum to the cell's shade count (the light-distribution census,
+`tables._shade_rank_histogram`, which builds no shade) the orbits are all
+of the shades.  A shade's label rows strictly
+grow down its positions, so `relabel_canonically`, which renumbers the
+labels by row size, maps a shade's preposet to that of the interval shade
+of its orbit, and a preposet whose canonical form is a representative's
+rows is a relabeling of it.  So a contraction is a face iff its canonical
+form is a representative's rows, and `_face_closure` checks the two
+premises and runs the Hasse pass on the representatives alone, with one
+relabeling per contraction and none with m <= 1, where every shade is its
+own representative: the symmetry reduction of Bremner, Dutour Sikirić and
+Schürmann ("Polyhedral representation conversion up to symmetries",
+2009).  No list of the cell is built: Hochschild (7,1) has 545,835 faces
+in 576 orbits.  When a premise or a representative fails, every face of
+``fam.enum(m, n)`` is scanned, so every verdict and message is the scan's.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations, repeat
-from math import comb, factorial, gcd, isqrt, prod
+from math import comb, factorial, gcd, isqrt
 from operator import add, and_, rshift
 from types import MappingProxyType
 
+from . import shades
 from .families import family
 from .ledger import Ledger
 from .painted import PaintedTree
@@ -803,7 +810,8 @@ def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
     close, every pair is counted, so each failure and its message come from
     the pairwise count: each braid chamber against the cones, after each
     binary painted cone for the Hochschild fan.  The Hochschild face
-    closure runs on label-orbit representatives (`_face_closure`).
+    closure runs on a stream of label-orbit representatives
+    (`_face_closure`).
     """
     d = m + n
     fam = family(kind)
@@ -811,7 +819,7 @@ def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
     cones = [o.preposet for o in vert_objs]
     tight = premises and _tight_partition(poly, cones)
     if fam.simple:
-        _face_closure(fam.enum(m, n), m, ledger)
+        _face_closure(m, n, ledger)
         binary = _polytope_objects("multiplihedron", m, n).rotation.elements
         fits = tight and _binary_cones_fit(poly, cones, binary)
         binaries = ((pt.canonical(), pt.preposet) for pt in binary)
@@ -828,24 +836,37 @@ def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
     return tight
 
 
-def _face_closure(objs, m, ledger) -> None:
-    """``cones_simplicial`` and ``fan_face_closure`` over the faces ``objs``:
-    every face preposet's Hasse diagram is a forest, and each contraction of
-    one of its Hasse edges is the preposet of a face.
+def _face_closure(m, n, ledger) -> None:
+    """``cones_simplicial`` and ``fan_face_closure`` of the Hochschild fan of
+    (m, n): every face preposet's Hasse diagram is a forest, and each
+    contraction of one of its Hasse edges is the preposet of a face.
 
-    With m >= 2 labels, the Hasse pass first runs on the faces that
-    `_orbit_representatives` returns, one per S_m orbit (see the module
-    docstring).  When a premise or one of those faces fails, or with
-    m <= 1, every face is checked, so each failure and its message come from
-    that scan.
+    Read off `shades.canonical_shades` alone (see the module docstring):
+    when the representatives' rows are distinct and their orbit sizes sum
+    to the cell's shade count, each representative runs the Hasse pass and
+    each contraction is looked up by its `relabel_canonically` form.  When
+    a premise or a representative fails, every face of ``fam.enum(m, n)``
+    is checked, so each failure and its message come from that scan.
     """
-    faces = {o.preposet.rows for o in objs}
+    fam = family("hochschild")
+    reps = list(shades.canonical_shades(m, n))
+    faces = {o.preposet.rows for o, _ in reps}
+    canonical = (lambda rows: relabel_canonically(rows, m)) if m >= 2 else (lambda rows: rows)
     ledger.record("cones_simplicial", True)
     ledger.record("fan_face_closure", True)
-    if m >= 2:
-        reps = _orbit_representatives(objs, m, faces)
-        if reps is not None and all(_closes(o.preposet, faces) for o in reps):
-            return
+    if (
+        len(faces) == len(reps)
+        and sum(size for _, size in reps) == sum(fam.rank_histogram(m, n))
+        and all(o.preposet.hasse_is_forest for o, _ in reps)
+        and all(
+            canonical(pre.contract_hasse_edge(e).rows) in faces
+            for pre in (o.preposet for o, _ in reps)
+            for e in range(pre.hasse_edge_count)
+        )
+    ):
+        return
+    objs = fam.enum(m, n)
+    faces = {o.preposet.rows for o in objs}
     for o in objs:
         pre = o.preposet
         if not pre.hasse_is_forest:
@@ -853,37 +874,6 @@ def _face_closure(objs, m, ledger) -> None:
         for e in range(pre.hasse_edge_count):
             if pre.contract_hasse_edge(e).rows not in faces:
                 ledger.record("fan_face_closure", False, f"{o.canonical()} edge {e}")
-
-
-def _orbit_representatives(objs, m, faces):
-    """The objects whose preposet rows are their own `relabel_canonically`
-    form, when that shows ``faces``, the set of the objects' rows, to be
-    closed under S_m; None otherwise.
-
-    The premises: the canonical form of every object's rows is in
-    ``faces``, and the weights m!/prod(k_i!) of the canonical objects sum to
-    ``len(faces)``, where the k_i are the sizes of the classes of labels
-    with equal rows.
-    """
-    whole = factorial(m)
-    reps, weight = [], 0
-    for o in objs:
-        rows = o.preposet.rows
-        canonical = relabel_canonically(rows, m)
-        if canonical == rows:
-            reps.append(o)
-            weight += whole // prod(map(factorial, Counter(rows[:m]).values()))
-        elif canonical not in faces:
-            return None
-    return reps if weight == len(faces) else None
-
-
-def _closes(pre: Preposet, faces) -> bool:
-    """True when the Hasse diagram of ``pre`` is a forest and the rows of each
-    of its Hasse-edge contractions are in ``faces``."""
-    return pre.hasse_is_forest and all(
-        pre.contract_hasse_edge(e).rows in faces for e in range(pre.hasse_edge_count)
-    )
 
 
 def _chamber_probes(d):

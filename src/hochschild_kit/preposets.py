@@ -16,8 +16,9 @@ is the one transitive reduction: `FinitePoset.from_leq` calls it on its rows,
 and a preposet calls it once on its rows cut down to one representative per
 class (a bitmask); that one pass serves `hasse_edges`, `hasse_is_forest` and
 the contractions.  `relabel_canonically` renumbers the first m elements, the
-labels, in order of row size; the Hochschild face closure reads its label
-orbits through it.
+labels, in order of row size; the Hochschild face closure calls it on the
+Hasse-edge contractions of its label-orbit representatives alone, to look
+each one up among the representatives' rows.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def relabel_canonically(rows, m) -> tuple[int, ...]:
     for row in [rows[i] for i in order] + list(rows[m:]):
         moved = row & low
         row ^= moved
-        while moved:  # `_bits` inline: this runs once per face of a cell
+        while moved:  # `_bits` inline: this runs once per contraction
             bit = moved & -moved
             row |= image[bit.bit_length() - 1]
             moved ^= bit

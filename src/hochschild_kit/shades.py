@@ -14,12 +14,15 @@ one position at a time.  One generator, `_shades`, builds the shades of
 every rank position by position, already in canonical order (the
 lexicographic order of the entries, each light set read as a sorted tuple),
 so nothing is sorted; a rank filter prunes each position by the same rule,
-and rank 0 gives the unary shades.  The shades share their light sets: one
-frozenset per set of labels, the empty one `_UNLIT`, from the table of
-label subsets that `painted.ordered_partitions` reads too.  The generator
-and the shadow map hand their entries over as they are, through the
-internal constructor ``LightedShade._new``; the public constructor
-normalises every entry again.
+and rank 0 gives the unary shades.  `canonical_shades` walks the same way
+with consecutive label intervals in place of the label subsets: one shade
+per orbit of the label permutations, with its orbit size, which the
+Hochschild face closure reads instead of the cell.  The shades share their
+light sets: one frozenset per set of labels, the empty one `_UNLIT`, from
+the table of label subsets that `painted.ordered_partitions` reads too.
+The generators and the shadow map hand their entries over as they are,
+through the internal constructor ``LightedShade._new``; the public
+constructor normalises every entry again.
 
 The refinement moves build their results as shades, in generation order.
 The rotation moves build none: `rotation_covers` reads a unary shade as its
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from functools import cached_property, lru_cache
 import json
+from math import factorial
 from types import MappingProxyType
 
 from .painted import (
@@ -341,6 +345,46 @@ def unary_lighted_shades(m, n) -> list[LightedShade]:
     """All unary (rank 0) m-lighted n-shades in canonical order."""
     _check_params(m, n)
     return list(_shades(m, n, 0))
+
+
+@lru_cache(maxsize=None)
+def _label_intervals(first, m):
+    """The intervals {first, ..., first + k - 1} of the labels first..m,
+    k = 0 first, each as (the interval, the first label after it, k!).  Each
+    interval is the one frozenset of `_LABEL_SETS` for its labels."""
+    out = []
+    for k in range(m - first + 2):
+        mask = (1 << k) - 1 << first - 1
+        lights = _LABEL_SETS.setdefault(mask, frozenset(range(first, first + k)))
+        out.append((lights, first + k, factorial(k)))
+    return tuple(out)
+
+
+def canonical_shades(m, n):
+    """One m-lighted n-shade per orbit of the label permutations, with the
+    size of its orbit: (shade, m!/prod k_i!), in canonical order.
+
+    S_m renames the labels and keeps the tuples, so an orbit is a tuple
+    sequence with k_i labels at its i-th position, and it has one shade
+    whose light sets, read top to bottom, are the consecutive intervals
+    {1..k_1}, {k_1+1..k_1+k_2}, ...; its other members light each position
+    with another k_i labels, m!/prod k_i! shades in all.  `_shades`' walk
+    with these intervals in place of the label subsets builds exactly those
+    shades.  Their label rows are prefix masks that strictly grow down the
+    positions, so the shade's preposet is its own `relabel_canonically`
+    form.
+    """
+    _check_params(m, n)
+
+    def walk(left, first, size, entries):
+        if not left and first > m:
+            yield LightedShade._new(m, n, entries), size
+        for vals, used, _ in _tuples_upto(left):
+            for lights, after, ways in _label_intervals(first, m):
+                if vals or lights:
+                    yield from walk(left - used, after, size // ways, entries + ((vals, lights),))
+
+    return walk(n, 1, factorial(m), ())
 
 
 # -- rotation covers -------------------------------------------------------------

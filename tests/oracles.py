@@ -4,7 +4,7 @@ compared with."""
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from hochschild_kit.geometry import (
     _affine_rank,
@@ -31,7 +31,7 @@ from hochschild_kit.painted import (
     shape_rank,
 )
 from hochschild_kit.posets import FinitePoset, MorphismCheckReport
-from hochschild_kit.preposets import Preposet, _bits, cover_pairs
+from hochschild_kit.preposets import Preposet, _bits, cover_pairs, relabel_canonically
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 from hochschild_kit.shades import LightedShade, _tuple_sequences, sequence_rank
 from hochschild_kit.shadow import shadow
@@ -317,7 +317,7 @@ def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
 def per_face_closure(objs, ledger):
     """``cones_simplicial`` and ``fan_face_closure`` one face at a time over
     every face of ``objs``, against the set of their rows: the scan that
-    `geometry._face_closure` runs on label-orbit representatives first."""
+    `geometry._face_closure` falls back to."""
     faces = {o.preposet.rows for o in objs}
     ledger.record("cones_simplicial", True)
     ledger.record("fan_face_closure", True)
@@ -328,6 +328,63 @@ def per_face_closure(objs, ledger):
         for e in range(pre.hasse_edge_count):
             if pre.contract_hasse_edge(e).rows not in faces:
                 ledger.record("fan_face_closure", False, f"{o.canonical()} edge {e}")
+
+
+def orbit_face_closure(objs, m, ledger):
+    """The face closure on label orbits found among every face of ``objs``:
+    with m >= 2 labels, when ``orbit_representatives`` proves the faces
+    closed under S_m and each representative `closes`, nothing fails;
+    otherwise (and with m <= 1) `per_face_closure` scans every face.  It
+    relabels every face, so it is the oracle of the stream that
+    `geometry._face_closure` reads instead."""
+    faces = {o.preposet.rows for o in objs}
+    if m >= 2:
+        reps = orbit_representatives(objs, m, faces)
+        if reps is not None and all(closes(o.preposet, faces) for o in reps):
+            ledger.record("cones_simplicial", True)
+            ledger.record("fan_face_closure", True)
+            return
+    per_face_closure(objs, ledger)
+
+
+def orbit_representatives(objs, m, faces):
+    """The objects whose preposet rows are their own `relabel_canonically`
+    form, when that shows ``faces``, the set of the objects' rows, to be
+    closed under S_m; None otherwise.
+
+    The premises: the canonical form of every object's rows is in
+    ``faces``, and the weights m!/prod(k_i!) of the canonical objects sum to
+    ``len(faces)``, where the k_i are the sizes of the classes of labels
+    with equal rows.  Labels with equal rows have equal columns, so each
+    weight bounds its orbit from above, and the equality forces every orbit
+    that meets ``faces`` to lie in it whole.
+    """
+    whole = factorial(m)
+    reps, weight = [], 0
+    for o in objs:
+        rows = o.preposet.rows
+        canonical = relabel_canonically(rows, m)
+        if canonical == rows:
+            reps.append(o)
+            weight += whole // prod(map(factorial, Counter(rows[:m]).values()))
+        elif canonical not in faces:
+            return None
+    return reps if weight == len(faces) else None
+
+
+def closes(pre: Preposet, faces) -> bool:
+    """True when the Hasse diagram of ``pre`` is a forest and the rows of each
+    of its Hasse-edge contractions are in ``faces``."""
+    return pre.hasse_is_forest and all(
+        pre.contract_hasse_edge(e).rows in faces for e in range(pre.hasse_edge_count)
+    )
+
+
+def relabeled_shade(ls, sigma) -> LightedShade:
+    """The shade with each label x renamed sigma[x - 1] + 1."""
+    return LightedShade(ls.m, ls.n, [
+        (vals, {sigma[x - 1] + 1 for x in lights}) for vals, lights in ls.entries
+    ])
 
 
 def relabeled_rows(rows, sigma):

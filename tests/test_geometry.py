@@ -12,6 +12,7 @@ import hochschild_kit.geometry as geometry
 import hochschild_kit.painted as painted
 import hochschild_kit.posets as posets
 import hochschild_kit.shades as shades
+import hochschild_kit.tables as tables
 from hochschild_kit.geometry import (
     Halfspace,
     _affine_rank,
@@ -844,10 +845,16 @@ def test_a_wrong_vertex_cone_set_fails_the_coarsening_witness(kind, corrupt, hit
 def test_missing_rank_one_shades_fail_the_face_closure(monkeypatch):
     objs = list(unary_lighted_shades(1, 2))
     every_shade = shades.enum_lighted_shades
+    every_orbit = shades.canonical_shades
     monkeypatch.setattr(
         shades,
         "enum_lighted_shades",
         lambda m, n, rank=None: [ls for ls in every_shade(m, n, rank) if ls.rank != 1],
+    )
+    monkeypatch.setattr(
+        shades,
+        "canonical_shades",
+        lambda m, n: [(ls, size) for ls, size in every_orbit(m, n) if ls.rank != 1],
     )
     checks, failures = _fan_failures("hochschild", 1, 2, objs)
     assert [name for name, ok in checks.items() if not ok] == ["fan_face_closure"]
@@ -867,8 +874,12 @@ def test_a_diamond_cone_fails_simpliciality(monkeypatch):
     )
     assert not diamond.preposet.hasse_is_forest
     every_shade = shades.enum_lighted_shades
+    every_orbit = shades.canonical_shades
     monkeypatch.setattr(
         shades, "enum_lighted_shades", lambda m, n, rank=None: every_shade(m, n, rank) + [diamond]
+    )
+    monkeypatch.setattr(
+        shades, "canonical_shades", lambda m, n: [*every_orbit(m, n), (diamond, 1)]
     )
     checks, failures = _fan_failures("hochschild", 1, 3, objs)
     assert not checks["cones_simplicial"] and checks["coarsening_witness"]
@@ -879,10 +890,21 @@ def test_a_diamond_cone_fails_simpliciality(monkeypatch):
 
 
 def _closure_both(objs, m):
-    """The face closure's flags and failures, the orbit route's and the
-    per-face scan's, which must be equal."""
+    """The face closure's flags and failures on the face list ``objs``, the
+    orbit oracle's and the per-face scan's, which must be equal."""
     route, scan = FailureLog(), FailureLog()
-    geometry._face_closure(objs, m, route)
+    oracles.orbit_face_closure(objs, m, route)
+    oracles.per_face_closure(objs, scan)
+    assert (dict(route.verdicts()), route.failures) == (dict(scan.verdicts()), scan.failures)
+    return dict(route.verdicts()), route.failures
+
+
+def _stream_against_scan(m, n, objs):
+    """The flags and failures of `geometry._face_closure` on (m, n), which
+    must equal the per-face scan's over ``objs``, the faces that
+    ``enum_lighted_shades(m, n)`` returns."""
+    route, scan = FailureLog(), FailureLog()
+    geometry._face_closure(m, n, route)
     oracles.per_face_closure(objs, scan)
     assert (dict(route.verdicts()), route.failures) == (dict(scan.verdicts()), scan.failures)
     return dict(route.verdicts()), route.failures
@@ -890,7 +912,7 @@ def _closure_both(objs, m):
 
 @pytest.mark.parametrize("m, n", [(m, d - m) for d in range(1, 7) for m in range(d + 1)])
 def test_the_orbit_route_matches_the_per_face_scan(m, n):
-    checks, failures = _closure_both(shades.enum_lighted_shades(m, n), m)
+    checks, failures = _stream_against_scan(m, n, shades.enum_lighted_shades(m, n))
     assert all(checks.values()) and not failures
 
 
@@ -898,10 +920,14 @@ def test_the_orbit_route_matches_the_per_face_scan(m, n):
 def test_the_representatives_are_one_face_per_label_orbit(m, n):
     objs = shades.enum_lighted_shades(m, n)
     faces = {o.preposet.rows for o in objs}
-    reps = geometry._orbit_representatives(objs, m, faces)
+    reps = oracles.orbit_representatives(objs, m, faces)
     orbits = [oracles.label_orbit(o.preposet.rows, m) for o in reps]
     assert all(orbit <= faces for orbit in orbits)
     assert sum(map(len, orbits)) == len(faces) == len(set().union(*orbits))
+    # the stream yields the same faces, with their orbit sizes
+    stream = list(shades.canonical_shades(m, n))
+    assert [o.preposet.rows for o in reps] == [o.preposet.rows for o, _ in stream]
+    assert list(map(len, orbits)) == [size for _, size in stream]
 
 
 def _is_canonical(o, m):
@@ -984,7 +1010,7 @@ def test_balanced_weights_do_not_hide_a_cut_orbit(m, n):
     faces = {o.preposet.rows for o in bad}
     canonical = [o.preposet.rows for o in bad if _is_canonical(o, m)]
     assert sum(len(oracles.label_orbit(rows, m)) for rows in canonical) == len(faces)
-    assert geometry._orbit_representatives(bad, m, faces) is None
+    assert oracles.orbit_representatives(bad, m, faces) is None
     checks, failures = _closure_both(bad, m)
     assert failures and not all(checks.values())
 
@@ -995,26 +1021,107 @@ def test_a_face_set_closed_under_labels_fails_on_its_representative():
     corrupt = _non_shade_added(_MERGED_DIAMOND, "merged diamond")
     bad = corrupt(list(shades.enum_lighted_shades(2, 3)), 2)
     faces = {o.preposet.rows for o in bad}
-    reps = geometry._orbit_representatives(bad, 2, faces)
+    reps = oracles.orbit_representatives(bad, 2, faces)
     assert reps is not None and reps[-1] is bad[-1]
-    assert not geometry._closes(bad[-1].preposet, faces)
+    assert not oracles.closes(bad[-1].preposet, faces)
     checks, failures = _closure_both(bad, 2)
     assert ("cones_simplicial", "merged diamond") in failures
 
 
+def _corrupted_cell(monkeypatch, stream, objs, extra):
+    """Make ``stream`` the orbit stream of every cell, ``objs`` its face list
+    and its shade count ``extra`` higher than the census."""
+    census = tables._shade_rank_histogram
+    monkeypatch.setattr(shades, "canonical_shades", lambda *mn: iter(stream))
+    monkeypatch.setattr(shades, "enum_lighted_shades", lambda *mn, rank=None: objs)
+    monkeypatch.setattr(tables, "_shade_rank_histogram", lambda *mn: (*census(*mn), extra))
+
+
+def _orbit_dropped(m, n, stream, objs):
+    # the first rank-1 representative leaves the stream and its orbit the
+    # face list, and the census still counts it
+    k = next(k for k, (o, _) in enumerate(stream) if o.rank == 1)
+    orbit = oracles.label_orbit(stream[k][0].preposet.rows, m)
+    return stream[:k] + stream[k + 1:], [o for o in objs if o.preposet.rows not in orbit], 0
+
+
+def _diamond(m, n, objs):
+    # a closed preposet on the cell's ground set that no shade has
+    diamond = SimpleNamespace(
+        preposet=closed_preposet(m + n, [(1, 2), (1, 3), (2, 4), (3, 4)]),
+        canonical=lambda: "diamond",
+    )
+    assert diamond.preposet.rows not in {o.preposet.rows for o in objs}
+    return diamond
+
+
+def _diamond_added(m, n, stream, objs):
+    # the diamond as its own representative, and counted: both premises
+    # hold, and the Hasse pass fails on it
+    diamond = _diamond(m, n, objs)
+    return stream + [(diamond, 1)], objs + [diamond], 1
+
+
+def _diamond_unstreamed(m, n, stream, objs):
+    # the diamond a face and counted, but not in the stream: only the
+    # count premise sees it
+    return stream, objs + [_diamond(m, n, objs)], 1
+
+
+def _representative_doubled(m, n, stream, objs):
+    # the diamond a face and counted, and a representative of orbit size 1
+    # streamed twice in its place: the sizes still sum to the count, so
+    # only the distinct-rows premise sees it
+    single = next(rep for rep in stream if rep[1] == 1)
+    return stream + [single], objs + [_diamond(m, n, objs)], 1
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 3), (3, 2), (4, 1)])
 @pytest.mark.parametrize(
-    "mn, passes", [((5, 0), 16), ((4, 1), 48), ((3, 2), 96), ((1, 4), 0), ((0, 5), 0)]
+    "corrupt",
+    [_orbit_dropped, _diamond_added, _diamond_unstreamed, _representative_doubled],
+    ids=["orbit_dropped", "diamond", "diamond_unstreamed", "representative_doubled"],
+)
+def test_a_corrupted_stream_fails_as_the_per_face_scan_fails(monkeypatch, m, n, corrupt):
+    stream, objs, extra = corrupt(
+        m, n, list(shades.canonical_shades(m, n)), shades.enum_lighted_shades(m, n)
+    )
+    _corrupted_cell(monkeypatch, stream, objs, extra)
+    checks, failures = _stream_against_scan(m, n, objs)
+    assert failures and not all(checks.values())
+    if corrupt is not _orbit_dropped:
+        assert ("cones_simplicial", "diamond") in failures
+
+
+@pytest.mark.parametrize(
+    "mn, passes", [((5, 0), 16), ((4, 1), 48), ((3, 2), 96), ((1, 4), 135), ((0, 5), 81)]
 )
 def test_a_passing_certificate_runs_the_hasse_pass_once_per_representative(monkeypatch, mn, passes):
-    # with m <= 1 the per-face scan runs as before, and no face is relabeled
-    calls = _counting(monkeypatch, geometry, "_closes")
+    # one Hasse pass per representative, one relabeling per contraction
+    # (none with m <= 1, where every face is its own representative), and no
+    # list of the whole cell
+    forest = Preposet.hasse_is_forest
+    hasse = []
+    monkeypatch.setattr(
+        Preposet, "hasse_is_forest", property(lambda pre: hasse.append(1) or forest.func(pre))
+    )
+    contractions = _counting(monkeypatch, Preposet, "contract_hasse_edge")
     relabels = _counting(monkeypatch, geometry, "relabel_canonically")
+    every_shade = shades.enum_lighted_shades
+    ranks = []
+    monkeypatch.setattr(
+        shades, "enum_lighted_shades",
+        lambda m, n, rank=None: ranks.append(rank) or every_shade(m, n, rank),
+    )
+    _polytope_objects.cache_clear()
     try:
         assert certify_polytope.__wrapped__("hochschild", *mn).passed
     finally:
         _polytope_objects.cache_clear()
-    assert len(calls) == passes
-    assert (len(relabels) > 0) == (mn[0] >= 2)
+    assert len(hasse) == passes == sum(1 for _ in shades.canonical_shades(*mn))
+    assert len(contractions) > 0
+    assert len(relabels) == (len(contractions) if mn[0] >= 2 else 0)
+    assert ranks and None not in ranks
 
 
 # -- the tight partition's down-sets and the facets' tight points ----------------------

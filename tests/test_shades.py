@@ -1,17 +1,24 @@
 import json
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hochschild_kit.painted import enum_painted_trees
+from hochschild_kit.preposets import relabel_canonically
 from hochschild_kit.shades import (
     LightedShade,
+    canonical_shades,
     enum_lighted_shades,
     unary_lighted_shades,
 )
+from hochschild_kit.tables import _shade_rank_histogram
 
 from oracles import (
     clause_shade_preposet,
+    relabeled_rows,
+    relabeled_shade,
     rotation_successors,
     sorted_shade_json,
     transitive_closure_pairs,
@@ -213,3 +220,53 @@ def test_shades_of_every_rank_share_their_light_sets(mn):
     for rank in [None, *range(m + n)]:
         sets = [lights for ls in enum_lighted_shades(m, n, rank) for _, lights in ls.entries]
         assert len({id(lights) for lights in sets}) == len(set(sets)), rank
+
+
+# -- the orbit stream ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 7) for m in range(s + 1)])
+def test_relabeled_representatives_are_the_cell_rank_by_rank(mn):
+    m, n = mn
+    sigmas = list(permutations(range(m)))
+    orbits = {rank: [] for rank in range(m + n)}
+    for ls, size in canonical_shades(m, n):
+        orbit = {relabeled_shade(ls, sigma) for sigma in sigmas}
+        assert len(orbit) == size, ls
+        orbits[ls.rank].append(orbit)
+    for rank, parts in orbits.items():
+        cell = set(enum_lighted_shades(m, n, rank))
+        assert set().union(*parts) == cell and sum(map(len, parts)) == len(cell), rank
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 8) for m in range(s + 1)])
+def test_representatives_are_their_own_canonical_form(mn):
+    m, n = mn
+    reps = [ls for ls, _ in canonical_shades(m, n)]
+    rows = [ls.preposet.rows for ls in reps]
+    assert all(relabel_canonically(r, m) == r for r in rows)
+    assert len(set(reps)) == len(set(rows)) == len(reps)
+    if m + n <= 6:  # in canonical order, as a part of the cell
+        chosen = set(reps)
+        assert reps == [ls for ls in enum_lighted_shades(m, n) if ls in chosen]
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 9) for m in range(s + 1)])
+def test_orbit_sizes_sum_to_the_census(mn):
+    m, n = mn
+    sizes = Counter()
+    for ls, size in canonical_shades(m, n):
+        sizes[ls.rank] += size
+    assert tuple(sizes[rank] for rank in range(m + n)) == _shade_rank_histogram(m, n)
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 6) for m in range(s + 1)])
+def test_the_preposet_commutes_with_relabeling(mn):
+    m, n = mn
+    rest = tuple(range(m, m + n))
+    sigmas = list(permutations(range(m)))
+    for ls in enum_lighted_shades(m, n):
+        for sigma in sigmas:
+            assert relabeled_shade(ls, sigma).preposet.rows == relabeled_rows(
+                ls.preposet.rows, sigma + rest
+            ), (ls, sigma)
