@@ -34,6 +34,7 @@ class Family(NamedTuple):
     y: Callable
     cubic_vector: Callable
     face_row: Callable  # (m, oy, oz) -> the face series row of m
+    face_tower: Callable  # (top, oz) -> the terms of every face row with m + oy <= top
     row_shift: int  # an object with parameter n sits in y-degree n + row_shift
     rank_histogram: Callable  # (m, n) -> object count per rank, counted, not built
     facet_count: Callable  # (m, n) -> closed count of the rank m+n-2 objects
@@ -50,7 +51,7 @@ def family(name: str) -> Family:
             painted.enum_painted_trees, painted.binary_painted_trees, painted.rotation_covers,
             geometry.vertex_of_painted_tree, geometry.facet_of_painted_tree,
             geometry.z_multiplihedron, geometry.y_multiplihedron,
-            cubic.cubic_vector_painted, series.painted_face_row, 1,
+            cubic.cubic_vector_painted, series.painted_face_row, series._painted_tower, 1,
             tables._painted_rank_histogram, series._painted_facet_count, False,
         )
     if name in ("shade", "hochschild"):
@@ -59,7 +60,7 @@ def family(name: str) -> Family:
             shades.enum_lighted_shades, shades.unary_lighted_shades, shades.rotation_covers,
             geometry.vertex_of_lighted_shade, geometry.facet_of_lighted_shade,
             geometry.z_hochschild, geometry.y_hochschild,
-            cubic.cubic_vector_shade, series.shade_face_row, 0,
+            cubic.cubic_vector_shade, series.shade_face_row, series._shade_tower, 0,
             tables._shade_rank_histogram, series._shade_facet_count, True,
         )
     raise ValueError(

@@ -17,6 +17,30 @@ taken; compositions are checked to be y-adically admissible.
 Throughout, y marks leaves for tree-like series (an object with parameter n
 sits in degree n + 1 for painted trees, degree n for shades) and z marks the
 rank.
+
+Face rows and the Catalan counts are read off towers.  Truncation mod
+(y^(oy+1), z^(oz+1)) is a ring map, and substituting a series with zero
+y-constant for y maps that ideal into itself (y^(oy+1) goes to a multiple of
+y^(oy+1), z to z), so truncation commutes with sums, products and
+composition (Flajolet and Sedgewick, Analytic Combinatorics, 2009, I.6): a
+series built at larger orders and then truncated equals the one built at the
+smaller orders.  The face row of m is the sum over k <= m of
+surjection_count(m, k) z^(m - k) T_k, with terms T_k that do not depend on
+m, and the row of (m, oy, oz) reads T_k at y-order oy <= m + oy - k.  So one
+tower per (top, oz), holding T_k at y-order top - k for k = 0, ..., top,
+gives every row with m + oy <= top by truncation and a shift in z
+(`_tower_row`).  The painted terms are U_k = S(t^k), with S the Schroeder
+series, t = (1 + z) S - yz and t^k its k-fold composition; t^(k+1) =
+(1 + z) U_k - z t^k, so a level costs one composition
+(`_painted_tower`).  The shade terms are (1 - y(z + 1))(1 - y)^k /
+(1 - y(z + 2))^(k + 1), each the one before times one fixed series
+(`_shade_tower`).  A row is cached on (m, oy, oz) and its tower on
+(m + oy, oz): every printed painted row has m + oy = 10 and every printed
+shade row m + oy = 9, so the tables build one tower per family, and
+`face_generating_function` reads its rows off one tower.  The Catalan
+tower C, C(C), ... holds C^i at y-order top - i, and `catalan_tower` reads
+it at a top of at least 11, which covers every printed vertex cell.  Cached
+towers are tuples of read-only series.
 """
 
 from __future__ import annotations
@@ -115,6 +139,17 @@ class TruncatedSeries:
     def coefficient(self, ex, ey, ez):
         return self.coeffs.get((ex, ey, ez), 0)
 
+    def y_truncated(self, oy: int) -> "TruncatedSeries":
+        """This series mod y^(oy + 1), for an oy at most its own y-order."""
+        ox, own, oz = self.orders
+        if oy > own:
+            raise ValueError(f"y-order {oy} is above the series' {own}")
+        if oy == own:
+            return self
+        return TruncatedSeries._exact(
+            (ox, oy, oz), {e: c for e, c in self.coeffs.items() if e[1] <= oy}
+        )
+
     def y_coefficient_total(self, ey):
         """Sum over all z powers of the coefficients of y^ey (x power 0)."""
         return sum(c for (a, b, _), c in self.coeffs.items() if a == 0 and b == ey)
@@ -155,14 +190,31 @@ def catalan_gf(oy: int) -> TruncatedSeries:
     return s
 
 
+# every vertex cell of the printed tables, m + n <= 9, reads C^(m+1) at
+# y-order n + 1, so the tower of this top serves them all
+_CATALAN_TOP = 11
+
+
 @lru_cache(maxsize=None)
+def _catalan_levels(top: int) -> tuple:
+    """(y, C, C(C), ...): the i-fold composition C^i at y-order top - i, for
+    i = 0, ..., top; each level is one composition with the level below."""
+    c = catalan_gf(top - 1)
+    levels = [TruncatedSeries.variable("y", (0, top, 0)), c]
+    for i in range(2, top + 1):
+        o = top - i
+        levels.append(c.y_truncated(o).substitute_y(levels[-1].y_truncated(o)))
+    return tuple(levels)
+
+
 def catalan_tower(i: int, oy: int) -> TruncatedSeries:
-    """The i-fold self-composition of the Catalan series."""
+    """The i-fold self-composition of the Catalan series, to y-order oy.
+
+    Read by truncation off the tower of top max(i + oy, 11), so every
+    vertex cell of the printed tables reads one tower."""
     if i < 1:
         raise ValueError("tower index starts at 1")
-    if i == 1:
-        return catalan_gf(oy)
-    return catalan_gf(oy).substitute_y(catalan_tower(i - 1, oy))
+    return _catalan_levels(max(i + oy, _CATALAN_TOP))[i].y_truncated(oy)
 
 
 @lru_cache(maxsize=None)
@@ -178,19 +230,6 @@ def schroder_gf(oy: int, oz: int) -> TruncatedSeries:
     return s
 
 
-@lru_cache(maxsize=None)
-def _schroder_shifted(i: int, oy: int, oz: int) -> TruncatedSeries:
-    """The tower of substituted Schroeder series feeding the painted rows."""
-    orders = (0, oy, oz)
-    y = TruncatedSeries.variable("y", orders)
-    if i == 0:
-        return y
-    z = TruncatedSeries.variable("z", orders)
-    one = TruncatedSeries.constant(1, orders)
-    t1 = (one + z) * schroder_gf(oy, oz) - y * z
-    return _schroder_shifted(i - 1, oy, oz).substitute_y(t1)
-
-
 def surjection_count(m: int, k: int) -> int:
     """Number of surjections from an m-set onto a k-set (0 when k > m)."""
     if k > m or k < 0:
@@ -199,62 +238,102 @@ def surjection_count(m: int, k: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _painted_tower(top: int, oz: int) -> tuple:
+    """The painted terms U_k = S(t^k), k = 0, ..., top, U_k at y-order top - k.
+
+    t = (1 + z) S - yz and t^k is its k-fold composition, so t^(k+1) =
+    t(t^k) = (1 + z) U_k - z t^k: each level is one composition, of S with
+    the level's t^k.
+    """
+    s = schroder_gf(top, oz)
+    z = TruncatedSeries.variable("z", s.orders)
+    one_plus_z = z + 1
+    shifted = TruncatedSeries.variable("y", s.orders)  # t^0
+    tower = [s]
+    for k in range(1, top + 1):
+        o = top - k
+        shifted = tower[-1].y_truncated(o) * one_plus_z - shifted.y_truncated(o) * z  # t^k
+        tower.append(s.y_truncated(o).substitute_y(shifted))
+    return tuple(tower)
+
+
+@lru_cache(maxsize=None)
+def _shade_tower(top: int, oz: int) -> tuple:
+    """The shade terms (1 - y(z + 1))(1 - y)^k / (1 - y(z + 2))^(k + 1),
+    k = 0, ..., top, the k-th at y-order top - k: each is the one before
+    times (1 - y) / (1 - y(z + 2)), and the fixed point of d = 1 + y(z + 2) d
+    is 1 / (1 - y(z + 2))."""
+    orders = (0, top, oz)
+    y = TruncatedSeries.variable("y", orders)
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    denom_inv = TruncatedSeries(orders)
+    for _ in range(top + 1):
+        denom_inv = one + y * (z + 2) * denom_inv
+    step = (one - y) * denom_inv
+    tower = [(one - y * (z + 1)) * denom_inv]
+    for k in range(1, top + 1):
+        o = top - k
+        tower.append(tower[-1].y_truncated(o) * step.y_truncated(o))
+    return tuple(tower)
+
+
+def _tower_row(tower, m: int, oy: int, oz: int) -> TruncatedSeries:
+    """The row sum_k surjection_count(m, k) z^(m - k) tower[k] on the orders
+    (0, oy, oz): each term truncated to y-order oy and moved up m - k powers
+    of z, with no product taken.  The tower must reach y-order oy at level m
+    (m + oy <= its top) and have z-order oz."""
+    if tower[m].orders[1] < oy or tower[m].orders[2] != oz:
+        raise ValueError(f"a tower at {tower[m].orders} cannot give row {m} at {(oy, oz)}")
+    out = {}
+    for k in range(m + 1):
+        cnt = surjection_count(m, k)
+        if not cnt:
+            continue
+        shift = m - k
+        for (a, b, c), u in tower[k].coeffs.items():
+            if b <= oy and c + shift <= oz:
+                key = (a, b, c + shift)
+                out[key] = out.get(key, 0) + cnt * u
+    return TruncatedSeries._exact((0, oy, oz), out)
+
+
+@lru_cache(maxsize=None)
 def painted_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
     """Series whose y^{n+1} z^p coefficient counts rank-p m-painted n-trees.
 
-    The terms T_k z^(m - k) add up by Horner's rule in z: each step carries
-    the sum so far up by one power of z, so no power of z is taken.
+    It is sum_k surjection_count(m, k) z^(m - k) U_k with U_k = S(t^k), read
+    off the painted tower of (m + oy, oz) (`_painted_tower`); the row is
+    cached on (m, oy, oz) and the tower on (m + oy, oz).
     """
-    orders = (0, oy, oz)
-    out = TruncatedSeries(orders)
-    z = TruncatedSeries.variable("z", orders)
-    s = schroder_gf(oy, oz)
-    for k in range(m + 1):
-        out = out * z
-        cnt = surjection_count(m, k)
-        if cnt:
-            out = out + s.substitute_y(_schroder_shifted(k, oy, oz)) * cnt
-    return out
+    return _tower_row(_painted_tower(m + oy, oz), m, oy, oz)
 
 
 @lru_cache(maxsize=None)
 def shade_face_row(m: int, oy: int, oz: int) -> TruncatedSeries:
     """Series whose y^n z^p coefficient counts rank-p m-lighted n-shades.
 
-    The k-th term is (1 - y)^k (1 - y(z + 1)) / (1 - y(z + 2))^(k + 1) times
-    z^(m - k); both powers of k are carried from the term before, and the
-    terms add up by Horner's rule in z, as in `painted_face_row`.
+    It is sum_k surjection_count(m, k) z^(m - k) (1 - y(z + 1))(1 - y)^k /
+    (1 - y(z + 2))^(k + 1), read off the shade tower of (m + oy, oz)
+    (`_shade_tower`); the row is cached on (m, oy, oz) and the tower on
+    (m + oy, oz).
     """
-    orders = (0, oy, oz)
-    y = TruncatedSeries.variable("y", orders)
-    z = TruncatedSeries.variable("z", orders)
-    one = TruncatedSeries.constant(1, orders)
-    out = TruncatedSeries(orders)
-    denom_inv = TruncatedSeries(orders)
-    for _ in range(oy + 1):  # the fixed point of d = 1 + y(z + 2) d is 1 / (1 - y(z + 2))
-        denom_inv = one + y * (z + 2 * one) * denom_inv
-    one_minus_y = one - y
-    num, den = one - y * (z + one), denom_inv
-    for k in range(m + 1):
-        if k:
-            num, den = num * one_minus_y, den * denom_inv
-        out = out * z
-        cnt = surjection_count(m, k)
-        if cnt:
-            out = out + num * den * cnt
-    return out
+    return _tower_row(_shade_tower(m + oy, oz), m, oy, oz)
 
 
 def face_generating_function(kind: str, m_max: int, n_max: int) -> TruncatedSeries:
-    """Three-variable face series: x the labels, y the sizes, z the rank."""
+    """Three-variable face series: x the labels, y the sizes, z the rank.
+
+    Its m_max + 1 rows are read off one tower, of top m_max + oy."""
     fam = family(kind)
     oy = n_max + fam.row_shift
     oz = m_max + n_max
     orders = (m_max, oy, oz)
+    tower = fam.face_tower(m_max + oy, oz)
     x = TruncatedSeries.variable("x", orders)
     out = TruncatedSeries(orders)
     for m in range(m_max + 1):
-        out = out + x.power(m) * fam.face_row(m, oy, oz)
+        out = out + x.power(m) * _tower_row(tower, m, oy, oz)
     return out
 
 

@@ -13,7 +13,10 @@ with both the stated formulas and exhaustive generation:
 reproduce_tables recomputes every printed cell by closed form and generating
 function, and additionally by exhaustive generation up to a size bound, and
 diffs all of it against the fixtures.  The generating-function cells of one
-(family, m) all read one series row, built at the largest n they need.
+(family, m) all read one series row, built at the largest n they need, and
+those rows have one m + oy per family, so the ten rows of a family are read
+off one series tower (see `series`); the closed vertex cells read one
+Catalan tower.
 
 Exhaustive generation makes one census per (m, n) (exhaustive_census).  The
 facet and face cells come from rank histograms in which labels are counted,

@@ -3,6 +3,7 @@ compared with."""
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
@@ -1212,6 +1213,62 @@ def neumann_shade_face_row(m, oy, oz):
         num = (one - y).power(k) * (one - y * (z + one))
         term = num * denom_inv.power(k + 1) * cnt * z.power(m - k)
         out = out + term
+    return out
+
+
+# The face rows before they were read off one tower per family: each row
+# composes its own Schroeder tower, two compositions per term, at its own
+# orders, and carries the shade powers from term to term.
+
+
+@lru_cache(maxsize=None)
+def _per_row_schroder_shifted(i, oy, oz):
+    """The tower of substituted Schroeder series feeding `per_row_painted_face_row`."""
+    orders = (0, oy, oz)
+    y = TruncatedSeries.variable("y", orders)
+    if i == 0:
+        return y
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    t1 = (one + z) * schroder_gf(oy, oz) - y * z
+    return _per_row_schroder_shifted(i - 1, oy, oz).substitute_y(t1)
+
+
+def per_row_painted_face_row(m, oy, oz):
+    """`series.painted_face_row` with the terms composed at the row's orders
+    and added up by Horner's rule in z."""
+    orders = (0, oy, oz)
+    out = TruncatedSeries(orders)
+    z = TruncatedSeries.variable("z", orders)
+    s = schroder_gf(oy, oz)
+    for k in range(m + 1):
+        out = out * z
+        cnt = surjection_count(m, k)
+        if cnt:
+            out = out + s.substitute_y(_per_row_schroder_shifted(k, oy, oz)) * cnt
+    return out
+
+
+def per_row_shade_face_row(m, oy, oz):
+    """`series.shade_face_row` with the terms built at the row's orders, both
+    powers carried from the term before, and added up by Horner's rule in z."""
+    orders = (0, oy, oz)
+    y = TruncatedSeries.variable("y", orders)
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    out = TruncatedSeries(orders)
+    denom_inv = TruncatedSeries(orders)
+    for _ in range(oy + 1):  # the fixed point of d = 1 + y(z + 2) d is 1 / (1 - y(z + 2))
+        denom_inv = one + y * (z + 2 * one) * denom_inv
+    one_minus_y = one - y
+    num, den = one - y * (z + one), denom_inv
+    for k in range(m + 1):
+        if k:
+            num, den = num * one_minus_y, den * denom_inv
+        out = out * z
+        cnt = surjection_count(m, k)
+        if cnt:
+            out = out + num * den * cnt
     return out
 
 

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hochschild_kit.families import family
 from hochschild_kit.painted import binary_painted_trees, enum_painted_trees
 from hochschild_kit.series import (
     TruncatedSeries,
@@ -27,6 +29,8 @@ from oracles import (
     checked_add,
     checked_mul,
     neumann_shade_face_row,
+    per_row_painted_face_row,
+    per_row_shade_face_row,
     per_term_painted_face_row,
     shifted_face_generating_function,
     substitute_y,
@@ -207,9 +211,12 @@ def test_per_m_row_matches_per_cell_rows():
 
 
 def test_integral_series_hold_only_ints():
-    rows = [catalan_gf(9), schroder_gf(7, 7)]
+    import hochschild_kit.series as series
+
+    rows = [catalan_gf(9), schroder_gf(7, 7), catalan_tower(3, 4)]
     for m in range(4):
         rows += [painted_face_row(m, 7 - m, 6), shade_face_row(m, 6 - m, 6)]
+    rows += [*series._painted_tower(7, 6)[:7], *series._shade_tower(6, 6)]  # U_7 is 0 mod y
     for row in rows:
         assert row.coeffs
         assert all(type(c) is int for c in row.coeffs.values())
@@ -256,29 +263,137 @@ def test_table_rows_match_the_per_term_and_neumann_routes(monkeypatch):
         assert dict(row.coeffs) == dict(ROW_ORACLES[name](m, oy, oz).coeffs), (name, m)
 
 
+def test_the_tables_compose_once_per_tower_level(monkeypatch):
+    # from cold caches, the 20 series rows of the printed tables are read off
+    # one tower per family and the closed vertex cells off one Catalan tower,
+    # each level one composition: 20 compositions in all (136 when every row
+    # composed its own tower) and a few hundred products (2,132)
+    import hochschild_kit.series as series
+
+    for fn in vars(series).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    counts = Counter()
+    product, compose = TruncatedSeries.__mul__, TruncatedSeries.substitute_y
+
+    def counted_product(self, other):
+        counts["products"] += 1
+        return product(self, other)
+
+    def counted_composition(self, inner):
+        counts["compositions"] += 1
+        return compose(self, inner)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted_product)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counted_product)
+    monkeypatch.setattr(TruncatedSeries, "substitute_y", counted_composition)
+    assert reproduce_tables(bound=0).ok
+    assert counts["compositions"] <= 21, counts
+    assert counts["products"] <= 750, counts
+
+
 @pytest.mark.parametrize("name", sorted(ROW_ORACLES))
 def test_one_more_label_adds_one_term_of_products_to_a_row(monkeypatch, name):
-    # the powers in a row's terms are carried from term to term, so the row
-    # of m + 1 takes the products of the row of m and a fixed number more
+    # a row of m is read off the tower of m + oy, so one more label adds one
+    # tower level: a fixed number more of products and compositions (a
+    # composition counted once, whatever it multiplies inside); off a built
+    # tower a row takes none
     import hochschild_kit.series as series
 
     oy, oz = 3, 12
     build = getattr(series, name).__wrapped__
-    build(10, oy, oz)  # fills the shared Schroeder caches
-    calls = []
-    product = TruncatedSeries.__mul__
+    tower = getattr(series, "_%s_tower" % name.split("_")[0])
+    calls, inside = [], []
+    product, compose = TruncatedSeries.__mul__, TruncatedSeries.substitute_y
 
     def counted(self, other):
-        calls.append(1)
+        if not inside:
+            calls.append(1)
         return product(self, other)
 
+    def counted_composition(self, inner):
+        calls.append(1)
+        inside.append(1)
+        try:
+            return compose(self, inner)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    monkeypatch.setattr(TruncatedSeries, "substitute_y", counted_composition)
     counts = []
     for m in range(1, 11):
+        tower.cache_clear()
+        series.schroder_gf.cache_clear()
         calls.clear()
         build(m, oy, oz)
         counts.append(len(calls))
+        calls.clear()
+        build(m, oy, oz)
+        assert not calls, (m, len(calls))
     assert len({b - a for a, b in zip(counts, counts[1:])}) == 1, counts
+
+
+PER_ROW_ORACLES = {
+    "painted_face_row": per_row_painted_face_row,
+    "shade_face_row": per_row_shade_face_row,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_ROW_ORACLES))
+def test_tower_rows_match_the_per_row_route(name):
+    # z-orders below m + oy - 1 cut the rank range short, so the tower's
+    # z-truncation is read too; a taller tower gives the same row
+    import hochschild_kit.series as series
+
+    row_of = getattr(series, name)
+    tower_of = family(name.split("_")[0]).face_tower
+    for m in range(7):
+        for oy in range(1, 8):
+            for oz in range(m + oy + 2):
+                want = dict(PER_ROW_ORACLES[name](m, oy, oz).coeffs)
+                assert dict(row_of(m, oy, oz).coeffs) == want, (m, oy, oz)
+                taller = series._tower_row(tower_of(m + oy + 2, oz), m, oy, oz)
+                assert dict(taller.coeffs) == want, (m, oy, oz)
+
+
+def test_catalan_tower_matches_the_per_level_compositions():
+    # read off one tower of top 11 or more, against C composed i times at oy
+    for oy in range(1, 13):
+        c, level = catalan_gf(oy), catalan_gf(oy)
+        for i in range(1, 14 - oy):
+            if i > 1:
+                level = c.substitute_y(level)
+            assert dict(catalan_tower(i, oy).coeffs) == dict(level.coeffs), (i, oy)
+            assert catalan_tower(i, oy).orders == (0, oy, 0)
+
+
+def test_a_row_asks_its_tower_for_no_more_than_it_holds():
+    import hochschild_kit.series as series
+
+    with pytest.raises(ValueError, match="cannot give row"):
+        series._tower_row(series._painted_tower(5, 4), 3, 3, 4)
+    with pytest.raises(ValueError, match="cannot give row"):
+        series._tower_row(series._shade_tower(5, 4), 2, 3, 3)
+    with pytest.raises(ValueError, match="above"):
+        catalan_gf(3).y_truncated(4)
+
+
+def test_cached_towers_cannot_be_changed():
+    import hochschild_kit.series as series
+
+    towers = [series._painted_tower(5, 4), series._shade_tower(5, 4), series._catalan_levels(5)]
+    for tower in towers:
+        assert type(tower) is tuple and len(tower) == 6
+        assert [level.orders[1] for level in tower] == [5, 4, 3, 2, 1, 0]
+        with pytest.raises(TypeError):
+            tower[0] = tower[1]
+        with pytest.raises(TypeError):
+            tower[1].coeffs[(0, 1, 0)] = 999
+        with pytest.raises(AttributeError):
+            tower[1].coeffs.clear()
+    assert dict(painted_face_row(1, 4, 4).coeffs) == dict(per_row_painted_face_row(1, 4, 4).coeffs)
+    assert dict(shade_face_row(1, 4, 4).coeffs) == dict(per_row_shade_face_row(1, 4, 4).coeffs)
 
 
 @pytest.mark.parametrize("kind", ["painted", "shade"])
