@@ -84,6 +84,40 @@ Schürmann ("Polyhedral representation conversion up to symmetries",
 2009).  No list of the cell is built: Hochschild (7,1) has 545,835 faces
 in 576 orbits.  When a premise or a representative fails, every face of
 ``fam.enum(m, n)`` is scanned, so every verdict and message is the scan's.
+
+The vertex side runs on the same orbits.  Both polytopes are P(z) for a z
+that reads the coordinates 1..m only through |J & [m]|, so a renaming
+sigma of the labels, which permutes those coordinates, maps each polytope
+onto itself; and S_m acts freely on the binary painted trees and the unary
+shades, whose cuts or lights hold one label each.  `Family.labeling` reads
+a vertex object as its label-free form and its labels, and the object of a
+form labeled 1..m represents the m! objects of its orbit.  The vertex and
+preposet maps read a label only through the cut or light it sits on, so
+sigma takes the object of vertex v and cone P to one of vertex sigma(v) and
+cone sigma(P); `_label_orbits` checks this on the record, with z
+symmetric, before any of it is used (see there).  Then sigma maps the
+principal down-sets of P onto those of sigma(P), the tight points of J onto
+those of sigma(J), and z_J = z_sigma(J), so:
+
+* the multiplihedron record runs the vertex map on labeling 0 of each shape
+  and renames its coordinates for the other labelings, once the map
+  commutes there with the adjacent transpositions
+  (`vertices_of_painted_trees`);
+* `_tight_partition` reads one vertex per orbit, its cone's linear
+  extensions counted m! times: sum e(P) = d! over all the cones;
+* `_binary_cones_fit` reads labeling 0 of each binary painted shape
+  (`_binary_representatives`, which checks the painted preposet map at the
+  adjacent transpositions too): sigma maps a chamber of a binary cone B to
+  one of sigma(B), its greedy vertex to sigma of B's, and the shade cone
+  there to sigma of B's, so B fits iff sigma(B) does;
+* ``facets_identified`` eliminates once per orbit of subsets J, keyed by
+  J minus the labels and |J & [m]|, and compares each J with the claimed
+  facets.
+
+This is the symmetry reduction of Bremner, Dutour Sikirić and Schürmann
+again.  The edge checks stay per cover, since omega is not symmetric in
+the labels.  When a premise fails, every vertex, binary painted tree and J
+is read on its own, so each verdict and message is that route's.
 """
 
 from __future__ import annotations
@@ -91,18 +125,18 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, combinations, permutations, repeat
 from math import comb, factorial, gcd, isqrt
-from operator import add, and_, rshift
+from operator import add, and_, itemgetter, rshift
 from types import MappingProxyType
 
 from . import shades
 from .families import family
 from .ledger import Ledger
-from .painted import PaintedTree
+from .painted import PaintedTree, _painted_shapes, _painted_trees, _swap_table, ordered_partitions
 from .posets import FinitePoset, rotation_poset
-from .preposets import Preposet, _bits, relabel_canonically
+from .preposets import Preposet, _bits, cached_view, relabel_canonically
 from .shades import LightedShade
 from .shadow import is_singleton
 
@@ -149,21 +183,72 @@ def vertex_of_painted_tree(pt: PaintedTree) -> tuple[int, ...]:
 
 
 def vertex_of_lighted_shade(ls: LightedShade) -> tuple[int, ...]:
-    """Vertex of the Hochschild polytope for a unary shade."""
+    """Vertex of the Hochschild polytope for a unary shade.
+
+    Each position of a unary shade holds one label or one value.  A label
+    takes the cuts at or below its position plus the values below it; a
+    value s whose entry ends at element e = m + n - (values below) puts
+    1 + s * (values below + cuts below) + C(s, 2) on e, and the other
+    coordinates are 1.  One pass from the bottom position up carries both
+    counts.
+    """
     if not ls.is_unary:
         raise ValueError("vertices come from unary shades")
-    m, n = ls.m, ls.n
-    coords = [1] * (m + n)
-    for p, pos in ls.light_position.items():
-        weakly_below = sum(1 for c in ls.cut_positions if c >= pos)
-        entries_below = sum(
-            vals[0] for q, (vals, _) in enumerate(ls.entries) if q > pos and vals
-        )
-        coords[p - 1] = weakly_below + entries_below
-    for pos, s, ps in ls.singletons:
-        c_p = ls.cuts_below_position(pos)
-        coords[ps - 1] = 1 + s * (m + n - ps + c_p) + comb(s, 2)
+    d = ls.m + ls.n
+    coords = [1] * d
+    cuts = values = 0  # the cuts and the sum of the values below the position
+    for vals, lights in reversed(ls.entries):
+        if lights:
+            cuts += 1
+            for p in lights:
+                coords[p - 1] = cuts + values
+        else:
+            (s,) = vals
+            coords[d - values - 1] = 1 + s * (values + cuts) + comb(s, 2)
+            values += s
     return tuple(coords)
+
+
+def vertices_of_painted_trees(objs) -> tuple:
+    """The multiplihedron vertex of each binary painted tree of ``objs``, in
+    the layout `painted.rotation_covers` checks: each shape, then its m!
+    labelings in `ordered_partitions(m, m)` order.
+
+    `vertex_of_painted_tree` gives a label the coordinate of its cut, so
+    labeling j's vertex is labeling 0's with the label coordinates renamed.
+    The map runs on labeling 0 of each shape and on its m - 1 adjacent
+    transpositions (`painted._swap_table`); when one of those is not
+    labeling 0's vertex renamed, the map runs on every tree instead.
+    """
+    m = objs[0].m if objs else 0
+    if m < 2:
+        return tuple(map(vertex_of_painted_tree, objs))
+    # labeling j gives label x the coordinate of the cut x lies on
+    moves = [
+        itemgetter(*sorted(range(m), key=[x for (x,) in parts].__getitem__))
+        for parts in ordered_partitions(m, m)
+    ]
+    swaps = [pairs[0][1] for pairs in _swap_table(m)]  # labeling 0's pairs come first
+    verts = []
+    for base in range(0, len(objs), len(moves)):
+        v = vertex_of_painted_tree(objs[base])
+        tail = v[m:]
+        if any(vertex_of_painted_tree(objs[base + j]) != moves[j](v) + tail for j in swaps):
+            return tuple(map(vertex_of_painted_tree, objs))
+        verts += (move(v) + tail for move in moves)
+    return tuple(verts)
+
+
+def vertices_of_lighted_shades(objs) -> tuple:
+    """The Hochschild vertex of each unary shade of ``objs``."""
+    return tuple(map(vertex_of_lighted_shade, objs))
+
+
+def _transposed_rows(rows, i):
+    """The rows of a relation with its elements i and i + 1 exchanged."""
+    both = 3 << i - 1
+    rows = rows[:i - 1] + (rows[i], rows[i - 1]) + rows[i + 1:]
+    return tuple(row ^ both if (row >> i - 1 ^ row >> i) & 1 else row for row in rows)
 
 
 # -- facet maps ----------------------------------------------------------------
@@ -361,13 +446,13 @@ class PolytopeObjects:
     z: Mapping
     sums: Mapping
 
-    @cached_property
+    @cached_view
     def facet_objects(self) -> tuple:
         """The objects of rank m + n - 2, one per facet."""
         d = self.m + self.n
         return tuple(family(self.kind).enum(self.m, self.n, rank=d - 2)) if d >= 2 else ()
 
-    @cached_property
+    @cached_view
     def facets(self) -> tuple:
         """The halfspace of each facet object."""
         facet_of = family(self.kind).facet_of
@@ -386,7 +471,7 @@ def _polytope_objects(kind, m, n) -> PolytopeObjects:
     d = m + n
     fam = family(kind)
     rot = rotation_poset(kind, m, n)
-    verts = tuple(fam.vertex_of(o) for o in rot.elements)
+    verts = fam.vertices_of(rot.elements)
     z = {s: fam.z(s, m, n) for s in _subsets(d)}
     # subsets come by size, so J minus its largest coordinate is already summed
     columns = tuple(zip(*verts))
@@ -488,6 +573,10 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     hyperplane, each rank elimination stops at d - 2, which it cannot
     exceed.  A failing mask check reruns the per-pair scan, and a failing
     square the pair scan, so the first counterexample is the scan's.
+
+    When the record meets `_label_orbits`' premises, the tight partition,
+    the binary cone fit and the facet ranks read one vertex, binary painted
+    tree or subset per orbit of the labels (see the module docstring).
     """
     d = m + n
     simple = family(kind).simple
@@ -549,8 +638,10 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
     pair = None if _locally_supermodular(z, d) else next(
         ((s, t) for s in subsets for t in subsets if z[s] + z[t] > z[s | t] + z[s & t]), None
     )
-    premises = ledger.verdicts()["vertices_distinct"] and min(gaps) >= 0 and pair is None
-    partitioned = _fan_checks(kind, m, n, vert_objs, ledger, premises)
+    distinct = ledger.verdicts()["vertices_distinct"]
+    premises = distinct and min(gaps) >= 0 and pair is None
+    orbits = _label_orbits(poly) if distinct else None
+    partitioned = _fan_checks(kind, m, n, vert_objs, ledger, premises, orbits)
 
     ledger.record("z_support_minimum", True)
     ledger.record("z_supermodular", True)
@@ -581,11 +672,18 @@ def certify_polytope(kind: str, m: int, n: int) -> CertificationReport:
         # reaches the cap after far fewer points than the vertex order,
         # whose neighbours differ by local moves
         stride = isqrt(len(verts))
+        # on label orbits, renaming the labels maps the tight points of J onto
+        # those of the renamed J, so J's rank is its orbit's: J \ [m] and |J & [m]|
+        labels = frozenset(range(1, m + 1))
+        ranks = {}
         for s in subsets:
             if len(s) == d:
                 continue
-            tight_pts = _spread(verts, _compared(sums[s], z[s]), stride)
-            is_facet = _affine_rank(tight_pts, cap) == d - 2
+            key = (s - labels, len(s & labels)) if orbits else s
+            is_facet = ranks.get(key)
+            if is_facet is None:
+                tight_pts = _spread(verts, _compared(sums[s], z[s]), stride)
+                is_facet = ranks[key] = _affine_rank(tight_pts, cap) == d - 2
             if is_facet != (s in claimed):
                 detail = f"J={sorted(s)}: facet={is_facet} claimed={s in claimed}"
                 ledger.record("facets_identified", False, detail)
@@ -747,7 +845,7 @@ def _affine_rank(points, cap=None) -> int:
     return len(echelon)
 
 
-def _tight_partition(poly: PolytopeObjects, cones) -> bool:
+def _tight_partition(poly: PolytopeObjects, cones, reps=None, size=1) -> bool:
     """True when ``cones[k]`` holds exactly the braid chambers whose greedy
     vertex is the record's vertex k, and the cones partition the chambers.
 
@@ -755,6 +853,9 @@ def _tight_partition(poly: PolytopeObjects, cones) -> bool:
     halfspace, and z is supermodular (see the module docstring).  Every
     principal down-set of ``cones[k]`` must be tight at vertex k, read from
     ``poly.sums``; each cone must hold a chamber, and all of them d!.
+    With ``reps``, the indices of one vertex per label orbit of ``size``
+    vertices (`_label_orbits`), only the representatives are read, each
+    cone's chambers counted ``size`` times.
     """
     if len(cones) != len(poly.vertices):
         return False
@@ -762,14 +863,15 @@ def _tight_partition(poly: PolytopeObjects, cones) -> bool:
     # each subset J as a mask, with its vertex sums and z_J
     by_mask = {sum(1 << i - 1 for i in s): (poly.sums[s], z) for s, z in poly.z.items()}
     total = 0
-    for k, pre in enumerate(cones):
+    for k in range(len(cones)) if reps is None else reps:
+        pre = cones[k]
         count = pre.linear_extension_count()
         # only a chain has a single linear extension
         downs = _chain_down_sets(pre.rows) if count == 1 else pre.down_rows
         if count < 1 or any(sums[k] != z for sums, z in map(by_mask.get, downs)):
             return False
         total += count
-    return total == factorial(d)
+    return total * size == factorial(d)
 
 
 def _chain_down_sets(rows) -> list[int]:
@@ -780,8 +882,9 @@ def _chain_down_sets(rows) -> list[int]:
 
 
 def _binary_cones_fit(poly: PolytopeObjects, cones, binary) -> bool:
-    """True when every binary painted cone lies in exactly one shade cone,
-    given that the shade cones ``cones`` pass `_tight_partition`.
+    """True when every binary painted cone of ``binary`` (all of the cell's,
+    or one per label orbit) lies in exactly one shade cone, given that the
+    shade cones ``cones`` pass `_tight_partition`.
 
     A binary cone P that holds a chamber (P is antisymmetric) lies in the
     shade cone Q only if that chamber does, and the chamber lies only in
@@ -799,30 +902,34 @@ def _binary_cones_fit(poly: PolytopeObjects, cones, binary) -> bool:
     return True
 
 
-def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
+def _fan_checks(kind, m, n, vert_objs, ledger, premises, orbits=None) -> bool:
     """Face closure, simplicial cones and the coarsening witness of one fan.
 
     ``premises`` says that the record's vertices are distinct and satisfy
     every z halfspace, and that z is supermodular.  Then the witness runs on
     tight ideals (`_tight_partition` on the cones of ``vert_objs``, paired
     with the record's vertices, and `_binary_cones_fit`), and the result of
-    `_tight_partition` is returned.  Otherwise, or when that route does not
-    close, every pair is counted, so each failure and its message come from
-    the pairwise count: each braid chamber against the cones, after each
-    binary painted cone for the Hochschild fan.  The Hochschild face
-    closure runs on a stream of label-orbit representatives
-    (`_face_closure`).
+    `_tight_partition` is returned.  ``orbits``, the record's
+    `_label_orbits` when ``vert_objs`` are its objects, puts both on one
+    vertex and one binary painted tree per label orbit.  Otherwise, or when
+    the route does not close, every pair is counted, so each failure and
+    its message come from the pairwise count: each braid chamber against
+    the cones, after each binary painted cone for the Hochschild fan.  The
+    Hochschild face closure runs on a stream of label-orbit representatives
+    (`_face_closure`).  Neither fan reads the other polytope's record.
     """
     d = m + n
     fam = family(kind)
     poly = _polytope_objects(kind, m, n)
     cones = [o.preposet for o in vert_objs]
-    tight = premises and _tight_partition(poly, cones)
+    tight = premises and _tight_partition(poly, cones, *orbits or ())
     if fam.simple:
         _face_closure(m, n, ledger)
-        binary = _polytope_objects("multiplihedron", m, n).rotation.elements
-        fits = tight and _binary_cones_fit(poly, cones, binary)
-        binaries = ((pt.canonical(), pt.preposet) for pt in binary)
+        fits = False
+        if tight:
+            binary = orbits and _binary_representatives(m, n)
+            fits = _binary_cones_fit(poly, cones, binary or _painted_trees(m, n, binary=True))
+        binaries = ((pt.canonical(), pt.preposet) for pt in _painted_trees(m, n, binary=True))
         probes = () if fits else chain(binaries, _chamber_probes(d))
     else:
         # maximal painted cones need not be simplicial (the multiplihedron is
@@ -834,6 +941,79 @@ def _fan_checks(kind, m, n, vert_objs, ledger, premises) -> bool:
         if hits != 1:
             ledger.record("coarsening_witness", False, f"{name} lands in {hits} cones")
     return tight
+
+
+def _label_orbits(poly: PolytopeObjects):
+    """(representatives, orbit size): the index of one vertex per orbit of
+    S_m on the record and m!, or None when a premise of the orbit route
+    fails (see the module docstring).  With m <= 1 every vertex is its own
+    orbit.  The record's vertices must be distinct.
+
+    The premises, each checked on the record: z is symmetric in the labels;
+    each object is a labeling of the object of its label-free form whose
+    labels read 1..m (`Family.labeling`), the representative, which comes
+    first of them; its labels are a permutation, and its vertex is the
+    representative's with label i's coordinate moved to its i-th label;
+    the representatives number V / m!, so that the distinct vertices fill
+    whole orbits; and at each representative the preposet map commutes with
+    the m - 1 adjacent transpositions of the labels.
+    """
+    m, verts = poly.m, poly.vertices
+    if m < 2:
+        return range(len(verts)), 1
+    z = {sum(1 << i - 1 for i in s): value for s, value in poly.z.items()}
+    if any(
+        z[s ^ 3 << i] != value
+        for s, value in z.items()
+        for i in range(m - 1)
+        if (s >> i ^ s >> i + 1) & 1
+    ):
+        return None
+    labeling = family(poly.kind).labeling
+    objs = poly.rotation.elements
+    order = list(range(1, m + 1))
+    identity = tuple(order)
+    swaps = {identity[:i - 1] + (i + 1, i) + identity[i + 1:]: i for i in range(1, m)}
+    reps = {}  # label-free form -> the index of its representative
+    swapped = []  # (representative, i, the index of its transposition of i and i + 1)
+    for k, (o, v) in enumerate(zip(objs, verts)):
+        form, labels = labeling(o)
+        r = reps.get(form)
+        if r is None:
+            if labels != identity:
+                return None
+            reps[form] = k
+            continue
+        rep = verts[r]
+        # label labels[i] holds label i + 1's coordinate of the representative
+        if sorted(labels) != order or itemgetter(*labels)((0, *v)) != rep[:m] or v[m:] != rep[m:]:
+            return None
+        if labels in swaps:
+            swapped.append((r, swaps[labels], k))
+    if len(reps) * factorial(m) != len(objs):
+        return None
+    for r, i, k in swapped:
+        if objs[k].preposet.rows != _transposed_rows(objs[r].preposet.rows, i):
+            return None
+    return list(reps.values()), factorial(m)
+
+
+def _binary_representatives(m, n):
+    """Labeling 0 of each binary painted shape (`painted._painted_shapes`):
+    one binary painted tree per orbit of S_m, which acts freely on them.
+    None when the preposet map does not commute with an adjacent
+    transposition of the labels at one of them."""
+    first = ordered_partitions(m, m)[0]
+    reps = []
+    for shape, _, _ in _painted_shapes(m, n, binary=True):
+        pt = PaintedTree._new(m, n, shape, first)
+        rows = pt.preposet.rows
+        for i in range(1, m):
+            parts = first[:i - 1] + (first[i], first[i - 1]) + first[i + 1:]
+            if PaintedTree._new(m, n, shape, parts, pt).preposet.rows != _transposed_rows(rows, i):
+                return None
+        reps.append(pt)
+    return reps
 
 
 def _face_closure(m, n, ledger) -> None:

@@ -55,8 +55,10 @@ below v", "v lies below cut i" and "u descends from v" are integer tests.
 The preposet is written from the walk as closed rows, one per cut level and
 one per node off the cuts, with no closure pass.
 
-The walk depends on the shape alone, so the labelings that one enumeration
-yields from a shape share one walk, built on the first read of any of them.
+The walk, the rank and the nodes' label masks that the preposet starts
+from depend on the shape alone, so the labelings that one enumeration
+yields from a shape share them, each computed on the first read of any of
+them.
 
 Instances are immutable.  A derived member is a cached property only when
 the checks read it again (``walk``, ``rank``, ``is_binary``, ``preposet``);
@@ -68,14 +70,14 @@ process holds one form.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from functools import lru_cache
+from itertools import product
 import json
 from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
-from .preposets import Preposet
+from .preposets import Preposet, cached_view
 
 LEAF = None
 
@@ -168,7 +170,7 @@ class PaintedTree:
 
     # -- structural data ---------------------------------------------------
 
-    @cached_property
+    @cached_view
     def walk(self) -> tuple["Node", ...]:
         """The internal nodes in preorder, indexed by their preorder node id.
 
@@ -192,18 +194,22 @@ class PaintedTree:
             tag, children = t
             v = len(nodes)
             nodes.append(None)
-            counts, below = [], 0
+            counts, labels, below, left = [], [], 0, lo
             for c in children:
+                # the separator before each child but the first is numbered
+                # by the leaves left of it
+                if left != lo:
+                    labels.append(left)
                 if c is LEAF:
                     counts.append(1)
+                    left += 1
                 else:
-                    leaves, cuts = visit(c, v, lo + sum(counts))
+                    leaves, cuts = visit(c, v, left)
                     counts.append(leaves)
+                    left += leaves
                     below = max(below, cuts)
-            # the separator after child j is numbered by the leaves left of it
-            labels = tuple(accumulate(counts[:-1], initial=lo))[1:]
-            nodes[v] = Node(tag, parent, labels, tuple(counts), len(nodes) - v, below)
-            return sum(counts), below + (tag is not None)
+            nodes[v] = Node(tag, parent, tuple(labels), tuple(counts), len(nodes) - v, below)
+            return left - lo, below + (tag is not None)
 
         visit(self.tagged, -1, 0)
         return tuple(nodes)
@@ -224,16 +230,20 @@ class PaintedTree:
 
     # -- rank and preposet ----------------------------------------------------
 
-    @cached_property
+    @cached_view
     def rank(self) -> int:
-        """Dimension of the corresponding face of the multiplihedron."""
+        """Dimension of the corresponding face of the multiplihedron.  It
+        depends on the shape alone, so it is read off the tree whose walk
+        this one reads, as ``walk`` is."""
+        if self._walk_from is not None:
+            return self._walk_from.rank
         return shape_rank(self.m, self.n, self.tagged, self.k)
 
-    @cached_property
+    @cached_view
     def is_binary(self) -> bool:
         return self.rank == 0
 
-    @cached_property
+    @cached_view
     def preposet(self) -> Preposet:
         """Preposet on {1, ..., m + n}, built as closed rows: cut labels first,
         tree labels shifted by m.
@@ -250,12 +260,9 @@ class PaintedTree:
         has already built.
         """
         m, walk, k = self.m, self.walk, len(self.parts)
-        node_rows = []  # each node's own labels, until its row replaces them
-        levels = [0] * (k + 1)  # the labels of the nodes at each level
-        for node in walk:
-            labels = sum(1 << m + x - 1 for x in node.labels)
-            node_rows.append(labels)
-            levels[node.below + (node.tag is not None)] |= labels
+        # the labelings of a shape read the masks of the tree they take the walk from
+        own, levels = (self._walk_from or self)._node_labels
+        node_rows = list(own)  # each node's own labels, until its row replaces them
         rows = [0] * (m + self.n)
         cut_rows = [0] * k
         above = 0
@@ -273,6 +280,22 @@ class PaintedTree:
             for x in node.labels:
                 rows[m + x - 1] = node_rows[v]
         return Preposet(m + self.n, tuple(rows))
+
+    @cached_view
+    def _node_labels(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Each node's own labels as a mask of the preposet's elements, in
+        preorder, and the OR of those masks at each level: the part of the
+        preposet that the shape alone fixes."""
+        m = self.m
+        own = []
+        levels = [0] * (len(self.parts) + 1)
+        for node in self.walk:
+            mask = 0
+            for x in node.labels:
+                mask |= 1 << m + x - 1
+            own.append(mask)
+            levels[node.below + (node.tag is not None)] |= mask
+        return tuple(own), tuple(levels)
 
     # -- canonical forms ------------------------------------------------------
 
@@ -590,6 +613,13 @@ def _shape_moves(shape):
     in place: rotations (move i) and cut sweeps (move ii), in generation
     order."""
     return [t for rule in (_rotate_right, _sweep_cut) for t in _rewrites(shape, rule)]
+
+
+def labeling(pt):
+    """A binary painted tree as its tagged shape and its labels, bottom cut
+    first.  S_m renames the labels and keeps the shape, and the tree whose
+    labels read 1..m is labeling 0 of its shape in `ordered_partitions(m, m)`."""
+    return pt.tagged, tuple(x for part in pt.parts for x in part)
 
 
 @lru_cache(maxsize=None)

@@ -35,13 +35,13 @@ a given order (word posets) with `preposets.cover_pairs`, the reduction
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import mul
 
 from .families import family
-from .preposets import cover_pairs
+from .preposets import cached_view, cover_pairs
 from .shadow import fiber_min, shadow
 
 
@@ -86,7 +86,7 @@ class FinitePoset:
     def index(self, key) -> int:
         return self._index[key]
 
-    @cached_property
+    @cached_view
     def leq(self) -> tuple[int, ...]:
         """Up-set rows: bit j of leq[i] is set iff element i is below j."""
         up = [1 << i for i in range(self.n)]
@@ -95,7 +95,7 @@ class FinitePoset:
                 up[i] |= up[hi]
         return tuple(up)
 
-    @cached_property
+    @cached_view
     def down(self) -> tuple[int, ...]:
         """Down-set rows: bit j of down[i] is set iff element j is below i."""
         down = [1 << i for i in range(self.n)]
@@ -117,21 +117,21 @@ class FinitePoset:
         maxima = [i for i in idxs if self.leq[i] & subset == 1 << i]
         return minima, maxima
 
-    @cached_property
+    @cached_view
     def _covers_up(self):
         out = [[] for _ in range(self.n)]
         for lo, hi in self.covers:
             out[lo].append(hi)
         return out
 
-    @cached_property
+    @cached_view
     def _covers_down(self):
         out = [[] for _ in range(self.n)]
         for lo, hi in self.covers:
             out[hi].append(lo)
         return out
 
-    @cached_property
+    @cached_view
     def topological_order(self) -> tuple[int, ...]:
         """Indices sorted bottom-up: every element comes after all elements
         below it."""
@@ -153,27 +153,27 @@ class FinitePoset:
 
     # -- extrema ---------------------------------------------------------------
 
-    @cached_property
+    @cached_view
     def minimal_elements(self) -> tuple[int, ...]:
         has_lower = set(hi for _, hi in self.covers)
         return tuple(i for i in range(self.n) if i not in has_lower)
 
-    @cached_property
+    @cached_view
     def maximal_elements(self) -> tuple[int, ...]:
         has_upper = set(lo for lo, _ in self.covers)
         return tuple(i for i in range(self.n) if i not in has_upper)
 
-    @cached_property
+    @cached_view
     def bottom(self):
         mins = self.minimal_elements
         return mins[0] if len(mins) == 1 else None
 
-    @cached_property
+    @cached_view
     def top(self):
         maxs = self.maximal_elements
         return maxs[0] if len(maxs) == 1 else None
 
-    @cached_property
+    @cached_view
     def is_bounded(self) -> bool:
         return self.n > 0 and self.bottom is not None and self.top is not None
 
@@ -189,12 +189,12 @@ class FinitePoset:
         owner = _owner(rows)
         return tuple(tuple(owner(ra & rb, -1) for rb in rows) for ra in rows)
 
-    @cached_property
+    @cached_view
     def _meet_of(self):
         """The element whose down-set is a given row, or the default."""
         return _owner(self.down)
 
-    @cached_property
+    @cached_view
     def _join_of(self):
         """The element whose up-set is a given row, or the default."""
         return _owner(self.leq)
@@ -208,7 +208,7 @@ class FinitePoset:
         idx = self._join_of(self.leq[self.index(a)] & self.leq[self.index(b)], -1)
         return self.elements[idx] if idx >= 0 else None
 
-    @cached_property
+    @cached_view
     def is_lattice(self) -> bool:
         """Bounded, and every two upper covers of an element have a join.
 
@@ -229,7 +229,7 @@ class FinitePoset:
 
     # -- analytics ------------------------------------------------------------------
 
-    @cached_property
+    @cached_view
     def height(self) -> int:
         """Number of covers in a longest chain."""
         depth = [0] * self.n
@@ -238,21 +238,21 @@ class FinitePoset:
                 depth[hi] = max(depth[hi], depth[i] + 1)
         return max(depth, default=0)
 
-    @cached_property
+    @cached_view
     def join_irreducibles(self) -> tuple[int, ...]:
         lower = [0] * self.n
         for _, hi in self.covers:
             lower[hi] += 1
         return tuple(i for i in range(self.n) if lower[i] == 1)
 
-    @cached_property
+    @cached_view
     def meet_irreducibles(self) -> tuple[int, ...]:
         upper = [0] * self.n
         for lo, _ in self.covers:
             upper[lo] += 1
         return tuple(i for i in range(self.n) if upper[i] == 1)
 
-    @cached_property
+    @cached_view
     def is_extremal(self) -> bool:
         """Extremal: as many join- and meet-irreducibles as the height."""
         h = self.height
@@ -287,7 +287,7 @@ class FinitePoset:
                 fold[u] = grown
         return None
 
-    @cached_property
+    @cached_view
     def is_meet_semidistributive(self) -> bool:
         """Every join-irreducible j has a kappa: the elements above j's lower
         cover and not above j have a greatest one.  A finite lattice is meet
@@ -297,7 +297,7 @@ class FinitePoset:
             self.join_irreducibles, self._covers_down, self._covers_up, self.leq, self.down
         )
 
-    @cached_property
+    @cached_view
     def is_join_semidistributive(self) -> bool:
         """The dual: every meet-irreducible m has a dual kappa, a least element
         among those below m's upper cover and not below m."""

@@ -19,11 +19,32 @@ the contractions.  `relabel_canonically` renumbers the first m elements, the
 labels, in order of row size; the Hochschild face closure calls it on the
 Hasse-edge contractions of its label-orbit representatives alone, to look
 each one up among the representatives' rows.
+
+`cached_view` is the cached property of every class in the kit.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
+
+
+class cached_view(cached_property):
+    """A `functools.cached_property` that takes no lock.
+
+    The first read computes the value and stores it in the instance
+    ``__dict__``, where every later read finds it without calling the
+    descriptor; Python 3.12's `cached_property` does the same.  Python
+    3.11's takes an RLock on each first read instead, and the kit makes
+    thousands of them per certificate.  Every view the kit caches is a pure
+    function of immutable fields, so two threads that race on a first read
+    compute equal values and either one may stay.
+    """
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 def _bits(mask):
@@ -97,7 +118,7 @@ class Preposet:
         self.d = d
         self.rows = rows
 
-    @cached_property
+    @cached_view
     def packed(self) -> int:
         """The rows side by side in one int, row i-1 at bits [(i-1)*d, i*d)."""
         packed = 0
@@ -133,7 +154,7 @@ class Preposet:
             raise ValueError("ground sets differ")
         return other.packed & ~self.packed == 0
 
-    @cached_property
+    @cached_view
     def classes(self) -> tuple[frozenset, ...]:
         """Equivalence classes of mutual relation, ordered by least element.
 
@@ -145,7 +166,7 @@ class Preposet:
             members[row] = members.get(row, 0) | 1 << i
         return tuple(frozenset(j + 1 for j in _bits(mask)) for mask in members.values())
 
-    @cached_property
+    @cached_view
     def _reps(self) -> int:
         """Mask of the class representatives: i is one when no lower element
         has its row, so each class is represented by its least element."""
@@ -157,7 +178,7 @@ class Preposet:
                 reps |= 1 << i
         return reps
 
-    @cached_property
+    @cached_view
     def _covers(self) -> tuple[tuple[int, int], ...]:
         """The Hasse covers as pairs of representatives (0-based elements), in
         ascending order: `cover_pairs` of the rows cut down to the
@@ -173,7 +194,7 @@ class Preposet:
         """True iff every class is a single element (the preposet is a poset)."""
         return self._reps == (1 << self.d) - 1
 
-    @cached_property
+    @cached_view
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (a, b) of class indices, class a directly below class b,
         in ascending order."""
@@ -186,7 +207,7 @@ class Preposet:
         """``len(hasse_edges)``, with no class indices built."""
         return len(self._covers)
 
-    @cached_property
+    @cached_view
     def hasse_is_forest(self) -> bool:
         """True iff the Hasse diagram of the quotient poset is acyclic as an
         undirected graph (no two distinct paths between classes)."""
@@ -218,7 +239,7 @@ class Preposet:
         up_a, bit_b = self.rows[a], 1 << b
         return Preposet(self.d, tuple(row | up_a if row & bit_b else row for row in self.rows))
 
-    @cached_property
+    @cached_view
     def down_rows(self) -> tuple[int, ...]:
         """The rows of the opposite relation: bit i-1 of ``down_rows[j-1]``
         is set iff i is below j, so each is a principal down-set."""

@@ -36,7 +36,7 @@ only when the checks read it again; ``size`` is computed on every read.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import json
 from math import factorial
 from types import MappingProxyType
@@ -50,7 +50,7 @@ from .painted import (
     _json_ints,
     _label_subsets,
 )
-from .preposets import Preposet
+from .preposets import Preposet, cached_view
 
 _UNLIT = _LABEL_SETS[0]  # the light set of every unlit position
 
@@ -88,26 +88,26 @@ class LightedShade:
         """Number of positions |S|."""
         return len(self.entries)
 
-    @cached_property
+    @cached_view
     def rank(self) -> int:
         """Dimension of the corresponding face of the Hochschild polytope."""
         return sequence_rank(self.m, [vals for vals, _ in self.entries])
 
-    @cached_property
+    @cached_view
     def is_unary(self) -> bool:
         return self.rank == 0
 
-    @cached_property
+    @cached_view
     def cut_positions(self) -> tuple[int, ...]:
         """Positions holding at least one light, top to bottom."""
         return tuple(i for i, (_, l) in enumerate(self.entries) if l)
 
-    @cached_property
+    @cached_view
     def mu(self) -> tuple[frozenset, ...]:
         """Ordered partition of the labels, one part per cut, top cut first."""
         return tuple(self.entries[i][1] for i in self.cut_positions)
 
-    @cached_property
+    @cached_view
     def light_position(self) -> MappingProxyType:
         """Position of the cut carrying each label, read-only: the shade is
         shared by every caller of the poset caches."""
@@ -117,7 +117,7 @@ class LightedShade:
                 out[x] = i
         return MappingProxyType(out)
 
-    @cached_property
+    @cached_view
     def flat_entries(self):
         """All integer entries as (position, index, value, preceding_sum)."""
         out = []
@@ -132,7 +132,7 @@ class LightedShade:
         """Number of cuts strictly below the given position."""
         return sum(1 for c in self.cut_positions if c > pos)
 
-    @cached_property
+    @cached_view
     def singletons(self):
         """For unary shades: the (position, value, preceding_sum) of each tuple."""
         return tuple(
@@ -141,7 +141,7 @@ class LightedShade:
 
     # -- preposet --------------------------------------------------------------
 
-    @cached_property
+    @cached_view
     def preposet(self) -> Preposet:
         """Preposet on {1, ..., m + n}, built as closed rows.
 
@@ -407,13 +407,24 @@ def _sequence_moves(seq):
     return out
 
 
+def labeling(ls):
+    """A unary shade as its sequence of values and cuts (0 for a cut), top
+    first, and its labels read top to bottom.  S_m renames the labels and
+    keeps the sequence, and the shade whose labels read 1..m is the
+    `canonical_shades` representative of its orbit."""
+    return (
+        tuple(vals[0] if vals else 0 for vals, _ in ls.entries),
+        tuple(x for _, lights in ls.entries for x in lights),
+    )
+
+
 def rotation_covers(objs) -> list[tuple[int, int]]:
     """The covers of the rotation order on the unary shades ``objs``, as
     (lower, upper) index pairs, in no particular order.
 
     A unary shade is its sequence of values and cuts (`_sequence_moves`)
-    plus its labels read top to bottom, and one dict built in one pass maps
-    that pair to the shade's index.  The shape moves, memoised per sequence,
+    plus its labels read top to bottom (`labeling`), and one dict built in
+    one pass maps that pair to the shade's index.  The shape moves, memoised per sequence,
     keep the labels; the one label move swaps two adjacent cuts when the
     lower one holds the smaller label.  A move that reaches no shade of
     ``objs`` raises ValueError.
@@ -421,13 +432,7 @@ def rotation_covers(objs) -> list[tuple[int, int]]:
     if not objs:
         return []
     m, n = objs[0].m, objs[0].n
-    index = {
-        (
-            tuple(vals[0] if vals else 0 for vals, _ in ls.entries),
-            tuple(x for _, lights in ls.entries for x in lights),
-        ): i
-        for i, ls in enumerate(objs)
-    }
+    index = {labeling(ls): i for i, ls in enumerate(objs)}
 
     def reach(seq, labels):
         upper = index.get((seq, labels))

@@ -6,7 +6,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
+from unittest import mock
 
+from hochschild_kit import geometry
 from hochschild_kit.geometry import (
     _affine_rank,
     _polytope_objects,
@@ -313,6 +315,33 @@ def pairwise_fan_checks(kind, m, n, vert_objs, ledger):
         hits = sum(1 for p in cones if probe.contains(p))
         if hits != 1:
             ledger.record("coarsening_witness", False, f"{name} lands in {hits} cones")
+
+
+def summed_shade_vertex(ls) -> tuple[int, ...]:
+    """The Hochschild vertex of a unary shade, per label and per value: a
+    label takes the cut positions at or below its position plus the values
+    below it, each summed over the positions; the route
+    `geometry.vertex_of_lighted_shade` replaced with one pass."""
+    m, n = ls.m, ls.n
+    coords = [1] * (m + n)
+    for p, pos in ls.light_position.items():
+        weakly_below = sum(1 for c in ls.cut_positions if c >= pos)
+        entries_below = sum(
+            vals[0] for q, (vals, _) in enumerate(ls.entries) if q > pos and vals
+        )
+        coords[p - 1] = weakly_below + entries_below
+    for pos, s, ps in ls.singletons:
+        c_p = ls.cuts_below_position(pos)
+        coords[ps - 1] = 1 + s * (m + n - ps + c_p) + comb(s, 2)
+    return tuple(coords)
+
+
+def full_route_certificate(kind, m, n):
+    """A fresh certificate with no label orbit: every vertex, binary painted
+    tree and subset J read on its own, the route the orbit route of
+    `geometry.certify_polytope` falls back to when a premise fails."""
+    with mock.patch.object(geometry, "_label_orbits", lambda poly: None):
+        return geometry.certify_polytope.__wrapped__(kind, m, n)
 
 
 def per_face_closure(objs, ledger):

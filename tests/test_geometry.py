@@ -1,7 +1,7 @@
 import dataclasses
 import random
 from collections import Counter
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial
@@ -13,6 +13,7 @@ import hochschild_kit.painted as painted
 import hochschild_kit.posets as posets
 import hochschild_kit.shades as shades
 import hochschild_kit.tables as tables
+from hochschild_kit.families import family
 from hochschild_kit.geometry import (
     Halfspace,
     _affine_rank,
@@ -1336,7 +1337,7 @@ def test_labels_that_do_not_close_fall_back_to_the_pairwise_count(monkeypatch):
     assert not _fan_checks("hochschild", m, n, hoch.rotation.elements, log, False)
     assert all(log.verdicts().values()) and not log.failures
     # a route that does not close leaves both certificates to the counts
-    monkeypatch.setattr(geometry, "_tight_partition", lambda poly, cones: False)
+    monkeypatch.setattr(geometry, "_tight_partition", lambda *args: False)
     for kind in KINDS:
         report = certify_polytope.__wrapped__(kind, m, n)
         assert report == certify_polytope(kind, m, n) and report.passed
@@ -1390,7 +1391,7 @@ def test_a_passing_certificate_loops_over_no_permutation(monkeypatch, kind):
     for m, n in [(1, 0), (0, 2), (1, 2), (2, 2), (3, 1), (2, 3)]:
         assert certify_polytope.__wrapped__(kind, m, n).passed, (m, n)
     # the loops stand behind the route
-    monkeypatch.setattr(geometry, "_tight_partition", lambda poly, cones: False)
+    monkeypatch.setattr(geometry, "_tight_partition", lambda *args: False)
     with pytest.raises(AssertionError, match="a permutation loop ran"):
         certify_polytope.__wrapped__(kind, 1, 2)
     _polytope_objects.cache_clear()
@@ -1402,9 +1403,9 @@ def test_the_certificate_takes_the_tight_route_only_on_its_premises(monkeypatch)
     seen = []
     fan_checks = geometry._fan_checks
 
-    def spy(kind, m, n, vert_objs, ledger, premises):
+    def spy(kind, m, n, vert_objs, ledger, premises, *orbits):
         seen.append(premises)
-        return fan_checks(kind, m, n, vert_objs, ledger, premises)
+        return fan_checks(kind, m, n, vert_objs, ledger, premises, *orbits)
 
     monkeypatch.setattr(geometry, "_fan_checks", spy)
     assert certify_polytope.__wrapped__("hochschild", 1, 2).passed
@@ -1542,3 +1543,210 @@ def test_row_inverted_pairs_match_the_le_route_on_every_rotation_cover(kind):
                 assert geometry._single_flip(*pres[::-1]) is None
                 covers += 1
     assert covers == {"painted": 1375, "shade": 989}[kind]
+
+
+# -- the vertex side on label orbits --------------------------------------------------
+
+
+def _orbit_and_full(monkeypatch, kind, m, n, stand_in=None):
+    """The certificate on its own route and on the full route
+    (`oracles.full_route_certificate`), each as (checks, counterexample,
+    every failure), on the cell's record or on a stand-in for it."""
+    if stand_in is not None:
+        every_record = geometry._polytope_objects
+        monkeypatch.setattr(
+            geometry,
+            "_polytope_objects",
+            lambda k, mm, nn: stand_in if (k, mm, nn) == (kind, m, n) else every_record(k, mm, nn),
+        )
+    logs = _failure_logs(monkeypatch)
+    reports = certify_polytope.__wrapped__(kind, m, n), oracles.full_route_certificate(kind, m, n)
+    return [(dict(r.checks), r.counterexample, log.failures) for r, log in zip(reports, logs)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_orbit_route_and_the_full_route_agree_through_six(monkeypatch, kind):
+    labeling = family(kind).labeling
+    for d in range(1, 7):
+        for m in range(d + 1):
+            n = d - m
+            with monkeypatch.context() as patch:
+                orbit, full = _orbit_and_full(patch, kind, m, n)
+            assert orbit == full, (m, n)
+            assert all(orbit[0].values()) and orbit[1] is None, (m, n)
+            # the route is taken: one vertex per orbit, labeled 1..m, and
+            # one binary painted tree per orbit
+            poly = _polytope_objects(kind, m, n)
+            reps, size = geometry._label_orbits(poly)
+            assert size == factorial(m) and len(reps) * size == len(poly.vertices), (m, n)
+            if m >= 2:
+                objs = poly.rotation.elements
+                assert {labeling(objs[r])[1] for r in reps} == {tuple(range(1, m + 1))}
+            binary = geometry._binary_representatives(m, n)
+            assert len(binary) * size == len(binary_painted_trees(m, n)), (m, n)
+    _polytope_objects.cache_clear()
+
+
+def test_the_one_pass_shade_vertex_is_the_summed_one():
+    for d in range(1, 8):
+        for m in range(d + 1):
+            for ls in shades._shades(m, d - m, 0):
+                assert vertex_of_lighted_shade(ls) == oracles.summed_shade_vertex(ls), ls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_the_record_vertices_are_the_vertex_map_of_every_object(kind):
+    vertex_of = vertex_of_painted_tree if kind == "multiplihedron" else vertex_of_lighted_shade
+    for d in range(1, 7):
+        for m in range(d + 1):
+            poly = _polytope_objects(kind, m, d - m)
+            assert poly.vertices == tuple(map(vertex_of, poly.rotation.elements)), (m, d - m)
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("mn", [(2, 0), (3, 1), (4, 0), (2, 3), (5, 0)])
+def test_the_multiplihedron_record_runs_the_vertex_map_m_times_per_shape(monkeypatch, mn):
+    # labeling 0 and its m - 1 adjacent transpositions
+    m, n = mn
+    calls = _counting(monkeypatch, geometry, "vertex_of_painted_tree")
+    _polytope_objects.cache_clear()
+    try:
+        verts = _polytope_objects("multiplihedron", m, n).vertices
+        assert len(calls) * factorial(m) == len(verts) * m
+    finally:
+        _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("mn", [(2, 1), (3, 1), (3, 2)])
+def test_a_vertex_map_off_a_transposition_builds_the_record_per_vertex(monkeypatch, mn):
+    # the tree of labeling 0 with labels 1 and 2 exchanged moves one unit
+    # between them: the record runs the map on every tree
+    m, n = mn
+    true_vertex = geometry.vertex_of_painted_tree
+    swapped = (frozenset({2}), frozenset({1}), *(frozenset({x}) for x in range(3, m + 1)))
+
+    def moved(pt):
+        v = list(true_vertex(pt))
+        if pt.parts == swapped:
+            v[0], v[1] = v[0] + 1, v[1] - 1
+        return tuple(v)
+
+    monkeypatch.setattr(geometry, "vertex_of_painted_tree", moved)
+    _polytope_objects.cache_clear()
+    try:
+        poly = _polytope_objects("multiplihedron", m, n)
+        assert poly.vertices == tuple(map(moved, poly.rotation.elements))
+        assert geometry._label_orbits(poly) is None
+        orbit, full = _orbit_and_full(monkeypatch, "multiplihedron", m, n)
+        assert orbit == full and orbit[1] is not None
+    finally:
+        _polytope_objects.cache_clear()
+
+
+ORBIT_CELLS = [(2, 1), (3, 1), (2, 2), (3, 2), (4, 0), (2, 3)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", ORBIT_CELLS)
+def test_a_z_changed_on_one_subset_only_fails_as_the_full_route_fails(monkeypatch, kind, mn):
+    # z raised by one on {1, d} and not on its relabelings {i, d}
+    m, n = mn
+    d = m + n
+    name = "z_multiplihedron" if kind == "multiplihedron" else "z_hochschild"
+    true_z = getattr(geometry, name)
+    one = frozenset({1, d})
+    monkeypatch.setattr(geometry, name, lambda s, m, n: true_z(s, m, n) + (frozenset(s) == one))
+    _polytope_objects.cache_clear()
+    try:
+        poly = _polytope_objects(kind, m, n)
+        assert geometry._label_orbits(poly) is None
+        orbit, full = _orbit_and_full(monkeypatch, kind, m, n)
+        assert orbit == full and orbit[1] is not None
+        assert (orbit[0], orbit[1]) == _per_pair(kind, m, n, poly)
+    finally:
+        _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("mn", ORBIT_CELLS)
+def test_one_labelings_vertex_moved_fails_as_the_full_route_fails(monkeypatch, kind, mn):
+    # the last vertex that is no representative moves one unit from its
+    # last coordinate to label 1's, so it stays on the hyperplane
+    m, n = mn
+    real = _polytope_objects(kind, m, n)
+    labeling = family(kind).labeling
+    objs = real.rotation.elements
+    k = max(k for k, o in enumerate(objs) if labeling(o)[1] != tuple(range(1, m + 1)))
+    v = list(real.vertices[k])
+    v[0], v[-1] = v[0] + 1, v[-1] - 1
+    verts = real.vertices[:k] + (tuple(v),) + real.vertices[k + 1:]
+    stand_in = _replaced(real, vertices=verts, sums=MappingProxyType(subset_sums(verts, m + n)))
+    assert geometry._label_orbits(real) is not None
+    assert geometry._label_orbits(stand_in) is None
+    orbit, full = _orbit_and_full(monkeypatch, kind, m, n, stand_in)
+    assert orbit == full and orbit[1] is not None
+    assert (orbit[0], orbit[1]) == _per_pair(kind, m, n, stand_in)
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("mn", ORBIT_CELLS)
+def test_one_binary_labelings_cone_broken_fails_as_the_full_route_fails(monkeypatch, mn):
+    # the binary painted tree of the first shape with labels 1 and 2
+    # exchanged gets the full relation as its cone: it holds every shade cone
+    m, n = mn
+    shape = next(painted._painted_shapes(m, n, binary=True))[0]
+    parts = (frozenset({2}), frozenset({1}), *(frozenset({x}) for x in range(3, m + 1)))
+    target = PaintedTree._new(m, n, shape, parts)
+    full = Preposet(m + n, ((1 << m + n) - 1,) * (m + n))
+    preposet = PaintedTree.preposet.func
+    monkeypatch.setattr(
+        PaintedTree, "preposet", property(lambda pt: full if pt == target else preposet(pt))
+    )
+    assert geometry._binary_representatives(m, n) is None
+    orbit, full_route = _orbit_and_full(monkeypatch, "hochschild", m, n)
+    assert orbit == full_route
+    vertices = len(_polytope_objects("hochschild", m, n).vertices)
+    assert orbit[1] == f"coarsening_witness: {target.canonical()} lands in {vertices} cones"
+    _polytope_objects.cache_clear()
+
+
+@pytest.mark.parametrize("mn", [(1, 2), (2, 2), (3, 1), (4, 0), (2, 3)])
+def test_a_lone_hochschild_certificate_builds_no_multiplihedron_record(monkeypatch, mn):
+    m, n = mn
+    kinds = []
+    every_record = geometry._polytope_objects
+
+    def spy(kind, m, n):
+        kinds.append(kind)
+        return every_record(kind, m, n)
+
+    monkeypatch.setattr(geometry, "_polytope_objects", spy)
+    _polytope_objects.cache_clear()
+    try:
+        assert certify_polytope.__wrapped__("hochschild", m, n).passed
+        # nor on the full route, nor when the tight route does not close
+        assert oracles.full_route_certificate("hochschild", m, n).passed
+        monkeypatch.setattr(geometry, "_tight_partition", lambda *args: False)
+        assert certify_polytope.__wrapped__("hochschild", m, n).passed
+        assert set(kinds) == {"hochschild"}
+    finally:
+        _polytope_objects.cache_clear()
+
+
+def test_the_labelings_of_a_shape_read_its_rank_once(monkeypatch):
+    calls = _counting(monkeypatch, painted, "shape_rank")
+    trees = list(painted._painted_trees(3, 2))
+    assert [pt.rank for pt in trees] == [oracles.object_rank(pt) for pt in trees]
+    assert len(calls) == len({pt.tagged for pt in trees})
+
+
+def test_cached_views_are_functools_cached_properties_stored_with_no_lock():
+    import functools
+
+    from hochschild_kit.preposets import cached_view
+
+    view = PaintedTree.__dict__["walk"]
+    assert isinstance(view, cached_view) and isinstance(view, functools.cached_property)
+    pt = binary_painted_trees(2, 1)[0]
+    assert "preposet" not in vars(pt)
+    assert pt.preposet is vars(pt)["preposet"] is pt.preposet
