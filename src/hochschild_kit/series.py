@@ -12,7 +12,8 @@ arithmetic runs on Python ints, and a count read from a series is still
 checked to be an integer.  Every generating function is built from sums,
 products and fixed-point iteration on its functional equation, the rational
 shade denominator 1/(1 - y(z + 2)) included, so no square root or inverse is
-taken; compositions are checked to be y-adically admissible.
+taken; compositions are checked to be y-adically admissible.  Iteration j
+of a fixed point runs at y-order j, by the truncation argument below.
 
 Throughout, y marks leaves for tree-like series (an object with parameter n
 sits in degree n + 1 for painted trees, degree n for shades) and z marks the
@@ -179,15 +180,22 @@ class TruncatedSeries:
 # -- generating functions -------------------------------------------------------
 
 
+def _fixed_point(step, oy: int, oz: int) -> TruncatedSeries:
+    """The fixed point of s = step(s, y, z) on the orders (0, oy, oz).  A
+    step takes the fixed point mod y^j to it mod y^(j + 1), so iteration j
+    runs at y-order j, the one degree it settles."""
+    s = TruncatedSeries((0, 0, oz))
+    for j in range(oy + 1):
+        orders = (0, j, oz)
+        y, z = TruncatedSeries.variable("y", orders), TruncatedSeries.variable("z", orders)
+        s = step(TruncatedSeries._exact(orders, s.coeffs), y, z)
+    return s
+
+
 @lru_cache(maxsize=None)
 def catalan_gf(oy: int) -> TruncatedSeries:
     """C(y) with C = y + C^2; the coefficient of y^{n+1} is the nth Catalan."""
-    orders = (0, oy, 0)
-    y = TruncatedSeries.variable("y", orders)
-    s = TruncatedSeries(orders)
-    for _ in range(oy + 1):
-        s = y + s * s
-    return s
+    return _fixed_point(lambda s, y, z: y + s * s, oy, 0)
 
 
 # every vertex cell of the printed tables, m + n <= 9, reads C^(m+1) at
@@ -220,14 +228,7 @@ def catalan_tower(i: int, oy: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def schroder_gf(oy: int, oz: int) -> TruncatedSeries:
     """S(y, z) with (z+1) S^2 - (1+yz) S + y = 0 and S(0, z) = 0."""
-    orders = (0, oy, oz)
-    y = TruncatedSeries.variable("y", orders)
-    z = TruncatedSeries.variable("z", orders)
-    one = TruncatedSeries.constant(1, orders)
-    s = TruncatedSeries(orders)
-    for _ in range(oy + 1):
-        s = y + (z + one) * s * s - y * z * s
-    return s
+    return _fixed_point(lambda s, y, z: y + (z + 1) * s * s - y * z * s, oy, oz)
 
 
 def surjection_count(m: int, k: int) -> int:
@@ -267,9 +268,7 @@ def _shade_tower(top: int, oz: int) -> tuple:
     y = TruncatedSeries.variable("y", orders)
     z = TruncatedSeries.variable("z", orders)
     one = TruncatedSeries.constant(1, orders)
-    denom_inv = TruncatedSeries(orders)
-    for _ in range(top + 1):
-        denom_inv = one + y * (z + 2) * denom_inv
+    denom_inv = _fixed_point(lambda d, y, z: y * (z + 2) * d + 1, top, oz)
     step = (one - y) * denom_inv
     tower = [(one - y * (z + 1)) * denom_inv]
     for k in range(1, top + 1):
@@ -342,24 +341,24 @@ def face_generating_function(kind: str, m_max: int, n_max: int) -> TruncatedSeri
 
 def gf_face_count(kind: str, m: int, n: int, rank=None) -> int:
     """Face count from the generating function (all ranks, or one rank)."""
-    return _row_face_count(kind, m, n, rank, n)
+    return _row_face_count(family(kind), m, n, rank, n)
 
 
-def _row_face_count(kind, m, n, rank, n_row):
-    """gf_face_count read from the row of m built for sizes up to n_row >= n.
+def _row_face_count(fam, m, n, rank, n_row):
+    """gf_face_count of the family record ``fam``, read from the row of m
+    built for sizes up to n_row >= n.
 
     Every series operation only drops the terms above its truncation orders,
     so a larger row has the same coefficients at (n, rank) as the row built
     for (m, n) alone, and one row per m serves every n.
     """
-    fam = family(kind)
     row = fam.face_row(m, n_row + fam.row_shift, m + n_row)
     ey = n + fam.row_shift
     if rank is None:
         val = row.y_coefficient_total(ey)
     else:
         val = row.coefficient(0, ey, rank)
-    return _integral(val, f"{kind} face series coefficient at ({m}, {n})")
+    return _integral(val, f"{fam.objects} face series coefficient at ({m}, {n})")
 
 
 def count_binary_painted_trees(m: int, n: int) -> int:

@@ -9,7 +9,7 @@ The record-per-position storage makes both classical views (the triple of
 sequence, distinguished positions and ordered partition, and the pair of
 parallel sequences) directly derivable.
 One rank rule, `sequence_rank`, reads the tuple sequence only; the ``rank``
-property and the census in `tables` read it, and the generator adds it up
+property reads it, and the generators and the census in `tables` add it up
 one position at a time.  One generator, `_shades`, builds the shades of
 every rank position by position, already in canonical order (the
 lexicographic order of the entries, each light set read as a sorted tuple),
@@ -17,7 +17,8 @@ so nothing is sorted; a rank filter prunes each position by the same rule,
 and rank 0 gives the unary shades.  `canonical_shades` walks the same way
 with consecutive label intervals in place of the label subsets: one shade
 per orbit of the label permutations, with its orbit size, which the
-Hochschild face closure reads instead of the cell.  The shades share their
+Hochschild face closure reads instead of the cell, and the census in
+`tables` at rank 0 instead of the unary shades.  The shades share their
 light sets: one frozenset per set of labels, the empty one `_UNLIT`, from
 the table of label subsets that `painted.ordered_partitions` reads too.
 The generators and the shadow map hand their entries over as they are,
@@ -39,7 +40,6 @@ from __future__ import annotations
 from functools import lru_cache
 import json
 from math import factorial
-from types import MappingProxyType
 
 from .painted import (
     _LABEL_SETS,
@@ -106,16 +106,6 @@ class LightedShade:
     def mu(self) -> tuple[frozenset, ...]:
         """Ordered partition of the labels, one part per cut, top cut first."""
         return tuple(self.entries[i][1] for i in self.cut_positions)
-
-    @cached_view
-    def light_position(self) -> MappingProxyType:
-        """Position of the cut carrying each label, read-only: the shade is
-        shared by every caller of the poset caches."""
-        out = {}
-        for i, (_, lights) in enumerate(self.entries):
-            for x in lights:
-                out[x] = i
-        return MappingProxyType(out)
 
     @cached_view
     def flat_entries(self):
@@ -281,25 +271,6 @@ def _tuples_upto(s):
     )
 
 
-def _tuple_sequences(n, max_empty):
-    """Sequences of tuples (each possibly empty) with total sum n.
-
-    At most ``max_empty`` empty tuples; at least one position overall.
-    """
-
-    def rec(remaining, empties_left):
-        if remaining == 0:
-            yield []
-        for vals, used, _ in _tuples_upto(remaining):
-            if vals or empties_left:
-                for rest in rec(remaining - used, empties_left - (not vals)):
-                    yield [vals] + rest
-
-    for seq in rec(n, max_empty):
-        if seq:
-            yield seq
-
-
 def _reachable(need, left, count):
     """Whether positions still to come, over a sum ``left`` and ``count``
     labels, can add up ``need`` rank steps: the totals -count .. left - 1
@@ -360,9 +331,10 @@ def _label_intervals(first, m):
     return tuple(out)
 
 
-def canonical_shades(m, n):
+def canonical_shades(m, n, rank=None):
     """One m-lighted n-shade per orbit of the label permutations, with the
-    size of its orbit: (shade, m!/prod k_i!), in canonical order.
+    size of its orbit: (shade, m!/prod k_i!), in canonical order (of one
+    ``rank`` only, if given).
 
     S_m renames the labels and keeps the tuples, so an orbit is a tuple
     sequence with k_i labels at its i-th position, and it has one shade
@@ -370,21 +342,23 @@ def canonical_shades(m, n):
     {1..k_1}, {k_1+1..k_1+k_2}, ...; its other members light each position
     with another k_i labels, m!/prod k_i! shades in all.  `_shades`' walk
     with these intervals in place of the label subsets builds exactly those
-    shades.  Their label rows are prefix masks that strictly grow down the
+    shades, and prunes by rank as it does (m + 1 - ``after`` labels left).
+    Their label rows are prefix masks that strictly grow down the
     positions, so the shade's preposet is its own `relabel_canonically`
-    form.
+    form.  At rank 0 the lights read 1..m from the top.
     """
-    _check_params(m, n)
+    _check_params(m, n, rank)
 
-    def walk(left, first, size, entries):
+    def walk(left, first, need, size, entries):
         if not left and first > m:
             yield LightedShade._new(m, n, entries), size
-        for vals, used, _ in _tuples_upto(left):
+        for vals, used, step in _tuples_upto(left):
+            rest, later = left - used, None if need is None else need - step
             for lights, after, ways in _label_intervals(first, m):
-                if vals or lights:
-                    yield from walk(left - used, after, size // ways, entries + ((vals, lights),))
+                if (vals or lights) and (need is None or _reachable(later, rest, m + 1 - after)):
+                    yield from walk(rest, after, later, size // ways, entries + ((vals, lights),))
 
-    return walk(n, 1, factorial(m), ())
+    return walk(n, 1, None if rank is None else rank - m, factorial(m), ())
 
 
 # -- rotation covers -------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The shadow of a painted tree records, down the right branch, the leaf counts
 of the subtrees hanging to the left, together with the positions of the cuts.
-Its fibers on binary trees define the shadow congruence; the fiber extremes
-replace every recorded value by a left comb (minimum) or right comb (maximum)
-with the cuts placed at leaf or root level respectively.
+One spine reader, `shadow_entries`, reads it off a tagged shape and its
+parts; `shadow` wraps it, and the census in `tables` runs it with no tree
+built.  Its fibers on binary trees define the shadow congruence; the
+fiber extremes replace every recorded value by a left comb (minimum) or
+right comb (maximum) with the cuts placed at leaf or root level.
 """
 
 from __future__ import annotations
@@ -13,16 +15,21 @@ from .painted import LEAF, PaintedTree, binary_painted_trees, tree_leaves
 from .shades import _UNLIT, LightedShade, unary_lighted_shades
 
 
-def shadow(pt: PaintedTree) -> LightedShade:
-    """The shade recorded along the right branch of a painted tree."""
+def shadow_entries(t, parts, leaves=tree_leaves) -> tuple:
+    """The shadow's entries, top first, of a tagged shape whose cut i holds
+    ``parts[i]``: per right-branch node, the ``leaves`` of all its children
+    but the last, and its part."""
     entries = []
-    t = pt.tagged
     while t is not LEAF:
         tag, children = t
-        vals = tuple(tree_leaves(c) for c in children[:-1])
-        entries.append((vals, _UNLIT if tag is None else pt.parts[tag]))
+        entries.append((tuple(map(leaves, children[:-1])), _UNLIT if tag is None else parts[tag]))
         t = children[-1]
-    return LightedShade._new(pt.m, pt.n, tuple(entries))
+    return tuple(entries)
+
+
+def shadow(pt: PaintedTree) -> LightedShade:
+    """The shade recorded along the right branch of a painted tree."""
+    return LightedShade._new(pt.m, pt.n, shadow_entries(pt.tagged, pt.parts))
 
 
 def _cut_tags_below(ls: LightedShade, pos: int) -> list[int]:

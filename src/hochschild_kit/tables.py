@@ -24,15 +24,16 @@ not generated, because no rank depends on them: every tagged painted-tree
 shape with k cuts stands for surjection_count(m, k) labeled trees (the count
 the closed forms use as well), and every tuple sequence of a shade for its
 number of light distributions, binned by the one rank rule of its family
-(`painted.shape_rank`, `shades.sequence_rank`).  The painted shapes are
-counted too, not built: `painted._painted_shape_counts` counts them one cut
-layer at a time, per number of cuts and of uncut nodes.  The
-labeled census that generates every object, and the walk over every painted
-shape, stay in the tests as the oracles of these histograms.  One binary and
-one unary pass over a representative of each orbit of label permutations
-give the vertex cells and the shadow fiber sizes behind the singleton cell,
-times m!; the labeled pass is their test oracle.  Both verify and the
-command line read the exhaustive bound from `verify.REACH`.
+(`painted.shape_rank`, `shades.sequence_rank`).  Neither is built:
+`painted._painted_shape_counts` counts the shapes per number of cuts and of
+uncut nodes, and `_shade_rank_histogram` the sequences per number of
+positions, of empty ones and of rank steps.  The vertex cells and the
+shadow fiber sizes behind the singleton cell come from one orbit of label
+permutations at a time, times m!: the shadows of the binary shapes, read
+with no tree built (`shadow.shadow_entries`), against the rank-0 shades of
+`shades.canonical_shades`.  The routes that build or walk every object stay
+in the tests as oracles.  Both verify and the command line read the
+exhaustive bound from `verify.REACH`.
 """
 
 from __future__ import annotations
@@ -41,17 +42,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from math import comb, factorial
 
-from .painted import PaintedTree, _check_params, _painted_shape_counts, _painted_shapes
+from .families import family
+from .painted import LEAF, _check_params, _painted_shape_counts, _painted_shapes
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
-    count_facet_objects,
     count_singletons,
     count_unary_lighted_shades,
     surjection_count,
 )
-from .shades import _UNLIT, LightedShade, _tuple_sequences, sequence_rank
-from .shadow import shadow
+from .shades import LightedShade, _tuples_upto, canonical_shades
+from .shadow import shadow_entries
 
 _ = None
 
@@ -159,20 +160,21 @@ def expected_value(table: str, m: int, n: int):
 # -- the three computation routes ---------------------------------------------------
 
 
-def _closed(table, m, n):
-    """The closed-form value of a cell, or None when the table has none."""
+def _closed(table, m, n, fams):
+    """The closed-form value of a cell, or None when the table has none;
+    ``fams`` maps each family's objects' name to its `Family`."""
     # built per call, so that a counting function rebound on the module is the one run
     routes = {
         "multiplihedron_vertices": lambda: count_binary_painted_trees(m, n),
-        "multiplihedron_facets": lambda: count_facet_objects("painted", m, n),
+        "multiplihedron_facets": lambda: fams["painted"].facet_count(m, n),
         "hochschild_vertices": lambda: count_unary_lighted_shades(m, n),
-        "hochschild_facets": lambda: count_facet_objects("shade", m, n),
+        "hochschild_facets": lambda: fams["shade"].facet_count(m, n),
         "singletons": lambda: count_singletons(m, n),
     }
     return routes[table]() if table in routes else None
 
 
-def _gf(table, m, n, n_row):
+def _gf(table, m, n, n_row, fams):
     """The series value of a cell, read from the row of m built at n_row >= n."""
     d = m + n
     routes = {  # table -> (family, rank; None for all ranks)
@@ -185,10 +187,10 @@ def _gf(table, m, n, n_row):
     }
     if table not in routes:
         return None
-    family, rank = routes[table]
+    kind, rank = routes[table]
     if rank is not None and rank < 0:
         return 0  # a point (m + n = 1) has no facets
-    return _row_face_count(family, m, n, rank, n_row)
+    return _row_face_count(fams[kind], m, n, rank, n_row)
 
 
 @dataclass(frozen=True)
@@ -196,10 +198,10 @@ class Census:
     """Exhaustive object counts at one (m, n).
 
     ``painted_ranks[p]`` and ``shade_ranks[p]`` count the objects of rank p,
-    summed over the counted painted shapes and the generated tuple sequences
-    with their label counts; the vertex and singleton counts come from
-    separate binary and unary passes over orbit representatives, whose
-    objects are grouped into shadow fibers.
+    summed over the counted painted shapes and tuple sequences with their
+    label counts; the vertex and singleton counts come from one orbit of
+    label permutations at a time: the shadows of the binary shapes, grouped
+    into fibers over the rank-0 orbit representatives.
     """
 
     painted_ranks: tuple
@@ -225,10 +227,11 @@ class Census:
 def exhaustive_census(m: int, n: int) -> Census:
     """Count every painted tree and lighted shade of (m, n) by rank.
 
-    One count of the painted shapes and one pass over the shade tuple
-    sequences fill the rank histograms; one binary painted pass and one
-    unary shade pass over orbit representatives give the vertex counts and
-    the shadow fibers (`_vertex_census`).  No object outlives its pass.
+    One count of the painted shapes and one of the shade tuple sequences
+    fill the rank histograms; one pass over the binary shapes and the rank-0
+    orbit representatives gives the vertex counts and the shadow fibers
+    (`_vertex_census`).  No painted tree is built, and no object outlives
+    its pass.
     """
     _check_params(m, n)
     binary, unary, singletons = _vertex_census(m, n)
@@ -255,70 +258,82 @@ def _painted_rank_histogram(m, n):
 def _shade_rank_histogram(m, n):
     """Lighted shades by rank: each tuple sequence, weighted by its number of
     light distributions (maps from the m labels onto the positions that hit
-    every empty tuple, by inclusion-exclusion over the missed empty tuples)."""
+    every empty tuple, by inclusion-exclusion over the missed empty tuples),
+    at rank m plus its rank steps.  No sequence is built: ``rests`` counts
+    those of a sum with at most so many empty tuples by (positions, empty
+    positions, rank steps), memoised, and only these numbers are read."""
+    memo = {}
+
+    def rests(left, empties):
+        out = memo.get((left, empties))
+        if out is None:
+            out = memo[left, empties] = Counter({(0, 0, 0): 1} if not left else ())
+            for vals, used, step in _tuples_upto(left):
+                if vals or empties:
+                    for (p, e, s), count in rests(left - used, empties - (not vals)).items():
+                        out[p + 1, e + (not vals), s + step] += count
+        return out
+
     hist = [0] * (m + n)
-    for seq in _tuple_sequences(n, m):
-        p = len(seq)
-        e = seq.count(())
-        hist[sequence_rank(m, seq)] += sum(
-            (-1) ** i * comb(e, i) * (p - i) ** m for i in range(e + 1)
-        )
+    for (p, e, s), count in rests(n, m).items():
+        if p:
+            hist[m + s] += count * sum(
+                (-1) ** i * comb(e, i) * (p - i) ** m for i in range(e + 1)
+            )
     return tuple(hist)
 
 
 def _vertex_census(m, n):
     """(binary painted trees, unary shades, singleton fibers) of (m, n).
 
-    Counted on one orbit representative of the label permutations per shape,
-    then multiplied by m!.  A permutation of 1, ..., m relabels the parts of
-    a painted tree and the lights of a shade.  Every part of a binary painted
-    tree and every light of a unary shade is a single label, so the symmetric
-    group S_m acts freely on both sets, and each orbit has exactly one
-    representative: the tree whose parts, bottom cut first, are ({1}, ...,
-    {m}), and the shade whose lights read m, m - 1, ..., 1 from top to
-    bottom.  `shadow` copies the parts into the lights, top cut first, so it
-    commutes with relabeling and a tree is a representative iff its shadow's
-    lights read m, ..., 1.  So every labeled fiber is a relabeled fiber over a
-    representative shade: the vertex counts and the singleton fibers of the
-    labeled objects are m! times those of the representatives, and the shadow
-    of the binary trees is exactly the unary shades iff the shadow of the
-    representative trees is exactly the representative shades.
+    Counted on one representative per orbit of the label permutations,
+    times m!.  A permutation of 1, ..., m relabels the parts of a painted
+    tree and the lights of a shade.  A binary tree's parts and a unary
+    shade's lights are single labels, so S_m acts freely on both sets (each
+    rank-0 orbit of `canonical_shades` is checked to hold m! shades), and
+    each orbit has one representative: the shade whose lights read 1, ...,
+    m from the top, as the stream yields it, and the tree whose parts,
+    bottom cut first, are ({m}, ..., {1}).  The shadow copies the parts into
+    the lights, top cut first, so it commutes with relabeling and a tree is
+    a representative iff its shadow's lights read 1, ..., m.  So the labeled
+    counts are m! times the representatives', and the shadow maps the
+    binary trees onto the unary shades iff it maps the representative trees
+    onto the representative shades.  `shadow_entries` reads each shadow off
+    a binary shape, with one leaf memo for the pass, and the fibers are
+    counted by entries.
 
-    Raises AssertionError unless the shadows of the representative trees are
-    exactly the representative unary shades.
+    Raises AssertionError unless every rank-0 orbit has m! shades and the
+    shadows of the representative trees are exactly the representative
+    shades.
     """
-    parts = tuple(frozenset({label}) for label in range(1, m + 1))
-    unary = list(_representative_unary_shades(m, n))
-    # seeded with the shades, so a shadow equal to one adds no second key object
-    sizes = Counter(dict.fromkeys(unary, 0))
+    orbit = factorial(m)
+    unary = []
+    for ls, size in canonical_shades(m, n, rank=0):
+        if size != orbit:
+            raise AssertionError(f"the orbit of {ls} has {size} shades, not {m}! = {orbit}")
+        unary.append(ls)
+    sizes = Counter(dict.fromkeys([ls.entries for ls in unary], 0))
+    parts = tuple(frozenset({label}) for label in range(m, 0, -1))
+    memo = {LEAF: 1}
+
+    def leaves(t):
+        count = memo.get(t)
+        if count is None:
+            count = memo[t] = sum(map(leaves, t[1]))
+        return count
+
     sizes.update(
-        shadow(PaintedTree(m, n, shape, parts))
+        shadow_entries(shape, parts, leaves)
         for shape, _, _ in _painted_shapes(m, n, binary=True)
     )
     for ls in unary:
-        if not sizes[ls]:
+        if not sizes[ls.entries]:
             raise AssertionError(f"shadow map misses {ls}")
     if len(sizes) > len(unary):
-        raise AssertionError(f"shadow {list(sizes)[len(unary)]} is not a unary shade")
-    orbit = factorial(m)
+        stray = LightedShade._new(m, n, list(sizes)[len(unary)])
+        raise AssertionError(f"shadow {stray} is not a unary shade")
     singletons = sum(1 for size in sizes.values() if size == 1)
     return orbit * sum(sizes.values()), orbit * len(unary), orbit * singletons
-
-
-def _representative_unary_shades(m, n):
-    """The unary shades whose lights read m, ..., 1 from top to bottom: each
-    position holds a one-entry tuple or the next label's cut."""
-    cuts = [((), frozenset({label})) for label in range(m, 0, -1)]
-
-    def walk(left, k, entries):
-        if not left and k == m:
-            yield LightedShade(m, n, entries)
-        if k < m:
-            yield from walk(left, k + 1, entries + [cuts[k]])
-        for v in range(1, left + 1):
-            yield from walk(left - v, k, entries + [((v,), _UNLIT)])
-
-    return walk(n, 0, [])
 
 
 @dataclass
@@ -368,9 +383,11 @@ def reproduce_tables(bound: int = 7) -> TableReport:
     """Recompute all printed cells and diff against the fixtures.
 
     Closed forms and generating-function coefficients run at every printed
-    cell; exhaustive generation runs for m + n <= bound.
+    cell; exhaustive generation runs for m + n <= bound.  The families are
+    looked up once per call: a function rebound before it is the one run.
     """
     report = TableReport(bound)
+    fams = {kind: family(kind) for kind in ("painted", "shade")}
     censuses = {}  # (m, n) -> exhaustive value per table
     printed_cells = [
         (table, m, n, printed)
@@ -387,10 +404,10 @@ def reproduce_tables(bound: int = 7) -> TableReport:
         n_rows[m] = max(n_rows.get(m, 0), n)
     for table, m, n, printed in printed_cells:
         computed = {}
-        closed = _closed(table, m, n)
+        closed = _closed(table, m, n, fams)
         if closed is not None:
             computed["closed"] = closed
-        gf = _gf(table, m, n, n_rows[m])
+        gf = _gf(table, m, n, n_rows[m], fams)
         if gf is not None:
             computed["gf"] = gf
         if m + n <= bound:

@@ -36,7 +36,7 @@ from hochschild_kit.painted import (
 from hochschild_kit.posets import FinitePoset, MorphismCheckReport
 from hochschild_kit.preposets import Preposet, _bits, cover_pairs, relabel_canonically
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
-from hochschild_kit.shades import LightedShade, _tuple_sequences, sequence_rank
+from hochschild_kit.shades import _UNLIT, LightedShade, _tuples_upto, sequence_rank
 from hochschild_kit.shadow import shadow
 
 
@@ -161,13 +161,18 @@ def closed_preposet(d: int, pairs) -> Preposet:
     return Preposet(d, tuple(rows))
 
 
+def light_position(ls) -> dict:
+    """The position of the cut carrying each label of a shade."""
+    return {x: i for i, (_, lights) in enumerate(ls.entries) for x in lights}
+
+
 def clause_shade_preposet(ls) -> Preposet:
     """The shade preposet from its four relation clauses as a pair list,
     closed by `closed_preposet`: the route `LightedShade.preposet` took
     before it ORed prefix masks into rows."""
     m = ls.m
     pairs = []
-    lp = ls.light_position
+    lp = light_position(ls)
     for i in range(1, m + 1):
         for j in range(1, m + 1):
             if i != j and lp[i] >= lp[j]:
@@ -324,7 +329,7 @@ def summed_shade_vertex(ls) -> tuple[int, ...]:
     `geometry.vertex_of_lighted_shade` replaced with one pass."""
     m, n = ls.m, ls.n
     coords = [1] * (m + n)
-    for p, pos in ls.light_position.items():
+    for p, pos in light_position(ls).items():
         weakly_below = sum(1 for c in ls.cut_positions if c >= pos)
         entries_below = sum(
             vals[0] for q, (vals, _) in enumerate(ls.entries) if q > pos and vals
@@ -1107,11 +1112,30 @@ def _subsets_of(s):
         yield frozenset(items[i] for i in range(len(items)) if mask >> i & 1)
 
 
+def tuple_sequences(n, max_empty):
+    """Sequences of tuples (each possibly empty) with total sum n.
+
+    At most ``max_empty`` empty tuples; at least one position overall.
+    """
+
+    def rec(remaining, empties_left):
+        if remaining == 0:
+            yield []
+        for vals, used, _ in _tuples_upto(remaining):
+            if vals or empties_left:
+                for rest in rec(remaining - used, empties_left - (not vals)):
+                    yield [vals] + rest
+
+    for seq in rec(n, max_empty):
+        if seq:
+            yield seq
+
+
 def filtered_lighted_shades(m, n, rank=None):
     """Every m-lighted n-shade once, in generation order, lit by
     `recursive_light_distributions`; with ``rank`` only the tuple sequences
     of that rank are lighted."""
-    for seq in _tuple_sequences(n, m):
+    for seq in tuple_sequences(n, m):
         if rank is None or sequence_rank(m, seq) == rank:
             for lights in recursive_light_distributions(seq, m):
                 yield LightedShade(m, n, list(zip(seq, lights)))
@@ -1316,3 +1340,96 @@ def shifted_face_generating_function(kind, m_max, n_max):
         shifted = {(m, b, c): v for (_, b, c), v in row.coeffs.items()}
         out = out + TruncatedSeries(orders, shifted)
     return out
+
+
+# -- the census by representative trees, sequence walks and full orders ------
+#
+# The routes `tables` and `series` took before the census read its shadows
+# off the binary shapes, counted the tuple sequences and solved each fixed
+# point degree by degree: a representative painted tree and its `shadow` per
+# binary shape, matched with the unary shades whose lights read m, ..., 1
+# from the top; every tuple sequence walked and binned; and every fixed-point
+# iteration run at the full y-order.
+
+
+def representative_unary_shades(m, n):
+    """The unary shades whose lights read m, ..., 1 from top to bottom: each
+    position holds a one-entry tuple or the next label's cut."""
+    cuts = [((), frozenset({label})) for label in range(m, 0, -1)]
+
+    def walk(left, k, entries):
+        if not left and k == m:
+            yield LightedShade(m, n, entries)
+        if k < m:
+            yield from walk(left, k + 1, entries + [cuts[k]])
+        for v in range(1, left + 1):
+            yield from walk(left - v, k, entries + [((v,), _UNLIT)])
+
+    return walk(n, 0, [])
+
+
+def shape_walk_vertex_census(m, n):
+    """(binary painted trees, unary shades, singleton fibers) of (m, n): a
+    painted tree with the parts ({1}, ..., {m}), bottom cut first, built on
+    each binary shape, and its shadow matched with
+    `representative_unary_shades`, times m!."""
+    parts = tuple(frozenset({label}) for label in range(1, m + 1))
+    unary = list(representative_unary_shades(m, n))
+    sizes = Counter(dict.fromkeys(unary, 0))
+    sizes.update(
+        shadow(PaintedTree(m, n, shape, parts))
+        for shape, _, _ in _painted_shapes(m, n, binary=True)
+    )
+    assert len(sizes) == len(unary) and all(sizes.values())
+    orbit = factorial(m)
+    singletons = sum(1 for size in sizes.values() if size == 1)
+    return orbit * sum(sizes.values()), orbit * len(unary), orbit * singletons
+
+
+def walk_shade_rank_histogram(m, n):
+    """Lighted shades by rank: each tuple sequence, weighted by its number of
+    light distributions (by inclusion-exclusion over the missed empty
+    tuples), at its `sequence_rank`."""
+    hist = [0] * (m + n)
+    for seq in tuple_sequences(n, m):
+        p = len(seq)
+        e = seq.count(())
+        hist[sequence_rank(m, seq)] += sum(
+            (-1) ** i * comb(e, i) * (p - i) ** m for i in range(e + 1)
+        )
+    return tuple(hist)
+
+
+def full_order_catalan_gf(oy):
+    """C = y + C^2, oy + 1 iterations at y-order oy."""
+    orders = (0, oy, 0)
+    y = TruncatedSeries.variable("y", orders)
+    s = TruncatedSeries(orders)
+    for _ in range(oy + 1):
+        s = y + s * s
+    return s
+
+
+def full_order_schroder_gf(oy, oz):
+    """S = y + (z + 1) S^2 - yz S, oy + 1 iterations at y-order oy."""
+    orders = (0, oy, oz)
+    y = TruncatedSeries.variable("y", orders)
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    s = TruncatedSeries(orders)
+    for _ in range(oy + 1):
+        s = y + (z + one) * s * s - y * z * s
+    return s
+
+
+def full_order_shade_denominator(oy, oz):
+    """1 / (1 - y(z + 2)) as the fixed point of d = 1 + y(z + 2) d, oy + 1
+    iterations at y-order oy."""
+    orders = (0, oy, oz)
+    y = TruncatedSeries.variable("y", orders)
+    z = TruncatedSeries.variable("z", orders)
+    one = TruncatedSeries.constant(1, orders)
+    d = TruncatedSeries(orders)
+    for _ in range(oy + 1):
+        d = one + y * (z + 2) * d
+    return d

@@ -24,7 +24,6 @@ from hochschild_kit.painted import (
 from hochschild_kit.shades import (
     LightedShade,
     _shades,
-    _tuple_sequences,
     enum_lighted_shades,
     unary_lighted_shades,
 )
@@ -36,6 +35,7 @@ from oracles import (
     key_sorted_painted_trees,
     object_rank,
     recursive_light_distributions,
+    tuple_sequences,
 )
 
 CELLS_TO_4 = [(m, d - m) for d in range(1, 5) for m in range(d + 1)]
@@ -73,7 +73,7 @@ def test_light_distributions_match_the_subset_route(m, n):
         lit.setdefault(tuple(vals for vals, _ in ls.entries), []).append(
             tuple(lights for _, lights in ls.entries)
         )
-    for seq in _tuple_sequences(n, m + 2):
+    for seq in tuple_sequences(n, m + 2):
         got = lit.pop(tuple(seq), [])
         want = {tuple(lights) for lights in recursive_light_distributions(seq, m)}
         assert len(got) == len(set(got)), seq

@@ -39,7 +39,7 @@ from hochschild_kit.geometry import (
 )
 from hochschild_kit.painted import PaintedTree, binary_painted_trees
 from hochschild_kit.posets import FinitePoset, build_rotation_poset
-from hochschild_kit.preposets import Preposet, relabel_canonically
+from hochschild_kit.preposets import Preposet, cached_view, relabel_canonically
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.verify import fan_suite
 
@@ -403,13 +403,28 @@ def test_certification_report_is_read_only():
     assert certify_polytope("hochschild", 1, 2).passed
 
 
-def test_cached_shade_light_positions_are_read_only():
-    # the shade is shared by every caller of the rotation poset cache
+def _frozen(value):
+    """Whether nothing reachable from a value can be changed in place."""
+    if isinstance(value, (tuple, frozenset)):
+        return all(_frozen(v) for v in value)
+    if isinstance(value, Preposet):
+        return type(value.d) is int and _frozen(value.rows)
+    return isinstance(value, int)
+
+
+def test_cached_shade_views_are_read_only():
+    # the shade is shared by every caller of the rotation poset cache, so
+    # every view it caches, read before the vertex map and after, is frozen
     shade = build_rotation_poset("shade", 2, 1).elements[0]
-    lp = shade.light_position
+    views = [name for name, attr in vars(LightedShade).items() if isinstance(attr, cached_view)]
+    assert {"cut_positions", "mu", "flat_entries", "singletons", "preposet"} <= set(views)
+    before = {name: getattr(shade, name) for name in views}
+    assert all(_frozen(value) for value in before.values()), before
     with pytest.raises(TypeError):
-        lp[1], lp[2] = lp[2], lp[1]
+        before["cut_positions"][0] = 1
     assert vertex_of_lighted_shade(shade) == (3, 2, 1)
+    assert _frozen(shade.entries)
+    assert {name: getattr(shade, name) for name in views} == before
 
 
 def test_cell_builds_each_polytope_once(monkeypatch):

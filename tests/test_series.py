@@ -28,6 +28,9 @@ from hochschild_kit.tables import reproduce_tables
 from oracles import (
     checked_add,
     checked_mul,
+    full_order_catalan_gf,
+    full_order_schroder_gf,
+    full_order_shade_denominator,
     neumann_shade_face_row,
     per_row_painted_face_row,
     per_row_shade_face_row,
@@ -366,6 +369,27 @@ def test_catalan_tower_matches_the_per_level_compositions():
                 level = c.substitute_y(level)
             assert dict(catalan_tower(i, oy).coeffs) == dict(level.coeffs), (i, oy)
             assert catalan_tower(i, oy).orders == (0, oy, 0)
+
+
+def test_fixed_points_by_degree_match_the_full_order_iterations():
+    # each iteration of the kit runs at the one y-order it settles; the
+    # oracles run every iteration at the full order
+    import hochschild_kit.series as series
+
+    for oy in range(13):
+        assert catalan_gf(oy).orders == (0, oy, 0)
+        assert dict(catalan_gf(oy).coeffs) == dict(full_order_catalan_gf(oy).coeffs), oy
+        for oz in sorted({0, 1, 3, oy}):
+            orders = (0, oy, oz)
+            got, want = schroder_gf(oy, oz), full_order_schroder_gf(oy, oz)
+            assert got.orders == orders and dict(got.coeffs) == dict(want.coeffs), (oy, oz)
+            # the tower's first term is (1 - y(z + 1)) times the denominator's inverse
+            y, z = TruncatedSeries.variable("y", orders), TruncatedSeries.variable("z", orders)
+            one = TruncatedSeries.constant(1, orders)
+            head = (one - y * (z + one)) * full_order_shade_denominator(oy, oz)
+            first = series._shade_tower(oy, oz)[0]
+            assert first.orders == orders and dict(first.coeffs) == dict(head.coeffs), (oy, oz)
+            assert all(type(c) is int for c in (*got.coeffs.values(), *first.coeffs.values()))
 
 
 def test_a_row_asks_its_tower_for_no_more_than_it_holds():

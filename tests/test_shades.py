@@ -11,12 +11,14 @@ from hochschild_kit.shades import (
     LightedShade,
     canonical_shades,
     enum_lighted_shades,
+    sequence_rank,
     unary_lighted_shades,
 )
 from hochschild_kit.tables import _shade_rank_histogram
 
 from oracles import (
     clause_shade_preposet,
+    light_position,
     relabeled_rows,
     relabeled_shade,
     rotation_successors,
@@ -71,7 +73,7 @@ def _naive_shade_preposet_pairs(ls):
     """Oracle: generate the four clause families directly, close naively."""
     m = ls.m
     pairs = []
-    positions = {x: p for x, p in ls.light_position.items()}
+    positions = light_position(ls)
     flat = ls.flat_entries
     for i in positions:
         for j in positions:
@@ -249,6 +251,22 @@ def test_representatives_are_their_own_canonical_form(mn):
     if m + n <= 6:  # in canonical order, as a part of the cell
         chosen = set(reps)
         assert reps == [ls for ls in enum_lighted_shades(m, n) if ls in chosen]
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 9) for m in range(s + 1)])
+def test_a_rank_filtered_stream_is_the_stream_filtered(mn):
+    m, n = mn
+    stream = [(ls.entries, size) for ls, size in canonical_shades(m, n)]
+    for rank in range(m + n):
+        got = [(ls.entries, size) for ls, size in canonical_shades(m, n, rank)]
+        want = [
+            (entries, size)
+            for entries, size in stream
+            if sequence_rank(m, [vals for vals, _ in entries]) == rank
+        ]
+        assert got == want, rank
+    with pytest.raises(ValueError):
+        canonical_shades(m, n, m + n)
 
 
 @pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 9) for m in range(s + 1)])

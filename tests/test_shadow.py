@@ -3,13 +3,14 @@ import sys
 import pytest
 
 from hochschild_kit import tables
-from hochschild_kit.painted import PaintedTree, binary_painted_trees
+from hochschild_kit.painted import PaintedTree, binary_painted_trees, tree_leaves
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.shadow import (
     fiber_max,
     fiber_min,
     is_singleton,
     shadow,
+    shadow_entries,
     shadow_fibers,
 )
 
@@ -140,20 +141,38 @@ def test_is_singleton_rejects_non_binary():
     (0, 3, ((1, 1, 1),), "is not a unary shade"),
 ])
 def test_a_stray_shadow_fails_fibers_as_it_fails_the_census(monkeypatch, m, n, stray, message):
-    # the package attribute hochschild_kit.shadow is the function, not the module
+    # the census reads the spine off each shape and `shadow` reads it off each
+    # tree; with m = 0 a shape is one tree, so one stray spine fails both
     shadow_module = sys.modules["hochschild_kit.shadow"]
     fibers = shadow_fibers(m, n)
     strays = {pts[-1] for pts in fibers.values() if len(pts) > 1} or set(binary_painted_trees(m, n))
+    stray_shapes = {pt.tagged for pt in strays}
     bad = LightedShade(m, n, [(vals, frozenset()) for vals in stray])
+    real = shadow_module.shadow_entries
 
-    def patched(pt):
-        return bad if pt in strays else shadow(pt)
+    def patched(tagged, parts, leaves=tree_leaves):
+        return bad.entries if tagged in stray_shapes else real(tagged, parts, leaves)
 
-    monkeypatch.setattr(shadow_module, "shadow", patched)
-    monkeypatch.setattr(tables, "shadow", patched)
+    monkeypatch.setattr(shadow_module, "shadow_entries", patched)
+    monkeypatch.setattr(tables, "shadow_entries", patched)
     with pytest.raises(AssertionError) as census:
         tables._vertex_census(m, n)
     with pytest.raises(AssertionError) as grouped:
         shadow_fibers(m, n)
     assert message in str(census.value)
     assert str(grouped.value) == str(census.value)
+
+
+@pytest.mark.parametrize("mn", [(m, d - m) for d in range(1, 7) for m in range(d + 1)])
+def test_the_spine_reader_with_a_leaf_memo_is_the_shadow(mn):
+    # one memo across every binary shape of the cell, as the census reads them
+    m, n = mn
+    memo = {}
+
+    def leaves(t):
+        if t not in memo:
+            memo[t] = tree_leaves(t)
+        return memo[t]
+
+    for pt in binary_painted_trees(m, n):
+        assert shadow_entries(pt.tagged, pt.parts, leaves) == shadow(pt).entries

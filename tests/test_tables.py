@@ -4,28 +4,45 @@ Two oracles: the per-cell one regenerates every painted tree or lighted shade
 of a cell with the public, sorted enumerators, once per printed cell; the
 labeled census generates every labeled object of (m, n) once and counts it by
 rank.  The census counts labels instead of generating them; all must agree.
-The vertex census runs on one representative per orbit of label
-permutations; `oracles.labeled_vertex_census` is its labeled pass.
+The vertex census runs on one orbit of label permutations at a time, with
+no painted tree built; `oracles.labeled_vertex_census` is its labeled pass
+and `oracles.shape_walk_vertex_census` the pass over representative trees.
 """
+
+import re
+import sys
+from math import factorial
 
 import pytest
 
-from hochschild_kit import tables
+from hochschild_kit import shades, tables
 from hochschild_kit.painted import (
     PaintedTree,
     _painted_trees,
     binary_painted_trees,
     enum_painted_trees,
 )
-from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
+from hochschild_kit.shades import (
+    LightedShade,
+    canonical_shades,
+    enum_lighted_shades,
+    unary_lighted_shades,
+)
 from hochschild_kit.shadow import shadow_fibers
 from hochschild_kit.tables import PRINTED_TABLES, exhaustive_census, reproduce_tables
 
-from oracles import labeled_vertex_census, shape_walk_rank_histogram
+from oracles import (
+    count_constructions,
+    labeled_vertex_census,
+    shape_walk_rank_histogram,
+    shape_walk_vertex_census,
+    walk_shade_rank_histogram,
+)
 
 CELLS = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 CELLS_TO_6 = [(m, d - m) for d in range(1, 7) for m in range(d + 1)]
 CELLS_TO_7 = [(m, d - m) for d in range(1, 8) for m in range(d + 1)]
+CELLS_TO_8 = [(m, d - m) for d in range(1, 9) for m in range(d + 1)]
 
 
 def _rank_histogram(objects, d):
@@ -100,27 +117,40 @@ def test_vertex_census_on_orbit_representatives_matches_labeled_pass(mn):
     assert tables._vertex_census(*mn) == labeled_vertex_census(*mn)
 
 
+@pytest.mark.parametrize("mn", CELLS_TO_8)
+def test_vertex_census_matches_the_representative_tree_pass(mn):
+    assert tables._vertex_census(*mn) == shape_walk_vertex_census(*mn)
+
+
 def test_vertex_census_builds_one_representative_per_orbit(monkeypatch):
-    m, n = 3, 1
-    labeled = labeled_vertex_census(m, n)
-    trees, lights = [], []
-    real_shades = tables._representative_unary_shades
+    # reproduce_tables(6) builds no painted tree and takes no tree's shadow,
+    # and `shades` has no tuple sequence walk left; the census reads one
+    # rank-0 shade per orbit, its lights 1..m from the top, and each orbit
+    # holds m! shades
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called")
 
-    def tree(m, n, tagged, parts):
-        trees.append(parts)
-        return PaintedTree(m, n, tagged, parts)
+    unary = {mn: labeled_vertex_census(*mn)[1] for mn in CELLS_TO_6}
+    built = count_constructions(monkeypatch, PaintedTree)
+    monkeypatch.setattr(sys.modules["hochschild_kit.shadow"], "shadow", forbidden)
+    streamed = {}
+    real = tables.canonical_shades
 
-    def shades(*args, **kwargs):
-        for ls in real_shades(*args, **kwargs):
-            lights.append(tuple(label for _, lit in ls.entries for label in lit))
-            yield ls
+    def stream(m, n, rank=None):
+        for ls, size in real(m, n, rank):
+            streamed.setdefault((m, n, rank), []).append((ls, size))
+            yield ls, size
 
-    monkeypatch.setattr(tables, "PaintedTree", tree)
-    monkeypatch.setattr(tables, "_representative_unary_shades", shades)
-    assert tables._vertex_census(m, n) == labeled
-    assert len(trees) == labeled[0] // 6 and len(lights) == labeled[1] // 6
-    assert set(trees) == {(frozenset({1}), frozenset({2}), frozenset({3}))}
-    assert set(lights) == {(3, 2, 1)}
+    monkeypatch.setattr(tables, "canonical_shades", stream)
+    report = reproduce_tables(6)
+    assert report.ok and built[0] == 0
+    assert not hasattr(shades, "_tuple_sequences")
+    assert sorted(streamed) == [(m, n, 0) for m, n in sorted(CELLS_TO_6)]
+    for (m, n, _), reps in streamed.items():
+        assert len(reps) * factorial(m) == unary[m, n]
+        for ls, size in reps:
+            assert [x for _, lights in ls.entries for x in lights] == list(range(1, m + 1))
+            assert size == factorial(m)
 
 
 def test_census_rejects_invalid_parameters():
@@ -131,31 +161,50 @@ def test_census_rejects_invalid_parameters():
 
 
 def test_census_raises_when_shadow_misses_a_shade(monkeypatch):
-    real = tables._painted_shapes
+    # the shapes over the last representative read the first one's entries
+    m, n = 1, 2
+    reps = [ls for ls, _ in canonical_shades(m, n, rank=0)]
+    real = tables.shadow_entries
 
-    def no_binary_shapes(m, n, binary, rank=None):
-        return iter(()) if binary else real(m, n, binary, rank)
+    def merged(shape, parts, leaves):
+        entries = real(shape, parts, leaves)
+        return reps[0].entries if entries == reps[-1].entries else entries
 
-    monkeypatch.setattr(tables, "_painted_shapes", no_binary_shapes)
-    with pytest.raises(AssertionError, match="shadow map misses"):
-        exhaustive_census(1, 2)
+    monkeypatch.setattr(tables, "shadow_entries", merged)
+    with pytest.raises(AssertionError, match=f"^shadow map misses {re.escape(repr(reps[-1]))}$"):
+        exhaustive_census(m, n)
 
 
 def test_census_raises_when_a_shadow_is_no_unary_shade(monkeypatch):
-    real = tables.shadow
+    real = tables.shadow_entries
+    stray = LightedShade(0, 3, [((1, 1, 1), ())])
     seen = set()
 
-    def stray_after_first(pt):
-        # the first tree of each fiber keeps its shadow, so no shade is missed
-        ls = real(pt)
-        if ls in seen:
-            return "stray"
-        seen.add(ls)
-        return ls
+    def stray_after_first(shape, parts, leaves):
+        # the first shape of each fiber keeps its shadow, so no shade is missed
+        entries = real(shape, parts, leaves)
+        if entries in seen:
+            return stray.entries
+        seen.add(entries)
+        return entries
 
-    monkeypatch.setattr(tables, "shadow", stray_after_first)
-    with pytest.raises(AssertionError, match="shadow stray is not a unary shade"):
+    monkeypatch.setattr(tables, "shadow_entries", stray_after_first)
+    with pytest.raises(AssertionError, match=f"^shadow {re.escape(repr(stray))} is not a unary shade$"):
         exhaustive_census(0, 3)
+
+
+@pytest.mark.parametrize("mn", [(2, 1), (3, 0), (3, 2)])
+def test_census_raises_when_an_orbit_is_not_free(monkeypatch, mn):
+    # a stream that drops its rank filter yields orbits whose light sets hold
+    # two labels, and the first of them has fewer than m! shades
+    m, n = mn
+    real = tables.canonical_shades
+    monkeypatch.setattr(tables, "canonical_shades", lambda m, n, rank=None: real(m, n))
+    ls, size = next((ls, size) for ls, size in real(m, n) if size != factorial(m))
+    assert size < factorial(m)
+    want = f"the orbit of {ls!r} has {size} shades, not {m}! = {factorial(m)}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(want)}$"):
+        exhaustive_census(m, n)
 
 
 def test_reproduce_tables_reads_exhaustive_values_from_census():
@@ -165,6 +214,22 @@ def test_reproduce_tables_reads_exhaustive_values_from_census():
     assert len(exhaustive) == 7 * 14  # seven tables, 14 printed cells with m + n <= 4
     for c in exhaustive:
         assert c.computed["exhaustive"] == per_cell_oracle(c.table, c.m, c.n)
+
+
+def test_reproduce_tables_looks_each_family_up_once(monkeypatch):
+    # the records are read when the call starts, so a counting function
+    # rebound on its module before the call is still the one every cell runs
+    import hochschild_kit.series as series
+
+    looked_up = []
+    real = tables.family
+    monkeypatch.setattr(tables, "family", lambda name: looked_up.append(name) or real(name))
+    assert reproduce_tables(bound=0).ok
+    assert looked_up == ["painted", "shade"]
+    monkeypatch.setattr(series, "_shade_facet_count", lambda m, n: -1)
+    failures = reproduce_tables(bound=0).failures
+    assert failures and all(c.table == "hochschild_facets" for c in failures)
+    assert all(c.computed["closed"] == -1 for c in failures)
 
 
 def _forbid_painted_shapes(monkeypatch):
@@ -204,6 +269,11 @@ def test_rank_histograms_count_labels_without_generating_them(monkeypatch):
     _forbid_painted_shapes(monkeypatch)
     assert tables._painted_rank_histogram(2, 2) == painted_ranks
     assert tables._shade_rank_histogram(2, 2) == shade_ranks
+
+
+@pytest.mark.parametrize("mn", CELLS_TO_8)
+def test_counted_shade_histogram_matches_the_sequence_walk(mn):
+    assert tables._shade_rank_histogram(*mn) == walk_shade_rank_histogram(*mn)
 
 
 @pytest.mark.parametrize("mn", CELLS_TO_7)
