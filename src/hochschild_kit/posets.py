@@ -8,13 +8,19 @@ transposed rows.  The meet of a and b is the element whose down-set is
 ``down[a] & down[b]``, found by one dict lookup.
 
 The suites read local certificates, which fill no table: the lattice flag
-looks up a join of every two upper covers of an element, each
-semidistributivity flag a kappa at every irreducible, and
-`check_meet_morphism` the bounds of every element with an irreducible.
+looks up a join of every two upper covers of an element, and each
+semidistributivity flag a kappa at every irreducible.  `check_meet_morphism`
+certifies each side by the lower adjoint of f, in one pass over the source
+covers on rows of |J| bits, the target's join-irreducibles below each
+element (`_irreducible_rows`): f monotone along every cover makes each
+f⁻¹(↑j) an up-set; exactly one minimal element makes it principal; the
+join-irreducible j suffice, since ↑(y₁ ∨ y₂) = ↑y₁ ∩ ↑y₂; and then
+f(a ∧ b) = f(a) ∧ f(b) (the full argument is in `_adjoint_certificate`).
+Past the lattice premise, a passing side reads no row set of either order.
 Only a morphism side that fails its certificate is scanned pair by pair,
 for the same first counterexample as the full tables give.  No table is
-cached: `_bound_table` builds a full meet or join table (O(n^2) lookups) only
-for `semidistributive_counterexample`, the fold the tests compare the
+cached: `_bound_table` builds a full meet or join table (O(n^2) lookups)
+only for `semidistributive_counterexample`, the fold the tests compare the
 certificates with and `kitbench/tracer.py` times.
 
 The zeta and Möbius matrices, the Coxeter polynomial and the
@@ -227,6 +233,27 @@ class FinitePoset:
             for y, z in combinations(upper, 2)
         )
 
+    def _irreducible_rows(self, side: str) -> list[int]:
+        """Bit k of row t is set iff the k-th join-irreducible is below t
+        (side='meet'), or the k-th meet-irreducible above t (side='join'):
+        one sweep of the topological order over the covers.  In a lattice
+        each element is the join of the join-irreducibles below it (the
+        meet of the meet-irreducibles above it), so a row names its element
+        and a ≤ b iff the rows nest."""
+        if side == "meet":
+            irreducibles, lower, order = (
+                self.join_irreducibles, self._covers_down, self.topological_order)
+        else:
+            irreducibles, lower, order = (
+                self.meet_irreducibles, self._covers_up, reversed(self.topological_order))
+        rows = [0] * self.n
+        for k, j in enumerate(irreducibles):
+            rows[j] = 1 << k
+        for t in order:
+            for lo in lower[t]:
+                rows[t] |= rows[lo]
+        return rows
+
     # -- analytics ------------------------------------------------------------------
 
     @cached_view
@@ -413,43 +440,82 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
     order of the source, whose bound is missing on one side only or maps
     wrong.
 
-    Between lattices each side is first certified locally: f preserves every
-    meet iff f(top) = top and f(a ∧ m) = f(a) ∧ f(m) for every a and every
-    meet-irreducible m.  Every b is the meet of the meet-irreducibles above
-    it (top the empty meet), and b = b' ∧ m gives f(a ∧ b) = f(a ∧ b') ∧ f(m)
-    = f(a) ∧ f(b') ∧ f(m) = f(a) ∧ f(b) by induction on their number.  Joins
-    are dual, with bottom and the join-irreducibles.  Only a side that fails
+    Between lattices each side is first certified by the lower adjoint of f
+    (Davey and Priestley, *Introduction to Lattices and Order*, 2nd ed.,
+    2002, ch. 7): a surjective f preserves meets iff every f⁻¹(↑j), j
+    join-irreducible, is a principal filter ↑g(j).  `_adjoint_certificate`
+    tests that in one pass over the source covers: f monotone along every
+    cover makes each f⁻¹(↑j) an up-set, and exactly one minimal element
+    makes it principal.  Then f(a ∧ b) ≥ j iff a, b ≥ g(j) iff
+    f(a) ∧ f(b) ≥ j, for every j; the join-irreducibles suffice, since
+    ↑(y₁ ∨ y₂) = ↑y₁ ∩ ↑y₂.  Joins are dual.  Past the lattice premise, a
+    passing side reads no row set of either order.  Only a side that fails
     its certificate, or a poset that is not a lattice, is scanned pair by
     pair for its first counterexample, one source row at a time.
     """
-    if set(f.keys()) != set(src.elements):
+    if len(f) != src.n:
         raise ValueError("f must be total on the source")
-    if set(f.values()) != set(dst.elements):
+    index = dst._index.get
+    try:
+        fi = [index(f[e], -1) for e in src.elements]
+    except KeyError:
+        raise ValueError("f must be total on the source") from None
+    if -1 in fi or len(set(fi)) != dst.n:
         raise ValueError("f must be surjective onto the destination")
-    fi = [dst.index(f[e]) for e in src.elements]
-    lattices = src.is_lattice and dst.is_lattice
     example = {}
-    for side, rows, bound_of, d_rows, d_bound_of, ends, irreducibles in (
-        ("meet", src.down, src._meet_of, dst.down, dst._meet_of,
-         (src.top, dst.top), src.meet_irreducibles),
-        ("join", src.leq, src._join_of, dst.leq, dst._join_of,
-         (src.bottom, dst.bottom), src.join_irreducibles),
-    ):
-        images = [d_rows[j] for j in fi]
-        certified = (
-            lattices
-            and fi[ends[0]] == ends[1]
-            and all(
-                [fi[bound_of(r & rows[i])] for r in rows]
-                == [d_bound_of(d & images[i]) for d in images]
-                for i in irreducibles
-            )
-        )
-        pair = None if certified else _first_unpreserved(fi, rows, bound_of, images, d_bound_of)
+    for side in ("meet", "join"):
+        pair = None
+        if not _adjoint_certificate(fi, src, dst, side):
+            if side == "meet":
+                rows, bound_of, d_rows, d_bound_of = src.down, src._meet_of, dst.down, dst._meet_of
+            else:
+                rows, bound_of, d_rows, d_bound_of = src.leq, src._join_of, dst.leq, dst._join_of
+            pair = _first_unpreserved(fi, rows, bound_of, [d_rows[j] for j in fi], d_bound_of)
         example[side] = pair and tuple(src.elements[i] for i in pair)
     return MorphismCheckReport(
         example["meet"] is None, example["join"] is None, example["meet"], example["join"]
     )
+
+
+def _adjoint_certificate(fi, src: FinitePoset, dst: FinitePoset, side: str) -> bool:
+    """Whether the surjection fi (source index -> destination index) between
+    lattices provably preserves meets (side='meet') or joins ('join').
+
+    The meet side passes iff f is monotone along every cover and each
+    f⁻¹(↑j), j join-irreducible, has exactly one minimal element.  That is
+    sound:
+    - monotone along the covers, f is order preserving, so each f⁻¹(↑j) is
+      an up-set.  It holds top: f is onto, so some x has f(x) = top, and
+      f(top) ≥ f(x).  So it has a minimal element, and an up-set with
+      exactly one minimal element g(j) is the principal filter ↑g(j);
+    - then f(a ∧ b) ≥ j iff a ∧ b ≥ g(j) iff a, b ≥ g(j) iff
+      f(a) ∧ f(b) ≥ j, so f(a ∧ b) and f(a) ∧ f(b) have the same
+      join-irreducibles below them, and each is the join of those.  Other
+      y need no check: ↑(y₁ ∨ y₂) = ↑y₁ ∩ ↑y₂.
+    It is also complete: a surjective meet morphism is monotone and has
+    g(j) = the meet of f⁻¹(↑j).  The join side is dual, with the
+    meet-irreducibles, the upper covers and f⁻¹(↓j).
+
+    One pass over the source covers on |J|-bit rows does it: rows[t] holds
+    the irreducibles below t (`_irreducible_rows`), so f is monotone along a
+    lower cover lo of x iff rows[f(lo)] ⊆ rows[f(x)], and then x is minimal
+    in f⁻¹(↑j) iff bit j is in rows[f(x)] and in no rows[f(lo)].
+    """
+    if not (src.is_lattice and dst.is_lattice):
+        return False
+    lower = src._covers_down if side == "meet" else src._covers_up
+    rows = dst._irreducible_rows(side)
+    images = [rows[j] for j in fi]
+    seen = 0  # the irreducibles whose preimage has had a minimal element
+    for x, los in enumerate(lower):
+        below = 0
+        for lo in los:
+            below |= images[lo]
+        minimal = images[x] & ~below
+        if below & ~images[x] or minimal & seen:
+            return False
+        seen |= minimal
+    return True
 
 
 def _first_unpreserved(fi, rows, bound_of, images, d_bound_of):

@@ -118,6 +118,36 @@ def table_morphism_check(f, src, dst) -> MorphismCheckReport:
     )
 
 
+def row_certificate(f, src, dst) -> tuple[bool, bool]:
+    """(meet, join) verdicts of the per-irreducible row certificate: both
+    posets lattices, f(top) = top and f(a ∧ m) = f(a) ∧ f(m) for every a and
+    every meet-irreducible m, each meet one lookup of a down-row AND (joins
+    dual, with bottom and the join-irreducibles).  Every b is the meet of the
+    meet-irreducibles above it, so this is sound by induction on their
+    number: the route `check_meet_morphism` took before the adjoint
+    certificate."""
+    fi = [dst.index(f[e]) for e in src.elements]
+    lattices = src.is_lattice and dst.is_lattice
+    verdicts = []
+    for rows, bound_of, d_rows, d_bound_of, ends, irreducibles in (
+        (src.down, src._meet_of, dst.down, dst._meet_of,
+         (src.top, dst.top), src.meet_irreducibles),
+        (src.leq, src._join_of, dst.leq, dst._join_of,
+         (src.bottom, dst.bottom), src.join_irreducibles),
+    ):
+        images = [d_rows[j] for j in fi]
+        verdicts.append(
+            lattices
+            and fi[ends[0]] == ends[1]
+            and all(
+                [fi[bound_of(r & rows[i])] for r in rows]
+                == [d_bound_of(d & images[i]) for d in images]
+                for i in irreducibles
+            )
+        )
+    return tuple(verdicts)
+
+
 def labeled_vertex_census(m, n):
     """(binary painted trees, unary shades, singleton fibers) of (m, n), from
     every labeled binary painted tree and unary shade: the pass that

@@ -9,6 +9,7 @@ import pytest
 from hochschild_kit.cubic import HochschildWord, enum_words, shade_to_word, word_to_shade
 from hochschild_kit.posets import (
     FinitePoset,
+    MorphismCheckReport,
     build_refinement_poset,
     build_rotation_poset,
     check_congruence_projection,
@@ -18,7 +19,7 @@ from hochschild_kit.posets import (
     rotation_poset,
     word_subposet,
 )
-from hochschild_kit import painted, shades
+from hochschild_kit import painted, posets, shades
 from hochschild_kit.painted import PaintedTree, binary_painted_trees, enum_painted_trees
 from hochschild_kit.shades import LightedShade, enum_lighted_shades, unary_lighted_shades
 from hochschild_kit.shadow import shadow
@@ -28,6 +29,7 @@ from oracles import (
     key_sorted,
     rank_vector,
     rotation_successors,
+    row_certificate,
     successor_rotation_poset,
     table_lattice_flags,
     table_morphism_check,
@@ -505,6 +507,10 @@ def shadow_maps():
             yield pytest.param(p, p, identity, id=f"refinement({m},{t - m}) identity")
     v = vee()
     yield pytest.param(v, v, {"bot": "bot", "x": "y", "y": "x"}, id="vee swap")
+    # monotone, with one maximal element in f⁻¹(↓0), but x ∨ y is missing
+    # and f(x) ∨ f(y) is not: only the lattice premise fails
+    yield pytest.param(v, FinitePoset(["0", "1"], [(0, 1)]), {"bot": "0", "x": "1", "y": "1"},
+                       id="vee onto a chain")
     yield pytest.param(pentagon(), diamond_m3(),
                        dict(zip(pentagon().elements, diamond_m3().elements)), id="pentagon to M3")
 
@@ -532,6 +538,148 @@ def test_a_moved_extreme_fails_its_side():
                 assert not rep.is_join_morphism and rep.join_counterexample is not None
                 moved += 1
     assert moved > 20
+
+
+CELLS_TO_6 = [(m, t - m) for t in range(1, 7) for m in range(t + 1)]
+
+
+def shadow_cell(m, n):
+    src = build_rotation_poset("painted", m, n)
+    dst = build_rotation_poset("shade", m, n)
+    return src, dst, {pt: shadow(pt) for pt in src.elements}
+
+
+def adjoint_verdicts(f, src, dst):
+    fi = [dst.index(f[e]) for e in src.elements]
+    return tuple(posets._adjoint_certificate(fi, src, dst, side) for side in ("meet", "join"))
+
+
+def is_monotone(f, src, dst):
+    return all(dst.le(dst.index(f[src.elements[lo]]), dst.index(f[src.elements[hi]]))
+               for lo, hi in src.covers)
+
+
+@pytest.mark.parametrize("m, n", CELLS_TO_6)
+def test_adjoint_certificate_matches_the_row_certificate(m, n):
+    src, dst, f = shadow_cell(m, n)
+    for name, g in [("shadow", f), *corrupted_shadows(src, f)]:
+        assert adjoint_verdicts(g, src, dst) == row_certificate(g, src, dst), name
+
+
+@pytest.mark.parametrize("alone", ["meet", "join"])
+@pytest.mark.parametrize("src, dst, f", shadow_maps())
+def test_each_side_certifies_alone(src, dst, f, alone, monkeypatch):
+    # the other side's certificate always fails, so its pair scan answers
+    expected = table_morphism_check(f, fresh(src), fresh(dst))
+    real = posets._adjoint_certificate
+    monkeypatch.setattr(posets, "_adjoint_certificate",
+                        lambda fi, s, d, side: side == alone and real(fi, s, d, side))
+    assert check_meet_morphism(f, fresh(src), fresh(dst)) == expected
+
+
+@pytest.mark.parametrize("images, verdicts, meet_example", [
+    # monotone, with only 0 -> 0: a ∧ b = 0 maps to 0 but f(a) ∧ f(b) = 1,
+    # and f⁻¹(↑1) = {a, b, 1} has two minimal elements
+    ("0111", (False, True), ("a", "b")),
+    # not monotone (f(0) = 1 > f(a) = 0), though along the covers
+    # f⁻¹(↑1) = {0, b, 1} shows one minimal element, 0
+    ("1011", (False, False), ("0", "a")),
+], ids=["monotone", "not monotone"])
+def test_a_square_onto_a_chain_that_breaks_a_meet_fails_its_certificate(
+        images, verdicts, meet_example):
+    square = FinitePoset(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+    chain = FinitePoset(["0", "1"], [(0, 1)])
+    f = dict(zip(square.elements, images))
+    assert is_monotone(f, square, chain) == (images == "0111")
+    assert adjoint_verdicts(f, square, chain) == verdicts
+    rep = check_meet_morphism(f, square, chain)
+    assert rep == table_morphism_check(f, fresh(square), fresh(chain))
+    assert rep.meet_counterexample == meet_example
+
+
+def two_minima_change(src, dst, f):
+    """The first change of one image, in element order of both posets, that
+    keeps f monotone and surjective and gives some f⁻¹(↑j), j
+    join-irreducible, two minimal elements: the changed map, or None."""
+    for x in src.elements:
+        for t in dst.elements:
+            g = {**f, x: t}
+            if t == f[x] or set(g.values()) != set(dst.elements) or not is_monotone(g, src, dst):
+                continue
+            gi = [dst.index(g[e]) for e in src.elements]
+            for j in dst.join_irreducibles:
+                minima, _ = src.extremes([i for i in range(src.n) if dst.le(j, gi[i])])
+                if len(minima) > 1:
+                    return g
+    return None
+
+
+@pytest.mark.parametrize("m, n", [(0, 4), (1, 3), (2, 2)])
+def test_a_monotone_change_with_two_minimal_preimages_fails(m, n):
+    src, dst, f = shadow_cell(m, n)
+    g = two_minima_change(src, dst, f)
+    assert adjoint_verdicts(g, src, dst)[0] is False
+    rep = check_meet_morphism(g, src, dst)
+    assert rep == table_morphism_check(g, fresh(src), fresh(dst))
+    assert not rep.is_meet_morphism
+
+
+def test_a_swap_with_a_non_monotone_image_fails_both_sides():
+    # at (0,3) the swapped map stays monotone (and a meet morphism); at every
+    # other cell with a swap it is not monotone, so neither side certifies
+    swaps = []
+    for m, n in CELLS_TO_5:
+        src, dst, f = shadow_cell(m, n)
+        for name, g in corrupted_shadows(src, f):
+            if name == "swap" and not is_monotone(g, src, dst):
+                assert adjoint_verdicts(g, src, dst) == (False, False)
+                assert check_meet_morphism(g, src, dst) == table_morphism_check(
+                    g, fresh(src), fresh(dst))
+                swaps.append((m, n))
+    assert swaps == [(m, n) for m, n in CELLS_TO_5 if m + n >= 3 and (m, n) != (0, 3)]
+
+
+def test_a_passing_side_reads_no_row_set(monkeypatch):
+    src, dst = (fresh(build_rotation_poset(kind, 4, 1)) for kind in ("painted", "shade"))
+    f = {pt: shadow(pt) for pt in src.elements}
+    sweeps = []
+    real = FinitePoset._irreducible_rows
+
+    def counted(self, side):
+        sweeps.append((self is dst, side))
+        return real(self, side)
+
+    def unread(*args):
+        raise AssertionError("a passing side read a row set")
+
+    monkeypatch.setattr(FinitePoset, "_irreducible_rows", counted)
+    monkeypatch.setattr(FinitePoset, "down", property(unread))
+    monkeypatch.setattr(FinitePoset, "_meet_of", property(unread))
+    monkeypatch.setattr(posets, "_first_unpreserved", unread)
+    assert check_meet_morphism(f, src, dst) == MorphismCheckReport(True, True)
+    assert sweeps == [(True, "meet"), (True, "join")]
+
+
+def test_the_morphism_check_rejects_a_partial_or_non_surjective_map():
+    src, dst = diamond_m3(), FinitePoset(["0", "1"], [(0, 1)])
+    f = {"bot": "0", "a": "1", "b": "1", "c": "1", "top": "1"}
+    assert check_meet_morphism(f, src, dst).is_join_morphism
+    partial = [
+        {k: v for k, v in f.items() if k != "a"},  # one element missing
+        {**f, "d": "1"},  # one key outside the source
+        {**{k: v for k, v in f.items() if k != "a"}, "d": "1"},  # as many keys, one wrong
+    ]
+    for g in partial:
+        with pytest.raises(ValueError, match="^f must be total on the source$"):
+            check_meet_morphism(g, src, dst)
+    non_surjective = [
+        dict.fromkeys(f, "1"),  # misses 0
+        {**f, "bot": "2"},  # an image outside the destination
+        {**f, "a": "0", "top": "2"},  # onto, plus an image outside it
+    ]
+    for g in non_surjective:
+        with pytest.raises(ValueError, match="^f must be surjective onto the destination$"):
+            check_meet_morphism(g, src, dst)
 
 
 def test_order_suites_fill_no_table(monkeypatch):
