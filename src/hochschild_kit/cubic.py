@@ -6,11 +6,17 @@ drop the constantly-zero first coordinate, decrease in exactly one coordinate
 along every rotation cover, and tile the boundary of their bounding box by
 the subcubes spanned by the faces of the corresponding polytope.
 
-The subdivision check runs on index bitsets: a face's vertices are read off
-its refinement up-set row, and per-coordinate threshold masks over the face
-cubes answer "which cubes contain this one" and "which cubes meet this one"
-with a few ANDs, so no step scans all vertices or all pairs of faces.  The
-`cubic` suite runs it up to the `cubic subdivision` entry of `verify.REACH`.
+The subdivision check runs on index bitsets and reads the refinement order
+only through its covers.  A face's vertices come from one sweep down the
+covers, face x vertex bits in all; per-coordinate threshold masks over the
+face cubes answer "which cubes contain this one", "which lie inside it" and
+"which meet it" with a few ANDs; two meeting cubes neither inside the other
+are intersected broadword on packed keys (`_CubeKeys`); and containment
+mirrors refinement when two rules hold at every face's lower covers, so no
+step scans all vertices or all pairs of faces, and a passing run builds no
+face x face row set.  A failing clause reruns the pair scan it replaced.
+The `cubic` suite runs it up to the `cubic subdivision` entry of
+`verify.REACH`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, product
-from operator import or_
+from operator import lshift, or_, sub
 
 from .families import family
 from .ledger import Ledger
@@ -227,13 +233,15 @@ def _cube_contains(outer, inner) -> bool:
 
 
 def _threshold_masks(cubes, box):
-    """Prefix masks over indexed cubes inside box, one pair per coordinate.
+    """Prefix masks over indexed cubes inside box, two pairs per coordinate.
 
     cubes yields (bit, (lo, hi)).  For coordinate i and value t in the box,
-    ``lo_le[i][t - box_lo[i]]`` has the bits of the cubes with lo[i] <= t and
-    ``hi_ge[i][t - box_lo[i]]`` those with hi[i] >= t.
+    ``lo_le[i][t - box_lo[i]]`` has the bits of the cubes with lo[i] <= t
+    and ``hi_ge[i][t - box_lo[i]]`` those with hi[i] >= t; ``lo_ge`` and
+    ``hi_le`` hold those with lo[i] >= t and hi[i] <= t.  Returns the pair
+    of `_cubes_around` masks (lo_le, hi_ge) and (lo_ge, hi_le).
     """
-    lo_le, hi_ge = [], []
+    lo_le, hi_ge, lo_ge, hi_le = [], [], [], []
     cubes = list(cubes)
     for i, (a, b) in enumerate(zip(*box)):
         at_lo, at_hi = [0] * (b - a + 1), [0] * (b - a + 1)
@@ -242,21 +250,60 @@ def _threshold_masks(cubes, box):
             at_hi[hi[i] - a] |= 1 << bit
         lo_le.append(list(accumulate(at_lo, or_)))
         hi_ge.append(list(accumulate(reversed(at_hi), or_))[::-1])
-    return lo_le, hi_ge, box[0]
+        lo_ge.append(list(accumulate(reversed(at_lo), or_))[::-1])
+        hi_le.append(list(accumulate(at_hi, or_)))
+    return (lo_le, hi_ge, box[0]), (lo_ge, hi_le, box[0])
 
 
 def _cubes_around(masks, lo, hi) -> int:
-    """Bits of the cubes c with c.lo <= lo and c.hi >= hi coordinatewise.
+    """Bits of the cubes c with c.lo <= lo and c.hi >= hi coordinatewise,
+    read off the first masks of `_threshold_masks`; off the second, those
+    with c.lo >= lo and c.hi <= hi.
 
-    With (lo, hi) a cube these are the cubes containing it; with (hi, lo) they
-    are the cubes meeting it.  All bits are set when there are no coordinates,
-    so callers intersect the result with the bits they range over.
+    With (lo, hi) a cube the first are the cubes containing it, the second
+    the cubes inside it; with (hi, lo) the first are the cubes meeting it.
+    All bits are set when there are no coordinates, so callers intersect the
+    result with the bits they range over.
     """
     lo_le, hi_ge, base = masks
     out = -1
-    for i, (t, u, a) in enumerate(zip(lo, hi, base)):
-        out &= lo_le[i][t - a] & hi_ge[i][u - a]
+    for at_lo, at_hi, t, u, a in zip(lo_le, hi_ge, lo, hi, base):
+        out &= at_lo[t - a] & at_hi[u - a]
     return out
+
+
+class _CubeKeys:
+    """Cubes inside a box packed into ints, for broadword comparison.
+
+    A cube's key holds 2d fields, low field first: its lo corner as offsets
+    from the box's low corner, then its hi corner as offsets from the box's
+    high corner, so that a larger field is always a smaller cube.  Each
+    field has ``bits`` value bits and one guard bit above them.
+    Subtracting b from a with every guard bit of a set leaves the guard bit
+    of each field where a's value is at least b's, and no borrow crosses a
+    field (Knuth, TAOCP 4A, §7.1.3), so one subtraction compares all 2d
+    fields, and the fieldwise max of two keys, the max of the lo corners
+    and the min of the hi corners, is the key of the cubes' intersection.
+    """
+
+    def __init__(self, box):
+        lo, hi = box
+        self.d, self.corners = len(lo), (lo, hi)
+        self.bits = max(map(sub, hi, lo), default=0).bit_length()
+        width = self.bits + 1
+        self.shifts = range(0, 2 * self.d * width, width)
+        self.guard = sum(1 << s + self.bits for s in self.shifts)
+
+    def key(self, cube) -> int:
+        """The cube's lo and hi offsets."""
+        (lo, hi), (low, high) = cube, self.corners
+        return sum(map(lshift, map(sub, lo + high, low + hi), self.shifts))
+
+    def intersection(self, a, b) -> int:
+        """The fieldwise max of two keys: the key of the intersection of two
+        cubes that meet."""
+        ge = ((a | self.guard) - b) & self.guard
+        return b ^ (a ^ b) & (ge - (ge >> self.bits))
 
 
 def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True) -> CubicReport:
@@ -302,27 +349,54 @@ def verify_cubic_realization(kind: str, m: int, n: int, subdivision: bool = True
 
 
 def _subdivision_checks(rot, ref, gamma, box, ledger):
-    """Sub-check (c) on integer indices.
+    """Sub-check (c) on integer indices, with no F x F row set on a pass.
 
-    A face's vertices are the rank-0 bits of its refinement up-set row, and
-    its cube is spanned by the cubic vectors (gamma, by rotation index) of
-    their rotation extremes.  Face cubes are bits of the refinement index;
-    the threshold masks turn "contains", "meets" and "lies inside" into ANDs
-    of one mask per coordinate and side.  Every check reports the first
-    failure of the row-major pair scans it replaces.
+    A face's vertices come from one sweep down the refinement covers in
+    reverse topological order: a rank-0 face is its own rotation index bit,
+    and every other face ORs the vertex rows of its upper covers, the finer
+    faces, so the rows are F x V bits in all and no refinement ``leq`` or
+    ``down`` row is read.  A face's cube is spanned by the cubic vectors
+    (gamma, by rotation index) of its vertices' rotation extremes.  Face
+    cubes are bits of the refinement index; the threshold masks turn
+    "contains", "lies inside" and "meets" into ANDs of one mask per
+    coordinate and side, and so does "lies in" for the vertices.
+
+    ``intersections_in_collection`` skips the pairs in which one cube
+    contains the other, whose intersection is one of the two, and takes
+    every other intersection broadword off the packed keys (`_CubeKeys`),
+    looked up in one key -> dimension dict.
+
+    ``containment_mirrors_refinement`` says the cubes containing a face's
+    cube are exactly the faces below it (coarser or equal).  With every
+    face's cube at hand, two rules per face j decide it from the covers:
+    (R1) every lower cover's cube contains j's cube, and (R2) every cube
+    containing j's cube is j's own or contains the cube of one of j's lower
+    covers.  R1 along a chain of covers puts every face below j around j's
+    cube.  Conversely, by well-founded descent along the covers: a face i
+    around j's cube other than j lies around some lower cover c's cube by
+    R2, so below c, by the claim for c, and so below j.  And row equality
+    gives R1 and R2 back, since a face strictly below j is below one of its
+    lower covers.  Both rules read j's containing mask, and R2 the masks of
+    its lower covers, each computed on demand and none kept.  The premise
+    is that every face has its cube: when one has none, R1 could pass over
+    a relation through that face, so the comparison with the ``down`` rows
+    runs instead.
+
+    A failing clause reruns the scan it replaces, so every message and every
+    first counterexample is that of the row-major pair scans.
     """
     ranks = [o.rank for o in ref.elements]
-    rot_bit = [1 << rot.index(o) if r == 0 else 0 for o, r in zip(ref.elements, ranks)]
-    vertices = sum(1 << j for j, r in enumerate(ranks) if r == 0)
-    points = _threshold_masks(((i, (g, g)) for i, g in enumerate(gamma)), box)
+    members = [1 << rot.index(o) if r == 0 else 0 for o, r in zip(ref.elements, ranks)]
+    covers_up = ref._covers_up
+    for j in reversed(ref.topological_order):
+        for hi in covers_up[j]:
+            members[j] |= members[hi]
+    points = _threshold_masks(((i, (g, g)) for i, g in enumerate(gamma)), box)[0]
 
     cubes = {}
     ledger.record("faces_span_subcubes", True)
     for j, o in enumerate(ref.elements):
-        members = 0
-        for k in _bits(ref.leq[j] & vertices):
-            members |= rot_bit[k]
-        mins, maxs = rot.extremes(list(_bits(members)))
+        mins, maxs = rot.extremes(list(_bits(members[j])))
         if len(mins) != 1 or len(maxs) != 1:
             ledger.record("faces_span_subcubes", False, f"{o}: no unique extremes")
             continue
@@ -330,18 +404,20 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
         if any(a > b for a, b in zip(cube[0], cube[1])):
             ledger.record("faces_span_subcubes", False, f"{o}: degenerate span")
             continue
-        if _cube_dim(cube) != o.rank:
-            detail = f"{o}: dim {_cube_dim(cube)} != rank {o.rank}"
+        if _cube_dim(cube) != ranks[j]:
+            detail = f"{o}: dim {_cube_dim(cube)} != rank {ranks[j]}"
             ledger.record("faces_span_subcubes", False, detail)
-        for v in _bits(members & ~_cubes_around(points, cube[1], cube[0])):
+        for v in _bits(members[j] & ~_cubes_around(points, cube[1], cube[0])):
             detail = f"{o}: vertex {rot.elements[v]} outside its cube"
             ledger.record("faces_span_subcubes", False, detail)
         cubes[j] = cube
+    del members
 
     present = sum(1 << j for j in cubes)
     whole = max(range(ref.n), key=ranks.__getitem__)
     proper = present & ~(1 << whole)
-    faces = _threshold_masks(cubes.items(), box)
+    faces, inner = _threshold_masks(cubes.items(), box)
+    keys = _CubeKeys(box)
 
     ledger.record("subcubes_on_boundary", True)
     for j in _bits(proper):
@@ -355,6 +431,50 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
             break
 
     ledger.record("intersections_in_collection", True)
+    if not _intersections_close(cubes, proper, faces, inner, keys):
+        _intersection_scan(ref, cubes, proper, faces, ledger)
+
+    ledger.record("containment_mirrors_refinement", True)
+    if len(cubes) == ref.n:
+        mirrored = _containment_by_covers(ref, cubes, faces)
+    else:
+        mirrored = all(
+            _cubes_around(faces, *cubes[j]) & present == ref.down[j] & present for j in cubes
+        )
+    if not mirrored:
+        # some column differs: the row-major scan finds the first pair
+        for j1 in cubes:
+            for j2 in cubes:
+                if ref.le(j1, j2) != _cube_contains(cubes[j1], cubes[j2]):
+                    detail = f"{ref.elements[j1]} vs {ref.elements[j2]}"
+                    ledger.record("containment_mirrors_refinement", False, detail)
+
+
+def _intersections_close(cubes, proper, faces, inner, keys) -> bool:
+    """Whether every two proper cubes that meet, neither inside the other,
+    meet in a cube of the collection of lower dimension than both."""
+    key, dim = [0] * proper.bit_length(), [0] * proper.bit_length()
+    for j in _bits(proper):
+        key[j], dim[j] = keys.key(cubes[j]), _cube_dim(cubes[j])
+    dims = {key[j]: dim[j] for j in _bits(proper)}
+    meet, missing = keys.intersection, keys.d  # a missing intersection reads as dimension d
+    for a in _bits(proper):
+        lo, hi = cubes[a]
+        later = proper & _cubes_around(faces, hi, lo) & -(2 << a)
+        if not later:
+            continue
+        later &= ~(_cubes_around(faces, lo, hi) | _cubes_around(inner, lo, hi))
+        ka, da = key[a], dim[a]
+        for b in _bits(later):
+            inter = dims.get(meet(ka, key[b]), missing)
+            if inter >= da or inter >= dim[b]:
+                return False
+    return True
+
+
+def _intersection_scan(ref, cubes, proper, faces, ledger):
+    """Every pair of proper cubes that meet, in row-major order: each
+    intersection not in the collection, or of a dimension not below both."""
     dims = {cubes[j]: _cube_dim(cubes[j]) for j in _bits(proper)}
     for a in _bits(proper):
         c1 = cubes[a]
@@ -369,17 +489,25 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
             elif inter != c1 and inter != c2 and dims[inter] >= min(dims[c1], dims[c2]):
                 ledger.record("intersections_in_collection", False, f"dimension at {inter}")
 
-    ledger.record("containment_mirrors_refinement", True)
-    if any(
-        _cubes_around(faces, *cubes[j]) & present != ref.down[j] & present
-        for j in cubes
-    ):
-        # some column differs: the row-major scan finds the first pair
-        for j1 in cubes:
-            for j2 in cubes:
-                if ref.le(j1, j2) != _cube_contains(cubes[j1], cubes[j2]):
-                    detail = f"{ref.elements[j1]} vs {ref.elements[j2]}"
-                    ledger.record("containment_mirrors_refinement", False, detail)
+
+def _containment_by_covers(ref, cubes, faces) -> bool:
+    """R1 and R2 of `_subdivision_checks` at every face; every face has its
+    cube."""
+    everything = (1 << ref.n) - 1
+    for j, lower in enumerate(ref._covers_down):
+        around = _cubes_around(faces, *cubes[j]) & everything
+        covers = sum(1 << c for c in lower)
+        if covers & ~around:
+            return False
+        # each lower cover lies around its own cube
+        rest = around & ~(covers | 1 << j)
+        for c in lower:
+            if not rest:
+                break
+            rest &= ~_cubes_around(faces, *cubes[c])
+        if rest:
+            return False
+    return True
 
 
 def _cube_on_boundary(cube, box) -> bool:

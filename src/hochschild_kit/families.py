@@ -28,6 +28,7 @@ class Family(NamedTuple):
     enum: Callable  # (m, n, rank=None) -> the objects, all or of one rank
     vertices: Callable  # (m, n) -> the rank-0 objects, the polytope's vertices
     rotation_covers: Callable  # (vertices) -> their rotation covers as index pairs, from shape moves
+    refinement_covers: Callable  # (objects) -> their refinement covers as index pairs, from moves
     vertices_of: Callable  # (vertices) -> their points, in order
     labeling: Callable  # a vertex -> (its label-free form, its labels in reading order)
     facet_of: Callable
@@ -50,6 +51,7 @@ def family(name: str) -> Family:
         return Family(
             "painted", "multiplihedron",
             painted.enum_painted_trees, painted.binary_painted_trees, painted.rotation_covers,
+            painted.refinement_covers,
             geometry.vertices_of_painted_trees, painted.labeling, geometry.facet_of_painted_tree,
             geometry.z_multiplihedron, geometry.y_multiplihedron,
             cubic.cubic_vector_painted, series.painted_face_row, series._painted_tower, 1,
@@ -59,6 +61,7 @@ def family(name: str) -> Family:
         return Family(
             "shade", "hochschild",
             shades.enum_lighted_shades, shades.unary_lighted_shades, shades.rotation_covers,
+            shades.refinement_covers,
             geometry.vertices_of_lighted_shades, shades.labeling, geometry.facet_of_lighted_shade,
             geometry.z_hochschild, geometry.y_hochschild,
             cubic.cubic_vector_shade, series.shade_face_row, series._shade_tower, 0,

@@ -27,10 +27,14 @@ only T(k, n + 1, m + n - k - rank).  The census in `tables`
 builds no shape: `_painted_shape_counts` counts the shapes bottom-up, one
 cut layer at a time.
 
-The canonical order of painted trees compares the plane tree's shape
-(`_shape_key`), then the cuts, then the parts, each part a sorted tuple
-(`_parts_key`), bottom cut first.  The enumerators sort shapes, not trees.
-The shape half of that order (the shape of the plane tree and the cuts)
+The canonical order of painted trees compares the plane tree's shape,
+then the cuts, then the parts, each part a sorted tuple (`_parts_key`),
+bottom cut first.  The enumerators sort shapes, not trees.  The shape half
+of that order is one bytes key from one preorder walk (`_shape_sort_key`):
+the plane tree's bracket word, "(" = 2 and ")" = 1, then each cut's
+preorder ids + 1 in fixed width with a zero terminator.  Balanced words
+are prefix-free and the terminators sort low, so the bytes order the
+shapes as the nested tuples of child shapes and of cut ids do.  It
 determines the shape, and the cached `ordered_partitions` come in the
 order of the parts, each block chosen among the subsets of the labels left
 (`_label_subsets`, which the shades read too), so the shapes are sorted
@@ -38,13 +42,16 @@ once and each one's labelings emitted in turn.  The enumerators hand the parts o
 the internal constructor ``PaintedTree._new``; the public constructor
 freezes every part again.
 
-The refinement moves build their results as trees, in generation order.
-The rotation moves never build a tree: every rotation but one acts on the
-shape alone, and S_m acts freely on the binary trees, so `rotation_covers`
-computes each shape's moves once (`_shape_moves`) and lifts them to its m!
-labelings, which the enumerator lays out one shape after another.  The
-one label move, the swap of two adjacent cuts, reads a table cached per m
-(`_swap_table`).
+Neither kind of move builds a tree.  The refinement moves that keep the
+cuts (edge contraction, parent absorption) act on the shape alone, and a
+cut join sends each labeling through a table cached per (m, k, i)
+(`_join_table`), so `refinement_covers` reads each shape's moves once as
+index pairs.  Likewise for the rotation moves: every rotation but one
+acts on the shape alone, and S_m acts freely on the binary trees, so
+`rotation_covers` computes each shape's moves once (`_shape_moves`) and
+lifts them to its m! labelings, which the enumerator lays out one shape
+after another.  The one label move, the swap of two adjacent cuts, reads
+a table cached per m (`_swap_table`).
 
 The maps on a painted tree (preposet, validation, multiplihedron vertex and
 facet, cubic and bracket vectors, the tree-side singleton test) read one
@@ -378,28 +385,6 @@ class PaintedTree:
         if any(len(node.counts) == 1 and node.tag is None for node in walk):
             raise ValueError("every unary node must lie on a cut")
 
-    # -- moves -----------------------------------------------------------------
-
-    def refinement_covers_down(self) -> list["PaintedTree"]:
-        """Painted trees covered by this one in the refinement order.
-
-        Each result is one move coarser: its preposet strictly contains this
-        tree's preposet and its rank is one higher.  The results come in
-        generation order; a poset orders its covers by element index.
-        """
-        out = [
-            PaintedTree._new(self.m, self.n, t, self.parts)
-            for rule in (_contract_free_edge, _absorb_parent)
-            for t in _rewrites(self.tagged, rule)
-        ]
-        parts = self.parts
-        for i in range(self.k - 1):
-            t = _join_cuts(self.tagged, i)
-            if t is not None:
-                joined = parts[:i] + (parts[i] | parts[i + 1],) + parts[i + 2:]
-                out.append(PaintedTree._new(self.m, self.n, t, joined))
-        return out
-
 
 class Node(NamedTuple):
     """One internal node of a painted tree's preorder walk.
@@ -427,10 +412,6 @@ def _untag(tagged):
     return tuple(LEAF if c is LEAF else _untag(c) for c in tagged[1])
 
 
-def _shape_key(tagged):
-    return tuple(() if c is LEAF else _shape_key(c) for c in tagged[1])
-
-
 def _cut_ids(tagged, k):
     """Per cut of the k, bottom cut first, the ascending preorder ids of its
     nodes: one preorder walk meets each cut's nodes in ascending order."""
@@ -446,11 +427,53 @@ def _cut_ids(tagged, k):
     return tuple(map(tuple, cuts))
 
 
-def _shape_sort_key(tagged, k):
-    """The shape half of the canonical order: the plane tree's shape and the
-    cuts of a tagged shape with k cuts.  It determines the shape
-    (`PaintedTree.from_cuts`)."""
-    return _shape_key(tagged), _cut_ids(tagged, k)
+def _id_width(m, n) -> int:
+    """Bytes per node id in `_shape_sort_key`: enough for id + 1 with up to
+    n + m(n + 1) internal nodes, at most n off the cuts and n + 1 per cut."""
+    return max(1, (n + m * (n + 1)).bit_length() + 7 >> 3)
+
+
+_CLOSE = object()  # a node's closing bracket on the walk's stack
+
+
+def _shape_sort_key(tagged, k, width):
+    """The shape half of the canonical order as one bytes key, from one
+    preorder walk: the plane tree's bracket word, "(" = 2 and ")" = 1 with
+    a leaf "()", then per cut, bottom cut first, its preorder node ids + 1
+    in ``width`` big-endian bytes (`_id_width`) and a zero terminator.
+
+    It orders shapes as the tuple of the nested child tuples and the cuts'
+    id tuples does (`oracles.shape_sort_tuple`): a node's word is its
+    children's words in brackets, balanced words are prefix-free, so two
+    words first differ inside the first children that differ, and a node
+    with fewer children closes where the other opens; the ids are
+    fixed-width, and a cut that ends first meets its terminator where the
+    other has an id of at least 1.  It determines the shape
+    (`PaintedTree.from_cuts`).
+    """
+    word = bytearray()
+    cuts = [[] for _ in range(k)]
+    stack = [tagged]
+    pop, push, emit = stack.pop, stack.append, word.append
+    nid = 0
+    while stack:
+        t = pop()
+        if t is LEAF:
+            emit(2)
+            emit(1)
+        elif t is _CLOSE:
+            emit(1)
+        else:
+            emit(2)
+            nid += 1
+            if t[0] is not None:
+                cuts[t[0]].append(nid)
+            push(_CLOSE)
+            stack.extend(t[1][::-1])
+    for cut in cuts:
+        cut.append(0)
+        word += bytes(cut) if width == 1 else b"".join(i.to_bytes(width, "big") for i in cut)
+    return bytes(word)
 
 
 def _parts_key(parts):
@@ -688,6 +711,74 @@ def rotation_covers(objs) -> list[tuple[int, int]]:
     return covers
 
 
+# -- refinement covers --------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _join_table(m, k, i):
+    """For each labeling j of `ordered_partitions(m, k)`, the index in
+    `ordered_partitions(m, k - 1)` of the labeling with parts i and i + 1
+    joined into one."""
+    index = {parts: j for j, parts in enumerate(ordered_partitions(m, k - 1))}
+    return tuple(
+        index[parts[:i] + (parts[i] | parts[i + 1],) + parts[i + 2:]]
+        for parts in ordered_partitions(m, k)
+    )
+
+
+def refinement_covers(objs) -> list[tuple[int, int]]:
+    """The covers of the refinement order on the painted trees ``objs``, as
+    (coarser, finer) index pairs, in no particular order.
+
+    ``objs`` is read in the layout `enum_painted_trees` yields: each tagged
+    shape with k cuts, then its labelings in `ordered_partitions(m, k)`
+    order.  The layout is checked as it is read; a tree that is not the
+    expected labeling, or a shape met twice, raises ValueError.  The edge
+    contractions (move i) and parent absorptions (move ii) keep the cuts
+    and so every label in place: they act on the shape alone, so they are
+    computed once per shape and lifted to its labelings at the same offset.
+    A cut join (`_join_cuts`) of cuts i, i + 1 takes labeling j of a shape
+    with k cuts to labeling `_join_table(m, k, i)[j]` of the joined shape.
+    A move that reaches no tree of ``objs`` raises ValueError.
+    """
+    if not objs:
+        return []
+    m, n = objs[0].m, objs[0].n
+    shapes = {}  # shape -> (index of its first labeling, its cut count)
+    base = 0
+    while base < len(objs):
+        shape, k = objs[base].tagged, len(objs[base].parts)
+        labelings = ordered_partitions(m, k)
+        for j, parts in enumerate(labelings):
+            pt = objs[base + j] if base + j < len(objs) else None
+            if pt is None or pt.tagged != shape or pt.parts != parts:
+                raise ValueError(f"tree {base + j} is {pt!r}, not labeling {j} of its shape")
+        if shapes.setdefault(shape, (base, k))[0] != base:
+            raise ValueError(f"tree {base} repeats the shape of tree {shapes[shape][0]}")
+        base += len(labelings)
+
+    def reach(moved, k):
+        upper = shapes.get(moved)
+        if upper is None or upper[1] != k:
+            stray = PaintedTree(m, n, moved, ordered_partitions(m, k)[0])
+            raise ValueError(f"a move reaches {stray!r}, which is not an element")
+        return upper[0]
+
+    covers = []
+    for shape, (base, k) in shapes.items():
+        size = len(ordered_partitions(m, k))
+        for rule in (_contract_free_edge, _absorb_parent):
+            for moved in _rewrites(shape, rule):
+                upper = reach(moved, k)
+                covers += zip(range(upper, upper + size), range(base, base + size))
+        for i in range(k - 1):
+            joined = _join_cuts(shape, i)
+            if joined is not None:
+                upper = reach(joined, k - 1)
+                covers += ((upper + j, base + lo) for lo, j in enumerate(_join_table(m, k, i)))
+    return covers
+
+
 # -- enumeration ------------------------------------------------------------
 
 
@@ -868,9 +959,10 @@ def _painted_trees(m, n, binary=False, rank=None):
     order of the parts.  With ``binary`` only the binary (rank 0) trees
     are generated, with ``rank`` only the shapes of that rank are labeled.
     """
+    width = _id_width(m, n)
     shapes = sorted(
         (
-            (_shape_sort_key(shape, k), shape, k)
+            (_shape_sort_key(shape, k, width), shape, k)
             for shape, k, _ in _painted_shapes(m, n, binary, rank)
         ),
         key=itemgetter(0),

@@ -31,9 +31,9 @@ tuple.
 A rotation poset is built by `rotation_poset` from its family's
 `rotation_covers`: the moves are computed on the unlabeled shapes, once per
 shape, and read off as index pairs, so no successor object is built and no
-face is hashed to find its index.  The refinement posets are built from
-their local moves by `FinitePoset.from_moves`.  Either way the covers may
-come in any order: a poset sorts them by element index.  `from_leq` reduces
+face is hashed to find its index.  The refinement posets are built the same
+way from the family's `refinement_covers`.  Either way the covers may come
+in any order: a poset sorts them by element index.  `from_leq` reduces
 a given order (word posets) with `preposets.cover_pairs`, the reduction
 `Preposet.hasse_edges` also uses.
 """
@@ -78,16 +78,6 @@ class FinitePoset:
         ValueError when the relation is not antisymmetric.
         """
         return cls(elements, cover_pairs(leq))
-
-    @classmethod
-    def from_moves(cls, elements, moves) -> "FinitePoset":
-        """Build from local moves, given as (lower, upper) pairs of elements;
-        the moves must be exactly the covers, all inside the elements."""
-        index = {e: i for i, e in enumerate(elements)}
-        try:
-            return cls(elements, [(index[lo], index[hi]) for lo, hi in moves])
-        except KeyError as exc:
-            raise ValueError(f"a move reaches {exc.args[0]!r}, which is not an element") from None
 
     def index(self, key) -> int:
         return self._index[key]
@@ -557,12 +547,14 @@ def build_rotation_poset(kind: str, m: int, n: int) -> FinitePoset:
 def build_refinement_poset(kind: str, m: int, n: int) -> FinitePoset:
     """Refinement poset on all objects; covers are the coarsening moves.
 
-    A move (`refinement_covers_down`) enlarges the preposet, and larger
-    preposet = smaller element; rank-0 objects are the maximal elements and
-    the unique coarsest object is the minimum.
+    A move enlarges the preposet, and larger preposet = smaller element;
+    rank-0 objects are the maximal elements and the unique coarsest object
+    is the minimum.  The covers come as index pairs off the family's moves
+    (`Family.refinement_covers`), so no object is built per move.
     """
-    objs = family(kind).enum(m, n)
-    return FinitePoset.from_moves(objs, ((r, o) for o in objs for r in o.refinement_covers_down()))
+    fam = family(kind)
+    objs = fam.enum(m, n)
+    return FinitePoset(objs, fam.refinement_covers(objs))
 
 
 def word_subposet(m: int, n: int) -> FinitePoset:

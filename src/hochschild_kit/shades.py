@@ -224,32 +224,6 @@ class LightedShade:
         if not self.entries:
             raise ValueError("a shade has at least one position")
 
-    # -- moves ------------------------------------------------------------------
-
-    def refinement_covers_down(self) -> list["LightedShade"]:
-        """Shades covered by this one in the refinement order.
-
-        Move (i) concatenates two consecutive positions; move (ii) splits one
-        integer entry in place.  Each result has rank one higher and a strictly
-        larger preposet.  The results come in generation order; a poset
-        orders its covers by element index.
-        """
-        out = []
-        ent = self.entries
-        for i in range(len(ent) - 1):
-            merged = (ent[i][0] + ent[i + 1][0], ent[i][1] | ent[i + 1][1])
-            out.append(LightedShade._new(self.m, self.n, ent[:i] + (merged,) + ent[i + 2:]))
-        for i, (vals, lights) in enumerate(ent):
-            for j, v in enumerate(vals):
-                for y in range(1, v):
-                    split = vals[:j] + (y, v - y) + vals[j + 1:]
-                    out.append(
-                        LightedShade._new(
-                            self.m, self.n, ent[:i] + ((split, lights),) + ent[i + 1:]
-                        )
-                    )
-        return out
-
 
 # -- enumeration ---------------------------------------------------------------
 
@@ -430,4 +404,42 @@ def rotation_covers(objs) -> list[tuple[int, int]]:
             if labels[c + 1] < labels[c]:
                 swapped = labels[:c] + (labels[c + 1], labels[c]) + labels[c + 2:]
                 covers.append((lower, reach(seq, swapped)))
+    return covers
+
+
+# -- refinement covers -----------------------------------------------------------
+
+
+def refinement_covers(objs) -> list[tuple[int, int]]:
+    """The covers of the refinement order on the shades ``objs``, as
+    (coarser, finer) index pairs, in no particular order.
+
+    Move (i) concatenates two consecutive positions, move (ii) splits one
+    integer entry in place; each result has rank one higher and a strictly
+    larger preposet.  Each move is computed as an entries tuple and looked
+    up in one dict from entries to index, so no shade is built per move.  A
+    move that reaches no shade of ``objs`` raises ValueError.
+    """
+    if not objs:
+        return []
+    m, n = objs[0].m, objs[0].n
+    index = {ls.entries: i for i, ls in enumerate(objs)}
+
+    def reach(entries):
+        upper = index.get(entries)
+        if upper is None:
+            stray = LightedShade(m, n, entries)
+            raise ValueError(f"a move reaches {stray!r}, which is not an element")
+        return upper
+
+    covers = []
+    for ent, lower in index.items():
+        for i in range(len(ent) - 1):
+            (a, la), (b, lb) = ent[i], ent[i + 1]
+            covers.append((reach(ent[:i] + ((a + b, la | lb),) + ent[i + 2:]), lower))
+        for i, (vals, lights) in enumerate(ent):
+            for j, v in enumerate(vals):
+                for y in range(1, v):
+                    split = vals[:j] + (y, v - y) + vals[j + 1:]
+                    covers.append((reach(ent[:i] + ((split, lights),) + ent[i + 1:]), lower))
     return covers

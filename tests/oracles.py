@@ -20,14 +20,16 @@ from hochschild_kit.ledger import Ledger
 from hochschild_kit.painted import (
     LEAF,
     PaintedTree,
+    _absorb_parent,
     _check_params,
+    _contract_free_edge,
+    _cut_ids,
     _join_cuts,
     _painted_shapes,
     _painted_trees,
     _parts_key,
     _rewrites,
     _rotate_right,
-    _shape_key,
     _sweep_cut,
     _tree_json,
     ordered_partitions,
@@ -565,11 +567,67 @@ def _shade_rotation_successors(ls):
     return out
 
 
+def poset_from_moves(elements, moves) -> FinitePoset:
+    """A poset built from local moves, given as (lower, upper) pairs of
+    elements, each hashed back to its index; the moves must be exactly the
+    covers, all inside the elements."""
+    index = {e: i for i, e in enumerate(elements)}
+    try:
+        return FinitePoset(elements, [(index[lo], index[hi]) for lo, hi in moves])
+    except KeyError as exc:
+        raise ValueError(f"a move reaches {exc.args[0]!r}, which is not an element") from None
+
+
 def successor_rotation_poset(kind, m, n) -> FinitePoset:
     """The rotation poset built from `rotation_successors`: every successor
-    an object, hashed back to its index by `FinitePoset.from_moves`."""
+    an object, hashed back to its index by `poset_from_moves`."""
     objs = family(kind).vertices(m, n)
-    return FinitePoset.from_moves(objs, ((o, r) for o in objs for r in rotation_successors(o)))
+    return poset_from_moves(objs, ((o, r) for o in objs for r in rotation_successors(o)))
+
+
+def refinement_covers_down(obj) -> list:
+    """The painted trees or shades covered by ``obj`` in the refinement
+    order, each built as an object, in generation order: the object route
+    that `Family.refinement_covers` is checked against.
+
+    Each result is one move coarser: its preposet strictly contains the
+    object's and its rank is one higher.  A painted tree contracts an edge
+    to an uncut child (move i), absorbs an uncut parent into its children's
+    common cut (move ii) or joins two adjacent cuts (move iii); a shade
+    concatenates two consecutive positions (move i) or splits one integer
+    entry in place (move ii).
+    """
+    if isinstance(obj, PaintedTree):
+        out = [
+            PaintedTree(obj.m, obj.n, t, obj.parts)
+            for rule in (_contract_free_edge, _absorb_parent)
+            for t in _rewrites(obj.tagged, rule)
+        ]
+        parts = obj.parts
+        for i in range(obj.k - 1):
+            t = _join_cuts(obj.tagged, i)
+            if t is not None:
+                joined = parts[:i] + (parts[i] | parts[i + 1],) + parts[i + 2:]
+                out.append(PaintedTree(obj.m, obj.n, t, joined))
+        return out
+    out = []
+    ent = obj.entries
+    for i in range(len(ent) - 1):
+        merged = (ent[i][0] + ent[i + 1][0], ent[i][1] | ent[i + 1][1])
+        out.append(LightedShade(obj.m, obj.n, ent[:i] + (merged,) + ent[i + 2:]))
+    for i, (vals, lights) in enumerate(ent):
+        for j, v in enumerate(vals):
+            for y in range(1, v):
+                split = vals[:j] + (y, v - y) + vals[j + 1:]
+                out.append(LightedShade(obj.m, obj.n, ent[:i] + ((split, lights),) + ent[i + 1:]))
+    return out
+
+
+def move_refinement_poset(kind, m, n) -> FinitePoset:
+    """The refinement poset built from `refinement_covers_down`: every move
+    an object, hashed back to its index by `poset_from_moves`."""
+    objs = family(kind).enum(m, n)
+    return poset_from_moves(objs, ((r, o) for o in objs for r in refinement_covers_down(o)))
 
 
 def min_swap_table(m):
@@ -665,6 +723,19 @@ def frozenset_cuts(pt):
         nid += 1
         stack.extend(c for c in reversed(children) if c is not LEAF)
     return tuple(frozenset(c) for c in cuts)
+
+
+def _shape_key(tagged):
+    """The plane tree of a tagged shape as nested tuples of its children's
+    keys, a leaf the empty tuple."""
+    return tuple(() if c is LEAF else _shape_key(c) for c in tagged[1])
+
+
+def shape_sort_tuple(tagged, k):
+    """The shape half of the canonical order as a tuple, from two recursive
+    walks: the nested child tuples, then the cuts' preorder id tuples, bottom
+    cut first.  `painted._shape_sort_key` is the one-walk bytes key."""
+    return _shape_key(tagged), _cut_ids(tagged, k)
 
 
 def sorted_painted_key(pt):

@@ -3,6 +3,7 @@ from itertools import product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from hochschild_kit import cubic, posets
 from hochschild_kit.cubic import (
@@ -18,7 +19,7 @@ from hochschild_kit.cubic import (
     word_violation,
 )
 from hochschild_kit.families import family
-from hochschild_kit.painted import binary_painted_trees
+from hochschild_kit.painted import PaintedTree, binary_painted_trees
 from hochschild_kit.posets import FinitePoset, build_refinement_poset, build_rotation_poset
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 
@@ -240,28 +241,31 @@ def _subdivision_oracle(rot, ref, gamma, box, ledger):
 CELLS_4 = [(m, t - m) for t in range(1, 5) for m in range(t + 1)]
 
 
-def _failures(subdivision_checks, kind, m, n):
-    """The checks and every failure message of one subdivision route."""
-    rot = build_rotation_poset(kind, m, n)
-    ref = posets.build_refinement_poset(kind, m, n)
-    gamma_fn = cubic.cubic_vector_painted if kind == "painted" else cubic.cubic_vector_shade
-    gamma = [gamma_fn(o) for o in rot.elements]
-    log = FailureLog()
-    subdivision_checks(rot, ref, gamma, cubic._cube_of(gamma), log)
-    return dict(log.verdicts()), [f"{name}: {detail}" for name, detail in log.failures]
+def _logged(monkeypatch, kind, m, n):
+    """The report of one run and every failure message it recorded, in order."""
+    logs = []
+
+    def ledger():
+        logs.append(FailureLog())
+        return logs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cubic, "Ledger", ledger)
+        rep = verify_cubic_realization(kind, m, n)
+    return rep, [f"{name}: {detail}" for name, detail in logs[0].failures]
 
 
 def _with_oracle(monkeypatch, kind, m, n):
     """The bitset route's report, after checking that it and the oracle give
-    the same report and the same failure messages in the same order."""
-    new = verify_cubic_realization(kind, m, n)
+    the same report and the same failure messages in the same order; one
+    run of each route."""
+    new, messages = _logged(monkeypatch, kind, m, n)
     with monkeypatch.context() as patch:
         patch.setattr(cubic, "_subdivision_checks", _subdivision_oracle)
-        old = verify_cubic_realization(kind, m, n)
+        old, old_messages = _logged(patch, kind, m, n)
     assert new.checks == old.checks
     assert new.counterexample == old.counterexample
-    messages = _failures(cubic._subdivision_checks, kind, m, n)[1]
-    assert messages == _failures(_subdivision_oracle, kind, m, n)[1]
+    assert messages == old_messages
     return new, messages
 
 
@@ -271,6 +275,16 @@ def test_subdivision_matches_oracle(kind, monkeypatch):
         rep, _ = _with_oracle(monkeypatch, kind, m, n)
         assert rep.passed, rep.counterexample
         assert "containment_mirrors_refinement" in rep.checks
+
+
+CELLS_5 = [(m, 5 - m) for m in range(6)]
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+@pytest.mark.parametrize("m, n", CELLS_5)
+def test_subdivision_matches_oracle_at_five(kind, m, n, monkeypatch):
+    rep, messages = _with_oracle(monkeypatch, kind, m, n)
+    assert rep.passed and not messages, rep.counterexample
 
 
 def test_subdivision_scans_pairs_only_after_a_mismatch(monkeypatch):
@@ -341,6 +355,253 @@ def test_subdivision_oracle_on_each_broken_containment(kind, monkeypatch):
         if ref.elements[hi].rank > 0:
             failed = _failed_checks(monkeypatch, kind, 2, 1, _corrupted(ref, cut=(lo, hi)))
             assert failed == {"containment_mirrors_refinement"}
+
+
+def _facet_grown_into_a_neighbour(rot, ref, gamma):
+    """The first facet a of the boundary and vertices p, q (rotation
+    indices) such that the cube (gamma[p], gamma[q]) strictly contains a's
+    cube, has a's rank, lies on the boundary, and overlaps another facet in
+    full dimension with neither inside the other; with that overlap."""
+    box = cubic._cube_of(gamma)
+    members = {j: [rot.index(v) for v in rot.elements if o.preposet.contains(v.preposet)]
+               for j, o in enumerate(ref.elements)}
+    cubes = {}
+    for j, idxs in members.items():
+        mins, maxs = rot.extremes(idxs)
+        cubes[j] = (gamma[maxs[0]], gamma[mins[0]])
+    d = len(gamma[0])
+    facets = [j for j, o in enumerate(ref.elements) if o.rank == d - 1]
+    for a in facets:
+        for p, q in product(range(rot.n), repeat=2):
+            grown = (gamma[p], gamma[q])
+            if grown == cubes[a] or not cubic._cube_contains(grown, cubes[a]):
+                continue
+            if cubic._cube_dim(grown) != d - 1 or not cubic._cube_on_boundary(grown, box):
+                continue
+            for b in facets:
+                other = cubes[b]
+                lo, hi = tuple(map(max, grown[0], other[0])), tuple(map(min, grown[1], other[1]))
+                if (
+                    b != a
+                    and all(x <= y for x, y in zip(lo, hi))
+                    and cubic._cube_dim((lo, hi)) == d - 1
+                    and not cubic._cube_contains(grown, other)
+                    and not cubic._cube_contains(other, grown)
+                ):
+                    return members[a], p, q, (lo, hi)
+    raise AssertionError("no facet can grow into a neighbour")
+
+
+class _GrownRotations(FinitePoset):
+    """A rotation poset whose extremes of one vertex set are two given
+    vertices, so that one face's cube is spanned by them."""
+
+    def __init__(self, rot, members, p, q):
+        super().__init__(rot.elements, rot.covers)
+        self.victim, self.grown = sorted(members), ([q], [p])
+
+    def extremes(self, idxs):
+        return self.grown if sorted(idxs) == self.victim else super().extremes(idxs)
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_oracle_on_a_cube_grown_into_a_neighbour(kind, monkeypatch):
+    # one facet's cube grows along its side of the boundary until it
+    # overlaps a neighbouring facet in full dimension: that overlap is no
+    # face, so the pair fails the intersections, on both routes alike
+    m, n = 1, 3
+    rot = build_rotation_poset(kind, m, n)
+    gamma = [family(kind).cubic_vector(o) for o in rot.elements]
+    ref = build_refinement_poset(kind, m, n)
+    members, p, q, overlap = _facet_grown_into_a_neighbour(rot, ref, gamma)
+    grown = _GrownRotations(rot, members, p, q)
+    monkeypatch.setattr(posets, "build_rotation_poset", lambda *args: grown)
+    rep, messages = _with_oracle(monkeypatch, kind, m, n)
+    assert not rep.checks["intersections_in_collection"]
+    assert rep.checks["faces_span_subcubes"] and rep.checks["subcubes_on_boundary"]
+    assert any(text.endswith(f" meet in {overlap}") for text in messages), messages
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_oracle_on_a_dropped_edge(kind, monkeypatch):
+    # a face of dimension 1 below every facet's: the facets around it still
+    # cover the boundary and keep their order, but two of them now meet in a
+    # cube outside the collection
+    m, n = 1, 3
+    ref = build_refinement_poset(kind, m, n)
+    edge = next(j for j, o in enumerate(ref.elements) if o.rank == 1)
+    monkeypatch.setattr(posets, "build_refinement_poset", lambda *args: _corrupted(ref, drop=edge))
+    rep, messages = _with_oracle(monkeypatch, kind, m, n)
+    assert {name for name, ok in rep.checks.items() if not ok} == {"intersections_in_collection"}
+    assert messages and all(" meet in " in text for text in messages)
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_subdivision_oracle_on_a_removed_cover(kind, monkeypatch):
+    # the covers' rules fail at the finer end of the removed cover, and the
+    # scan names exactly that pair
+    m, n = 1, 3
+    ref = build_refinement_poset(kind, m, n)
+    lo, hi = next((lo, hi) for lo, hi in ref.covers if ref.elements[hi].rank == 1)
+    corrupt = _corrupted(ref, cut=(lo, hi))
+    monkeypatch.setattr(posets, "build_refinement_poset", lambda *args: corrupt)
+    rep, messages = _with_oracle(monkeypatch, kind, m, n)
+    assert messages == [
+        f"containment_mirrors_refinement: {ref.elements[lo]} vs {ref.elements[hi]}"
+    ]
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_a_face_with_no_cube_leaves_containment_to_the_scan(kind, monkeypatch):
+    # one vertex moved so that some face spans no cube: the covers' rules
+    # could pass over a relation through that face, so they do not run
+    m, n = 1, 2
+    covers_route = []
+    real = cubic._containment_by_covers
+    monkeypatch.setattr(
+        cubic, "_containment_by_covers", lambda *args: covers_route.append(1) or real(*args)
+    )
+    rot = build_rotation_poset(kind, m, n)
+    gamma_name = "cubic_vector_painted" if kind == "painted" else "cubic_vector_shade"
+    gamma_fn = getattr(cubic, gamma_name)
+    seen = 0
+    for victim, coord, step in product(rot.elements, range(m + n - 1), (-1, 1)):
+        def perturbed(o, victim=victim, coord=coord, step=step):
+            g = list(gamma_fn(o))
+            if o == victim:
+                g[coord] += step
+            return tuple(g)
+
+        monkeypatch.setattr(cubic, gamma_name, perturbed)
+        del covers_route[:]
+        rep, messages = _with_oracle(monkeypatch, kind, m, n)
+        if any(text.endswith(("no unique extremes", "degenerate span")) for text in messages):
+            seen += 1
+            assert not covers_route
+            assert "containment_mirrors_refinement" in rep.checks
+    assert seen
+
+
+class _RowFree(FinitePoset):
+    """A poset whose up-set and down-set rows may not be read."""
+
+    @property
+    def leq(self):
+        raise AssertionError("a refinement leq row was read")
+
+    @property
+    def down(self):
+        raise AssertionError("a refinement down row was read")
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_a_passing_subdivision_reads_no_refinement_row(kind, monkeypatch):
+    # the vertex sets come from the covers, and so does containment
+    m, n = 2, 2
+    ref = build_refinement_poset.__wrapped__(kind, m, n)
+    ref.__class__ = _RowFree
+    monkeypatch.setattr(posets, "build_refinement_poset", lambda *args: ref)
+    rep = verify_cubic_realization(kind, m, n)
+    assert rep.passed, rep.counterexample
+    assert list(rep.checks) == CUBIC_CHECKS
+
+
+def test_refinement_covers_build_no_object_per_move(monkeypatch):
+    # the covers are index pairs off moves on shapes and entries tuples
+    objs = {kind: family(kind).enum(2, 2) for kind in ("painted", "shade")}
+
+    def built(*args, **kwargs):
+        raise AssertionError("an object was built for a move")
+
+    for cls in (PaintedTree, LightedShade):
+        monkeypatch.setattr(cls, "__init__", built)
+        monkeypatch.setattr(cls, "_new", built)
+    for kind, elements in objs.items():
+        assert family(kind).refinement_covers(elements)
+
+
+_BOXES = st.integers(0, 6).flatmap(
+    lambda d: st.tuples(
+        st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+        st.lists(st.integers(0, 9), min_size=d, max_size=d),
+    )
+)
+
+
+@given(box=_BOXES, data=st.data())
+def test_packed_max_and_min_match_the_tuples(box, data):
+    # offsets from the box's low corner, so the negative coordinates of a
+    # perturbed vector pack like any other
+    low, sizes = box
+    high = [a + s for a, s in zip(low, sizes)]
+    keys = cubic._CubeKeys((tuple(low), tuple(high)))
+    corner = st.tuples(*(st.integers(a, b) for a, b in zip(low, high)))
+    c1, c2 = (data.draw(st.tuples(corner, corner)) for _ in range(2))
+    meet = (tuple(map(max, c1[0], c2[0])), tuple(map(min, c1[1], c2[1])))
+    assert keys.intersection(keys.key(c1), keys.key(c2)) == keys.key(meet)
+    assert keys.intersection(keys.key(c2), keys.key(c1)) == keys.key(meet)
+    assert (keys.key(c1) == keys.key(c2)) == (c1 == c2)
+
+
+_SMALL_COLLECTIONS = st.integers(1, 2).flatmap(
+    lambda d: st.lists(
+        st.tuples(*(st.tuples(st.integers(0, 3), st.integers(0, 3)).map(sorted) for _ in range(d))),
+        min_size=1,
+        max_size=7,
+    )
+)
+
+
+@given(_SMALL_COLLECTIONS)
+def test_the_packed_intersections_decide_as_the_pair_scan(raw):
+    # any collection in the box [0, 3]^d: the packed route passes exactly
+    # when the scan records no failure, a same-dimension face in the
+    # collection included
+    cubes = {j: tuple(map(tuple, zip(*sides))) for j, sides in enumerate(raw)}
+    d = len(raw[0])
+    box = ((0,) * d, (3,) * d)
+    proper = (1 << len(cubes)) - 1
+    faces, inner = cubic._threshold_masks(cubes.items(), box)
+    log = FailureLog()
+    cubic._intersection_scan(SimpleNamespace(elements=list(cubes)), cubes, proper, faces, log)
+    close = cubic._intersections_close(cubes, proper, faces, inner, cubic._CubeKeys(box))
+    assert close == (not log.failures)
+
+
+def _face_cubes(kind, m, n):
+    """The refinement poset of a cell, every face's cube read off its
+    vertices' rotation extremes, and the box."""
+    rot = build_rotation_poset(kind, m, n)
+    ref = build_refinement_poset(kind, m, n)
+    gamma = [family(kind).cubic_vector(o) for o in rot.elements]
+    vertices = [j for j, o in enumerate(ref.elements) if o.rank == 0]
+    cubes = {}
+    for j in range(ref.n):
+        mins, maxs = rot.extremes([rot.index(ref.elements[v]) for v in vertices if ref.le(j, v)])
+        cubes[j] = (gamma[maxs[0]], gamma[mins[0]])
+    return ref, cubes, cubic._cube_of(gamma)
+
+
+@given(data=st.data())
+def test_the_covers_rules_decide_as_the_rows(data):
+    # R1 and R2 hold at every face exactly when each face's containing
+    # cubes are its down-set row: on the true cubes of a cell, and with one
+    # face's cube swapped for any box inside the box
+    kind = data.draw(st.sampled_from(["painted", "shade"]))
+    cell = data.draw(st.sampled_from([(1, 2), (2, 1), (1, 3), (2, 2)]))
+    ref, cubes, box = _face_cubes(kind, *cell)
+    victim = data.draw(st.none() | st.integers(0, ref.n - 1))
+    if victim is not None:
+        sides = [
+            sorted(data.draw(st.tuples(st.integers(a, b), st.integers(a, b)))) for a, b in zip(*box)
+        ]
+        cubes = {**cubes, victim: tuple(map(tuple, zip(*sides)))}
+    faces = cubic._threshold_masks(cubes.items(), box)[0]
+    everything = (1 << ref.n) - 1
+    rows = all(cubic._cubes_around(faces, *cubes[j]) & everything == ref.down[j] for j in cubes)
+    assert cubic._containment_by_covers(ref, cubes, faces) == rows
+    if victim is None:
+        assert rows
 
 
 # -- every failed check names itself in the counterexample ---------------------------

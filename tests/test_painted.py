@@ -7,6 +7,7 @@ import pytest
 from hochschild_kit.painted import (
     LEAF,
     PaintedTree,
+    _id_width,
     _painted_shapes,
     _parts_key,
     _shape_sort_key,
@@ -28,8 +29,10 @@ from oracles import (
     left_comb,
     min_swap_table,
     recursive_painted_shapes,
+    refinement_covers_down,
     right_comb,
     rotation_successors,
+    shape_sort_tuple,
     sorted_ordered_partitions,
     sorted_painted_json,
     sorted_painted_key,
@@ -135,7 +138,7 @@ def test_mu_restriction_is_cut_order():
 def test_refinement_moves_grow_preposet_and_rank():
     for m, n in [(1, 2), (2, 1), (0, 4), (2, 2)]:
         for pt in enum_painted_trees(m, n):
-            for cov in pt.refinement_covers_down():
+            for cov in refinement_covers_down(pt):
                 cov.validate()
                 assert cov.rank == pt.rank + 1
                 assert cov.preposet.contains(pt.preposet)
@@ -305,8 +308,22 @@ def node_below_cut(cuts, desc, nid, i):
 ALL_CELLS_TO_5 = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 
 
+def same_order(keys, oracle_keys) -> bool:
+    """Whether two key lists order their items alike: equal keys on the same
+    items, and the same stable sort."""
+    pairs = set(zip(keys, oracle_keys))
+    if not len(pairs) == len(set(keys)) == len(set(oracle_keys)):
+        return False
+    items = range(len(keys))
+    return sorted(items, key=keys.__getitem__) == sorted(items, key=oracle_keys.__getitem__)
+
+
 @pytest.mark.parametrize("mn", ALL_CELLS_TO_5)
 def test_node_id_views_match_the_untag_oracle(mn):
+    # the bytes key orders the trees as the tuple of the untagged tree's
+    # child tuples and its sorted cuts does
+    width = _id_width(*mn)
+    keys, oracle_keys = [], []
     for pt in enum_painted_trees(*mn):
         tree, cuts = _untag(pt.tagged, len(pt.parts))
         nodes = _preorder(tree)
@@ -326,26 +343,74 @@ def test_node_id_views_match_the_untag_oracle(mn):
                     cuts, desc, nid, i
                 )
         assert pt.rank == pt.m + pt.n - len(nodes) - len(cuts) + len(on_cuts)
-        assert _shape_sort_key(pt.tagged, len(pt.parts)) == (
-            _shape_key(tree),
-            tuple(tuple(sorted(c)) for c in cuts),
-        )
+        keys.append(_shape_sort_key(pt.tagged, len(pt.parts), width))
+        oracle_keys.append((_shape_key(tree), tuple(tuple(sorted(c)) for c in cuts)))
         again = PaintedTree.from_cuts(pt.m, pt.n, pt.tree, pt.cuts, pt.parts)
         assert again == pt and hash(again) == hash(pt)
         assert again.tagged == pt.tagged
+    assert same_order(keys, oracle_keys)
 
 
 @pytest.mark.parametrize("mn", ALL_CELLS_TO_5)
 def test_views_match_the_sorted_frozenset_route(mn):
     # the cuts come ascending from one preorder walk; the route they replace
     # collects frozensets and sorts each cut in the key and the JSON writer
-    for pt in enum_painted_trees(*mn):
+    pts = enum_painted_trees(*mn)
+    width = _id_width(*mn)
+    # the enumerators' two sort keys, the shapes' and the parts', order the
+    # trees as the key with each cut sorted on read does, which is the
+    # enumeration order
+    keys = [(_shape_sort_key(pt.tagged, len(pt.parts), width), _parts_key(pt.parts)) for pt in pts]
+    assert same_order(keys, [sorted_painted_key(pt) for pt in pts])
+    assert sorted(range(len(pts)), key=keys.__getitem__) == list(range(len(pts)))
+    for pt in pts:
         assert pt.cuts == tuple(tuple(sorted(c)) for c in frozenset_cuts(pt))
-        # the enumerators' two sort keys, the shapes' and the parts'
-        key = (*_shape_sort_key(pt.tagged, len(pt.parts)), _parts_key(pt.parts))
-        assert key == sorted_painted_key(pt)
         assert pt.to_json_obj() == sorted_painted_json(pt)
         assert pt.canonical() == json.dumps(sorted_painted_json(pt), separators=(",", ":"))
+
+
+@pytest.mark.parametrize("mn", [(m, s - m) for s in range(1, 8) for m in range(s + 1)])
+def test_the_bytes_key_orders_binary_shapes_as_the_tuple_key(mn):
+    shapes = [(shape, k) for shape, k, _ in _painted_shapes(*mn, binary=True)]
+    width = _id_width(*mn)
+    keys = [_shape_sort_key(shape, k, width) for shape, k in shapes]
+    assert same_order(keys, [shape_sort_tuple(shape, k) for shape, k in shapes])
+
+
+def _comb(internal):
+    """A left comb: ``internal`` uncut binary nodes, a leaf on each right."""
+    tree = LEAF
+    for _ in range(internal):
+        tree = (None, (tree, LEAF))
+    return tree
+
+
+def test_two_byte_ids_order_large_shapes_as_the_tuple_key():
+    # a root over a 253-node comb X and a node Y over two cherries: Y has
+    # preorder id 254.  One cut meets X's root and Y, the other X's root and
+    # Y's two children, so the first ids + 1 that differ are 255 and 256,
+    # which need two bytes: 257 internal nodes, 258 leaves and one label
+    cherry = (None, (LEAF, LEAF))
+    comb = _comb(253)
+    low = (None, ((0, comb[1]), (0, (cherry, cherry))))
+    high = (None, ((0, comb[1]), (None, ((0, cherry[1]), (0, cherry[1])))))
+    m, n = 1, 257
+    width = _id_width(m, n)
+    assert width == 2
+    for shape in (low, high):
+        pt = PaintedTree(m, n, shape, [{1}])
+        pt.validate()
+        assert len(pt.walk) == 257
+    assert PaintedTree(m, n, low, [{1}]).cuts == ((1, 254),)
+    assert PaintedTree(m, n, high, [{1}]).cuts == ((1, 255, 256),)
+    keys = [_shape_sort_key(shape, 1, width) for shape in (low, high)]
+    oracle_keys = [shape_sort_tuple(shape, 1) for shape in (low, high)]
+    assert same_order(keys, oracle_keys) and same_order(keys[::-1], oracle_keys[::-1])
+    assert keys[0] < keys[1] and oracle_keys[0] < oracle_keys[1]
+    # ids + 1, two bytes each, then the terminator
+    assert keys[0].endswith(bytes([0, 2, 0, 255, 0, 0]))
+    assert keys[1].endswith(bytes([0, 2, 1, 0, 1, 1, 0, 0]))
+    assert keys[0][:-6] == keys[1][:-8]  # one plane tree
 
 
 @pytest.mark.parametrize(

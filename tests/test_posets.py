@@ -20,14 +20,18 @@ from hochschild_kit.posets import (
     word_subposet,
 )
 from hochschild_kit import painted, posets, shades
-from hochschild_kit.painted import PaintedTree, binary_painted_trees, enum_painted_trees
-from hochschild_kit.shades import LightedShade, enum_lighted_shades, unary_lighted_shades
+from hochschild_kit.families import family
+from hochschild_kit.painted import binary_painted_trees, enum_painted_trees
+from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
 from hochschild_kit.shadow import shadow
 
 from oracles import (
     inverted_pairs,
     key_sorted,
+    move_refinement_poset,
+    poset_from_moves,
     rank_vector,
+    refinement_covers_down,
     rotation_successors,
     row_certificate,
     successor_rotation_poset,
@@ -272,15 +276,30 @@ def same_poset(p, q) -> bool:
     return (p.elements, p.covers, p.leq, p.down) == (q.elements, q.covers, q.leq, q.down)
 
 
-def move_mismatch(oracle):
+def object_moves(oracle):
+    """Each element's refinement moves as the indices of the objects the
+    object route builds (`refinement_covers_down`)."""
+    return [[oracle.index(r) for r in refinement_covers_down(obj)] for obj in oracle.elements]
+
+
+def index_moves(kind, oracle):
+    """Each element's refinement moves as the indices the family's route
+    reads off its moves (`Family.refinement_covers`), in the order it lists
+    them."""
+    moves = [[] for _ in range(oracle.n)]
+    for lo, hi in family(kind).refinement_covers(oracle.elements):
+        moves[hi].append(lo)
+    return moves
+
+
+def move_mismatch(oracle, moves):
     """The first object whose moves are not exactly its lower covers in the
     oracle, each once, or None."""
     below = [set() for _ in range(oracle.n)]
     for lo, hi in oracle.covers:
         below[hi].add(lo)
     for i, obj in enumerate(oracle.elements):
-        moves = [oracle.index(r) for r in obj.refinement_covers_down()]
-        if len(moves) != len(set(moves)) or set(moves) != below[i]:
+        if len(moves[i]) != len(set(moves[i])) or set(moves[i]) != below[i]:
             return obj
     return None
 
@@ -302,7 +321,8 @@ def test_moves_are_exactly_the_refinement_covers(m, n):
     # rank-0 objects above a common rank-1 object
     for kind in ("painted", "shade"):
         ref = containment_refinement_poset(kind, m, n)
-        assert move_mismatch(ref) is None, kind
+        assert move_mismatch(ref, object_moves(ref)) is None, kind
+        assert move_mismatch(ref, index_moves(kind, ref)) is None, kind
         below = [0] * ref.n
         for lo, hi in ref.covers:
             if ref.elements[lo].rank == 1:
@@ -333,7 +353,7 @@ def test_moves_match_the_key_sorted_oracle(m, n):
                 edge_ends[hi] |= 1 << lo
         vertices = [o for o in ref.elements if o.rank == 0]
         for i, obj in enumerate(ref.elements):
-            moves = obj.refinement_covers_down()
+            moves = refinement_covers_down(obj)
             assert len(set(moves)) == len(moves), obj
             assert key_sorted(moves) == key_sorted(below[i]), obj
             if obj.rank == 0:
@@ -349,15 +369,65 @@ def test_moves_match_the_key_sorted_oracle(m, n):
 
 @pytest.mark.parametrize("kind", ["painted", "shade"])
 def test_a_dropped_move_fails_the_refinement_oracle(monkeypatch, kind):
-    cls = PaintedTree if kind == "painted" else LightedShade
-    real = cls.refinement_covers_down
+    # the family's route loses the first cover it lists below one object
+    # with more than one move
+    module = painted if kind == "painted" else shades
+    real = module.refinement_covers
     oracle = containment_refinement_poset(kind, 1, 2)
-    victim = next(o for o in oracle.elements if len(real(o)) > 1)
-    monkeypatch.setattr(
-        cls, "refinement_covers_down", lambda self: real(self)[1:] if self == victim else real(self)
-    )
-    assert move_mismatch(oracle) == victim
+    moves = index_moves(kind, oracle)
+    victim = next(i for i, below in enumerate(moves) if len(below) > 1)
+
+    def dropped(objs):
+        covers = real(objs)
+        covers.remove(next(pair for pair in covers if pair[1] == victim))
+        return covers
+
+    monkeypatch.setattr(module, "refinement_covers", dropped)
+    assert move_mismatch(oracle, index_moves(kind, oracle)) == oracle.elements[victim]
     assert not same_poset(build_refinement_poset.__wrapped__(kind, 1, 2), oracle)
+
+
+REFINEMENT_CELLS = [(m, t - m) for t in range(1, 7) for m in range(t + 1)]
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+@pytest.mark.parametrize("m, n", REFINEMENT_CELLS)
+def test_refinement_covers_match_the_object_route(kind, m, n):
+    # the covers read off moves as index pairs are the moves built as
+    # objects and hashed back to their indices, on the same elements
+    objs = family(kind).enum(m, n)
+    fast = set(family(kind).refinement_covers(objs))
+    assert fast == set(move_refinement_poset(kind, m, n).covers)
+    assert FinitePoset(objs, fast).covers == build_refinement_poset(kind, m, n).covers
+
+
+@pytest.mark.parametrize(
+    "corrupt", ["labelings swapped", "foreign tree", "partial orbit", "orbit repeated"]
+)
+def test_painted_refinement_covers_check_the_layout(corrupt):
+    objs = enum_painted_trees(3, 1)
+    first = next(i for i, pt in enumerate(objs) if len(pt.parts) == 3)  # 6 labelings per shape
+    message = "not labeling"
+    if corrupt == "labelings swapped":
+        objs[first + 1], objs[first + 2] = objs[first + 2], objs[first + 1]
+    elif corrupt == "foreign tree":
+        objs[first + 1] = objs[first + 7]
+    elif corrupt == "partial orbit":
+        objs = objs[:first + 3]
+    else:
+        # every block is a whole orbit in order, but one shape comes twice
+        objs = objs + objs[first:first + 6]
+        message = f"tree {len(objs) - 6} repeats the shape of tree {first}"
+    with pytest.raises(ValueError, match=message):
+        painted.refinement_covers(objs)
+
+
+@pytest.mark.parametrize("kind", ["painted", "shade"])
+def test_a_refinement_move_outside_the_objects_raises(kind):
+    # the finest faces alone: every move reaches a coarser face, which is missing
+    objs = family(kind).vertices(2, 1)
+    with pytest.raises(ValueError, match="which is not an element"):
+        family(kind).refinement_covers(objs)
 
 
 ROTATION_CELLS = [(m, t - m) for t in range(1, 7) for m in range(t + 1)] + [(3, 4), (6, 1)]
@@ -382,7 +452,7 @@ def test_rotation_covers_follow_any_order_of_the_orbits(kind):
     orbits = [objs[i:i + 2] for i in range(0, len(objs), 2)]
     moved = [o for orbit in reversed(orbits) for o in orbit] if kind == "painted" else objs[::-1]
     rotations = painted.rotation_covers if kind == "painted" else shades.rotation_covers
-    oracle = FinitePoset.from_moves(moved, ((o, r) for o in moved for r in rotation_successors(o)))
+    oracle = poset_from_moves(moved, ((o, r) for o in moved for r in rotation_successors(o)))
     assert FinitePoset(moved, rotations(moved)).covers == oracle.covers
 
 

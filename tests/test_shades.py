@@ -21,6 +21,7 @@ from oracles import (
     light_position,
     relabeled_rows,
     relabeled_shade,
+    refinement_covers_down,
     rotation_successors,
     sorted_shade_json,
     transitive_closure_pairs,
@@ -118,19 +119,19 @@ def test_mu_restriction_reads_top_down():
 
 
 def test_refinement_covers_examples():
-    covers = S(0, 3, ((3,), ())).refinement_covers_down()
+    covers = refinement_covers_down(S(0, 3, ((3,), ())))
     assert {c.entries for c in covers} == {
         (((2, 1), frozenset()),),
         (((1, 2), frozenset()),),
     }
-    covers = S(0, 3, ((1,), ()), ((2,), ())).refinement_covers_down()
+    covers = refinement_covers_down(S(0, 3, ((1,), ()), ((2,), ())))
     assert (((1, 2), frozenset()),) in {c.entries for c in covers}
 
 
 def test_refinement_moves_grow_preposet():
     for m, n in [(1, 2), (2, 2), (0, 4)]:
         for ls in enum_lighted_shades(m, n):
-            for cov in ls.refinement_covers_down():
+            for cov in refinement_covers_down(ls):
                 cov.validate()
                 assert cov.rank == ls.rank + 1
                 assert cov.preposet.contains(ls.preposet)
