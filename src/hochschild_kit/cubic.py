@@ -14,8 +14,8 @@ face cubes answer "which cubes contain this one", "which lie inside it" and
 are intersected broadword on packed keys (`_CubeKeys`); and containment
 mirrors refinement when two rules hold at every face's lower covers, so no
 step scans all vertices or all pairs of faces, and a passing run builds no
-face x face row set.  A failing clause reruns the pair scan it replaced.
-The `cubic` suite runs it up to the `cubic subdivision` entry of
+face x face row set.  Failures are recorded as the row-major pair scans
+recorded them.  The `cubic` suite runs it up to the `cubic subdivision` entry of
 `verify.REACH`.
 """
 
@@ -232,33 +232,34 @@ def _cube_contains(outer, inner) -> bool:
     )
 
 
-def _threshold_masks(cubes, box):
-    """Prefix masks over indexed cubes inside box, two pairs per coordinate.
+def _threshold_masks(cubes, box, inside=False):
+    """Prefix masks over indexed cubes inside box, one pair per coordinate.
 
     cubes yields (bit, (lo, hi)).  For coordinate i and value t in the box,
-    ``lo_le[i][t - box_lo[i]]`` has the bits of the cubes with lo[i] <= t
-    and ``hi_ge[i][t - box_lo[i]]`` those with hi[i] >= t; ``lo_ge`` and
-    ``hi_le`` hold those with lo[i] >= t and hi[i] <= t.  Returns the pair
-    of `_cubes_around` masks (lo_le, hi_ge) and (lo_ge, hi_le).
+    ``lo_le[i][t - box_lo[i]]`` has the bits of the cubes with lo[i] <= t and
+    ``hi_ge[i][t - box_lo[i]]`` those with hi[i] >= t.  With ``inside`` a
+    second triple follows, whose pairs hold the cubes with lo[i] >= t and
+    hi[i] <= t.
     """
-    lo_le, hi_ge, lo_ge, hi_le = [], [], [], []
+    around, within = ([], [], box[0]), ([], [], box[0])
     cubes = list(cubes)
     for i, (a, b) in enumerate(zip(*box)):
         at_lo, at_hi = [0] * (b - a + 1), [0] * (b - a + 1)
         for bit, (lo, hi) in cubes:
             at_lo[lo[i] - a] |= 1 << bit
             at_hi[hi[i] - a] |= 1 << bit
-        lo_le.append(list(accumulate(at_lo, or_)))
-        hi_ge.append(list(accumulate(reversed(at_hi), or_))[::-1])
-        lo_ge.append(list(accumulate(reversed(at_lo), or_))[::-1])
-        hi_le.append(list(accumulate(at_hi, or_)))
-    return (lo_le, hi_ge, box[0]), (lo_ge, hi_le, box[0])
+        around[0].append(list(accumulate(at_lo, or_)))
+        around[1].append(list(accumulate(reversed(at_hi), or_))[::-1])
+        if inside:
+            within[0].append(list(accumulate(reversed(at_lo), or_))[::-1])
+            within[1].append(list(accumulate(at_hi, or_)))
+    return (around, within) if inside else around
 
 
 def _cubes_around(masks, lo, hi) -> int:
     """Bits of the cubes c with c.lo <= lo and c.hi >= hi coordinatewise,
-    read off the first masks of `_threshold_masks`; off the second, those
-    with c.lo >= lo and c.hi <= hi.
+    read off the first masks of `_threshold_masks`; off its ``inside``
+    masks, those with c.lo >= lo and c.hi <= hi.
 
     With (lo, hi) a cube the first are the cubes containing it, the second
     the cubes inside it; with (hi, lo) the first are the cubes meeting it.
@@ -362,9 +363,10 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
     coordinate and side, and so does "lies in" for the vertices.
 
     ``intersections_in_collection`` skips the pairs in which one cube
-    contains the other, whose intersection is one of the two, and takes
-    every other intersection broadword off the packed keys (`_CubeKeys`),
-    looked up in one key -> dimension dict.
+    contains the other, whose intersection is one of the two and never
+    fails, and takes every other intersection broadword off the packed keys
+    (`_CubeKeys`), looked up in one key -> dimension dict; the pairs come in
+    the scan's row-major order, so it records the scan's messages.
 
     ``containment_mirrors_refinement`` says the cubes containing a face's
     cube are exactly the faces below it (coarser or equal).  With every
@@ -379,11 +381,9 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
     lower covers.  Both rules read j's containing mask, and R2 the masks of
     its lower covers, each computed on demand and none kept.  The premise
     is that every face has its cube: when one has none, R1 could pass over
-    a relation through that face, so the comparison with the ``down`` rows
-    runs instead.
-
-    A failing clause reruns the scan it replaces, so every message and every
-    first counterexample is that of the row-major pair scans.
+    a relation through that face, so the row-major scan runs, as it does
+    when a rule fails, and every message and first counterexample is the
+    scan's.  A face with no cube has already failed ``faces_span_subcubes``.
     """
     ranks = [o.rank for o in ref.elements]
     members = [1 << rot.index(o) if r == 0 else 0 for o, r in zip(ref.elements, ranks)]
@@ -391,7 +391,7 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
     for j in reversed(ref.topological_order):
         for hi in covers_up[j]:
             members[j] |= members[hi]
-    points = _threshold_masks(((i, (g, g)) for i, g in enumerate(gamma)), box)[0]
+    points = _threshold_masks(((i, (g, g)) for i, g in enumerate(gamma)), box)
 
     cubes = {}
     ledger.record("faces_span_subcubes", True)
@@ -416,8 +416,7 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
     present = sum(1 << j for j in cubes)
     whole = max(range(ref.n), key=ranks.__getitem__)
     proper = present & ~(1 << whole)
-    faces, inner = _threshold_masks(cubes.items(), box)
-    keys = _CubeKeys(box)
+    faces, inner = _threshold_masks(cubes.items(), box, inside=True)
 
     ledger.record("subcubes_on_boundary", True)
     for j in _bits(proper):
@@ -431,18 +430,12 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
             break
 
     ledger.record("intersections_in_collection", True)
-    if not _intersections_close(cubes, proper, faces, inner, keys):
-        _intersection_scan(ref, cubes, proper, faces, ledger)
+    _intersection_checks(ref, cubes, proper, faces, inner, box, ledger)
 
     ledger.record("containment_mirrors_refinement", True)
-    if len(cubes) == ref.n:
-        mirrored = _containment_by_covers(ref, cubes, faces)
-    else:
-        mirrored = all(
-            _cubes_around(faces, *cubes[j]) & present == ref.down[j] & present for j in cubes
-        )
-    if not mirrored:
-        # some column differs: the row-major scan finds the first pair
+    if len(cubes) < ref.n or not _containment_by_covers(ref, cubes, faces):
+        # some column differs, or some face has no cube: the row-major scan
+        # finds the first pair
         for j1 in cubes:
             for j2 in cubes:
                 if ref.le(j1, j2) != _cube_contains(cubes[j1], cubes[j2]):
@@ -450,14 +443,21 @@ def _subdivision_checks(rot, ref, gamma, box, ledger):
                     ledger.record("containment_mirrors_refinement", False, detail)
 
 
-def _intersections_close(cubes, proper, faces, inner, keys) -> bool:
-    """Whether every two proper cubes that meet, neither inside the other,
-    meet in a cube of the collection of lower dimension than both."""
+def _intersection_checks(ref, cubes, proper, faces, inner, box, ledger):
+    """Every two proper cubes that meet, in row-major order: each
+    intersection not in the collection, or of a dimension not below both.
+
+    A pair in which one cube contains the other meets in one of the two and
+    is skipped; every other pair is intersected on its packed keys and
+    looked up in one key -> dimension dict, and the intersection is built
+    as a cube only for a failure's message.
+    """
+    keys = _CubeKeys(box)
     key, dim = [0] * proper.bit_length(), [0] * proper.bit_length()
     for j in _bits(proper):
         key[j], dim[j] = keys.key(cubes[j]), _cube_dim(cubes[j])
     dims = {key[j]: dim[j] for j in _bits(proper)}
-    meet, missing = keys.intersection, keys.d  # a missing intersection reads as dimension d
+    meet = keys.intersection
     for a in _bits(proper):
         lo, hi = cubes[a]
         later = proper & _cubes_around(faces, hi, lo) & -(2 << a)
@@ -466,28 +466,16 @@ def _intersections_close(cubes, proper, faces, inner, keys) -> bool:
         later &= ~(_cubes_around(faces, lo, hi) | _cubes_around(inner, lo, hi))
         ka, da = key[a], dim[a]
         for b in _bits(later):
-            inter = dims.get(meet(ka, key[b]), missing)
-            if inter >= da or inter >= dim[b]:
-                return False
-    return True
-
-
-def _intersection_scan(ref, cubes, proper, faces, ledger):
-    """Every pair of proper cubes that meet, in row-major order: each
-    intersection not in the collection, or of a dimension not below both."""
-    dims = {cubes[j]: _cube_dim(cubes[j]) for j in _bits(proper)}
-    for a in _bits(proper):
-        c1 = cubes[a]
-        later = proper & _cubes_around(faces, c1[1], c1[0]) & -(2 << a)
-        for b in _bits(later):
-            c2 = cubes[b]
+            inter = dims.get(meet(ka, key[b]))
+            if inter is not None and inter < da and inter < dim[b]:
+                continue
             # the two meet, so the coordinatewise bounds are a cube
-            inter = (tuple(map(max, c1[0], c2[0])), tuple(map(min, c1[1], c2[1])))
-            if inter not in dims:
-                detail = f"{ref.elements[a]} and {ref.elements[b]} meet in {inter}"
+            cube = (tuple(map(max, lo, cubes[b][0])), tuple(map(min, hi, cubes[b][1])))
+            if inter is None:
+                detail = f"{ref.elements[a]} and {ref.elements[b]} meet in {cube}"
                 ledger.record("intersections_in_collection", False, detail)
-            elif inter != c1 and inter != c2 and dims[inter] >= min(dims[c1], dims[c2]):
-                ledger.record("intersections_in_collection", False, f"dimension at {inter}")
+            else:
+                ledger.record("intersections_in_collection", False, f"dimension at {cube}")
 
 
 def _containment_by_covers(ref, cubes, faces) -> bool:

@@ -167,13 +167,6 @@ def _subdivision_oracle(rot, ref, gamma, box, ledger):
         _cube_on_boundary,
     )
 
-    def _cube_intersection(c1, c2):
-        lo = tuple(max(a, c) for a, c in zip(c1[0], c2[0]))
-        hi = tuple(min(b, d) for b, d in zip(c1[1], c2[1]))
-        if any(a > b for a, b in zip(lo, hi)):
-            return None
-        return (lo, hi)
-
     gamma = dict(zip(rot.elements, gamma))
     cubes = {}
     ledger.record("faces_span_subcubes", True)
@@ -210,14 +203,31 @@ def _subdivision_oracle(rot, ref, gamma, box, ledger):
             break
 
     ledger.record("intersections_in_collection", True)
-    cube_set = set(proper.values())
-    items = list(proper.items())
+    _intersection_oracle(list(proper.items()), ledger)
+
+    ledger.record("containment_mirrors_refinement", True)
+    objs = list(cubes)
+    for o1 in objs:
+        for o2 in objs:
+            refines = ref.le(ref.index(o1), ref.index(o2))
+            if refines != _cube_contains(cubes[o1], cubes[o2]):
+                ledger.record("containment_mirrors_refinement", False, f"{o1} vs {o2}")
+
+
+def _intersection_oracle(items, ledger):
+    """Every pair of (name, cube) items, in order: each intersection not in
+    the collection, or of a dimension not below both."""
+    from hochschild_kit.cubic import _cube_dim
+
+    cube_set = {c for _, c in items}
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
             c1, c2 = items[a][1], items[b][1]
-            inter = _cube_intersection(c1, c2)
-            if inter is None:
+            lo = tuple(max(x, y) for x, y in zip(c1[0], c2[0]))
+            hi = tuple(min(x, y) for x, y in zip(c1[1], c2[1]))
+            if any(x > y for x, y in zip(lo, hi)):
                 continue
+            inter = (lo, hi)
             if inter not in cube_set:
                 ledger.record(
                     "intersections_in_collection",
@@ -228,14 +238,6 @@ def _subdivision_oracle(rot, ref, gamma, box, ledger):
                 _cube_dim(c1), _cube_dim(c2)
             ):
                 ledger.record("intersections_in_collection", False, f"dimension at {inter}")
-
-    ledger.record("containment_mirrors_refinement", True)
-    objs = list(cubes)
-    for o1 in objs:
-        for o2 in objs:
-            refines = ref.le(ref.index(o1), ref.index(o2))
-            if refines != _cube_contains(cubes[o1], cubes[o2]):
-                ledger.record("containment_mirrors_refinement", False, f"{o1} vs {o2}")
 
 
 CELLS_4 = [(m, t - m) for t in range(1, 5) for m in range(t + 1)]
@@ -553,19 +555,19 @@ _SMALL_COLLECTIONS = st.integers(1, 2).flatmap(
 
 
 @given(_SMALL_COLLECTIONS)
-def test_the_packed_intersections_decide_as_the_pair_scan(raw):
-    # any collection in the box [0, 3]^d: the packed route passes exactly
-    # when the scan records no failure, a same-dimension face in the
-    # collection included
+def test_intersections_record_as_the_pair_scan(raw):
+    # any collection in the box [0, 3]^d, repeated and nested cubes and
+    # same-dimension intersections included: the route that skips nested
+    # pairs records the scan's messages, in its order
     cubes = {j: tuple(map(tuple, zip(*sides))) for j, sides in enumerate(raw)}
     d = len(raw[0])
     box = ((0,) * d, (3,) * d)
     proper = (1 << len(cubes)) - 1
-    faces, inner = cubic._threshold_masks(cubes.items(), box)
-    log = FailureLog()
-    cubic._intersection_scan(SimpleNamespace(elements=list(cubes)), cubes, proper, faces, log)
-    close = cubic._intersections_close(cubes, proper, faces, inner, cubic._CubeKeys(box))
-    assert close == (not log.failures)
+    faces, inner = cubic._threshold_masks(cubes.items(), box, inside=True)
+    log, expected = FailureLog(), FailureLog()
+    cubic._intersection_checks(SimpleNamespace(elements=list(cubes)), cubes, proper, faces, inner, box, log)
+    _intersection_oracle(list(cubes.items()), expected)
+    assert log.failures == expected.failures
 
 
 def _face_cubes(kind, m, n):
@@ -596,7 +598,7 @@ def test_the_covers_rules_decide_as_the_rows(data):
             sorted(data.draw(st.tuples(st.integers(a, b), st.integers(a, b)))) for a, b in zip(*box)
         ]
         cubes = {**cubes, victim: tuple(map(tuple, zip(*sides)))}
-    faces = cubic._threshold_masks(cubes.items(), box)[0]
+    faces = cubic._threshold_masks(cubes.items(), box)
     everything = (1 << ref.n) - 1
     rows = all(cubic._cubes_around(faces, *cubes[j]) & everything == ref.down[j] for j in cubes)
     assert cubic._containment_by_covers(ref, cubes, faces) == rows
