@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument(
         "--suite",
-        choices=("lattice", "morphism", "fan", "cubic", "tables", "all"),
+        choices=("lattice", "morphism", "fan", "cubic", "tables", "analytics", "all"),
         required=True,
     )
     p.add_argument("--bound", type=int, default=5)

@@ -25,7 +25,8 @@ on the tagged shape; the generator carries the count with each shape, so the
 enumerators read ranks without walking a shape, and a rank filter reads
 only T(k, n + 1, m + n - k - rank).  The census in `tables`
 builds no shape: `_painted_shape_counts` counts the shapes bottom-up, one
-cut layer at a time.
+cut layer at a time, and `_binary_shape_counts` the binary trees of each
+T(j, s, s - 1) top down, which hang left of a binary shape's right spine.
 
 The canonical order of painted trees compares the plane tree's shape,
 then the cuts, then the parts, each part a sorted tuple (`_parts_key`),
@@ -949,6 +950,23 @@ def _painted_shape_counts(m, n):
             for free, v in trees[b].items():
                 counts[k, c + free] += mult * v
     return counts
+
+
+def _binary_shape_counts(m, n):
+    """``trees[j][s]`` for j <= m and s <= n: the binary shapes of
+    T(j, s, s - 1) (`_shape_trees` with ``binary``), counted top down with
+    none built.  Such a tree is a leaf (j = 0, s = 1), a node on cut j - 1
+    over one tree of T(j - 1, s), or an uncut node over a tree of T(j, a)
+    and one of T(j, s - a)."""
+    trees = [[0] * (n + 1) for _ in range(m + 1)]
+    for j in range(m + 1):
+        for s in range(1, n + 1):
+            trees[j][s] = (
+                (j == 0 and s == 1)
+                + (j and trees[j - 1][s])
+                + sum(trees[j][a] * trees[j][s - a] for a in range(1, s))
+            )
+    return trees
 
 
 def _painted_trees(m, n, binary=False, rank=None):

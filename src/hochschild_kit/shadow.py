@@ -3,10 +3,12 @@
 The shadow of a painted tree records, down the right branch, the leaf counts
 of the subtrees hanging to the left, together with the positions of the cuts.
 One spine reader, `shadow_entries`, reads it off a tagged shape and its
-parts; `shadow` wraps it, and the census in `tables` runs it with no tree
-built.  Its fibers on binary trees define the shadow congruence; the
-fiber extremes replace every recorded value by a left comb (minimum) or
-right comb (maximum) with the cuts placed at leaf or root level.
+parts; `shadow` wraps it.  The census in `tables` counts the fibers on the
+binary trees off the spine grammar instead, with no shape built, and runs
+the reader only on its fallback walk.  The fibers on binary trees define
+the shadow congruence; the fiber extremes replace every recorded value by a
+left comb (minimum) or right comb (maximum) with the cuts placed at leaf or
+root level.
 """
 
 from __future__ import annotations

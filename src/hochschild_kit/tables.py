@@ -29,11 +29,20 @@ number of light distributions, binned by the one rank rule of its family
 uncut nodes, and `_shade_rank_histogram` the sequences per number of
 positions, of empty ones and of rank steps.  The vertex cells and the
 shadow fiber sizes behind the singleton cell come from one orbit of label
-permutations at a time, times m!: the shadows of the binary shapes, read
-with no tree built (`shadow.shadow_entries`), against the rank-0 shades of
-`shades.canonical_shades`.  The routes that build or walk every object stay
-in the tests as oracles.  Both verify and the command line read the
-exhaustive bound from `verify.REACH`.
+permutations at a time, times m!, over the rank-0 shades of
+`shades.canonical_shades`, and the fibers are counted, not walked (the
+spine lemma): a binary shape splits at its right spine into unary cut nodes
+and binary uncut nodes, the left child of an uncut spine node with s
+leaves is any binary tree over s leaves that crosses the j cuts still below
+it, so a unary shade's fiber is the product of B(j, s) over its value
+entries, B(j, s) the binary shapes of the grammar's T(j, s, s - 1)
+(`painted._binary_shape_counts`).  The fibers sum to the binary shape count
+of `_painted_shape_counts`, which proves the shadow onto; when a premise
+fails, the walk that reads each binary shape's shadow
+(`shadow.shadow_entries`) runs instead and raises what it finds.  So a
+passing census builds no painted tree and no painted shape.  The routes
+that build or walk every object stay in the tests as oracles.  Both verify
+and the command line read the exhaustive bound from `verify.REACH`.
 """
 
 from __future__ import annotations
@@ -43,7 +52,13 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 from .families import family
-from .painted import LEAF, _check_params, _painted_shape_counts, _painted_shapes
+from .painted import (
+    LEAF,
+    _binary_shape_counts,
+    _check_params,
+    _painted_shape_counts,
+    _painted_shapes,
+)
 from .series import (
     _row_face_count,
     count_binary_painted_trees,
@@ -200,8 +215,9 @@ class Census:
     ``painted_ranks[p]`` and ``shade_ranks[p]`` count the objects of rank p,
     summed over the counted painted shapes and tuple sequences with their
     label counts; the vertex and singleton counts come from one orbit of
-    label permutations at a time: the shadows of the binary shapes, grouped
-    into fibers over the rank-0 orbit representatives.
+    label permutations at a time: the shadow fibers over the rank-0 orbit
+    representatives, each counted as the product of the binary shapes that
+    can hang left of its right spine (`_vertex_census`).
     """
 
     painted_ranks: tuple
@@ -227,16 +243,19 @@ class Census:
 def exhaustive_census(m: int, n: int) -> Census:
     """Count every painted tree and lighted shade of (m, n) by rank.
 
-    One count of the painted shapes and one of the shade tuple sequences
-    fill the rank histograms; one pass over the binary shapes and the rank-0
-    orbit representatives gives the vertex counts and the shadow fibers
-    (`_vertex_census`).  No painted tree is built, and no object outlives
-    its pass.
+    One count of the painted shapes, which the rank histogram and the
+    vertex census share, and one count of the shade tuple sequences fill
+    the rank histograms; the shadow fibers over the rank-0 orbit
+    representatives, each counted as a product off the spine grammar, give
+    the vertex and singleton counts (`_vertex_census`).  A passing census
+    builds no painted tree and no painted shape, and no object outlives its
+    pass.
     """
     _check_params(m, n)
-    binary, unary, singletons = _vertex_census(m, n)
+    counts = _painted_shape_counts(m, n)
+    binary, unary, singletons = _vertex_census(m, n, counts[m, n])
     return Census(
-        _painted_rank_histogram(m, n),
+        _painted_rank_histogram(m, n, counts),
         _shade_rank_histogram(m, n),
         binary,
         unary,
@@ -244,13 +263,16 @@ def exhaustive_census(m: int, n: int) -> Census:
     )
 
 
-def _painted_rank_histogram(m, n):
+def _painted_rank_histogram(m, n, counts=None):
     """Painted trees by rank, counted with no shape built: the tagged shapes
-    with k cuts and ``free`` uncut nodes (`painted._painted_shape_counts`),
-    each weighted by the surjection_count(m, k) label partitions it carries,
-    at rank m + n - k - free (`painted.shape_rank`)."""
+    with k cuts and ``free`` uncut nodes (``counts``, which a census shares
+    with its vertex count, or else `painted._painted_shape_counts`), each
+    weighted by the surjection_count(m, k) label partitions it carries, at
+    rank m + n - k - free (`painted.shape_rank`)."""
+    if counts is None:
+        counts = _painted_shape_counts(m, n)
     hist = [0] * (m + n)
-    for (k, free), count in _painted_shape_counts(m, n).items():
+    for (k, free), count in counts.items():
         hist[m + n - k - free] += surjection_count(m, k) * count
     return tuple(hist)
 
@@ -283,7 +305,7 @@ def _shade_rank_histogram(m, n):
     return tuple(hist)
 
 
-def _vertex_census(m, n):
+def _vertex_census(m, n, binary):
     """(binary painted trees, unary shades, singleton fibers) of (m, n).
 
     Counted on one representative per orbit of the label permutations,
@@ -298,13 +320,41 @@ def _vertex_census(m, n):
     a representative iff its shadow's lights read 1, ..., m.  So the labeled
     counts are m! times the representatives', and the shadow maps the
     binary trees onto the unary shades iff it maps the representative trees
-    onto the representative shades.  `shadow_entries` reads each shadow off
-    a binary shape, with one leaf memo for the pass, and the fibers are
-    counted by entries.
+    onto the representative shades.  The representative trees are the
+    binary shapes, ``binary`` of them (`painted._painted_shape_counts`).
 
-    Raises AssertionError unless every rank-0 orbit has m! shades and the
-    shadows of the representative trees are exactly the representative
-    shades.
+    The fibers are counted, not walked (`_spine_fibers`).  Split a binary
+    shape at its right spine: the spine's nodes are unary cut nodes, on cuts
+    m - 1, ..., 0 from the top since every root-to-leaf path crosses every
+    cut, and binary uncut nodes.  Under the representative parts the shadow
+    reads a light entry {i} off the i-th cut node from the top and a value
+    entry (s,) off an uncut node whose left child has s leaves.  That left
+    child crosses exactly the j cuts still below its node, so it is any tree
+    of T(j, s, s - 1); the spine and its left children determine the shape,
+    and every choice of left children gives one.  So the fiber of a shade
+    whose value entries s_1, s_2, ... have j_1, j_2, ... lights after them
+    is the product of the B(j_i, s_i), B(j, s) the binary shapes of
+    T(j, s, s - 1) (`painted._binary_shape_counts`); it is 0 unless the
+    lights read {1}, ..., {m} from the top and the values sum to n.  The
+    premises, checked on the stream:
+
+    * every representative is unary with single-label lights, in that order;
+    * the representatives' entries are distinct;
+    * each has a positive fiber;
+    * the fibers sum to the number of binary shapes, ``binary``.
+
+    The shadow is a function, so the fibers over distinct shades are
+    disjoint sets of binary shapes.  By the second and fourth premise their
+    union is every binary shape, so every shadow is a representative; by
+    the third every representative is a shadow.  So the shadow maps the
+    representative trees onto the representative shades.  When a premise
+    fails, `_walked_fibers` reads each binary shape's shadow instead
+    (`shadow_entries`) and raises the first failure it finds.
+
+    Raises AssertionError unless every rank-0 orbit has m! shades, the
+    stream yields each representative once, the shadows of the
+    representative trees are exactly the representative shades, and the
+    walk meets ``binary`` binary shapes.
     """
     orbit = factorial(m)
     unary = []
@@ -312,7 +362,46 @@ def _vertex_census(m, n):
         if size != orbit:
             raise AssertionError(f"the orbit of {ls} has {size} shades, not {m}! = {orbit}")
         unary.append(ls)
-    sizes = Counter(dict.fromkeys([ls.entries for ls in unary], 0))
+    sizes = _spine_fibers(m, n, unary, binary)
+    if sizes is None:
+        sizes = _walked_fibers(m, n, unary, binary)
+    singletons = sum(1 for size in sizes.values() if size == 1)
+    return orbit * sum(sizes.values()), orbit * len(unary), orbit * singletons
+
+
+def _spine_fibers(m, n, unary, binary):
+    """The fiber size of each representative, by its entries, counted off the
+    spine grammar (see `_vertex_census`), or None unless every fiber is
+    positive, no entries come twice and the fibers sum to ``binary``."""
+    trees = _binary_shape_counts(m, n)
+    lights = [frozenset({label}) for label in range(1, m + 1)]
+    sizes = {}
+    for ls in unary:
+        below, left, size = m, n, 1
+        for vals, lit in ls.entries:
+            if not vals and below and lit == lights[m - below]:
+                below -= 1
+            elif len(vals) == 1 and not lit and 0 < vals[0] <= left:
+                size *= trees[below][vals[0]]
+                left -= vals[0]
+            else:
+                return None
+        if below or left or not size or ls.entries in sizes:
+            return None
+        sizes[ls.entries] = size
+    return sizes if sum(sizes.values()) == binary else None
+
+
+def _walked_fibers(m, n, unary, binary):
+    """The fiber size of each representative, by its entries, from the
+    shadow of every binary shape, read off its spine with one leaf memo for
+    the pass: the route `_vertex_census` takes when a premise of its count
+    fails."""
+    sizes = Counter()
+    for ls in unary:
+        if ls.entries in sizes:
+            raise AssertionError(f"the rank-0 stream yields {ls} twice")
+        sizes[ls.entries] = 0
     parts = tuple(frozenset({label}) for label in range(m, 0, -1))
     memo = {LEAF: 1}
 
@@ -332,8 +421,10 @@ def _vertex_census(m, n):
     if len(sizes) > len(unary):
         stray = LightedShade._new(m, n, list(sizes)[len(unary)])
         raise AssertionError(f"shadow {stray} is not a unary shade")
-    singletons = sum(1 for size in sizes.values() if size == 1)
-    return orbit * sum(sizes.values()), orbit * len(unary), orbit * singletons
+    walked = sum(sizes.values())
+    if walked != binary:
+        raise AssertionError(f"the walk meets {walked} binary shapes, the count says {binary}")
+    return sizes
 
 
 @dataclass

@@ -47,7 +47,7 @@ REACH = {
     "tables": 8,
     "lattice": 7,
     "morphism": 7,
-    "fan": 7,
+    "fan": 8,
     "cubic": 7,
     "cubic subdivision": 6,
     "cubic words": 7,
@@ -285,6 +285,7 @@ def run_suite(name: str, bound: int) -> list[SuiteResult]:
         "fan": [fan_suite],
         "cubic": [cubic_suite],
         "tables": [tables_suite],
+        "analytics": [analytics_suite],
         "all": [
             tables_suite, lattice_suite, morphism_suite,
             fan_suite, cubic_suite, analytics_suite,

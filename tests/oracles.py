@@ -665,6 +665,14 @@ def count_constructions(monkeypatch, cls):
     return built
 
 
+def force_the_shape_walk(monkeypatch):
+    """Make `tables._vertex_census` fall back to its walk over the binary
+    shapes, as it does when a premise of its spine count fails."""
+    from hochschild_kit import tables
+
+    monkeypatch.setattr(tables, "_spine_fibers", lambda *args: None)
+
+
 def object_rank(obj) -> int:
     """The rank read off a labeled object, with no shape-level rule.
 

@@ -179,6 +179,16 @@ def test_verify_morphism_json(capsys):
     assert "join morphism counterexample at (0,3)" in names
 
 
+def test_verify_analytics_alone_is_its_section_of_all(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "analytics", "--bound", "5", "--format", "json")
+    alone = json.loads(out)
+    assert code == 0 and alone["ok"] is True
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--bound", "5", "--format", "json")
+    within_all = [res for res in json.loads(out)["suites"] if res["suite"] == "analytics"]
+    assert code == 0 and alone["suites"] == within_all
+    assert alone["suites"][0]["bound"] == 5
+
+
 def test_hasse_rotation_dot(capsys):
     code, out, _ = run(capsys, "hasse", "--kind", "painted", "--m", "0", "--n", "3")
     assert code == 0

@@ -3,7 +3,12 @@ import sys
 import pytest
 
 from hochschild_kit import tables
-from hochschild_kit.painted import PaintedTree, binary_painted_trees, tree_leaves
+from hochschild_kit.painted import (
+    PaintedTree,
+    _painted_shape_counts,
+    binary_painted_trees,
+    tree_leaves,
+)
 from hochschild_kit.shades import LightedShade, unary_lighted_shades
 from hochschild_kit.shadow import (
     fiber_max,
@@ -14,7 +19,7 @@ from hochschild_kit.shadow import (
     shadow_fibers,
 )
 
-from oracles import left_comb, right_comb, singleton_tree_condition
+from oracles import force_the_shape_walk, left_comb, right_comb, singleton_tree_condition
 
 SINGLETON_COUNTS = {(0, 3): 3, (1, 3): 7, (2, 2): 14, (0, 4): 5, (2, 1): 6}
 
@@ -141,8 +146,11 @@ def test_is_singleton_rejects_non_binary():
     (0, 3, ((1, 1, 1),), "is not a unary shade"),
 ])
 def test_a_stray_shadow_fails_fibers_as_it_fails_the_census(monkeypatch, m, n, stray, message):
-    # the census reads the spine off each shape and `shadow` reads it off each
-    # tree; with m = 0 a shape is one tree, so one stray spine fails both
+    # the census's walk reads the spine off each shape and `shadow` reads it
+    # off each tree; with m = 0 a shape is one tree, so one stray spine fails
+    # both.  The census counts its fibers off the spine grammar, which a stray
+    # spine reader cannot reach, so its walk is forced
+    force_the_shape_walk(monkeypatch)
     shadow_module = sys.modules["hochschild_kit.shadow"]
     fibers = shadow_fibers(m, n)
     strays = {pts[-1] for pts in fibers.values() if len(pts) > 1} or set(binary_painted_trees(m, n))
@@ -156,7 +164,7 @@ def test_a_stray_shadow_fails_fibers_as_it_fails_the_census(monkeypatch, m, n, s
     monkeypatch.setattr(shadow_module, "shadow_entries", patched)
     monkeypatch.setattr(tables, "shadow_entries", patched)
     with pytest.raises(AssertionError) as census:
-        tables._vertex_census(m, n)
+        tables._vertex_census(m, n, _painted_shape_counts(m, n)[m, n])
     with pytest.raises(AssertionError) as grouped:
         shadow_fibers(m, n)
     assert message in str(census.value)

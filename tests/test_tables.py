@@ -4,9 +4,13 @@ Two oracles: the per-cell one regenerates every painted tree or lighted shade
 of a cell with the public, sorted enumerators, once per printed cell; the
 labeled census generates every labeled object of (m, n) once and counts it by
 rank.  The census counts labels instead of generating them; all must agree.
-The vertex census runs on one orbit of label permutations at a time, with
-no painted tree built; `oracles.labeled_vertex_census` is its labeled pass
-and `oracles.shape_walk_vertex_census` the pass over representative trees.
+The vertex census runs on one orbit of label permutations at a time and
+counts each shadow fiber off the spine grammar, with no painted tree or
+shape built; `oracles.labeled_vertex_census` is its labeled pass,
+`oracles.shape_walk_vertex_census` the pass over representative trees and
+`shadow.shadow_fibers` the fibers themselves.  Its fallback, the walk over
+the binary shapes, raises every census failure; `oracles.force_the_shape_walk`
+makes it run.
 """
 
 import re
@@ -18,6 +22,7 @@ import pytest
 from hochschild_kit import shades, tables
 from hochschild_kit.painted import (
     PaintedTree,
+    _painted_shape_counts,
     _painted_trees,
     binary_painted_trees,
     enum_painted_trees,
@@ -33,6 +38,7 @@ from hochschild_kit.tables import PRINTED_TABLES, exhaustive_census, reproduce_t
 
 from oracles import (
     count_constructions,
+    force_the_shape_walk,
     labeled_vertex_census,
     shape_walk_rank_histogram,
     shape_walk_vertex_census,
@@ -43,6 +49,12 @@ CELLS = [(m, d - m) for d in range(1, 6) for m in range(d + 1)]
 CELLS_TO_6 = [(m, d - m) for d in range(1, 7) for m in range(d + 1)]
 CELLS_TO_7 = [(m, d - m) for d in range(1, 8) for m in range(d + 1)]
 CELLS_TO_8 = [(m, d - m) for d in range(1, 9) for m in range(d + 1)]
+
+
+def vertex_census(m, n):
+    """`tables._vertex_census` with the binary shape count it is given in a
+    census."""
+    return tables._vertex_census(m, n, _painted_shape_counts(m, n)[m, n])
 
 
 def _rank_histogram(objects, d):
@@ -114,25 +126,27 @@ def test_rank_histogram_matches_rank_filtered_enumeration(mn):
 
 @pytest.mark.parametrize("mn", CELLS_TO_6)
 def test_vertex_census_on_orbit_representatives_matches_labeled_pass(mn):
-    assert tables._vertex_census(*mn) == labeled_vertex_census(*mn)
+    assert vertex_census(*mn) == labeled_vertex_census(*mn)
 
 
 @pytest.mark.parametrize("mn", CELLS_TO_8)
 def test_vertex_census_matches_the_representative_tree_pass(mn):
-    assert tables._vertex_census(*mn) == shape_walk_vertex_census(*mn)
+    assert vertex_census(*mn) == shape_walk_vertex_census(*mn)
 
 
 def test_vertex_census_builds_one_representative_per_orbit(monkeypatch):
-    # reproduce_tables(6) builds no painted tree and takes no tree's shadow,
-    # and `shades` has no tuple sequence walk left; the census reads one
-    # rank-0 shade per orbit, its lights 1..m from the top, and each orbit
-    # holds m! shades
+    # reproduce_tables(6) builds no painted tree and no painted shape, and
+    # reads no shadow: its fibers are counted off the spine grammar.  `shades`
+    # has no tuple sequence walk left; the census reads one rank-0 shade per
+    # orbit, its lights 1..m from the top, and each orbit holds m! shades
     def forbidden(*args, **kwargs):
         raise AssertionError("called")
 
     unary = {mn: labeled_vertex_census(*mn)[1] for mn in CELLS_TO_6}
     built = count_constructions(monkeypatch, PaintedTree)
+    _forbid_painted_shapes(monkeypatch)
     monkeypatch.setattr(sys.modules["hochschild_kit.shadow"], "shadow", forbidden)
+    monkeypatch.setattr(tables, "shadow_entries", forbidden)
     streamed = {}
     real = tables.canonical_shades
 
@@ -161,7 +175,9 @@ def test_census_rejects_invalid_parameters():
 
 
 def test_census_raises_when_shadow_misses_a_shade(monkeypatch):
-    # the shapes over the last representative read the first one's entries
+    # the shapes over the last representative read the first one's entries;
+    # the spine counts cannot see a wrong shadow, so the walk is forced
+    force_the_shape_walk(monkeypatch)
     m, n = 1, 2
     reps = [ls for ls, _ in canonical_shades(m, n, rank=0)]
     real = tables.shadow_entries
@@ -176,6 +192,7 @@ def test_census_raises_when_shadow_misses_a_shade(monkeypatch):
 
 
 def test_census_raises_when_a_shadow_is_no_unary_shade(monkeypatch):
+    force_the_shape_walk(monkeypatch)
     real = tables.shadow_entries
     stray = LightedShade(0, 3, [((1, 1, 1), ())])
     seen = set()
@@ -191,6 +208,118 @@ def test_census_raises_when_a_shadow_is_no_unary_shade(monkeypatch):
     monkeypatch.setattr(tables, "shadow_entries", stray_after_first)
     with pytest.raises(AssertionError, match=f"^shadow {re.escape(repr(stray))} is not a unary shade$"):
         exhaustive_census(0, 3)
+
+
+@pytest.mark.parametrize("mn", CELLS_TO_6)
+def test_counted_fibers_are_the_shadow_fibers(mn):
+    # the product of the spine's left-child counts, per representative, is
+    # the size of every fiber of its orbit
+    m, n = mn
+    reps = [ls for ls, _ in canonical_shades(m, n, rank=0)]
+    fibers = shadow_fibers(m, n)
+    sizes = tables._spine_fibers(m, n, reps, _painted_shape_counts(m, n)[m, n])
+    assert sizes == {ls.entries: len(fibers[ls]) for ls in reps}
+
+
+def test_binary_shape_counts_are_the_binary_grammar():
+    from hochschild_kit.painted import _binary_shape_counts, _shape_trees
+
+    memo = {}
+    trees = _binary_shape_counts(4, 6)
+    for j in range(5):
+        for s in range(1, 7):
+            assert trees[j][s] == len(_shape_trees(memo, True, j, s, s - 1)), (j, s)
+
+
+@pytest.mark.parametrize("mn", [(0, 3), (1, 2), (2, 2)])
+def test_census_raises_when_the_stream_drops_a_representative(monkeypatch, mn):
+    # the fibers sum short of the binary shapes, and the walk finds the
+    # dropped shade's trees
+    real = tables.canonical_shades
+    monkeypatch.setattr(
+        tables, "canonical_shades", lambda m, n, rank=None: list(real(m, n, rank))[:-1]
+    )
+    dropped = list(real(*mn, rank=0))[-1][0]
+    with pytest.raises(AssertionError) as raised:
+        exhaustive_census(*mn)
+    assert str(raised.value) == f"shadow {dropped!r} is not a unary shade"
+
+
+@pytest.mark.parametrize("mn", [(0, 3), (1, 2), (2, 2)])
+def test_census_raises_when_the_stream_repeats_a_representative(monkeypatch, mn):
+    real = tables.canonical_shades
+    monkeypatch.setattr(
+        tables, "canonical_shades", lambda m, n, rank=None: [next(real(m, n, rank)), *real(m, n, rank)]
+    )
+    first = next(real(*mn, rank=0))[0]
+    with pytest.raises(AssertionError) as raised:
+        exhaustive_census(*mn)
+    assert str(raised.value) == f"the rank-0 stream yields {first!r} twice"
+
+
+@pytest.mark.parametrize("mn", [(2, 1), (2, 2), (3, 1)])
+def test_census_raises_when_a_representative_reads_its_lights_out_of_order(monkeypatch, mn):
+    # the first representative's labels 1 and 2 swapped: another shade of its
+    # orbit, whose product of spine counts is positive but whose fiber over
+    # the representative trees is empty, so the walk misses it
+    real = tables.canonical_shades
+    (first, size), *rest = real(*mn, rank=0)
+    swap = {1: 2, 2: 1}
+    swapped = LightedShade(
+        *mn, [(vals, {swap.get(x, x) for x in lights}) for vals, lights in first.entries]
+    )
+    monkeypatch.setattr(
+        tables, "canonical_shades", lambda m, n, rank=None: [(swapped, size), *rest]
+    )
+    with pytest.raises(AssertionError) as raised:
+        exhaustive_census(*mn)
+    assert str(raised.value) == f"shadow map misses {swapped!r}"
+
+
+@pytest.mark.parametrize("mn", [(0, 3), (1, 2), (2, 2)])
+def test_census_raises_when_the_shape_count_is_off_by_one(monkeypatch, mn):
+    # the fibers no longer sum to the count, and the walk meets one shape
+    # fewer than it says
+    m, n = mn
+    real = tables._painted_shape_counts
+
+    def counted(m, n):
+        counts = real(m, n)
+        counts[m, n] += 1
+        return counts
+
+    monkeypatch.setattr(tables, "_painted_shape_counts", counted)
+    binary = real(m, n)[m, n]
+    with pytest.raises(AssertionError) as raised:
+        exhaustive_census(m, n)
+    assert str(raised.value) == (
+        f"the walk meets {binary} binary shapes, the count says {binary + 1}"
+    )
+
+
+def test_a_zero_spine_count_falls_back_to_the_walk(monkeypatch):
+    # a fiber counted 0 fails a premise, and the walk gives the census
+    monkeypatch.setattr(
+        tables, "_binary_shape_counts", lambda m, n: [[0] * (n + 1) for _ in range(m + 1)]
+    )
+    assert vertex_census(1, 2) == shape_walk_vertex_census(1, 2)
+
+
+@pytest.mark.parametrize("mn", CELLS)
+def test_a_declined_count_falls_back_to_the_walk(monkeypatch, mn):
+    walked = []
+    real = tables._painted_shapes
+
+    def shapes(*args, **kwargs):
+        walked.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tables, "_painted_shapes", shapes)
+    counted = vertex_census(*mn)
+    assert not walked
+    force_the_shape_walk(monkeypatch)
+    assert vertex_census(*mn) == counted == shape_walk_vertex_census(*mn)
+    assert walked == [(*mn,)]
 
 
 @pytest.mark.parametrize("mn", [(2, 1), (3, 0), (3, 2)])

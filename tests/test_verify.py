@@ -66,7 +66,7 @@ def test_every_suite_of_all_follows_the_reach_table(small_reach):
     assert _named_cells(subdivided, "cubic painted(") == _cells(2)
 
 
-@pytest.mark.parametrize("name", ["tables", "lattice", "morphism", "fan", "cubic"])
+@pytest.mark.parametrize("name", ["tables", "lattice", "morphism", "fan", "cubic", "analytics"])
 def test_a_suite_stops_where_all_stops_it(small_reach, name):
     alone = verify.run_suite(name, 4)
     within_all = [res for res in verify.run_suite("all", 4) if res.suite == name]
