@@ -18,7 +18,13 @@ join-irreducible j suffice, since ↑(y₁ ∨ y₂) = ↑y₁ ∩ ↑y₂; and 
 f(a ∧ b) = f(a) ∧ f(b) (the full argument is in `_adjoint_certificate`).
 Past the lattice premise, a passing side reads no row set of either order.
 Only a morphism side that fails its certificate is scanned pair by pair,
-for the same first counterexample as the full tables give.  No table is
+for the same first counterexample as the full tables give.  The morphism
+suite hands both checks the map as the index list `shadow.shadow_images`
+gives, computed once per cell.  `check_congruence_projection` reads each fiber's extremes off
+the covers, a fiber whose one element without a lower (upper) cover in the
+fiber is its minimum (maximum), and reads the ``down`` and ``leq`` rows
+(`FinitePoset.extremes`) only for a fiber the covers leave undecided; its
+projections compare minima and maxima on the ``leq`` rows.  No table is
 cached: `_bound_table` builds a full meet or join table (O(n^2) lookups)
 only for `semidistributive_counterexample`, the fold the tests compare the
 certificates with and `kitbench/tracer.py` times.
@@ -40,6 +46,7 @@ a given order (word posets) with `preposets.cover_pairs`, the reduction
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -48,7 +55,8 @@ from operator import mul
 
 from .families import family
 from .preposets import cached_view, cover_pairs
-from .shadow import fiber_min, shadow
+from .shades import labeling
+from .shadow import fiber_shape, shadow_images
 
 
 class FinitePoset:
@@ -425,8 +433,10 @@ class MorphismCheckReport:
 def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckReport:
     """Check f(x op y) = f(x) op f(y) for both lattice operations.
 
-    f maps source element keys to destination element keys; it must be total
-    and surjective.  A counterexample is the first pair (x, y), in row-major
+    f maps source element keys to destination element keys, or lists the
+    destination index of each source element in source order, as
+    `shadow.shadow_images` gives it; either way it must be total and
+    surjective.  A counterexample is the first pair (x, y), in row-major
     order of the source, whose bound is missing on one side only or maps
     wrong.
 
@@ -445,12 +455,15 @@ def check_meet_morphism(f, src: FinitePoset, dst: FinitePoset) -> MorphismCheckR
     """
     if len(f) != src.n:
         raise ValueError("f must be total on the source")
-    index = dst._index.get
-    try:
-        fi = [index(f[e], -1) for e in src.elements]
-    except KeyError:
-        raise ValueError("f must be total on the source") from None
-    if -1 in fi or len(set(fi)) != dst.n:
+    if isinstance(f, Mapping):
+        index = dst._index.get
+        try:
+            fi = [index(f[e], -1) for e in src.elements]
+        except KeyError:
+            raise ValueError("f must be total on the source") from None
+    else:
+        fi = list(f)
+    if set(fi) != set(range(dst.n)):
         raise ValueError("f must be surjective onto the destination")
     example = {}
     for side in ("meet", "join"):
@@ -622,34 +635,69 @@ def check_congruence_projection(m: int, n: int, shadows=None) -> CongruenceRepor
     whether projecting up to fiber maxima preserves order.  A fiber without
     a unique minimum or maximum clears ``unique_minima`` and gets no
     projection; the projection flags then cover the edges whose endpoints
-    both have one.  A shade the map misses has no fiber here.  ``shadows``,
-    when given, maps every binary painted tree of the cell to its shadow,
-    so a caller that has computed them passes them in instead.
+    both have one.  ``shadows``, when given, lists for every binary painted
+    tree of the cell, in the order of the painted rotation poset, the index
+    of its shadow among the shade rotation poset's elements, or -1 for a
+    tree with no image there (`shadow.shadow_images` computes it otherwise).
+    A tree with no image belongs to no fiber, and a shade the map misses has
+    no fiber here.
+
+    The extremes are read off the covers.  If exactly one element of a
+    fiber has no lower cover inside the fiber, it is the fiber's minimum:
+    from any other element a walk down along covers inside the fiber only
+    stops at an element with no such cover, which is that one.  Maxima are
+    dual.  The fibers of a lattice congruence are intervals (N. Reading,
+    "Lattice congruences of the weak order", Order 21, 2004), so on the
+    shadow map every fiber is decided that way; any other fiber takes its
+    minimal and maximal elements from the rows (`FinitePoset.extremes`),
+    and a fiber decided off the covers has the same ones there.  So no
+    ``down`` row set is built unless a fiber falls back.  A minimum is
+    compared with `shadow.fiber_shape` of its shade's sequence, built once
+    per sequence, and with the shade's labels: the minimum is a binary tree
+    with one label per cut, which its spine crosses top cut first.
     """
     poset = build_rotation_poset("painted", m, n)
-    shade_of = shadow if shadows is None else shadows.__getitem__
+    shades = build_rotation_poset("shade", m, n).elements
+    images = shadow_images(poset.elements, shades) if shadows is None else shadows
     fibers = {}
-    for i, pt in enumerate(poset.elements):
-        fibers.setdefault(shade_of(pt), []).append(i)
+    for i, y in enumerate(images):
+        if y >= 0:
+            fibers.setdefault(y, []).append(i)
+    # whether an element has a lower (an upper) cover in its own fiber
+    inner_below, inner_above = bytearray(poset.n), bytearray(poset.n)
+    for lo, hi in poset.covers:
+        if images[lo] == images[hi]:
+            inner_below[hi] = inner_above[lo] = 1
     unique = True
     match = True
-    down = {}
-    up = {}
-    for ls, idxs in fibers.items():
-        minima, maxima = poset.extremes(idxs)
+    down = [-1] * poset.n
+    up = [-1] * poset.n
+    shapes = {}  # value sequence -> the shape of its fibers' minimum
+    for y, idxs in fibers.items():
+        minima = [i for i in idxs if not inner_below[i]]
+        maxima = [i for i in idxs if not inner_above[i]]
         if len(minima) != 1 or len(maxima) != 1:
-            unique = False
-            continue
-        if poset.elements[minima[0]] != fiber_min(ls):
+            minima, maxima = poset.extremes(idxs)
+            if len(minima) != 1 or len(maxima) != 1:
+                unique = False
+                continue
+        (low,), (high,) = minima, maxima
+        seq, labels = labeling(shades[y])
+        shape = shapes.get(seq)
+        if shape is None:
+            shape = shapes[seq] = fiber_shape(seq, minimum=True)
+        tree = poset.elements[low]
+        if tree.tagged != shape or tuple([x for part in reversed(tree.parts) for x in part]) != labels:
             match = False
         for i in idxs:
-            down[i] = minima[0]
-            up[i] = maxima[0]
-    covers = [(lo, hi) for lo, hi in poset.covers if lo in down and hi in down]
-    down_ok = all(poset.le(down[lo], down[hi]) for lo, hi in covers)
+            down[i] = low
+            up[i] = high
+    covers = [(lo, hi) for lo, hi in poset.covers if down[lo] >= 0 and down[hi] >= 0]
+    leq = poset.leq
+    down_ok = all(leq[down[lo]] >> down[hi] & 1 for lo, hi in covers)
     up_bad = None
     for lo, hi in covers:
-        if not poset.le(up[lo], up[hi]):
+        if not leq[up[lo]] >> up[hi] & 1:
             up_bad = (poset.elements[lo], poset.elements[hi])
             break
     return CongruenceReport(unique, match, down_ok, up_bad is None, up_bad)

@@ -361,8 +361,8 @@ def labeling(ls):
     keeps the sequence, and the shade whose labels read 1..m is the
     `canonical_shades` representative of its orbit."""
     return (
-        tuple(vals[0] if vals else 0 for vals, _ in ls.entries),
-        tuple(x for _, lights in ls.entries for x in lights),
+        tuple([vals[0] if vals else 0 for vals, _ in ls.entries]),
+        tuple([x for _, lights in ls.entries for x in lights]),
     )
 
 

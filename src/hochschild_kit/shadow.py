@@ -2,19 +2,31 @@
 
 The shadow of a painted tree records, down the right branch, the leaf counts
 of the subtrees hanging to the left, together with the positions of the cuts.
-One spine reader, `shadow_entries`, reads it off a tagged shape and its
-parts; `shadow` wraps it.  The census in `tables` counts the fibers on the
-binary trees off the spine grammar instead, with no shape built, and runs
-the reader only on its fallback walk.  The fibers on binary trees define
-the shadow congruence; the fiber extremes replace every recorded value by a
-left comb (minimum) or right comb (maximum) with the cuts placed at leaf or
-root level.
+`shadow_entries` reads it off any tagged shape and its parts; `shadow`
+wraps it.  The census in `tables` counts the fibers on the binary trees off
+the spine grammar instead, with no shape built, and runs that reader only
+on its fallback walk.
+
+On a binary tree the shadow is unary, so it is its sequence of values and
+cuts plus its labels read top to bottom (`shades.labeling`).  The second
+spine reader, `spine`, reads a binary shape's sequence and its cut tags,
+top first, once per shape, and `shadow_images` gives each labeling of the
+shape its shade's index from that key, with no tree hashed and no shade
+built: the index list that the morphism suite hands to both order checks
+in `posets`.
+
+The fibers on binary trees define the shadow congruence; the fiber extremes
+replace every recorded value by a left comb (minimum) or right comb
+(maximum) with the cuts placed at leaf or root level.  They depend on the
+value sequence alone, so one function, `fiber_shape`, gives the extreme's
+shape per sequence, which the congruence check builds once for all the
+labelings of a sequence; `fiber_min` and `fiber_max` add the labels.
 """
 
 from __future__ import annotations
 
 from .painted import LEAF, PaintedTree, binary_painted_trees, tree_leaves
-from .shades import _UNLIT, LightedShade, unary_lighted_shades
+from .shades import _UNLIT, LightedShade, labeling, unary_lighted_shades
 
 
 def shadow_entries(t, parts, leaves=tree_leaves) -> tuple:
@@ -34,20 +46,81 @@ def shadow(pt: PaintedTree) -> LightedShade:
     return LightedShade._new(pt.m, pt.n, shadow_entries(pt.tagged, pt.parts))
 
 
-def _cut_tags_below(ls: LightedShade, pos: int) -> list[int]:
-    """Bottom-up cut indices of the cuts strictly below a position, ascending."""
-    k = len(ls.cut_positions)
-    tags = [
-        k - 1 - j for j, c in enumerate(ls.cut_positions) if c > pos
-    ]
-    return sorted(tags)
+def spine(shape, leaves=tree_leaves) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A binary tagged shape's right spine, top first: its sequence of values
+    and cuts, the ``leaves`` of each uncut node's left child and 0 for a cut
+    node, and the tags of its cut nodes."""
+    seq, tags = [], []
+    while shape is not LEAF:
+        tag, children = shape
+        if tag is None:
+            seq.append(leaves(children[0]))
+        else:
+            seq.append(0)
+            tags.append(tag)
+        shape = children[-1]
+    return tuple(seq), tuple(tags)
 
 
-def _dress(core, tags_ascending):
-    """Stack unary cut nodes above ``core``, deepest cut innermost."""
-    for tag in tags_ascending:
+def shadow_images(trees, shades) -> list[int]:
+    """The index in ``shades``, a list of unary shades, of each binary
+    painted tree's shadow, or -1 where the shadow is not among them.
+
+    The shadow of a binary tree is unary: its sequence of values and cuts is
+    the tree's `spine`, and the lights of the cut with tag t are the tree's
+    part t, so its labels read top to bottom are the parts of the spine's
+    tags, top first.  That pair is the shade's `shades.labeling`, which one
+    dict maps to its index.  The spine is read once per run of consecutive
+    trees on one shape, as `binary_painted_trees` lays out a shape's
+    labelings, so no tree is hashed and no shade is built.
+    """
+    index = {labeling(ls): i for i, ls in enumerate(shades)}
+    images = []
+    shape = None
+    for pt in trees:
+        if pt.tagged is not shape:
+            shape = pt.tagged
+            seq, tags = spine(shape)
+        parts = pt.parts
+        images.append(index.get((seq, tuple([x for tag in tags for x in parts[tag]])), -1))
+    return images
+
+
+def _dress(core, cuts):
+    """Stack unary nodes on the cuts 0, ..., ``cuts`` - 1 above ``core``,
+    cut 0, the deepest, innermost."""
+    for tag in range(cuts):
         core = (tag, (core,))
     return core
+
+
+def fiber_shape(seq, minimum: bool):
+    """The tagged shape of the rotation-minimal (``minimum``) or -maximal
+    binary painted tree in the fiber of the unary shades on the sequence of
+    values and cuts ``seq`` (0 for a cut), top first.
+
+    Built bottom-up: a cut is a unary node tagged with the number of cuts
+    below it, and a value s hangs left of the spine a left comb on s leaves
+    with all lower cuts crossing it at leaf level (minimum), or a right comb
+    with all lower cuts crossing just above its root (maximum).
+    """
+    current, below = LEAF, 0
+    for s in reversed(seq):
+        if not s:
+            current = (below, (current,))
+            below += 1
+            continue
+        if minimum:
+            comb = _dress(LEAF, below)
+            for _ in range(s - 1):
+                comb = (None, (comb, _dress(LEAF, below)))
+        else:
+            comb = LEAF
+            for _ in range(s - 1):
+                comb = (None, (LEAF, comb))
+            comb = _dress(comb, below)
+        current = (None, (comb, current))
+    return current
 
 
 def fiber_min(ls: LightedShade) -> PaintedTree:
@@ -69,30 +142,12 @@ def fiber_max(ls: LightedShade) -> PaintedTree:
 
 
 def _fiber_extreme(ls: LightedShade, minimum: bool) -> PaintedTree:
+    """`fiber_shape` of the shade's sequence, its cuts labeled by the
+    shade's lights, bottom cut first."""
     if not ls.is_unary:
         raise ValueError("fiber extremes are defined for unary shades")
-    k = len(ls.cut_positions)
-    parts_bottom_up = tuple(reversed(ls.mu))
-    current = LEAF
-    for pos in range(len(ls.entries) - 1, -1, -1):
-        vals, lights = ls.entries[pos]
-        if lights:
-            tag = k - 1 - ls.cut_positions.index(pos)
-            current = (tag, (current,))
-            continue
-        s = vals[0]
-        tags = _cut_tags_below(ls, pos)
-        if minimum:
-            comb = _dress(LEAF, tags)
-            for _ in range(s - 1):
-                comb = (None, (comb, _dress(LEAF, tags)))
-        else:
-            comb = LEAF
-            for _ in range(s - 1):
-                comb = (None, (LEAF, comb))
-            comb = _dress(comb, tags)
-        current = (None, (comb, current))
-    return PaintedTree._new(ls.m, ls.n, current, parts_bottom_up)
+    seq, _ = labeling(ls)
+    return PaintedTree._new(ls.m, ls.n, fiber_shape(seq, minimum), tuple(reversed(ls.mu)))
 
 
 def is_singleton(pt: PaintedTree) -> bool:

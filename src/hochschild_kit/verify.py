@@ -38,7 +38,7 @@ from .posets import (
     word_subposet,
 )
 from .shades import unary_lighted_shades
-from .shadow import shadow
+from .shadow import shadow_images
 from .tables import reproduce_tables
 
 # Largest m + n each check runs at, whatever bound was asked for.  No entry
@@ -150,18 +150,18 @@ def morphism_suite(bound: int = 6) -> SuiteResult:
     for m, n in _cells(bound):
         src = build_rotation_poset("painted", m, n)
         dst = build_rotation_poset("shade", m, n)
-        f = {pt: shadow(pt) for pt in src.elements}
-        surjective = set(f.values()) == set(dst.elements)
+        images = shadow_images(src.elements, dst.elements)
+        surjective = set(images) == set(range(dst.n))
         res.record(f"shadow({m},{n}) surjective", surjective)
         if surjective:
-            rep = check_meet_morphism(f, src, dst)
+            rep = check_meet_morphism(images, src, dst)
             witness = "" if rep.is_meet_morphism else f"meet of {rep.meet_counterexample}"
             res.record(f"shadow({m},{n}) meet morphism", rep.is_meet_morphism, witness)
             if not rep.is_join_morphism:
                 join_counterexamples[(m, n)] = rep.join_counterexample
         else:
             res.record(f"shadow({m},{n}) meet morphism", False, "the map is not surjective")
-        cong = projections[(m, n)] = check_congruence_projection(m, n, f)
+        cong = projections[(m, n)] = check_congruence_projection(m, n, images)
         res.record(f"fibers({m},{n}) unique minima", cong.unique_minima)
         res.record(f"fibers({m},{n}) minima = fiber_min", cong.minima_match_fiber_min)
         res.record(f"projection down({m},{n}) order preserving", cong.proj_down_order_preserving)

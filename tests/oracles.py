@@ -1,6 +1,7 @@
 """Oracles shared by the test modules: simple routes the kit's fast code is
 compared with."""
 
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -32,14 +33,21 @@ from hochschild_kit.painted import (
     _rotate_right,
     _sweep_cut,
     _tree_json,
+    binary_painted_trees,
     ordered_partitions,
     shape_rank,
+    tree_leaves,
 )
-from hochschild_kit.posets import FinitePoset, MorphismCheckReport
+from hochschild_kit.posets import (
+    CongruenceReport,
+    FinitePoset,
+    MorphismCheckReport,
+    build_rotation_poset,
+)
 from hochschild_kit.preposets import Preposet, _bits, cover_pairs, relabel_canonically
 from hochschild_kit.series import TruncatedSeries, schroder_gf, surjection_count
 from hochschild_kit.shades import _UNLIT, LightedShade, _tuples_upto, sequence_rank
-from hochschild_kit.shadow import shadow
+from hochschild_kit.shadow import fiber_min, shadow
 
 
 def left_comb(n):
@@ -148,6 +156,59 @@ def row_certificate(f, src, dst) -> tuple[bool, bool]:
             )
         )
     return tuple(verdicts)
+
+
+def per_tree_images(trees, shades) -> list[int]:
+    """The index in ``shades`` of each tree's shadow, -1 if none: one shadow
+    built and hashed per tree, looked up in an element index as
+    `FinitePoset._index` holds it; the route the morphism suite took before
+    `shadow.shadow_images`."""
+    index = {ls: i for i, ls in enumerate(shades)}
+    return [index.get(shadow(pt), -1) for pt in trees]
+
+
+def row_congruence_projection(m, n, images) -> CongruenceReport:
+    """`check_congruence_projection` with each fiber's extremes read off the
+    rows (`FinitePoset.extremes`) and each minimum compared with `fiber_min`
+    of its shade: the route the check took before it read the covers."""
+    poset = build_rotation_poset("painted", m, n)
+    shades = build_rotation_poset("shade", m, n).elements
+    fibers = {}
+    for i, y in enumerate(images):
+        if y >= 0:
+            fibers.setdefault(y, []).append(i)
+    unique = match = True
+    down, up = {}, {}
+    for y, idxs in fibers.items():
+        minima, maxima = poset.extremes(idxs)
+        if len(minima) != 1 or len(maxima) != 1:
+            unique = False
+            continue
+        if poset.elements[minima[0]] != fiber_min(shades[y]):
+            match = False
+        for i in idxs:
+            down[i] = minima[0]
+            up[i] = maxima[0]
+    covers = [(lo, hi) for lo, hi in poset.covers if lo in down and hi in down]
+    down_ok = all(poset.le(down[lo], down[hi]) for lo, hi in covers)
+    up_bad = next(((poset.elements[lo], poset.elements[hi]) for lo, hi in covers
+                   if not poset.le(up[lo], up[hi])), None)
+    return CongruenceReport(unique, match, down_ok, up_bad is None, up_bad)
+
+
+def patch_spines(monkeypatch, m, n, rewrite):
+    """Read the spine of every binary shape of (m, n) as ``rewrite`` of its
+    true spine: `shadow.spine`, the one reader `shadow.shadow_images` calls,
+    gives the morphism suite and the congruence check the faulty map."""
+    module = sys.modules["hochschild_kit.shadow"]
+    real = module.spine
+    shapes = {pt.tagged for pt in binary_painted_trees(m, n)}
+
+    def patched(shape, leaves=tree_leaves):
+        found = real(shape, leaves)
+        return rewrite(found) if shape in shapes else found
+
+    monkeypatch.setattr(module, "spine", patched)
 
 
 def labeled_vertex_census(m, n):

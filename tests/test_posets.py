@@ -22,18 +22,21 @@ from hochschild_kit.posets import (
 from hochschild_kit import painted, posets, shades
 from hochschild_kit.families import family
 from hochschild_kit.painted import binary_painted_trees, enum_painted_trees
-from hochschild_kit.shades import enum_lighted_shades, unary_lighted_shades
-from hochschild_kit.shadow import shadow
+from hochschild_kit.shades import enum_lighted_shades, labeling, unary_lighted_shades
+from hochschild_kit.shadow import shadow, shadow_images
 
 from oracles import (
     inverted_pairs,
     key_sorted,
     move_refinement_poset,
+    patch_spines,
+    per_tree_images,
     poset_from_moves,
     rank_vector,
     refinement_covers_down,
     rotation_successors,
     row_certificate,
+    row_congruence_projection,
     successor_rotation_poset,
     table_lattice_flags,
     table_morphism_check,
@@ -752,6 +755,25 @@ def test_the_morphism_check_rejects_a_partial_or_non_surjective_map():
             check_meet_morphism(g, src, dst)
 
 
+@pytest.mark.parametrize("src, dst, f", shadow_maps())
+def test_the_morphism_check_reads_an_index_list_as_its_map(src, dst, f):
+    images = [dst.index(f[e]) for e in src.elements]
+    assert check_meet_morphism(images, src, dst) == check_meet_morphism(f, src, dst)
+
+
+def test_the_morphism_check_rejects_a_short_or_non_surjective_index_list():
+    src, dst = diamond_m3(), FinitePoset(["0", "1"], [(0, 1)])
+    images = [0, 1, 1, 1, 1]
+    assert check_meet_morphism(images, src, dst).is_join_morphism
+    for short in (images[:-1], images + [1]):
+        with pytest.raises(ValueError, match="^f must be total on the source$"):
+            check_meet_morphism(short, src, dst)
+    # misses 0; an image outside the destination; a tree with no image (-1)
+    for g in ([1] * 5, [2, 1, 1, 1, 1], [0, 1, 1, 1, -1]):
+        with pytest.raises(ValueError, match="^f must be surjective onto the destination$"):
+            check_meet_morphism(g, src, dst)
+
+
 def test_order_suites_fill_no_table(monkeypatch):
     import hochschild_kit.geometry as geometry
     import hochschild_kit.posets as posets
@@ -831,16 +853,12 @@ def test_morphism_counterexample_is_first_row_major_violation():
 
 def test_morphism_suite_records_a_non_surjective_shadow(monkeypatch):
     import hochschild_kit.verify as verify
-    from hochschild_kit.shades import unary_lighted_shades
 
     # the suite computes the map once and the congruence check reads it too,
     # so the one fiber, over a shade whose fiber_min is the top tree, also
     # fails the fiber_min row
-    real = verify.shadow
-    one = unary_lighted_shades(0, 2)[0]
-    monkeypatch.setattr(
-        verify, "shadow", lambda pt: one if (pt.m, pt.n) == (0, 2) else real(pt)
-    )
+    one = labeling(unary_lighted_shades(0, 2)[0])
+    patch_spines(monkeypatch, 0, 2, lambda spine: one)
     res = verify.morphism_suite(2)
     failed = [(name, detail) for name, ok, detail in res.checks if not ok]
     assert failed == [
@@ -851,24 +869,20 @@ def test_morphism_suite_records_a_non_surjective_shadow(monkeypatch):
 
 
 def test_morphism_suite_records_a_shadow_missing_a_shade_everywhere(monkeypatch):
-    # with every binding of the shadow map patched, the congruence check sees
-    # the same non-surjective map as the morphism check and must not raise;
-    # mapping every tree to the bottom tree's shade keeps fiber_min right
+    # the spine reader has one binding, which the suite's index list and the
+    # congruence check's own both read, so the congruence check sees the same
+    # non-surjective map as the morphism check and must not raise; mapping
+    # every tree to the bottom tree's shade keeps fiber_min right
     import hochschild_kit.verify as verify
 
+    shadow_module = sys.modules["hochschild_kit.shadow"]
+    bindings = [name for name, module in sys.modules.items()
+                if name.startswith("hochschild_kit") and vars(module).get("spine") is shadow_module.spine]
+    assert bindings == ["hochschild_kit.shadow"]
     src = build_rotation_poset("painted", 0, 2)
-    one = shadow(src.elements[src.bottom])
-    patched = []
-    for name, module in list(sys.modules.items()):
-        if name.startswith("hochschild_kit"):
-            for key, value in list(vars(module).items()):
-                if value is shadow:
-                    monkeypatch.setattr(
-                        module, key, lambda pt: one if (pt.m, pt.n) == (0, 2) else shadow(pt)
-                    )
-                    patched.append(f"{name}.{key}")
-    assert {"hochschild_kit.shadow.shadow", "hochschild_kit.verify.shadow",
-            "hochschild_kit.posets.shadow"} <= set(patched)
+    one = labeling(shadow(src.elements[src.bottom]))
+    patch_spines(monkeypatch, 0, 2, lambda spine: one)
+    assert check_congruence_projection(0, 2).unique_minima
     res = verify.morphism_suite(2)
     failed = [(name, detail) for name, ok, detail in res.checks if not ok]
     assert failed == [
@@ -886,27 +900,81 @@ def test_congruence_projection():
     assert not check_congruence_projection(0, 3).proj_up_order_preserving
 
 
-def test_congruence_projection_reports_fiber_without_unique_minimum(monkeypatch):
+def cell_images(m, n):
+    src = build_rotation_poset("painted", m, n)
+    return shadow_images(src.elements, build_rotation_poset("shade", m, n).elements)
+
+
+def merged_fibers(m, n, images):
+    """The map with the first two fibers, in shade order, whose union has
+    two minimal trees merged into the first, or None."""
+    poset = build_rotation_poset("painted", m, n)
+    fibers = {}
+    for i, y in enumerate(images):
+        fibers.setdefault(y, []).append(i)
+    pair = next(
+        ((a, b) for a, b in combinations(sorted(fibers), 2)
+         if len(poset.extremes(fibers[a] + fibers[b])[0]) > 1),
+        None,
+    )
+    if pair is None:
+        return None
+    a, b = pair
+    return [a if y == b else y for y in images]
+
+
+def test_congruence_projection_reports_fiber_without_unique_minimum():
     # merging two fibers whose union has two minimal trees must give a
     # report with unique_minima False, not a KeyError on the cover scan
-    import hochschild_kit.posets as posets
-    from hochschild_kit.shadow import shadow_fibers
-
-    poset = build_rotation_poset("painted", 1, 2)
-    fibers = shadow_fibers(1, 2)
-
-    def minima(pts):
-        return poset.extremes([poset.index(p) for p in pts])[0]
-
-    a, b = next(
-        (a, b) for a, b in combinations(fibers, 2)
-        if len(minima(fibers[a] + fibers[b])) > 1
-    )
-    monkeypatch.setattr(posets, "shadow", lambda pt: a if shadow(pt) == b else shadow(pt))
-    rep = check_congruence_projection(1, 2)
+    rep = check_congruence_projection(1, 2, merged_fibers(1, 2, cell_images(1, 2)))
     assert not rep.unique_minima
     assert rep.proj_down_order_preserving
     assert rep.proj_up_order_preserving == (rep.proj_up_counterexample is None)
+
+
+CELLS_TO_7 = [(m, t - m) for t in range(1, 8) for m in range(t + 1)]
+
+
+@pytest.mark.parametrize("m, n", CELLS_TO_7)
+def test_shape_level_images_are_the_per_tree_shadows(m, n):
+    trees, shades = binary_painted_trees(m, n), unary_lighted_shades(m, n)
+    images = shadow_images(trees, shades)
+    assert images == per_tree_images(trees, shades)
+    assert sorted(set(images)) == list(range(len(shades)))
+
+
+@pytest.mark.parametrize("m, n", [(m, t - m) for t in range(1, 7) for m in range(t + 1)])
+def test_covers_extremes_match_the_row_extremes(m, n, monkeypatch):
+    images = cell_images(m, n)
+    maps = {
+        "shadow": images,
+        "merged": merged_fibers(m, n, images),
+        "swapped": [{0: 1, 1: 0}.get(y, y) for y in images] if max(images) else None,
+        "constant": [0] * len(images),
+    }
+    # from m + n = 3 on, some two fibers have two minimal trees in all
+    assert (maps["merged"] is None) == (m + n <= 2)
+    fallbacks = []
+    real = FinitePoset.extremes
+
+    def counted(self, idxs):
+        fallbacks.append(len(idxs))
+        return real(self, idxs)
+
+    monkeypatch.setattr(FinitePoset, "extremes", counted)
+    for name, g in maps.items():
+        if g is None:
+            continue
+        expected = row_congruence_projection(m, n, g)
+        fallbacks.clear()
+        assert check_congruence_projection(m, n, g) == expected, name
+        if name == "shadow":
+            # every shadow fiber is an interval, decided off the covers
+            assert expected.unique_minima and expected.minima_match_fiber_min
+            assert not fallbacks
+        if name == "merged":
+            # the merged fiber has two minimal trees, so it takes the rows
+            assert not expected.unique_minima and fallbacks
 
 
 def test_shadow_quotient_is_shade_lattice():

@@ -9,7 +9,7 @@ from hochschild_kit.painted import (
     binary_painted_trees,
     tree_leaves,
 )
-from hochschild_kit.shades import LightedShade, unary_lighted_shades
+from hochschild_kit.shades import LightedShade, labeling, unary_lighted_shades
 from hochschild_kit.shadow import (
     fiber_max,
     fiber_min,
@@ -17,6 +17,7 @@ from hochschild_kit.shadow import (
     shadow,
     shadow_entries,
     shadow_fibers,
+    spine,
 )
 
 from oracles import force_the_shape_walk, left_comb, right_comb, singleton_tree_condition
@@ -184,3 +185,14 @@ def test_the_spine_reader_with_a_leaf_memo_is_the_shadow(mn):
 
     for pt in binary_painted_trees(m, n):
         assert shadow_entries(pt.tagged, pt.parts, leaves) == shadow(pt).entries
+
+
+@pytest.mark.parametrize("mn", [(m, d - m) for d in range(1, 6) for m in range(d + 1)])
+def test_the_spine_is_the_shadow_sequence_with_its_cuts_top_first(mn):
+    # a binary tree's spine crosses the cuts m - 1, ..., 0, and the shadow
+    # lights each with the tree's part on it
+    m, n = mn
+    for pt in binary_painted_trees(m, n):
+        seq, tags = spine(pt.tagged)
+        assert tags == tuple(range(m - 1, -1, -1))
+        assert (seq, tuple(x for tag in tags for x in pt.parts[tag])) == labeling(shadow(pt))

@@ -1,13 +1,20 @@
 import dataclasses
+import json
 import re
+import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
 from hochschild_kit import cli, posets, verify
 from hochschild_kit.cli import main
-from hochschild_kit.painted import binary_painted_trees
+from hochschild_kit.painted import binary_painted_trees, tree_leaves
 from hochschild_kit.posets import build_rotation_poset
+from hochschild_kit.shades import labeling
 from hochschild_kit.shadow import shadow
+
+from oracles import patch_spines
 
 SMALL_REACH = {
     "tables": 3,
@@ -105,17 +112,43 @@ def test_morphism_suite_projects_each_cell_once(monkeypatch):
 
 
 def test_morphism_suite_computes_each_shadow_once(monkeypatch):
-    # the suite's map is passed to the congruence check, which computes none
-    calls = [0]
+    # the suite reads each binary shape's spine once and hands the index list
+    # to both checks: no tree's shadow is built, and the congruence check
+    # reads the fiber extremes off the covers, with no down rows
+    shadow_module = sys.modules["hochschild_kit.shadow"]
+    real = shadow_module.spine
+    reads = Counter()
 
-    def counted(pt):
-        calls[0] += 1
-        return shadow(pt)
+    def counted(shape, leaves=tree_leaves):
+        reads[shape] += 1
+        return real(shape, leaves)
+
+    def unbuilt(pt):
+        raise AssertionError("the morphism suite built a tree's shadow")
+
+    monkeypatch.setattr(shadow_module, "spine", counted)
+    bindings = [module for name, module in sys.modules.items()
+                if name.startswith("hochschild_kit") and vars(module).get("shadow") is shadow]
+    assert shadow_module in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "shadow", unbuilt)
+    built = []
+
+    @lru_cache(maxsize=None)
+    def fresh(kind, m, n):
+        # posets no other test has read, so a down view would be this suite's
+        poset = build_rotation_poset.__wrapped__(kind, m, n)
+        built.append((kind, poset))
+        return poset
 
     for module in (verify, posets):
-        monkeypatch.setattr(module, "shadow", counted)
+        monkeypatch.setattr(module, "build_rotation_poset", fresh)
     assert verify.morphism_suite(4).ok
-    assert calls[0] == sum(len(binary_painted_trees(m, n)) for m, n in _cells(4))
+    shapes = {pt.tagged for m, n in _cells(4) for pt in binary_painted_trees(m, n)}
+    assert set(reads) == shapes and set(reads.values()) == {1}
+    painted = [poset for kind, poset in built if kind == "painted"]
+    assert len(painted) == len(_cells(4))
+    assert all("down" not in poset.__dict__ for poset in painted)
 
 
 def test_a_failed_meet_morphism_row_names_its_pair(monkeypatch):
@@ -123,16 +156,8 @@ def test_a_failed_meet_morphism_row_names_its_pair(monkeypatch):
     # it reverses the order of a two-element chain.  The suite computes the
     # map once and the congruence check reads it too, so each swapped fiber
     # also has a minimum other than its fiber_min
-    real = verify.shadow
-    low, high = build_rotation_poset("shade", 0, 2).elements
-
-    def swapped(pt):
-        shade = real(pt)
-        if (pt.m, pt.n) != (0, 2):
-            return shade
-        return high if shade == low else low
-
-    monkeypatch.setattr(verify, "shadow", swapped)
+    low, high = (labeling(ls)[0] for ls in build_rotation_poset("shade", 0, 2).elements)
+    patch_spines(monkeypatch, 0, 2, lambda spine: ({low: high, high: low}[spine[0]], spine[1]))
     res = verify.morphism_suite(2)
     failed = [(name, detail) for name, ok, detail in res.checks if not ok]
     assert failed == [(
@@ -140,6 +165,31 @@ def test_a_failed_meet_morphism_row_names_its_pair(monkeypatch):
         'meet of (PaintedTree({"m":0,"n":2,"tree":[0,[0,0]],"cuts":[],"parts":[]}), '
         'PaintedTree({"m":0,"n":2,"tree":[[0,0],0],"cuts":[],"parts":[]}))',
     ), ("fibers(0,2) minima = fiber_min", "")]
+
+
+def test_a_tree_whose_shadow_is_no_shade_is_recorded_not_raised(monkeypatch, capsys):
+    # the top tree of (0, 2) reads a spine of sum 3, which names no (0, 2)
+    # shade: that tree has no image and belongs to no fiber, so the map
+    # misses the top shade and fails the same two rows as a map onto one
+    # shade, and the remaining fiber still has its fiber_min as minimum
+    patch_spines(monkeypatch, 0, 2, lambda spine: ((1, 1, 1), ()) if spine[0] == (1, 1) else spine)
+    src = build_rotation_poset("painted", 0, 2)
+    dst = build_rotation_poset("shade", 0, 2)
+    # the top tree, the right comb, comes first; the left comb's shadow (2,)
+    # is the second shade
+    assert [labeling(ls)[0] for ls in dst.elements] == [(1, 1), (2,)]
+    assert verify.shadow_images(src.elements, dst.elements) == [-1, 1]
+    expected = [
+        ("shadow(0,2) surjective", ""),
+        ("shadow(0,2) meet morphism", "the map is not surjective"),
+    ]
+    res = verify.morphism_suite(2)
+    assert [(name, detail) for name, ok, detail in res.checks if not ok] == expected
+    assert main(["verify", "--suite", "morphism", "--bound", "2", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert "internal error" not in err
+    (doc,) = json.loads(out)["suites"]
+    assert [(c["name"], c["detail"]) for c in doc["checks"] if not c["ok"]] == expected
 
 
 def test_a_failed_shared_facets_row_names_its_clauses(monkeypatch):
